@@ -1050,3 +1050,61 @@ func joinComma(vals []string) string {
 	}
 	return out
 }
+
+// BenchmarkC1PlanTemplate measures the three costs a statement can pay on
+// the SELECT path (experiment C1), on the two point_lookup shapes over a
+// 200k-row purchase: cold-plan (plan cache off: parse, build, rewrite,
+// optimize, execute), text-repeat (the same text every iteration: a plan
+// cache hit), and template-rebind (a fresh literal every iteration: a hit
+// on the shape's template, rebound to the new literal — before shape
+// keying this was a cold plan plus a cache store).
+func BenchmarkC1PlanTemplate(b *testing.B) {
+	n := 200000
+	if testing.Short() {
+		n = 20000
+	}
+	load := func(disableCache bool) *engine.Database {
+		db := engine.Open()
+		db.DisablePlanCache = disableCache
+		if err := workload.LoadPurchase(db, workload.PurchaseConfig{
+			N: n, Seed: 1, ShipWindowMode: "soft", IndexOrderDate: true,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		return db
+	}
+	cold, cached := load(true), load(false)
+	for _, sh := range bench.C1Shapes {
+		modes := []struct {
+			name   string
+			db     *engine.Database
+			repeat bool
+		}{
+			{"cold-plan", cold, false},
+			{"text-repeat", cached, true},
+			{"template-rebind", cached, false},
+		}
+		for _, m := range modes {
+			b.Run(sh.Name+"/"+m.name, func(b *testing.B) {
+				texts := make([]string, b.N)
+				for i := range texts {
+					if m.repeat {
+						texts[i] = sh.Text(n, 1)
+					} else {
+						texts[i] = sh.Text(n, i+2)
+					}
+				}
+				if _, err := m.db.Exec(sh.Text(n, 1)); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := m.db.Exec(texts[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

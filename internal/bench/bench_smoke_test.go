@@ -390,6 +390,35 @@ func TestO2Shape(t *testing.T) {
 	}
 }
 
+// TestC1Shape: both point_lookup shapes are served by one template each —
+// exact counts, not timings — and a rebind is cheaper than a cold plan.
+func TestC1Shape(t *testing.T) {
+	const stmts = 400
+	rep, err := C1PlanTemplate(20000, stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != 3 {
+		t.Fatalf("rows: %v", rep.Rows)
+	}
+	for i, shape := range []string{"id", "order_date"} {
+		row := rep.Rows[i]
+		// stmts fresh literals plus the warm-up statement, all rebinds.
+		if row[0] != shape || row[5] != fmt.Sprint(i+1) || row[6] != fmt.Sprint(stmts+1) || row[7] != "0" {
+			t.Errorf("%s: want %d cached plan(s), %d template hits, nothing literal-bound: %v", shape, i+1, stmts+1, row)
+		}
+		// Smoke scale is too small to gate a ratio on (scbench -bench-json
+		// holds the 2x bar); a rebind slower than a cold plan is a bug anywhere.
+		if speedup := lastFloat(t, row[4]); speedup <= 1.0 {
+			t.Errorf("%s: a template rebind should cost less than a cold plan: %v", shape, row)
+		}
+	}
+	mix := rep.Rows[2]
+	if mix[5] != "2" || mix[6] != fmt.Sprint(stmts-2) || mix[7] != "0" {
+		t.Errorf("the traffic mix should leave two templates and miss twice: %v", mix)
+	}
+}
+
 func TestV1Shape(t *testing.T) {
 	rep, err := V1Kernels(8192)
 	if err != nil {

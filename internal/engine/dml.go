@@ -100,6 +100,7 @@ func (db *Database) applyInsert(tx *Tx, te *catalog.TableEntry, row types.Row, s
 	if err := db.checkConstraints(te, row, selfRid); err != nil {
 		return err
 	}
+	db.touch(tx, te)
 	rid := te.Heap.InsertVersion(row, tx.t.ID)
 	for _, ix := range te.Indexes {
 		ix.Tree.Insert(ix.KeyFor(row), rid)
@@ -121,6 +122,7 @@ func (db *Database) applyDelete(tx *Tx, te *catalog.TableEntry, rid storage.RowI
 	if _, end, ok := te.Heap.Meta(rid); !ok || end != 0 {
 		return conflictError(te.Def.Name, rid)
 	}
+	db.touch(tx, te)
 	te.Heap.SetEnd(rid, -tx.t.ID)
 	tx.ops = append(tx.ops, writeOp{te: te, del: true, rid: rid, row: old})
 	if db.dur != nil {

@@ -7,7 +7,6 @@ import (
 
 	"softdb/internal/exec"
 	"softdb/internal/obs"
-	"softdb/internal/rewrite"
 	"softdb/internal/sql"
 	"softdb/internal/storage"
 	"softdb/internal/types"
@@ -75,21 +74,13 @@ func (db *Database) shadowCostDeltas(sel *sql.Select, chosenCost float64, events
 	}
 	out := make(map[string]float64, len(names))
 	for _, name := range names {
-		logical, err := db.builder().BuildSelect(sel)
+		po := db.primaryPlan(st)
+		po.masked = name
+		res, err := db.planSelect(sel, st, po)
 		if err != nil {
 			continue
 		}
-		ropts := db.rewriteOpts(st)
-		ropts.Masked = name
-		rw := &rewrite.Rewriter{Cat: db.cat, Opt: ropts}
-		logical = rw.Rewrite(logical)
-		o := db.optimizer(st)
-		o.Masked = name
-		res, err := o.Optimize(logical)
-		if err != nil {
-			continue
-		}
-		delta := res.EstCost - chosenCost
+		delta := res.estCost - chosenCost
 		if delta < 0 {
 			delta = 0
 		}
@@ -237,15 +228,6 @@ func econKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// informedLookup adapts an optimizer NodeInformed map into
-// exec.InstrumentInformed's callback.
-func informedLookup(m map[exec.Operator][]string) func(exec.Operator) []string {
-	if m == nil {
-		return nil
-	}
-	return func(op exec.Operator) []string { return m[op] }
 }
 
 // ConstraintEconomy returns the decorated, net-benefit-ranked ledger: the

@@ -61,6 +61,16 @@ type CacheStats struct {
 	// soft constraints were overturned switched to its SQO-free backup
 	// instead of recompiling.
 	Failovers int64
+	// TemplateHits is the part of Hits served by rebinding a shape's plan
+	// template to the statement's literals (the rest are literal-bound
+	// variants found under their own literal vector).
+	TemplateHits int64
+	// LiteralBound counts plans compiled literal-bound: some rewrite or
+	// access-path decision depended on the literal values, so the plan is
+	// cached for those values only.
+	LiteralBound int64
+	// Evictions counts literal-bound variants dropped at the per-shape cap.
+	Evictions int64
 }
 
 type cachedPlan struct {
@@ -72,13 +82,24 @@ type cachedPlan struct {
 	estCost     float64
 	planText    string
 	trace       []string
-	// nodeRows are the optimizer's per-operator cardinality estimates,
-	// consulted when the plan is instrumented for tracing/EXPLAIN ANALYZE.
-	nodeRows map[exec.Operator]float64
-	// nodeInformed names, per operator, the constraints whose information
-	// sharpened that operator's cardinality estimate — the economy ledger's
-	// q-error split key.
-	nodeInformed map[exec.Operator][]string
+	// traceTexts keeps format and arguments of the trace lines that embed
+	// literal-derived values (by line index); eventTexts reports that some
+	// event carries a DetailText. bind re-renders both.
+	traceTexts map[int]obs.Text
+	eventTexts bool
+	// shapeID identifies the statement's shape in traces; slots is the
+	// number of literals lifted out of it.
+	shapeID string
+	slots   int
+	// literalBound is empty for a plan that is valid for every literal
+	// vector of its shape (a template); otherwise it names the decision
+	// that tied the plan to the literals it was compiled from.
+	literalBound string
+	// nodes are the optimizer's per-operator estimates — cardinality, and
+	// the constraints whose information sharpened it (the economy ledger's
+	// q-error split key) — by preorder position in root, consulted when the
+	// plan is instrumented for tracing/EXPLAIN ANALYZE.
+	nodes []nodeEstimate
 	// shadowDeltas is the plan-time shadow-costing outcome: per constraint
 	// consulted while planning, the estimated-cost increase the optimizer
 	// would have paid had that constraint been masked.
@@ -121,7 +142,7 @@ type Database struct {
 	// every holder also holds mu.RLock, so an exclusive-lock holder is
 	// automatically alone.
 	writeMu sync.Mutex
-	// cacheMu guards planCache and cacheStat. It nests inside mu (taken
+	// cacheMu guards cache and cacheStat. It nests inside mu (taken
 	// while mu is held, never the other way around).
 	cacheMu sync.Mutex
 	// wlMu guards workload.
@@ -188,7 +209,7 @@ type Database struct {
 	admitOnce  sync.Once
 	admitSlots chan struct{}
 
-	planCache map[string]*cachedPlan
+	cache     planCache
 	cacheStat CacheStats
 
 	// workload records, per table and column, how many query predicates
@@ -211,11 +232,11 @@ type Database struct {
 // Open returns an empty database.
 func Open() *Database {
 	db := &Database{
-		cat:       catalog.New(),
-		views:     map[string]*sql.Select{},
-		txnMgr:    txn.NewManager(),
-		planCache: map[string]*cachedPlan{},
-		workload:  map[string]map[string]int64{},
+		cat:      catalog.New(),
+		views:    map[string]*sql.Select{},
+		txnMgr:   txn.NewManager(),
+		cache:    planCache{shapes: map[shapeKey]*shapeEntry{}},
+		workload: map[string]map[string]int64{},
 	}
 	db.initObs()
 	return db
@@ -295,11 +316,33 @@ func (db *Database) Exec(query string) (*Result, error) {
 // ExecCtx parses and executes one statement under ctx: cancellation and
 // deadline expiry abort the statement with a typed QueryError.
 func (db *Database) ExecCtx(ctx context.Context, query string) (*Result, error) {
+	return db.execText(ctx, query, db.defaultSettings(), nil)
+}
+
+// execText executes one statement given as text. A SELECT is handed on
+// unparsed: its fingerprint finds the plan cache entry, and only a miss
+// pays for parsing.
+func (db *Database) execText(ctx context.Context, query string, st Settings, sess *Session) (*Result, error) {
+	if startsWithSelect(query) {
+		return db.execStmtCtx(ctx, nil, query, st, sess)
+	}
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecStmtCtx(ctx, stmt, query)
+	return db.execStmtCtx(ctx, stmt, query, st, sess)
+}
+
+// startsWithSelect reports whether the text's first token is the keyword
+// SELECT.
+func startsWithSelect(q string) bool {
+	q = strings.TrimLeft(q, " \t\r\n")
+	const kw = "SELECT"
+	if len(q) <= len(kw) || !strings.EqualFold(q[:len(kw)], kw) {
+		return false
+	}
+	c := q[len(kw)]
+	return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '*' || c == '(' || c == '-' || c == '\''
 }
 
 // ExecScript executes a semicolon-separated script, returning the last
@@ -384,8 +427,11 @@ func (db *Database) admit(ctx context.Context) (release func(), err error) {
 }
 
 // ExecStmtCtx executes a parsed statement under ctx. cacheKey, when
-// non-empty, enables plan caching for selects. SELECT and EXPLAIN take the
-// shared lock so concurrent readers proceed in parallel; every other
+// non-empty, enables plan caching for selects; it must be the statement's
+// SQL text (as written, or its sql.Print rendering): the cache is keyed by
+// the text's shape, and on a miss the text is what gets compiled. SELECT
+// and EXPLAIN take the shared lock so concurrent readers proceed in
+// parallel; every other
 // statement mutates engine state and takes the exclusive lock. When the
 // database has a StmtTimeout and ctx carries no deadline, the timeout is
 // applied; the admission gate (MaxConcurrent) is crossed before any lock
@@ -398,7 +444,8 @@ func (db *Database) ExecStmtCtx(ctx context.Context, stmt sql.Statement, cacheKe
 // calls pass the database defaults and no session (each DML statement
 // autocommits; BEGIN is rejected), Session calls pass the session's
 // effective settings plus the session itself, which carries its open
-// transaction and trace/log label.
+// transaction and trace/log label. A nil stmt is a SELECT not parsed yet,
+// its text in cacheKey.
 func (db *Database) execStmtCtx(ctx context.Context, stmt sql.Statement, cacheKey string, st Settings, sess *Session) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -417,6 +464,8 @@ func (db *Database) execStmtCtx(ctx context.Context, stmt sql.Statement, cacheKe
 	defer release()
 
 	switch s := stmt.(type) {
+	case nil:
+		return db.query(ctx, nil, cacheKey, modeRun, st, sess)
 	case *sql.Select:
 		return db.query(ctx, s, cacheKey, modeRun, st, sess)
 	case *sql.Explain:
@@ -471,11 +520,12 @@ func (db *Database) execStmtCtx(ctx context.Context, stmt sql.Statement, cacheKe
 	case *sql.CreateTable:
 		res, err = db.createTable(s)
 	case *sql.CreateIndex:
-		// The index is built from the committed view; an open transaction's
-		// uncommitted inserts would be missing from it after their commit.
-		if db.txnMgr.ActiveWrites() > 0 {
+		// The index is built from the committed view; uncommitted writes an
+		// open transaction made to this table would be missing from it after
+		// their commit. Writes to other tables cannot be.
+		if db.txnMgr.ActiveWritesOn(s.Table) > 0 {
 			return nil, &exec.QueryError{Op: "engine.ddl", Kind: exec.KindBusy,
-				Err: fmt.Errorf("CREATE INDEX must wait for open write transactions")}
+				Err: fmt.Errorf("CREATE INDEX on %s must wait for open write transactions on it", s.Table)}
 		}
 		res, err = db.createIndex(s)
 	case *sql.CreateView:
@@ -580,71 +630,6 @@ func (db *Database) Plan(sel *sql.Select) (*opt.Result, *rewrite.Rewriter, error
 	return result, rw, nil
 }
 
-// cacheLookup resolves cacheKey to a runnable entry under cacheMu,
-// applying the §4.1 lifecycle: hit on a current entry, failover to the
-// backup plan when only soft characterizations changed, otherwise lazy
-// invalidation plus a miss.
-func (db *Database) cacheLookup(cacheKey string) (*cachedPlan, bool) {
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	if entry, ok := db.planCache[cacheKey]; ok {
-		if entry.catVersion == db.cat.Version() {
-			db.cacheStat.Hits++
-			db.obs.metrics.Counter(mCacheHits).Inc()
-			return entry, true
-		}
-		// §4.1: if only soft characterizations changed (the hard version
-		// is intact) and a backup plan was compiled, revert to it instead
-		// of recompiling.
-		if entry.hardVersion == db.cat.HardVersion() && entry.backup != nil {
-			bk := entry.backup
-			bk.catVersion = db.cat.Version()
-			bk.hardVersion = db.cat.HardVersion()
-			bk.trace = append([]string{"backup-plan: reverted after soft-constraint change (§4.1)"}, bk.trace...)
-			db.planCache[cacheKey] = bk
-			db.cacheStat.Failovers++
-			db.obs.metrics.Counter(mCacheFailover).Inc()
-			return bk, true
-		}
-		delete(db.planCache, cacheKey)
-		db.cacheStat.Invalidations++
-		db.obs.metrics.Counter(mCacheInvals).Inc()
-		db.obs.cacheEntries.Set(int64(len(db.planCache)))
-	}
-	db.cacheStat.Misses++
-	db.obs.metrics.Counter(mCacheMisses).Inc()
-	return nil, false
-}
-
-// cachePeek reports "hit" or "miss" for the select text's cache slot
-// without disturbing the §4.1 lifecycle or the stats — used by EXPLAIN to
-// annotate its output with the plan-cache status the equivalent SELECT
-// would see.
-func (db *Database) cachePeek(selKey string, st Settings) string {
-	if selKey == "" || db.DisablePlanCache {
-		return "miss"
-	}
-	key := planCacheKey(selKey, st)
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	if e, ok := db.planCache[key]; ok && e.catVersion == db.cat.Version() {
-		return "hit"
-	}
-	return "miss"
-}
-
-// planCacheKey builds the plan-cache identity for a select's text under
-// the statement's effective settings. Only knobs that shape the compiled
-// physical plan or its delivery participate: the degree of parallelism and
-// the prune and batch toggles — so concurrent sessions with different knob
-// sets never share an entry. The lifecycle knobs (MemBudget, StmtTimeout,
-// MaxConcurrent, Fault) are deliberately excluded — they act at run time
-// on any compiled plan, so keying on them would only fragment the cache
-// without changing what is compiled.
-func planCacheKey(selKey string, st Settings) string {
-	return fmt.Sprintf("%s\x00parallel=%d\x00prune=%t\x00batch=%t", selKey, st.Parallel, st.NoPrune, st.NoBatch)
-}
-
 // stripExplainPrefix reduces an EXPLAIN [ANALYZE] statement's text to the
 // underlying SELECT's text, which is the plan-cache key for direct runs.
 func stripExplainPrefix(q string) string {
@@ -668,20 +653,22 @@ const (
 	modeAnalyze
 )
 
-// query runs the SELECT/EXPLAIN pipeline. Planning — cache lookup, build,
-// rewrite, optimize, cache store — happens under the shared lock; then the
-// statement's MVCC snapshot is pinned, the lock is released, and the plan
-// executes lock-free against that snapshot. A concurrent commit can
-// publish mid-execution without being observed (scans filter by the pinned
-// snapshot), and a slow scan no longer blocks writers.
 // testHookQueryUnlocked, when set by a test, runs after query() has
 // dropped the shared lock and pinned its snapshot, immediately before
 // operator execution — the window in which a scan must not block writers.
 var testHookQueryUnlocked func()
 
-func (db *Database) query(ctx context.Context, sel *sql.Select, cacheKey string, mode queryMode, st Settings, sess *Session) (*Result, error) {
+// query runs the SELECT/EXPLAIN pipeline. sel may be nil for a SELECT that
+// arrived as text and has not been parsed: a plan-cache hit never parses it.
+// Planning — cache lookup and rebind, or parse, build, rewrite, optimize and
+// cache store — happens under the shared lock; then the statement's MVCC
+// snapshot is pinned, the lock is released, and the plan executes lock-free
+// against that snapshot. A concurrent commit can publish mid-execution
+// without being observed (scans filter by the pinned snapshot), and a slow
+// scan no longer blocks writers.
+func (db *Database) query(ctx context.Context, sel *sql.Select, text string, mode queryMode, st Settings, sess *Session) (*Result, error) {
 	label := sessionLabel(sess)
-	sqlText := cacheKey
+	sqlText := text
 	if sqlText == "" {
 		sqlText = sql.Print(sel)
 	}
@@ -696,102 +683,35 @@ func (db *Database) query(ctx context.Context, sel *sql.Select, cacheKey string,
 	}
 	defer unlock()
 
-	useCache := cacheKey != "" && !db.DisablePlanCache && mode == modeRun
+	useCache := text != "" && !db.DisablePlanCache && mode == modeRun
+	var fp stmtPrint
 	var entry *cachedPlan
 	cacheHit := false
+	if useCache || mode != modeRun {
+		fp = printOf(sqlText, st)
+	}
 	if useCache {
-		cacheKey = planCacheKey(cacheKey, st)
-		if e, ok := db.cacheLookup(cacheKey); ok {
+		if e, template := db.cacheLookup(&fp); e != nil {
 			entry, cacheHit = e, true
+			if template {
+				// templateHolds rebound this plan before it was stored.
+				entry, _ = e.bind(fp.values())
+			}
 		}
 	}
 	if entry == nil {
-		logical, err := db.builder().BuildSelect(sel)
-		if err != nil {
+		var err error
+		if entry, err = db.compile(sel, sqlText, &fp, st, useCache, mode != modeRun); err != nil {
 			return nil, err
-		}
-		db.recordWorkload(logical)
-		cols := logical.Cols()
-		names := make([]string, len(cols))
-		for i, c := range cols {
-			names[i] = c.Name
-		}
-		rw := &rewrite.Rewriter{Cat: db.cat, Opt: db.rewriteOpts(st)}
-		logical = rw.Rewrite(logical)
-		result, err := db.optimizer(st).Optimize(logical)
-		if err != nil {
-			return nil, err
-		}
-		db.countRewriteFires(rw.Events)
-		planText := exec.Format(result.Root)
-		entry = &cachedPlan{
-			catVersion:   db.cat.Version(),
-			hardVersion:  db.cat.HardVersion(),
-			root:         result.Root,
-			cols:         names,
-			estRows:      result.EstRows,
-			estCost:      result.EstCost,
-			planText:     planText,
-			trace:        rw.Trace,
-			nodeRows:     result.NodeRows,
-			nodeInformed: result.NodeInformed,
-			events:       append(append([]obs.Event(nil), rw.Events...), result.Events...),
-			degree:       exec.MaxDegree(result.Root),
-		}
-		if !db.NoEconomy {
-			entry.shadowDeltas = db.shadowCostDeltas(sel, result.EstCost, entry.events, st)
 		}
 		if mode == modeExplain {
-			var rows []types.Row
-			line := func(s string) { rows = append(rows, types.Row{types.NewString(s)}) }
-			for _, l := range strings.Split(strings.TrimRight(planText, "\n"), "\n") {
-				line(l)
-			}
-			for _, t := range rw.Trace {
-				line("rewrite: " + t)
-			}
-			for _, e := range entry.events {
-				line("event: " + e.String())
-			}
-			line(fmt.Sprintf("estimated rows: %.1f, cost: %.1f", result.EstRows, result.EstCost))
-			line(fmt.Sprintf("parallel degree: %d", entry.degree))
-			line("plan cache: " + db.cachePeek(cacheKey, st))
-			return &Result{
-				Columns: []string{"plan"},
-				Rows:    rows,
-				EstRows: result.EstRows,
-				EstCost: result.EstCost,
-				Plan:    planText,
-				Trace:   rw.Trace,
-				Degree:  entry.degree,
-				Events:  entry.events,
-			}, nil
-		}
-		if useCache {
-			if len(rw.Trace) > 0 && db.ASCDynamicOnly {
-				// §4.1: "restrict the use of ASCs in rewrite just to dynamic
-				// queries and never for precompilation" — run the rewritten
-				// plan once, cache nothing.
-			} else {
-				// §4.1 backup plan: when soft rules shaped the primary plan,
-				// compile the SQO-free alternative alongside so an overturned
-				// ASC reverts instead of recompiling.
-				if len(rw.Trace) > 0 {
-					if backup, err := db.compileBackup(sel, names, st); err == nil {
-						entry.backup = backup
-					}
-				}
-				db.cacheMu.Lock()
-				db.planCache[cacheKey] = entry
-				db.obs.cacheEntries.Set(int64(len(db.planCache)))
-				db.cacheMu.Unlock()
-			}
+			return db.explainResult(entry, &fp), nil
 		}
 	}
 
 	cacheStatus := ""
 	if mode == modeAnalyze {
-		cacheStatus = db.cachePeek(cacheKey, st)
+		cacheStatus = db.cachePeek(&fp) + " " + entry.cacheNote()
 	}
 	// Pin the statement's snapshot before releasing the shared lock so the
 	// versions it reads stay beyond the vacuum horizon for the whole run.
@@ -806,6 +726,212 @@ func (db *Database) query(ctx context.Context, sel *sql.Select, cacheKey string,
 		return db.explainAnalyze(ctx, entry, sqlText, cacheStatus, st, label, snap, tid)
 	}
 	return db.execute(ctx, entry, sqlText, cacheHit, st, label, snap, tid)
+}
+
+// compile plans a statement the cache could not serve. cache says the plan
+// is to be stored (with its §4.1 backup); explain that the statement's
+// cache status will be reported. Either way the plan is first checked for
+// whether it may serve as its shape's template.
+func (db *Database) compile(sel *sql.Select, sqlText string, fp *stmtPrint, st Settings, cache, explain bool) (*cachedPlan, error) {
+	// The statement is compiled from a parse that tags each constant with
+	// the fingerprint slot of its literal; without a fingerprint (caching
+	// off, or a text it refused) any parse will do.
+	tagged := false
+	if fp.shaped {
+		if s, ok, err := sql.ParseFingerprinted(sqlText, fp.lits); err == nil {
+			sel, tagged = s, ok
+		} else if sel == nil {
+			return nil, err
+		}
+	}
+	if sel == nil {
+		var err error
+		if sel, err = parseSelect(sqlText); err != nil {
+			return nil, err
+		}
+	}
+	po := db.primaryPlan(st)
+	po.observe = true
+	entry, err := db.planSelect(sel, st, po)
+	if err != nil {
+		return nil, err
+	}
+	if !db.NoEconomy {
+		entry.shadowDeltas = db.shadowCostDeltas(sel, entry.estCost, entry.events, st)
+	}
+	fp.stamp(entry)
+	// §4.1: "restrict the use of ASCs in rewrite just to dynamic queries and
+	// never for precompilation" — under ASCDynamicOnly a plan soft rules
+	// shaped runs once and is not cached.
+	cache = cache && !(db.ASCDynamicOnly && len(entry.trace) > 0)
+	switch {
+	case !tagged:
+		entry.literalBound = "unfingerprinted"
+	case (cache || explain) && !db.templateHolds(sel, entry, fp, st, db.primaryPlan(st)):
+		entry.literalBound = firstNonEmpty(entry.literalBound, "rebind")
+	}
+	if !cache {
+		return entry, nil
+	}
+	// §4.1 backup plan: when soft rules shaped the primary plan, compile the
+	// SQO-free alternative alongside so an overturned ASC reverts instead of
+	// recompiling. A template's backup must itself serve every literal
+	// vector of the shape.
+	if len(entry.trace) > 0 {
+		if backup, err := db.planSelect(sel, st, backupPlan); err == nil {
+			fp.stamp(backup)
+			entry.backup = backup
+			if entry.literalBound == "" && !db.templateHolds(sel, backup, fp, st, backupPlan) {
+				entry.literalBound = firstNonEmpty(backup.literalBound, "rebind")
+			}
+		}
+	}
+	db.cacheStore(fp, entry)
+	return entry, nil
+}
+
+// explainResult renders EXPLAIN's output for a freshly compiled plan.
+func (db *Database) explainResult(entry *cachedPlan, fp *stmtPrint) *Result {
+	var rows []types.Row
+	line := func(s string) { rows = append(rows, types.Row{types.NewString(s)}) }
+	for _, l := range strings.Split(strings.TrimRight(entry.planText, "\n"), "\n") {
+		line(l)
+	}
+	for _, t := range entry.trace {
+		line("rewrite: " + t)
+	}
+	for _, e := range entry.events {
+		line("event: " + e.String())
+	}
+	line(fmt.Sprintf("estimated rows: %.1f, cost: %.1f", entry.estRows, entry.estCost))
+	line(fmt.Sprintf("parallel degree: %d", entry.degree))
+	line("plan cache: " + db.cachePeek(fp) + " " + entry.cacheNote())
+	return &Result{
+		Columns: []string{"plan"},
+		Rows:    rows,
+		EstRows: entry.estRows,
+		EstCost: entry.estCost,
+		Plan:    entry.planText,
+		Trace:   entry.trace,
+		Degree:  entry.degree,
+		Events:  entry.events,
+	}
+}
+
+// parseSelect parses a text that must be a SELECT.
+func parseSelect(text string) (*sql.Select, error) {
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*sql.Select)
+	if !ok {
+		return nil, fmt.Errorf("engine: not a SELECT: %s", truncateSQL(text))
+	}
+	return sel, nil
+}
+
+// planOpts selects which plan of a statement planSelect produces.
+type planOpts struct {
+	rewrite rewrite.Options
+	// softFree withholds constraint-informed estimation as well (with every
+	// rewrite rule off, the §4.1 backup plan).
+	softFree bool
+	// masked hides one characterization from rewrite and estimation (shadow
+	// costing).
+	masked string
+	// observe marks the statement's own compile: the workload recorder and
+	// the rewrite-fire counters see it. Every other planning pass — backup,
+	// shadow, template verification — leaves no trace.
+	observe bool
+}
+
+// primaryPlan is the plan a statement runs: the session's rewrite options.
+func (db *Database) primaryPlan(st Settings) planOpts {
+	return planOpts{rewrite: db.rewriteOpts(st)}
+}
+
+// backupPlan is the §4.1 alternative compiled with every soft rule off: it
+// stays valid across soft-constraint churn (same hard version).
+var backupPlan = planOpts{softFree: true, rewrite: rewrite.Options{
+	NoJoinElim: true, NoPredIntro: true, NoBranchPrune: true,
+	NoHoleTrim: true, NoSortOpt: true, NoExceptionAST: true,
+	NoSSCTwins: true, NoASTRouting: true, NoPruneIntro: true,
+}}
+
+// planSelect builds, rewrites and optimizes a select. The returned plan's
+// literalBound names the first decision, if any, that depended on the
+// statement's literal values.
+func (db *Database) planSelect(sel *sql.Select, st Settings, po planOpts) (*cachedPlan, error) {
+	b := db.builder()
+	logical, err := b.BuildSelect(sel)
+	if err != nil {
+		return nil, err
+	}
+	if po.observe {
+		db.recordWorkload(logical)
+	}
+	cols := logical.Cols()
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name
+	}
+	po.rewrite.Masked = po.masked
+	rw := &rewrite.Rewriter{Cat: db.cat, Opt: po.rewrite}
+	logical = rw.Rewrite(logical)
+	o := db.optimizer(st)
+	o.Masked = po.masked
+	if po.softFree {
+		o.NoSSCEstimation, o.NoASTEstimation = true, true
+	}
+	result, err := o.Optimize(logical)
+	if err != nil {
+		return nil, err
+	}
+	if po.observe {
+		db.countRewriteFires(rw.Events)
+	}
+	p := &cachedPlan{
+		catVersion:   db.cat.Version(),
+		hardVersion:  db.cat.HardVersion(),
+		root:         result.Root,
+		cols:         names,
+		estRows:      result.EstRows,
+		estCost:      result.EstCost,
+		planText:     exec.Format(result.Root),
+		trace:        rw.Trace,
+		events:       append(append([]obs.Event(nil), rw.Events...), result.Events...),
+		nodes:        nodeEstimates(result.Root, result.NodeRows, result.NodeInformed),
+		degree:       exec.MaxDegree(result.Root),
+		literalBound: firstNonEmpty(b.LiteralBound, rw.LiteralBound, result.LiteralBound),
+	}
+	// Keep format and arguments only of the texts a rebind has to render
+	// again: those with a literal-derived argument.
+	for i, t := range rw.TraceTexts {
+		if usesLiteral(t.Args) {
+			if p.traceTexts == nil {
+				p.traceTexts = map[int]obs.Text{}
+			}
+			p.traceTexts[i] = t
+		}
+	}
+	for i := range p.events {
+		if t := p.events[i].DetailText; t != nil && usesLiteral(t.Args) {
+			p.eventTexts = true
+		} else {
+			p.events[i].DetailText = nil
+		}
+	}
+	return p, nil
+}
+
+func firstNonEmpty(ss ...string) string {
+	for _, s := range ss {
+		if s != "" {
+			return s
+		}
+	}
+	return ""
 }
 
 // execCtx builds the exec context carrying the query's lifecycle: the
@@ -869,7 +995,7 @@ func (db *Database) execute(ctx context.Context, entry *cachedPlan, sqlText stri
 	root := entry.root
 	var span *obs.SpanNode
 	if db.obs.tracing.Load() {
-		root, span = exec.InstrumentInformed(entry.root, estLookup(entry.nodeRows), informedLookup(entry.nodeInformed))
+		root, span = entry.instrument()
 	}
 	ectx := db.execCtx(ctx, st, snap, tid)
 	if !db.NoEconomy {
@@ -882,8 +1008,8 @@ func (db *Database) execute(ctx context.Context, entry *cachedPlan, sqlText stri
 	t := &obs.Trace{
 		SQL: sqlText, Start: start, Duration: dur,
 		Degree: entry.degree, CacheHit: cacheHit,
-		Session: sess,
-		Root:    span, Events: entry.events,
+		Session: sess, Shape: entry.shapeID,
+		Root: span, Events: entry.events,
 		EstRows: entry.estRows, EstCost: entry.estCost,
 		ActualRows: int64(len(rows)), PagesRead: io.PagesRead,
 		PagesSkipped:       io.PagesSkipped,
@@ -917,7 +1043,8 @@ func (db *Database) execute(ctx context.Context, entry *cachedPlan, sqlText stri
 // consultation made while planning.
 func (db *Database) explainAnalyze(ctx context.Context, entry *cachedPlan, sqlText, cacheStatus string, st Settings, sess string, snap, tid int64) (*Result, error) {
 	start := time.Now()
-	iroot, span := exec.InstrumentInformed(entry.root, estLookup(entry.nodeRows), informedLookup(entry.nodeInformed))
+	iroot, span := entry.instrument()
+	hit := strings.HasPrefix(cacheStatus, "hit")
 	ectx := db.execCtx(ctx, st, snap, tid)
 	if !db.NoEconomy {
 		ectx.Skips = exec.NewSkipRecorder()
@@ -929,9 +1056,9 @@ func (db *Database) explainAnalyze(ctx context.Context, entry *cachedPlan, sqlTe
 	state := terminalState(err)
 	t := &obs.Trace{
 		SQL: sqlText, Start: start, Duration: dur,
-		Degree: entry.degree, CacheHit: cacheStatus == "hit",
-		Session: sess,
-		Root:    span, Events: entry.events,
+		Degree: entry.degree, CacheHit: hit,
+		Session: sess, Shape: entry.shapeID,
+		Root: span, Events: entry.events,
 		EstRows: entry.estRows, EstCost: entry.estCost,
 		ActualRows: int64(len(resRows)), PagesRead: io.PagesRead,
 		PagesSkipped:       io.PagesSkipped,
@@ -974,69 +1101,9 @@ func (db *Database) explainAnalyze(ctx context.Context, entry *cachedPlan, sqlTe
 		Plan:     entry.planText,
 		Trace:    entry.trace,
 		Degree:   entry.degree,
-		CacheHit: cacheStatus == "hit",
+		CacheHit: hit,
 		Events:   entry.events,
 	}, nil
-}
-
-// compileBackup builds the soft-rule-free alternative plan for a select.
-func (db *Database) compileBackup(sel *sql.Select, names []string, st Settings) (*cachedPlan, error) {
-	logical, err := db.builder().BuildSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	rw := &rewrite.Rewriter{Cat: db.cat, Opt: rewrite.Options{
-		NoJoinElim: true, NoPredIntro: true, NoBranchPrune: true,
-		NoHoleTrim: true, NoSortOpt: true, NoExceptionAST: true,
-		NoSSCTwins: true, NoASTRouting: true, NoPruneIntro: true,
-	}}
-	logical = rw.Rewrite(logical)
-	o := db.optimizer(st)
-	o.NoSSCEstimation = true
-	o.NoASTEstimation = true
-	result, err := o.Optimize(logical)
-	if err != nil {
-		return nil, err
-	}
-	return &cachedPlan{
-		catVersion:  db.cat.Version(),
-		hardVersion: db.cat.HardVersion(),
-		root:        result.Root,
-		cols:        names,
-		estRows:     result.EstRows,
-		estCost:     result.EstCost,
-		planText:    exec.Format(result.Root),
-		nodeRows:    result.NodeRows,
-		degree:      exec.MaxDegree(result.Root),
-	}, nil
-}
-
-// CachedPlanCount reports live plan-cache entries.
-func (db *Database) CachedPlanCount() int {
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	return len(db.planCache)
-}
-
-// InvalidateStaleCache drops cache entries whose catalog version is stale,
-// returning how many were dropped. The engine also invalidates lazily on
-// lookup; this models the §4.1 eager "drop every dependent package" sweep.
-func (db *Database) InvalidateStaleCache() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	n := 0
-	for k, e := range db.planCache {
-		if e.catVersion != db.cat.Version() {
-			delete(db.planCache, k)
-			n++
-		}
-	}
-	db.cacheStat.Invalidations += int64(n)
-	db.obs.metrics.Counter(mCacheInvals).Add(int64(n))
-	db.obs.cacheEntries.Set(int64(len(db.planCache)))
-	return n
 }
 
 // analyze collects statistics (DB2 runstats) for a table and for the

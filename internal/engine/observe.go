@@ -26,6 +26,9 @@ const (
 	mCacheInvals   = "softdb_plan_cache_invalidations_total"
 	mCacheFailover = "softdb_plan_cache_failovers_total"
 	mCacheEntries  = "softdb_plan_cache_entries"
+	mCacheTemplate = "softdb_plan_cache_template_hits_total"
+	mCacheLitBound = "softdb_plan_cache_literal_bound_total"
+	mCacheEvicted  = "softdb_plan_cache_evictions_total"
 	mRewriteFires  = "softdb_rewrite_fires_total"
 	mParallelQs    = "softdb_parallel_queries_total"
 	mASCViolations = "softdb_asc_violations_total"
@@ -81,7 +84,14 @@ type obsState struct {
 	duration     *obs.Histogram
 	cacheEntries *obs.Gauge
 	pagesSkipped *obs.Counter
-	rowsShort    *obs.Counter
+
+	cacheHits      *obs.Counter
+	cacheMisses    *obs.Counter
+	cacheInvals    *obs.Counter
+	cacheFailovers *obs.Counter
+	templateHits   *obs.Counter
+	cacheEvictions *obs.Counter
+	rowsShort      *obs.Counter
 
 	queriesCanceled   *obs.Counter
 	queriesTimedOut   *obs.Counter
@@ -109,7 +119,10 @@ func (db *Database) initObs() {
 	r.Describe(mCacheMisses, "counter", "Plan-cache misses.")
 	r.Describe(mCacheInvals, "counter", "Plan-cache entries invalidated by catalog changes.")
 	r.Describe(mCacheFailover, "counter", "Plan-cache reversions to the SQO-free backup plan (§4.1).")
-	r.Describe(mCacheEntries, "gauge", "Live plan-cache entries.")
+	r.Describe(mCacheEntries, "gauge", "Live plan-cache entries: plan templates plus literal-bound variants.")
+	r.Describe(mCacheTemplate, "counter", "Plan-cache hits served by rebinding a shape's plan template to the statement's literals.")
+	r.Describe(mCacheLitBound, "counter", "Plans compiled literal-bound (cached for their own literal vector only), by the deciding rule.")
+	r.Describe(mCacheEvicted, "counter", "Literal-bound plans evicted at the per-shape cap.")
 	r.Describe(mRewriteFires, "counter", "Semantic rewrite rule firings by kind.")
 	r.Describe(mParallelQs, "counter", "Queries executed with a parallel plan, by degree.")
 	r.Describe(mASCViolations, "counter", "Absolute soft constraints deactivated by violating writes.")
@@ -145,6 +158,12 @@ func (db *Database) initObs() {
 	o.slowQueries = r.Counter(mSlowQueries)
 	o.duration = r.Histogram(mQueryDuration, obs.DefLatencyBuckets)
 	o.cacheEntries = r.Gauge(mCacheEntries)
+	o.cacheHits = r.Counter(mCacheHits)
+	o.cacheMisses = r.Counter(mCacheMisses)
+	o.cacheInvals = r.Counter(mCacheInvals)
+	o.cacheFailovers = r.Counter(mCacheFailover)
+	o.templateHits = r.Counter(mCacheTemplate)
+	o.cacheEvictions = r.Counter(mCacheEvicted)
 	o.pagesSkipped = r.Counter(mPagesSkipped)
 	o.rowsShort = r.Counter(mRowsShort)
 	o.queriesCanceled = r.Counter(mQueriesCanceled)
@@ -288,17 +307,5 @@ func (db *Database) countRewriteFires(events []obs.Event) {
 		} else if e.Reason != "" {
 			db.obs.metrics.Counter(mPruneRejected, "reason", e.Reason).Inc()
 		}
-	}
-}
-
-// estLookup adapts an optimizer NodeRows map into exec.Instrument's estimate
-// callback.
-func estLookup(nodeRows map[exec.Operator]float64) func(exec.Operator) (float64, bool) {
-	if nodeRows == nil {
-		return nil
-	}
-	return func(op exec.Operator) (float64, bool) {
-		rows, ok := nodeRows[op]
-		return rows, ok
 	}
 }

@@ -175,10 +175,34 @@ func TestTracingProducesSpans(t *testing.T) {
 	}
 }
 
+// Instrumenting a plan copies its operators; the copy must keep every field
+// — a hash join whose projection was pushed into it used to lose the
+// projection under tracing and feed the aggregate above it full-width rows.
+func TestTracingKeepsJoinProjection(t *testing.T) {
+	db := newDB(t, `
+		CREATE TABLE d (id INT PRIMARY KEY, name VARCHAR(8));
+		CREATE TABLE f (id INT PRIMARY KEY, d_id INT, qty INT);
+		INSERT INTO d VALUES (1, 'a'), (2, 'b');
+		INSERT INTO f VALUES (1, 1, 10), (2, 2, 20), (3, 1, 5);
+	`)
+	q := "SELECT d.name, SUM(f.qty) AS s FROM f, d WHERE f.d_id = d.id GROUP BY d.name"
+	plain := db.MustExec(q)
+	if !strings.Contains(plain.Plan, "proj=") {
+		t.Fatalf("setup: expected a join with a pushed projection:\n%s", plain.Plan)
+	}
+	db.SetTracing(true)
+	traced := db.MustExec(q)
+	if got, want := rowsAsStrings(traced.Rows), rowsAsStrings(plain.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("tracing changed the answer: %v, want %v", got, want)
+	}
+}
+
 func TestDebugHandlerServesMetricsAndQueries(t *testing.T) {
 	db := purchaseDB(t, 300)
 	db.SetTracing(true)
 	db.MustExec("SELECT id FROM purchase WHERE ship_date = DATE '1999-02-15'")
+	db.MustExec("SELECT id FROM purchase WHERE ship_date = DATE '1999-02-16'")                             // template rebind
+	db.MustExec("SELECT id FROM purchase WHERE ship_date BETWEEN DATE '1999-02-15' AND DATE '1999-02-20'") // literal-bound
 
 	srv := httptest.NewServer(db.DebugHandler())
 	defer srv.Close()
@@ -203,14 +227,15 @@ func TestDebugHandlerServesMetricsAndQueries(t *testing.T) {
 	for _, name := range []string{
 		mQueries, mCacheHits, mCacheMisses, mRewriteFires,
 		mSSCRefreshes, mQueryDuration, mASCViolations,
+		mCacheTemplate + " 1", mCacheLitBound + `{reason="range-check"} 1`, mCacheEvicted + " 0",
 	} {
 		if !strings.Contains(metrics, name) {
 			t.Errorf("/metrics missing %s", name)
 		}
 	}
 	queries := get("/debug/queries")
-	if !strings.Contains(queries, "purchase") {
-		t.Errorf("/debug/queries does not show the recent query:\n%s", queries)
+	if !strings.Contains(queries, "purchase") || !strings.Contains(queries, " shape="+db.QueryLog().Recent(1)[0].Shape) {
+		t.Errorf("/debug/queries does not show the recent query and its shape:\n%s", queries)
 	}
 }
 

@@ -256,11 +256,7 @@ func (s *Session) Describe() []string {
 // settings, with the statement text as the plan-cache key (repeated
 // session statements exercise the cache like REPL input).
 func (s *Session) ExecCtx(ctx context.Context, query string) (*Result, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return s.ExecStmtCtx(ctx, stmt, query)
+	return s.db.execText(ctx, query, s.Settings(), s)
 }
 
 // ExecStmtCtx executes a parsed statement under the session's effective

@@ -42,6 +42,19 @@ type Tx struct {
 	recs     []*wal.Record // staged records for the statement/transaction in flight
 	streamed bool          // explicit: some records already appended to the log
 	done     bool
+	// touched is the table the last write op went to; a write to another
+	// table is reported to the transaction manager (see touch).
+	touched *catalog.TableEntry
+}
+
+// touch reports the table a write op is about to modify to the transaction
+// manager, which is how CREATE INDEX knows whether an open transaction
+// holds uncommitted versions of the table it indexes.
+func (db *Database) touch(tx *Tx, te *catalog.TableEntry) {
+	if tx.touched != te {
+		db.txnMgr.Touch(tx.t, te.Def.Name)
+		tx.touched = te
+	}
 }
 
 // ID returns the transaction's identifier.

@@ -549,9 +549,11 @@ func TestExecScriptErrorsAndTransactions(t *testing.T) {
 }
 
 // DDL and ANALYZE refuse to run inside an explicit transaction; CREATE
-// INDEX additionally refuses while any write transaction is open anywhere.
+// INDEX additionally refuses while an open transaction holds uncommitted
+// writes to the table being indexed — and only then.
 func TestDDLGuardsInsideTransactions(t *testing.T) {
 	db := txnDB(t)
+	db.MustExec("CREATE TABLE other (x INT)")
 	a := db.NewSession("a")
 	defer a.Close()
 	sexec(t, a, "BEGIN")
@@ -560,12 +562,16 @@ func TestDDLGuardsInsideTransactions(t *testing.T) {
 		t.Errorf("DDL inside txn: %v", err)
 	}
 	sexec(t, a, "INSERT INTO acct VALUES (70, 0)")
-	// Another connection cannot build an index while a write txn is open:
-	// the build would miss the in-flight insert.
-	_, err := db.Exec("CREATE INDEX ab ON acct (bal)")
+	// Another connection cannot build an index while a write txn is open on
+	// the table: the build would miss the in-flight insert.
+	_, err := db.Exec("CREATE INDEX ab ON ACCT (bal)")
 	qe, ok := exec.AsQueryError(err)
 	if !ok || qe.Kind != exec.KindBusy {
 		t.Errorf("CREATE INDEX under open write txn: want KindBusy, got %v", err)
+	}
+	// Writes to an unrelated table cannot be missing from the new index.
+	if _, err := db.Exec("CREATE INDEX ox ON other (x)"); err != nil {
+		t.Errorf("CREATE INDEX on a table the open txn never wrote: %v", err)
 	}
 	sexec(t, a, "COMMIT")
 	if _, err := db.Exec("CREATE INDEX ab ON acct (bal)"); err != nil {

@@ -71,9 +71,11 @@ func TestStartVacuumZeroIntervalIsOff(t *testing.T) {
 
 func countDead(t *testing.T, db *Database, table string) int64 {
 	t.Helper()
+	// Held across the scan: the background vacuum rewrites the heap under
+	// the exclusive lock.
 	db.mu.RLock()
+	defer db.mu.RUnlock()
 	te, err := db.cat.Table(table)
-	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,6 +256,7 @@ func makeSkipper(preds []plan.PrunePred, rec *SkipRecorder) func(*storage.PageSy
 	active := make([]plan.PrunePred, 0, len(preds))
 	for _, p := range preds {
 		if p.Check == nil || p.Check() {
+			p.Interval = p.Interval.Plain()
 			active = append(active, p)
 		}
 	}

@@ -223,7 +223,10 @@ type IndexScan struct {
 	Heap   *storage.Heap
 	Index  *catalog.Index
 	Lo, Hi btree.Bound
-	Filter []expr.Expr
+	// LoFrom and HiFrom are the origins of the bound keys when they were
+	// computed from statement literals (see Rebind).
+	LoFrom, HiFrom expr.Origin
+	Filter         []expr.Expr
 }
 
 // indexEntry is one collected (key, rid) pair from a chunked index walk.
@@ -353,7 +356,9 @@ func (s *IndexScan) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	snap, tid := ctx.snapView()
 	prog := expr.CompilePredicate(s.Filter)
 	pr := progRunner{prog: prog}
-	buf := make([]types.Row, 0, indexBatchRows)
+	// The window grows on demand: a point probe fetches a row or two and
+	// should not pay for a full window's worth of slots.
+	buf := make([]types.Row, 0, 8)
 	var batch vec.Batch
 	flush := func() bool {
 		if len(buf) == 0 {

@@ -182,29 +182,53 @@ func (s *spanOp) Inputs() []Operator { return s.inner.Inputs() }
 func withInputs(op Operator, kids []Operator) Operator {
 	switch t := op.(type) {
 	case *Filter:
-		return &Filter{Input: kids[0], Conds: t.Conds}
+		c := *t
+		c.Input = kids[0]
+		return &c
 	case *Project:
-		return &Project{Input: kids[0], Exprs: t.Exprs}
+		c := *t
+		c.Input = kids[0]
+		return &c
 	case *Limit:
-		return &Limit{Input: kids[0], N: t.N}
+		c := *t
+		c.Input = kids[0]
+		return &c
 	case *Distinct:
-		return &Distinct{Input: kids[0]}
+		c := *t
+		c.Input = kids[0]
+		return &c
 	case *Sort:
-		return &Sort{Input: kids[0], Keys: t.Keys}
+		c := *t
+		c.Input = kids[0]
+		return &c
 	case *UnionAll:
-		return &UnionAll{Arms: kids, Pruned: t.Pruned}
+		c := *t
+		c.Arms = kids
+		return &c
 	case *NestedLoopJoin:
-		return &NestedLoopJoin{Outer: kids[0], Inner: kids[1], Cond: t.Cond}
+		c := *t
+		c.Outer, c.Inner = kids[0], kids[1]
+		return &c
 	case *HashJoin:
-		return &HashJoin{Left: kids[0], Right: kids[1], LeftKeys: t.LeftKeys, RightKey: t.RightKey, Residual: t.Residual}
+		c := *t
+		c.Left, c.Right = kids[0], kids[1]
+		return &c
 	case *MergeJoin:
-		return &MergeJoin{Left: kids[0], Right: kids[1], LeftKey: t.LeftKey, RightKey: t.RightKey, Residual: t.Residual}
+		c := *t
+		c.Left, c.Right = kids[0], kids[1]
+		return &c
 	case *HashAggregate:
-		return &HashAggregate{Input: kids[0], GroupBy: t.GroupBy, Aggs: t.Aggs, Redundant: t.Redundant}
+		c := *t
+		c.Input = kids[0]
+		return &c
 	case *PartitionedHashJoin:
-		return &PartitionedHashJoin{Left: kids[0], Right: kids[1], LeftKeys: t.LeftKeys, RightKey: t.RightKey, Residual: t.Residual, Workers: t.Workers}
+		c := *t
+		c.Left, c.Right = kids[0], kids[1]
+		return &c
 	case *ParallelHashAggregate:
-		return &ParallelHashAggregate{Input: kids[0], GroupBy: t.GroupBy, Aggs: t.Aggs, Redundant: t.Redundant, Workers: t.Workers}
+		c := *t
+		c.Input = kids[0]
+		return &c
 	default:
 		return nil
 	}

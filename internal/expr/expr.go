@@ -166,6 +166,10 @@ func (c *Column) String() string {
 // Const is a literal value.
 type Const struct {
 	Value types.Datum
+	// From ties the value to the statement literal it was computed from, so
+	// a cached plan template can recompute it for another literal vector;
+	// the zero Origin for constants that come from anywhere else.
+	From Origin
 }
 
 // NewConst returns a literal node.

@@ -17,6 +17,126 @@ type Interval struct {
 	LoIncl, HiIncl   bool
 	ExactEmpty       bool         // a contradiction was detected (e.g. x=1 AND x=2)
 	EqualityConstant *types.Datum // set when the interval pins a single value
+	// Lit ties the bounds to the statement literals they were computed
+	// from; nil when no bound depends on one (every interval built from
+	// catalog objects or page synopses).
+	Lit *Provenance
+}
+
+// Provenance is an interval's dependence on the statement's literals.
+type Provenance struct {
+	// Lo and Hi are the bounds' origins (zero: the bound is not
+	// literal-derived).
+	Lo, Hi Origin
+	// Shaped reports that the interval's shape — which of two bounds won
+	// an intersection, whether the range is empty or a single point — was
+	// decided by comparing values of different provenance. Another literal
+	// vector can give it a different shape, so the origins alone cannot
+	// rebind it, and a rule that used it has tied the plan to the literals.
+	Shaped bool
+}
+
+// FromLiteral reports whether any part of the interval depends on a
+// statement literal.
+func (iv Interval) FromLiteral() bool { return iv.Lit != nil }
+
+// LiteralShaped reports whether the interval's shape (not just its bound
+// values) depends on the statement's literals; see Provenance.Shaped.
+func (iv Interval) LiteralShaped() bool { return iv.Lit != nil && iv.Lit.Shaped }
+
+// Plain returns the interval without its literal provenance. Planning
+// needs the provenance; code that evaluates the interval against data (page
+// synopses, predicate kernels) takes the plain form, whose operations
+// neither track nor allocate anything for it.
+func (iv Interval) Plain() Interval {
+	iv.Lit = nil
+	return iv
+}
+
+// Origins returns the bounds' origins.
+func (iv Interval) Origins() (lo, hi Origin) {
+	if iv.Lit == nil {
+		return Origin{}, Origin{}
+	}
+	return iv.Lit.Lo, iv.Lit.Hi
+}
+
+// WithOrigins returns the interval with its bounds attributed to lo and hi.
+func (iv Interval) WithOrigins(lo, hi Origin) Interval {
+	if lo.Slot == 0 && hi.Slot == 0 {
+		return iv
+	}
+	iv.Lit = &Provenance{Lo: lo, Hi: hi}
+	return iv
+}
+
+// Bind recomputes the literal-derived bounds for the literal vector lits.
+// The interval must not be LiteralShaped.
+func (iv Interval) Bind(lits []types.Datum) Interval {
+	if iv.Lit == nil {
+		return iv
+	}
+	if o := iv.Lit.Lo; o.Slot > 0 && iv.HasLo {
+		iv.Lo = o.Apply(lits, iv.Lo)
+	}
+	if o := iv.Lit.Hi; o.Slot > 0 && iv.HasHi {
+		iv.Hi = o.Apply(lits, iv.Hi)
+	}
+	if iv.EqualityConstant != nil {
+		v := iv.Lo
+		iv.EqualityConstant = &v
+	}
+	return iv
+}
+
+// ComparesFixed reports whether comparing a's bounds with b's (coverage,
+// disjointness) comes out the same for every literal vector: no bound on
+// either side depends on a literal, or all that do are images of one and
+// the same literal while none is a catalog constant.
+func ComparesFixed(a, b Interval) bool {
+	if a.Lit == nil && b.Lit == nil {
+		return true
+	}
+	if a.LiteralShaped() || b.LiteralShaped() {
+		return false
+	}
+	slot, first := 0, true
+	for _, iv := range [2]Interval{a, b} {
+		lo, hi := iv.Origins()
+		for _, bound := range [2]struct {
+			has  bool
+			from Origin
+		}{{iv.HasLo, lo}, {iv.HasHi, hi}} {
+			if !bound.has {
+				continue
+			}
+			if first {
+				slot, first = bound.from.Slot, false
+			} else if bound.from.Slot != slot {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// mergeProvenance starts the provenance of an interval computed from a and
+// b: nil when neither depends on a literal.
+func mergeProvenance(a, b Interval) *Provenance {
+	if a.Lit == nil && b.Lit == nil {
+		return nil
+	}
+	return &Provenance{Shaped: a.LiteralShaped() || b.LiteralShaped()}
+}
+
+// compared notes that a decision was taken by comparing a bound of origin x
+// with one of origin y. Two catalog constants, or two images of the same
+// literal (x+a against x+b), compare the same way for every literal
+// vector; anything else ties the outcome to the literals' values.
+func (p *Provenance) compared(x, y Origin) {
+	if p != nil && x.Slot != y.Slot {
+		p.Shaped = true
+	}
 }
 
 // Unbounded returns the interval covering everything.
@@ -47,6 +167,9 @@ func Between(lo, hi types.Datum, loIncl, hiIncl bool) Interval {
 func (iv *Interval) normalize() {
 	if iv.HasLo && iv.HasHi {
 		c := iv.Lo.Compare(iv.Hi)
+		if iv.Lit != nil {
+			iv.Lit.compared(iv.Lit.Lo, iv.Lit.Hi)
+		}
 		if c > 0 || (c == 0 && (!iv.LoIncl || !iv.HiIncl)) {
 			iv.ExactEmpty = true
 			return
@@ -88,42 +211,52 @@ func (iv Interval) Contains(v types.Datum) bool {
 // Intersect returns the intersection of two intervals.
 func (iv Interval) Intersect(other Interval) Interval {
 	if iv.ExactEmpty || other.ExactEmpty {
-		return Interval{ExactEmpty: true}
+		return Interval{ExactEmpty: true, Lit: mergeProvenance(iv, other)}
 	}
-	out := Interval{}
+	out := Interval{Lit: mergeProvenance(iv, other)}
+	var ivLo, ivHi, otherLo, otherHi, lo, hi Origin
+	if out.Lit != nil {
+		ivLo, ivHi = iv.Origins()
+		otherLo, otherHi = other.Origins()
+	}
 	switch {
 	case !iv.HasLo:
-		out.HasLo, out.Lo, out.LoIncl = other.HasLo, other.Lo, other.LoIncl
+		out.HasLo, out.Lo, out.LoIncl, lo = other.HasLo, other.Lo, other.LoIncl, otherLo
 	case !other.HasLo:
-		out.HasLo, out.Lo, out.LoIncl = iv.HasLo, iv.Lo, iv.LoIncl
+		out.HasLo, out.Lo, out.LoIncl, lo = iv.HasLo, iv.Lo, iv.LoIncl, ivLo
 	default:
 		out.HasLo = true
+		out.Lit.compared(ivLo, otherLo)
 		c := iv.Lo.Compare(other.Lo)
 		switch {
 		case c > 0:
-			out.Lo, out.LoIncl = iv.Lo, iv.LoIncl
+			out.Lo, out.LoIncl, lo = iv.Lo, iv.LoIncl, ivLo
 		case c < 0:
-			out.Lo, out.LoIncl = other.Lo, other.LoIncl
+			out.Lo, out.LoIncl, lo = other.Lo, other.LoIncl, otherLo
 		default:
-			out.Lo, out.LoIncl = iv.Lo, iv.LoIncl && other.LoIncl
+			out.Lo, out.LoIncl, lo = iv.Lo, iv.LoIncl && other.LoIncl, ivLo
 		}
 	}
 	switch {
 	case !iv.HasHi:
-		out.HasHi, out.Hi, out.HiIncl = other.HasHi, other.Hi, other.HiIncl
+		out.HasHi, out.Hi, out.HiIncl, hi = other.HasHi, other.Hi, other.HiIncl, otherHi
 	case !other.HasHi:
-		out.HasHi, out.Hi, out.HiIncl = iv.HasHi, iv.Hi, iv.HiIncl
+		out.HasHi, out.Hi, out.HiIncl, hi = iv.HasHi, iv.Hi, iv.HiIncl, ivHi
 	default:
 		out.HasHi = true
+		out.Lit.compared(ivHi, otherHi)
 		c := iv.Hi.Compare(other.Hi)
 		switch {
 		case c < 0:
-			out.Hi, out.HiIncl = iv.Hi, iv.HiIncl
+			out.Hi, out.HiIncl, hi = iv.Hi, iv.HiIncl, ivHi
 		case c > 0:
-			out.Hi, out.HiIncl = other.Hi, other.HiIncl
+			out.Hi, out.HiIncl, hi = other.Hi, other.HiIncl, otherHi
 		default:
-			out.Hi, out.HiIncl = iv.Hi, iv.HiIncl && other.HiIncl
+			out.Hi, out.HiIncl, hi = iv.Hi, iv.HiIncl && other.HiIncl, ivHi
 		}
+	}
+	if out.Lit != nil {
+		out.Lit.Lo, out.Lit.Hi = lo, hi
 	}
 	out.normalize()
 	return out
@@ -167,12 +300,20 @@ func (iv Interval) CoveredBy(outer Interval) bool {
 // interval: other must cover one end of iv (or all of it, or none). The
 // second return is false when the subtraction would split iv in two.
 func (iv Interval) Subtract(other Interval) (Interval, bool) {
+	// Every outcome below is picked by comparing bounds of the two
+	// intervals, so a literal-derived operand makes the result's shape
+	// literal-dependent.
+	lit := mergeProvenance(iv, other)
+	if lit != nil {
+		lit.Shaped = true
+	}
+	iv.Lit = lit
 	x := iv.Intersect(other)
 	if x.Empty() {
 		return iv, true // disjoint: nothing removed
 	}
 	if iv.CoveredBy(other) {
-		return Interval{ExactEmpty: true}, true
+		return Interval{ExactEmpty: true, Lit: lit}, true
 	}
 	coversLow := true
 	if other.HasLo {
@@ -246,9 +387,20 @@ func (iv Interval) String() string {
 // `const <op> col`), returning the column, the normalized operator with the
 // column on the left, and the constant value.
 func comparisonOnColumn(e Expr) (col *Column, op Op, val types.Datum, ok bool) {
+	col, op, val, _, ok = comparisonOnColumnFrom(e)
+	return col, op, val, ok
+}
+
+// unknownOrigin marks a value that depends on statement literals in a way
+// no Origin describes (an unfolded constant expression over a literal):
+// every comparison against it is literal-dependent.
+var unknownOrigin = Origin{Slot: -1}
+
+// comparisonOnColumnFrom is comparisonOnColumn plus the constant's origin.
+func comparisonOnColumnFrom(e Expr) (col *Column, op Op, val types.Datum, from Origin, ok bool) {
 	b, isBin := e.(*Binary)
 	if !isBin || !b.Op.IsComparison() {
-		return nil, 0, types.Null, false
+		return nil, 0, types.Null, Origin{}, false
 	}
 	lcol, lIsCol := b.L.(*Column)
 	rcol, rIsCol := b.R.(*Column)
@@ -256,12 +408,23 @@ func comparisonOnColumn(e Expr) (col *Column, op Op, val types.Datum, ok bool) {
 	rval, rErr := constValue(b.R)
 	switch {
 	case lIsCol && rErr == nil:
-		return lcol, b.Op, rval, true
+		return lcol, b.Op, rval, originOf(b.R), true
 	case rIsCol && lErr == nil:
-		return rcol, b.Op.Swap(), lval, true
+		return rcol, b.Op.Swap(), lval, originOf(b.L), true
 	default:
-		return nil, 0, types.Null, false
+		return nil, 0, types.Null, Origin{}, false
 	}
+}
+
+// originOf returns the origin of a constant operand.
+func originOf(e Expr) Origin {
+	if c, ok := e.(*Const); ok {
+		return c.From
+	}
+	if HasLiteral(e) {
+		return unknownOrigin
+	}
+	return Origin{}
 }
 
 // constValue evaluates e if it contains no column references.
@@ -343,7 +506,7 @@ func ExtractInterval(conjuncts []Expr, colIndex int) (Interval, []Expr) {
 	iv := Unbounded()
 	var rest []Expr
 	for _, c := range conjuncts {
-		col, op, val, ok := comparisonOnColumn(c)
+		col, op, val, from, ok := comparisonOnColumnFrom(c)
 		if !ok || col.Index != colIndex || op == OpNe {
 			rest = append(rest, c)
 			continue
@@ -353,15 +516,18 @@ func ExtractInterval(conjuncts []Expr, colIndex int) (Interval, []Expr) {
 		}
 		switch op {
 		case OpEq:
-			iv = iv.Intersect(Point(val))
+			iv = iv.Intersect(Point(val).WithOrigins(from, from))
 		case OpLt:
-			iv = iv.Intersect(AtMost(val, false))
+			iv = iv.Intersect(AtMost(val, false).WithOrigins(Origin{}, from))
 		case OpLe:
-			iv = iv.Intersect(AtMost(val, true))
+			iv = iv.Intersect(AtMost(val, true).WithOrigins(Origin{}, from))
 		case OpGt:
-			iv = iv.Intersect(AtLeast(val, false))
+			iv = iv.Intersect(AtLeast(val, false).WithOrigins(from, Origin{}))
 		case OpGe:
-			iv = iv.Intersect(AtLeast(val, true))
+			iv = iv.Intersect(AtLeast(val, true).WithOrigins(from, Origin{}))
+		}
+		if from == unknownOrigin {
+			iv.Lit.Shaped = true
 		}
 	}
 	return iv, rest
@@ -374,8 +540,9 @@ func IntervalToPredicate(col *Column, iv Interval) Expr {
 	if iv.ExactEmpty {
 		return NewConst(types.NewBool(false))
 	}
+	lo, hi := iv.Origins()
 	if iv.EqualityConstant != nil {
-		return NewBinary(OpEq, col, NewConst(*iv.EqualityConstant))
+		return NewBinary(OpEq, col, &Const{Value: *iv.EqualityConstant, From: lo})
 	}
 	var parts []Expr
 	if iv.HasLo {
@@ -383,14 +550,14 @@ func IntervalToPredicate(col *Column, iv Interval) Expr {
 		if iv.LoIncl {
 			op = OpGe
 		}
-		parts = append(parts, NewBinary(op, col, NewConst(iv.Lo)))
+		parts = append(parts, NewBinary(op, col, &Const{Value: iv.Lo, From: lo}))
 	}
 	if iv.HasHi {
 		op := OpLt
 		if iv.HiIncl {
 			op = OpLe
 		}
-		parts = append(parts, NewBinary(op, col, NewConst(iv.Hi)))
+		parts = append(parts, NewBinary(op, col, &Const{Value: iv.Hi, From: hi}))
 	}
 	if len(parts) == 0 {
 		return nil

@@ -277,3 +277,57 @@ func TestContainsConjunct(t *testing.T) {
 		t.Error("should not find missing conjunct")
 	}
 }
+
+// Literal provenance: bounds that come from statement literals keep their
+// origin through extraction and intersection; a shape decided by comparing
+// different literals (or a literal with a plain constant) is flagged, one
+// decided between images of the same literal is not.
+func TestIntervalLiteralProvenance(t *testing.T) {
+	col := NewColumn("t", "a", 0, types.KindInt)
+	lit := func(v int64, slot int) *Const { return &Const{Value: types.NewInt(v), From: Origin{Slot: slot}} }
+	cmp := func(op Op, c *Const) Expr { return NewBinary(op, col, c) }
+
+	point, _ := ExtractInterval([]Expr{cmp(OpEq, lit(7, 1))}, 0)
+	if lo, hi := point.Origins(); !point.FromLiteral() || point.LiteralShaped() || lo.Slot != 1 || hi.Slot != 1 {
+		t.Fatalf("point from one literal: %+v", point.Lit)
+	}
+	if b := point.Bind([]types.Datum{types.NewInt(9)}); b.Lo.Int() != 9 || b.Hi.Int() != 9 || b.EqualityConstant.Int() != 9 {
+		t.Errorf("rebound point: %s", b)
+	}
+
+	between, _ := ExtractInterval([]Expr{cmp(OpGe, lit(3, 1)), cmp(OpLe, lit(8, 2))}, 0)
+	if !between.LiteralShaped() {
+		t.Error("a range between two literals may be empty or a point for other literals")
+	}
+	mixed, _ := ExtractInterval([]Expr{cmp(OpGe, lit(3, 1)), cmp(OpGe, NewConst(types.NewInt(5)))}, 0)
+	if !mixed.LiteralShaped() {
+		t.Error("which lower bound wins depends on the literal")
+	}
+	plain, _ := ExtractInterval([]Expr{cmp(OpGe, NewConst(types.NewInt(3))), cmp(OpLe, NewConst(types.NewInt(8)))}, 0)
+	if plain.FromLiteral() {
+		t.Error("no literal involved")
+	}
+
+	// [x, x+21]: both bounds are images of literal 1, so lo <= hi whatever
+	// the literal is, and the interval rebinds through its origins.
+	derived := AtLeast(types.NewInt(10), true).WithOrigins(Origin{Slot: 1}, Origin{}).
+		Intersect(AtMost(types.NewInt(31), true).WithOrigins(Origin{}, Origin{Slot: 1, Add: 21, Round: 1}))
+	if derived.LiteralShaped() {
+		t.Error("bounds that are offsets of one literal compare the same for every literal")
+	}
+	if b := derived.Bind([]types.Datum{types.NewInt(100)}); b.Lo.Int() != 100 || b.Hi.Int() != 121 {
+		t.Errorf("rebound derived range: %s", b)
+	}
+	if ComparesFixed(derived, plain) || !ComparesFixed(derived, point) || !ComparesFixed(plain, plain) {
+		t.Error("ComparesFixed: same-literal images compare fixed, a literal against a constant does not")
+	}
+
+	// Predicates rebuilt from an interval carry the origins on.
+	pred := IntervalToPredicate(col, derived)
+	if got := Bind(pred, []types.Datum{types.NewInt(50)}).String(); got != "((t.a >= 50) AND (t.a <= 71))" {
+		t.Errorf("rebound predicate: %s", got)
+	}
+	if !FoldsLiteral(NewBinary(OpEq, col, NewBinary(OpAdd, lit(1, 1), NewConst(types.NewInt(2))))) || FoldsLiteral(pred) {
+		t.Error("FoldsLiteral: only constant subtrees over a literal fold one away")
+	}
+}

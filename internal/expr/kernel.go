@@ -97,6 +97,7 @@ func CompilePredicate(conds []Expr) *PredProgram {
 			break
 		}
 		iv, rest := ExtractInterval(remaining, target.Index)
+		iv = iv.Plain()
 		st := Stage{Mode: StageRange, Col: target.Index, Kind: target.Kind, Iv: iv, colRef: target}
 		st.loop = planRangeLoop(target.Kind, iv)
 		p.Stages = append(p.Stages, st)

@@ -123,12 +123,37 @@ type Event struct {
 	Reason string
 	// Detail is a human-readable elaboration.
 	Detail string
+	// DetailText, when set, is what Detail was rendered from (see Detailf):
+	// a cached plan template renders Detail again when its arguments embed
+	// values computed from the statement's literals, so the event shows the
+	// literals of the statement that actually ran.
+	DetailText *Text
 	// RowsSaved estimates, at plan time, how many rows the rewrite
 	// eliminated from the query's work (rows of a dropped join side, of an
 	// eliminated union branch, of the scan narrowed to an AST). Zero when
 	// the rule doesn't remove rows or the saving isn't cheaply known; the
 	// economy ledger credits it to Constraint.
 	RowsSaved float64
+}
+
+// Text is a message kept as format and arguments, so it can be rendered
+// again after the arguments are recomputed.
+type Text struct {
+	Format string
+	Args   []any
+}
+
+// String renders the message.
+func (t Text) String() string { return fmt.Sprintf(t.Format, t.Args...) }
+
+// Detailf returns the event with Detail rendered from format and args, and
+// both kept in DetailText. Rules whose detail can embed a value computed
+// from a statement literal (a predicate, an interval) use it instead of
+// formatting Detail themselves.
+func (e Event) Detailf(format string, args ...any) Event {
+	e.DetailText = &Text{Format: format, Args: args}
+	e.Detail = e.DetailText.String()
+	return e
 }
 
 // String renders the event for traces and EXPLAIN output.
@@ -168,6 +193,10 @@ type Trace struct {
 	// Session tags the executing session (e.g. the server's "conn-3");
 	// empty for direct in-process calls.
 	Session string
+	// Shape identifies the statement's plan-cache shape (its text with the
+	// predicate literals lifted out); statements that differ only in
+	// literals share it. Empty when the statement was not fingerprinted.
+	Shape string
 	// Slow marks the query as exceeding the engine's slow-query threshold.
 	Slow bool
 	// Root is the instrumented span tree; nil when per-operator tracing
@@ -196,8 +225,8 @@ type Trace struct {
 func (t *Trace) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", t.SQL)
-	fmt.Fprintf(&b, "elapsed=%s rows=%d pages=%d skipped=%d degree=%d cache=%s%s%s\n",
-		formatDur(t.Duration), t.ActualRows, t.PagesRead, t.PagesSkipped, t.Degree, cacheWord(t.CacheHit), stateWord(t.State), sessionWord(t.Session))
+	fmt.Fprintf(&b, "elapsed=%s rows=%d pages=%d skipped=%d degree=%d cache=%s%s%s%s\n",
+		formatDur(t.Duration), t.ActualRows, t.PagesRead, t.PagesSkipped, t.Degree, cacheWord(t.CacheHit), stateWord(t.State), sessionWord(t.Session), shapeWord(t.Shape))
 	if t.Err != "" {
 		fmt.Fprintf(&b, "error: %s\n", t.Err)
 	}
@@ -225,6 +254,13 @@ func stateWord(state string) string {
 		return ""
 	}
 	return " state=" + state
+}
+
+func shapeWord(shape string) string {
+	if shape == "" {
+		return ""
+	}
+	return " shape=" + shape
 }
 
 func sessionWord(sess string) string {

@@ -114,8 +114,7 @@ func (o *Optimizer) scanEstimate(s *plan.Scan) (total float64, selected float64,
 				Rule: "ssc-estimation", Constraint: ep.Source,
 				Mode: catalog.ModeSoftStatistical.String(), Confidence: ep.Confidence,
 				Applied: true,
-				Detail:  fmt.Sprintf("twinned predicate %s tightens %s estimate", ep.Pred, s.Table),
-			})
+			}.Detailf("twinned predicate %s tightens %s estimate", ep.Pred, s.Table))
 		}
 	} else {
 		sel = est.Selectivity(filter)

@@ -70,6 +70,9 @@ type Optimizer struct {
 	// information sharpened that operator's cardinality estimate — the
 	// economy ledger splits q-error into informed vs. blind with it.
 	nodeInformed map[exec.Operator][]string
+	// literalBound names, per Optimize call, the first choice that was
+	// driven by a statement literal's value (see Result.LiteralBound).
+	literalBound string
 }
 
 // Result is a lowered, costed physical plan.
@@ -87,6 +90,14 @@ type Result struct {
 	// by constraint-derived information to the names of the informing
 	// constraints/ASTs.
 	NodeInformed map[exec.Operator][]string
+	// LiteralBound is "access-path" when an index was weighed against the
+	// sequential scan over a range whose width comes from the statement's
+	// literals (see widthFromLiterals): another literal vector of the same
+	// shape could deserve the other path, so the plan must not serve as a
+	// template. Choices that only depend on where a fixed-width range or an
+	// equality falls (its selectivity is taken as literal-independent) and
+	// cardinality estimates leave it empty.
+	LiteralBound string
 }
 
 // Optimize lowers the logical plan.
@@ -95,11 +106,13 @@ func (o *Optimizer) Optimize(n plan.Node) (*Result, error) {
 	o.nodeRows = map[exec.Operator]float64{}
 	o.nodeInformed = map[exec.Operator][]string{}
 	o.events = nil
+	o.literalBound = ""
 	op, pr, err := o.lower(n)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Root: op, EstRows: pr.rows, EstCost: pr.cost, NodeRows: o.nodeRows, Events: o.events, NodeInformed: o.nodeInformed}, nil
+	return &Result{Root: op, EstRows: pr.rows, EstCost: pr.cost, NodeRows: o.nodeRows, Events: o.events,
+		NodeInformed: o.nodeInformed, LiteralBound: o.literalBound}, nil
 }
 
 // note records an operator's estimated cardinality for EXPLAIN ANALYZE.
@@ -336,21 +349,6 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 	total, selected, informed := o.scanEstimate(s)
 	pages := float64(heap.PageCount())
 	prune := o.prunePreds(s)
-	// Synopsis-aware page estimate: pages the skipper would prune right now
-	// are free, and the rows on them are never materialized. Access-path
-	// selection still compares the UNPRUNED sequential cost against index
-	// paths — an index that beats a full scan is strictly more precise than
-	// zone maps (it touches only matching rows' pages), and current synopsis
-	// state is too volatile to let it veto an index. The pruned figures are
-	// what the chosen sequential scan reports upward for join costing.
-	readPages := pages
-	if len(prune) > 0 {
-		readPages = pages - float64(exec.CountSkippablePages(heap, prune))
-	}
-	readRows := total
-	if pages > 0 {
-		readRows = total * readPages / pages
-	}
 	best := exec.Operator(&exec.SeqScan{Table: s.Table, Heap: heap, Filter: s.Filter, Prune: prune})
 	// The sequential scan's per-row filter CPU earns the batch discount
 	// (its kernels run page-at-a-time); index paths below never do.
@@ -366,6 +364,9 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 				continue // composite range bounds are not planned yet
 			}
 			iv, bounded := o.leadingInterval(s, ix)
+			if widthFromLiterals(iv) {
+				o.literalBound = "access-path"
+			}
 			if !bounded || iv.Empty() {
 				continue
 			}
@@ -388,7 +389,9 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 			cost := indexScanCost(float64(ix.Tree.Height()), matchRows, pages, cluster, float64(heap.RowsPerPage()))
 			if cost < bestCost || s.PinnedIndex == ix {
 				lo, hi := boundsFor(iv)
-				best = &exec.IndexScan{Table: s.Table, Heap: heap, Index: ix, Lo: lo, Hi: hi, Filter: s.Filter}
+				loFrom, hiFrom := iv.Origins()
+				best = &exec.IndexScan{Table: s.Table, Heap: heap, Index: ix, Lo: lo, Hi: hi,
+					LoFrom: loFrom, HiFrom: hiFrom, Filter: s.Filter}
 				bestCost = cost
 			}
 		}
@@ -398,8 +401,23 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 	// parallel key-space split would repeat root-to-leaf descents per
 	// worker and break exact page-count parity with the serial plan.
 	if ss, ok := best.(*exec.SeqScan); ok {
-		// Report the synopsis-aware cost for the surviving sequential scan so
+		// Synopsis-aware page estimate: pages the skipper would prune right
+		// now are free, and the rows on them are never materialized. Access-
+		// path selection above compared the UNPRUNED sequential cost against
+		// the index paths — an index that beats a full scan is strictly more
+		// precise than zone maps (it touches only matching rows' pages), and
+		// current synopsis state is too volatile to let it veto an index — so
+		// the synopses are only walked (O(pages)) once the sequential scan
+		// has survived. The pruned figures are what it reports upward so
 		// join ordering sees the pages it will actually read.
+		readPages := pages
+		if len(prune) > 0 {
+			readPages = pages - float64(exec.CountSkippablePages(heap, prune))
+		}
+		readRows := total
+		if pages > 0 {
+			readRows = total * readPages / pages
+		}
 		bestCost = readPages*costPage + readRows*costRow*o.cpuBatch()
 		if dop := o.parallelDegree(selected); dop > 1 {
 			best = &exec.ParallelScan{Table: ss.Table, Heap: ss.Heap, Filter: ss.Filter, Prune: ss.Prune, Workers: dop}
@@ -409,6 +427,21 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 		o.nodeInformed[best] = informed
 	}
 	return best, prop{rows: math.Max(selected, 0), cost: bestCost}
+}
+
+// widthFromLiterals reports whether how much of the index the interval
+// covers depends on the statement's literal values. A point, or a range
+// whose two bounds are offsets of the same literal (what predicate
+// introduction derives from an equality: [d-21, d]), keeps its width
+// wherever the literal falls — only its position moves, which costing
+// treats like an equality's. A half-open range, or bounds from different
+// literals, can cover anything from nothing to the whole index.
+func widthFromLiterals(iv expr.Interval) bool {
+	if !iv.FromLiteral() || iv.Empty() {
+		return iv.LiteralShaped()
+	}
+	lo, hi := iv.Origins()
+	return iv.LiteralShaped() || !iv.HasLo || !iv.HasHi || lo.Slot != hi.Slot
 }
 
 // prunePreds assembles a scan's page-prune predicates: intervals extracted

@@ -39,6 +39,20 @@ type Builder struct {
 	Catalog *catalog.Catalog
 	// Views maps lower-cased view names to their defining queries.
 	Views map[string]*sql.Select
+	// LiteralBound is set to "constant-folding" when building folded a
+	// constant expression over a statement literal: what the subtree folds
+	// to (a value, TRUE, FALSE, or an evaluation error left in place)
+	// depends on the literal, so the plan is only valid for its own.
+	LiteralBound string
+}
+
+// fold folds constants in a bound predicate, noting when that consumes a
+// statement literal.
+func (b *Builder) fold(e expr.Expr) expr.Expr {
+	if expr.FoldsLiteral(e) {
+		b.LiteralBound = "constant-folding"
+	}
+	return expr.FoldConstants(e)
 }
 
 // BuildSelect builds the plan for a (possibly UNION ALL-chained) select.
@@ -94,7 +108,7 @@ func (b *Builder) buildArm(sel *sql.Select) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		bound = expr.FoldConstants(bound)
+		bound = b.fold(bound)
 		for _, c := range expr.SplitConjuncts(bound) {
 			b.placeConjunct(group, c)
 		}
@@ -156,7 +170,7 @@ func (b *Builder) buildArm(sel *sql.Select) (Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("plan: HAVING may reference select-list aliases and grouping columns: %w", err)
 		}
-		top = &Filter{Input: top, Conds: expr.SplitConjuncts(expr.FoldConstants(bound))}
+		top = &Filter{Input: top, Conds: expr.SplitConjuncts(b.fold(bound))}
 	}
 	if sel.Distinct {
 		top = &Distinct{Input: top}

@@ -65,6 +65,11 @@ func (r *Rewriter) trimScanPair(ls *plan.Scan, aOrd int, rs *plan.Scan, bOrd int
 	for pass := 0; pass < 4; pass++ {
 		ia, _ := expr.ExtractInterval(ls.Filter, aOrd)
 		ib, _ := expr.ExtractInterval(rs.Filter, bOrd)
+		if ia.FromLiteral() || ib.FromLiteral() {
+			// Which holes cover or cut the query's ranges depends on where
+			// the literals fall.
+			r.literalBound("hole-trim")
+		}
 		changed := false
 		for _, h := range rects {
 			// A-side trim: the hole's B extent must cover the whole B range

@@ -328,6 +328,60 @@ func (lb LinearBound) singleColumnInterval(kind types.Kind) (expr.Interval, bool
 	return floatToInterval(floatInterval{lo: lb.Lo, hi: lb.Hi}, kind, false)
 }
 
+// deriveOrigins is deriveOther for provenance: given the filter interval on
+// the known column it returns the origins of the interval deriveOther
+// implies on the other column of kind target. A bound that is a statement
+// literal x maps to x+Lo / x+Hi (or x-Hi / x-Lo) when the slope is 1 —
+// exactly the arithmetic deriveOther performs, so the derived constant can
+// be recomputed for another literal. A bound that is itself such an image
+// composes when it is integer-valued (x+a rounded is x+round(a) for an
+// integer x). ok is false when the filter interval depends on a literal
+// but its image is not an offset of it (non-unit slope, a fractional
+// literal rounded into an integer column, a float image derived again):
+// the derived interval is then tied to the literal's value.
+func (lb LinearBound) deriveOrigins(known int, iv expr.Interval, target types.Kind) (lo, hi expr.Origin, ok bool) {
+	if !iv.FromLiteral() {
+		return expr.Origin{}, expr.Origin{}, true
+	}
+	if iv.LiteralShaped() || lb.K != 1 {
+		return expr.Origin{}, expr.Origin{}, false
+	}
+	intTarget := target == types.KindInt || target == types.KindDate
+	image := func(from expr.Origin, has bool, bound types.Datum, add float64, round int8) (expr.Origin, bool) {
+		switch {
+		case !has || from.Slot == 0 || math.IsInf(add, 0):
+			return expr.Origin{}, true
+		case from.Slot < 0:
+			return expr.Origin{}, false
+		}
+		integral := bound.Kind() == types.KindInt || bound.Kind() == types.KindDate
+		switch {
+		case from.Round < 0:
+			add += math.Floor(from.Add)
+		case from.Round > 0:
+			add += math.Ceil(from.Add)
+		case from.Add != 0:
+			return expr.Origin{}, false
+		}
+		if !intTarget {
+			return expr.Origin{Slot: from.Slot, Add: add}, true
+		}
+		if !integral {
+			return expr.Origin{}, false
+		}
+		return expr.Origin{Slot: from.Slot, Add: add, Round: round}, true
+	}
+	fromLo, fromHi := iv.Origins()
+	addLo, addHi := lb.Lo, lb.Hi
+	if known == lb.ColA {
+		addLo, addHi = -lb.Hi, -lb.Lo
+	}
+	var okLo, okHi bool
+	lo, okLo = image(fromLo, iv.HasLo, iv.Lo, addLo, -1)
+	hi, okHi = image(fromHi, iv.HasHi, iv.Hi, addHi, 1)
+	return lo, hi, okLo && okHi
+}
+
 // floatToInterval converts a float interval to a datum interval of the
 // given kind. For integer kinds the bounds round conservatively *outward*
 // (floor the lower bound, ceil the upper) so the resulting predicate is
@@ -336,16 +390,7 @@ func (lb LinearBound) singleColumnInterval(kind types.Kind) (expr.Interval, bool
 // proofs must stay conservative the other way).
 func floatToInterval(iv floatInterval, kind types.Kind, tighten bool) (expr.Interval, bool) {
 	out := expr.Unbounded()
-	mk := func(f float64) types.Datum {
-		switch kind {
-		case types.KindInt:
-			return types.NewInt(int64(f))
-		case types.KindDate:
-			return types.NewDate(int64(f))
-		default:
-			return types.NewFloat(f)
-		}
-	}
+	mk := func(f float64) types.Datum { return expr.NumericFromFloat(kind, f) }
 	intKind := kind == types.KindInt || kind == types.KindDate
 	if !math.IsInf(iv.lo, -1) {
 		lo := iv.lo

@@ -47,16 +47,47 @@ type Rewriter struct {
 	// consultation, applied or rejected, with the constraint's name, mode,
 	// and effective confidence.
 	Events []obs.Event
+	// TraceTexts is Trace as format and arguments, line for line: a plan
+	// template renders the lines whose arguments embed values computed from
+	// statement literals again for every literal vector.
+	TraceTexts []obs.Text
+	// LiteralBound names the first rule whose decision depended on where a
+	// statement literal falls (against a CHECK range, a join hole, another
+	// literal, an AST's predicate); empty when every decision taken would
+	// be the same for any literals of the same shape. A plan rewritten
+	// under a non-empty LiteralBound is only valid for its own literals.
+	LiteralBound string
 }
 
 // New returns a rewriter over the given catalog with all rules enabled.
 func New(cat *catalog.Catalog) *Rewriter { return &Rewriter{Cat: cat} }
 
 func (r *Rewriter) tracef(format string, args ...any) {
-	r.Trace = append(r.Trace, fmt.Sprintf(format, args...))
+	t := obs.Text{Format: format, Args: args}
+	r.TraceTexts = append(r.TraceTexts, t)
+	r.Trace = append(r.Trace, t.String())
 }
 
 func (r *Rewriter) event(e obs.Event) { r.Events = append(r.Events, e) }
+
+// literalBound records that rule took a decision that depends on the
+// statement's literal values; the first rule to do so names the reason.
+func (r *Rewriter) literalBound(rule string) {
+	if r.LiteralBound == "" {
+		r.LiteralBound = rule
+	}
+}
+
+// filterUsesLiteral reports whether any conjunct holds a literal-derived
+// constant.
+func filterUsesLiteral(filter []expr.Expr) bool {
+	for _, f := range filter {
+		if expr.HasLiteral(f) {
+			return true
+		}
+	}
+	return false
+}
 
 // Rewrite applies all enabled rules and returns the (possibly replaced)
 // plan root.
@@ -327,6 +358,11 @@ func (r *Rewriter) rewriteScan(s *plan.Scan) plan.Node {
 	// Per-column filter intervals; contradiction check.
 	for ord := range s.Def.Columns {
 		iv, _ := expr.ExtractInterval(s.Filter, ord)
+		if iv.LiteralShaped() {
+			// Whether the range is empty, a point or proper depends on how
+			// the literals compare.
+			r.literalBound("range-check")
+		}
 		if iv.Empty() {
 			return &plan.Empty{Schema: s.Cols(), Reason: fmt.Sprintf("contradictory range on %s.%s", s.Alias, s.Def.Columns[ord].Name)}
 		}
@@ -360,6 +396,9 @@ func (r *Rewriter) rewriteScan(s *plan.Scan) plan.Node {
 			fiv, _ := expr.ExtractInterval(s.Filter, b.ColA)
 			if fiv.IsUnbounded() {
 				continue
+			}
+			if !expr.ComparesFixed(fiv, biv) {
+				r.literalBound("branch-elimination")
 			}
 			if fiv.Disjoint(biv) {
 				r.event(obs.Event{Rule: "branch-elimination", Constraint: b.Source,
@@ -421,8 +460,19 @@ func (r *Rewriter) applyBound(s *plan.Scan, b bound, known, target int) (plan.No
 	if !ok || div.IsUnbounded() {
 		return s, false
 	}
+	// A derived bound that is a unit-slope offset of a statement literal
+	// keeps that provenance (the plan stays a template); any other
+	// dependence on the literals ties the plan to them.
+	dlo, dhi, affine := b.deriveOrigins(known, fiv, kind)
+	if !affine {
+		r.literalBound("predicate-introduction")
+	}
+	div = div.WithOrigins(dlo, dhi)
 	// Only worthwhile when it tightens what the query already states.
 	existing, _ := expr.ExtractInterval(s.Filter, target)
+	if !existing.IsUnbounded() && !expr.ComparesFixed(existing, div) {
+		r.literalBound("predicate-introduction")
+	}
 	if existing.CoveredBy(div) {
 		return s, false
 	}
@@ -456,8 +506,8 @@ func (r *Rewriter) applyBound(s *plan.Scan, b bound, known, target int) (plan.No
 		}
 		r.tracef("predicate-introduction: %s: added %s from %s", s.Alias, pred, b.Source)
 		r.event(obs.Event{Rule: "predicate-introduction", Constraint: b.Source,
-			Mode: b.Mode.String(), Confidence: 1, Applied: true,
-			Detail: fmt.Sprintf("%s: added %s", s.Alias, pred)})
+			Mode: b.Mode.String(), Confidence: 1, Applied: true}.Detailf(
+			"%s: added %s", s.Alias, pred))
 		return s, false
 	}
 
@@ -495,8 +545,8 @@ func (r *Rewriter) applyBound(s *plan.Scan, b bound, known, target int) (plan.No
 		s.EstOnly = append(s.EstOnly, ep)
 		r.tracef("ssc-twin: %s: %s twinned with confidence %.3f from %s", s.Alias, pred, b.Confidence, b.Source)
 		r.event(obs.Event{Rule: "ssc-twin", Constraint: b.Source,
-			Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true,
-			Detail: fmt.Sprintf("%s: twinned %s for estimation only", s.Alias, pred)})
+			Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true}.Detailf(
+			"%s: twinned %s for estimation only", s.Alias, pred))
 	}
 	return s, false
 }
@@ -524,9 +574,9 @@ func (r *Rewriter) plantPrunePred(s *plan.Scan, b bound, target int, div expr.In
 	// at every scan), so it must not trigger the §4.1 trace-driven cache
 	// machinery (ASCDynamicOnly, backup-plan compilation). Events record it.
 	r.event(obs.Event{Rule: "prune-introduction", Constraint: b.Source,
-		Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true,
-		Detail: fmt.Sprintf("%s: derived prune-only interval %s on %s (pages skippable via synopses)",
-			s.Alias, div, s.Def.Columns[target].Name)})
+		Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true}.Detailf(
+		"%s: derived prune-only interval %s on %s (pages skippable via synopses)",
+		s.Alias, div, s.Def.Columns[target].Name))
 	return true
 }
 
@@ -568,6 +618,11 @@ func (r *Rewriter) routeThroughAST(s *plan.Scan) plan.Node {
 	for _, st := range r.Cat.SummariesOn(s.Table) {
 		if st.Informational || st.Heap == nil || st.Where == nil || r.Opt.masked(st.Name) {
 			continue
+		}
+		// Containment compares the query's conjuncts, literals included,
+		// with the AST's defining predicate.
+		if filterUsesLiteral(filterConjuncts) {
+			r.literalBound("ast-routing")
 		}
 		contained := true
 		for _, c := range expr.SplitConjuncts(st.Where) {
@@ -628,8 +683,8 @@ func (r *Rewriter) exceptionUnion(s *plan.Scan, b bound, pred expr.Expr, ast *ca
 	r.tracef("exception-union: %s: routed through AST %s with %s (constraint %s)",
 		s.Alias, ast.Name, pred, b.check.Name)
 	r.event(obs.Event{Rule: "exception-union", Constraint: b.check.Name,
-		Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true,
-		Detail: fmt.Sprintf("%s: exact rewrite via exception AST %s with %s", s.Alias, ast.Name, pred)})
+		Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true}.Detailf(
+		"%s: exact rewrite via exception AST %s with %s", s.Alias, ast.Name, pred))
 	return &plan.UnionAll{Arms: []plan.Node{arm1, arm2}}, true
 }
 

@@ -33,8 +33,13 @@ func (r *Rewriter) simplifySort(s *plan.Sort) {
 		// Rule 1: constant-pinned columns order nothing.
 		if sc := scanForBinding(scans, ci.Qualifier); sc != nil {
 			iv, _ := expr.ExtractInterval(sc.Filter, ci.SourceOrdinal)
+			if iv.LiteralShaped() {
+				r.literalBound("sort-simplify")
+			}
 			if iv.EqualityConstant != nil {
-				r.tracef("sort-simplify: dropped key %s.%s (pinned to %s)", ci.Qualifier, ci.Name, *iv.EqualityConstant)
+				from, _ := iv.Origins()
+				r.tracef("sort-simplify: dropped key %s.%s (pinned to %s)", ci.Qualifier, ci.Name,
+					&expr.Const{Value: *iv.EqualityConstant, From: from})
 				r.event(obs.Event{Rule: "sort-simplify", Applied: true,
 					Detail: fmt.Sprintf("dropped key %s.%s (pinned to a constant)", ci.Qualifier, ci.Name)})
 				continue

@@ -47,24 +47,47 @@ func (t Token) Upper() string { return strings.ToUpper(t.Text) }
 // unexpected characters.
 func Lex(input string) ([]Token, error) {
 	var toks []Token
-	i := 0
-	n := len(input)
-	for i < n {
+	sc := scanner{input: input}
+	for {
+		t, err := sc.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
+
+// scanner produces the token stream one token at a time; Lex collects it
+// for the parser, Fingerprint consumes it directly.
+type scanner struct {
+	input string
+	i     int
+}
+
+// next returns the next token, TokEOF at the end of the input.
+func (sc *scanner) next() (Token, error) {
+	input, n := sc.input, len(sc.input)
+	for sc.i < n {
+		i := sc.i
 		c := input[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
+			sc.i++
 		case c == '-' && i+1 < n && input[i+1] == '-':
 			// Line comment.
-			for i < n && input[i] != '\n' {
-				i++
+			for sc.i < n && input[sc.i] != '\n' {
+				sc.i++
 			}
 		case isIdentStart(rune(c)):
-			start := i
 			for i < n && isIdentPart(rune(input[i])) {
 				i++
 			}
-			toks = append(toks, Token{Kind: TokIdent, Text: input[start:i], Pos: start})
+			start := sc.i
+			sc.i = i
+			return Token{Kind: TokIdent, Text: input[start:i], Pos: start}, nil
 		case c >= '0' && c <= '9':
 			start := i
 			seenDot := false
@@ -88,30 +111,30 @@ func Lex(input string) ([]Token, error) {
 				}
 				break
 			}
-			toks = append(toks, Token{Kind: TokNumber, Text: input[start:i], Pos: start})
+			sc.i = i
+			return Token{Kind: TokNumber, Text: input[start:i], Pos: start}, nil
 		case c == '\'':
 			start := i
 			i++
-			var sb strings.Builder
-			closed := false
+			body := i
+			escaped := false
 			for i < n {
 				if input[i] == '\'' {
 					if i+1 < n && input[i+1] == '\'' {
-						sb.WriteByte('\'')
+						escaped = true
 						i += 2
 						continue
 					}
-					i++
-					closed = true
-					break
+					text := input[body:i]
+					if escaped {
+						text = strings.ReplaceAll(text, "''", "'")
+					}
+					sc.i = i + 1
+					return Token{Kind: TokString, Text: text, Pos: start}, nil
 				}
-				sb.WriteByte(input[i])
 				i++
 			}
-			if !closed {
-				return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
-			}
-			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Pos: start})
+			return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 		default:
 			start := i
 			var op string
@@ -122,24 +145,23 @@ func Lex(input string) ([]Token, error) {
 			switch two {
 			case "<=", ">=", "<>", "!=":
 				op = two
-				i += 2
+				sc.i += 2
 			default:
 				switch c {
 				case '(', ')', ',', '*', '+', '-', '/', '=', '<', '>', '.', ';':
-					op = string(c)
-					i++
+					op = input[i : i+1]
+					sc.i++
 				default:
-					return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
+					return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
 				}
 			}
 			if op == "!=" {
 				op = "<>"
 			}
-			toks = append(toks, Token{Kind: TokOp, Text: op, Pos: start})
+			return Token{Kind: TokOp, Text: op, Pos: start}, nil
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Pos: n})
-	return toks, nil
+	return Token{Kind: TokEOF, Pos: n}, nil
 }
 
 func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }

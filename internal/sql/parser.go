@@ -29,6 +29,21 @@ type Parser struct {
 	toks []Token
 	pos  int
 	src  string
+	// lits, when set (ParseFingerprinted), are the literals Fingerprint
+	// lifted out of src: the constant built from lits[k]'s token is tagged
+	// with slot k+1.
+	lits []Literal
+}
+
+// literalOrigin returns the slot tag for the literal whose number or string
+// token starts at pos; the zero Origin when pos is not a lifted literal.
+func (p *Parser) literalOrigin(pos int) expr.Origin {
+	for k, l := range p.lits {
+		if l.Pos == pos {
+			return expr.Origin{Slot: k + 1}
+		}
+	}
+	return expr.Origin{}
 }
 
 // NewParser tokenizes the input and returns a parser.
@@ -1140,16 +1155,25 @@ func (p *Parser) parseMultiplicative() (expr.Expr, error) {
 
 func (p *Parser) parseUnary() (expr.Expr, error) {
 	if p.eatOp("-") {
+		operand := p.peek().Pos
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		// Fold negative literals immediately.
 		if c, ok := x.(*expr.Const); ok && c.Value.IsNumeric() {
+			neg := expr.NewConst(types.NewInt(0))
 			if c.Value.Kind() == types.KindFloat {
-				return expr.NewConst(types.NewFloat(-c.Value.Float())), nil
+				neg.Value = types.NewFloat(-c.Value.Float())
+			} else {
+				neg.Value = types.NewInt(-c.Value.Int())
 			}
-			return expr.NewConst(types.NewInt(-c.Value.Int())), nil
+			// The fold keeps the literal's tag only when this minus is the
+			// one Fingerprint made part of the literal.
+			if k := c.From.Slot; k > 0 && p.lits[k-1].Signed && p.lits[k-1].Pos == operand {
+				neg.From = c.From
+			}
+			return neg, nil
 		}
 		return expr.NewUnary(expr.OpNeg, x), nil
 	}
@@ -1166,16 +1190,16 @@ func (p *Parser) parsePrimary() (expr.Expr, error) {
 			if err != nil {
 				return nil, p.errorf("bad numeric literal %q", t.Text)
 			}
-			return expr.NewConst(types.NewFloat(f)), nil
+			return &expr.Const{Value: types.NewFloat(f), From: p.literalOrigin(t.Pos)}, nil
 		}
 		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad integer literal %q", t.Text)
 		}
-		return expr.NewConst(types.NewInt(n)), nil
+		return &expr.Const{Value: types.NewInt(n), From: p.literalOrigin(t.Pos)}, nil
 	case TokString:
 		p.pos++
-		return expr.NewConst(types.NewString(t.Text)), nil
+		return &expr.Const{Value: types.NewString(t.Text), From: p.literalOrigin(t.Pos)}, nil
 	case TokOp:
 		if t.Text == "(" {
 			p.pos++
@@ -1208,7 +1232,7 @@ func (p *Parser) parsePrimary() (expr.Expr, error) {
 				if err != nil {
 					return nil, p.errorf("bad date literal %q", s.Text)
 				}
-				return expr.NewConst(d), nil
+				return &expr.Const{Value: d, From: p.literalOrigin(s.Pos)}, nil
 			}
 		}
 		if reserved[t.Upper()] {

@@ -17,6 +17,7 @@
 package txn
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -38,15 +39,15 @@ type Manager struct {
 	lastID atomic.Int64 // last transaction ID handed out
 
 	mu     sync.Mutex
-	writes map[int64]int64 // open write transactions: ID -> snapshot
-	pins   map[int64]int   // pinned snapshots: timestamp -> refcount
+	writes map[int64][]string // open write transactions: ID -> tables written
+	pins   map[int64]int      // pinned snapshots: timestamp -> refcount
 }
 
 // NewManager returns a manager whose clock starts at storage.CommittedMin:
 // rows installed by the legacy non-transactional path carry that stamp, so
 // the very first snapshot already sees them.
 func NewManager() *Manager {
-	m := &Manager{writes: map[int64]int64{}, pins: map[int64]int{}}
+	m := &Manager{writes: map[int64][]string{}, pins: map[int64]int{}}
 	m.clock.Store(1)
 	return m
 }
@@ -73,7 +74,7 @@ func (m *Manager) Begin() *Txn {
 	// Snapshot under the lock so Horizon can never miss a transaction
 	// whose snapshot predates its registration.
 	t.Snap = m.clock.Load()
-	m.writes[t.ID] = t.Snap
+	m.writes[t.ID] = nil
 	m.pins[t.Snap]++
 	m.mu.Unlock()
 	return t
@@ -131,6 +132,40 @@ func (m *Manager) ActiveWrites() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.writes)
+}
+
+// Touch records that the open transaction t has written to table.
+func (m *Manager) Touch(t *Txn, table string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tables, open := m.writes[t.ID]
+	if !open {
+		return
+	}
+	for _, name := range tables {
+		if strings.EqualFold(name, table) {
+			return
+		}
+	}
+	m.writes[t.ID] = append(tables, table)
+}
+
+// ActiveWritesOn reports how many open transactions have written to table.
+// CREATE INDEX requires zero: it builds from the committed view, and an
+// uncommitted version of the table would be missing from the new index.
+func (m *Manager) ActiveWritesOn(table string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, tables := range m.writes {
+		for _, name := range tables {
+			if strings.EqualFold(name, table) {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // Horizon returns the oldest snapshot any reader or open transaction still

@@ -178,8 +178,7 @@ func (d Datum) String() string {
 		}
 		return "FALSE"
 	case KindDate:
-		t := time.Unix(d.i*86400, 0).UTC()
-		return t.Format("2006-01-02")
+		return formatDate(d.i)
 	default:
 		return fmt.Sprintf("Datum(kind=%d)", d.kind)
 	}
@@ -366,6 +365,9 @@ func arith(a, b Datum, op byte) (Datum, error) {
 
 // ParseDate parses a YYYY-MM-DD literal into a date datum.
 func ParseDate(s string) (Datum, error) {
+	if days, ok := parseISODate(s); ok {
+		return NewDate(days), nil
+	}
 	t, err := time.Parse("2006-01-02", s)
 	if err != nil {
 		return Null, fmt.Errorf("types: bad date literal %q: %w", s, err)
@@ -435,4 +437,86 @@ func MaxDatum(a, b Datum) Datum {
 		return a
 	}
 	return b
+}
+
+// Dates sit in most predicates and every plan line of this engine's
+// workloads, so the exact "YYYY-MM-DD" shape is converted with integer
+// arithmetic (the proleptic Gregorian day-count algorithms of Howard
+// Hinnant's date library); anything else goes through the time package.
+
+// parseISODate converts exactly "YYYY-MM-DD" (a valid calendar day) to days
+// since the Unix epoch.
+func parseISODate(s string) (int64, bool) {
+	if len(s) != 10 || s[4] != '-' || s[7] != '-' {
+		return 0, false
+	}
+	num := func(t string) (int64, bool) {
+		var n int64
+		for i := 0; i < len(t); i++ {
+			if t[i] < '0' || t[i] > '9' {
+				return 0, false
+			}
+			n = n*10 + int64(t[i]-'0')
+		}
+		return n, true
+	}
+	y, okY := num(s[:4])
+	m, okM := num(s[5:7])
+	d, okD := num(s[8:])
+	if !okY || !okM || !okD || m < 1 || m > 12 || d < 1 {
+		return 0, false
+	}
+	monthDays := [...]int64{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+	last := monthDays[m-1]
+	if m == 2 && y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+		last = 29
+	}
+	if d > last {
+		return 0, false
+	}
+	if m <= 2 {
+		y--
+	}
+	era := y / 400
+	if y < 0 {
+		era = (y - 399) / 400
+	}
+	yoe := y - era*400
+	mp := m + 9
+	if m > 2 {
+		mp = m - 3
+	}
+	doy := (153*mp+2)/5 + d - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return era*146097 + doe - 719468, true
+}
+
+// formatDate renders days since the Unix epoch as "YYYY-MM-DD".
+func formatDate(days int64) string {
+	z := days + 719468
+	era := z / 146097
+	if z < 0 {
+		era = (z - 146096) / 146097
+	}
+	doe := z - era*146097
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
+	y := yoe + era*400
+	doy := doe - (365*yoe + yoe/4 - yoe/100)
+	mp := (5*doy + 2) / 153
+	d := doy - (153*mp+2)/5 + 1
+	m := mp + 3
+	if mp >= 10 {
+		m = mp - 9
+	}
+	if m <= 2 {
+		y++
+	}
+	if y < 0 || y > 9999 {
+		return time.Unix(days*86400, 0).UTC().Format("2006-01-02")
+	}
+	var b [10]byte
+	b[0], b[1], b[2], b[3] = byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10)
+	b[4], b[5], b[6] = '-', byte('0'+m/10), byte('0'+m%10)
+	b[7], b[8], b[9] = '-', byte('0'+d/10), byte('0'+d%10)
+	return string(b[:])
 }

@@ -275,3 +275,30 @@ func TestQuickCompareIntsMatchesGo(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The integer date conversions must agree with the time package on every
+// day they claim to handle, and defer to it on everything else.
+func TestDateFastPathsMatchTimePackage(t *testing.T) {
+	for days := int64(-800000); days <= 3000000; days += 97 {
+		want := time.Unix(days*86400, 0).UTC().Format("2006-01-02")
+		if got := NewDate(days).String(); got != want {
+			t.Fatalf("day %d: formatted %s, want %s", days, got, want)
+		}
+		if len(want) != 10 {
+			continue // years beyond 9999: only the formatter's fallback applies
+		}
+		d, err := ParseDate(want)
+		if err != nil || d.IntImage() != days {
+			t.Fatalf("%s: parsed to day %d (err %v), want %d", want, d.IntImage(), err, days)
+		}
+	}
+	for _, bad := range []string{"1999-02-29", "2000-13-01", "2000-00-10", "2000-01-00", "2000-01-32", "1900-02-29", "99-01-01", "2000/01/01", "2000-1-01", "２000-01-01", ""} {
+		_, tErr := time.Parse("2006-01-02", bad)
+		if _, err := ParseDate(bad); (err == nil) != (tErr == nil) {
+			t.Errorf("%q: ParseDate err=%v, time.Parse err=%v", bad, err, tErr)
+		}
+	}
+	if d, err := ParseDate("2000-02-29"); err != nil || d.String() != "2000-02-29" {
+		t.Errorf("leap day: %v %v", d, err)
+	}
+}
