@@ -954,6 +954,45 @@ func BenchmarkV1Kernels(b *testing.B) {
 	}
 }
 
+// BenchmarkV2FrozenScan measures the frozen-page experiment's statements
+// (see EXPERIMENTS.md §V2) with the scanned table's page images cold before
+// every execution, warm, and thawed every fourth execution. ns/row divides
+// by the rows the statement reads; frozen/op is how many page reads were
+// served from images. scbench gates warm < cold on the two page scans.
+func BenchmarkV2FrozenScan(b *testing.B) {
+	db, cases, err := bench.V2DB(100000, 50000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range cases {
+		for _, mode := range bench.V2Modes {
+			b.Run(c.Name+"/"+mode, func(b *testing.B) {
+				if _, err := db.Exec(c.SQL); err != nil {
+					b.Fatal(err)
+				}
+				var rows, pages, frozen int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if err := bench.V2Prepare(db, c, mode, i); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					res, err := db.Exec(c.SQL)
+					if err != nil {
+						b.Fatal(err)
+					}
+					io := res.Ctx.IO.Load()
+					rows, pages, frozen = io.RowsRead, io.PagesRead, frozen+io.PagesFrozen
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*rows), "ns/row")
+				b.ReportMetric(float64(pages), "pages/op")
+				b.ReportMetric(float64(frozen)/float64(b.N), "frozen/op")
+			})
+		}
+	}
+}
+
 // BenchmarkS2Router measures the constraint-aware shard router's zone-map
 // analogy (experiment S2): a query whose predicate lies inside exactly one
 // shard's synced value range, with registry pruning on (pruned) and off

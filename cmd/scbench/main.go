@@ -27,7 +27,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	parallel := flag.Int("parallel", bench.ParallelDegree, "worker count for the parallel configurations (P1)")
-	benchJSON := flag.String("bench-json", "", "instead of the experiment tables, run `go test -bench=. -benchtime=5x -short`, write BENCH_<date>.json into this directory, and fail if the E1/E2/E4 optimized variants stop beating their baselines on pages/op, the V1 typed kernels stop beating the tree-walk, the T1 reader p99 under write load degrades past 3x read-only, or a C1 plan-template rebind stops costing under half a cold plan")
+	benchJSON := flag.String("bench-json", "", "instead of the experiment tables, run `go test -bench=. -benchtime=5x -short`, write BENCH_<date>.json into this directory, and fail if the E1/E2/E4 optimized variants stop beating their baselines on pages/op, the V1 typed kernels stop beating the tree-walk, a V2 page scan over warm page images stops beating cold ones, the T1 reader p99 under write load degrades past 3x read-only, or a C1 plan-template rebind stops costing under half a cold plan")
 	flag.Parse()
 	bench.ParallelDegree = *parallel
 
@@ -295,6 +295,22 @@ func checkTrajectory(results []benchResult) error {
 	}
 	if bestV1 > 0 && bestV1 < 1.5 {
 		failures = append(failures, fmt.Sprintf("V1: no typed kernel beats the tree-walk anymore (best %.2fx); predicate compilation has stopped specializing", bestV1))
+	}
+	// V2: a page scan over warm page images must beat the same scan with
+	// the images dropped before every execution. Parity means scans stopped
+	// reading the cached vectors (or started building them eagerly) — the
+	// regression this gate catches; the margin itself is host-bound.
+	for _, scan := range []string{"fact-scan", "wide-scan"} {
+		cold, okC := nsPerRow("V2FrozenScan/" + scan + "/cold")
+		warm, okW := nsPerRow("V2FrozenScan/" + scan + "/warm")
+		switch {
+		case !okC || !okW:
+			failures = append(failures, fmt.Sprintf("V2: missing V2FrozenScan/%s benchmark (cold and warm must both report ns/row)", scan))
+		case warm >= cold:
+			failures = append(failures, fmt.Sprintf("V2: %s over warm page images (%.1f ns/row) no longer beats cold images (%.1f ns/row)", scan, warm, cold))
+		default:
+			fmt.Printf("trajectory V2: ok (%s warm %.1f ns/row vs cold %.1f, %.2fx)\n", scan, warm, cold, cold/warm)
+		}
 	}
 	// S2: the shard-router benchmark must show registry pruning still
 	// excluding shards — a pruned one-shard-band query contacting as many

@@ -419,6 +419,37 @@ func TestC1Shape(t *testing.T) {
 	}
 }
 
+func TestV2Shape(t *testing.T) {
+	rep, err := V2FrozenScan(20000, 10000) // errors on any answer/charge divergence across image states
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, row := range rep.Rows {
+		rows[row[0]] = row
+	}
+	for _, name := range []string{"fact-scan", "wide-scan"} {
+		row := rows[name]
+		if row == nil || row[1] != "page scan" || row[7] == "0" {
+			t.Fatalf("%s should be a page scan over frozen pages: %v", name, row)
+		}
+		// Warm images skip the gather and the pivot; cold ones pay both plus
+		// the image build. Timer noise at smoke scale gets a wide margin.
+		if ratio := lastFloat(t, row[6]); ratio < 1.1 {
+			t.Errorf("%s: warm images should beat cold ones: cold/warm %.2f", name, ratio)
+		}
+		if cold, thawed := lastFloat(t, row[3]), lastFloat(t, row[5]); thawed > cold*1.25 {
+			t.Errorf("%s: a thaw every 4 scans (%.1f ns/row) should cost less than one before every scan (%.1f)", name, thawed, cold)
+		}
+	}
+	for _, name := range []string{"fd-group-order", "e4-index-range"} {
+		row := rows[name]
+		if row == nil || row[1] != "index range" || row[7] != "0" {
+			t.Fatalf("%s should fetch by RowID and read no frozen page: %v", name, row)
+		}
+	}
+}
+
 func TestV1Shape(t *testing.T) {
 	rep, err := V1Kernels(8192)
 	if err != nil {

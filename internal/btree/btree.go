@@ -106,7 +106,8 @@ func search(n *node, k types.Row) (int, bool) {
 	return lo, false
 }
 
-// Insert adds (key, rid). Duplicate keys accumulate rids.
+// Insert adds (key, rid). Duplicate keys accumulate rids. The tree keeps key
+// when it starts a new entry: the caller must not modify it afterwards.
 func (t *Tree) Insert(key types.Row, rid storage.RowID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -140,7 +141,7 @@ func (t *Tree) insertNonFull(n *node, key types.Row, rid storage.RowID) {
 			}
 			n.entries = append(n.entries, entry{})
 			copy(n.entries[i+1:], n.entries[i:])
-			n.entries[i] = entry{key: key.Clone(), rids: []storage.RowID{rid}}
+			n.entries[i] = entry{key: key, rids: []storage.RowID{rid}}
 			t.size++
 			t.keys++
 			return
@@ -252,10 +253,38 @@ func (t *Tree) descendToLeaf(key types.Row, c *storage.Counters) *node {
 	}
 }
 
+// leafEnd returns the index just past the last entry of leaf n, at or after
+// start, that lies within hi. Interior leaves of a range answer with one
+// comparison (their last key is within the bound). On the leaf holding the
+// boundary the next few entries are tried in turn — a point lookup or a
+// short range ends there — before a binary search over the rest, so a range
+// scan never compares per entry.
+func leafEnd(n *node, start int, hi Bound) int {
+	end := len(n.entries)
+	if hi.Key == nil || start >= end {
+		return end
+	}
+	beyond := func(i int) bool {
+		c := n.entries[i].key.Compare(hi.Key)
+		return c > 0 || (c == 0 && !hi.Inclusive)
+	}
+	last := end - 1
+	if !beyond(last) {
+		return end
+	}
+	i := start
+	for ; i < start+4 && i < last; i++ {
+		if beyond(i) {
+			return i
+		}
+	}
+	return i + sort.Search(last-i, func(j int) bool { return beyond(i + j) })
+}
+
 // AscendRange visits (key, rid) pairs with lo <= key <= hi (subject to the
 // bounds' inclusivity) in ascending key order. fn returning false stops the
 // scan. Page reads are charged for the root-to-leaf descent and for each
-// leaf visited.
+// leaf visited, one row read per pair visited.
 func (t *Tree) AscendRange(lo, hi Bound, c *storage.Counters, fn func(key types.Row, rid storage.RowID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -268,21 +297,21 @@ func (t *Tree) AscendRange(lo, hi Bound, c *storage.Counters, fn func(key types.
 			start = i + 1
 		}
 	}
+	var visited int64
+	defer func() { c.AddRows(visited) }()
 	for n != nil {
-		for i := start; i < len(n.entries); i++ {
+		end := leafEnd(n, start, hi)
+		for i := start; i < end; i++ {
 			e := &n.entries[i]
-			if hi.Key != nil {
-				ccmp := e.key.Compare(hi.Key)
-				if ccmp > 0 || (ccmp == 0 && !hi.Inclusive) {
-					return
-				}
-			}
 			for _, rid := range e.rids {
-				c.AddRows(1)
+				visited++
 				if !fn(e.key, rid) {
 					return
 				}
 			}
+		}
+		if end < len(n.entries) {
+			return
 		}
 		n = n.next
 		start = 0

@@ -343,3 +343,104 @@ func TestDuplicateKeyRIDOrderCanonical(t *testing.T) {
 		}
 	}
 }
+
+// ascendRangePerEntry is AscendRange as it was written before the per-leaf
+// boundary search: the upper bound is compared against every entry. It is
+// the oracle for visit order and for page/row charges.
+func ascendRangePerEntry(t *Tree, lo, hi Bound, c *storage.Counters, fn func(key types.Row, rid storage.RowID) bool) {
+	n := t.descendToLeaf(lo.Key, c)
+	start := 0
+	if lo.Key != nil {
+		i, exact := search(n, lo.Key)
+		start = i
+		if exact && !lo.Inclusive {
+			start = i + 1
+		}
+	}
+	for n != nil {
+		for i := start; i < len(n.entries); i++ {
+			e := &n.entries[i]
+			if hi.Key != nil {
+				ccmp := e.key.Compare(hi.Key)
+				if ccmp > 0 || (ccmp == 0 && !hi.Inclusive) {
+					return
+				}
+			}
+			for _, rid := range e.rids {
+				c.AddRows(1)
+				if !fn(e.key, rid) {
+					return
+				}
+			}
+		}
+		n = n.next
+		start = 0
+		if n != nil {
+			c.AddPages(1)
+		}
+	}
+}
+
+// TestAscendRangeMatchesPerEntryWalk: random ranges (every bound shape,
+// bounds on and between keys, on leaf edges, inverted, beyond both ends;
+// NULL, duplicate and mixed INT/FLOAT keys; early stops) visit the same
+// pairs in the same order and charge the same pages and rows as the
+// per-entry walk.
+func TestAscendRangeMatchesPerEntryWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	tr := New()
+	tr.Insert(types.Row{types.Null}, rid(100000))
+	for i := 0; i < 4000; i++ {
+		k := int64(r.Intn(1500)) * 2 // even keys, many duplicates
+		if i%50 == 0 {
+			tr.Insert(types.Row{types.NewFloat(float64(k) + 0.5)}, rid(i))
+			continue
+		}
+		tr.Insert(intKey(k), rid(i))
+	}
+	bound := func() Bound {
+		switch r.Intn(6) {
+		case 0:
+			return Bound{}
+		case 1:
+			return Bound{Key: types.Row{types.NewFloat(float64(r.Intn(3100)-50) / 2)}, Inclusive: r.Intn(2) == 0}
+		default:
+			return Bound{Key: intKey(int64(r.Intn(3100) - 50)), Inclusive: r.Intn(2) == 0}
+		}
+	}
+	type visit struct {
+		key string
+		rid storage.RowID
+	}
+	for trial := 0; trial < 4000; trial++ {
+		lo, hi := bound(), bound()
+		limit := -1
+		if r.Intn(3) == 0 {
+			limit = r.Intn(200)
+		}
+		walk := func(scan func(lo, hi Bound, c *storage.Counters, fn func(types.Row, storage.RowID) bool)) ([]visit, storage.Counters) {
+			var out []visit
+			var c storage.Counters
+			scan(lo, hi, &c, func(k types.Row, id storage.RowID) bool {
+				out = append(out, visit{k.String(), id})
+				return len(out) != limit
+			})
+			return out, c
+		}
+		got, gotC := walk(tr.AscendRange)
+		want, wantC := walk(func(lo, hi Bound, c *storage.Counters, fn func(types.Row, storage.RowID) bool) {
+			ascendRangePerEntry(tr, lo, hi, c, fn)
+		})
+		if len(got) != len(want) {
+			t.Fatalf("trial %d [%v, %v] limit %d: visited %d pairs, per-entry walk %d", trial, lo, hi, limit, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d [%v, %v]: visit %d is %v, per-entry walk %v", trial, lo, hi, i, got[i], want[i])
+			}
+		}
+		if gotC != wantC {
+			t.Fatalf("trial %d [%v, %v] limit %d: charged %+v, per-entry walk %+v", trial, lo, hi, limit, gotC, wantC)
+		}
+	}
+}

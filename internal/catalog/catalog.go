@@ -23,8 +23,18 @@ type Index struct {
 	Tree    *btree.Tree
 }
 
-// KeyFor extracts the index key from a base-table row.
-func (ix *Index) KeyFor(row types.Row) types.Row { return row.Project(ix.Ordinal) }
+// KeyFor extracts the index key from a base-table row. A single-column key
+// is a window onto the row itself, not a copy: stored rows are never
+// modified in place, and the tree keeps the key it is handed (see
+// btree.Tree.Insert), so an index entry costs no second copy of the datum
+// its heap row already holds.
+func (ix *Index) KeyFor(row types.Row) types.Row {
+	if len(ix.Ordinal) == 1 {
+		o := ix.Ordinal[0]
+		return row[o : o+1 : o+1]
+	}
+	return row.Project(ix.Ordinal)
+}
 
 // SummaryTable is a DB2-style AST: a materialized single-table selection
 // (§4.4). When Informational is true the rows are not materialized — only

@@ -1013,6 +1013,7 @@ func (db *Database) execute(ctx context.Context, entry *cachedPlan, sqlText stri
 		EstRows: entry.estRows, EstCost: entry.estCost,
 		ActualRows: int64(len(rows)), PagesRead: io.PagesRead,
 		PagesSkipped:       io.PagesSkipped,
+		PagesFrozen:        io.PagesFrozen,
 		RowsShortCircuited: ectx.ShortCircuits,
 		State:              terminalState(err),
 	}
@@ -1062,6 +1063,7 @@ func (db *Database) explainAnalyze(ctx context.Context, entry *cachedPlan, sqlTe
 		EstRows: entry.estRows, EstCost: entry.estCost,
 		ActualRows: int64(len(resRows)), PagesRead: io.PagesRead,
 		PagesSkipped:       io.PagesSkipped,
+		PagesFrozen:        io.PagesFrozen,
 		RowsShortCircuited: ectx.ShortCircuits,
 		State:              state,
 	}

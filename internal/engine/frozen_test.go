@@ -1,0 +1,492 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"regexp"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"softdb/internal/sql"
+	"softdb/internal/types"
+	"softdb/internal/wal"
+)
+
+// The frozen-page suite: page images are a cache inside the one scan path,
+// so nothing observable may depend on whether a page happens to be frozen —
+// answers, accounting and EXPLAIN ANALYZE text are compared with images
+// forced cold (every heap thawed, as after a restart) against warm, MVCC
+// visibility is checked across thaws, and scans race writers and vacuum.
+
+// thawAll drops every page image of every table: the state a restart leaves.
+func thawAll(db *Database) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, name := range db.cat.TableNames() {
+		if te, err := db.cat.Table(name); err == nil {
+			te.Heap.ThawAll()
+		}
+	}
+}
+
+func frozenPages(t *testing.T, db *Database, table string) (pages int, bytes int64) {
+	t.Helper()
+	te, err := db.Catalog().Table(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, bytes, _ = te.Heap.ImageStats()
+	return pages, bytes
+}
+
+var timeField = regexp.MustCompile(`(time|elapsed)[=:] ?[0-9.]+(µs|ms|s)`)
+
+// analyzeText runs EXPLAIN ANALYZE sel and returns its text with the
+// wall-clock figures blanked.
+func analyzeText(t *testing.T, db *Database, sel *sql.Select) string {
+	t.Helper()
+	res, err := db.ExecStmt(&sql.Explain{Stmt: sel, Analyze: true}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, r := range res.Rows {
+		b.WriteString(timeField.ReplaceAllString(r[0].Str(), "$1=T"))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestFrozenDifferentialColdWarm re-runs the four-configuration prune×batch
+// corpus, serial and parallel, once with every image cold and once warm:
+// rows, headers, every counter and the EXPLAIN ANALYZE text must be equal.
+func TestFrozenDifferentialColdWarm(t *testing.T) {
+	db := diffDBPrune(t, 131, 2000)
+	db.NoIndexes = true
+	db.ParallelMinRows = 1
+	db.MustExec("CREATE TABLE u (k INT NOT NULL, w INT)")
+	ue, _ := db.Catalog().Table("u")
+	r := rand.New(rand.NewSource(132))
+	for i := 0; i < 150; i++ {
+		if err := db.InsertRow(ue, types.Row{
+			types.NewInt(int64(r.Intn(50))), types.NewInt(int64(r.Intn(20)))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.MustExec("ANALYZE u")
+
+	parse := func(q string, randWhere bool) *sql.Select {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := stmt.(*sql.Select)
+		if randWhere {
+			sel.Where = randPred(r, 2+r.Intn(2))
+		}
+		return sel
+	}
+	var totalFrozen int64
+	for trial := 0; trial < 60; trial++ {
+		var sel *sql.Select
+		switch trial % 5 {
+		case 0:
+			sel = &sql.Select{Items: []sql.SelectItem{{Star: true}}, From: []sql.TableRef{{Table: "t"}},
+				Where: randPred(r, 3), Limit: -1}
+		case 1:
+			g, a := diffCols[r.Intn(3)].name, diffCols[r.Intn(len(diffCols))].name
+			sel = parse(fmt.Sprintf("SELECT %s, COUNT(*) AS n, SUM(%s) AS s, MIN(%s) AS lo, MAX(%s) AS hi FROM t GROUP BY %s ORDER BY %s",
+				g, a, a, a, g, g), true)
+		case 2:
+			sel = parse("SELECT b, d, a, c FROM t", true)
+		case 3:
+			lo := r.Intn(40)
+			sel = parse(fmt.Sprintf("SELECT u.w, COUNT(*) AS n, SUM(t.c) AS s FROM t, u WHERE t.a = u.k AND t.a >= %d AND t.a <= %d GROUP BY u.w",
+				lo, lo+r.Intn(15)), false)
+		default:
+			sel = parse(fmt.Sprintf("SELECT COUNT(*) AS n, SUM(d) AS s, MAX(b) AS m FROM t WHERE c > %d", r.Intn(10)), false)
+		}
+		for _, par := range []int{1, 8} {
+			for _, cfg := range []struct{ noPrune, noBatch bool }{{true, true}, {true, false}, {false, true}, {false, false}} {
+				db.Parallel, db.NoPrune, db.NoBatch = par, cfg.noPrune, cfg.noBatch
+				name := fmt.Sprintf("trial %d par=%d prune=%v batch=%v", trial, par, !cfg.noPrune, !cfg.noBatch)
+				run := func(cold bool) (*Result, string) {
+					if cold {
+						thawAll(db)
+					}
+					res, err := db.ExecStmt(sel, "")
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if cold {
+						thawAll(db)
+					}
+					return res, analyzeText(t, db, sel)
+				}
+				cold, coldText := run(true)
+				warm, warmText := run(false)
+				if got, want := sortedKeys(warm.Rows), sortedKeys(cold.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
+					t.Fatalf("%s: warm images changed the answer (%d vs %d rows)\n%s", name, len(got), len(want), cold.Plan)
+				}
+				if strings.Join(warm.Columns, ",") != strings.Join(cold.Columns, ",") {
+					t.Fatalf("%s: headers %v vs %v", name, warm.Columns, cold.Columns)
+				}
+				if cold.Ctx.IO != warm.Ctx.IO || cold.Ctx.ShortCircuits != warm.Ctx.ShortCircuits ||
+					cold.Ctx.HashProbes != warm.Ctx.HashProbes {
+					t.Fatalf("%s: accounting cold %+v sc=%d probes=%d, warm %+v sc=%d probes=%d\n%s", name,
+						cold.Ctx.IO, cold.Ctx.ShortCircuits, cold.Ctx.HashProbes,
+						warm.Ctx.IO, warm.Ctx.ShortCircuits, warm.Ctx.HashProbes, cold.Plan)
+				}
+				// Sort comparisons depend on arrival order, which a worker
+				// pool does not fix; serial plans must match to the unit.
+				if par == 1 {
+					if cold.Ctx.Comparisons != warm.Ctx.Comparisons {
+						t.Fatalf("%s: comparisons cold %d, warm %d", name, cold.Ctx.Comparisons, warm.Ctx.Comparisons)
+					}
+					if coldText != warmText {
+						t.Fatalf("%s: EXPLAIN ANALYZE differs\ncold:\n%s\nwarm:\n%s", name, coldText, warmText)
+					}
+				}
+				totalFrozen += warm.Ctx.IO.PagesFrozen
+			}
+		}
+	}
+	db.Parallel, db.NoPrune, db.NoBatch = 1, false, false
+	if totalFrozen == 0 {
+		t.Fatal("no scan ever read a frozen page")
+	}
+}
+
+// TestFrozenSnapshotStability: a reader pinned before a DELETE, an UPDATE or
+// an aborted INSERT that hits a frozen page keeps seeing the pre-image; a
+// reader that starts after the commit does not; a transaction sees its own
+// writes. Every check runs batched and row-at-a-time.
+func TestFrozenSnapshotStability(t *testing.T) {
+	db := Open()
+	db.NoIndexes = true // every statement below is a page scan
+	db.MustExec("CREATE TABLE acct (id INT NOT NULL, bal INT)")
+	te, _ := db.Catalog().Table("acct")
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if err := db.InsertRow(te, types.Row{types.NewInt(int64(i)), types.NewInt(100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := func(sess *Session) (cnt, bal int64) {
+		t.Helper()
+		for _, batch := range []string{"on", "off"} {
+			if err := sess.Set("batch", batch); err != nil {
+				t.Fatal(err)
+			}
+			res := sexec(t, sess, "SELECT COUNT(*) AS n, SUM(bal) AS s FROM acct WHERE bal >= 0")
+			c, b := res.Rows[0][0].Int(), res.Rows[0][1].Int()
+			if batch == "off" && (c != cnt || b != bal) {
+				t.Fatalf("batched saw %d rows / %d, row path %d / %d", cnt, bal, c, b)
+			}
+			cnt, bal = c, b
+		}
+		return cnt, bal
+	}
+	old, w, fresh := db.NewSession("old"), db.NewSession("writer"), db.NewSession("fresh")
+	defer old.Close()
+	defer w.Close()
+	defer fresh.Close()
+
+	sexec(t, old, "BEGIN")
+	if c, b := sum(old); c != n || b != 100*n {
+		t.Fatalf("baseline %d rows / %d", c, b)
+	}
+	if pages, bytes := frozenPages(t, db, "acct"); pages == 0 || bytes == 0 {
+		t.Fatalf("baseline scan froze %d pages holding %d bytes", pages, bytes)
+	}
+	before, _ := frozenPages(t, db, "acct")
+
+	sexec(t, w, "BEGIN")
+	sexec(t, w, "DELETE FROM acct WHERE id = 3")
+	sexec(t, w, "UPDATE acct SET bal = 150 WHERE id = 500")
+	if after, _ := frozenPages(t, db, "acct"); after >= before {
+		t.Fatalf("write intents thawed nothing: %d -> %d frozen pages", before, after)
+	}
+	// Uncommitted: only the writer sees its own changes.
+	if c, b := sum(w); c != n-1 || b != 100*n-100+50 {
+		t.Fatalf("writer's own view: %d rows / %d", c, b)
+	}
+	if c, b := sum(old); c != n || b != 100*n {
+		t.Fatalf("pinned reader saw uncommitted writes: %d rows / %d", c, b)
+	}
+	if c, b := sum(fresh); c != n || b != 100*n {
+		t.Fatalf("fresh reader saw uncommitted writes: %d rows / %d", c, b)
+	}
+	sexec(t, w, "COMMIT")
+	if c, b := sum(old); c != n || b != 100*n {
+		t.Fatalf("pinned reader lost the pre-image after commit: %d rows / %d", c, b)
+	}
+	if c, b := sum(fresh); c != n-1 || b != 100*n-100+50 {
+		t.Fatalf("reader after commit: %d rows / %d", c, b)
+	}
+
+	// An aborted insert on a frozen-then-thawed tail leaves no trace.
+	sexec(t, w, "BEGIN")
+	sexec(t, w, "INSERT INTO acct VALUES (9999, 7)")
+	if c, _ := sum(w); c != n {
+		t.Fatalf("writer does not see its own insert: %d rows", c)
+	}
+	sexec(t, w, "ROLLBACK")
+	if c, b := sum(fresh); c != n-1 || b != 100*n-100+50 {
+		t.Fatalf("aborted insert leaked: %d rows / %d", c, b)
+	}
+	sexec(t, old, "COMMIT")
+	if c, b := sum(old); c != n-1 || b != 100*n-100+50 {
+		t.Fatalf("released reader: %d rows / %d", c, b)
+	}
+}
+
+// TestFrozenScansUnderWriters: four writers (insert, update, delete,
+// rollback) and a background vacuum run beside four scanners for two
+// seconds; every scanner compares its batched scan with the row-at-a-time
+// twin inside one read transaction, i.e. at the same snapshot.
+func TestFrozenScansUnderWriters(t *testing.T) {
+	db := Open()
+	db.NoIndexes = true
+	db.MustExec("CREATE TABLE ev (id INT NOT NULL, grp INT, v INT)")
+	te, _ := db.Catalog().Table("ev")
+	const n = 4000
+	for i := 0; i < n; i++ {
+		if err := db.InsertRow(te, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 7)), types.NewInt(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopVacuum := db.StartVacuum(20 * time.Millisecond)
+	defer stopVacuum()
+
+	duration := 2 * time.Second
+	if testing.Short() {
+		duration = 300 * time.Millisecond
+	}
+	deadline := time.Now().Add(duration)
+	var wg sync.WaitGroup
+	var nextID atomic.Int64
+	nextID.Store(n)
+	write := func(label string, stmts func(r *rand.Rand) []string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := db.NewSession(label)
+			defer sess.Close()
+			r := rand.New(rand.NewSource(int64(len(label))))
+			for time.Now().Before(deadline) {
+				for _, q := range stmts(r) {
+					// First-updater-wins conflicts are expected; the
+					// statement fails and the loop moves on.
+					_, _ = sess.ExecCtx(context.Background(), q)
+				}
+			}
+		}()
+	}
+	write("insert", func(*rand.Rand) []string {
+		return []string{fmt.Sprintf("INSERT INTO ev VALUES (%d, 1, 1)", nextID.Add(1))}
+	})
+	write("update", func(r *rand.Rand) []string {
+		return []string{fmt.Sprintf("UPDATE ev SET v = v + 1 WHERE id = %d", r.Intn(n))}
+	})
+	write("delete", func(r *rand.Rand) []string {
+		return []string{fmt.Sprintf("DELETE FROM ev WHERE id = %d", r.Intn(n))}
+	})
+	write("rollback", func(r *rand.Rand) []string {
+		return []string{"BEGIN",
+			fmt.Sprintf("DELETE FROM ev WHERE id = %d", r.Intn(n)),
+			fmt.Sprintf("INSERT INTO ev VALUES (%d, 2, 2)", -r.Intn(n)-1),
+			"ROLLBACK"}
+	})
+	queries := []string{
+		"SELECT COUNT(*) AS n, SUM(v) AS s, MAX(id) AS m FROM ev WHERE grp >= 0",
+		"SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM ev GROUP BY grp ORDER BY grp",
+		"SELECT id, v FROM ev WHERE grp = 3 AND v > 1",
+	}
+	var scans, frozen atomic.Int64
+	for s := 0; s < 4; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			sess := db.NewSession(fmt.Sprintf("scan-%d", s))
+			defer sess.Close()
+			for i := 0; time.Now().Before(deadline); i++ {
+				q := queries[(s+i)%len(queries)]
+				var got [2]*Result
+				for j, batch := range []string{"on", "off"} {
+					if err := sess.Set("batch", batch); err != nil {
+						t.Error(err)
+						return
+					}
+					if j == 0 {
+						if _, err := sess.ExecCtx(context.Background(), "BEGIN"); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					res, err := sess.ExecCtx(context.Background(), q)
+					if err != nil {
+						t.Errorf("%s (batch %s): %v", q, batch, err)
+						return
+					}
+					got[j] = res
+				}
+				if _, err := sess.ExecCtx(context.Background(), "COMMIT"); err != nil {
+					t.Error(err)
+					return
+				}
+				b, r := sortedKeys(got[0].Rows), sortedKeys(got[1].Rows)
+				if strings.Join(b, "|") != strings.Join(r, "|") {
+					t.Errorf("%s: batched scan saw %d rows, its row-path twin at the same snapshot %d", q, len(b), len(r))
+					return
+				}
+				// Rows read are exact when nothing was pruned: pages appended
+				// between the two scans hold nothing visible, but a synopsis a
+				// committed write widened in between prunes differently.
+				if bio, rio := got[0].Ctx.IO, got[1].Ctx.IO; bio.PagesSkipped+rio.PagesSkipped == 0 && bio.RowsRead != rio.RowsRead {
+					t.Errorf("%s: batched read %d rows, row path %d", q, bio.RowsRead, rio.RowsRead)
+					return
+				}
+				scans.Add(1)
+				frozen.Add(got[0].Ctx.IO.PagesFrozen)
+			}
+		}(s)
+	}
+	wg.Wait()
+	if scans.Load() == 0 || frozen.Load() == 0 {
+		t.Fatalf("%d scan pairs read %d frozen pages", scans.Load(), frozen.Load())
+	}
+	if _, _, thaws := te.Heap.ImageStats(); thaws == 0 {
+		t.Fatal("no writer ever thawed a page")
+	}
+}
+
+// TestFrozenImagesDoNotSurviveRestart: crash recovery and checkpoint restore
+// reopen with no image anywhere, freeze lazily on the first scan, and answer
+// exactly as before the restart.
+func TestFrozenImagesDoNotSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	db, _, err := OpenDurable(dir, DurableOptions{SyncPolicy: wal.SyncNone, CheckpointEvery: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.NoIndexes = true
+	db.MustExec("CREATE TABLE t (a INT NOT NULL, b INT, c FLOAT)")
+	for i := 0; i < 2000; i += 4 {
+		db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, 0.5), (%d, NULL, 1.5), (%d, %d, 2.5), (%d, %d, 3.5)",
+			i, i%9, i+1, i+2, i%5, i+3, i%3))
+	}
+	db.MustExec("DELETE FROM t WHERE a = 77")
+	queries := []string{
+		"SELECT COUNT(*) AS n, SUM(c) AS s, MAX(b) AS m FROM t WHERE b >= 1",
+		"SELECT b, COUNT(*) AS n FROM t GROUP BY b ORDER BY b",
+		"SELECT a, c FROM t WHERE a >= 1900",
+	}
+	type answer struct {
+		rows string
+		io   string
+	}
+	ask := func(db *Database) []answer {
+		var out []answer
+		for _, q := range queries {
+			res := db.MustExec(q)
+			io := res.Ctx.IO.Load()
+			out = append(out, answer{strings.Join(sortedKeys(res.Rows), "|"),
+				fmt.Sprintf("pages=%d rows=%d skipped=%d frozen=%d", io.PagesRead, io.RowsRead, io.PagesSkipped, io.PagesFrozen)})
+		}
+		return out
+	}
+	want := ask(db)
+	if pages, bytes := frozenPages(t, db, "t"); pages == 0 || bytes == 0 {
+		t.Fatalf("live engine froze %d pages / %d bytes", pages, bytes)
+	}
+	crash := copyDataDir(t, dir) // mid-log: recovery replays the tail past the last checkpoint
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]string{"crash recovery": crash, "checkpoint restore": dir} {
+		re, _, err := OpenDurable(d, DurableOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		re.NoIndexes = true
+		if pages, bytes := frozenPages(t, re, "t"); pages != 0 || bytes != 0 {
+			t.Fatalf("%s reopened with %d frozen pages / %d image bytes", name, pages, bytes)
+		}
+		got := ask(re)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: %s\n got %+v\nwant %+v", name, queries[i], got[i], want[i])
+			}
+		}
+		if pages, _ := frozenPages(t, re, "t"); pages == 0 {
+			t.Errorf("%s: scans froze nothing", name)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFrozenObservability: the frozen-page figures reach EXPLAIN ANALYZE,
+// the trace ring and the metrics registry, and the image gauge follows
+// thaws.
+func TestFrozenObservability(t *testing.T) {
+	db := pruneDB(t, 4000, false)
+	q := "SELECT COUNT(*) AS n, SUM(b) AS s FROM t WHERE c >= 0"
+	res := db.MustExec(q)
+	io := res.Ctx.IO.Load()
+	if io.PagesFrozen == 0 || io.PagesFrozen > io.PagesRead {
+		t.Fatalf("frozen %d of %d page reads", io.PagesFrozen, io.PagesRead)
+	}
+	ea := db.MustExec("EXPLAIN ANALYZE " + q)
+	var text strings.Builder
+	for _, r := range ea.Rows {
+		text.WriteString(r[0].Str() + "\n")
+	}
+	token := fmt.Sprintf("frozen=%d/%d", io.PagesFrozen, io.PagesRead)
+	if !strings.Contains(text.String(), token) {
+		t.Errorf("EXPLAIN ANALYZE lacks %s:\n%s", token, text.String())
+	}
+	found := false
+	for _, tr := range db.QueryLog().Recent(8) {
+		if tr.SQL == q && tr.PagesFrozen == io.PagesFrozen && strings.Contains(tr.Render(), token) {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no recent trace carries %s", token)
+	}
+	metrics := func() string {
+		var b strings.Builder
+		if err := db.Metrics().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	m := metrics()
+	for _, fam := range []string{"softdb_scan_pages_frozen_total", "softdb_storage_page_thaws_total", "softdb_storage_frozen_image_bytes"} {
+		if !strings.Contains(m, "# TYPE "+fam) {
+			t.Errorf("metrics lack family %s", fam)
+		}
+	}
+	if v := db.Metrics().Counter("softdb_scan_pages_frozen_total").Value(); v < 2*io.PagesFrozen {
+		t.Errorf("softdb_scan_pages_frozen_total = %d after two scans of %d frozen pages", v, io.PagesFrozen)
+	}
+	bytes := db.Metrics().Gauge("softdb_storage_frozen_image_bytes").Value()
+	if bytes == 0 {
+		t.Fatal("image gauge is zero after batched scans read columns b and c")
+	}
+	db.MustExec("DELETE FROM t WHERE a = 5")
+	metrics()
+	if v := db.Metrics().Counter("softdb_storage_page_thaws_total").Value(); v == 0 {
+		t.Error("a DELETE on a frozen page counted no thaw")
+	}
+	if after := db.Metrics().Gauge("softdb_storage_frozen_image_bytes").Value(); after >= bytes {
+		t.Errorf("image gauge did not fall after a thaw: %d -> %d", bytes, after)
+	}
+}

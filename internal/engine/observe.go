@@ -38,6 +38,9 @@ const (
 	mPromotions    = "softdb_probation_promotions_total"
 	mDiscoveryRuns = "softdb_discovery_runs_total"
 	mPagesSkipped  = "softdb_scan_pages_skipped_total"
+	mPagesFrozen   = "softdb_scan_pages_frozen_total"
+	mPageThaws     = "softdb_storage_page_thaws_total"
+	mImageBytes    = "softdb_storage_frozen_image_bytes"
 	mRowsShort     = "softdb_scan_rows_short_circuited_total"
 	mPruneRejected = "softdb_prune_rejected_total"
 	// Query-lifecycle terminal states and robustness counters.
@@ -84,6 +87,9 @@ type obsState struct {
 	duration     *obs.Histogram
 	cacheEntries *obs.Gauge
 	pagesSkipped *obs.Counter
+	pagesFrozen  *obs.Counter
+	pageThaws    *obs.Counter
+	imageBytes   *obs.Gauge
 
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
@@ -132,6 +138,9 @@ func (db *Database) initObs() {
 	r.Describe(mPromotions, "counter", "Probationary correlations promoted to employed.")
 	r.Describe(mDiscoveryRuns, "counter", "Soft-constraint discovery passes over a table.")
 	r.Describe(mPagesSkipped, "counter", "Heap pages skipped by synopsis-based scan pruning.")
+	r.Describe(mPagesFrozen, "counter", "Heap page reads served from frozen page images (no per-slot visibility check, cached column vectors).")
+	r.Describe(mPageThaws, "counter", "Frozen page images dropped because a writer was about to change a slot of the page.")
+	r.Describe(mImageBytes, "gauge", "Bytes held by the typed column vectors of frozen page images.")
 	r.Describe(mRowsShort, "counter", "Rows whose per-row filter evaluation a page-level synopsis proof short-circuited.")
 	r.Describe(mPruneRejected, "counter", "Prune-predicate introductions rejected, by reason.")
 	r.Describe(mQueriesCanceled, "counter", "Queries terminated by context cancellation.")
@@ -165,11 +174,35 @@ func (db *Database) initObs() {
 	o.templateHits = r.Counter(mCacheTemplate)
 	o.cacheEvictions = r.Counter(mCacheEvicted)
 	o.pagesSkipped = r.Counter(mPagesSkipped)
+	o.pagesFrozen = r.Counter(mPagesFrozen)
+	o.pageThaws = r.Counter(mPageThaws)
+	o.imageBytes = r.Gauge(mImageBytes)
+	r.OnCollect(db.collectStorageMetrics)
 	o.rowsShort = r.Counter(mRowsShort)
 	o.queriesCanceled = r.Counter(mQueriesCanceled)
 	o.queriesTimedOut = r.Counter(mQueriesTimedOut)
 	o.memBudgetRejected = r.Counter(mMemBudgetRejected)
 	o.workerPanics = r.Counter(mWorkerPanics)
+}
+
+// collectStorageMetrics refreshes the frozen-image figures from the heaps at
+// exposition time: they are sums over every page of every table, far too
+// much to recompute per query and nothing a query needs.
+func (db *Database) collectStorageMetrics() {
+	var bytes, thaws int64
+	db.mu.RLock()
+	for _, name := range db.cat.TableNames() {
+		if te, err := db.cat.Table(name); err == nil {
+			_, b, t := te.Heap.ImageStats()
+			bytes += b
+			thaws += t
+		}
+	}
+	db.mu.RUnlock()
+	db.obs.imageBytes.Set(bytes)
+	// A dropped or truncated table takes its thaw count with it; the
+	// counter ignores the negative delta and stays monotonic.
+	db.obs.pageThaws.Add(thaws - db.obs.pageThaws.Value())
 }
 
 // Metrics exposes the database's metrics registry.
@@ -254,6 +287,9 @@ func (db *Database) observeQuery(t *obs.Trace) {
 	if t.PagesSkipped > 0 {
 		o.pagesSkipped.Add(t.PagesSkipped)
 	}
+	if t.PagesFrozen > 0 {
+		o.pagesFrozen.Add(t.PagesFrozen)
+	}
 	if t.RowsShortCircuited > 0 {
 		o.rowsShort.Add(t.RowsShortCircuited)
 	}
@@ -278,6 +314,7 @@ func (db *Database) observeQuery(t *obs.Trace) {
 			"rows", t.ActualRows,
 			"pages", t.PagesRead,
 			"pages_skipped", t.PagesSkipped,
+			"pages_frozen", t.PagesFrozen,
 			"degree", t.Degree,
 			"cache_hit", t.CacheHit,
 			"slow", t.Slow,

@@ -218,11 +218,12 @@ func (h *HashAggregate) emitGroups(t *aggTable, emit func(types.Row) bool) error
 		emit(out)
 		return nil
 	}
-	sort.Slice(t.order, func(i, j int) bool {
-		return t.groups[t.order[i]].key.Compare(t.groups[t.order[j]].key) < 0
-	})
-	for _, k := range t.order {
-		grp := t.groups[k]
+	grps := make([]*aggGroup, len(t.order))
+	for i, k := range t.order {
+		grps[i] = t.groups[k]
+	}
+	sort.Slice(grps, func(i, j int) bool { return grps[i].key.Compare(grps[j].key) < 0 })
+	for _, grp := range grps {
 		out := make(types.Row, 0, len(grp.key)+len(grp.accs))
 		out = append(out, grp.key...)
 		for _, acc := range grp.accs {
@@ -324,8 +325,9 @@ const (
 	foldGeneric aggFoldMode = iota
 	// foldScalar is the no-GroupBy case: one group, typed column loops.
 	foldScalar
-	// foldIntKey groups by a single integer-class column keyed on its
-	// float64 image (matching Row.Key's numeric normalization).
+	// foldIntKey groups by a single hashed integer-class column keyed on its
+	// float64 image (matching Row.Key's numeric normalization). Redundant
+	// (FD-determined) group columns ride along from the group's first row.
 	foldIntKey
 )
 
@@ -341,26 +343,52 @@ type aggArg struct {
 // emitGroups (ordering, scalar identity row, parallel merge shape) is
 // shared with the row path unchanged.
 type batchFolder struct {
-	h        *HashAggregate
-	mode     aggFoldMode
-	keyCol   *expr.Column
-	args     []aggArg
+	h    *HashAggregate
+	mode aggFoldMode
+	// keyCol is foldIntKey's hashed column, GroupBy[keyPos].
+	keyCol *expr.Column
+	keyPos int
+	args   []aggArg
+	// argCols is foldIntKey's per-batch scratch: the typed vector of each
+	// COUNT/SUM/AVG argument, nil where the datum path folds instead.
+	argCols  []*vec.Col
 	fast     map[float64]*aggGroup
 	fastNull *aggGroup
+}
+
+// intKeyColumn returns the column foldIntKey can hash on and its position in
+// GroupBy: the only non-redundant entry, a bare INT/DATE column (BOOL is
+// excluded: its row-key image is TRUE/FALSE, not numeric). Every redundant
+// entry must be a bare column too, so that reading it from the group's first
+// row evaluates nothing foldRow's per-row evaluation could fail on.
+func (h *HashAggregate) intKeyColumn() (*expr.Column, int) {
+	var key *expr.Column
+	pos := -1
+	for i, g := range h.GroupBy {
+		c, ok := g.(*expr.Column)
+		if !ok || c.Index < 0 {
+			return nil, -1
+		}
+		if h.isRedundant(i) {
+			continue
+		}
+		if key != nil || (c.Kind != types.KindInt && c.Kind != types.KindDate) {
+			return nil, -1
+		}
+		key, pos = c, i
+	}
+	return key, pos
 }
 
 func newBatchFolder(h *HashAggregate) *batchFolder {
 	bf := &batchFolder{h: h, mode: foldGeneric}
 	if len(h.GroupBy) == 0 {
 		bf.mode = foldScalar
-	} else if len(h.GroupBy) == 1 && !h.isRedundant(0) {
-		// BOOL is excluded: its row-key image is TRUE/FALSE, not numeric.
-		if c, ok := h.GroupBy[0].(*expr.Column); ok && c.Index >= 0 &&
-			(c.Kind == types.KindInt || c.Kind == types.KindDate) {
-			bf.mode = foldIntKey
-			bf.keyCol = c
-			bf.fast = map[float64]*aggGroup{}
-		}
+	} else if c, pos := h.intKeyColumn(); c != nil {
+		bf.mode = foldIntKey
+		bf.keyCol, bf.keyPos = c, pos
+		bf.fast = map[float64]*aggGroup{}
+		bf.argCols = make([]*vec.Col, len(h.Aggs))
 	}
 	bf.args = make([]aggArg, len(h.Aggs))
 	for i, spec := range h.Aggs {
@@ -466,11 +494,14 @@ func addCountCol(acc *accumulator, ap aggArg, b *vec.Batch) bool {
 	if c == nil {
 		return false
 	}
-	var cnt int64
 	n := b.Len()
-	for i := 0; i < n; i++ {
-		if !c.Nulls[b.Index(i)] {
-			cnt++
+	cnt := int64(n)
+	if c.HasNulls {
+		cnt = 0
+		for i := 0; i < n; i++ {
+			if !c.Nulls[b.Index(i)] {
+				cnt++
+			}
 		}
 	}
 	acc.count += cnt
@@ -480,8 +511,35 @@ func addCountCol(acc *accumulator, ap aggArg, b *vec.Batch) bool {
 	return true
 }
 
+// sumSelected adds vals at the batch's selected positions, in order, skipping
+// NULLs; the null-free column takes loops with no mask test.
+func sumSelected[T int64 | float64](c *vec.Col, vals []T, b *vec.Batch) (cnt int64, sum float64) {
+	switch {
+	case c.HasNulls:
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			idx := b.Index(i)
+			if c.Nulls[idx] {
+				continue
+			}
+			cnt++
+			sum += float64(vals[idx])
+		}
+	case b.Sel != nil:
+		for _, idx := range b.Sel {
+			sum += float64(vals[idx])
+		}
+		cnt = int64(len(b.Sel))
+	default:
+		for _, v := range vals[:len(b.Rows)] {
+			sum += float64(v)
+		}
+		cnt = int64(len(b.Rows))
+	}
+	return cnt, sum
+}
+
 func addSumCol(acc *accumulator, ap aggArg, b *vec.Batch) bool {
-	n := b.Len()
 	var cnt int64
 	var sum float64
 	switch ap.cls {
@@ -492,27 +550,13 @@ func addSumCol(acc *accumulator, ap aggArg, b *vec.Batch) bool {
 		if c == nil {
 			return false
 		}
-		for i := 0; i < n; i++ {
-			idx := b.Index(i)
-			if c.Nulls[idx] {
-				continue
-			}
-			cnt++
-			sum += float64(c.Ints[idx])
-		}
+		cnt, sum = sumSelected(c, c.Ints, b)
 	case vec.ClassFloat:
 		c := b.Col(ap.col.Index, vec.ClassFloat)
 		if c == nil {
 			return false
 		}
-		for i := 0; i < n; i++ {
-			idx := b.Index(i)
-			if c.Nulls[idx] {
-				continue
-			}
-			cnt++
-			sum += c.Floats[idx]
-		}
+		cnt, sum = sumSelected(c, c.Floats, b)
 		if cnt > 0 {
 			acc.isInt = false
 		}
@@ -610,9 +654,11 @@ func addMinMaxCol(acc *accumulator, ap aggArg, b *vec.Batch, isMax bool) bool {
 	return true
 }
 
-// foldIntKey groups a batch by the float64 image of the single key column.
+// foldIntKey groups a batch by the float64 image of the hashed key column.
 // A batch the key column cannot extract from flips the folder to generic
-// mode permanently, converting groups built so far.
+// mode permanently, converting groups built so far. Charges match foldRow:
+// one hashed key column and one probe per row, and per new group a
+// reservation for the full key row (redundant columns included).
 func (bf *batchFolder) foldIntKey(ctx *Ctx, b *vec.Batch, t *aggTable) error {
 	n := b.Len()
 	if n == 0 {
@@ -626,38 +672,68 @@ func (bf *batchFolder) foldIntKey(ctx *Ctx, b *vec.Batch, t *aggTable) error {
 		bf.mode = foldGeneric
 		return bf.fold(ctx, b, t)
 	}
-	// One hashed key column and one probe per row, matching foldRow.
 	ctx.AddComparisons(int64(n))
 	ctx.AddProbes(int64(n))
 	h := bf.h
+	for ai, spec := range h.Aggs {
+		bf.argCols[ai] = nil
+		ap := bf.args[ai]
+		if ap.col == nil || (ap.cls != vec.ClassInt && ap.cls != vec.ClassFloat) {
+			continue
+		}
+		switch spec.Kind {
+		case sql.AggCount, sql.AggSum, sql.AggAvg:
+			bf.argCols[ai] = b.Col(ap.col.Index, ap.cls)
+		}
+	}
 	for i := 0; i < n; i++ {
 		idx := b.Index(i)
-		var grp *aggGroup
-		if kc.Nulls[idx] {
-			if grp = bf.fastNull; grp == nil {
-				key := types.Row{types.Null}
-				if err := ctx.Reserve("HashAggregate", key.MemSize()+int64(len(h.Aggs))*accGroupBytes); err != nil {
+		row := b.Rows[idx]
+		null, f := kc.Nulls[idx], float64(kc.Ints[idx])
+		grp := bf.fastNull
+		if !null {
+			grp = bf.fast[f]
+		}
+		if grp == nil {
+			key := make(types.Row, len(h.GroupBy))
+			for gi, g := range h.GroupBy {
+				v, err := g.Eval(row)
+				if err != nil {
 					return err
 				}
-				grp = newAggGroupFor(h, key)
-				bf.fastNull = grp
+				key[gi] = v
 			}
-		} else {
-			f := float64(kc.Ints[idx])
-			if grp = bf.fast[f]; grp == nil {
-				key := types.Row{b.Rows[idx][bf.keyCol.Index]}
-				if err := ctx.Reserve("HashAggregate", key.MemSize()+int64(len(h.Aggs))*accGroupBytes); err != nil {
-					return err
-				}
-				grp = newAggGroupFor(h, key)
+			if err := ctx.Reserve("HashAggregate", key.MemSize()+int64(len(h.Aggs))*accGroupBytes); err != nil {
+				return err
+			}
+			grp = newAggGroupFor(h, key)
+			if null {
+				bf.fastNull = grp
+			} else {
 				bf.fast[f] = grp
 			}
 		}
-		row := b.Rows[idx]
 		for ai, spec := range h.Aggs {
 			acc := grp.accs[ai]
 			if spec.Kind == sql.AggCountStar {
 				acc.count++
+				continue
+			}
+			if c := bf.argCols[ai]; c != nil {
+				// The typed image of accumulator.add for COUNT/SUM/AVG.
+				if c.Nulls[idx] {
+					continue
+				}
+				acc.count++
+				acc.seen = true
+				if spec.Kind != sql.AggCount {
+					if c.Class == vec.ClassFloat {
+						acc.isInt = false
+						acc.sum += c.Floats[idx]
+					} else {
+						acc.sum += float64(c.Ints[idx])
+					}
+				}
 				continue
 			}
 			var v types.Datum
@@ -678,14 +754,14 @@ func (bf *batchFolder) foldIntKey(ctx *Ctx, b *vec.Batch, t *aggTable) error {
 }
 
 // finish converts fast-path groups into the aggTable under the same string
-// keys foldRow would have used (the key row's Row.Key), so ordering and any
-// later row-mode folding agree.
+// keys foldRow would have used (the Row.Key of the hashed column alone), so
+// ordering, parallel merging and any later row-mode folding agree.
 func (bf *batchFolder) finish(t *aggTable) error {
 	if bf.mode != foldIntKey {
 		return nil
 	}
 	insert := func(g *aggGroup) {
-		k := g.key.Key()
+		k := types.Row{g.key[bf.keyPos]}.Key()
 		t.groups[k] = g
 		t.order = append(t.order, k)
 	}

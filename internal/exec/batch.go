@@ -99,7 +99,8 @@ func CollectBatched(op Operator, ctx *Ctx, hint int) ([]types.Row, error) {
 // plan-cached operators safe.
 type progRunner struct {
 	prog *expr.PredProgram
-	// ident seeds the identity selection when the batch has none.
+	// ident seeds the identity selection when the batch has none. Stages only
+	// read their input selection, so it is filled once per high-water mark.
 	ident []int32
 	// bufs are the ping-pong output buffers stages write into.
 	bufs [2][]int32
@@ -115,8 +116,10 @@ type progRunner struct {
 func (pr *progRunner) run(b *vec.Batch, syn *storage.PageSynopsis) (sel []int32, ran int, err error) {
 	cur := b.Sel
 	if cur == nil {
-		pr.ident = vec.IdentitySel(pr.ident, len(b.Rows))
-		cur = pr.ident
+		if len(pr.ident) < len(b.Rows) {
+			pr.ident = vec.IdentitySel(pr.ident, len(b.Rows))
+		}
+		cur = pr.ident[:len(b.Rows)]
 	}
 	for i := range pr.prog.Stages {
 		if len(cur) == 0 {
@@ -151,12 +154,7 @@ func stageProvable(st *expr.Stage, syn *storage.PageSynopsis) bool {
 	if cs == nil {
 		return false
 	}
-	hasBounds := !cs.Min.IsNull()
-	var colIv expr.Interval
-	if hasBounds {
-		colIv = expr.Between(cs.Min, cs.Max, true, true)
-	}
-	return st.ProvableTrue(colIv, hasBounds, cs.Nulls, syn.Rows)
+	return st.ProvableTrue(cs.Min, cs.Max, cs.Nulls, syn.Rows)
 }
 
 // shortCircuitSource attributes a whole-page filter short-circuit: the
@@ -211,12 +209,12 @@ func scanPageLoop(op string, heap *storage.Heap, pageLo, pageHi int,
 	var batch vec.Batch
 	var runErr error
 	snap, tid := ctx.snapView()
-	heap.ScanPagesAt(pageLo, pageHi, snap, tid, &ctx.IO, skip, func(rows []types.Row, syn *storage.PageSynopsis) bool {
+	heap.ScanPagesAt(pageLo, pageHi, snap, tid, &ctx.IO, skip, func(rows []types.Row, syn *storage.PageSynopsis, img *vec.PageImage) bool {
 		if err := ctx.checkpoint(op); err != nil {
 			runErr = err
 			return false
 		}
-		batch.Reset(rows)
+		batch.ResetImage(rows, img)
 		if len(prog.Stages) == 0 {
 			return emit(&batch)
 		}
@@ -244,6 +242,36 @@ func scanPageLoop(op string, heap *storage.Heap, pageLo, pageHi int,
 	return runErr
 }
 
+// skipPred is one active prune predicate of a scan execution. Predicates
+// with numeric bounds carry them unboxed (num), so the per-page test against
+// a numeric synopsis is scalar compares; other kinds go through the
+// expr.Interval algebra. Both give the same verdict.
+type skipPred struct {
+	plan.PrunePred
+	num   expr.NumInterval
+	numOK bool
+}
+
+// covers reports whether every non-null value of the page column lies inside
+// the predicate's interval; disjoint whether none does.
+func (p *skipPred) covers(cs *storage.ColSynopsis) bool {
+	if p.numOK {
+		if covered, ok := p.num.Covers(cs.Min, cs.Max); ok {
+			return covered
+		}
+	}
+	return expr.Between(cs.Min, cs.Max, true, true).CoveredBy(p.Interval)
+}
+
+func (p *skipPred) disjoint(cs *storage.ColSynopsis) bool {
+	if p.numOK {
+		if disjoint, ok := p.num.Disjoint(cs.Min, cs.Max); ok {
+			return disjoint
+		}
+	}
+	return expr.Between(cs.Min, cs.Max, true, true).Disjoint(p.Interval)
+}
+
 // makeSkipper compiles prune predicates into a per-page skip decision over
 // published synopses. Predicates whose Check rejects (source constraint
 // violated, on probation, or decayed below the confidence floor) are
@@ -253,11 +281,13 @@ func scanPageLoop(op string, heap *storage.Heap, pageLo, pageHi int,
 // winning predicate's Source (dead-slot-only pages credit nothing — no
 // predicate proved them).
 func makeSkipper(preds []plan.PrunePred, rec *SkipRecorder) func(*storage.PageSynopsis) bool {
-	active := make([]plan.PrunePred, 0, len(preds))
+	active := make([]skipPred, 0, len(preds))
 	for _, p := range preds {
 		if p.Check == nil || p.Check() {
 			p.Interval = p.Interval.Plain()
-			active = append(active, p)
+			sp := skipPred{PrunePred: p}
+			sp.num, sp.numOK = p.Interval.Numeric()
+			active = append(active, sp)
 		}
 	}
 	if len(active) == 0 {
@@ -269,7 +299,8 @@ func makeSkipper(preds []plan.PrunePred, rec *SkipRecorder) func(*storage.PageSy
 			// predicate set.
 			return true
 		}
-		for _, p := range active {
+		for i := range active {
+			p := &active[i]
 			cs := syn.Col(p.Col)
 			if cs == nil {
 				continue
@@ -279,8 +310,7 @@ func makeSkipper(preds []plan.PrunePred, rec *SkipRecorder) func(*storage.PageSy
 				// Every row's value must provably lie inside the excluded
 				// interval; NULLs are outside every interval, so any NULL
 				// keeps the page.
-				if cs.Nulls == 0 && nonNull > 0 &&
-					expr.Between(cs.Min, cs.Max, true, true).CoveredBy(p.Interval) {
+				if cs.Nulls == 0 && nonNull > 0 && p.covers(cs) {
 					rec.Add(p.Source)
 					return true
 				}
@@ -296,7 +326,7 @@ func makeSkipper(preds []plan.PrunePred, rec *SkipRecorder) func(*storage.PageSy
 				rec.Add(p.Source)
 				return true // all-NULL page, NULLs cannot qualify here
 			}
-			if expr.Between(cs.Min, cs.Max, true, true).Disjoint(p.Interval) {
+			if p.disjoint(cs) {
 				rec.Add(p.Source)
 				return true
 			}

@@ -1,0 +1,151 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"softdb/internal/btree"
+	"softdb/internal/catalog"
+	"softdb/internal/expr"
+	"softdb/internal/plan"
+	"softdb/internal/schema"
+	"softdb/internal/sql"
+	"softdb/internal/storage"
+	"softdb/internal/types"
+)
+
+// wideHeap is an orders_wide-shaped table: id INT (indexed), cust_id INT,
+// cust_name STRING (determined by cust_id), amount FLOAT with NULLs, qty INT.
+func wideHeap(t *testing.T, n int) (*storage.Heap, *catalog.Index) {
+	t.Helper()
+	def := mustTable("w",
+		schema.Column{Name: "id", Type: types.KindInt},
+		schema.Column{Name: "cust_id", Type: types.KindInt, Nullable: true},
+		schema.Column{Name: "cust_name", Type: types.KindString, Nullable: true},
+		schema.Column{Name: "amount", Type: types.KindFloat, Nullable: true},
+		schema.Column{Name: "qty", Type: types.KindInt, Nullable: true},
+	)
+	h := storage.NewHeap(def)
+	ix := &catalog.Index{Name: "iw", Table: "w", Columns: []string{"id"}, Ordinal: []int{0}, Tree: btree.New()}
+	for i := 0; i < n; i++ {
+		cust := types.Datum(types.NewInt(int64(i*7%23 - 3)))
+		name := types.Datum(types.NewString(fmt.Sprint("c", i*7%23)))
+		if i%31 == 0 {
+			cust, name = types.Null, types.Null
+		}
+		amount := types.Datum(types.NewFloat(float64(i%13) + 0.25))
+		if i%11 == 0 {
+			amount = types.Null
+		}
+		row := types.Row{types.NewInt(int64(i)), cust, name, amount, types.NewInt(int64(i % 5))}
+		ix.Tree.Insert(types.Row{row[0]}, h.Insert(row))
+	}
+	return h, ix
+}
+
+// runBoth runs op row-at-a-time and batched under a memory budget (so
+// reservations are counted) and requires identical rows, in order, and
+// identical charges.
+func runBoth(t *testing.T, name string, op Operator) {
+	t.Helper()
+	newCtx := func() *Ctx { return NewCtx(context.Background(), CtxOptions{MemBudget: 1 << 40}) }
+	rctx, bctx := newCtx(), newCtx()
+	want, err := Collect(op, rctx)
+	if err != nil {
+		t.Fatalf("%s row path: %v", name, err)
+	}
+	if _, ok := AsBatch(op); !ok {
+		t.Fatalf("%s: operator is not batch capable", name)
+	}
+	got, err := CollectBatched(op, bctx, 0)
+	if err != nil {
+		t.Fatalf("%s batched: %v", name, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: batched %d rows, row path %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("%s row %d: batched %s, row path %s", name, i, got[i], want[i])
+		}
+	}
+	if rctx.IO != bctx.IO || rctx.Comparisons != bctx.Comparisons || rctx.HashProbes != bctx.HashProbes ||
+		rctx.MemReserved() != bctx.MemReserved() {
+		t.Fatalf("%s charges: row path io=%+v cmp=%d probes=%d mem=%d, batched io=%+v cmp=%d probes=%d mem=%d", name,
+			rctx.IO, rctx.Comparisons, rctx.HashProbes, rctx.MemReserved(),
+			bctx.IO, bctx.Comparisons, bctx.HashProbes, bctx.MemReserved())
+	}
+}
+
+// TestSortAndRedundantGroupBatchParity: an ORDER BY over a GROUP BY whose
+// key was FD-reduced to one hashed INT column (the redundant columns riding
+// along), over index and page scans, gives the row path's rows and charges
+// when Sort pulls batches and the aggregate takes the int-key fold.
+func TestSortAndRedundantGroupBatchParity(t *testing.T) {
+	h, ix := wideHeap(t, 3000)
+	wcol := func(ord int) *expr.Column {
+		c := h.Def().Columns[ord]
+		return expr.NewColumn("w", c.Name, ord, c.Type)
+	}
+	idRange := []expr.Expr{
+		expr.NewBinary(expr.OpGe, wcol(0), iconst(100)),
+		expr.NewBinary(expr.OpLt, wcol(0), iconst(2200)),
+	}
+	scans := map[string]func() Operator{
+		"index scan": func() Operator {
+			return &IndexScan{Table: "w", Heap: h, Index: ix, Filter: idRange,
+				Lo: btree.Bound{Key: types.Row{types.NewInt(100)}, Inclusive: true},
+				Hi: btree.Bound{Key: types.Row{types.NewInt(2200)}}}
+		},
+		"page scan": func() Operator { return &SeqScan{Table: "w", Heap: h, Filter: idRange} },
+	}
+	aggs := []plan.AggSpec{
+		{Kind: sql.AggSum, Arg: wcol(3)}, {Kind: sql.AggCount, Arg: wcol(3)}, {Kind: sql.AggAvg, Arg: wcol(4)},
+		{Kind: sql.AggCountStar}, {Kind: sql.AggMax, Arg: wcol(3)}, {Kind: sql.AggMin, Arg: wcol(2)},
+	}
+	for name, scan := range scans {
+		for _, warm := range []bool{false, true} { // second pass: page images built
+			// GROUP BY cust_id, cust_name [redundant] ORDER BY cust_id DESC.
+			runBoth(t, fmt.Sprintf("%s group+sort warm=%v", name, warm), &Sort{
+				Keys: []plan.SortKey{{Ordinal: 0, Desc: true}},
+				Input: &HashAggregate{Input: scan(), Aggs: aggs,
+					GroupBy:   []expr.Expr{wcol(1), wcol(2)},
+					Redundant: []bool{false, true}},
+			})
+			// The hashed column second: GROUP BY cust_name [redundant], cust_id.
+			runBoth(t, fmt.Sprintf("%s redundant-first warm=%v", name, warm), &HashAggregate{Input: scan(), Aggs: aggs,
+				GroupBy:   []expr.Expr{wcol(2), wcol(1)},
+				Redundant: []bool{true, false}})
+			// ORDER BY over a projection: Sort retains the owned rows.
+			runBoth(t, fmt.Sprintf("%s project+sort warm=%v", name, warm), &Sort{
+				Keys:  []plan.SortKey{{Ordinal: 1}, {Ordinal: 0, Desc: true}},
+				Input: &Project{Input: scan(), Exprs: []expr.Expr{wcol(0), wcol(1), wcol(3)}},
+			})
+			// ORDER BY straight over the scan: borrowed rows are cloned.
+			runBoth(t, fmt.Sprintf("%s sort warm=%v", name, warm), &Sort{
+				Keys: []plan.SortKey{{Ordinal: 4}, {Ordinal: 3, Desc: true}}, Input: scan()})
+		}
+	}
+	// A non-column redundant entry keeps the generic fold (its per-row
+	// evaluation could fail where a first-row read would not).
+	ha := &HashAggregate{GroupBy: []expr.Expr{wcol(1), expr.NewBinary(expr.OpAdd, wcol(4), iconst(1))}, Redundant: []bool{false, true}}
+	if c, _ := ha.intKeyColumn(); c != nil {
+		t.Fatal("int-key fold chosen over a computed redundant group expression")
+	}
+}
+
+// TestPageSet: one page allocates nothing; every page is new exactly once.
+func TestPageSet(t *testing.T) {
+	var s pageSet
+	if !s.add(7, 10) || s.add(7, 10) || s.bits != nil {
+		t.Fatalf("single-page set: %+v", s)
+	}
+	seen := map[int32]bool{7: true}
+	for _, p := range []int32{3, 900, 3, 64, 900, 7, 0, 63, 901, 64, 0} {
+		if got := s.add(p, 10); got == seen[p] {
+			t.Fatalf("add(%d) = %v with seen=%v", p, got, seen[p])
+		}
+		seen[p] = true
+	}
+}

@@ -165,7 +165,7 @@ func (s *SeqScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
 	skip := makeSkipper(s.Prune, ctx.Skips)
 	op := "SeqScan " + s.Table // precomputed so the per-page checkpoint allocates nothing
 	snap, tid := ctx.snapView()
-	s.Heap.ScanPagesAt(0, int(s.Heap.PageCount()), snap, tid, &ctx.IO, skip, func(rows []types.Row, _ *storage.PageSynopsis) bool {
+	s.Heap.ScanPagesAt(0, int(s.Heap.PageCount()), snap, tid, &ctx.IO, skip, func(rows []types.Row, _ *storage.PageSynopsis, _ *vec.PageImage) bool {
 		if err := ctx.checkpoint(op); err != nil {
 			runErr = err
 			return false
@@ -254,8 +254,12 @@ func collectChunk(t *btree.Tree, lo, hi btree.Bound, resume bool, after indexEnt
 	buf = buf[:0]
 	more := false
 	t.AscendRange(lo, hi, c, func(key types.Row, rid storage.RowID) bool {
-		if resume && key.Compare(after.key) == 0 {
-			if rid.Page < after.rid.Page || (rid.Page == after.rid.Page && rid.Slot <= after.rid.Slot) {
+		if resume {
+			// Only the resume key's own rids can repeat the previous chunk;
+			// keys ascend, so the first larger key ends the check.
+			if key.Compare(after.key) != 0 {
+				resume = false
+			} else if rid.Page < after.rid.Page || (rid.Page == after.rid.Page && rid.Slot <= after.rid.Slot) {
 				return true // already delivered in the previous chunk
 			}
 		}
@@ -269,23 +273,60 @@ func collectChunk(t *btree.Tree, lo, hi btree.Bound, resume bool, after indexEnt
 	return buf, more
 }
 
-// Run implements Operator. Entries are collected from the tree in chunks
-// (latch released between chunks) and each chunk's rows are then fetched
-// from the heap under the scan's snapshot: an index entry whose version is
-// not visible at the snapshot — deleted, superseded by an update, or
+// pageSet records which heap pages an index scan has charged, so each
+// distinct page is charged once (a buffer pool holding the scan's working
+// set). A point probe touches one page: nothing is allocated until a second
+// distinct page shows up.
+type pageSet struct {
+	first int32
+	some  bool
+	bits  []uint64
+}
+
+// add records page p and reports whether it was new. hint sizes the bitmap
+// (the heap's page count) when it is first needed.
+func (s *pageSet) add(p int32, hint int64) bool {
+	if !s.some {
+		s.first, s.some = p, true
+		return true
+	}
+	if p == s.first {
+		return false
+	}
+	w := int(p >> 6)
+	if w >= len(s.bits) {
+		grown := make([]uint64, max(w+1, 2*len(s.bits), int(hint>>6)+1))
+		copy(grown, s.bits)
+		s.bits = grown
+	}
+	m := uint64(1) << (p & 63)
+	if s.bits[w]&m != 0 {
+		return false
+	}
+	s.bits[w] |= m
+	return true
+}
+
+// fetch walks the index range and hands visit every heap row visible at the
+// scan's snapshot, in index order, until visit returns false. Entries are
+// collected from the tree in chunks (latch released between chunks) and each
+// chunk's rows are then fetched from the heap: an index entry whose version
+// is not visible at the snapshot — deleted, superseded by an update, or
 // uncommitted — is skipped, which is also what keeps stale entries (MVCC
-// never removes index entries at delete time) harmless.
-func (s *IndexScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
-	// Heap pages are charged once per distinct page touched during this
-	// scan, modeling a buffer pool holding the scan's working set; index
-	// page touches are charged by the tree walk itself. lastPage short-cuts
-	// the map when consecutive entries land on the same heap page (the
-	// common case when the indexed column correlates with insertion order).
-	seenPages := map[int32]bool{}
+// never removes index entries at delete time) harmless. Heap pages are
+// charged once per distinct page touched; index page touches are charged by
+// the tree walk itself.
+func (s *IndexScan) fetch(ctx *Ctx, visit func(types.Row) bool) error {
+	var seen pageSet
+	// lastPage short-cuts the set when consecutive entries land on the same
+	// heap page (the common case when the indexed column correlates with
+	// insertion order).
 	lastPage := int32(-1)
+	pageHint := s.Heap.PageCount()
 	op := "IndexScan " + s.Table
 	snap, tid := ctx.snapView()
-	var entries int64
+	var entries, rows int64
+	defer func() { ctx.IO.AddRows(rows) }()
 	var chunk []indexEntry
 	var last indexEntry
 	resume := false
@@ -293,7 +334,6 @@ func (s *IndexScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
 		var more bool
 		chunk, more = collectChunk(s.Index.Tree, s.Lo, s.Hi, resume, last, &ctx.IO, chunk)
 		for i := range chunk {
-			e := &chunk[i]
 			// Index entries have no page batching, so observe cancellation
 			// every checkpointRows entries instead of per page.
 			if entries++; entries%checkpointRows == 0 {
@@ -301,11 +341,10 @@ func (s *IndexScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
 					return err
 				}
 			}
-			rid := e.rid
+			rid := chunk[i].rid
 			if rid.Page != lastPage {
 				lastPage = rid.Page
-				if !seenPages[rid.Page] {
-					seenPages[rid.Page] = true
+				if seen.add(rid.Page, pageHint) {
 					ctx.IO.AddPages(1)
 				}
 			}
@@ -313,15 +352,8 @@ func (s *IndexScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
 			if !ok {
 				continue // version not visible at this snapshot; skip
 			}
-			ctx.IO.AddRows(1)
-			pass, err := evalFilters(s.Filter, row)
-			if err != nil {
-				return err
-			}
-			if !pass {
-				continue
-			}
-			if !emit(row) {
+			rows++
+			if !visit(row) {
 				return nil
 			}
 		}
@@ -332,6 +364,23 @@ func (s *IndexScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
 		last.key = last.key.Clone() // chunk buffer is reused; pin the resume key
 		resume = true
 	}
+}
+
+// Run implements Operator: the row-at-a-time path over fetch.
+func (s *IndexScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
+	var runErr error
+	err := s.fetch(ctx, func(row types.Row) bool {
+		pass, err := evalFilters(s.Filter, row)
+		if err != nil {
+			runErr = err
+			return false
+		}
+		return !pass || emit(row)
+	})
+	if runErr != nil {
+		return runErr
+	}
+	return err
 }
 
 // BatchCapable implements BatchOperator.
@@ -350,10 +399,6 @@ const indexBatchRows = 256
 // stop (LIMIT) has already paid for the whole in-flight window.
 func (s *IndexScan) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	var runErr error
-	seenPages := map[int32]bool{}
-	lastPage := int32(-1)
-	op := "IndexScan " + s.Table
-	snap, tid := ctx.snapView()
 	prog := expr.CompilePredicate(s.Filter)
 	pr := progRunner{prog: prog}
 	// The window grows on demand: a point probe fetches a row or two and
@@ -382,48 +427,15 @@ func (s *IndexScan) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 		buf = buf[:0]
 		return keep
 	}
-	var entries int64
-	var chunk []indexEntry
-	var last indexEntry
-	resume := false
-	for {
-		var more bool
-		chunk, more = collectChunk(s.Index.Tree, s.Lo, s.Hi, resume, last, &ctx.IO, chunk)
-		for i := range chunk {
-			if entries++; entries%checkpointRows == 0 {
-				if err := ctx.checkpoint(op); err != nil {
-					return err
-				}
-			}
-			rid := chunk[i].rid
-			if rid.Page != lastPage {
-				lastPage = rid.Page
-				if !seenPages[rid.Page] {
-					seenPages[rid.Page] = true
-					ctx.IO.AddPages(1)
-				}
-			}
-			row, ok := s.Heap.GetAt(rid, snap, tid)
-			if !ok {
-				continue // version not visible at this snapshot; skip
-			}
-			ctx.IO.AddRows(1)
-			buf = append(buf, row)
-			if len(buf) == indexBatchRows {
-				if !flush() {
-					return runErr
-				}
-			}
-		}
-		if !more {
-			break
-		}
-		last = chunk[len(chunk)-1]
-		last.key = last.key.Clone() // chunk buffer is reused; pin the resume key
-		resume = true
-	}
+	err := s.fetch(ctx, func(row types.Row) bool {
+		buf = append(buf, row)
+		return len(buf) < indexBatchRows || flush()
+	})
 	if runErr != nil {
 		return runErr
+	}
+	if err != nil {
+		return err
 	}
 	flush()
 	return runErr
@@ -857,11 +869,50 @@ type Sort struct {
 	Keys  []plan.SortKey
 }
 
-// Run implements Operator.
+// Run implements Operator: the row-at-a-time path, pulling rows from the
+// input's Run.
 func (s *Sort) Run(ctx *Ctx, emit func(types.Row) bool) error {
+	rows, err := s.sorted(ctx, false)
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if !emit(r) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// BatchCapable implements BatchOperator: like Filter and Project, sorting
+// batch-wise pays off when the input streams batches.
+func (s *Sort) BatchCapable() bool {
+	_, ok := AsBatch(s.Input)
+	return ok
+}
+
+// RunBatch implements BatchOperator: the input is pulled through its batched
+// path — an aggregate, projection or index scan under an ORDER BY keeps its
+// kernels — and the ordered rows leave as one owned batch. Reservations,
+// checkpoints and comparison charges are those of Run.
+func (s *Sort) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
+	rows, err := s.sorted(ctx, true)
+	if err != nil || len(rows) == 0 {
+		return err
+	}
+	var ob vec.Batch
+	ob.Reset(rows)
+	ob.Owned = true
+	emit(&ob)
+	return nil
+}
+
+// sorted collects the input (through RunBatched when batched, retaining the
+// rows of owned batches without a clone) and orders it.
+func (s *Sort) sorted(ctx *Ctx, batched bool) ([]types.Row, error) {
 	var rows []types.Row
 	var inner error
-	err := s.Input.Run(ctx, func(row types.Row) bool {
+	add := func(row types.Row, owned bool) bool {
 		if err := ctx.Reserve("Sort", row.MemSize()); err != nil {
 			inner = err
 			return false
@@ -872,20 +923,38 @@ func (s *Sort) Run(ctx *Ctx, emit func(types.Row) bool) error {
 				return false
 			}
 		}
-		rows = append(rows, row.Clone())
+		if !owned {
+			row = row.Clone()
+		}
+		rows = append(rows, row)
 		return true
-	})
+	}
+	var err error
+	if batched {
+		err = RunBatched(s.Input, ctx, func(b *vec.Batch) bool {
+			n := b.Len()
+			for i := 0; i < n; i++ {
+				if !add(b.Row(i), b.Owned) {
+					return false
+				}
+			}
+			return true
+		})
+	} else {
+		err = s.Input.Run(ctx, func(row types.Row) bool { return add(row, false) })
+	}
 	if inner != nil {
-		return inner
+		return nil, inner
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Comparisons counts column comparisons, so shorter key lists (the
 	// FD-based sort simplification) show up directly.
+	var cmps int64
 	sort.SliceStable(rows, func(i, j int) bool {
 		for _, k := range s.Keys {
-			ctx.AddComparisons(1)
+			cmps++
 			c := rows[i][k.Ordinal].Compare(rows[j][k.Ordinal])
 			if c == 0 {
 				continue
@@ -897,12 +966,8 @@ func (s *Sort) Run(ctx *Ctx, emit func(types.Row) bool) error {
 		}
 		return false
 	})
-	for _, r := range rows {
-		if !emit(r) {
-			return nil
-		}
-	}
-	return nil
+	ctx.AddComparisons(cmps)
+	return rows, nil
 }
 
 // Describe implements Operator.

@@ -150,7 +150,7 @@ func (s *ParallelScan) RunPartition(part int, ctx *Ctx, emit func(types.Row) boo
 	skip := makeSkipper(s.Prune, ctx.Skips)
 	op := "ParallelScan " + s.Table
 	snap, tid := ctx.snapView()
-	s.Heap.ScanPagesAt(lo, hi, snap, tid, &ctx.IO, skip, func(rows []types.Row, _ *storage.PageSynopsis) bool {
+	s.Heap.ScanPagesAt(lo, hi, snap, tid, &ctx.IO, skip, func(rows []types.Row, _ *storage.PageSynopsis, _ *vec.PageImage) bool {
 		if err := ctx.checkpoint(op); err != nil {
 			runErr = err
 			return false

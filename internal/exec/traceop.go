@@ -126,6 +126,7 @@ func (s *spanOp) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	s.node.Rows.Add(rows)
 	s.node.Pages.Add(after.PagesRead - before.PagesRead)
 	s.node.PagesSkipped.Add(after.PagesSkipped - before.PagesSkipped)
+	s.node.PagesFrozen.Add(after.PagesFrozen - before.PagesFrozen)
 	s.node.RowsRead.Add(after.RowsRead - before.RowsRead)
 	s.node.Calls.Add(1)
 	return err
@@ -167,6 +168,7 @@ func (s *spanOp) measure(ctx *Ctx, run func(*Ctx, func(types.Row) bool) error, e
 	s.node.Rows.Add(rows)
 	s.node.Pages.Add(after.PagesRead - before.PagesRead)
 	s.node.PagesSkipped.Add(after.PagesSkipped - before.PagesSkipped)
+	s.node.PagesFrozen.Add(after.PagesFrozen - before.PagesFrozen)
 	s.node.RowsRead.Add(after.RowsRead - before.RowsRead)
 	s.node.Calls.Add(1)
 	return err

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"math"
+
 	"softdb/internal/types"
 	"softdb/internal/vec"
 )
@@ -70,6 +72,64 @@ type Stage struct {
 
 	colRef *Column
 	loop   rangeLoop
+	// ints is the closed int64 image of Iv for loopIntInt stages: over a
+	// null-free column the loop is one unsigned compare per row.
+	ints closedInts
+	// num is Iv (StageRange) or the point Ne (StageNe) as plain numbers, for
+	// ProvableTrue's per-page test.
+	num   NumInterval
+	numOK bool
+}
+
+// closedInts is the set of int64 values lo..lo+span; !ok when the interval
+// it was resolved from has a bound no int64 expresses (an exclusive bound at
+// the end of the range).
+type closedInts struct {
+	lo   int64
+	span uint64
+	ok   bool
+}
+
+// resolveInts turns a non-empty interval with INT/DATE bounds into the
+// closed range of int64 values it holds.
+func resolveInts(iv Interval) closedInts {
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	if iv.HasLo {
+		if lo = iv.Lo.IntImage(); !iv.LoIncl {
+			if lo == math.MaxInt64 {
+				return closedInts{}
+			}
+			lo++
+		}
+	}
+	if iv.HasHi {
+		if hi = iv.Hi.IntImage(); !iv.HiIncl {
+			if hi == math.MinInt64 {
+				return closedInts{}
+			}
+			hi--
+		}
+	}
+	if lo > hi {
+		return closedInts{}
+	}
+	return closedInts{lo: lo, span: uint64(hi) - uint64(lo), ok: true}
+}
+
+// filter keeps the positions of sel whose value lies in the range. Every
+// position is written and the count advances only on a hit, which compiles
+// to a conditional move: no branch for mid-selectivity predicates to
+// mispredict.
+func (r closedInts) filter(vals []int64, sel, out []int32) []int32 {
+	out = out[:len(sel)]
+	n := 0
+	for _, idx := range sel {
+		out[n] = idx
+		if uint64(vals[idx])-uint64(r.lo) <= r.span {
+			n++
+		}
+	}
+	return out[:n]
 }
 
 // PredProgram is a compiled conjunction. It is immutable after compilation
@@ -100,6 +160,10 @@ func CompilePredicate(conds []Expr) *PredProgram {
 		iv = iv.Plain()
 		st := Stage{Mode: StageRange, Col: target.Index, Kind: target.Kind, Iv: iv, colRef: target}
 		st.loop = planRangeLoop(target.Kind, iv)
+		if st.loop == loopIntInt {
+			st.ints = resolveInts(iv)
+		}
+		st.num, st.numOK = iv.Numeric()
 		p.Stages = append(p.Stages, st)
 		remaining = rest
 	}
@@ -107,6 +171,9 @@ func CompilePredicate(conds []Expr) *PredProgram {
 		if col, op, val, ok := comparisonOnColumn(c); ok && op == OpNe && col.Index >= 0 {
 			st := Stage{Mode: StageNe, Col: col.Index, Kind: col.Kind, Ne: val, colRef: col}
 			st.loop = planNeLoop(col.Kind, val)
+			if !val.IsNull() {
+				st.num, st.numOK = Point(val).Numeric()
+			}
 			p.Stages = append(p.Stages, st)
 			continue
 		}
@@ -219,15 +286,33 @@ func (p *PredProgram) Typed(i int) bool {
 }
 
 // ProvableTrue reports whether the stage is TRUE for every row of a page
-// whose column summary is [colIv] (inclusive min/max, present only when
-// hasBounds) with the given null and row counts. A provably-true stage may
-// be skipped for the page without evaluating any row.
-func (s *Stage) ProvableTrue(colIv Interval, hasBounds bool, nulls, rows int64) bool {
+// whose column summary is min/max over its non-null values (NULL datums when
+// the page has none) with the given null and row counts. A provably-true
+// stage may be skipped for the page without evaluating any row. Numeric
+// bounds take scalar compares (see NumInterval); the verdict is the Interval
+// algebra's either way.
+func (s *Stage) ProvableTrue(min, max types.Datum, nulls, rows int64) bool {
 	switch s.Mode {
 	case StageRange:
-		return nulls == 0 && hasBounds && colIv.CoveredBy(s.Iv)
+		if nulls != 0 || min.IsNull() {
+			return false
+		}
+		if s.numOK {
+			if covered, ok := s.num.Covers(min, max); ok {
+				return covered
+			}
+		}
+		return Between(min, max, true, true).CoveredBy(s.Iv)
 	case StageNe:
-		return nulls == 0 && hasBounds && !s.Ne.IsNull() && colIv.Disjoint(Point(s.Ne))
+		if nulls != 0 || min.IsNull() || s.Ne.IsNull() {
+			return false
+		}
+		if s.numOK {
+			if disjoint, ok := s.num.Disjoint(min, max); ok {
+				return disjoint
+			}
+		}
+		return Between(min, max, true, true).Disjoint(Point(s.Ne))
 	case StageIsNotNull:
 		return nulls == 0
 	case StageIsNull:
@@ -293,10 +378,13 @@ func (s *Stage) runRange(b *vec.Batch, sel, out []int32) ([]int32, error) {
 	if s.loop == loopEmpty {
 		return out, nil
 	}
-	iv := s.Iv
+	iv := &s.Iv
 	switch s.loop {
 	case loopIntInt:
 		if c := b.Col(s.Col, vec.ClassInt); c != nil {
+			if !c.HasNulls && s.ints.ok {
+				return s.ints.filter(c.Ints, sel, out), nil
+			}
 			var lo, hi int64
 			if iv.HasLo {
 				lo = iv.Lo.IntImage()

@@ -136,6 +136,8 @@ type Registry struct {
 	mu    sync.RWMutex
 	fams  map[string]*family
 	order []string // family registration order, for stable exposition
+	// collectors run at the start of every exposition (see OnCollect).
+	collectors []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -249,12 +251,30 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
+// OnCollect registers fn to run at the start of every WritePrometheus,
+// before any series is rendered: the place to refresh metrics whose value
+// is cheaper to compute when asked than to maintain on every change.
+func (r *Registry) OnCollect(fn func()) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.collectors = append(r.collectors, fn)
+	r.mu.Unlock()
+}
+
 // WritePrometheus renders every registered family in the Prometheus text
 // exposition format (version 0.0.4). Families appear in registration order;
 // series within a family are sorted, so output is deterministic.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
+	}
+	r.mu.RLock()
+	collectors := r.collectors
+	r.mu.RUnlock()
+	for _, fn := range collectors {
+		fn()
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -31,9 +31,12 @@ type SpanNode struct {
 	// PagesSkipped counts heap pages the subtree's scans pruned via
 	// synopses instead of reading.
 	PagesSkipped atomic.Int64
-	RowsRead     atomic.Int64
-	Nanos        atomic.Int64
-	Calls        atomic.Int64
+	// PagesFrozen counts the heap pages (of Pages) the subtree's scans
+	// served as frozen page windows, with no per-slot visibility check.
+	PagesFrozen atomic.Int64
+	RowsRead    atomic.Int64
+	Nanos       atomic.Int64
+	Calls       atomic.Int64
 
 	// Batched reports that this node executed on the columnar batch path
 	// (RunBatch) rather than row-at-a-time; -no-batch plans leave it false.
@@ -49,12 +52,16 @@ type SpanNode struct {
 
 // ActualLine renders the node's measured figures. Scans that pruned pages
 // additionally report the skip count and the prune ratio (fraction of the
-// pages they would otherwise have read).
+// pages they would otherwise have read); scan nodes (leaves) that read
+// frozen pages report frozen=k/n, k of their n page reads.
 func (n *SpanNode) ActualLine() string {
 	d := time.Duration(n.Nanos.Load())
 	s := fmt.Sprintf("(actual rows=%d time=%s pages=%d", n.Rows.Load(), formatDur(d), n.Pages.Load())
 	if sk := n.PagesSkipped.Load(); sk > 0 {
 		s += fmt.Sprintf(" skipped=%d prune=%.0f%%", sk, 100*float64(sk)/float64(sk+n.Pages.Load()))
+	}
+	if fz := n.PagesFrozen.Load(); fz > 0 && len(n.Children) == 0 {
+		s += fmt.Sprintf(" frozen=%d/%d", fz, n.Pages.Load())
 	}
 	if calls := n.Calls.Load(); calls > 1 {
 		s += fmt.Sprintf(" calls=%d", calls)
@@ -211,6 +218,9 @@ type Trace struct {
 	PagesRead  int64
 	// PagesSkipped counts heap pages pruned via synopses query-wide.
 	PagesSkipped int64
+	// PagesFrozen counts the page reads served from frozen page images
+	// query-wide.
+	PagesFrozen int64
 	// RowsShortCircuited counts rows whose per-row filter evaluation the
 	// vectorized scan skipped because a page synopsis proved every row on
 	// the page qualifies.
@@ -225,8 +235,8 @@ type Trace struct {
 func (t *Trace) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", t.SQL)
-	fmt.Fprintf(&b, "elapsed=%s rows=%d pages=%d skipped=%d degree=%d cache=%s%s%s%s\n",
-		formatDur(t.Duration), t.ActualRows, t.PagesRead, t.PagesSkipped, t.Degree, cacheWord(t.CacheHit), stateWord(t.State), sessionWord(t.Session), shapeWord(t.Shape))
+	fmt.Fprintf(&b, "elapsed=%s rows=%d pages=%d skipped=%d%s degree=%d cache=%s%s%s%s\n",
+		formatDur(t.Duration), t.ActualRows, t.PagesRead, t.PagesSkipped, frozenWord(t.PagesFrozen, t.PagesRead), t.Degree, cacheWord(t.CacheHit), stateWord(t.State), sessionWord(t.Session), shapeWord(t.Shape))
 	if t.Err != "" {
 		fmt.Fprintf(&b, "error: %s\n", t.Err)
 	}
@@ -247,6 +257,13 @@ func cacheWord(hit bool) string {
 		return "hit"
 	}
 	return "miss"
+}
+
+func frozenWord(frozen, pages int64) string {
+	if frozen == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" frozen=%d/%d", frozen, pages)
 }
 
 func stateWord(state string) string {

@@ -18,6 +18,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"softdb/internal/schema"
@@ -106,6 +107,9 @@ type Counters struct {
 	PagesRead    int64 // heap or index pages fetched
 	RowsRead     int64 // rows materialized from pages
 	PagesSkipped int64 // heap pages proven irrelevant by a synopsis and never touched
+	// PagesFrozen counts the PagesRead a page scan served from a frozen page
+	// image (no per-slot visibility check); always <= PagesRead.
+	PagesFrozen int64
 }
 
 // AddPages atomically charges n page reads. Nil receivers are ignored so
@@ -130,11 +134,19 @@ func (c *Counters) AddSkipped(n int64) {
 	}
 }
 
+// AddFrozen atomically records n page reads served from frozen images.
+func (c *Counters) AddFrozen(n int64) {
+	if c != nil {
+		atomic.AddInt64(&c.PagesFrozen, n)
+	}
+}
+
 // Add atomically accumulates other into c.
 func (c *Counters) Add(other Counters) {
 	c.AddPages(other.PagesRead)
 	c.AddRows(other.RowsRead)
 	c.AddSkipped(other.PagesSkipped)
+	c.AddFrozen(other.PagesFrozen)
 }
 
 // Load returns an atomic snapshot of the counters.
@@ -143,31 +155,38 @@ func (c *Counters) Load() Counters {
 		PagesRead:    atomic.LoadInt64(&c.PagesRead),
 		RowsRead:     atomic.LoadInt64(&c.RowsRead),
 		PagesSkipped: atomic.LoadInt64(&c.PagesSkipped),
+		PagesFrozen:  atomic.LoadInt64(&c.PagesFrozen),
 	}
 }
 
-// slot is one row version. row is written once, before the slot is
-// published through the page's used counter, and never mutated afterwards
-// (except by Update and Vacuum, which require the caller to exclude
-// readers).
-type slot struct {
-	row   types.Row
+// stamp is one slot's version stamps.
+type stamp struct {
 	begin atomic.Int64
 	end   atomic.Int64
 }
 
-// page holds a fixed-capacity slot array. used publishes how many slots
-// are valid: a writer fills slots[used] completely and then increments
-// used, so lock-free readers iterating slots[:used] only ever see fully
-// initialized versions.
+// page holds a fixed-capacity slot array, split into the row payloads and
+// their version stamps so that the payloads of a fully visible page are one
+// contiguous row window. used publishes how many slots are valid: a writer
+// fills rows[used] and stamps[used] completely and then increments used, so
+// lock-free readers iterating [:used] only ever see fully initialized
+// versions. A row is written once, before its slot is published, and never
+// mutated afterwards (except by Update, Vacuum and replay's placeholder
+// resurrection, which require the caller to exclude readers of that slot).
 type page struct {
-	slots []slot
-	used  atomic.Int32
-	bytes int // estimated payload bytes
+	rows   []types.Row
+	stamps []stamp
+	used   atomic.Int32
+	bytes  int // estimated payload bytes
 	// syn is the page's published min/max synopsis. Writers (serialized by
 	// the engine) replace it wholesale; concurrent scans Load it. It is only
 	// ever nil before the first insert into the page.
 	syn atomic.Pointer[PageSynopsis]
+	// image is non-nil while the page is frozen (see frozen.go).
+	image atomic.Pointer[frozenImage]
+	// seq is the freeze/thaw sequence: odd while a writer is between thawing
+	// the page and having stamped its slot.
+	seq atomic.Uint32
 }
 
 // Heap is an append-oriented row-version store with slotted pages. Writers
@@ -180,6 +199,10 @@ type Heap struct {
 	rowSize int // estimated bytes per row, from the schema
 	live    atomic.Int64
 	version atomic.Int64 // bumped on every committed mutation; used by plan/stat invalidation
+	// freezeMu makes "publish an image if no writer intervened" and "thaw"
+	// atomic with respect to each other; thaws counts images thaw cleared.
+	freezeMu sync.Mutex
+	thaws    atomic.Int64
 }
 
 // NewHeap creates an empty heap for the given table definition.
@@ -245,7 +268,8 @@ func (h *Heap) pageList() []*page { return *h.pages.Load() }
 // grow appends a fresh page and republishes the page list.
 func (h *Heap) grow() *page {
 	old := h.pageList()
-	p := &page{slots: make([]slot, h.RowsPerPage())}
+	n := h.RowsPerPage()
+	p := &page{rows: make([]types.Row, n), stamps: make([]stamp, n)}
 	next := make([]*page, len(old)+1)
 	copy(next, old)
 	next[len(old)] = p
@@ -260,16 +284,15 @@ func (h *Heap) grow() *page {
 func (h *Heap) install(row types.Row, begin int64) RowID {
 	pages := h.pageList()
 	var p *page
-	if n := len(pages); n > 0 && int(pages[n-1].used.Load()) < len(pages[n-1].slots) {
+	if n := len(pages); n > 0 && int(pages[n-1].used.Load()) < len(pages[n-1].rows) {
 		p = pages[n-1]
 	} else {
 		p = h.grow()
 	}
 	si := p.used.Load()
-	s := &p.slots[si]
-	s.row = row
-	s.begin.Store(begin)
-	s.end.Store(0)
+	p.rows[si] = row
+	p.stamps[si].begin.Store(begin)
+	p.stamps[si].end.Store(0)
 	p.used.Store(si + 1) // publish: row and stamps are written
 	p.bytes += h.rowSize
 	if begin != Aborted {
@@ -327,24 +350,23 @@ func (h *Heap) InsertAtRID(row types.Row, rid RowID, begin int64) bool {
 		switch {
 		case int(rid.Page) < tailPage,
 			int(rid.Page) == tailPage && rid.Slot < tailUsed:
-			s := h.locate(rid)
-			if s == nil || s.begin.Load() != Aborted || s.row != nil {
+			p, st := h.locate(rid)
+			if st == nil || st.begin.Load() != Aborted || p.rows[rid.Slot] != nil {
 				return false // behind the tail: slot genuinely occupied
 			}
 			if begin == Aborted {
 				return true // placeholder already in place
 			}
-			s.row = row
-			s.begin.Store(begin)
-			s.end.Store(0)
-			p := pages[rid.Page]
+			p.rows[rid.Slot] = row
+			st.begin.Store(begin)
+			st.end.Store(0)
 			p.syn.Store(p.syn.Load().extend(row, len(h.def.Columns)))
 			if begin > 0 {
 				h.live.Add(1)
 				h.bump()
 			}
 			return true
-		case int(rid.Page) == tailPage && rid.Slot < int32(len(pages[tailPage].slots)):
+		case int(rid.Page) == tailPage && rid.Slot < int32(len(pages[tailPage].rows)):
 			p := pages[tailPage]
 			// Fill any gap on this page, then the target slot itself.
 			for p.used.Load() < rid.Slot {
@@ -360,7 +382,7 @@ func (h *Heap) InsertAtRID(row types.Row, rid RowID, begin int64) bool {
 			// placeholders, then grow.
 			if tailPage >= 0 {
 				p := pages[tailPage]
-				for int(p.used.Load()) < len(p.slots) {
+				for int(p.used.Load()) < len(p.rows) {
 					h.install(nil, Aborted)
 				}
 			}
@@ -369,38 +391,39 @@ func (h *Heap) InsertAtRID(row types.Row, rid RowID, begin int64) bool {
 	}
 }
 
-// locate returns the slot for id, or nil when id is invalid or not yet
-// published.
-func (h *Heap) locate(id RowID) *slot {
+// locate returns the page and stamps of the slot id names, or nils when id
+// is invalid or not yet published. The slot's row is p.rows[id.Slot].
+func (h *Heap) locate(id RowID) (*page, *stamp) {
 	pages := h.pageList()
-	if int(id.Page) >= len(pages) {
-		return nil
+	if id.Page < 0 || int(id.Page) >= len(pages) {
+		return nil, nil
 	}
 	p := pages[id.Page]
-	if id.Slot >= p.used.Load() {
-		return nil
+	if id.Slot < 0 || id.Slot >= p.used.Load() {
+		return nil, nil
 	}
-	return &p.slots[id.Slot]
+	return p, &p.stamps[id.Slot]
 }
 
 // Meta returns the begin/end stamps of the version at id.
 func (h *Heap) Meta(id RowID) (begin, end int64, ok bool) {
-	s := h.locate(id)
-	if s == nil {
+	_, st := h.locate(id)
+	if st == nil {
 		return 0, 0, false
 	}
-	return s.begin.Load(), s.end.Load(), true
+	return st.begin.Load(), st.end.Load(), true
 }
 
 // SetBegin commit-stamps an uncommitted insert: the version becomes
 // visible to every snapshot at or after ts. This is the committed-insert
-// version bump.
+// version bump. No thaw: a page holding an uncommitted insert is not frozen
+// and cannot freeze until the stamp lands.
 func (h *Heap) SetBegin(id RowID, ts int64) bool {
-	s := h.locate(id)
-	if s == nil || s.begin.Load() >= 0 {
+	_, st := h.locate(id)
+	if st == nil || st.begin.Load() >= 0 {
 		return false
 	}
-	s.begin.Store(ts)
+	st.begin.Store(ts)
 	h.live.Add(1)
 	h.bump()
 	return true
@@ -412,12 +435,13 @@ func (h *Heap) SetBegin(id RowID, ts int64) bool {
 // database that never ran the transaction). No version bump — rollbacks
 // leave the mutation counter exactly where the transaction found it.
 func (h *Heap) AbortInsert(id RowID) bool {
-	s := h.locate(id)
-	if s == nil || s.begin.Load() >= 0 {
+	p, st := h.locate(id)
+	if st == nil || st.begin.Load() >= 0 {
 		return false
 	}
-	s.begin.Store(Aborted)
-	p := h.pageList()[id.Page]
+	h.thaw(p)
+	st.begin.Store(Aborted)
+	p.stamped()
 	p.syn.Store(computeSynopsis(p, len(h.def.Columns)))
 	return true
 }
@@ -426,13 +450,15 @@ func (h *Heap) AbortInsert(id RowID) bool {
 // delete is uncommitted (no bump, no live change — the transaction may
 // abort), positive once committed (the committed-delete version bump).
 // Committing a delete restamps the same slot from -txnID to the commit
-// timestamp.
+// timestamp. The page is thawed before the stamp is published.
 func (h *Heap) SetEnd(id RowID, e int64) bool {
-	s := h.locate(id)
-	if s == nil {
+	p, st := h.locate(id)
+	if st == nil {
 		return false
 	}
-	s.end.Store(e)
+	h.thaw(p)
+	st.end.Store(e)
+	p.stamped()
 	if e > 0 {
 		h.live.Add(-1)
 		h.bump()
@@ -441,13 +467,14 @@ func (h *Heap) SetEnd(id RowID, e int64) bool {
 }
 
 // ClearEnd rolls back an uncommitted delete: the version is the latest
-// again. No version bump.
+// again. No version bump, and no thaw — the intent being cleared already
+// thawed the page and keeps it from freezing until this store.
 func (h *Heap) ClearEnd(id RowID) bool {
-	s := h.locate(id)
-	if s == nil {
+	_, st := h.locate(id)
+	if st == nil {
 		return false
 	}
-	s.end.Store(0)
+	st.end.Store(0)
 	return true
 }
 
@@ -462,36 +489,35 @@ func (h *Heap) Fetch(id RowID, c *Counters) (types.Row, bool) {
 // tid, counting one page read and (when visible) one row read.
 func (h *Heap) FetchAt(id RowID, snap, tid int64, c *Counters) (types.Row, bool) {
 	c.AddPages(1)
-	s := h.locate(id)
-	if s == nil || !Visible(s.begin.Load(), s.end.Load(), snap, tid) {
-		return nil, false
+	row, ok := h.GetAt(id, snap, tid)
+	if ok {
+		c.AddRows(1)
 	}
-	c.AddRows(1)
-	return s.row, true
+	return row, ok
 }
 
 // Get returns the row at id without touching counters (catalog/maintenance
 // use). The second return is false for invisible or invalid IDs.
-func (h *Heap) Get(id RowID) (types.Row, bool) { return h.Fetch(id, nil) }
+func (h *Heap) Get(id RowID) (types.Row, bool) { return h.GetAt(id, SnapLatest, 0) }
 
 // GetAt is Get from an explicit snapshot.
 func (h *Heap) GetAt(id RowID, snap, tid int64) (types.Row, bool) {
-	s := h.locate(id)
-	if s == nil || !Visible(s.begin.Load(), s.end.Load(), snap, tid) {
+	p, st := h.locate(id)
+	if st == nil || !Visible(st.begin.Load(), st.end.Load(), snap, tid) {
 		return nil, false
 	}
-	return s.row, true
+	return p.rows[id.Slot], true
 }
 
 // GetAny returns the row at id if any committed-state reader could still
 // see it (not aborted, not committed-ended) — the "dirty read" uniqueness
 // and FK checks use so concurrent transactions cannot both claim a key.
 func (h *Heap) GetAny(id RowID) (types.Row, bool) {
-	s := h.locate(id)
-	if s == nil || !visibleAnyCommitted(s.begin.Load(), s.end.Load()) {
+	p, st := h.locate(id)
+	if st == nil || !visibleAnyCommitted(st.begin.Load(), st.end.Load()) {
 		return nil, false
 	}
-	return s.row, true
+	return p.rows[id.Slot], true
 }
 
 // Delete physically retires the version at id for every snapshot — the
@@ -499,16 +525,17 @@ func (h *Heap) GetAny(id RowID) (types.Row, bool) {
 // tables). It reports whether a latest-visible version was removed.
 // Transactional deletes use SetEnd so old snapshots keep seeing the row.
 func (h *Heap) Delete(id RowID) bool {
-	s := h.locate(id)
-	if s == nil || !Visible(s.begin.Load(), s.end.Load(), SnapLatest, 0) {
+	p, st := h.locate(id)
+	if st == nil || !Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0) {
 		return false
 	}
-	s.begin.Store(Aborted)
+	h.thaw(p)
+	st.begin.Store(Aborted)
+	p.stamped()
 	h.live.Add(-1)
 	h.bump()
 	// Physical removal can shrink min/max, so recompute the page synopsis
 	// from the surviving versions and republish.
-	p := h.pageList()[id.Page]
 	p.syn.Store(computeSynopsis(p, len(h.def.Columns)))
 	return true
 }
@@ -519,13 +546,14 @@ func (h *Heap) Delete(id RowID) bool {
 // callers hold the engine's exclusive lock. Transactional updates are a
 // SetEnd of the old version plus an InsertVersion of the new one.
 func (h *Heap) Update(id RowID, row types.Row) bool {
-	s := h.locate(id)
-	if s == nil || !Visible(s.begin.Load(), s.end.Load(), SnapLatest, 0) {
+	p, st := h.locate(id)
+	if st == nil || !Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0) {
 		return false
 	}
-	s.row = row
+	h.thaw(p)
+	p.rows[id.Slot] = row
+	p.stamped()
 	h.bump()
-	p := h.pageList()[id.Page]
 	p.syn.Store(computeSynopsis(p, len(h.def.Columns)))
 	return true
 }
@@ -564,12 +592,12 @@ func (h *Heap) ScanRangeAt(pageLo, pageHi int, snap, tid int64, c *Counters, fn 
 		c.AddPages(1)
 		n := p.used.Load()
 		for si := int32(0); si < n; si++ {
-			s := &p.slots[si]
-			if !Visible(s.begin.Load(), s.end.Load(), snap, tid) {
+			st := &p.stamps[si]
+			if !Visible(st.begin.Load(), st.end.Load(), snap, tid) {
 				continue
 			}
 			c.AddRows(1)
-			if !fn(RowID{Page: int32(pi), Slot: si}, s.row) {
+			if !fn(RowID{Page: int32(pi), Slot: si}, p.rows[si]) {
 				return
 			}
 		}
@@ -586,11 +614,11 @@ func (h *Heap) ScanDirty(fn func(id RowID, row types.Row) bool) {
 	for pi, p := range pages {
 		n := p.used.Load()
 		for si := int32(0); si < n; si++ {
-			s := &p.slots[si]
-			if !visibleAnyCommitted(s.begin.Load(), s.end.Load()) {
+			st := &p.stamps[si]
+			if !visibleAnyCommitted(st.begin.Load(), st.end.Load()) {
 				continue
 			}
-			if !fn(RowID{Page: int32(pi), Slot: si}, s.row) {
+			if !fn(RowID{Page: int32(pi), Slot: si}, p.rows[si]) {
 				return
 			}
 		}
@@ -608,11 +636,10 @@ func (h *Heap) ScanVersions(fn func(id RowID, row types.Row) bool) {
 	for pi, p := range pages {
 		n := p.used.Load()
 		for si := int32(0); si < n; si++ {
-			s := &p.slots[si]
-			if s.begin.Load() == Aborted || s.row == nil {
+			if p.stamps[si].begin.Load() == Aborted || p.rows[si] == nil {
 				continue
 			}
-			if !fn(RowID{Page: int32(pi), Slot: si}, s.row) {
+			if !fn(RowID{Page: int32(pi), Slot: si}, p.rows[si]) {
 				return
 			}
 		}
@@ -652,25 +679,32 @@ func (h *Heap) Vacuum(horizon int64) int {
 	ncols := len(h.def.Columns)
 	for _, p := range h.pageList() {
 		touched := false
+		touch := func() {
+			if !touched {
+				h.thaw(p)
+				touched = true
+			}
+		}
 		n := p.used.Load()
 		for si := int32(0); si < n; si++ {
-			s := &p.slots[si]
-			b, e := s.begin.Load(), s.end.Load()
+			st := &p.stamps[si]
+			b, e := st.begin.Load(), st.end.Load()
 			if b == Aborted {
-				if s.row != nil {
-					s.row = nil
-					touched = true
+				if p.rows[si] != nil {
+					touch()
+					p.rows[si] = nil
 				}
 				continue
 			}
 			if b > 0 && e > 0 && e <= horizon {
-				s.begin.Store(Aborted)
-				s.row = nil
+				touch()
+				st.begin.Store(Aborted)
+				p.rows[si] = nil
 				reclaimed++
-				touched = true
 			}
 		}
 		if touched {
+			p.stamped()
 			p.syn.Store(computeSynopsis(p, ncols))
 		}
 	}
@@ -700,9 +734,9 @@ func (h *Heap) DumpPages() [][]SlotData {
 		n := p.used.Load()
 		ps := make([]SlotData, n)
 		for si := int32(0); si < n; si++ {
-			s := &p.slots[si]
-			dead := !Visible(s.begin.Load(), s.end.Load(), SnapLatest, 0)
-			row := s.row
+			st := &p.stamps[si]
+			dead := !Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0)
+			row := p.rows[si]
 			if dead {
 				// Version payloads are not part of the durable state — a
 				// vacuumed heap and an unvacuumed one must checkpoint

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 // ColSynopsis summarizes one column of one page: the minimum and maximum
@@ -72,16 +73,16 @@ func computeSynopsis(p *page, ncols int) *PageSynopsis {
 	syn := &PageSynopsis{Cols: make([]ColSynopsis, ncols)}
 	n := p.used.Load()
 	for si := int32(0); si < n; si++ {
-		s := &p.slots[si]
-		if s.begin.Load() == Aborted {
+		if p.stamps[si].begin.Load() == Aborted {
 			continue
 		}
+		row := p.rows[si]
 		syn.Rows++
 		for ci := range syn.Cols {
-			if ci >= len(s.row) {
+			if ci >= len(row) {
 				break
 			}
-			mergeDatum(&syn.Cols[ci], s.row[ci])
+			mergeDatum(&syn.Cols[ci], row[ci])
 		}
 	}
 	return syn
@@ -109,16 +110,24 @@ func (h *Heap) Synopsis(pi int) *PageSynopsis {
 // slice is borrowed: it is reused for the next page, so fn must not retain
 // it. Iteration stops when fn returns false.
 //
+// A frozen page (see frozen.go) skips the gather: fn receives the page's own
+// row window — every slot, all visible to this snapshot — and the page image
+// whose typed column vectors cover exactly that window (img is nil for every
+// other page). Charges are identical either way, plus one PagesFrozen. A
+// full page the scan finds entirely committed, undeleted and visible is
+// frozen on the spot, so the first scan over settled data already takes
+// this path.
+//
 // Unlike ScanRange, row charges land page-at-a-time: a consumer that stops
 // mid-batch has already been charged for the whole page, mirroring the page
 // model (touching any row of a page faults the full page in).
-func (h *Heap) ScanPages(pageLo, pageHi int, c *Counters, skip func(*PageSynopsis) bool, fn func(rows []types.Row, syn *PageSynopsis) bool) {
+func (h *Heap) ScanPages(pageLo, pageHi int, c *Counters, skip func(*PageSynopsis) bool, fn func(rows []types.Row, syn *PageSynopsis, img *vec.PageImage) bool) {
 	h.ScanPagesAt(pageLo, pageHi, SnapLatest, 0, c, skip, fn)
 }
 
 // ScanPagesAt is ScanPages from an explicit snapshot: the gathered batch
 // holds the rows visible at snap to transaction tid.
-func (h *Heap) ScanPagesAt(pageLo, pageHi int, snap, tid int64, c *Counters, skip func(*PageSynopsis) bool, fn func(rows []types.Row, syn *PageSynopsis) bool) {
+func (h *Heap) ScanPagesAt(pageLo, pageHi int, snap, tid int64, c *Counters, skip func(*PageSynopsis) bool, fn func(rows []types.Row, syn *PageSynopsis, img *vec.PageImage) bool) {
 	pages := h.pageList()
 	if pageLo < 0 {
 		pageLo = 0
@@ -135,20 +144,20 @@ func (h *Heap) ScanPagesAt(pageLo, pageHi int, snap, tid int64, c *Counters, ski
 			continue
 		}
 		c.AddPages(1)
-		buf = buf[:0]
-		n := p.used.Load()
-		for si := int32(0); si < n; si++ {
-			s := &p.slots[si]
-			if !Visible(s.begin.Load(), s.end.Load(), snap, tid) {
-				continue
-			}
-			buf = append(buf, s.row)
+		fi := p.image.Load()
+		if fi == nil || snap < fi.asOf {
+			buf, fi = h.gather(p, snap, tid, buf[:0])
 		}
-		c.AddRows(int64(len(buf)))
-		if len(buf) == 0 {
+		if fi == nil {
+			c.AddRows(int64(len(buf)))
+			if len(buf) > 0 && !fn(buf, syn, nil) {
+				return
+			}
 			continue
 		}
-		if !fn(buf, syn) {
+		c.AddFrozen(1)
+		c.AddRows(int64(len(p.rows)))
+		if !fn(p.rows, syn, fi.cols) {
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 // synInt reads the int column's synopsis of page pi, failing the test when
@@ -105,7 +106,7 @@ func TestScanPagesSkipAndCounters(t *testing.T) {
 	var seen int
 	h.ScanPages(0, int(h.PageCount()), &c,
 		func(syn *PageSynopsis) bool { return syn.Col(0).Max.Int() < int64(per) },
-		func(rows []types.Row, syn *PageSynopsis) bool {
+		func(rows []types.Row, syn *PageSynopsis, _ *vec.PageImage) bool {
 			if syn == nil {
 				t.Error("scanned page delivered without its synopsis")
 			}
@@ -126,7 +127,7 @@ func TestScanPagesSkipAndCounters(t *testing.T) {
 
 	// Nil skip reads everything.
 	c = Counters{}
-	h.ScanPages(0, int(h.PageCount()), &c, nil, func(rows []types.Row, _ *PageSynopsis) bool { return true })
+	h.ScanPages(0, int(h.PageCount()), &c, nil, func(rows []types.Row, _ *PageSynopsis, _ *vec.PageImage) bool { return true })
 	if c.PagesSkipped != 0 || c.PagesRead != 3 {
 		t.Errorf("nil skip: %+v", c)
 	}
@@ -134,14 +135,14 @@ func TestScanPagesSkipAndCounters(t *testing.T) {
 	// Early stop: fn returning false ends iteration after the first batch.
 	c = Counters{}
 	calls := 0
-	h.ScanPages(0, int(h.PageCount()), &c, nil, func(rows []types.Row, _ *PageSynopsis) bool { calls++; return false })
+	h.ScanPages(0, int(h.PageCount()), &c, nil, func(rows []types.Row, _ *PageSynopsis, _ *vec.PageImage) bool { calls++; return false })
 	if calls != 1 || c.PagesRead != 1 {
 		t.Errorf("early stop: calls=%d %+v", calls, c)
 	}
 
 	// Out-of-range bounds clamp.
 	c = Counters{}
-	h.ScanPages(-5, 99, &c, nil, func(rows []types.Row, _ *PageSynopsis) bool { return true })
+	h.ScanPages(-5, 99, &c, nil, func(rows []types.Row, _ *PageSynopsis, _ *vec.PageImage) bool { return true })
 	if c.PagesRead != 3 {
 		t.Errorf("clamped scan: %+v", c)
 	}

@@ -11,6 +11,11 @@
 // set, in which case the row values (though not the Rows slice header) may
 // be retained by the consumer without cloning. Extracted columns always
 // cover the full Rows window so selection-vector indexes apply directly.
+//
+// A batch over a frozen heap page (ResetImage) additionally carries the
+// page's PageImage: Col then returns the image's shared, immutable vector
+// instead of pivoting the rows again. The ownership contract is unchanged —
+// the window is still borrowed; only the pivot is cached.
 package vec
 
 import "softdb/internal/types"
@@ -46,12 +51,15 @@ func ClassOf(k types.Kind) Class {
 
 // Col is one extracted column: exactly one of Ints/Floats/Strs is populated
 // (per Class) over the full row window, with Nulls marking NULL positions.
+// HasNulls reports whether any position is NULL, so kernels can drop the
+// mask test from their loops on the (common) null-free column.
 type Col struct {
-	Class  Class
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Nulls  []bool
+	Class    Class
+	Ints     []int64
+	Floats   []float64
+	Strs     []string
+	Nulls    []bool
+	HasNulls bool
 
 	extracted bool
 	ok        bool
@@ -70,6 +78,8 @@ type Batch struct {
 	Owned bool
 
 	cols []Col
+	// img is the frozen page image Rows is the full window of, or nil.
+	img *PageImage
 }
 
 // Reset points the batch at a new row window, clearing the selection vector
@@ -78,10 +88,18 @@ func (b *Batch) Reset(rows []types.Row) {
 	b.Rows = rows
 	b.Sel = nil
 	b.Owned = false
+	b.img = nil
 	for i := range b.cols {
 		b.cols[i].extracted = false
 		b.cols[i].ok = false
 	}
+}
+
+// ResetImage is Reset for the full row window of a frozen heap page: columns
+// the image can serve are never extracted again. A nil img is plain Reset.
+func (b *Batch) ResetImage(rows []types.Row, img *PageImage) {
+	b.Reset(rows)
+	b.img = img
 }
 
 // Len reports the number of selected rows.
@@ -110,18 +128,26 @@ func (b *Batch) Truncate(n int) {
 	}
 	if b.Sel == nil {
 		b.Rows = b.Rows[:n]
+		b.img = nil // image vectors are built from the page's full window only
 		return
 	}
 	b.Sel = b.Sel[:n]
 }
 
 // Col extracts (on first use, cached per Reset window) column ord as the
-// given class. It returns nil when the ordinal is out of range, the class
-// is ClassNone, or any non-null datum in the window does not belong to the
-// class — callers must fall back to row-at-a-time evaluation then.
+// given class; over a frozen page it returns the page image's vector, which
+// is shared and must not be written. It returns nil when the ordinal is out
+// of range, the class is ClassNone, or any non-null datum in the window does
+// not belong to the class — callers must fall back to row-at-a-time
+// evaluation then.
 func (b *Batch) Col(ord int, want Class) *Col {
 	if want == ClassNone || ord < 0 {
 		return nil
+	}
+	if b.img != nil {
+		if c, known := b.img.col(b.Rows, ord, want); known {
+			return c
+		}
 	}
 	if ord >= len(b.cols) {
 		grown := make([]Col, ord+1)
@@ -154,6 +180,7 @@ func extract(c *Col, rows []types.Row, ord int, want Class) bool {
 		c.Nulls = c.Nulls[:n]
 		clear(c.Nulls)
 	}
+	c.HasNulls = false
 	switch want {
 	case ClassInt:
 		if cap(c.Ints) < n {
@@ -168,7 +195,7 @@ func extract(c *Col, rows []types.Row, ord int, want Class) bool {
 			d := row[ord]
 			switch d.Kind() {
 			case types.KindNull:
-				c.Nulls[i] = true
+				c.Nulls[i], c.HasNulls = true, true
 				c.Ints[i] = 0
 			case types.KindInt, types.KindDate, types.KindBool:
 				c.Ints[i] = d.IntImage()
@@ -189,7 +216,7 @@ func extract(c *Col, rows []types.Row, ord int, want Class) bool {
 			d := row[ord]
 			switch d.Kind() {
 			case types.KindNull:
-				c.Nulls[i] = true
+				c.Nulls[i], c.HasNulls = true, true
 				c.Floats[i] = 0
 			case types.KindFloat:
 				c.Floats[i] = d.Float()
@@ -210,7 +237,7 @@ func extract(c *Col, rows []types.Row, ord int, want Class) bool {
 			d := row[ord]
 			switch d.Kind() {
 			case types.KindNull:
-				c.Nulls[i] = true
+				c.Nulls[i], c.HasNulls = true, true
 				c.Strs[i] = ""
 			case types.KindString:
 				c.Strs[i] = d.Str()
