@@ -446,51 +446,6 @@ func BenchmarkE13VirtualColumn(b *testing.B) {
 	b.Run("virtual-column", run)
 }
 
-// BenchmarkP1Parallel compares serial against Parallel=8 execution of the
-// P1 workloads (filter scan, grouped aggregation, hash join) on one shared
-// star-schema database. Each parallel run must report exactly the pages of
-// its serial twin — the partitioned operators divide the work, they do not
-// change what is read. Wall-clock speedup tracks GOMAXPROCS; on a
-// single-core host the parallel variants only measure coordination
-// overhead.
-func BenchmarkP1Parallel(b *testing.B) {
-	db := openE()
-	if err := workload.LoadStar(db, workload.StarConfig{DimRows: 1000, FactRows: 200000, Seed: 7}); err != nil {
-		b.Fatal(err)
-	}
-	queries := []struct{ name, q string }{
-		{"filter-scan", "SELECT id, qty FROM fact WHERE qty > 25 AND price < 500.0"},
-		{"group-agg", "SELECT dim_id, COUNT(*) AS n, SUM(qty) AS total FROM fact GROUP BY dim_id"},
-		{"hash-join", "SELECT COUNT(*) AS n FROM fact, dim WHERE fact.dim_id = dim.id AND dim.category = 3"},
-	}
-	for _, qc := range queries {
-		db.Parallel = 1
-		ref, err := db.Exec(qc.q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, par := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%s/parallel=%d", qc.name, par), func(b *testing.B) {
-				db.Parallel = par
-				var pages int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := db.Exec(qc.q)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pages = res.Ctx.IO.PagesRead
-					if pages != ref.Ctx.IO.PagesRead || len(res.Rows) != len(ref.Rows) {
-						b.Fatalf("parallel=%d diverged from serial: pages %d vs %d, rows %d vs %d",
-							par, pages, ref.Ctx.IO.PagesRead, len(res.Rows), len(ref.Rows))
-					}
-				}
-				b.ReportMetric(float64(pages), "pages/op")
-			})
-		}
-	}
-}
-
 // BenchmarkObsOverhead measures what the observability layer costs the
 // query path (experiment O1). The off/ variants run with tracing disabled —
 // metrics counters and the query-log ring still update, which is the

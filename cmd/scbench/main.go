@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	scbench [-only E1,E5] [-list] [-parallel N] [-bench-json DIR]
+//	scbench [-only E1,E5] [-list] [-bench-json DIR]
 package main
 
 import (
@@ -26,10 +26,8 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	parallel := flag.Int("parallel", bench.ParallelDegree, "worker count for the parallel configurations (P1)")
 	benchJSON := flag.String("bench-json", "", "instead of the experiment tables, run `go test -bench=. -benchtime=5x -short`, write BENCH_<date>.json into this directory, and fail if the E1/E2/E4 optimized variants stop beating their baselines on pages/op, the V1 typed kernels stop beating the tree-walk, a V2 page scan over warm page images stops beating cold ones, the T1 reader p99 under write load degrades past 3x read-only, or a C1 plan-template rebind stops costing under half a cold plan")
 	flag.Parse()
-	bench.ParallelDegree = *parallel
 
 	if *benchJSON != "" {
 		if err := benchSnapshot(*benchJSON); err != nil {

@@ -13,8 +13,7 @@
 //	\trace         show the most recent query's trace
 //	\q             quit
 //
-// The -parallel N flag enables intra-query parallelism with up to N
-// workers. -debug-addr HOST:PORT starts an HTTP listener serving /metrics
+// -debug-addr HOST:PORT starts an HTTP listener serving /metrics
 // (Prometheus text format), /debug/queries (recent query traces),
 // /debug/constraints (the economy ledger as JSON), /debug/wal (durability
 // status) and /debug/pprof/* (live profiling).
@@ -92,7 +91,6 @@ func (is *interruptState) begin() (ctx context.Context, done func()) {
 }
 
 func main() {
-	parallel := flag.Int("parallel", 1, "maximum intra-query degree of parallelism (1 = serial)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/queries on this address")
 	slowQuery := flag.Duration("slow-query", 0, "log queries slower than this duration (0 = off)")
 	trace := flag.Bool("trace", false, "start with per-operator query tracing on")
@@ -138,7 +136,6 @@ func main() {
 	} else {
 		db = engine.Open()
 	}
-	db.Parallel = *parallel
 	db.NoPrune = *noPrune
 	db.NoBatch = *noBatch
 	db.StmtTimeout = *timeout

@@ -37,7 +37,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7654", "TCP listen address for the wire protocol (:0 = ephemeral)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/queries on this address")
-	parallel := flag.Int("parallel", 1, "default maximum intra-query degree of parallelism (1 = serial)")
 	noPrune := flag.Bool("no-prune", false, "disable synopsis-based page pruning by default")
 	noBatch := flag.Bool("no-batch", false, "disable vectorized (columnar-batch) execution by default")
 	timeout := flag.Duration("timeout", 0, "default per-statement deadline (0 = none)")
@@ -99,7 +98,6 @@ func main() {
 	} else {
 		db = engine.Open()
 	}
-	db.Parallel = *parallel
 	db.NoPrune = *noPrune
 	db.NoBatch = *noBatch
 	db.StmtTimeout = *timeout

@@ -123,7 +123,6 @@ func All() []Experiment {
 		{"E11", "ASC violation handling and plan-cache invalidation", func() (*Report, error) { return E11Violation(20000, 3) }},
 		{"E12", "AST routing and AST-based estimation", func() (*Report, error) { return E12ASTs(20000) }},
 		{"E13", "virtual-column statistics for expression predicates", func() (*Report, error) { return E13VirtualColumns(20000) }},
-		{"P1", "intra-query parallelism: serial vs parallel", func() (*Report, error) { return P1Parallel(200000) }},
 		{"P2", "zone-map page pruning from synopses and soft constraints", func() (*Report, error) { return P2Prune(20000) }},
 		{"R1", "query lifecycle: cancellation latency and context-check overhead", func() (*Report, error) { return R1Robustness(100000) }},
 		{"S1", "network server: concurrent clients, parity, load shedding", func() (*Report, error) { return S1Server(DefaultS1) }},

@@ -319,95 +319,6 @@ func TestDifferentialJoins(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallel runs generated filter, aggregate, and join
-// queries at Parallel=1 and Parallel=8 and requires identical sorted rows
-// and identical page/row accounting: partitioned operators divide the
-// work, they must not change what is read or produced. ParallelMinRows is
-// forced to 1 so the 400-row table actually gets parallel plans.
-func TestDifferentialParallel(t *testing.T) {
-	db, _ := diffDB(t, 111, 400)
-	db.ParallelMinRows = 1
-	db.MustExec("CREATE TABLE u (k INT NOT NULL, w INT)")
-	ue, _ := db.Catalog().Table("u")
-	r := rand.New(rand.NewSource(112))
-	for i := 0; i < 150; i++ {
-		if err := db.InsertRow(ue, types.Row{
-			types.NewInt(int64(r.Intn(50))), types.NewInt(int64(r.Intn(20)))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.MustExec("ANALYZE u")
-
-	runBoth := func(trial int, sel *sql.Select, desc string) {
-		t.Helper()
-		db.Parallel = 1
-		serial, err := db.ExecStmt(sel, "")
-		if err != nil {
-			t.Fatalf("trial %d serial: %s: %v", trial, desc, err)
-		}
-		db.Parallel = 8
-		par, err := db.ExecStmt(sel, "")
-		if err != nil {
-			t.Fatalf("trial %d parallel: %s: %v", trial, desc, err)
-		}
-		db.Parallel = 1
-		sRows, pRows := sortedKeys(serial.Rows), sortedKeys(par.Rows)
-		if len(sRows) != len(pRows) {
-			t.Fatalf("trial %d: %s: serial %d rows, parallel %d\nserial plan:\n%s\nparallel plan:\n%s",
-				trial, desc, len(sRows), len(pRows), serial.Plan, par.Plan)
-		}
-		for i := range sRows {
-			if sRows[i] != pRows[i] {
-				t.Fatalf("trial %d: %s: row %d differs: %s vs %s\nparallel plan:\n%s",
-					trial, desc, i, sRows[i], pRows[i], par.Plan)
-			}
-		}
-		if serial.Ctx.IO != par.Ctx.IO {
-			t.Fatalf("trial %d: %s: counters diverged: serial %+v, parallel %+v\nparallel plan:\n%s",
-				trial, desc, serial.Ctx.IO, par.Ctx.IO, par.Plan)
-		}
-	}
-
-	for trial := 0; trial < 120; trial++ {
-		switch trial % 3 {
-		case 0: // filter scan
-			pred := randPred(r, 3)
-			sel := &sql.Select{
-				Items: []sql.SelectItem{{Star: true}},
-				From:  []sql.TableRef{{Table: "t"}},
-				Where: pred,
-				Limit: -1,
-			}
-			runBoth(trial, sel, fmt.Sprintf("filter %s", pred))
-		case 1: // group aggregate
-			pred := randPred(r, 2)
-			groupCol := diffCols[r.Intn(3)].name
-			aggCol := diffCols[r.Intn(len(diffCols))].name
-			q := fmt.Sprintf(
-				"SELECT %s, COUNT(*) AS n, SUM(%s) AS s, MIN(%s) AS lo, MAX(%s) AS hi FROM t GROUP BY %s",
-				groupCol, aggCol, aggCol, aggCol, groupCol)
-			stmt, err := sql.Parse(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sel := stmt.(*sql.Select)
-			sel.Where = pred
-			runBoth(trial, sel, q)
-		default: // equi-join
-			lo := r.Intn(40)
-			hi := lo + r.Intn(15)
-			q := fmt.Sprintf(
-				"SELECT t.a, t.c, u.w FROM t, u WHERE t.a = u.k AND t.a >= %d AND t.a <= %d",
-				lo, hi)
-			stmt, err := sql.Parse(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runBoth(trial, stmt.(*sql.Select), q)
-		}
-	}
-}
-
 // TestDifferentialDML interleaves random inserts/updates/deletes with
 // queries and checks the visible state matches a shadow copy.
 func TestDifferentialDML(t *testing.T) {
@@ -529,19 +440,17 @@ func diffDBPrune(t *testing.T, seed int64, n int) *Database {
 }
 
 // TestDifferentialPrune runs generated queries through every combination of
-// {synopsis pruning on/off} × {page-batched emission on/off} under a
-// parallel executor and asserts two invariants. Answers must be identical
+// {synopsis pruning on/off} × {page-batched emission on/off} and asserts
+// two invariants. Answers must be identical
 // in all four configurations — pruning may only skip pages that provably
 // hold no qualifying row, and batching is a pure delivery change. And page
 // accounting must balance exactly: with indexes disabled both prune modes
-// lower to (parallel) sequential scans over the same heaps, so every page
+// lower to sequential scans over the same heaps, so every page
 // is either read or skipped — pagesRead(on) + pagesSkipped(on) ==
 // pagesRead(off), with pagesSkipped(off) == 0.
 func TestDifferentialPrune(t *testing.T) {
 	db := diffDBPrune(t, 131, 2000)
 	db.NoIndexes = true
-	db.ParallelMinRows = 1
-	db.Parallel = 8
 	db.MustExec("CREATE TABLE u (k INT NOT NULL, w INT)")
 	ue, _ := db.Catalog().Table("u")
 	r := rand.New(rand.NewSource(132))
@@ -566,59 +475,53 @@ func TestDifferentialPrune(t *testing.T) {
 	var totalSkipped int64
 	runAll := func(trial int, sel *sql.Select, desc string) {
 		t.Helper()
-		// Serial and parallel plans exercise distinct operators (SeqScan vs
-		// ParallelScan, HashJoin vs PartitionedHashJoin, ...); the four
-		// prune×batch configurations must agree under both.
-		for _, par := range []int{1, 8} {
-			db.Parallel = par
-			results := make([]*Result, len(cfgs))
-			for i, c := range cfgs {
-				db.NoPrune, db.NoBatch = c.noPrune, c.noBatch
-				res, err := db.ExecStmt(sel, "")
-				if err != nil {
-					t.Fatalf("trial %d [%s par=%d]: %s: %v", trial, c.name, par, desc, err)
-				}
-				results[i] = res
+		results := make([]*Result, len(cfgs))
+		for i, c := range cfgs {
+			db.NoPrune, db.NoBatch = c.noPrune, c.noBatch
+			res, err := db.ExecStmt(sel, "")
+			if err != nil {
+				t.Fatalf("trial %d [%s]: %s: %v", trial, c.name, desc, err)
 			}
-			db.NoPrune, db.NoBatch = false, false
-			ref := sortedKeys(results[0].Rows)
-			for i := 1; i < len(cfgs); i++ {
-				got := sortedKeys(results[i].Rows)
-				if len(got) != len(ref) {
-					t.Fatalf("trial %d [%s par=%d]: %s: %d rows, want %d\nplan:\n%s",
-						trial, cfgs[i].name, par, desc, len(got), len(ref), results[i].Plan)
-				}
-				for j := range got {
-					if got[j] != ref[j] {
-						t.Fatalf("trial %d [%s par=%d]: %s: row %d differs: %s vs %s\nplan:\n%s",
-							trial, cfgs[i].name, par, desc, j, got[j], ref[j], results[i].Plan)
-					}
+			results[i] = res
+		}
+		db.NoPrune, db.NoBatch = false, false
+		ref := sortedKeys(results[0].Rows)
+		for i := 1; i < len(cfgs); i++ {
+			got := sortedKeys(results[i].Rows)
+			if len(got) != len(ref) {
+				t.Fatalf("trial %d [%s]: %s: %d rows, want %d\nplan:\n%s",
+					trial, cfgs[i].name, desc, len(got), len(ref), results[i].Plan)
+			}
+			for j := range got {
+				if got[j] != ref[j] {
+					t.Fatalf("trial %d [%s]: %s: row %d differs: %s vs %s\nplan:\n%s",
+						trial, cfgs[i].name, desc, j, got[j], ref[j], results[i].Plan)
 				}
 			}
-			// Batching is a pure delivery change: within each prune mode the
-			// batched run must read and skip exactly what the row-at-a-time
-			// run did (no LIMIT in the corpus, so granularity cannot differ).
-			for p := 0; p < 2; p++ {
-				rowIO, batchIO := results[2*p].Ctx.IO.Load(), results[2*p+1].Ctx.IO.Load()
-				if rowIO != batchIO {
-					t.Fatalf("trial %d [par=%d prune=%v]: %s: batch accounting diverged: row-path %+v, batched %+v\nplan:\n%s",
-						trial, par, !cfgs[2*p].noPrune, desc, rowIO, batchIO, results[2*p+1].Plan)
-				}
+		}
+		// Batching is a pure delivery change: within each prune mode the
+		// batched run must read and skip exactly what the row-at-a-time
+		// run did (no LIMIT in the corpus, so granularity cannot differ).
+		for p := 0; p < 2; p++ {
+			rowIO, batchIO := results[2*p].Ctx.IO.Load(), results[2*p+1].Ctx.IO.Load()
+			if rowIO != batchIO {
+				t.Fatalf("trial %d [prune=%v]: %s: batch accounting diverged: row-path %+v, batched %+v\nplan:\n%s",
+					trial, !cfgs[2*p].noPrune, desc, rowIO, batchIO, results[2*p+1].Plan)
 			}
-			// Page accounting, per batch mode: indexes are off, so the prune
-			// toggle must not change the plan shape — only which pages get read.
-			for b := 0; b < 2; b++ {
-				off, on := results[b].Ctx.IO.Load(), results[b+2].Ctx.IO.Load()
-				if off.PagesSkipped != 0 {
-					t.Fatalf("trial %d: %s: pruning-off scan skipped %d pages\nplan:\n%s",
-						trial, desc, off.PagesSkipped, results[b].Plan)
-				}
-				if on.PagesRead+on.PagesSkipped != off.PagesRead {
-					t.Fatalf("trial %d [%s par=%d]: %s: read %d + skipped %d != baseline %d pages\nplan:\n%s",
-						trial, cfgs[b+2].name, par, desc, on.PagesRead, on.PagesSkipped, off.PagesRead, results[b+2].Plan)
-				}
-				totalSkipped += on.PagesSkipped
+		}
+		// Page accounting, per batch mode: indexes are off, so the prune
+		// toggle must not change the plan shape — only which pages get read.
+		for b := 0; b < 2; b++ {
+			off, on := results[b].Ctx.IO.Load(), results[b+2].Ctx.IO.Load()
+			if off.PagesSkipped != 0 {
+				t.Fatalf("trial %d: %s: pruning-off scan skipped %d pages\nplan:\n%s",
+					trial, desc, off.PagesSkipped, results[b].Plan)
 			}
+			if on.PagesRead+on.PagesSkipped != off.PagesRead {
+				t.Fatalf("trial %d [%s]: %s: read %d + skipped %d != baseline %d pages\nplan:\n%s",
+					trial, cfgs[b+2].name, desc, on.PagesRead, on.PagesSkipped, off.PagesRead, results[b+2].Plan)
+			}
+			totalSkipped += on.PagesSkipped
 		}
 	}
 

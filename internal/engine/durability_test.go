@@ -261,20 +261,18 @@ func durabilityWorkload() []wop {
 
 // --- the crash/recovery differential suite (ISSUE 6 satellite 1) -----------
 
-// runCrashDifferential drives the seeded workload against a durable
+// TestCrashRecoveryDifferential drives the seeded workload against a durable
 // database, hard-stops it (directory copy) at K seeded points, recovers each
 // copy, and requires the recovered state to be byte-identical — under
 // renderState — to an in-memory twin that executed the same statement
 // prefix and never crashed.
-func runCrashDifferential(t *testing.T, parallel int) {
-	t.Helper()
+func TestCrashRecoveryDifferential(t *testing.T) {
 	ops := durabilityWorkload()
 	dir := t.TempDir()
 	db, _, err := OpenDurable(dir, DurableOptions{SyncPolicy: wal.SyncNone, CheckpointEvery: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Parallel = parallel
 
 	rng := rand.New(rand.NewSource(1))
 	points := map[int]bool{}
@@ -300,7 +298,6 @@ func runCrashDifferential(t *testing.T, parallel int) {
 	}
 
 	twin := Open()
-	twin.Parallel = parallel
 	check := func(label, cdir string) {
 		t.Helper()
 		rec, rs, err := OpenDurable(cdir, DurableOptions{SyncPolicy: wal.SyncNone})
@@ -355,14 +352,6 @@ func runCrashDifferential(t *testing.T, parallel int) {
 	if got, want := renderState(reopened), renderState(twin); got != want {
 		t.Errorf("reopened state diverged from twin\n%s", firstDiff(want, got))
 	}
-}
-
-func TestCrashRecoveryDifferential(t *testing.T) {
-	runCrashDifferential(t, 1)
-}
-
-func TestCrashRecoveryDifferentialParallel(t *testing.T) {
-	runCrashDifferential(t, 4)
 }
 
 // --- recovered-constraint semantics (ISSUE 6 satellite 3) ------------------

@@ -358,7 +358,7 @@ func TestEconomySurfacesAgree(t *testing.T) {
 	}
 }
 
-// TestEconomyLedgerConcurrent runs parallel scans, DML write hooks, and a
+// TestEconomyLedgerConcurrent runs concurrent scans, DML write hooks, and a
 // faulting refresh-retry loop against one database and then checks the
 // ledger's exact arithmetic: counters from disjoint activities must land on
 // their own constraints with no lost or misattributed credits. Run with

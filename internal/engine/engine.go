@@ -44,8 +44,6 @@ type Result struct {
 	Trace []string
 	// Notices carries soft-constraint events (e.g. "ASC xyz deactivated").
 	Notices []string
-	// Degree is the plan's chosen maximum degree of parallelism (queries).
-	Degree int
 	// CacheHit reports whether the plan came from the plan cache.
 	CacheHit bool
 	// Events are the plan-time soft-constraint consultations.
@@ -106,8 +104,6 @@ type cachedPlan struct {
 	shadowDeltas map[string]float64
 	// events are the plan-time soft-constraint consultations.
 	events []obs.Event
-	// degree is the plan's maximum degree of parallelism.
-	degree int
 	// backup is the §4.1 alternative plan compiled with every soft rule
 	// disabled; it stays valid across soft-constraint churn (same hard
 	// version) and is reverted to instead of recompiling.
@@ -128,7 +124,7 @@ type cachedPlan struct {
 //     timestamp is stamped and published.
 //   - DDL, ANALYZE, checkpoints and recovery take the exclusive lock.
 //
-// Configuration fields (RewriteOpts, Parallel, the No* toggles) are read
+// Configuration fields (RewriteOpts, the No* toggles) are read
 // without synchronization — set them before sharing the database across
 // goroutines. Mutating the catalog directly through Catalog() (miners, the
 // soft-constraint manager) is not covered by these locks; quiesce queries
@@ -181,16 +177,10 @@ type Database struct {
 	// (the O2 overhead baseline). The ledger's existing counters keep their
 	// values; they just stop moving.
 	NoEconomy bool
-	// Parallel is the maximum intra-query degree of parallelism; <= 1
-	// (the default) plans serial operators only.
-	Parallel int
-	// ParallelMinRows overrides the optimizer's estimated-cardinality
-	// threshold for going parallel; 0 means the default.
-	ParallelMinRows float64
 	// MemBudget caps, per query, the bytes of rows its blocking operators
-	// (Sort, hash-join builds, hash aggregation, Distinct, merge-join
-	// materialization) may buffer; exceeding it aborts that query with an
-	// "oom" QueryError. 0 means unlimited.
+	// (Sort, hash-join builds, hash aggregation, Distinct) may buffer;
+	// exceeding it aborts that query with an "oom" QueryError. 0 means
+	// unlimited.
 	MemBudget int64
 	// StmtTimeout is the default per-statement deadline applied when the
 	// caller's context carries none; 0 means no default deadline.
@@ -430,12 +420,11 @@ func (db *Database) admit(ctx context.Context) (release func(), err error) {
 // non-empty, enables plan caching for selects; it must be the statement's
 // SQL text (as written, or its sql.Print rendering): the cache is keyed by
 // the text's shape, and on a miss the text is what gets compiled. SELECT
-// and EXPLAIN take the shared lock so concurrent readers proceed in
-// parallel; every other
-// statement mutates engine state and takes the exclusive lock. When the
-// database has a StmtTimeout and ctx carries no deadline, the timeout is
-// applied; the admission gate (MaxConcurrent) is crossed before any lock
-// is taken.
+// and EXPLAIN take the shared lock so concurrent readers proceed side by
+// side; every other statement mutates engine state and takes the exclusive
+// lock. When the database has a StmtTimeout and ctx carries no deadline,
+// the timeout is applied; the admission gate (MaxConcurrent) is crossed
+// before any lock is taken.
 func (db *Database) ExecStmtCtx(ctx context.Context, stmt sql.Statement, cacheKey string) (*Result, error) {
 	return db.execStmtCtx(ctx, stmt, cacheKey, db.defaultSettings(), nil)
 }
@@ -596,8 +585,6 @@ func (db *Database) optimizer(st Settings) *opt.Optimizer {
 		NoASTEstimation: db.NoASTEstimation,
 		NoPrune:         st.NoPrune,
 		NoBatch:         st.NoBatch,
-		Parallel:        st.Parallel,
-		ParallelMinRows: st.ParallelMinRows,
 	}
 }
 
@@ -804,7 +791,6 @@ func (db *Database) explainResult(entry *cachedPlan, fp *stmtPrint) *Result {
 		line("event: " + e.String())
 	}
 	line(fmt.Sprintf("estimated rows: %.1f, cost: %.1f", entry.estRows, entry.estCost))
-	line(fmt.Sprintf("parallel degree: %d", entry.degree))
 	line("plan cache: " + db.cachePeek(fp) + " " + entry.cacheNote())
 	return &Result{
 		Columns: []string{"plan"},
@@ -813,7 +799,6 @@ func (db *Database) explainResult(entry *cachedPlan, fp *stmtPrint) *Result {
 		EstCost: entry.estCost,
 		Plan:    entry.planText,
 		Trace:   entry.trace,
-		Degree:  entry.degree,
 		Events:  entry.events,
 	}
 }
@@ -902,7 +887,6 @@ func (db *Database) planSelect(sel *sql.Select, st Settings, po planOpts) (*cach
 		trace:        rw.Trace,
 		events:       append(append([]obs.Event(nil), rw.Events...), result.Events...),
 		nodes:        nodeEstimates(result.Root, result.NodeRows, result.NodeInformed),
-		degree:       exec.MaxDegree(result.Root),
 		literalBound: firstNonEmpty(b.LiteralBound, rw.LiteralBound, result.LiteralBound),
 	}
 	// Keep format and arguments only of the texts a rebind has to render
@@ -1007,8 +991,7 @@ func (db *Database) execute(ctx context.Context, entry *cachedPlan, sqlText stri
 	io := ectx.IO.Load()
 	t := &obs.Trace{
 		SQL: sqlText, Start: start, Duration: dur,
-		Degree: entry.degree, CacheHit: cacheHit,
-		Session: sess, Shape: entry.shapeID,
+		CacheHit: cacheHit, Session: sess, Shape: entry.shapeID,
 		Root: span, Events: entry.events,
 		EstRows: entry.estRows, EstCost: entry.estCost,
 		ActualRows: int64(len(rows)), PagesRead: io.PagesRead,
@@ -1033,7 +1016,6 @@ func (db *Database) execute(ctx context.Context, entry *cachedPlan, sqlText stri
 		EstCost:  entry.estCost,
 		Plan:     entry.planText,
 		Trace:    entry.trace,
-		Degree:   entry.degree,
 		CacheHit: cacheHit,
 		Events:   entry.events,
 	}, nil
@@ -1057,8 +1039,7 @@ func (db *Database) explainAnalyze(ctx context.Context, entry *cachedPlan, sqlTe
 	state := terminalState(err)
 	t := &obs.Trace{
 		SQL: sqlText, Start: start, Duration: dur,
-		Degree: entry.degree, CacheHit: hit,
-		Session: sess, Shape: entry.shapeID,
+		CacheHit: hit, Session: sess, Shape: entry.shapeID,
 		Root: span, Events: entry.events,
 		EstRows: entry.estRows, EstCost: entry.estCost,
 		ActualRows: int64(len(resRows)), PagesRead: io.PagesRead,
@@ -1091,7 +1072,6 @@ func (db *Database) explainAnalyze(ctx context.Context, entry *cachedPlan, sqlTe
 	}
 	line(fmt.Sprintf("estimated rows: %.1f, cost: %.1f", entry.estRows, entry.estCost))
 	line(fmt.Sprintf("actual rows: %d, elapsed: %s, pages: %d, skipped: %d", len(resRows), dur, io.PagesRead, io.PagesSkipped))
-	line(fmt.Sprintf("parallel degree: %d", entry.degree))
 	line("terminal state: " + state)
 	line("plan cache: " + cacheStatus)
 	return &Result{
@@ -1102,7 +1082,6 @@ func (db *Database) explainAnalyze(ctx context.Context, entry *cachedPlan, sqlTe
 		EstCost:  entry.estCost,
 		Plan:     entry.planText,
 		Trace:    entry.trace,
-		Degree:   entry.degree,
 		CacheHit: hit,
 		Events:   entry.events,
 	}, nil

@@ -21,8 +21,8 @@ import (
 // an injected fault; no crash, no deadlock, no stranded goroutine.
 
 // faultQueries exercises every operator family the lifecycle instruments:
-// serial and parallel scans, index scans, sorts, hash aggregation, hash
-// join, and distinct.
+// sequential and index scans, sorts, hash aggregation, hash join, and
+// distinct.
 var faultQueries = []string{
 	"SELECT COUNT(*) AS n FROM big WHERE v > 3",
 	"SELECT id, v FROM big WHERE v = 7",
@@ -32,8 +32,8 @@ var faultQueries = []string{
 	"SELECT id FROM big WHERE v >= 90 ORDER BY id DESC LIMIT 10",
 }
 
-// fingerprint renders a result order-insensitively, so parallel plans
-// compare equal to serial ones.
+// fingerprint renders a result order-insensitively, so a faulted run is
+// compared by content alone.
 func fingerprint(res *Result) string {
 	lines := make([]string, 0, len(res.Rows))
 	for _, row := range res.Rows {
@@ -79,10 +79,9 @@ func checkFaultedResult(t *testing.T, label string, res *Result, err error, base
 }
 
 // TestFaultDifferential is the main fault-injection run: three fault
-// mixes, several seeds each, serial and parallel execution.
+// mixes, several seeds each.
 func TestFaultDifferential(t *testing.T) {
 	db := lifecycleDB(t, 3000)
-	db.ParallelMinRows = 1
 
 	baselines := make([]string, len(faultQueries))
 	for i, q := range faultQueries {
@@ -104,21 +103,18 @@ func TestFaultDifferential(t *testing.T) {
 	}
 	start := runtime.NumGoroutine()
 	okRuns, faulted := 0, 0
-	for _, parallel := range []int{1, 4} {
-		db.Parallel = parallel
-		for ci, cfg := range configs {
-			for _, seed := range seeds {
-				cfg.Seed = seed
-				db.Fault = fault.New(cfg)
-				for i, q := range faultQueries {
-					label := fmt.Sprintf("parallel=%d cfg=%d seed=%d query=%d", parallel, ci, seed, i)
-					res, err := db.ExecCtx(nil, q)
-					checkFaultedResult(t, label, res, err, baselines[i])
-					if err == nil {
-						okRuns++
-					} else {
-						faulted++
-					}
+	for ci, cfg := range configs {
+		for _, seed := range seeds {
+			cfg.Seed = seed
+			db.Fault = fault.New(cfg)
+			for i, q := range faultQueries {
+				label := fmt.Sprintf("cfg=%d seed=%d query=%d", ci, seed, i)
+				res, err := db.ExecCtx(nil, q)
+				checkFaultedResult(t, label, res, err, baselines[i])
+				if err == nil {
+					okRuns++
+				} else {
+					faulted++
 				}
 			}
 		}
@@ -131,7 +127,7 @@ func TestFaultDifferential(t *testing.T) {
 	if faulted == 0 {
 		t.Error("no query hit any fault; fault rates too cold to test the error path")
 	}
-	// Faulted queries (including recovered panics) must not strand workers.
+	// Faulted queries (including recovered panics) must not strand goroutines.
 	if n, ok := numGoroutinesSettled(start); !ok {
 		t.Fatalf("goroutines leaked across fault sweep: %d before, %d after", start, n)
 	}

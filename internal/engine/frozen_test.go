@@ -62,12 +62,11 @@ func analyzeText(t *testing.T, db *Database, sel *sql.Select) string {
 }
 
 // TestFrozenDifferentialColdWarm re-runs the four-configuration prune×batch
-// corpus, serial and parallel, once with every image cold and once warm:
+// corpus once with every image cold and once warm:
 // rows, headers, every counter and the EXPLAIN ANALYZE text must be equal.
 func TestFrozenDifferentialColdWarm(t *testing.T) {
 	db := diffDBPrune(t, 131, 2000)
 	db.NoIndexes = true
-	db.ParallelMinRows = 1
 	db.MustExec("CREATE TABLE u (k INT NOT NULL, w INT)")
 	ue, _ := db.Catalog().Table("u")
 	r := rand.New(rand.NewSource(132))
@@ -110,52 +109,46 @@ func TestFrozenDifferentialColdWarm(t *testing.T) {
 		default:
 			sel = parse(fmt.Sprintf("SELECT COUNT(*) AS n, SUM(d) AS s, MAX(b) AS m FROM t WHERE c > %d", r.Intn(10)), false)
 		}
-		for _, par := range []int{1, 8} {
-			for _, cfg := range []struct{ noPrune, noBatch bool }{{true, true}, {true, false}, {false, true}, {false, false}} {
-				db.Parallel, db.NoPrune, db.NoBatch = par, cfg.noPrune, cfg.noBatch
-				name := fmt.Sprintf("trial %d par=%d prune=%v batch=%v", trial, par, !cfg.noPrune, !cfg.noBatch)
-				run := func(cold bool) (*Result, string) {
-					if cold {
-						thawAll(db)
-					}
-					res, err := db.ExecStmt(sel, "")
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if cold {
-						thawAll(db)
-					}
-					return res, analyzeText(t, db, sel)
+		for _, cfg := range []struct{ noPrune, noBatch bool }{{true, true}, {true, false}, {false, true}, {false, false}} {
+			db.NoPrune, db.NoBatch = cfg.noPrune, cfg.noBatch
+			name := fmt.Sprintf("trial %d prune=%v batch=%v", trial, !cfg.noPrune, !cfg.noBatch)
+			run := func(cold bool) (*Result, string) {
+				if cold {
+					thawAll(db)
 				}
-				cold, coldText := run(true)
-				warm, warmText := run(false)
-				if got, want := sortedKeys(warm.Rows), sortedKeys(cold.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
-					t.Fatalf("%s: warm images changed the answer (%d vs %d rows)\n%s", name, len(got), len(want), cold.Plan)
+				res, err := db.ExecStmt(sel, "")
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				if strings.Join(warm.Columns, ",") != strings.Join(cold.Columns, ",") {
-					t.Fatalf("%s: headers %v vs %v", name, warm.Columns, cold.Columns)
+				if cold {
+					thawAll(db)
 				}
-				if cold.Ctx.IO != warm.Ctx.IO || cold.Ctx.ShortCircuits != warm.Ctx.ShortCircuits ||
-					cold.Ctx.HashProbes != warm.Ctx.HashProbes {
-					t.Fatalf("%s: accounting cold %+v sc=%d probes=%d, warm %+v sc=%d probes=%d\n%s", name,
-						cold.Ctx.IO, cold.Ctx.ShortCircuits, cold.Ctx.HashProbes,
-						warm.Ctx.IO, warm.Ctx.ShortCircuits, warm.Ctx.HashProbes, cold.Plan)
-				}
-				// Sort comparisons depend on arrival order, which a worker
-				// pool does not fix; serial plans must match to the unit.
-				if par == 1 {
-					if cold.Ctx.Comparisons != warm.Ctx.Comparisons {
-						t.Fatalf("%s: comparisons cold %d, warm %d", name, cold.Ctx.Comparisons, warm.Ctx.Comparisons)
-					}
-					if coldText != warmText {
-						t.Fatalf("%s: EXPLAIN ANALYZE differs\ncold:\n%s\nwarm:\n%s", name, coldText, warmText)
-					}
-				}
-				totalFrozen += warm.Ctx.IO.PagesFrozen
+				return res, analyzeText(t, db, sel)
 			}
+			cold, coldText := run(true)
+			warm, warmText := run(false)
+			if got, want := sortedKeys(warm.Rows), sortedKeys(cold.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
+				t.Fatalf("%s: warm images changed the answer (%d vs %d rows)\n%s", name, len(got), len(want), cold.Plan)
+			}
+			if strings.Join(warm.Columns, ",") != strings.Join(cold.Columns, ",") {
+				t.Fatalf("%s: headers %v vs %v", name, warm.Columns, cold.Columns)
+			}
+			if cold.Ctx.IO != warm.Ctx.IO || cold.Ctx.ShortCircuits != warm.Ctx.ShortCircuits ||
+				cold.Ctx.HashProbes != warm.Ctx.HashProbes {
+				t.Fatalf("%s: accounting cold %+v sc=%d probes=%d, warm %+v sc=%d probes=%d\n%s", name,
+					cold.Ctx.IO, cold.Ctx.ShortCircuits, cold.Ctx.HashProbes,
+					warm.Ctx.IO, warm.Ctx.ShortCircuits, warm.Ctx.HashProbes, cold.Plan)
+			}
+			if cold.Ctx.Comparisons != warm.Ctx.Comparisons {
+				t.Fatalf("%s: comparisons cold %d, warm %d", name, cold.Ctx.Comparisons, warm.Ctx.Comparisons)
+			}
+			if coldText != warmText {
+				t.Fatalf("%s: EXPLAIN ANALYZE differs\ncold:\n%s\nwarm:\n%s", name, coldText, warmText)
+			}
+			totalFrozen += warm.Ctx.IO.PagesFrozen
 		}
 	}
-	db.Parallel, db.NoPrune, db.NoBatch = 1, false, false
+	db.NoPrune, db.NoBatch = false, false
 	if totalFrozen == 0 {
 		t.Fatal("no scan ever read a frozen page")
 	}

@@ -215,39 +215,34 @@ func TestAdmissionGate(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicIsolation: injected panics in scan workers surface as a
-// typed panic QueryError (never a crash), increment the recovered-panic
-// counter, and leave the engine healthy for the next statement.
+// TestWorkerPanicIsolation: an injected panic in a scan surfaces as a typed
+// panic QueryError (never a crash), increments the recovered-panic counter,
+// and leaves the engine healthy for the next statement.
 func TestWorkerPanicIsolation(t *testing.T) {
 	db := lifecycleDB(t, 2000)
-	db.Parallel = 4
-	db.ParallelMinRows = 1
-	for _, parallel := range []int{1, 4} {
-		db.Parallel = parallel
-		db.Fault = fault.New(fault.Config{PanicProb: 1})
-		before := counterValue(db, mWorkerPanics)
-		_, err := db.Exec("SELECT COUNT(*) AS n FROM big WHERE v > 3")
-		qe := wantKind(t, err, exec.KindPanic)
-		if !strings.Contains(qe.Error(), "injected panic") {
-			t.Errorf("parallel=%d: panic QueryError lost the panic value: %v", parallel, qe)
-		}
-		if qe.Stack == "" {
-			t.Errorf("parallel=%d: panic QueryError carries no stack", parallel)
-		}
-		if got := counterValue(db, mWorkerPanics); got <= before {
-			t.Errorf("parallel=%d: %s did not increase", parallel, mWorkerPanics)
-		}
-		if s := db.QueryLog().Recent(1); len(s) == 0 || s[0].State != string(exec.KindPanic) {
-			t.Errorf("parallel=%d: trace state after panic: %+v", parallel, s)
-		}
-		db.Fault = nil
-		res, err := db.Exec("SELECT COUNT(*) AS n FROM big")
-		if err != nil {
-			t.Fatalf("parallel=%d: engine poisoned after recovered panic: %v", parallel, err)
-		}
-		if got := res.Rows[0][0].Int(); got != 2000 {
-			t.Fatalf("parallel=%d: wrong rows after recovered panic: count=%d", parallel, got)
-		}
+	db.Fault = fault.New(fault.Config{PanicProb: 1})
+	before := counterValue(db, mWorkerPanics)
+	_, err := db.Exec("SELECT COUNT(*) AS n FROM big WHERE v > 3")
+	qe := wantKind(t, err, exec.KindPanic)
+	if !strings.Contains(qe.Error(), "injected panic") {
+		t.Errorf("panic QueryError lost the panic value: %v", qe)
+	}
+	if qe.Stack == "" {
+		t.Error("panic QueryError carries no stack")
+	}
+	if got := counterValue(db, mWorkerPanics); got <= before {
+		t.Errorf("%s did not increase", mWorkerPanics)
+	}
+	if s := db.QueryLog().Recent(1); len(s) == 0 || s[0].State != string(exec.KindPanic) {
+		t.Errorf("trace state after panic: %+v", s)
+	}
+	db.Fault = nil
+	res, err := db.Exec("SELECT COUNT(*) AS n FROM big")
+	if err != nil {
+		t.Fatalf("engine poisoned after recovered panic: %v", err)
+	}
+	if got := res.Rows[0][0].Int(); got != 2000 {
+		t.Fatalf("wrong rows after recovered panic: count=%d", got)
 	}
 }
 
@@ -321,12 +316,10 @@ func numGoroutinesSettled(baseline int) (int, bool) {
 	}
 }
 
-// TestCancelLeavesNoGoroutines: canceled parallel queries must not strand
-// scan workers — the goroutine count returns to its pre-test baseline.
+// TestCancelLeavesNoGoroutines: canceled queries must not strand
+// goroutines — the count returns to its pre-test baseline.
 func TestCancelLeavesNoGoroutines(t *testing.T) {
 	db := lifecycleDB(t, 3000)
-	db.Parallel = 8
-	db.ParallelMinRows = 1
 	db.Fault = fault.New(fault.Config{SlowProb: 0.5, SlowDelay: time.Millisecond})
 	baseline := runtime.NumGoroutine()
 	r := rand.New(rand.NewSource(31))
@@ -353,8 +346,6 @@ func TestCancelLeavesNoGoroutines(t *testing.T) {
 func TestCancelStress(t *testing.T) {
 	const n = 3000
 	db := lifecycleDB(t, n)
-	db.Parallel = 4
-	db.ParallelMinRows = 1
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -30,7 +29,6 @@ const (
 	mCacheLitBound = "softdb_plan_cache_literal_bound_total"
 	mCacheEvicted  = "softdb_plan_cache_evictions_total"
 	mRewriteFires  = "softdb_rewrite_fires_total"
-	mParallelQs    = "softdb_parallel_queries_total"
 	mASCViolations = "softdb_asc_violations_total"
 	mCorrDrops     = "softdb_correlation_drops_total"
 	mHolesRetired  = "softdb_holes_retired_total"
@@ -130,7 +128,6 @@ func (db *Database) initObs() {
 	r.Describe(mCacheLitBound, "counter", "Plans compiled literal-bound (cached for their own literal vector only), by the deciding rule.")
 	r.Describe(mCacheEvicted, "counter", "Literal-bound plans evicted at the per-shape cap.")
 	r.Describe(mRewriteFires, "counter", "Semantic rewrite rule firings by kind.")
-	r.Describe(mParallelQs, "counter", "Queries executed with a parallel plan, by degree.")
 	r.Describe(mASCViolations, "counter", "Absolute soft constraints deactivated by violating writes.")
 	r.Describe(mCorrDrops, "counter", "Absolute linear correlations dropped by violating writes.")
 	r.Describe(mHolesRetired, "counter", "Join holes retired by the §4.3 synchronous repair.")
@@ -146,7 +143,7 @@ func (db *Database) initObs() {
 	r.Describe(mQueriesCanceled, "counter", "Queries terminated by context cancellation.")
 	r.Describe(mQueriesTimedOut, "counter", "Queries terminated by deadline expiry.")
 	r.Describe(mMemBudgetRejected, "counter", "Queries aborted for exceeding the per-query memory budget.")
-	r.Describe(mWorkerPanics, "counter", "Operator or worker panics recovered into query errors.")
+	r.Describe(mWorkerPanics, "counter", "Operator panics recovered into query errors.")
 	r.Describe(mWALBytes, "counter", "Bytes appended to the write-ahead log.")
 	r.Describe(mWALFsyncs, "counter", "Fsyncs the write-ahead log performed.")
 	r.Describe(mCheckpoints, "counter", "Checkpoint snapshots written.")
@@ -281,9 +278,6 @@ func (db *Database) observeQuery(t *obs.Trace) {
 	case exec.KindMemBudget:
 		o.memBudgetRejected.Inc()
 	}
-	if t.Degree > 1 {
-		o.metrics.Counter(mParallelQs, "degree", strconv.Itoa(t.Degree)).Inc()
-	}
 	if t.PagesSkipped > 0 {
 		o.pagesSkipped.Add(t.PagesSkipped)
 	}
@@ -315,7 +309,6 @@ func (db *Database) observeQuery(t *obs.Trace) {
 			"pages", t.PagesRead,
 			"pages_skipped", t.PagesSkipped,
 			"pages_frozen", t.PagesFrozen,
-			"degree", t.Degree,
 			"cache_hit", t.CacheHit,
 			"slow", t.Slow,
 			"state", t.State,

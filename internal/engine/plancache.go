@@ -36,16 +36,14 @@ import (
 const maxVariants = 64
 
 // shapeKey identifies a cache slot. Only the knobs that shape the compiled
-// physical plan or its delivery participate — the degree of parallelism and
-// the prune and batch toggles — so concurrent sessions with different knob
-// sets never share a plan. The lifecycle knobs (MemBudget, StmtTimeout,
-// MaxConcurrent, Fault) act at run time on any compiled plan; keying on
-// them would only fragment the cache.
+// physical plan or its delivery participate — the prune and batch toggles —
+// so concurrent sessions with different knob sets never share a plan. The
+// lifecycle knobs (MemBudget, StmtTimeout, MaxConcurrent, Fault) act at run
+// time on any compiled plan; keying on them would only fragment the cache.
 type shapeKey struct {
-	shape    string
-	parallel int
-	noPrune  bool
-	noBatch  bool
+	shape   string
+	noPrune bool
+	noBatch bool
 }
 
 // stmtPrint is one statement's cache identity.
@@ -61,7 +59,7 @@ type stmtPrint struct {
 
 // printOf fingerprints a SELECT text under the statement's settings.
 func printOf(text string, st Settings) stmtPrint {
-	fp := stmtPrint{key: shapeKey{parallel: st.Parallel, noPrune: st.NoPrune, noBatch: st.NoBatch}}
+	fp := stmtPrint{key: shapeKey{noPrune: st.NoPrune, noBatch: st.NoBatch}}
 	if fp.key.shape, fp.lits, fp.shaped = sql.Fingerprint(text); !fp.shaped {
 		fp.whole = text
 	}

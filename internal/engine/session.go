@@ -11,18 +11,12 @@ import (
 )
 
 // Settings are the per-statement execution knobs a session may override.
-// Zero values mean what they mean on Database (serial, pruning on, batched,
+// Zero values mean what they mean on Database (pruning on, batched,
 // unlimited budget, no deadline). Settings participate in the plan-cache
-// key only where they shape the compiled plan (Parallel, NoPrune, NoBatch);
+// key only where they shape the compiled plan (NoPrune, NoBatch);
 // the lifecycle knobs (MemBudget, StmtTimeout) act at run time on any
 // compiled plan.
 type Settings struct {
-	// Parallel is the maximum intra-query degree of parallelism; <= 1
-	// plans serial operators only.
-	Parallel int
-	// ParallelMinRows overrides the optimizer's estimated-cardinality
-	// threshold for going parallel; 0 means the default.
-	ParallelMinRows float64
 	// NoPrune disables synopsis-based page pruning end to end.
 	NoPrune bool
 	// NoBatch disables page-batched row emission.
@@ -40,12 +34,10 @@ type Settings struct {
 // before sharing the database across goroutines.
 func (db *Database) defaultSettings() Settings {
 	return Settings{
-		Parallel:        db.Parallel,
-		ParallelMinRows: db.ParallelMinRows,
-		NoPrune:         db.NoPrune,
-		NoBatch:         db.NoBatch,
-		MemBudget:       db.MemBudget,
-		StmtTimeout:     db.StmtTimeout,
+		NoPrune:     db.NoPrune,
+		NoBatch:     db.NoBatch,
+		MemBudget:   db.MemBudget,
+		StmtTimeout: db.StmtTimeout,
 	}
 }
 
@@ -68,7 +60,6 @@ type Session struct {
 	// snapshot and stage writes into it.
 	cur *Tx
 	// Overrides; nil means "inherit the database default".
-	parallel    *int
 	noPrune     *bool
 	noBatch     *bool
 	memBudget   *int64
@@ -122,9 +113,6 @@ func (s *Session) Settings() Settings {
 	st := s.db.defaultSettings()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.parallel != nil {
-		st.Parallel = *s.parallel
-	}
 	if s.noPrune != nil {
 		st.NoPrune = *s.noPrune
 	}
@@ -153,7 +141,6 @@ func parseOnOff(value string) (bool, error) {
 
 // Set assigns one session setting by name. The names mirror the CLI flags:
 //
-//	parallel    N          maximum intra-query degree of parallelism
 //	prune       on|off     synopsis-based page pruning
 //	batch       on|off     page-batched row emission
 //	mem_budget  BYTES      per-query buffered-row budget (0 = unlimited)
@@ -167,16 +154,6 @@ func (s *Session) Set(name, value string) error {
 	defer s.mu.Unlock()
 	reset := value == "default"
 	switch name {
-	case "parallel":
-		if reset {
-			s.parallel = nil
-			return nil
-		}
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 0 {
-			return fmt.Errorf("engine: setting parallel wants a non-negative integer, got %q", value)
-		}
-		s.parallel = &n
 	case "prune":
 		if reset {
 			s.noPrune = nil
@@ -220,7 +197,7 @@ func (s *Session) Set(name, value string) error {
 		}
 		s.stmtTimeout = &d
 	default:
-		return fmt.Errorf("engine: unknown setting %q (want parallel, prune, batch, mem_budget, timeout)", name)
+		return fmt.Errorf("engine: unknown setting %q (want prune, batch, mem_budget, timeout)", name)
 	}
 	return nil
 }
@@ -244,7 +221,6 @@ func (s *Session) Describe() []string {
 		return "on"
 	}
 	return []string{
-		fmt.Sprintf("parallel = %d%s", st.Parallel, mark(s.parallel != nil)),
 		fmt.Sprintf("prune = %s%s", onOff(st.NoPrune), mark(s.noPrune != nil)),
 		fmt.Sprintf("batch = %s%s", onOff(st.NoBatch), mark(s.noBatch != nil)),
 		fmt.Sprintf("mem_budget = %d%s", st.MemBudget, mark(s.memBudget != nil)),

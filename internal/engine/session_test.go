@@ -15,16 +15,16 @@ import (
 // default, overrides stick, and "default" clears them again.
 func TestSessionSettingsLayering(t *testing.T) {
 	db := Open()
-	db.Parallel = 3
+	db.NoBatch = true
 	db.MemBudget = 1024
 	s := db.NewSession("conn-1")
 
 	st := s.Settings()
-	if st.Parallel != 3 || st.MemBudget != 1024 || st.NoPrune || st.NoBatch {
+	if !st.NoBatch || st.MemBudget != 1024 || st.NoPrune {
 		t.Fatalf("fresh session should inherit defaults: %+v", st)
 	}
 	for _, kv := range [][2]string{
-		{"parallel", "1"}, {"prune", "off"}, {"batch", "off"},
+		{"prune", "off"}, {"batch", "on"},
 		{"mem_budget", "2048"}, {"timeout", "250ms"},
 	} {
 		if err := s.Set(kv[0], kv[1]); err != nil {
@@ -32,24 +32,24 @@ func TestSessionSettingsLayering(t *testing.T) {
 		}
 	}
 	st = s.Settings()
-	if st.Parallel != 1 || !st.NoPrune || !st.NoBatch || st.MemBudget != 2048 || st.StmtTimeout != 250*time.Millisecond {
+	if !st.NoPrune || st.NoBatch || st.MemBudget != 2048 || st.StmtTimeout != 250*time.Millisecond {
 		t.Fatalf("overrides not applied: %+v", st)
 	}
 	// The database default still reaches knobs the session resets.
-	if err := s.Set("parallel", "default"); err != nil {
+	if err := s.Set("batch", "default"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Settings().Parallel; got != 3 {
-		t.Fatalf("reset parallel should follow the default again: %d", got)
+	if !s.Settings().NoBatch {
+		t.Fatal("reset batch should follow the default (off) again")
 	}
 	desc := strings.Join(s.Describe(), "\n")
-	if !strings.Contains(desc, "mem_budget = 2048 (session)") || !strings.Contains(desc, "parallel = 3\n") {
+	if !strings.Contains(desc, "mem_budget = 2048 (session)") || !strings.Contains(desc, "batch = off\n") {
 		t.Fatalf("Describe should mark overrides:\n%s", desc)
 	}
 
 	// Bad input errors without mutating.
 	for _, kv := range [][2]string{
-		{"parallel", "-1"}, {"parallel", "x"}, {"prune", "maybe"},
+		{"prune", "maybe"}, {"batch", "2"},
 		{"mem_budget", "-5"}, {"timeout", "later"}, {"no_such", "1"},
 	} {
 		if err := s.Set(kv[0], kv[1]); err == nil {
@@ -59,22 +59,16 @@ func TestSessionSettingsLayering(t *testing.T) {
 }
 
 // TestSessionPlanCacheIsolation: concurrent sessions with different
-// plan-shaping knob sets (parallel/prune/batch) must not share plan-cache
+// plan-shaping knob sets (prune/batch) must not share plan-cache
 // entries, while lifecycle knobs (mem_budget, timeout) must not fragment
 // the cache. Extends the PR4 planCacheKey rule to session-layered
 // settings.
 func TestSessionPlanCacheIsolation(t *testing.T) {
 	db := pruneDB(t, 4000, false)
-	db.Parallel = 1
-	db.ParallelMinRows = 1
 
 	const q = "SELECT a, b FROM t WHERE a >= 100 AND a <= 140"
 
-	serial := db.NewSession("serial")
-	par := db.NewSession("par")
-	if err := par.Set("parallel", "4"); err != nil {
-		t.Fatal(err)
-	}
+	plain := db.NewSession("plain")
 	noPrune := db.NewSession("noprune")
 	if err := noPrune.Set("prune", "off"); err != nil {
 		t.Fatal(err)
@@ -85,19 +79,9 @@ func TestSessionPlanCacheIsolation(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	rSerial, err := serial.ExecCtx(ctx, q)
+	rPlain, err := plain.ExecCtx(ctx, q)
 	if err != nil {
 		t.Fatal(err)
-	}
-	rPar, err := par.ExecCtx(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rPar.CacheHit {
-		t.Fatal("parallel session must not hit the serial session's cache entry")
-	}
-	if rSerial.Degree != 1 || rPar.Degree <= 1 {
-		t.Fatalf("degrees: serial %d, parallel %d", rSerial.Degree, rPar.Degree)
 	}
 	rNoPrune, err := noPrune.ExecCtx(ctx, q)
 	if err != nil {
@@ -109,7 +93,7 @@ func TestSessionPlanCacheIsolation(t *testing.T) {
 	if io := rNoPrune.Ctx.IO.Load(); io.PagesSkipped != 0 {
 		t.Fatalf("prune=off session skipped pages: %+v", io)
 	}
-	if io := rSerial.Ctx.IO.Load(); io.PagesSkipped == 0 {
+	if io := rPlain.Ctx.IO.Load(); io.PagesSkipped == 0 {
 		t.Fatalf("default session should prune: %+v", io)
 	}
 	rNoBatch, err := noBatch.ExecCtx(ctx, q)
@@ -119,18 +103,18 @@ func TestSessionPlanCacheIsolation(t *testing.T) {
 	if rNoBatch.CacheHit {
 		t.Fatal("no-batch session must not hit a batched session's entry")
 	}
-	if got := db.CachedPlanCount(); got != 4 {
-		t.Fatalf("4 knob sets should compile 4 entries, got %d", got)
+	if got := db.CachedPlanCount(); got != 3 {
+		t.Fatalf("3 knob sets should compile 3 entries, got %d", got)
 	}
-	// All four agree on the answer.
-	for _, r := range []*Result{rPar, rNoPrune, rNoBatch} {
-		if len(r.Rows) != len(rSerial.Rows) {
-			t.Fatalf("row counts diverged across sessions: %d vs %d", len(r.Rows), len(rSerial.Rows))
+	// All three agree on the answer.
+	for _, r := range []*Result{rNoPrune, rNoBatch} {
+		if len(r.Rows) != len(rPlain.Rows) {
+			t.Fatalf("row counts diverged across sessions: %d vs %d", len(r.Rows), len(rPlain.Rows))
 		}
 	}
 
 	// Lifecycle knobs do NOT fragment: a session differing only in budget
-	// and timeout hits the serial session's entry.
+	// and timeout hits the plain session's entry.
 	budget := db.NewSession("budget")
 	if err := budget.Set("mem_budget", "1048576"); err != nil {
 		t.Fatal(err)
@@ -145,12 +129,12 @@ func TestSessionPlanCacheIsolation(t *testing.T) {
 	if !rBudget.CacheHit {
 		t.Fatal("lifecycle-only overrides must share the plan-cache entry")
 	}
-	if got := db.CachedPlanCount(); got != 4 {
+	if got := db.CachedPlanCount(); got != 3 {
 		t.Fatalf("lifecycle knobs fragmented the cache: %d entries", got)
 	}
 
 	// Re-execution from each session hits its own entry.
-	for _, s := range []*Session{serial, par, noPrune, noBatch} {
+	for _, s := range []*Session{plain, noPrune, noBatch} {
 		r, err := s.ExecCtx(ctx, q)
 		if err != nil {
 			t.Fatal(err)
@@ -166,8 +150,6 @@ func TestSessionPlanCacheIsolation(t *testing.T) {
 // that every session keeps observing its own knobs).
 func TestSessionConcurrentKnobs(t *testing.T) {
 	db := pruneDB(t, 4000, false)
-	db.Parallel = 1
-	db.ParallelMinRows = 1
 	const q = "SELECT a, b FROM t WHERE a >= 100 AND a <= 140"
 
 	type check func(t *testing.T, r *Result)
@@ -184,14 +166,9 @@ func TestSessionConcurrentKnobs(t *testing.T) {
 		s     *Session
 		check check
 	}{
-		{mk("w-serial", nil), func(t *testing.T, r *Result) {
-			if r.Degree != 1 {
-				t.Errorf("serial session got degree %d", r.Degree)
-			}
-		}},
-		{mk("w-par", [][2]string{{"parallel", "4"}}), func(t *testing.T, r *Result) {
-			if r.Degree <= 1 {
-				t.Errorf("parallel session got degree %d", r.Degree)
+		{mk("w-plain", nil), func(t *testing.T, r *Result) {
+			if io := r.Ctx.IO.Load(); io.PagesSkipped == 0 {
+				t.Error("default session skipped no pages")
 			}
 		}},
 		{mk("w-noprune", [][2]string{{"prune", "off"}}), func(t *testing.T, r *Result) {
@@ -230,8 +207,31 @@ func TestSessionConcurrentKnobs(t *testing.T) {
 	if len(rowCounts) != 1 {
 		t.Fatalf("sessions disagreed on the answer: row counts %v", rowCounts)
 	}
-	if got := db.CachedPlanCount(); got != 4 {
-		t.Fatalf("expected exactly 4 cache entries, got %d", got)
+	if got := db.CachedPlanCount(); got != 3 {
+		t.Fatalf("expected exactly 3 cache entries, got %d", got)
+	}
+}
+
+// TestSessionRejectsParallelSetting: intra-query parallelism is gone, so
+// SET parallel is an unknown setting like any other — it errors, changes
+// nothing, and leaves the session usable.
+func TestSessionRejectsParallelSetting(t *testing.T) {
+	db := pruneDB(t, 400, false)
+	s := db.NewSession("conn-1")
+	before := s.Describe()
+	err := s.Set("parallel", "4")
+	if err == nil || !strings.Contains(err.Error(), `unknown setting "parallel"`) {
+		t.Fatalf("SET parallel = 4: got %v, want an unknown-setting error", err)
+	}
+	if after := s.Describe(); strings.Join(after, "\n") != strings.Join(before, "\n") {
+		t.Fatalf("rejected SET changed the settings:\n%v\n%v", before, after)
+	}
+	res, err := s.ExecCtx(context.Background(), "SELECT COUNT(*) AS n FROM t")
+	if err != nil {
+		t.Fatalf("session unusable after a rejected SET: %v", err)
+	}
+	if got := res.Rows[0][0].Int(); got != 400 {
+		t.Fatalf("count after rejected SET = %d, want 400", got)
 	}
 }
 

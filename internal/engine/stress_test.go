@@ -20,8 +20,6 @@ import (
 // primary-key conflicts cannot mask synchronization bugs.
 func TestConcurrentSessions(t *testing.T) {
 	db := Open()
-	db.Parallel = 4
-	db.ParallelMinRows = 1
 	runConcurrentSessions(t, db)
 }
 
@@ -31,8 +29,6 @@ func TestConcurrentSessions(t *testing.T) {
 // this is the observability layer's concurrency proof.
 func TestConcurrentSessionsTraced(t *testing.T) {
 	db := Open()
-	db.Parallel = 4
-	db.ParallelMinRows = 1
 	db.SetTracing(true)
 	db.SetSlowQueryThreshold(1)
 	db.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
@@ -109,7 +105,7 @@ func runConcurrentSessions(t *testing.T, db *Database) {
 		}(g)
 	}
 
-	// Readers: selects (serial and parallel plans), EXPLAIN, stats reads.
+	// Readers: selects, EXPLAIN, stats reads.
 	// Cache hit+miss totals must be monotone across observations.
 	for g := 0; g < readers; g++ {
 		wg.Add(1)

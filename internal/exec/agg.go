@@ -70,26 +70,6 @@ func (a *accumulator) add(v types.Datum) error {
 	return nil
 }
 
-// merge folds another accumulator of the same kind into a. Parallel
-// aggregation computes per-partition partials and merges them; merging is
-// exact for every aggregate kind (COUNT/SUM add, MIN/MAX compare, DISTINCT
-// union) and charges no counters, so partial+merge matches a serial run.
-func (a *accumulator) merge(o *accumulator) {
-	a.count += o.count
-	a.sum += o.sum
-	a.isInt = a.isInt && o.isInt
-	a.seen = a.seen || o.seen
-	if a.min.IsNull() || (!o.min.IsNull() && o.min.Compare(a.min) < 0) {
-		a.min = o.min
-	}
-	if a.max.IsNull() || (!o.max.IsNull() && o.max.Compare(a.max) > 0) {
-		a.max = o.max
-	}
-	for k := range o.distinct {
-		a.distinct[k] = true
-	}
-}
-
 func (a *accumulator) result() types.Datum {
 	switch a.kind {
 	case sql.AggCount, sql.AggCountStar:
@@ -142,8 +122,7 @@ type aggGroup struct {
 	accs []*accumulator
 }
 
-// aggTable accumulates groups for one HashAggregate run (or one parallel
-// partition of it).
+// aggTable accumulates groups for one HashAggregate run.
 type aggTable struct {
 	groups map[string]*aggGroup
 	order  []string
@@ -340,8 +319,8 @@ type aggArg struct {
 
 // batchFolder holds one RunBatch invocation's folding state. Fast-path
 // groups accumulate here and convert into the aggTable in finish, so
-// emitGroups (ordering, scalar identity row, parallel merge shape) is
-// shared with the row path unchanged.
+// emitGroups (ordering, scalar identity row) is shared with the row path
+// unchanged.
 type batchFolder struct {
 	h    *HashAggregate
 	mode aggFoldMode
@@ -755,7 +734,7 @@ func (bf *batchFolder) foldIntKey(ctx *Ctx, b *vec.Batch, t *aggTable) error {
 
 // finish converts fast-path groups into the aggTable under the same string
 // keys foldRow would have used (the Row.Key of the hashed column alone), so
-// ordering, parallel merging and any later row-mode folding agree.
+// ordering and any later row-mode folding agree.
 func (bf *batchFolder) finish(t *aggTable) error {
 	if bf.mode != foldIntKey {
 		return nil

@@ -195,21 +195,21 @@ func shortCircuitSource(preds []plan.PrunePred, syn *storage.PageSynopsis) strin
 	return "filter"
 }
 
-// scanPageLoop is the vectorized scan kernel shared by SeqScan.RunBatch and
-// ParallelScan partitions: one batch per heap page, filtered through a
-// compiled predicate program with page-synopsis short-circuits. A page every
-// filter stage is provably TRUE for skips per-row evaluation entirely — the
-// dual of page skipping — and its rows are credited as short-circuited
-// under the proving predicate's source.
-func scanPageLoop(op string, heap *storage.Heap, pageLo, pageHi int,
-	filter []expr.Expr, prune []plan.PrunePred, ctx *Ctx, emit func(*vec.Batch) bool) error {
+// scanPageLoop is SeqScan.RunBatch's vectorized scan kernel: one batch per
+// heap page, filtered through a compiled predicate program with
+// page-synopsis short-circuits. A page every filter stage is provably TRUE
+// for skips per-row evaluation entirely — the dual of page skipping — and
+// its rows are credited as short-circuited under the proving predicate's
+// source.
+func scanPageLoop(op string, heap *storage.Heap, filter []expr.Expr, prune []plan.PrunePred,
+	ctx *Ctx, emit func(*vec.Batch) bool) error {
 	skip := makeSkipper(prune, ctx.Skips)
 	prog := expr.CompilePredicate(filter)
 	pr := progRunner{prog: prog}
 	var batch vec.Batch
 	var runErr error
 	snap, tid := ctx.snapView()
-	heap.ScanPagesAt(pageLo, pageHi, snap, tid, &ctx.IO, skip, func(rows []types.Row, syn *storage.PageSynopsis, img *vec.PageImage) bool {
+	heap.ScanPagesAt(0, int(heap.PageCount()), snap, tid, &ctx.IO, skip, func(rows []types.Row, syn *storage.PageSynopsis, img *vec.PageImage) bool {
 		if err := ctx.checkpoint(op); err != nil {
 			runErr = err
 			return false

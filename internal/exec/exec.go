@@ -5,11 +5,11 @@
 // query's Ctx so benchmarks can report pages and rows exactly as the
 // paper's cost arguments do.
 //
-// Emit contract: Run always invokes emit from a single goroutine at a time,
-// even for the parallel operators in parallel.go, so downstream operators
-// need no synchronization of their own. Counter updates, in contrast, go
-// through the atomic Ctx/storage.Counters methods because parallel workers
-// charge a shared Ctx concurrently.
+// Emit contract: a plan runs on the calling goroutine — this package starts
+// none — so emit is never invoked concurrently and downstream operators need
+// no synchronization of their own. Counter updates still go through the
+// atomic Ctx/storage.Counters methods: uncontended they cost little, and a
+// reader on another goroutine is never a data race.
 package exec
 
 import (
@@ -42,19 +42,18 @@ type Ctx struct {
 
 	// Skips, when set, attributes each pruned page to the prune predicate
 	// that proved the skip; the engine flushes it into the per-constraint
-	// economy ledger after the query. The pointer is shared down the
-	// Child() tree, so worker totals need no merge step.
+	// economy ledger after the query.
 	Skips *SkipRecorder
 
 	// Shorts, when set, attributes short-circuited rows to the prune
 	// predicate source whose characterization proved the page
-	// all-qualifying; shared down the Child() tree like Skips.
+	// all-qualifying.
 	Shorts *SkipRecorder
 
 	// Snap and TID fix the query's MVCC view: every scan reads the versions
 	// visible at snapshot Snap to transaction TID. Snap 0 means the latest
-	// committed state. Set once before the query runs and copied down the
-	// Child() tree; never mutated during execution.
+	// committed state. Set once before the query runs; never mutated during
+	// execution.
 	Snap int64
 	TID  int64
 
@@ -73,17 +72,6 @@ func (c *Ctx) AddProbes(n int64) { atomic.AddInt64(&c.HashProbes, n) }
 
 // AddShortCircuits atomically charges n filter short-circuited rows.
 func (c *Ctx) AddShortCircuits(n int64) { atomic.AddInt64(&c.ShortCircuits, n) }
-
-// Merge atomically accumulates a worker's private counters into c. Parallel
-// operators give each worker its own Ctx and merge on completion so the
-// parent totals are exact without per-touch contention on shared cache
-// lines.
-func (c *Ctx) Merge(w *Ctx) {
-	c.IO.Add(w.IO.Load())
-	c.AddComparisons(atomic.LoadInt64(&w.Comparisons))
-	c.AddProbes(atomic.LoadInt64(&w.HashProbes))
-	c.AddShortCircuits(atomic.LoadInt64(&w.ShortCircuits))
-}
 
 // snapView resolves the Ctx's snapshot fields into the stamps storage
 // expects, mapping the zero Snap to "latest committed".
@@ -194,7 +182,7 @@ func (s *SeqScan) BatchCapable() bool { return true }
 // RunBatch implements BatchOperator.
 func (s *SeqScan) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	op := "SeqScan " + s.Table
-	return scanPageLoop(op, s.Heap, 0, int(s.Heap.PageCount()), s.Filter, s.Prune, ctx, emit)
+	return scanPageLoop(op, s.Heap, s.Filter, s.Prune, ctx, emit)
 }
 
 // Describe implements Operator.

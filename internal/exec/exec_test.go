@@ -214,24 +214,6 @@ func TestHashJoinResidual(t *testing.T) {
 	}
 }
 
-func TestMergeJoin(t *testing.T) {
-	left := &Values{Rows: intRows(1, 2, 2, 5)}
-	right := &Values{Rows: intRows(2, 2, 3, 5)}
-	j := &MergeJoin{Left: left, Right: right, LeftKey: col(0), RightKey: col(0)}
-	rows := collect(t, j)
-	// key 2: 2x2 = 4 pairs; key 5: 1 pair.
-	if len(rows) != 5 {
-		t.Fatalf("merge join: %v", rows)
-	}
-	counts := map[int64]int{}
-	for _, r := range rows {
-		counts[r[0].Int()]++
-	}
-	if counts[2] != 4 || counts[5] != 1 {
-		t.Errorf("merge join runs: %v", counts)
-	}
-}
-
 func TestHashAggregate(t *testing.T) {
 	src := &Values{Rows: []types.Row{
 		{types.NewInt(1), types.NewInt(10)},

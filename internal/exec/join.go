@@ -76,7 +76,7 @@ func (j *NestedLoopJoin) Inputs() []Operator { return []Operator{j.Outer, j.Inne
 // conjuncts still see the full concatenated row.
 type HashJoin struct {
 	Left, Right        Operator
-	LeftKeys, RightKey []expr.Expr // parallel key expressions on each side
+	LeftKeys, RightKey []expr.Expr // paired key expressions, one per side
 	Residual           []expr.Expr
 	Proj               []int
 }
@@ -431,15 +431,6 @@ func (j *HashJoin) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	return err
 }
 
-// rowsMemSize totals the memory footprint of a materialized row set.
-func rowsMemSize(rows []types.Row) int64 {
-	var n int64
-	for _, r := range rows {
-		n += r.MemSize()
-	}
-	return n
-}
-
 // projectOrds materializes the named ordinals of a row as a fresh row.
 func projectOrds(row types.Row, ords []int) types.Row {
 	out := make(types.Row, len(ords))
@@ -486,105 +477,3 @@ func (j *HashJoin) Describe() string {
 
 // Inputs implements Operator.
 func (j *HashJoin) Inputs() []Operator { return []Operator{j.Left, j.Right} }
-
-// MergeJoin merge-joins two inputs already sorted on their single join
-// keys. It materializes both sides (our operators are push-based), so its
-// advantage here is the comparison count, which the cost model tracks.
-type MergeJoin struct {
-	Left, Right       Operator
-	LeftKey, RightKey expr.Expr
-	Residual          []expr.Expr
-}
-
-// Run implements Operator.
-func (j *MergeJoin) Run(ctx *Ctx, emit func(types.Row) bool) error {
-	lrows, err := Collect(j.Left, ctx)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Reserve("MergeJoin", rowsMemSize(lrows)); err != nil {
-		return err
-	}
-	rrows, err := Collect(j.Right, ctx)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Reserve("MergeJoin", rowsMemSize(rrows)); err != nil {
-		return err
-	}
-	lkeys := make([]types.Datum, len(lrows))
-	for i, r := range lrows {
-		v, err := j.LeftKey.Eval(r)
-		if err != nil {
-			return err
-		}
-		lkeys[i] = v
-	}
-	rkeys := make([]types.Datum, len(rrows))
-	for i, r := range rrows {
-		v, err := j.RightKey.Eval(r)
-		if err != nil {
-			return err
-		}
-		rkeys[i] = v
-	}
-	li, ri := 0, 0
-	for li < len(lrows) && ri < len(rrows) {
-		ctx.AddComparisons(1)
-		lv, rv := lkeys[li], rkeys[ri]
-		if lv.IsNull() {
-			li++
-			continue
-		}
-		if rv.IsNull() {
-			ri++
-			continue
-		}
-		c := lv.Compare(rv)
-		switch {
-		case c < 0:
-			li++
-		case c > 0:
-			ri++
-		default:
-			// Emit the cross product of the equal runs.
-			lj := li
-			for lj < len(lrows) && lkeys[lj].Compare(lv) == 0 {
-				lj++
-			}
-			rj := ri
-			for rj < len(rrows) && rkeys[rj].Compare(rv) == 0 {
-				rj++
-			}
-			for a := li; a < lj; a++ {
-				for b := ri; b < rj; b++ {
-					joined := lrows[a].Concat(rrows[b])
-					ok, err := evalFilters(j.Residual, joined)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						continue
-					}
-					if !emit(joined) {
-						return nil
-					}
-				}
-			}
-			li, ri = lj, rj
-		}
-	}
-	return nil
-}
-
-// Describe implements Operator.
-func (j *MergeJoin) Describe() string {
-	d := fmt.Sprintf("MergeJoin on %s=%s", j.LeftKey, j.RightKey)
-	if len(j.Residual) > 0 {
-		d += " residual=" + expr.And(j.Residual...).String()
-	}
-	return d
-}
-
-// Inputs implements Operator.
-func (j *MergeJoin) Inputs() []Operator { return []Operator{j.Left, j.Right} }

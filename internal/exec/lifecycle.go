@@ -21,7 +21,7 @@ const (
 	KindTimeout ErrKind = "timeout"
 	// KindMemBudget: the query exceeded its buffered-row memory budget.
 	KindMemBudget ErrKind = "oom"
-	// KindPanic: a panicking operator (or worker goroutine) was recovered.
+	// KindPanic: a panicking operator was recovered.
 	KindPanic ErrKind = "panic"
 	// KindError: an ordinary runtime error (type error, injected storage
 	// fault, ...).
@@ -135,9 +135,8 @@ func PanicError(op string, r any) *QueryError {
 
 // lifecycle is the shared, per-query lifecycle state: the cancellation
 // signal, the buffered-row memory budget, the panic-recovery hook, and the
-// fault injector. Worker Ctxs created with Child share their parent's
-// lifecycle, so the budget and the cancel signal are query-global while
-// counters stay per-worker.
+// fault injector. It lives behind a pointer so a quiesced Ctx stays
+// copyable.
 type lifecycle struct {
 	done    <-chan struct{}
 	cause   func() error
@@ -150,8 +149,8 @@ type lifecycle struct {
 // CtxOptions configures a query's lifecycle.
 type CtxOptions struct {
 	// MemBudget caps the bytes of rows the query's blocking operators
-	// (Sort, hash join builds, hash aggregation, Distinct, merge-join
-	// materialization) may buffer; 0 means unlimited.
+	// (Sort, hash join builds, hash aggregation, Distinct) may buffer; 0
+	// means unlimited.
 	MemBudget int64
 	// OnPanic, when set, is invoked (with the attributed operator) every
 	// time a recover() boundary converts a panic; the engine counts these.
@@ -187,14 +186,6 @@ func NewCtx(ctx context.Context, o CtxOptions) *Ctx {
 		fault:   o.Fault,
 	}
 	return c
-}
-
-// Child returns a Ctx with fresh counters sharing c's lifecycle and skip
-// recorder. Parallel operators give each worker a Child so cancellation,
-// the memory budget, fault injection, and skip attribution stay
-// query-global while counter merges stay exact.
-func (c *Ctx) Child() *Ctx {
-	return &Ctx{life: c.life, Skips: c.Skips, Shorts: c.Shorts, Snap: c.Snap, TID: c.TID}
 }
 
 // checkpoint is the per-page (or per-batch) lifecycle check every data
@@ -248,8 +239,8 @@ func (c *Ctx) MemReserved() int64 {
 
 // recoverPanic converts a panic on the calling goroutine into a
 // KindPanic QueryError written to *errp, and fires the OnPanic hook.
-// Intended as `defer ctx.recoverPanic(op, &err)` in every worker
-// goroutine; when no panic is in flight it leaves *errp untouched.
+// Intended as `defer ctx.recoverPanic(op, &err)` at a recover() boundary;
+// when no panic is in flight it leaves *errp untouched.
 func (c *Ctx) recoverPanic(op string, errp *error) {
 	r := recover()
 	if r == nil {
@@ -263,8 +254,8 @@ func (c *Ctx) recoverPanic(op string, errp *error) {
 
 // Guard runs f, converting a panic into a QueryError attributed to op —
 // the engine-boundary recover() that keeps a poisoned serial plan from
-// crashing the process. Worker goroutines have their own recovery; Guard
-// covers everything that runs on the calling goroutine.
+// crashing the process. Plans run on the calling goroutine, so one Guard
+// at the engine boundary covers every operator.
 func Guard(c *Ctx, op string, f func() error) (err error) {
 	defer c.recoverPanic(op, &err)
 	return f()

@@ -36,10 +36,6 @@ func Rebind(op Operator, lits []types.Datum) (Operator, bool) {
 		c := *t
 		c.Filter, c.Prune = expr.BindAll(t.Filter, lits), bindPrune(t.Prune, lits)
 		return &c, true
-	case *ParallelScan:
-		c := *t
-		c.Filter, c.Prune = expr.BindAll(t.Filter, lits), bindPrune(t.Prune, lits)
-		return &c, true
 	case *IndexScan:
 		c := *t
 		c.Lo, c.Hi = bindBound(t.Lo, t.LoFrom, lits), bindBound(t.Hi, t.HiFrom, lits)
@@ -58,15 +54,7 @@ func Rebind(op Operator, lits []types.Datum) (Operator, bool) {
 	case *HashJoin:
 		c.LeftKeys, c.RightKey = expr.BindAll(c.LeftKeys, lits), expr.BindAll(c.RightKey, lits)
 		c.Residual = expr.BindAll(c.Residual, lits)
-	case *PartitionedHashJoin:
-		c.LeftKeys, c.RightKey = expr.BindAll(c.LeftKeys, lits), expr.BindAll(c.RightKey, lits)
-		c.Residual = expr.BindAll(c.Residual, lits)
-	case *MergeJoin:
-		c.LeftKey, c.RightKey = expr.Bind(c.LeftKey, lits), expr.Bind(c.RightKey, lits)
-		c.Residual = expr.BindAll(c.Residual, lits)
 	case *HashAggregate:
-		c.GroupBy, c.Aggs = expr.BindAll(c.GroupBy, lits), bindAggs(c.Aggs, lits)
-	case *ParallelHashAggregate:
 		c.GroupBy, c.Aggs = expr.BindAll(c.GroupBy, lits), bindAggs(c.Aggs, lits)
 	case *Limit, *Distinct, *Sort, *UnionAll:
 	default:

@@ -11,8 +11,7 @@ import (
 )
 
 // buildRerunTrees returns named operator trees covering scan, filter,
-// both join flavors, and aggregation — serial and parallel variants —
-// over the same two heaps.
+// both join flavors, and aggregation over the same two heaps.
 func buildRerunTrees(t *testing.T) map[string]Operator {
 	t.Helper()
 	outer := testHeap(t, 500)
@@ -27,9 +26,6 @@ func buildRerunTrees(t *testing.T) map[string]Operator {
 		expr.NewBinary(expr.OpMul, expr.NewBinary(expr.OpDiv, col(0), iconst(10)), iconst(10)))}
 	return map[string]Operator{
 		"seqscan": &SeqScan{Table: "t", Heap: outer, Filter: []expr.Expr{
-			expr.NewBinary(expr.OpLt, col(0), iconst(100)),
-		}},
-		"parallelscan": &ParallelScan{Table: "t", Heap: outer, Workers: 4, Filter: []expr.Expr{
 			expr.NewBinary(expr.OpLt, col(0), iconst(100)),
 		}},
 		"filter": &Filter{
@@ -47,23 +43,10 @@ func buildRerunTrees(t *testing.T) map[string]Operator {
 			LeftKeys: []expr.Expr{col(0)},
 			RightKey: []expr.Expr{col(0)},
 		},
-		"partitioned-hash-join": &PartitionedHashJoin{
-			Left:     &ParallelScan{Table: "u", Heap: inner, Workers: 4},
-			Right:    &ParallelScan{Table: "t", Heap: outer, Workers: 4},
-			LeftKeys: []expr.Expr{col(0)},
-			RightKey: []expr.Expr{col(0)},
-			Workers:  4,
-		},
 		"hash-aggregate": &HashAggregate{
 			Input:   &SeqScan{Table: "t", Heap: outer},
 			GroupBy: groupBy,
 			Aggs:    aggs,
-		},
-		"parallel-hash-aggregate": &ParallelHashAggregate{
-			Input:   &ParallelScan{Table: "t", Heap: outer, Workers: 4},
-			GroupBy: groupBy,
-			Aggs:    aggs,
-			Workers: 4,
 		},
 		"agg-over-join": &HashAggregate{
 			Input: &HashJoin{
@@ -107,8 +90,7 @@ func TestOperatorsAreReRunnable(t *testing.T) {
 	}
 }
 
-// rowKeys renders a sorted multiset fingerprint of rows (parallel trees
-// may emit in any order).
+// rowKeys renders a sorted multiset fingerprint of rows.
 func rowKeys(rows []types.Row) string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {
@@ -123,77 +105,5 @@ func sortStrings(s []string) {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
-	}
-}
-
-// TestParallelMatchesSerial checks that each parallel operator produces
-// the same row multiset and identical page/row charges as its serial twin.
-func TestParallelMatchesSerial(t *testing.T) {
-	trees := buildRerunTrees(t)
-	pairs := [][2]string{
-		{"seqscan", "parallelscan"},
-		{"hash-join", "partitioned-hash-join"},
-		{"hash-aggregate", "parallel-hash-aggregate"},
-	}
-	for _, p := range pairs {
-		t.Run(p[1], func(t *testing.T) {
-			sctx, pctx := &Ctx{}, &Ctx{}
-			srows, err := Collect(trees[p[0]], sctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prows, err := Collect(trees[p[1]], pctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := rowKeys(prows), rowKeys(srows); got != want {
-				t.Errorf("parallel rows diverged from serial:\nserial:   %s\nparallel: %s", want, got)
-			}
-			if sctx.IO != pctx.IO {
-				t.Errorf("IO diverged: serial %+v, parallel %+v", sctx.IO, pctx.IO)
-			}
-			if sctx.HashProbes != pctx.HashProbes {
-				t.Errorf("probes diverged: serial %d, parallel %d", sctx.HashProbes, pctx.HashProbes)
-			}
-		})
-	}
-}
-
-// TestSplitRange checks the contiguous page partitioning is exhaustive and
-// disjoint for awkward sizes.
-func TestSplitRange(t *testing.T) {
-	for _, tc := range [][2]int{{1, 1}, {5, 4}, {4, 5}, {100, 7}, {8, 8}} {
-		n, parts := tc[0], tc[1]
-		next := 0
-		for p := 0; p < parts; p++ {
-			lo, hi := splitRange(n, parts, p)
-			if lo != next {
-				t.Fatalf("n=%d parts=%d part=%d: lo=%d want %d", n, parts, p, lo, next)
-			}
-			if hi < lo {
-				t.Fatalf("n=%d parts=%d part=%d: hi=%d < lo=%d", n, parts, p, hi, lo)
-			}
-			next = hi
-		}
-		if next != n {
-			t.Fatalf("n=%d parts=%d: covered %d", n, parts, next)
-		}
-	}
-}
-
-// TestSerializeDemotesParallelLeaves checks the NLJ-side transform.
-func TestSerializeDemotesParallelLeaves(t *testing.T) {
-	h := testHeap(t, 10)
-	op := &Filter{
-		Input: &ParallelScan{Table: "t", Heap: h, Workers: 4},
-		Conds: []expr.Expr{expr.NewBinary(expr.OpGt, col(0), iconst(1))},
-	}
-	got := Serialize(op)
-	f, ok := got.(*Filter)
-	if !ok {
-		t.Fatalf("Serialize returned %T", got)
-	}
-	if _, ok := f.Input.(*SeqScan); !ok {
-		t.Fatalf("parallel scan not demoted: %T", f.Input)
 	}
 }

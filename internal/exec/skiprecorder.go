@@ -5,8 +5,7 @@ import "sync"
 // SkipRecorder attributes pruned pages to the prune-predicate source that
 // proved them skippable — "filter" for the query's own sargable conjuncts,
 // or a constraint/correlation/hole-set catalog name. One recorder serves a
-// whole query: serial scans, parallel partition workers, and nested-loop
-// re-runs all share it (the Ctx.Child tree propagates the pointer), so the
+// whole query — every scan and every nested-loop re-run shares it — so the
 // engine can flush exact per-constraint totals into the economy ledger
 // after the query quiesces.
 //

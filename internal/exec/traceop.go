@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"softdb/internal/obs"
+	"softdb/internal/storage"
 	"softdb/internal/types"
 	"softdb/internal/vec"
 )
@@ -14,9 +15,6 @@ import (
 // the optimizer's row estimate for an original plan node so EXPLAIN ANALYZE
 // can print estimated vs. actual side by side.
 //
-// The wrappers preserve the PartitionedOperator contract — a wrapped
-// partitioned child still reports its partitions and serves RunPartition —
-// so instrumented parallel plans keep their parallel execution strategy.
 // Operators are stateless across runs; Instrument builds fresh wrappers
 // around shared (plan-cached) operators, so concurrent queries can
 // instrument the same plan independently.
@@ -59,47 +57,23 @@ func InstrumentInformed(root Operator, est func(Operator) (float64, bool), infor
 	return wrap(root)
 }
 
-// MaxDegree reports the largest worker count any operator in the tree would
-// use; 1 means a fully serial plan.
-func MaxDegree(op Operator) int {
-	deg := 1
-	var walk func(Operator)
-	walk = func(o Operator) {
-		w := 0
-		switch t := o.(type) {
-		case *spanOp:
-			walk(t.inner)
-			return
-		case *ParallelScan:
-			w = t.Workers
-		case *PartitionedHashJoin:
-			w = t.Workers
-		case *ParallelHashAggregate:
-			w = t.Workers
-		}
-		if w > deg {
-			deg = w
-		}
-		for _, c := range o.Inputs() {
-			walk(c)
-		}
-	}
-	walk(op)
-	return deg
-}
-
 // spanOp measures one operator. Figures are inclusive of the subtree the
-// wrapped Run drives, and cumulative across calls (nested-loop re-runs) and
-// partition workers, which is why every accumulation is atomic.
+// wrapped Run drives, and cumulative across calls (nested-loop re-runs).
 type spanOp struct {
 	inner Operator
 	node  *obs.SpanNode
 }
 
 func (s *spanOp) Run(ctx *Ctx, emit func(types.Row) bool) error {
-	return s.measure(ctx, func(wctx *Ctx, wemit func(types.Row) bool) error {
-		return s.inner.Run(wctx, wemit)
-	}, emit)
+	before := ctx.IO.Load()
+	start := time.Now()
+	var rows int64
+	err := s.inner.Run(ctx, func(r types.Row) bool {
+		rows++
+		return emit(r)
+	})
+	s.record(ctx, before, start, rows)
+	return err
 }
 
 // BatchCapable implements BatchOperator by delegation, so a wrapped batch
@@ -121,6 +95,13 @@ func (s *spanOp) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 		rows += int64(b.Len())
 		return emit(b)
 	})
+	s.record(ctx, before, start, rows)
+	return err
+}
+
+// record adds one call's figures: rows emitted, busy time since start and
+// the I/O charged to ctx since before.
+func (s *spanOp) record(ctx *Ctx, before storage.Counters, start time.Time, rows int64) {
 	after := ctx.IO.Load()
 	s.node.Nanos.Add(time.Since(start).Nanoseconds())
 	s.node.Rows.Add(rows)
@@ -129,49 +110,6 @@ func (s *spanOp) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	s.node.PagesFrozen.Add(after.PagesFrozen - before.PagesFrozen)
 	s.node.RowsRead.Add(after.RowsRead - before.RowsRead)
 	s.node.Calls.Add(1)
-	return err
-}
-
-// Partitions implements PartitionedOperator by delegation; a wrapped
-// non-partitioned operator reports a single partition.
-func (s *spanOp) Partitions() int {
-	if p, ok := s.inner.(PartitionedOperator); ok {
-		return p.Partitions()
-	}
-	return 1
-}
-
-// RunPartition implements PartitionedOperator. Calls for different
-// partitions land concurrently with distinct worker Ctxs; the I/O delta of
-// each call is measured against that call's own Ctx, so the atomic sums
-// across workers equal one serial run.
-func (s *spanOp) RunPartition(part int, ctx *Ctx, emit func(types.Row) bool) error {
-	p, ok := s.inner.(PartitionedOperator)
-	if !ok {
-		return s.Run(ctx, emit)
-	}
-	return s.measure(ctx, func(wctx *Ctx, wemit func(types.Row) bool) error {
-		return p.RunPartition(part, wctx, wemit)
-	}, emit)
-}
-
-func (s *spanOp) measure(ctx *Ctx, run func(*Ctx, func(types.Row) bool) error, emit func(types.Row) bool) error {
-	before := ctx.IO.Load()
-	start := time.Now()
-	var rows int64
-	err := run(ctx, func(r types.Row) bool {
-		rows++
-		return emit(r)
-	})
-	after := ctx.IO.Load()
-	s.node.Nanos.Add(time.Since(start).Nanoseconds())
-	s.node.Rows.Add(rows)
-	s.node.Pages.Add(after.PagesRead - before.PagesRead)
-	s.node.PagesSkipped.Add(after.PagesSkipped - before.PagesSkipped)
-	s.node.PagesFrozen.Add(after.PagesFrozen - before.PagesFrozen)
-	s.node.RowsRead.Add(after.RowsRead - before.RowsRead)
-	s.node.Calls.Add(1)
-	return err
 }
 
 func (s *spanOp) Describe() string { return s.inner.Describe() }
@@ -215,19 +153,7 @@ func withInputs(op Operator, kids []Operator) Operator {
 		c := *t
 		c.Left, c.Right = kids[0], kids[1]
 		return &c
-	case *MergeJoin:
-		c := *t
-		c.Left, c.Right = kids[0], kids[1]
-		return &c
 	case *HashAggregate:
-		c := *t
-		c.Input = kids[0]
-		return &c
-	case *PartitionedHashJoin:
-		c := *t
-		c.Left, c.Right = kids[0], kids[1]
-		return &c
-	case *ParallelHashAggregate:
 		c := *t
 		c.Input = kids[0]
 		return &c

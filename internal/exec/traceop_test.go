@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"softdb/internal/expr"
-	"softdb/internal/plan"
-	"softdb/internal/sql"
 )
 
 func TestInstrumentSerialTree(t *testing.T) {
@@ -59,63 +57,6 @@ func TestInstrumentSerialTree(t *testing.T) {
 	}
 }
 
-func TestInstrumentPreservesParallelism(t *testing.T) {
-	h := testHeap(t, 2000)
-	ps := &ParallelScan{Table: "t", Heap: h, Workers: 4}
-	agg := &ParallelHashAggregate{
-		Input:   ps,
-		GroupBy: []expr.Expr{expr.NewBinary(expr.OpDiv, col(0), iconst(300))},
-		Aggs:    []plan.AggSpec{{Kind: sql.AggCountStar}},
-		Workers: 4,
-	}
-	inst, span := Instrument(agg, nil)
-
-	// The wrapped scan must still advertise its partitions, or the parallel
-	// aggregate silently degrades to serial execution.
-	top, ok := inst.(*spanOp)
-	if !ok {
-		t.Fatal("root not wrapped")
-	}
-	innerAgg, ok := top.inner.(*ParallelHashAggregate)
-	if !ok {
-		t.Fatalf("inner is %T", top.inner)
-	}
-	pin, ok := innerAgg.Input.(PartitionedOperator)
-	if !ok || pin.Partitions() <= 1 {
-		t.Fatalf("wrapped input lost partitioning: %T", innerAgg.Input)
-	}
-
-	ctx := &Ctx{}
-	rows, err := Collect(inst, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("groups: %d", len(rows))
-	}
-	var total int64
-	for _, r := range rows {
-		total += r[1].Int()
-	}
-	if total != 2000 {
-		t.Errorf("count sum = %d", total)
-	}
-	scanSpan := span.Children[0]
-	if got := scanSpan.Rows.Load(); got != 2000 {
-		t.Errorf("scan span rows = %d, want 2000 (summed across workers)", got)
-	}
-	if got := scanSpan.Calls.Load(); got != int64(pin.Partitions()) {
-		t.Errorf("scan span calls = %d, want %d partitions", got, pin.Partitions())
-	}
-	// Pages across partitions sum to exactly one serial scan.
-	if got := scanSpan.Pages.Load(); got != h.PageCount() {
-		t.Errorf("scan span pages = %d, want %d", got, h.PageCount())
-	}
-	if MaxDegree(inst) != 4 {
-		t.Errorf("MaxDegree = %d", MaxDegree(inst))
-	}
-}
-
 func TestInstrumentNestedLoopCalls(t *testing.T) {
 	outer := &Values{Rows: intRows(1, 2, 3)}
 	innerv := &Values{Rows: intRows(10, 20)}
@@ -130,21 +71,5 @@ func TestInstrumentNestedLoopCalls(t *testing.T) {
 	// Inner side re-runs once per outer row.
 	if got := span.Children[1].Calls.Load(); got != 3 {
 		t.Errorf("inner calls = %d, want 3", got)
-	}
-}
-
-func TestMaxDegreeSerial(t *testing.T) {
-	h := testHeap(t, 10)
-	if d := MaxDegree(&SeqScan{Table: "t", Heap: h}); d != 1 {
-		t.Errorf("serial degree = %d", d)
-	}
-	j := &PartitionedHashJoin{
-		Left:     &ParallelScan{Table: "t", Heap: h, Workers: 2},
-		Right:    &SeqScan{Table: "t", Heap: h},
-		LeftKeys: []expr.Expr{col(0)}, RightKey: []expr.Expr{col(0)},
-		Workers: 3,
-	}
-	if d := MaxDegree(j); d != 3 {
-		t.Errorf("join degree = %d", d)
 	}
 }

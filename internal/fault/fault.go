@@ -12,11 +12,11 @@
 //     and cancellation).
 //
 // Decisions are drawn from a single seeded PRNG behind a mutex, so a given
-// seed produces the same decision sequence run over run. Under parallel
-// execution the assignment of decisions to workers depends on scheduling,
-// but the differential property the test suite checks — a query either
-// returns correct rows or a typed error, never wrong rows — holds for any
-// interleaving.
+// seed produces the same decision sequence run over run. When concurrent
+// queries share an injector, which query draws which decision depends on
+// scheduling, but the differential property the test suite checks — a
+// query either returns correct rows or a typed error, never wrong rows —
+// holds for any interleaving.
 package fault
 
 import (

@@ -191,14 +191,14 @@ func TestTraceRender(t *testing.T) {
 	child.Pages.Store(12)
 	root.Children = append(root.Children, child)
 	tr := &Trace{
-		SQL: "SELECT 1", Degree: 4, CacheHit: true, Root: root,
+		SQL: "SELECT 1", CacheHit: true, Root: root,
 		Duration: 3 * time.Millisecond, ActualRows: 97, PagesRead: 12,
 		Events: []Event{{Rule: "branch-elimination", Constraint: "ck", Mode: "SOFT ABSOLUTE", Confidence: 1, Applied: true}},
 	}
 	out := tr.Render()
 	for _, want := range []string{
 		"query: SELECT 1",
-		"degree=4", "cache=hit",
+		"skipped=0 cache=hit",
 		"HashJoin  (est rows=100.0)  (actual rows=97",
 		"  SeqScan t  (actual rows=1000",
 		"pages=12",
@@ -207,6 +207,9 @@ func TestTraceRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace render missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "degree=") {
+		t.Fatalf("trace render still prints a parallel degree:\n%s", out)
 	}
 }
 

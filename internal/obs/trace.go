@@ -8,9 +8,9 @@ import (
 )
 
 // SpanNode is one operator's slot in a query's execution trace. The
-// executor's instrumentation wrapper accumulates into the atomic fields —
-// possibly from several partition workers concurrently — and the tree is
-// read after the query quiesces. All accumulated figures are inclusive of
+// executor's instrumentation wrapper accumulates into the fields and the
+// tree is read after the query quiesces; the fields are atomic so a reader
+// on another goroutine is never a data race, whatever the execution order. All accumulated figures are inclusive of
 // the node's children (the natural reading for a push-based executor where
 // an operator's Run drives its whole subtree).
 type SpanNode struct {
@@ -23,9 +23,8 @@ type SpanNode struct {
 
 	// Rows counts rows this operator emitted. Pages/RowsRead are the I/O
 	// charged while the node (and its subtree) ran. Nanos is busy time,
-	// cumulative across calls and partition workers, so for parallel
-	// operators it can exceed wall clock. Calls counts Run/RunPartition
-	// invocations (nested-loop join re-runs its inner side per outer row).
+	// cumulative across calls. Calls counts Run/RunBatch invocations
+	// (nested-loop join re-runs its inner side per outer row).
 	Rows  atomic.Int64
 	Pages atomic.Int64
 	// PagesSkipped counts heap pages the subtree's scans pruned via
@@ -192,9 +191,6 @@ type Trace struct {
 	SQL      string
 	Start    time.Time
 	Duration time.Duration
-	// Degree is the plan's chosen maximum degree of parallelism (1 =
-	// serial).
-	Degree int
 	// CacheHit reports whether the plan came from the plan cache.
 	CacheHit bool
 	// Session tags the executing session (e.g. the server's "conn-3");
@@ -235,8 +231,8 @@ type Trace struct {
 func (t *Trace) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", t.SQL)
-	fmt.Fprintf(&b, "elapsed=%s rows=%d pages=%d skipped=%d%s degree=%d cache=%s%s%s%s\n",
-		formatDur(t.Duration), t.ActualRows, t.PagesRead, t.PagesSkipped, frozenWord(t.PagesFrozen, t.PagesRead), t.Degree, cacheWord(t.CacheHit), stateWord(t.State), sessionWord(t.Session), shapeWord(t.Shape))
+	fmt.Fprintf(&b, "elapsed=%s rows=%d pages=%d skipped=%d%s cache=%s%s%s%s\n",
+		formatDur(t.Duration), t.ActualRows, t.PagesRead, t.PagesSkipped, frozenWord(t.PagesFrozen, t.PagesRead), cacheWord(t.CacheHit), stateWord(t.State), sessionWord(t.Session), shapeWord(t.Shape))
 	if t.Err != "" {
 		fmt.Fprintf(&b, "error: %s\n", t.Err)
 	}

@@ -21,10 +21,6 @@ import (
 // dynamic programming; larger groups fall back to greedy ordering.
 const dpTableLimit = 7
 
-// defaultParallelMinRows is the estimated-cardinality threshold below
-// which parallel operators are not worth their coordination overhead.
-const defaultParallelMinRows = 4096
-
 // Optimizer lowers logical plans to physical operator trees.
 type Optimizer struct {
 	Cat *catalog.Catalog
@@ -45,22 +41,12 @@ type Optimizer struct {
 	// discount batch-capable operators earn from their vectorized kernels
 	// is withheld, matching the -no-batch execution path.
 	NoBatch bool
-	// Parallel is the maximum intra-query degree of parallelism; values
-	// <= 1 plan serial operators only.
-	Parallel int
-	// ParallelMinRows overrides defaultParallelMinRows (tests force
-	// parallel plans on small tables by setting it to 1); 0 means default.
-	ParallelMinRows float64
 	// Masked, when non-empty, names one constraint or AST whose statistics
 	// must not inform estimation (shadow costing; pairs with
 	// rewrite.Options.Masked so the masked plan is priced as if the
 	// characterization had never been discovered).
 	Masked string
 
-	// limitFree is set per Optimize call: plans containing LIMIT stay
-	// serial, because early termination would make parallel workers scan
-	// pages a serial plan never touches, breaking exact cost parity.
-	limitFree bool
 	// nodeRows and events accumulate per Optimize call: per-operator row
 	// estimates keyed by operator identity (EXPLAIN ANALYZE matches them to
 	// plan nodes) and soft-constraint consultation events.
@@ -102,7 +88,6 @@ type Result struct {
 
 // Optimize lowers the logical plan.
 func (o *Optimizer) Optimize(n plan.Node) (*Result, error) {
-	o.limitFree = !containsLimit(n)
 	o.nodeRows = map[exec.Operator]float64{}
 	o.nodeInformed = map[exec.Operator][]string{}
 	o.events = nil
@@ -134,44 +119,6 @@ func (o *Optimizer) lower(n plan.Node) (exec.Operator, prop, error) {
 	return op, pr, err
 }
 
-func containsLimit(n plan.Node) bool {
-	if _, ok := n.(*plan.Limit); ok {
-		return true
-	}
-	for _, in := range n.Inputs() {
-		if containsLimit(in) {
-			return true
-		}
-	}
-	return false
-}
-
-// parallelDegree turns an estimated (SSC-tightened, where soft constraints
-// apply) cardinality into a worker count: 0 means stay serial; otherwise
-// the degree grows with the estimate — each doubling of rows past the
-// threshold earns another worker, capped at Parallel — so soft-constraint
-// selectivity directly decides how much hardware a plan fragment gets.
-func (o *Optimizer) parallelDegree(est float64) int {
-	if o.Parallel <= 1 || !o.limitFree {
-		return 0
-	}
-	minRows := o.ParallelMinRows
-	if minRows <= 0 {
-		minRows = defaultParallelMinRows
-	}
-	if est < minRows {
-		return 0
-	}
-	dop := 2
-	for r := est / minRows; r >= 2 && dop < o.Parallel; r /= 2 {
-		dop++
-	}
-	if dop > o.Parallel {
-		dop = o.Parallel
-	}
-	return dop
-}
-
 func (o *Optimizer) lowerNode(n plan.Node) (exec.Operator, prop, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
@@ -200,11 +147,6 @@ func (o *Optimizer) lowerNode(n plan.Node) (exec.Operator, prop, error) {
 		}
 		groups := o.estimateGroups(t, pr.rows)
 		out := prop{rows: groups, cost: pr.cost + pr.rows*costHashProbe*o.cpuBatch() + groups*costEmit}
-		if dop := o.parallelDegree(pr.rows); dop > 1 {
-			if _, ok := in.(exec.PartitionedOperator); ok {
-				return &exec.ParallelHashAggregate{Input: in, GroupBy: t.GroupBy, Aggs: t.Aggs, Redundant: t.Redundant, Workers: dop}, out, nil
-			}
-		}
 		groupBy, aggs := t.GroupBy, t.Aggs
 		if in2, gb2, ag2, ok := fuseAggJoinProjection(in, groupBy, aggs); ok {
 			in, groupBy, aggs = in2, gb2, ag2
@@ -396,11 +338,7 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 			}
 		}
 	}
-	// A surviving sequential scan goes parallel when the SSC-tightened
-	// output estimate clears the threshold. Index scans stay serial: a
-	// parallel key-space split would repeat root-to-leaf descents per
-	// worker and break exact page-count parity with the serial plan.
-	if ss, ok := best.(*exec.SeqScan); ok {
+	if _, ok := best.(*exec.SeqScan); ok {
 		// Synopsis-aware page estimate: pages the skipper would prune right
 		// now are free, and the rows on them are never materialized. Access-
 		// path selection above compared the UNPRUNED sequential cost against
@@ -419,9 +357,6 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 			readRows = total * readPages / pages
 		}
 		bestCost = readPages*costPage + readRows*costRow*o.cpuBatch()
-		if dop := o.parallelDegree(selected); dop > 1 {
-			best = &exec.ParallelScan{Table: ss.Table, Heap: ss.Heap, Filter: ss.Filter, Prune: ss.Prune, Workers: dop}
-		}
 	}
 	if len(informed) > 0 && o.nodeInformed != nil {
 		o.nodeInformed[best] = informed
@@ -781,14 +716,7 @@ func (o *Optimizer) joinPairBest(jg *plan.JoinGroup, l, r *joinState, mask int, 
 				res = append(res, expr.RemapColumns(c, layoutMap))
 			}
 			cost := build.cost + probe.cost + (build.rows*costHashBuild+probe.rows*costHashProbe)*o.cpuBatch() + outRows*costEmit
-			// The cost model is identical for both flavors, so Parallel=1
-			// and Parallel=N choose the same join order; the partitioned
-			// flavor is picked when the bigger side's estimate clears the
-			// parallel threshold.
-			var jop exec.Operator = &exec.HashJoin{Left: build.op, Right: probe.op, LeftKeys: lk, RightKey: rk, Residual: res}
-			if dop := o.parallelDegree(math.Max(build.rows, probe.rows)); dop > 1 {
-				jop = &exec.PartitionedHashJoin{Left: build.op, Right: probe.op, LeftKeys: lk, RightKey: rk, Residual: res, Workers: dop}
-			}
+			jop := &exec.HashJoin{Left: build.op, Right: probe.op, LeftKeys: lk, RightKey: rk, Residual: res}
 			o.note(jop, outRows)
 			return &joinState{
 				op:     jop,
@@ -822,14 +750,8 @@ func (o *Optimizer) joinPairBest(jg *plan.JoinGroup, l, r *joinState, mask int, 
 			conds = append(conds, expr.RemapColumns(c, lm))
 		}
 		cost := outer.cost + math.Max(outer.rows, 1)*inner.cost + outer.rows*inner.rows*costCompare + outRows*costEmit
-		// NLJ re-runs its inner side per outer row; parallel leaves there
-		// would spawn a worker pool per rerun, so both sides are demoted.
-		outerOp, innerOp := outer.op, inner.op
-		if o.Parallel > 1 {
-			outerOp, innerOp = exec.Serialize(outerOp), exec.Serialize(innerOp)
-		}
 		cand := &joinState{
-			op:     &exec.NestedLoopJoin{Outer: outerOp, Inner: innerOp, Cond: conds},
+			op:     &exec.NestedLoopJoin{Outer: outer.op, Inner: inner.op, Cond: conds},
 			rows:   outRows,
 			cost:   cost,
 			layout: layout,

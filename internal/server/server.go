@@ -2,8 +2,8 @@
 // multiplexes many concurrent client connections onto one engine.Database.
 //
 // Each accepted connection gets its own engine.Session ("conn-N"), so a
-// client's SET statements — parallel degree, pruning, batching, memory
-// budget, statement timeout — are layered over the database defaults
+// client's SET statements — pruning, batching, memory budget, statement
+// timeout — are layered over the database defaults
 // without affecting any other connection, and the session label tags the
 // connection's traces and log lines on the server.
 //

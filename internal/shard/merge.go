@@ -34,8 +34,8 @@ type orderKey struct {
 // produce single-node, aliases included), then appended helper columns —
 // SUM and COUNT partials for each AVG, and any GROUP BY expression absent
 // from the select list (needed to key the combine). The helper columns are
-// sliced off the merged result. AVG partials recombine exactly because the
-// engine's own parallel aggregation merges with the same arithmetic.
+// sliced off the merged result. AVG partials recombine exactly: the final
+// SUM/COUNT division is the one the engine's accumulator does single-node.
 type aggPlan struct {
 	groupSrc []int // per-shard column indices forming the group key
 	outs     []aggOut

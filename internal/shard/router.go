@@ -394,9 +394,13 @@ func (s *Session) Close() {
 }
 
 // Set handles one session setting: shard_prune toggles registry pruning
-// at the router; everything else is stored and forwarded to every shard
-// connection (current and future), so e.g. parallel_degree tunes the
-// shard engines.
+// at the router; everything else is forwarded to the shard engines. Every
+// later dial replays the stored settings, so a value is validated on one
+// shard connection (dialing one when the session has none open) before it
+// is stored: a value the shard rejects errors here and leaves the stored
+// settings unchanged, instead of poisoning every future connection. A
+// validated value then goes to the other open connections; one that fails
+// is dropped, and its next use re-dials and replays the stored settings.
 func (s *Session) Set(name, value string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -411,15 +415,43 @@ func (s *Session) Set(name, value string) error {
 		}
 		return nil
 	}
+	first, err := s.anyConnLocked(context.TODO()) // Set takes no context
+	if err != nil {
+		return err
+	}
+	if err := s.conns[first].Set(name, value); err != nil {
+		var we *wire.Error
+		if !errors.As(err, &we) {
+			s.dropConnLocked(first) // transport failure: the stream is gone
+		}
+		return err
+	}
 	s.settings[name] = value
-	for _, c := range s.conns {
-		if c != nil {
+	for i, c := range s.conns {
+		if c != nil && i != first {
 			if err := c.Set(name, value); err != nil {
-				return err
+				s.dropConnLocked(i)
 			}
 		}
 	}
 	return nil
+}
+
+// anyConnLocked returns the index of an open shard connection, dialing the
+// first reachable shard when none is open. s.mu must be held.
+func (s *Session) anyConnLocked(ctx context.Context) (int, error) {
+	for i, c := range s.conns {
+		if c != nil {
+			return i, nil
+		}
+	}
+	var err error
+	for i := range s.conns {
+		if _, err = s.connLocked(ctx, i); err == nil {
+			return i, nil
+		}
+	}
+	return 0, err
 }
 
 // conn returns the session's connection to a shard, dialing and replaying
@@ -427,6 +459,11 @@ func (s *Session) Set(name, value string) error {
 func (s *Session) conn(ctx context.Context, shard int) (*client.Conn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.connLocked(ctx, shard)
+}
+
+// connLocked is conn with s.mu held.
+func (s *Session) connLocked(ctx context.Context, shard int) (*client.Conn, error) {
 	if c := s.conns[shard]; c != nil {
 		return c, nil
 	}
@@ -447,6 +484,11 @@ func (s *Session) conn(ctx context.Context, shard int) (*client.Conn, error) {
 func (s *Session) dropConn(shard int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.dropConnLocked(shard)
+}
+
+// dropConnLocked is dropConn with s.mu held.
+func (s *Session) dropConnLocked(shard int) {
 	if c := s.conns[shard]; c != nil {
 		_ = c.Close()
 		s.conns[shard] = nil

@@ -145,7 +145,7 @@ func loadDiffData(c *cluster) {
 }
 
 // differentialQueries is the shared suite run under every combination of
-// scheme (hash/range), pruning (on/off), and shard-engine parallelism.
+// scheme (hash/range) and pruning (on/off).
 // SUM/AVG arguments stay INT so cross-shard combines are exact.
 var differentialQueries = []struct {
 	q       string
@@ -169,35 +169,29 @@ var differentialQueries = []struct {
 
 func runDifferential(t *testing.T, spec string) {
 	for _, prune := range []bool{true, false} {
-		for _, parallel := range []bool{false, true} {
-			name := fmt.Sprintf("prune=%v/parallel=%v", prune, parallel)
-			t.Run(name, func(t *testing.T) {
-				c := newCluster(t, 3, func(cfg *Config) {
-					sp, err := ParseSpec(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Specs = []Spec{sp}
-				})
-				loadDiffData(c)
-				if prune {
-					c.routerOnly("ROUTER SYNC")
-				} else {
-					if err := c.sess.Set("shard_prune", "off"); err != nil {
-						t.Fatal(err)
-					}
+		// The "/parallel=false" level carries no setting; it keeps the
+		// subtest IDs stable for tooling that tracks them.
+		name := fmt.Sprintf("prune=%v/parallel=false", prune)
+		t.Run(name, func(t *testing.T) {
+			c := newCluster(t, 3, func(cfg *Config) {
+				sp, err := ParseSpec(spec)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if parallel {
-					if err := c.sess.Set("parallel", "2"); err != nil {
-						t.Fatal(err)
-					}
-					c.single.Parallel = 2
-				}
-				for _, dq := range differentialQueries {
-					c.differ(dq.q, dq.ordered)
-				}
+				cfg.Specs = []Spec{sp}
 			})
-		}
+			loadDiffData(c)
+			if prune {
+				c.routerOnly("ROUTER SYNC")
+			} else {
+				if err := c.sess.Set("shard_prune", "off"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, dq := range differentialQueries {
+				c.differ(dq.q, dq.ordered)
+			}
+		})
 	}
 }
 
@@ -619,14 +613,11 @@ func TestRouterDDLFansOut(t *testing.T) {
 	c.differ("SELECT COUNT(*) FROM orders", false)
 }
 
-// TestFrontendWireRoundTrip drives the router through the real TCP wire
-// front end with the ordinary client library.
-func TestFrontendWireRoundTrip(t *testing.T) {
-	c := newCluster(t, 2, func(cfg *Config) {
-		sp, _ := ParseSpec("orders=hash(id)")
-		cfg.Specs = []Spec{sp}
-	})
-	fe := NewFrontend(c.r, FrontendConfig{Addr: "127.0.0.1:0"})
+// connectFrontend serves r on an ephemeral wire front end and returns a
+// client connected to it; both are torn down with the test.
+func connectFrontend(t *testing.T, r *Router) *client.Conn {
+	t.Helper()
+	fe := NewFrontend(r, FrontendConfig{Addr: "127.0.0.1:0"})
 	addr, err := fe.Listen()
 	if err != nil {
 		t.Fatal(err)
@@ -642,6 +633,88 @@ func TestFrontendWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
+	return conn
+}
+
+// TestRejectedSetLeavesSessionUsable: a setting the shard engines reject
+// errors at SET time and is never stored, whether or not the session has a
+// shard connection open yet — so later lazy dials do not replay it and the
+// session keeps working.
+func TestRejectedSetLeavesSessionUsable(t *testing.T) {
+	c := newCluster(t, 2, func(cfg *Config) {
+		sp, _ := ParseSpec("orders=hash(id)")
+		cfg.Specs = []Spec{sp}
+	})
+	loadDiffData(c)
+	ctx := context.Background()
+	want := c.single.MustExec("SELECT COUNT(*) FROM orders").Rows[0][0].Int()
+	count := func(s *Session) {
+		t.Helper()
+		res, err := s.Exec(ctx, "SELECT COUNT(*) FROM orders")
+		if err != nil {
+			t.Fatalf("SELECT after a rejected SET: %v", err)
+		}
+		if got := res.Rows[0][0].Int(); got != want {
+			t.Fatalf("count = %d, want %d", got, want)
+		}
+	}
+
+	fresh := c.r.NewSession() // no shard connection open yet
+	defer fresh.Close()
+	if err := fresh.Set("no_such_knob", "1"); err == nil {
+		t.Fatal("a setting the shards reject must error on a fresh session")
+	}
+	if len(fresh.settings) != 0 {
+		t.Fatalf("rejected setting was stored: %v", fresh.settings)
+	}
+	count(fresh) // dials every shard; nothing bad is replayed
+
+	// With connections open the error is returned and nothing is stored.
+	if err := fresh.Set("prune", "off"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Set("prune", "sideways"); err == nil {
+		t.Fatal("a bad value must error with connections open")
+	}
+	if got := fresh.settings["prune"]; got != "off" || len(fresh.settings) != 1 {
+		t.Fatalf("stored settings after a rejected SET: %v", fresh.settings)
+	}
+	fresh.dropConn(0) // the next use re-dials shard 0 and replays prune=off
+	count(fresh)
+}
+
+// TestRouterRejectsParallelSetting: SET parallel through the router's wire
+// front end fails with the shard engine's unknown-setting error, and the
+// connection keeps serving.
+func TestRouterRejectsParallelSetting(t *testing.T) {
+	c := newCluster(t, 2, func(cfg *Config) {
+		sp, _ := ParseSpec("orders=hash(id)")
+		cfg.Specs = []Spec{sp}
+	})
+	loadDiffData(c)
+	conn := connectFrontend(t, c.r)
+	err := conn.Set("parallel", "4")
+	if err == nil || !strings.Contains(err.Error(), `unknown setting "parallel"`) {
+		t.Fatalf("SET parallel = 4 through the router: got %v, want an unknown-setting error", err)
+	}
+	res, err := conn.Query(context.Background(), "SELECT COUNT(*) FROM orders")
+	if err != nil {
+		t.Fatalf("connection unusable after a rejected SET: %v", err)
+	}
+	want := c.single.MustExec("SELECT COUNT(*) FROM orders").Rows[0][0].Int()
+	if got := res.Rows[0][0].Int(); got != want {
+		t.Fatalf("count after rejected SET = %d, want %d", got, want)
+	}
+}
+
+// TestFrontendWireRoundTrip drives the router through the real TCP wire
+// front end with the ordinary client library.
+func TestFrontendWireRoundTrip(t *testing.T) {
+	c := newCluster(t, 2, func(cfg *Config) {
+		sp, _ := ParseSpec("orders=hash(id)")
+		cfg.Specs = []Spec{sp}
+	})
+	conn := connectFrontend(t, c.r)
 	ctx := context.Background()
 	if _, err := conn.Query(ctx, diffSchema); err != nil {
 		t.Fatal(err)

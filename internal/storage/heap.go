@@ -99,8 +99,8 @@ func (r RowID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
 // Counters accumulates simulated I/O work. The executor passes one Counters
 // through a query; storage bumps it on every page and row touch. All updates
-// go through the atomic Add* methods so parallel operators sharing a
-// Counters keep exact totals; the fields stay plain int64 (not
+// go through the atomic Add* methods — cheap on one goroutine, and a reader
+// elsewhere is never a data race; the fields stay plain int64 (not
 // atomic.Int64) so Counters values remain freely copyable once a query has
 // quiesced.
 type Counters struct {
@@ -139,14 +139,6 @@ func (c *Counters) AddFrozen(n int64) {
 	if c != nil {
 		atomic.AddInt64(&c.PagesFrozen, n)
 	}
-}
-
-// Add atomically accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.AddPages(other.PagesRead)
-	c.AddRows(other.RowsRead)
-	c.AddSkipped(other.PagesSkipped)
-	c.AddFrozen(other.PagesFrozen)
 }
 
 // Load returns an atomic snapshot of the counters.
@@ -570,15 +562,9 @@ func (h *Heap) ScanAt(snap, tid int64, c *Counters, fn func(id RowID, row types.
 	h.ScanRangeAt(0, int(h.PageCount()), snap, tid, c, fn)
 }
 
-// ScanRange iterates latest-visible rows of pages [pageLo, pageHi) in
-// storage order, with the same per-page and per-row accounting as Scan.
-// Parallel scans split the heap into disjoint contiguous page ranges so the
-// sum of the partitions' charges equals a full serial Scan exactly.
-func (h *Heap) ScanRange(pageLo, pageHi int, c *Counters, fn func(id RowID, row types.Row) bool) {
-	h.ScanRangeAt(pageLo, pageHi, SnapLatest, 0, c, fn)
-}
-
-// ScanRangeAt is ScanRange from an explicit snapshot.
+// ScanRangeAt iterates the rows of pages [pageLo, pageHi) visible at snap
+// to transaction tid, in storage order, with the same per-page and per-row
+// accounting as Scan.
 func (h *Heap) ScanRangeAt(pageLo, pageHi int, snap, tid int64, c *Counters, fn func(id RowID, row types.Row) bool) {
 	pages := h.pageList()
 	if pageLo < 0 {

@@ -104,7 +104,7 @@ func (h *Heap) Synopsis(pi int) *PageSynopsis {
 // is not touched — it charges one PagesSkipped and zero page or row reads.
 // Otherwise the page's live rows are gathered into an internal buffer
 // (charging one page read and one row read per live row, exactly like
-// ScanRange) and fn is called once with the batch plus the page's published
+// ScanRangeAt) and fn is called once with the batch plus the page's published
 // synopsis (nil when none has been computed) so vectorized consumers can
 // prove whole-page predicate outcomes without re-reading values. The batch
 // slice is borrowed: it is reused for the next page, so fn must not retain
@@ -118,7 +118,7 @@ func (h *Heap) Synopsis(pi int) *PageSynopsis {
 // frozen on the spot, so the first scan over settled data already takes
 // this path.
 //
-// Unlike ScanRange, row charges land page-at-a-time: a consumer that stops
+// Unlike ScanRangeAt, row charges land page-at-a-time: a consumer that stops
 // mid-batch has already been charged for the whole page, mirroring the page
 // model (touching any row of a page faults the full page in).
 func (h *Heap) ScanPages(pageLo, pageHi int, c *Counters, skip func(*PageSynopsis) bool, fn func(rows []types.Row, syn *PageSynopsis, img *vec.PageImage) bool) {

@@ -18,7 +18,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := map[FrameType][]byte{
 		FrameQuery:   AppendQuery(nil, Query{SQL: "SELECT 1", TimeoutMillis: 250, Flags: 3}),
-		FrameSet:     AppendSet(nil, Set{Name: "parallel", Value: "4"}),
+		FrameSet:     AppendSet(nil, Set{Name: "prune", Value: "off"}),
 		FrameWelcome: AppendWelcome(nil, Welcome{Proto: ProtoVersion, Session: "conn-7"}),
 		FrameRowDesc: AppendColumns(nil, []string{"a", "b"}),
 		FrameNotice:  []byte("heads up"),
