@@ -15,6 +15,7 @@ import (
 
 	"softdb/internal/bench"
 	"softdb/internal/engine"
+	"softdb/internal/exec"
 	"softdb/internal/expr"
 	"softdb/internal/mining"
 	"softdb/internal/server"
@@ -945,6 +946,67 @@ func BenchmarkV2FrozenScan(b *testing.B) {
 				b.ReportMetric(float64(frozen)/float64(b.N), "frozen/op")
 			})
 		}
+	}
+}
+
+// BenchmarkV3IndexPagePath measures the run-time index access path (see
+// EXPERIMENTS.md §V3): each range read entry by entry (the forced entry
+// path) and on the page path over frozen and over cold pages, in ns per
+// range entry, and the hash-join build over every fact row with the typed
+// int table and the generic string-keyed one, in ns per build row. scbench
+// gates the page path under the entry path on the wider frozen range.
+func BenchmarkV3IndexPagePath(b *testing.B) {
+	db, cases, err := bench.V3DB(100000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	te, err := db.Catalog().Table("fact")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range cases {
+		scan, err := bench.V3Scan(db, c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range bench.V3Modes {
+			b.Run(c.Name+"/"+mode, func(b *testing.B) {
+				if _, _, _, err := bench.V3Run(scan, mode); err != nil { // freezes the pages
+					b.Fatal(err)
+				}
+				var pages, frozen int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if mode == "pages-cold" {
+						b.StopTimer()
+						te.Heap.ThawAll()
+						b.StartTimer()
+					}
+					_, _, ctx, err := bench.V3Run(scan, mode)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pages, frozen = ctx.IO.PagesRead, frozen+ctx.IO.PagesFrozen
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*c.Entries()), "ns/entry")
+				b.ReportMetric(float64(pages), "pages/op")
+				b.ReportMetric(float64(frozen)/float64(b.N), "frozen/op")
+			})
+		}
+	}
+	for _, mode := range bench.V3BuildModes {
+		join, buildRows, err := bench.V3Join(db, mode)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("build/"+mode, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := join.RunBatch(exec.NewCtx(context.Background(), exec.CtxOptions{}), func(*vec.Batch) bool { return true }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*buildRows), "ns/row")
+		})
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	benchJSON := flag.String("bench-json", "", "instead of the experiment tables, run `go test -bench=. -benchtime=5x -short`, write BENCH_<date>.json into this directory, and fail if the E1/E2/E4 optimized variants stop beating their baselines on pages/op, the V1 typed kernels stop beating the tree-walk, a V2 page scan over warm page images stops beating cold ones, the T1 reader p99 under write load degrades past 3x read-only, or a C1 plan-template rebind stops costing under half a cold plan")
+	benchJSON := flag.String("bench-json", "", "instead of the experiment tables, run `go test -bench=. -benchtime=5x -short`, write BENCH_<date>.json into this directory, and fail if the E1/E2/E4 optimized variants stop beating their baselines on pages/op, the V1 typed kernels stop beating the tree-walk, a V2 page scan over warm page images stops beating cold ones, a V3 wide frozen index range stops running faster on the page path than entry by entry, the T1 reader p99 under write load degrades past 3x read-only, or a C1 plan-template rebind stops costing under half a cold plan")
 	flag.Parse()
 
 	if *benchJSON != "" {
@@ -309,6 +309,20 @@ func checkTrajectory(results []benchResult) error {
 		default:
 			fmt.Printf("trajectory V2: ok (%s warm %.1f ns/row vs cold %.1f, %.2fx)\n", scan, warm, cold, cold/warm)
 		}
+	}
+	// V3: on the wider range over frozen pages, finishing on the page path
+	// must beat fetching entry by entry. Parity means the page path stopped
+	// reading images or pruning (or the forced entry path stopped being
+	// one) — the regression this gate catches; the margin is host-bound.
+	entryNs, okE := metric("V3IndexPagePath/range-40pct/entry", "ns/entry")
+	pagesNs, okP3 := metric("V3IndexPagePath/range-40pct/pages-frozen", "ns/entry")
+	switch {
+	case !okE || !okP3:
+		failures = append(failures, "V3: missing V3IndexPagePath/range-40pct benchmark (entry and pages-frozen must both report ns/entry)")
+	case pagesNs >= entryNs:
+		failures = append(failures, fmt.Sprintf("V3: the page path over frozen pages (%.1f ns/entry) no longer beats the entry path (%.1f ns/entry)", pagesNs, entryNs))
+	default:
+		fmt.Printf("trajectory V3: ok (wide frozen range: page path %.1f ns/entry vs entry path %.1f, %.2fx)\n", pagesNs, entryNs, entryNs/pagesNs)
 	}
 	// S2: the shard-router benchmark must show registry pruning still
 	// excluding shards — a pruned one-shard-band query contacting as many

@@ -131,6 +131,7 @@ func All() []Experiment {
 		{"O2", "constraint-economy ledger: overhead and net-benefit ranking", func() (*Report, error) { return O2Economy(20000, 40) }},
 		{"V1", "vectorized kernels: typed tight loops vs per-row tree-walk", func() (*Report, error) { return V1Kernels(65536) }},
 		{"V2", "frozen columnar pages: cold vs warm vs periodically thawed page images", func() (*Report, error) { return V2FrozenScan(100000, 50000) }},
+		{"V3", "run-time index access path: entry fetches vs the page path, typed vs generic build", func() (*Report, error) { return V3IndexPagePath(100000) }},
 		{"T1", "transactions: snapshot readers under write load, wire-level txns", func() (*Report, error) { return T1Txn(DefaultT1) }},
 		{"C1", "shape-keyed plan templates: cold plan vs text repeat vs template rebind", func() (*Report, error) { return C1PlanTemplate(200000, 20000) }},
 	}

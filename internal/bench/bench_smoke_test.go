@@ -442,11 +442,44 @@ func TestV2Shape(t *testing.T) {
 			t.Errorf("%s: a thaw every 4 scans (%.1f ns/row) should cost less than one before every scan (%.1f)", name, thawed, cold)
 		}
 	}
-	for _, name := range []string{"fd-group-order", "e4-index-range"} {
-		row := rows[name]
-		if row == nil || row[1] != "index range" || row[7] != "0" {
-			t.Fatalf("%s should fetch by RowID and read no frozen page: %v", name, row)
+	// An index range reads frozen pages exactly when its range switched to
+	// the page path (V2FrozenScan errors otherwise). The E4 range holds a
+	// tenth of fact, wide enough to switch; the FD range's thousand entries
+	// fit one collected chunk and stay on the entry path.
+	for name, path := range map[string]string{"fd-group-order": "index range", "e4-index-range": "index range, page path"} {
+		if row := rows[name]; row == nil || row[1] != path || (row[7] == "0") != (path == "index range") {
+			t.Fatalf("%s should read as %q, with frozen pages only on the page path: %v", name, path, row)
 		}
+	}
+}
+
+// TestV3Shape: both ranges switch to the page path when the switch is on
+// (V3Run errors otherwise) and answer alike on every path; only the page
+// path reads frozen pages; over frozen pages it beats fetching entry by
+// entry on the wider range, and the typed build beats the generic one.
+// Smoke-scale timings get a wide margin.
+func TestV3Shape(t *testing.T) {
+	rep, err := V3IndexPagePath(20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, row := range rep.Rows {
+		rows[row[0]+"/"+row[1]] = row
+	}
+	for _, c := range []string{"range-10pct", "range-40pct"} {
+		for _, mode := range V3Modes {
+			row := rows[c+"/"+mode]
+			if row == nil || (row[7] == "0") != (mode == "entry") {
+				t.Fatalf("%s %s: frozen pages only on the page path: %v", c, mode, row)
+			}
+		}
+	}
+	if ratio := lastFloat(t, rows["range-40pct/pages-frozen"][6]); ratio >= 1 {
+		t.Errorf("the page path over frozen pages should beat the entry path: row cost %.2f of an entry's", ratio)
+	}
+	if ratio := lastFloat(t, rows["hash-join build/typed"][6]); ratio >= 1 {
+		t.Errorf("the typed int table should build faster than the generic table: %.2f", ratio)
 	}
 }
 

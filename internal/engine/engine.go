@@ -584,7 +584,6 @@ func (db *Database) optimizer(st Settings) *opt.Optimizer {
 		NoSSCEstimation: db.NoSSCEstimation,
 		NoASTEstimation: db.NoASTEstimation,
 		NoPrune:         st.NoPrune,
-		NoBatch:         st.NoBatch,
 	}
 }
 
@@ -924,14 +923,22 @@ func firstNonEmpty(ss ...string) string {
 // registry, and the MVCC view (snapshot + reading transaction) every scan
 // filters by.
 func (db *Database) execCtx(ctx context.Context, st Settings, snap, tid int64) *exec.Ctx {
-	return exec.NewCtx(ctx, exec.CtxOptions{
+	c := exec.NewCtx(ctx, exec.CtxOptions{
 		MemBudget: st.MemBudget,
 		OnPanic:   func(string) { db.obs.workerPanics.Inc() },
 		Fault:     db.Fault,
 		Snap:      snap,
 		TID:       tid,
 	})
+	c.EntryPathOnly = ctx.Value(entryPathOnlyKey{}) != nil
+	return c
 }
+
+// entryPathOnlyKey marks a statement context whose index scans must stay on
+// their entry path (exec.Ctx.EntryPathOnly): the reference the page-path
+// differential tests run beside the run-time switch. Nothing outside the
+// package's tests sets it.
+type entryPathOnlyKey struct{}
 
 // terminalState classifies a finished query's outcome for traces and the
 // per-state metrics.
@@ -998,6 +1005,7 @@ func (db *Database) execute(ctx context.Context, entry *cachedPlan, sqlText stri
 		PagesSkipped:       io.PagesSkipped,
 		PagesFrozen:        io.PagesFrozen,
 		RowsShortCircuited: ectx.ShortCircuits,
+		IndexPagePaths:     ectx.PagePaths,
 		State:              terminalState(err),
 	}
 	if err != nil {
@@ -1046,6 +1054,7 @@ func (db *Database) explainAnalyze(ctx context.Context, entry *cachedPlan, sqlTe
 		PagesSkipped:       io.PagesSkipped,
 		PagesFrozen:        io.PagesFrozen,
 		RowsShortCircuited: ectx.ShortCircuits,
+		IndexPagePaths:     ectx.PagePaths,
 		State:              state,
 	}
 	if err != nil {

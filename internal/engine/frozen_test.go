@@ -483,3 +483,61 @@ func TestFrozenObservability(t *testing.T) {
 		t.Errorf("image gauge did not fall after a thaw: %d -> %d", bytes, after)
 	}
 }
+
+// TestFrozenIndexPagePathColdWarm is the cold/warm differential for index
+// scans that switched to the page path, which reads frozen images like a
+// page scan: rows, every counter and the EXPLAIN ANALYZE text must not
+// depend on the image state, in either batch mode.
+func TestFrozenIndexPagePathColdWarm(t *testing.T) {
+	db := pagePathDB(t, 6000)
+	queries := []string{
+		"SELECT id, v, f FROM ev WHERE id >= 1000 AND id < 2600 AND v > 100",
+		"SELECT grp, COUNT(*) AS n, SUM(v) AS s, MAX(f) AS m FROM ev WHERE id >= 4300 GROUP BY grp",
+		"SELECT id, d FROM ev WHERE d >= DATE '2000-01-01' + 500 AND d < DATE '2000-01-01' + 1300",
+	}
+	var totalFrozen int64
+	for _, q := range queries {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := stmt.(*sql.Select)
+		for _, noBatch := range []bool{true, false} {
+			db.NoBatch = noBatch
+			name := fmt.Sprintf("%s batch=%v", q, !noBatch)
+			run := func(cold bool) (*Result, string) {
+				if cold {
+					thawAll(db)
+				}
+				res, err := db.ExecStmt(sel, "")
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if cold {
+					thawAll(db)
+				}
+				return res, analyzeText(t, db, sel)
+			}
+			cold, coldText := run(true)
+			warm, warmText := run(false)
+			if cold.Ctx.PagePaths != 1 || warm.Ctx.PagePaths != 1 {
+				t.Fatalf("%s: page-path switches cold %d, warm %d\n%s", name, cold.Ctx.PagePaths, warm.Ctx.PagePaths, cold.Plan)
+			}
+			if got, want := sortedKeys(warm.Rows), sortedKeys(cold.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
+				t.Fatalf("%s: warm images changed the answer (%d vs %d rows)", name, len(got), len(want))
+			}
+			if cold.Ctx.IO != warm.Ctx.IO || cold.Ctx.ShortCircuits != warm.Ctx.ShortCircuits || cold.Ctx.Comparisons != warm.Ctx.Comparisons {
+				t.Fatalf("%s: accounting cold %+v sc=%d cmp=%d, warm %+v sc=%d cmp=%d", name,
+					cold.Ctx.IO, cold.Ctx.ShortCircuits, cold.Ctx.Comparisons, warm.Ctx.IO, warm.Ctx.ShortCircuits, warm.Ctx.Comparisons)
+			}
+			if coldText != warmText {
+				t.Fatalf("%s: EXPLAIN ANALYZE differs\ncold:\n%s\nwarm:\n%s", name, coldText, warmText)
+			}
+			totalFrozen += warm.Ctx.IO.PagesFrozen
+		}
+	}
+	db.NoBatch = false
+	if totalFrozen == 0 {
+		t.Fatal("no switched index scan read a frozen page")
+	}
+}

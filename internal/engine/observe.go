@@ -40,6 +40,7 @@ const (
 	mPageThaws     = "softdb_storage_page_thaws_total"
 	mImageBytes    = "softdb_storage_frozen_image_bytes"
 	mRowsShort     = "softdb_scan_rows_short_circuited_total"
+	mPagePaths     = "softdb_index_scan_page_path_total"
 	mPruneRejected = "softdb_prune_rejected_total"
 	// Query-lifecycle terminal states and robustness counters.
 	mQueriesCanceled   = "softdb_queries_canceled_total"
@@ -96,6 +97,7 @@ type obsState struct {
 	templateHits   *obs.Counter
 	cacheEvictions *obs.Counter
 	rowsShort      *obs.Counter
+	pagePaths      *obs.Counter
 
 	queriesCanceled   *obs.Counter
 	queriesTimedOut   *obs.Counter
@@ -139,6 +141,7 @@ func (db *Database) initObs() {
 	r.Describe(mPageThaws, "counter", "Frozen page images dropped because a writer was about to change a slot of the page.")
 	r.Describe(mImageBytes, "gauge", "Bytes held by the typed column vectors of frozen page images.")
 	r.Describe(mRowsShort, "counter", "Rows whose per-row filter evaluation a page-level synopsis proof short-circuited.")
+	r.Describe(mPagePaths, "counter", "Index scan executions that switched to the page path at run time.")
 	r.Describe(mPruneRejected, "counter", "Prune-predicate introductions rejected, by reason.")
 	r.Describe(mQueriesCanceled, "counter", "Queries terminated by context cancellation.")
 	r.Describe(mQueriesTimedOut, "counter", "Queries terminated by deadline expiry.")
@@ -176,6 +179,7 @@ func (db *Database) initObs() {
 	o.imageBytes = r.Gauge(mImageBytes)
 	r.OnCollect(db.collectStorageMetrics)
 	o.rowsShort = r.Counter(mRowsShort)
+	o.pagePaths = r.Counter(mPagePaths)
 	o.queriesCanceled = r.Counter(mQueriesCanceled)
 	o.queriesTimedOut = r.Counter(mQueriesTimedOut)
 	o.memBudgetRejected = r.Counter(mMemBudgetRejected)
@@ -286,6 +290,9 @@ func (db *Database) observeQuery(t *obs.Trace) {
 	}
 	if t.RowsShortCircuited > 0 {
 		o.rowsShort.Add(t.RowsShortCircuited)
+	}
+	if t.IndexPagePaths > 0 {
+		o.pagePaths.Add(t.IndexPagePaths)
 	}
 	if slow := o.slowNs.Load(); slow > 0 && t.Duration >= time.Duration(slow) {
 		t.Slow = true

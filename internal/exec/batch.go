@@ -195,26 +195,46 @@ func shortCircuitSource(preds []plan.PrunePred, syn *storage.PageSynopsis) strin
 	return "filter"
 }
 
-// scanPageLoop is SeqScan.RunBatch's vectorized scan kernel: one batch per
-// heap page, filtered through a compiled predicate program with
-// page-synopsis short-circuits. A page every filter stage is provably TRUE
-// for skips per-row evaluation entirely — the dual of page skipping — and
-// its rows are credited as short-circuited under the proving predicate's
-// source.
-func scanPageLoop(op string, heap *storage.Heap, filter []expr.Expr, prune []plan.PrunePred,
-	ctx *Ctx, emit func(*vec.Batch) bool) error {
-	skip := makeSkipper(prune, ctx.Skips)
+// pageSource is the page sequence a page loop reads: the heap's pages less
+// those the prune predicates skip, or, once an index scan has switched to
+// the page path, the pages its synopsis walk kept.
+type pageSource struct {
+	heap  *storage.Heap
+	prune []plan.PrunePred
+	path  *pagePath
+}
+
+// scan hands fn each page of the source at the query's snapshot.
+func (src pageSource) scan(ctx *Ctx, fn storage.PageFunc) {
+	snap, tid := ctx.snapView()
+	switch {
+	case src.path == nil:
+		src.heap.ScanPagesAt(0, int(src.heap.PageCount()), snap, tid, &ctx.IO, makeSkipper(src.prune, ctx.Skips), fn)
+	case src.path.list == nil:
+		src.heap.ScanPagesAt(0, int(src.path.pages), snap, tid, &ctx.IO, nil, fn)
+	default:
+		src.heap.ScanPageListAt(src.path.list, snap, tid, &ctx.IO, fn)
+	}
+}
+
+// scanPageLoop is the vectorized page scan kernel of SeqScan.RunBatch and of
+// IndexScan.RunBatch's page path: one batch per heap page, filtered through
+// a compiled predicate program with page-synopsis short-circuits. A page
+// every filter stage is provably TRUE for skips per-row evaluation entirely
+// — the dual of page skipping — and its rows are credited as
+// short-circuited under the proving predicate's source.
+func scanPageLoop(op string, src pageSource, filter []expr.Expr, ctx *Ctx, emit func(*vec.Batch) bool) error {
 	prog := expr.CompilePredicate(filter)
 	pr := progRunner{prog: prog}
 	var batch vec.Batch
 	var runErr error
-	snap, tid := ctx.snapView()
-	heap.ScanPagesAt(0, int(heap.PageCount()), snap, tid, &ctx.IO, skip, func(rows []types.Row, syn *storage.PageSynopsis, img *vec.PageImage) bool {
+	src.scan(ctx, func(rows []types.Row, syn *storage.PageSynopsis, img *vec.PageImage) bool {
 		if err := ctx.checkpoint(op); err != nil {
 			runErr = err
 			return false
 		}
 		batch.ResetImage(rows, img)
+		batch.Stored = true
 		if len(prog.Stages) == 0 {
 			return emit(&batch)
 		}
@@ -229,7 +249,7 @@ func scanPageLoop(op string, heap *storage.Heap, filter []expr.Expr, prune []pla
 			n := int64(len(rows))
 			ctx.AddShortCircuits(n)
 			if ctx.Shorts != nil {
-				ctx.Shorts.AddN(shortCircuitSource(prune, syn), n)
+				ctx.Shorts.AddN(shortCircuitSource(src.prune, syn), n)
 			}
 			return emit(&batch)
 		}

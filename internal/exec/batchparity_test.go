@@ -80,8 +80,9 @@ func runBoth(t *testing.T, name string, op Operator) {
 
 // TestSortAndRedundantGroupBatchParity: an ORDER BY over a GROUP BY whose
 // key was FD-reduced to one hashed INT column (the redundant columns riding
-// along), over index and page scans, gives the row path's rows and charges
-// when Sort pulls batches and the aggregate takes the int-key fold.
+// along), over page scans and index scans on either access path, gives the
+// row path's rows and charges when Sort pulls batches and the aggregate
+// takes the int-key fold.
 func TestSortAndRedundantGroupBatchParity(t *testing.T) {
 	h, ix := wideHeap(t, 3000)
 	wcol := func(ord int) *expr.Column {
@@ -92,13 +93,27 @@ func TestSortAndRedundantGroupBatchParity(t *testing.T) {
 		expr.NewBinary(expr.OpGe, wcol(0), iconst(100)),
 		expr.NewBinary(expr.OpLt, wcol(0), iconst(2200)),
 	}
+	indexScan := func(prune []plan.PrunePred) *IndexScan {
+		return &IndexScan{Table: "w", Heap: h, Index: ix, Filter: idRange, Prune: prune,
+			Lo: btree.Bound{Key: types.Row{types.NewInt(100)}, Inclusive: true},
+			Hi: btree.Bound{Key: types.Row{types.NewInt(2200)}}}
+	}
+	// Without prune predicates every table row would be read, more than the
+	// range's entries are worth: the scan stays on its entry path. With the
+	// filter's own, the pages outside the range drop out and it switches.
 	scans := map[string]func() Operator{
-		"index scan": func() Operator {
-			return &IndexScan{Table: "w", Heap: h, Index: ix, Filter: idRange,
-				Lo: btree.Bound{Key: types.Row{types.NewInt(100)}, Inclusive: true},
-				Hi: btree.Bound{Key: types.Row{types.NewInt(2200)}}}
-		},
-		"page scan": func() Operator { return &SeqScan{Table: "w", Heap: h, Filter: idRange} },
+		"index scan":           func() Operator { return indexScan(nil) },
+		"index scan page path": func() Operator { return indexScan(FilterPrunePreds(idRange, 5)) },
+		"page scan":            func() Operator { return &SeqScan{Table: "w", Heap: h, Filter: idRange} },
+	}
+	for name, want := range map[string]int64{"index scan": 0, "index scan page path": 1} {
+		ctx := NewCtx(context.Background(), CtxOptions{})
+		if _, err := Collect(scans[name](), ctx); err != nil {
+			t.Fatal(err)
+		}
+		if ctx.PagePaths != want {
+			t.Fatalf("%s: %d page-path switches, want %d", name, ctx.PagePaths, want)
+		}
 	}
 	aggs := []plan.AggSpec{
 		{Kind: sql.AggSum, Arg: wcol(3)}, {Kind: sql.AggCount, Arg: wcol(3)}, {Kind: sql.AggAvg, Arg: wcol(4)},
@@ -147,5 +162,58 @@ func TestPageSet(t *testing.T) {
 			t.Fatalf("add(%d) = %v with seen=%v", p, got, seen[p])
 		}
 		seen[p] = true
+	}
+}
+
+// TestRangeEntries: the entry-count estimate interpolates the first chunk's
+// key span over the bound range, counting INT/DATE keys as discrete values,
+// skipping the NULL keys an open lower side collects, taking the tree's
+// largest key for an open upper side, and declining every key kind it
+// cannot interpolate.
+func TestRangeEntries(t *testing.T) {
+	tree := btree.New()
+	tree.Insert(types.Row{types.NewInt(9999)}, storage.RowID{})
+	scan := func(hi btree.Bound) *IndexScan {
+		return &IndexScan{Index: &catalog.Index{Tree: tree}, Hi: hi}
+	}
+	chunk := func(keys ...types.Datum) []indexEntry {
+		out := make([]indexEntry, len(keys))
+		for i, k := range keys {
+			out[i] = indexEntry{key: types.Row{k}}
+		}
+		return out
+	}
+	ints := func(from, n int64) []types.Datum {
+		var out []types.Datum
+		for i := int64(0); i < n; i++ {
+			out = append(out, types.NewInt(from+i))
+		}
+		return out
+	}
+	incl := func(d types.Datum) btree.Bound { return btree.Bound{Key: types.Row{d}, Inclusive: true} }
+	excl := func(d types.Datum) btree.Bound { return btree.Bound{Key: types.Row{d}} }
+	cases := []struct {
+		name  string
+		hi    btree.Bound
+		chunk []indexEntry
+		est   float64
+		ok    bool
+	}{
+		{"int closed", excl(types.NewInt(400)), chunk(ints(100, 100)...), 300, true},
+		{"int inclusive", incl(types.NewInt(399)), chunk(ints(100, 100)...), 300, true},
+		{"int open above uses the tree's max", btree.Bound{}, chunk(ints(0, 100)...), 10000, true},
+		{"one repeated int key", excl(types.NewInt(10)), chunk(types.NewInt(5), types.NewInt(5), types.NewInt(5), types.NewInt(5)), 20, true},
+		{"leading NULLs skipped", excl(types.NewInt(200)), chunk(append([]types.Datum{types.Null, types.Null}, ints(0, 100)...)...), 200, true},
+		{"date", excl(types.NewDate(1000)), chunk(types.NewDate(0), types.NewDate(0), types.NewDate(1), types.NewDate(1)), 2000, true},
+		{"float", excl(types.NewFloat(10)), chunk(types.NewFloat(0), types.NewFloat(1), types.NewFloat(2)), 15, true},
+		{"one float key", excl(types.NewFloat(10)), chunk(types.NewFloat(1), types.NewFloat(1)), 0, false},
+		{"string", excl(types.NewString("z")), chunk(types.NewString("a"), types.NewString("b")), 0, false},
+		{"only NULLs", excl(types.NewInt(5)), chunk(types.Null, types.Null), 0, false},
+	}
+	for _, c := range cases {
+		est, ok := scan(c.hi).rangeEntries(c.chunk)
+		if ok != c.ok || (ok && est != c.est) {
+			t.Errorf("%s: rangeEntries = %.1f, %v; want %.1f, %v", c.name, est, ok, c.est, c.ok)
+		}
 	}
 }

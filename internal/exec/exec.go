@@ -14,6 +14,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -21,6 +22,7 @@ import (
 	"softdb/internal/btree"
 	"softdb/internal/catalog"
 	"softdb/internal/expr"
+	"softdb/internal/obs"
 	"softdb/internal/plan"
 	"softdb/internal/storage"
 	"softdb/internal/types"
@@ -39,6 +41,14 @@ type Ctx struct {
 	// dual of a page skip (which avoids the read; a short-circuit avoids
 	// the predicate work on rows that must still be read and emitted).
 	ShortCircuits int64
+	// PagePaths counts IndexScan executions that switched to the page path
+	// (see IndexScan).
+	PagePaths int64
+
+	// EntryPathOnly keeps every IndexScan on its entry path. It is the
+	// reference the page-path differential tests and experiment V3 compare
+	// the run-time switch against; no setting reaches it.
+	EntryPathOnly bool
 
 	// Skips, when set, attributes each pruned page to the prune predicate
 	// that proved the skip; the engine flushes it into the per-constraint
@@ -62,6 +72,12 @@ type Ctx struct {
 	// keeps every checkpoint a single pointer test. All lifecycle state
 	// lives behind this pointer so a quiesced Ctx remains copyable.
 	life *lifecycle
+
+	// span is the trace node of the most recently entered instrumented
+	// call (the wrapper sets it and restores the previous one on return),
+	// so a leaf operator can report a run-time decision on its own node;
+	// nil when tracing is off.
+	span *obs.SpanNode
 }
 
 // AddComparisons atomically charges n comparisons.
@@ -149,31 +165,8 @@ type SeqScan struct {
 // Run implements Operator: the row-at-a-time path that the vectorized
 // kernels are differentially tested against (and the -no-batch fallback).
 func (s *SeqScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
-	var runErr error
-	skip := makeSkipper(s.Prune, ctx.Skips)
-	op := "SeqScan " + s.Table // precomputed so the per-page checkpoint allocates nothing
-	snap, tid := ctx.snapView()
-	s.Heap.ScanPagesAt(0, int(s.Heap.PageCount()), snap, tid, &ctx.IO, skip, func(rows []types.Row, _ *storage.PageSynopsis, _ *vec.PageImage) bool {
-		if err := ctx.checkpoint(op); err != nil {
-			runErr = err
-			return false
-		}
-		for _, row := range rows {
-			ok, err := evalFilters(s.Filter, row)
-			if err != nil {
-				runErr = err
-				return false
-			}
-			if !ok {
-				continue
-			}
-			if !emit(row) {
-				return false
-			}
-		}
-		return true
-	})
-	return runErr
+	// The op name is built once so the per-page checkpoint allocates nothing.
+	return rowPageLoop("SeqScan "+s.Table, pageSource{heap: s.Heap, prune: s.Prune}, s.Filter, ctx, emit)
 }
 
 // BatchCapable implements BatchOperator.
@@ -181,8 +174,7 @@ func (s *SeqScan) BatchCapable() bool { return true }
 
 // RunBatch implements BatchOperator.
 func (s *SeqScan) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
-	op := "SeqScan " + s.Table
-	return scanPageLoop(op, s.Heap, s.Filter, s.Prune, ctx, emit)
+	return scanPageLoop("SeqScan "+s.Table, pageSource{heap: s.Heap, prune: s.Prune}, s.Filter, ctx, emit)
 }
 
 // Describe implements Operator.
@@ -191,21 +183,62 @@ func (s *SeqScan) Describe() string {
 	if len(s.Filter) > 0 {
 		d += " filter=" + expr.And(s.Filter...).String()
 	}
-	for _, pp := range s.Prune {
-		// Filter-derived predicates restate the filter; only derived
-		// (constraint- or hole-sourced) ones add information to EXPLAIN.
+	return d + describePrune(s.Heap, s.Prune)
+}
+
+// describePrune renders a scan's derived prune predicates. Filter-derived
+// ones restate the filter; only constraint- or hole-sourced ones add
+// information to EXPLAIN.
+func describePrune(h *storage.Heap, prune []plan.PrunePred) string {
+	var d string
+	for _, pp := range prune {
 		if pp.Source != "filter" {
-			d += " prune=" + pp.Describe(s.Heap.Def().Columns[pp.Col].Name)
+			d += " prune=" + pp.Describe(h.Def().Columns[pp.Col].Name)
 		}
 	}
 	return d
 }
 
+// rowPageLoop is the row-at-a-time page loop: SeqScan.Run, and the page path
+// of IndexScan.Run. Each row of each page src yields is filtered by a
+// per-row tree-walk.
+func rowPageLoop(op string, src pageSource, filter []expr.Expr, ctx *Ctx, emit func(types.Row) bool) error {
+	var runErr error
+	src.scan(ctx, func(rows []types.Row, _ *storage.PageSynopsis, _ *vec.PageImage) bool {
+		if err := ctx.checkpoint(op); err != nil {
+			runErr = err
+			return false
+		}
+		for _, row := range rows {
+			ok, err := evalFilters(filter, row)
+			if err != nil {
+				runErr = err
+				return false
+			}
+			if ok && !emit(row) {
+				return false
+			}
+		}
+		return true
+	})
+	return runErr
+}
+
 // Inputs implements Operator.
 func (s *SeqScan) Inputs() []Operator { return nil }
 
-// IndexScan reads rows via a B+tree index range, fetching each matching row
-// from the heap and applying residual filters.
+// IndexScan reads the rows of a B+tree index range that pass its filter.
+// Filter is the scan's whole filter, which implies the range; Prune holds the
+// page-prune predicates a SeqScan over the same filter would get.
+//
+// The access method is chosen on every execution, from the bound range (see
+// choosePagePath): a range that fits one collected chunk fetches its rows
+// entry by entry (the entry path); a longer one whose table pages, after
+// synopsis pruning, are cheaper to read than its estimated entries are to
+// fetch finishes on the table's page loop (the page path), where frozen pages
+// need no per-row stamp check and the filter runs as a kernel. The two paths
+// return the same rows in different orders; nothing downstream relies on
+// index order.
 type IndexScan struct {
 	Table  string
 	Heap   *storage.Heap
@@ -215,6 +248,7 @@ type IndexScan struct {
 	// computed from statement literals (see Rebind).
 	LoFrom, HiFrom expr.Origin
 	Filter         []expr.Expr
+	Prune          []plan.PrunePred
 }
 
 // indexEntry is one collected (key, rid) pair from a chunked index walk.
@@ -295,16 +329,16 @@ func (s *pageSet) add(p int32, hint int64) bool {
 	return true
 }
 
-// fetch walks the index range and hands visit every heap row visible at the
-// scan's snapshot, in index order, until visit returns false. Entries are
-// collected from the tree in chunks (latch released between chunks) and each
-// chunk's rows are then fetched from the heap: an index entry whose version
-// is not visible at the snapshot — deleted, superseded by an update, or
-// uncommitted — is skipped, which is also what keeps stale entries (MVCC
-// never removes index entries at delete time) harmless. Heap pages are
-// charged once per distinct page touched; index page touches are charged by
-// the tree walk itself.
-func (s *IndexScan) fetch(ctx *Ctx, visit func(types.Row) bool) error {
+// fetch hands visit every heap row of the index range visible at the scan's
+// snapshot, in index order, until visit returns false. chunk and more are the
+// first collected chunk (see open); further entries are collected from the
+// tree in chunks (latch released between chunks) and each chunk's rows are
+// then fetched from the heap: an index entry whose version is not visible at
+// the snapshot — deleted, superseded by an update, or uncommitted — is
+// skipped, which is also what keeps stale entries (MVCC never removes index
+// entries at delete time) harmless. Heap pages are charged once per distinct
+// page touched; index page touches are charged by the tree walk itself.
+func (s *IndexScan) fetch(ctx *Ctx, chunk []indexEntry, more bool, visit func(types.Row) bool) error {
 	var seen pageSet
 	// lastPage short-cuts the set when consecutive entries land on the same
 	// heap page (the common case when the indexed column correlates with
@@ -315,12 +349,8 @@ func (s *IndexScan) fetch(ctx *Ctx, visit func(types.Row) bool) error {
 	snap, tid := ctx.snapView()
 	var entries, rows int64
 	defer func() { ctx.IO.AddRows(rows) }()
-	var chunk []indexEntry
 	var last indexEntry
-	resume := false
 	for {
-		var more bool
-		chunk, more = collectChunk(s.Index.Tree, s.Lo, s.Hi, resume, last, &ctx.IO, chunk)
 		for i := range chunk {
 			// Index entries have no page batching, so observe cancellation
 			// every checkpointRows entries instead of per page.
@@ -350,14 +380,160 @@ func (s *IndexScan) fetch(ctx *Ctx, visit func(types.Row) bool) error {
 		}
 		last = chunk[len(chunk)-1]
 		last.key = last.key.Clone() // chunk buffer is reused; pin the resume key
-		resume = true
+		chunk, more = collectChunk(s.Index.Tree, s.Lo, s.Hi, true, last, &ctx.IO, chunk)
 	}
 }
 
-// Run implements Operator: the row-at-a-time path over fetch.
+// pagePathCostRatio is the cost of reading one row on the page path relative
+// to fetching one index entry's row on the entry path. Experiment V3
+// (EXPERIMENTS.md) measures it at about 0.4 over frozen pages and 0.6–0.9
+// with every image dropped first (the scan then gathers the rows and builds
+// the images again); the constant is the top of the cold figures, so a
+// switch never counts on images a writer may have dropped.
+const pagePathCostRatio = 0.8
+
+// pagePath is an IndexScan execution's decision to finish on the page path.
+type pagePath struct {
+	// list holds the pages the synopsis walk did not prune, in page order,
+	// and pages how many there are; a nil list means pages 0 to pages-1 (no
+	// prune predicate was active, so nothing was walked).
+	list  []int32
+	pages int64
+	// est is the estimated entry count of the range.
+	est float64
+	// skipped counts the pruned pages; skips names the predicates that
+	// pruned them (nil when the query keeps no economy ledger).
+	skipped int64
+	skips   *SkipRecorder
+}
+
+// open starts an execution: it collects the range's first chunk and, when
+// the range holds more entries than that, decides whether to finish on the
+// page path. A nil pp means the entry path, starting with chunk.
+func (s *IndexScan) open(ctx *Ctx) (chunk []indexEntry, more bool, pp *pagePath) {
+	chunk, more = collectChunk(s.Index.Tree, s.Lo, s.Hi, false, indexEntry{}, &ctx.IO, nil)
+	if !more || ctx.EntryPathOnly {
+		return chunk, more, nil
+	}
+	if pp = s.choosePagePath(ctx, chunk); pp != nil {
+		ctx.IO.AddSkipped(pp.skipped)
+		ctx.Skips.merge(pp.skips)
+		atomic.AddInt64(&ctx.PagePaths, 1)
+		if n := ctx.span; n != nil {
+			n.PagePaths.Add(1)
+			n.PagePathEntries.Add(int64(pp.est))
+			n.PagePathPages.Add(pp.pages)
+		}
+	}
+	return chunk, more, pp
+}
+
+// choosePagePath decides whether the rest of a range whose first chunk came
+// back full is cheaper to read as pages. The range's entry count is
+// interpolated from the chunk (see rangeEntries); the page path may then read
+// at most est/pagePathCostRatio rows. One walk over the page synopses with
+// the scan's prune predicates sums the rows of the pages no predicate prunes,
+// and gives up as soon as they exceed that budget; when it completes, the
+// pages it kept are exactly the ones the page loop reads — no second walk.
+func (s *IndexScan) choosePagePath(ctx *Ctx, chunk []indexEntry) *pagePath {
+	est, ok := s.rangeEntries(chunk)
+	if !ok {
+		return nil
+	}
+	budget := est / pagePathCostRatio
+	pp := &pagePath{est: est, pages: s.Heap.PageCount()}
+	if ctx.Skips != nil {
+		pp.skips = NewSkipRecorder()
+	}
+	skip := makeSkipper(s.Prune, pp.skips)
+	if skip == nil {
+		if float64(s.Heap.RowCount()) >= budget {
+			return nil
+		}
+		return pp
+	}
+	var rows int64
+	pp.list = make([]int32, 0, pp.pages)
+	for pi := 0; pi < int(pp.pages); pi++ {
+		if syn := s.Heap.Synopsis(pi); syn != nil {
+			if skip(syn) {
+				pp.skipped++
+				continue
+			}
+			if rows += syn.Rows; float64(rows) >= budget {
+				return nil
+			}
+		}
+		pp.list = append(pp.list, int32(pi))
+	}
+	pp.pages = int64(len(pp.list))
+	return pp
+}
+
+// rangeEntries estimates how many entries the index range holds from its
+// first chunk, whose non-NULL entries span the keys [first, last]: the range
+// runs from first to Hi (the tree's largest key when Hi is open), and entries
+// are taken to spread over it as densely as over the chunk. (NULL keys sort
+// first, so only a range open below collects them, all at the chunk's
+// start.) INT and DATE keys are counted as discrete values, so a chunk of one
+// key still estimates its own size; ok is false for every other key kind but
+// FLOAT, and for a FLOAT chunk of one key.
+func (s *IndexScan) rangeEntries(chunk []indexEntry) (est float64, ok bool) {
+	nulls := 0
+	for nulls < len(chunk) && chunk[nulls].key[0].IsNull() {
+		nulls++
+	}
+	if nulls == len(chunk) {
+		return 0, false
+	}
+	chunk = chunk[nulls:]
+	first, last := chunk[0].key[0], chunk[len(chunk)-1].key[0]
+	hiKey := s.Hi.Key
+	if hiKey == nil {
+		if hiKey = s.Index.Tree.Max(); hiKey == nil {
+			return 0, false
+		}
+	}
+	hi := hiKey[0]
+	var unit float64
+	switch first.Kind() {
+	case types.KindInt, types.KindDate:
+		unit = 1
+	case types.KindFloat:
+	default:
+		return 0, false
+	}
+	if !hi.IsNumeric() || !last.IsNumeric() {
+		return 0, false
+	}
+	f, l, h := first.Float(), last.Float(), hi.Float()
+	if unit == 1 {
+		h = math.Floor(h)
+		if s.Hi.Key != nil && !s.Hi.Inclusive && h == hi.Float() {
+			h--
+		}
+	}
+	span := l - f + unit
+	if span <= 0 || h < l {
+		return 0, false
+	}
+	return float64(len(chunk)) * (h - f + unit) / span, true
+}
+
+// source is the page path's page sequence.
+func (s *IndexScan) source(pp *pagePath) pageSource {
+	return pageSource{heap: s.Heap, prune: s.Prune, path: pp}
+}
+
+// Run implements Operator: the row-at-a-time path over fetch, or over the
+// row page loop once the range switched to the page path.
 func (s *IndexScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
+	chunk, more, pp := s.open(ctx)
+	if pp != nil {
+		return rowPageLoop("IndexScan "+s.Table, s.source(pp), s.Filter, ctx, emit)
+	}
 	var runErr error
-	err := s.fetch(ctx, func(row types.Row) bool {
+	err := s.fetch(ctx, chunk, more, func(row types.Row) bool {
 		pass, err := evalFilters(s.Filter, row)
 		if err != nil {
 			runErr = err
@@ -380,12 +556,17 @@ func (s *IndexScan) BatchCapable() bool { return true }
 // downstream kernels amortized without holding many heap rows borrowed.
 const indexBatchRows = 256
 
-// RunBatch implements BatchOperator: matching heap rows are buffered into
-// fixed-size windows and the residual filter runs as a compiled predicate
-// program over each window instead of a per-row tree-walk. Page and row
-// accounting is identical to Run; as with all batched operators, an early
-// stop (LIMIT) has already paid for the whole in-flight window.
+// RunBatch implements BatchOperator. On the entry path matching heap rows are
+// buffered into fixed-size windows and the residual filter runs as a
+// compiled predicate program over each window instead of a per-row
+// tree-walk; on the page path the scan is the page scan kernel itself. Page
+// and row accounting is identical to Run; as with all batched operators, an
+// early stop (LIMIT) has already paid for the whole in-flight window.
 func (s *IndexScan) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
+	chunk, more, pp := s.open(ctx)
+	if pp != nil {
+		return scanPageLoop("IndexScan "+s.Table, s.source(pp), s.Filter, ctx, emit)
+	}
 	var runErr error
 	prog := expr.CompilePredicate(s.Filter)
 	pr := progRunner{prog: prog}
@@ -398,6 +579,7 @@ func (s *IndexScan) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 			return true
 		}
 		batch.Reset(buf)
+		batch.Stored = true // fetched versions are the heap's own rows
 		keep := true
 		if len(prog.Stages) == 0 {
 			keep = emit(&batch)
@@ -415,7 +597,7 @@ func (s *IndexScan) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 		buf = buf[:0]
 		return keep
 	}
-	err := s.fetch(ctx, func(row types.Row) bool {
+	err := s.fetch(ctx, chunk, more, func(row types.Row) bool {
 		buf = append(buf, row)
 		return len(buf) < indexBatchRows || flush()
 	})
@@ -436,7 +618,7 @@ func (s *IndexScan) Describe() string {
 	if len(s.Filter) > 0 {
 		d += " filter=" + expr.And(s.Filter...).String()
 	}
-	return d
+	return d + describePrune(s.Heap, s.Prune)
 }
 
 func describeBounds(lo, hi btree.Bound) string {

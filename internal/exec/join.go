@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"softdb/internal/expr"
@@ -156,8 +157,8 @@ func (j *HashJoin) BatchCapable() bool {
 
 // intJoinKey reports whether keys is a single bare integer-image column
 // (INT or DATE — BOOL renders as TRUE/FALSE in row keys, not numerically),
-// enabling the float64-image fast path that matches Row.Key's numeric
-// normalization exactly, including int/date cross-kind equality.
+// enabling the typed int table, whose keys (see intKey) match Row.Key's
+// numeric normalization exactly, including int/date cross-kind equality.
 func intJoinKey(keys []expr.Expr) (*expr.Column, bool) {
 	if len(keys) != 1 {
 		return nil, false
@@ -173,29 +174,106 @@ func intJoinKey(keys []expr.Expr) (*expr.Column, bool) {
 	return nil, false
 }
 
-// joinTable is a batched hash join's build side: rows keyed by the float64
-// image of a single integer-class key (fast mode) or by the composite
-// string key (general mode). Fast mode degrades to general in place when a
-// batch fails column extraction, preserving every row already built.
+// intKey maps an integer image to its key in an intTable. The generic path
+// keys numerics by their float64 image (Row.Key), under which integers
+// beyond ±2^53 that round to the same float are equal. So a key is its
+// float image: as an integer while that is within ±2^53, and otherwise as
+// the float's bit pattern, which as an int64 lies outside ±2^53. The mapping
+// is injective on float64 images, and equality matches the generic path
+// exactly.
+func intKey(v int64) int64 {
+	const exact = 1 << 53
+	if v >= -exact && v <= exact {
+		return v
+	}
+	f := float64(v)
+	if f >= -exact && f <= exact { // v rounded onto ±2^53 itself
+		return int64(f)
+	}
+	return int64(math.Float64bits(f))
+}
+
+// intTable is a hash join's build side over one integer-class key: the build
+// rows and their keys in arrival order, and per-bucket chains of row indices
+// threaded through next (-1 ends a chain). Rows are retained as they arrive
+// (see vec.Batch.Stored) — no per-row clone, no per-key slice.
+type intTable struct {
+	rows  []types.Row
+	keys  []int64
+	heads []int32
+	next  []int32
+	shift uint
+}
+
+func (t *intTable) add(k int64, row types.Row) {
+	t.rows = append(t.rows, row)
+	t.keys = append(t.keys, k)
+}
+
+// seal builds the bucket chains once every row is in, at a load factor of
+// at most one half. Chains are threaded back to front so each lists its
+// rows in arrival order, the order the generic table yields matches in.
+func (t *intTable) seal() {
+	n := len(t.rows)
+	bits := uint(0)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	t.shift = 64 - bits
+	t.heads = make([]int32, 1<<bits)
+	for i := range t.heads {
+		t.heads[i] = -1
+	}
+	t.next = make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		h := t.bucket(t.keys[i])
+		t.next[i] = t.heads[h]
+		t.heads[h] = int32(i)
+	}
+}
+
+// bucket is Fibonacci hashing: the top bits of the key times 2^64/φ.
+func (t *intTable) bucket(k int64) uint64 {
+	return (uint64(k) * 0x9E3779B97F4A7C15) >> t.shift
+}
+
+// lookup appends the rows built under key k to buf, in arrival order.
+func (t *intTable) lookup(k int64, buf []types.Row) []types.Row {
+	for i := t.heads[t.bucket(k)]; i >= 0; i = t.next[i] {
+		if t.keys[i] == k {
+			buf = append(buf, t.rows[i])
+		}
+	}
+	return buf
+}
+
+// joinTable is a batched hash join's build side: rows in a typed int table
+// keyed by a single integer-class column (int mode), or keyed by the
+// composite string key (generic mode). Int mode degrades to generic in place
+// when a batch fails column extraction, preserving every row already built.
 type joinTable struct {
-	ints map[float64][]types.Row
+	ints *intTable
 	strs map[string][]types.Row
 }
 
-// degrade converts fast-mode keys to the string keys hashKey would have
-// produced: the float image round-trips through the same normalization
-// Row.Key applies to numeric datums, so lookups stay consistent.
-func (t *joinTable) degrade() {
+// degrade moves every int-mode row into the string-keyed table under the key
+// hashKey gives it, in arrival order.
+func (t *joinTable) degrade(keys []expr.Expr) error {
 	if t.ints == nil {
-		return
+		return nil
 	}
 	if t.strs == nil {
-		t.strs = make(map[string][]types.Row, len(t.ints))
+		t.strs = make(map[string][]types.Row, len(t.ints.rows))
 	}
-	for f, rows := range t.ints {
-		t.strs[types.Row{types.NewFloat(f)}.Key()] = rows
+	for _, row := range t.ints.rows {
+		key, _, err := hashKey(keys, row)
+		if err != nil {
+			return err
+		}
+		t.strs[key] = append(t.strs[key], row)
 	}
 	t.ints = nil
+	return nil
 }
 
 // addGeneric folds one batch into the string-keyed table row by row.
@@ -210,10 +288,10 @@ func (t *joinTable) addGeneric(ctx *Ctx, keys []expr.Expr, b *vec.Batch) error {
 		if null {
 			continue
 		}
-		if err := ctx.Reserve("HashJoin build", row.MemSize()); err != nil {
+		if err := ctx.reserveRow("HashJoin build", row); err != nil {
 			return err
 		}
-		if !b.Owned {
+		if !b.Owned && !b.Stored {
 			row = row.Clone()
 		}
 		t.strs[key] = append(t.strs[key], row)
@@ -221,54 +299,57 @@ func (t *joinTable) addGeneric(ctx *Ctx, keys []expr.Expr, b *vec.Batch) error {
 	return nil
 }
 
-// buildTable materializes the build side for RunBatch, preferring the
-// batched int-image fast path when both key sides are bare integer-class
-// columns and the left input streams batches.
+// buildTable materializes the build side for RunBatch, preferring the typed
+// int table when both key sides are bare integer-class columns and the left
+// input streams batches.
 func (j *HashJoin) buildTable(ctx *Ctx) (*joinTable, error) {
 	t := &joinTable{}
 	lcol, lok := intJoinKey(j.LeftKeys)
 	_, rok := intJoinKey(j.RightKey)
 	lb, lbatch := AsBatch(j.Left)
 	if lok && rok && lbatch {
-		t.ints = map[float64][]types.Row{}
+		t.ints = &intTable{}
 		var inner error
 		err := lb.RunBatch(ctx, func(b *vec.Batch) bool {
 			if t.ints != nil {
 				if c := b.Col(lcol.Index, vec.ClassInt); c != nil {
+					retain := b.Owned || b.Stored
 					n := b.Len()
 					for i := 0; i < n; i++ {
 						idx := b.Index(i)
-						if c.Nulls[idx] {
+						if c.HasNulls && c.Nulls[idx] {
 							continue
 						}
 						row := b.Rows[idx]
-						if err := ctx.Reserve("HashJoin build", row.MemSize()); err != nil {
+						if err := ctx.reserveRow("HashJoin build", row); err != nil {
 							inner = err
 							return false
 						}
-						if !b.Owned {
+						if !retain {
 							row = row.Clone()
 						}
-						k := float64(c.Ints[idx])
-						t.ints[k] = append(t.ints[k], row)
+						t.ints.add(intKey(c.Ints[idx]), row)
 					}
 					return true
 				}
 				// This window holds a datum the int image cannot carry
 				// (e.g. a FLOAT in an INT column): fall back to string
 				// keys for everything, past and future.
-				t.degrade()
+				if inner = t.degrade(j.LeftKeys); inner != nil {
+					return false
+				}
 			}
-			if inner = t.addGeneric(ctx, j.LeftKeys, b); inner != nil {
-				return false
-			}
-			return true
+			inner = t.addGeneric(ctx, j.LeftKeys, b)
+			return inner == nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		if inner != nil {
 			return nil, inner
+		}
+		if t.ints != nil {
+			t.ints.seal()
 		}
 		return t, nil
 	}
@@ -321,6 +402,7 @@ func (j *HashJoin) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	var out []types.Row
 	var slab []types.Datum
 	var concatBuf types.Row // residual scratch when Proj narrows the output
+	var matchBuf []types.Row
 	var ob vec.Batch
 	err = RunBatched(j.Right, ctx, func(b *vec.Batch) bool {
 		n := b.Len()
@@ -331,7 +413,9 @@ func (j *HashJoin) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 				c = b.Col(rcol.Index, vec.ClassInt)
 			}
 			if c == nil {
-				t.degrade()
+				if inner = t.degrade(j.LeftKeys); inner != nil {
+					return false
+				}
 			}
 		}
 		out = out[:0]
@@ -340,11 +424,12 @@ func (j *HashJoin) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 			var matches []types.Row
 			if c != nil {
 				idx := b.Index(i)
-				if c.Nulls[idx] {
+				if c.HasNulls && c.Nulls[idx] {
 					continue
 				}
 				row = b.Rows[idx]
-				matches = t.ints[float64(c.Ints[idx])]
+				matchBuf = t.ints.lookup(intKey(c.Ints[idx]), matchBuf[:0])
+				matches = matchBuf
 			} else {
 				row = b.Row(i)
 				key, null, err := hashKey(j.RightKey, row)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"softdb/internal/fault"
+	"softdb/internal/types"
 )
 
 // ErrKind classifies a QueryError's terminal state. The values double as
@@ -259,4 +260,13 @@ func (c *Ctx) recoverPanic(op string, errp *error) {
 func Guard(c *Ctx, op string, f func() error) (err error) {
 	defer c.recoverPanic(op, &err)
 	return f()
+}
+
+// reserveRow is Reserve for one retained row; without a budget the row is
+// not even sized.
+func (c *Ctx) reserveRow(op string, row types.Row) error {
+	if c.life == nil || c.life.budget <= 0 {
+		return nil
+	}
+	return c.Reserve(op, row.MemSize())
 }

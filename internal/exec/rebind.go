@@ -39,7 +39,7 @@ func Rebind(op Operator, lits []types.Datum) (Operator, bool) {
 	case *IndexScan:
 		c := *t
 		c.Lo, c.Hi = bindBound(t.Lo, t.LoFrom, lits), bindBound(t.Hi, t.HiFrom, lits)
-		c.Filter = expr.BindAll(t.Filter, lits)
+		c.Filter, c.Prune = expr.BindAll(t.Filter, lits), bindPrune(t.Prune, lits)
 		return &c, true
 	case *IndexMinMax, *Values:
 		return op, true

@@ -43,6 +43,16 @@ func (r *SkipRecorder) AddN(source string, n int64) {
 	r.mu.Unlock()
 }
 
+// merge credits r with every total of from. Nil-safe on both sides.
+func (r *SkipRecorder) merge(from *SkipRecorder) {
+	if r == nil || from == nil {
+		return
+	}
+	for source, n := range from.Counts() {
+		r.AddN(source, n)
+	}
+}
+
 // Counts returns a copy of the per-source skip totals.
 func (r *SkipRecorder) Counts() map[string]int64 {
 	if r == nil {

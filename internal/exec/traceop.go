@@ -68,10 +68,13 @@ func (s *spanOp) Run(ctx *Ctx, emit func(types.Row) bool) error {
 	before := ctx.IO.Load()
 	start := time.Now()
 	var rows int64
+	outer := ctx.span
+	ctx.span = s.node
 	err := s.inner.Run(ctx, func(r types.Row) bool {
 		rows++
 		return emit(r)
 	})
+	ctx.span = outer
 	s.record(ctx, before, start, rows)
 	return err
 }
@@ -91,10 +94,13 @@ func (s *spanOp) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	before := ctx.IO.Load()
 	start := time.Now()
 	var rows int64
+	outer := ctx.span
+	ctx.span = s.node
 	err := RunBatched(s.inner, ctx, func(b *vec.Batch) bool {
 		rows += int64(b.Len())
 		return emit(b)
 	})
+	ctx.span = outer
 	s.record(ctx, before, start, rows)
 	return err
 }

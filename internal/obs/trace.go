@@ -37,6 +37,13 @@ type SpanNode struct {
 	Nanos       atomic.Int64
 	Calls       atomic.Int64
 
+	// PagePaths counts the calls of an IndexScan node that switched to the
+	// page path; PagePathEntries and PagePathPages sum those calls' estimated
+	// range entries and unpruned pages (the figures the switch weighed).
+	PagePaths       atomic.Int64
+	PagePathEntries atomic.Int64
+	PagePathPages   atomic.Int64
+
 	// Batched reports that this node executed on the columnar batch path
 	// (RunBatch) rather than row-at-a-time; -no-batch plans leave it false.
 	Batched atomic.Bool
@@ -49,13 +56,21 @@ type SpanNode struct {
 	Children []*SpanNode
 }
 
-// ActualLine renders the node's measured figures. Scans that pruned pages
+// ActualLine renders the node's measured figures. An index scan that
+// switched to the page path leads with path=pages and the estimated range
+// entries and unpruned pages it decided on. Scans that pruned pages
 // additionally report the skip count and the prune ratio (fraction of the
 // pages they would otherwise have read); scan nodes (leaves) that read
 // frozen pages report frozen=k/n, k of their n page reads.
 func (n *SpanNode) ActualLine() string {
 	d := time.Duration(n.Nanos.Load())
 	s := fmt.Sprintf("(actual rows=%d time=%s pages=%d", n.Rows.Load(), formatDur(d), n.Pages.Load())
+	if pp := n.PagePaths.Load(); pp > 0 {
+		s += fmt.Sprintf(" path=pages est_entries=%d unpruned_pages=%d", n.PagePathEntries.Load(), n.PagePathPages.Load())
+		if calls := n.Calls.Load(); pp < calls {
+			s += fmt.Sprintf(" (%d of %d calls)", pp, calls)
+		}
+	}
 	if sk := n.PagesSkipped.Load(); sk > 0 {
 		s += fmt.Sprintf(" skipped=%d prune=%.0f%%", sk, 100*float64(sk)/float64(sk+n.Pages.Load()))
 	}
@@ -221,7 +236,10 @@ type Trace struct {
 	// vectorized scan skipped because a page synopsis proved every row on
 	// the page qualifies.
 	RowsShortCircuited int64
-	Err                string
+	// IndexPagePaths counts the index scan executions that switched to the
+	// page path.
+	IndexPagePaths int64
+	Err            string
 	// State is the query's terminal lifecycle state: "ok", "canceled",
 	// "timeout", "oom", "panic", or "error".
 	State string
@@ -231,8 +249,9 @@ type Trace struct {
 func (t *Trace) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", t.SQL)
-	fmt.Fprintf(&b, "elapsed=%s rows=%d pages=%d skipped=%d%s cache=%s%s%s%s\n",
-		formatDur(t.Duration), t.ActualRows, t.PagesRead, t.PagesSkipped, frozenWord(t.PagesFrozen, t.PagesRead), cacheWord(t.CacheHit), stateWord(t.State), sessionWord(t.Session), shapeWord(t.Shape))
+	fmt.Fprintf(&b, "elapsed=%s rows=%d pages=%d skipped=%d%s%s cache=%s%s%s%s\n",
+		formatDur(t.Duration), t.ActualRows, t.PagesRead, t.PagesSkipped, frozenWord(t.PagesFrozen, t.PagesRead), pagePathWord(t.IndexPagePaths),
+		cacheWord(t.CacheHit), stateWord(t.State), sessionWord(t.Session), shapeWord(t.Shape))
 	if t.Err != "" {
 		fmt.Fprintf(&b, "error: %s\n", t.Err)
 	}
@@ -260,6 +279,13 @@ func frozenWord(frozen, pages int64) string {
 		return ""
 	}
 	return fmt.Sprintf(" frozen=%d/%d", frozen, pages)
+}
+
+func pagePathWord(n int64) string {
+	if n == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" index_page_paths=%d", n)
 }
 
 func stateWord(state string) string {

@@ -28,25 +28,6 @@ const (
 	costEmit      = 0.002
 )
 
-// batchCPUDiscount scales the per-row CPU terms of operators that run on
-// the columnar batch path (SeqScan, Filter, Project, HashJoin,
-// HashAggregate): their typed kernels amortize dispatch and predicate
-// walks over whole pages, so a vectorized row costs a fraction of a
-// row-at-a-time row. Page I/O terms are never discounted — batching does
-// not change what is read.
-const batchCPUDiscount = 1.0
-
-// cpuBatch is the multiplier for a batch-capable operator's per-row CPU
-// cost terms: 1 under -no-batch, batchCPUDiscount otherwise. Operators
-// with no batched implementation (index scans, nested-loop and merge
-// joins, Sort, Distinct) always pay full price.
-func (o *Optimizer) cpuBatch() float64 {
-	if o.NoBatch {
-		return 1
-	}
-	return batchCPUDiscount
-}
-
 // defaultRowsPerLeaf approximates index entries per B+tree leaf for
 // costing.
 const defaultRowsPerLeaf = 32

@@ -37,10 +37,6 @@ type Optimizer struct {
 	// NoPrune disables synopsis-based page pruning: scans get no prune
 	// predicates and page estimates ignore synopses (ablation/baseline).
 	NoPrune bool
-	// NoBatch prices every operator row-at-a-time: the per-row CPU
-	// discount batch-capable operators earn from their vectorized kernels
-	// is withheld, matching the -no-batch execution path.
-	NoBatch bool
 	// Masked, when non-empty, names one constraint or AST whose statistics
 	// must not inform estimation (shadow costing; pairs with
 	// rewrite.Options.Masked so the masked plan is priced as if the
@@ -135,7 +131,7 @@ func (o *Optimizer) lowerNode(n plan.Node) (exec.Operator, prop, error) {
 		if err != nil {
 			return nil, prop{}, err
 		}
-		pr.cost += pr.rows * costEmit * float64(len(t.Exprs)) * o.cpuBatch()
+		pr.cost += pr.rows * costEmit * float64(len(t.Exprs))
 		return &exec.Project{Input: in, Exprs: t.Exprs}, pr, nil
 	case *plan.Aggregate:
 		if shortcut := o.tryIndexMinMax(t); shortcut != nil {
@@ -146,7 +142,7 @@ func (o *Optimizer) lowerNode(n plan.Node) (exec.Operator, prop, error) {
 			return nil, prop{}, err
 		}
 		groups := o.estimateGroups(t, pr.rows)
-		out := prop{rows: groups, cost: pr.cost + pr.rows*costHashProbe*o.cpuBatch() + groups*costEmit}
+		out := prop{rows: groups, cost: pr.cost + pr.rows*costHashProbe + groups*costEmit}
 		groupBy, aggs := t.GroupBy, t.Aggs
 		if in2, gb2, ag2, ok := fuseAggJoinProjection(in, groupBy, aggs); ok {
 			in, groupBy, aggs = in2, gb2, ag2
@@ -168,7 +164,7 @@ func (o *Optimizer) lowerNode(n plan.Node) (exec.Operator, prop, error) {
 		if err != nil {
 			return nil, prop{}, err
 		}
-		pr.cost += pr.rows * costRow * o.cpuBatch()
+		pr.cost += pr.rows * costRow
 		pr.rows = math.Max(0, pr.rows*genericSelectivity(t.Conds))
 		return &exec.Filter{Input: in, Conds: t.Conds}, pr, nil
 	case *plan.Distinct:
@@ -292,9 +288,7 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 	pages := float64(heap.PageCount())
 	prune := o.prunePreds(s)
 	best := exec.Operator(&exec.SeqScan{Table: s.Table, Heap: heap, Filter: s.Filter, Prune: prune})
-	// The sequential scan's per-row filter CPU earns the batch discount
-	// (its kernels run page-at-a-time); index paths below never do.
-	bestCost := pages*costPage + total*costRow*o.cpuBatch()
+	bestCost := pages*costPage + total*costRow
 
 	if s.Entry != nil && !o.NoIndexes {
 		candidates := s.Entry.Indexes
@@ -333,7 +327,7 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 				lo, hi := boundsFor(iv)
 				loFrom, hiFrom := iv.Origins()
 				best = &exec.IndexScan{Table: s.Table, Heap: heap, Index: ix, Lo: lo, Hi: hi,
-					LoFrom: loFrom, HiFrom: hiFrom, Filter: s.Filter}
+					LoFrom: loFrom, HiFrom: hiFrom, Filter: s.Filter, Prune: prune}
 				bestCost = cost
 			}
 		}
@@ -347,7 +341,10 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 		// current synopsis state is too volatile to let it veto an index — so
 		// the synopses are only walked (O(pages)) once the sequential scan
 		// has survived. The pruned figures are what it reports upward so
-		// join ordering sees the pages it will actually read.
+		// join ordering sees the pages it will actually read. A chosen index
+		// scan weighs the pruned pages itself, on every execution, against
+		// the range it was bound to (exec.IndexScan), where a stale snapshot
+		// of the synopses cannot outlive the plan.
 		readPages := pages
 		if len(prune) > 0 {
 			readPages = pages - float64(exec.CountSkippablePages(heap, prune))
@@ -356,7 +353,7 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 		if pages > 0 {
 			readRows = total * readPages / pages
 		}
-		bestCost = readPages*costPage + readRows*costRow*o.cpuBatch()
+		bestCost = readPages*costPage + readRows*costRow
 	}
 	if len(informed) > 0 && o.nodeInformed != nil {
 		o.nodeInformed[best] = informed
@@ -449,7 +446,7 @@ func (o *Optimizer) lowerJoinGroup(jg *plan.JoinGroup) (exec.Operator, prop, err
 			op = &exec.Filter{Input: op, Conds: filters}
 			sel := genericSelectivity(filters)
 			pr.rows *= sel
-			pr.cost += pr.rows * costRow * o.cpuBatch()
+			pr.cost += pr.rows * costRow
 			o.note(op, pr.rows)
 		}
 		leaves[i] = &joinState{op: op, rows: pr.rows, cost: pr.cost, layout: []int{i}}
@@ -715,7 +712,7 @@ func (o *Optimizer) joinPairBest(jg *plan.JoinGroup, l, r *joinState, mask int, 
 			for _, c := range residual {
 				res = append(res, expr.RemapColumns(c, layoutMap))
 			}
-			cost := build.cost + probe.cost + (build.rows*costHashBuild+probe.rows*costHashProbe)*o.cpuBatch() + outRows*costEmit
+			cost := build.cost + probe.cost + (build.rows*costHashBuild + probe.rows*costHashProbe) + outRows*costEmit
 			jop := &exec.HashJoin{Left: build.op, Right: probe.op, LeftKeys: lk, RightKey: rk, Residual: res}
 			o.note(jop, outRows)
 			return &joinState{

@@ -121,13 +121,13 @@ func (h *Heap) Synopsis(pi int) *PageSynopsis {
 // Unlike ScanRangeAt, row charges land page-at-a-time: a consumer that stops
 // mid-batch has already been charged for the whole page, mirroring the page
 // model (touching any row of a page faults the full page in).
-func (h *Heap) ScanPages(pageLo, pageHi int, c *Counters, skip func(*PageSynopsis) bool, fn func(rows []types.Row, syn *PageSynopsis, img *vec.PageImage) bool) {
+func (h *Heap) ScanPages(pageLo, pageHi int, c *Counters, skip func(*PageSynopsis) bool, fn PageFunc) {
 	h.ScanPagesAt(pageLo, pageHi, SnapLatest, 0, c, skip, fn)
 }
 
 // ScanPagesAt is ScanPages from an explicit snapshot: the gathered batch
 // holds the rows visible at snap to transaction tid.
-func (h *Heap) ScanPagesAt(pageLo, pageHi int, snap, tid int64, c *Counters, skip func(*PageSynopsis) bool, fn func(rows []types.Row, syn *PageSynopsis, img *vec.PageImage) bool) {
+func (h *Heap) ScanPagesAt(pageLo, pageHi int, snap, tid int64, c *Counters, skip func(*PageSynopsis) bool, fn PageFunc) {
 	pages := h.pageList()
 	if pageLo < 0 {
 		pageLo = 0
@@ -143,22 +143,49 @@ func (h *Heap) ScanPagesAt(pageLo, pageHi int, snap, tid int64, c *Counters, ski
 			c.AddSkipped(1)
 			continue
 		}
-		c.AddPages(1)
-		fi := p.image.Load()
-		if fi == nil || snap < fi.asOf {
-			buf, fi = h.gather(p, snap, tid, buf[:0])
-		}
-		if fi == nil {
-			c.AddRows(int64(len(buf)))
-			if len(buf) > 0 && !fn(buf, syn, nil) {
-				return
-			}
-			continue
-		}
-		c.AddFrozen(1)
-		c.AddRows(int64(len(p.rows)))
-		if !fn(p.rows, syn, fi.cols) {
+		var more bool
+		if buf, more = h.readPage(p, syn, snap, tid, c, buf, fn); !more {
 			return
 		}
 	}
+}
+
+// PageFunc receives one page of a page scan: its rows visible to the scan's
+// snapshot, its published synopsis, and its image when the page is frozen.
+// Returning false stops the scan.
+type PageFunc func(rows []types.Row, syn *PageSynopsis, img *vec.PageImage) bool
+
+// ScanPageListAt is ScanPagesAt over exactly the listed pages, in list order,
+// with no skip test: the caller has already walked the synopses (an index
+// scan that decided to finish on the page path, see exec.IndexScan). Each
+// listed page is read and charged exactly as ScanPagesAt reads an unskipped
+// one. Listed pages must exist.
+func (h *Heap) ScanPageListAt(list []int32, snap, tid int64, c *Counters, fn PageFunc) {
+	pages := h.pageList()
+	var buf []types.Row
+	for _, pi := range list {
+		p := pages[pi]
+		var more bool
+		if buf, more = h.readPage(p, p.syn.Load(), snap, tid, c, buf, fn); !more {
+			return
+		}
+	}
+}
+
+// readPage charges and hands fn one page that was not skipped: the frozen
+// window with its image, or the rows gathered at snap into buf (returned for
+// reuse). more is false when fn stopped the scan.
+func (h *Heap) readPage(p *page, syn *PageSynopsis, snap, tid int64, c *Counters, buf []types.Row, fn PageFunc) ([]types.Row, bool) {
+	c.AddPages(1)
+	fi := p.image.Load()
+	if fi == nil || snap < fi.asOf {
+		buf, fi = h.gather(p, snap, tid, buf[:0])
+	}
+	if fi == nil {
+		c.AddRows(int64(len(buf)))
+		return buf, len(buf) == 0 || fn(buf, syn, nil)
+	}
+	c.AddFrozen(1)
+	c.AddRows(int64(len(p.rows)))
+	return buf, fn(p.rows, syn, fi.cols)
 }

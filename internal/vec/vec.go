@@ -76,6 +76,13 @@ type Batch struct {
 	// producer and will never be reused: consumers may retain them without
 	// cloning. The Rows and Sel slice headers themselves remain borrowed.
 	Owned bool
+	// Stored reports that the row values are the heap's stored rows (a page
+	// scan's window, an index scan's fetched versions). Stored rows are
+	// never written after they are published, so a consumer may retain them
+	// without cloning, as with Owned; unlike Owned rows they are shared with
+	// storage and every other reader, so they must not be handed on as
+	// Owned either.
+	Stored bool
 
 	cols []Col
 	// img is the frozen page image Rows is the full window of, or nil.
@@ -88,6 +95,7 @@ func (b *Batch) Reset(rows []types.Row) {
 	b.Rows = rows
 	b.Sel = nil
 	b.Owned = false
+	b.Stored = false
 	b.img = nil
 	for i := range b.cols {
 		b.cols[i].extracted = false
