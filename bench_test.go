@@ -1001,7 +1001,7 @@ func BenchmarkV3IndexPagePath(b *testing.B) {
 		}
 		b.Run("build/"+mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := join.RunBatch(exec.NewCtx(context.Background(), exec.CtxOptions{}), func(*vec.Batch) bool { return true }); err != nil {
+				if err := join.Run(exec.NewCtx(context.Background(), exec.CtxOptions{}), func(*vec.Batch) bool { return true }); err != nil {
 					b.Fatal(err)
 				}
 			}

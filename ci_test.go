@@ -1,11 +1,15 @@
 package softdb_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"softdb/internal/engine"
+	"softdb/internal/sql"
 )
 
 // TestCISelectorsMatchTests keeps the CI workflow honest: every
@@ -187,4 +191,51 @@ func anyMatch(re *regexp.Regexp, names []string) bool {
 		}
 	}
 	return false
+}
+
+// TestObsSmokePlanCacheStatus replays CI's obs-smoke pipeline: it runs
+// examples/obs_smoke.sql the way cmd/softdb runs a script — one session,
+// each statement keyed by its sql.Print text — then the two statements the
+// job pipes into the REPL, and requires the plan-cache status lines the
+// job's "Plan-cache status in EXPLAIN" step greps for. A script statement
+// placed before a later DDL or ANALYZE leaves a stale plan and a miss.
+func TestObsSmokePlanCacheStatus(t *testing.T) {
+	script, err := os.ReadFile(filepath.Join("examples", "obs_smoke.sql"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmts, err := sql.ParseAll(string(script))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := engine.Open()
+	db.SetTracing(true) // the job runs the shell with -trace
+	ctx := context.Background()
+	sess := db.NewSession("script")
+	for _, s := range stmts {
+		if _, err := sess.ExecStmtCtx(ctx, s, sql.Print(s)); err != nil {
+			t.Fatalf("%s: %v", sql.Print(s), err)
+		}
+	}
+	sess.Close()
+	repl := db.NewSession("repl")
+	defer repl.Close()
+	for _, c := range []struct{ q, want string }{
+		{"EXPLAIN ANALYZE SELECT COUNT(*) AS n FROM purchase WHERE (order_date >= DATE '1999-01-15')",
+			"plan cache: hit (literal-bound: access-path)"},
+		{"EXPLAIN SELECT id FROM purchase WHERE (ship_date = DATE '1999-01-20')",
+			"plan cache: hit (template, 1 slot)"},
+	} {
+		res, err := repl.ExecCtx(ctx, c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		var out strings.Builder
+		for _, r := range res.Rows {
+			out.WriteString(r[0].Str() + "\n")
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("%s lacks %q:\n%s", c.q, c.want, out.String())
+		}
+	}
 }

@@ -19,10 +19,7 @@
 // status) and /debug/pprof/* (live profiling).
 // -slow-query D logs queries slower than duration D; -trace starts with
 // per-operator tracing on. -no-prune disables synopsis-based page pruning
-// (useful for measuring what the zone maps buy), -no-batch disables
-// vectorized execution (operators process one row at a time, same plans
-// and answers — useful for measuring what the columnar batches buy).
-// -timeout D applies a
+// (useful for measuring what the zone maps buy). -timeout D applies a
 // per-statement deadline, -mem-budget N caps the bytes of rows a query may
 // buffer, and -max-concurrent N gates statement admission. The first
 // Ctrl-C cancels the running query through the context path; a second (or
@@ -95,7 +92,6 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "log queries slower than this duration (0 = off)")
 	trace := flag.Bool("trace", false, "start with per-operator query tracing on")
 	noPrune := flag.Bool("no-prune", false, "disable synopsis-based page pruning (zone maps); scans read every page")
-	noBatch := flag.Bool("no-batch", false, "disable vectorized (columnar-batch) execution; operators run row at a time")
 	timeout := flag.Duration("timeout", 0, "per-statement deadline (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "per-query budget in bytes for buffered rows (0 = unlimited)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission gate: maximum concurrently executing statements (0 = unlimited)")
@@ -137,7 +133,6 @@ func main() {
 		db = engine.Open()
 	}
 	db.NoPrune = *noPrune
-	db.NoBatch = *noBatch
 	db.StmtTimeout = *timeout
 	db.MemBudget = *memBudget
 	db.MaxConcurrent = *maxConcurrent

@@ -38,7 +38,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7654", "TCP listen address for the wire protocol (:0 = ephemeral)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/queries on this address")
 	noPrune := flag.Bool("no-prune", false, "disable synopsis-based page pruning by default")
-	noBatch := flag.Bool("no-batch", false, "disable vectorized (columnar-batch) execution by default")
 	timeout := flag.Duration("timeout", 0, "default per-statement deadline (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "default per-query budget in bytes for buffered rows (0 = unlimited)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission gate: maximum concurrently executing statements (0 = unlimited)")
@@ -99,7 +98,6 @@ func main() {
 		db = engine.Open()
 	}
 	db.NoPrune = *noPrune
-	db.NoBatch = *noBatch
 	db.StmtTimeout = *timeout
 	db.MemBudget = *memBudget
 	db.MaxConcurrent = *maxConcurrent

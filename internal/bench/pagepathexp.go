@@ -81,7 +81,7 @@ func V3Scan(db *engine.Database, c V3Case) (*exec.IndexScan, error) {
 func V3Run(scan *exec.IndexScan, mode string) (rows, idSum int64, ctx *exec.Ctx, err error) {
 	ctx = exec.NewCtx(context.Background(), exec.CtxOptions{})
 	ctx.EntryPathOnly = mode == "entry"
-	err = scan.RunBatch(ctx, func(b *vec.Batch) bool {
+	err = scan.Run(ctx, func(b *vec.Batch) bool {
 		n := b.Len()
 		for i := 0; i < n; i++ {
 			idSum += b.Row(i)[0].Int()
@@ -200,7 +200,7 @@ func V3IndexPagePath(factRows int) (*Report, error) {
 		var total time.Duration
 		for run := -1; run < reps; run++ {
 			start := time.Now()
-			if err := join.RunBatch(exec.NewCtx(context.Background(), exec.CtxOptions{}), func(*vec.Batch) bool { return true }); err != nil {
+			if err := join.Run(exec.NewCtx(context.Background(), exec.CtxOptions{}), func(*vec.Batch) bool { return true }); err != nil {
 				return nil, err
 			}
 			if run >= 0 {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"softdb/internal/engine"
 	"softdb/internal/expr"
 	"softdb/internal/types"
 	"softdb/internal/vec"
-	"softdb/internal/workload"
 )
 
 // V1Kernels measures the vectorized predicate kernels against the per-row
@@ -17,8 +15,7 @@ import (
 // batch's selection vector, the baseline evaluates the same conjunct with
 // EvalBool row by row, and the report shows ns/row for both. A generic
 // (column-to-column) predicate is included to show the fallback stage costs
-// about the same as the tree-walk it wraps, and one end-to-end query row
-// shows the whole-pipeline effect of the -no-batch knob.
+// about the same as the tree-walk it wraps.
 func V1Kernels(rows int) (*Report, error) {
 	rep := &Report{
 		ID:     "V1",
@@ -51,12 +48,7 @@ func V1Kernels(rows int) (*Report, error) {
 			fmt.Sprintf("%.2f", walkNs/kernelNs))
 	}
 
-	e2e, err := v1EndToEnd(rows)
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = append(rep.Rows, e2e...)
-	rep.Notef("batch of %d rows; kernel times include selection-vector writes; e2e row is a filtered scan+aggregate with the plan held fixed", rows)
+	rep.Notef("batch of %d rows; kernel times include selection-vector writes", rows)
 	return rep, nil
 }
 
@@ -167,52 +159,4 @@ func timeTreeWalk(conds []expr.Expr, rows []types.Row) (nsPerRow float64, kept i
 	}
 	total := time.Since(start)
 	return float64(total.Nanoseconds()) / float64(reps*len(rows)), kept, nil
-}
-
-// v1EndToEnd runs one filtered scan+aggregate with batching on and off
-// (same plan — the knob only switches the execution path) and reports
-// whole-query ns/row.
-func v1EndToEnd(factRows int) ([][]string, error) {
-	db := engine.Open()
-	db.DisablePlanCache = true
-	db.NoPrune = true
-	if err := workload.LoadStar(db, workload.StarConfig{DimRows: 100, FactRows: factRows, Seed: 23}); err != nil {
-		return nil, err
-	}
-	q := "SELECT COUNT(*) AS n, SUM(qty) AS s FROM fact WHERE qty >= 5 AND qty <= 40 AND price < 900.0"
-	run := func(noBatch bool) (float64, string, error) {
-		db.NoBatch = noBatch
-		const reps = 5
-		best := 0.0
-		var answer string
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			res, err := db.Exec(q)
-			if err != nil {
-				return 0, "", err
-			}
-			ns := float64(time.Since(start).Nanoseconds()) / float64(factRows)
-			if best == 0 || ns < best {
-				best = ns
-			}
-			answer = res.Rows[0].String()
-		}
-		return best, answer, nil
-	}
-	rowNs, rowAns, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	batchNs, batchAns, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	if rowAns != batchAns {
-		return nil, fmt.Errorf("V1 e2e: answers diverged: %s vs %s", rowAns, batchAns)
-	}
-	return [][]string{{
-		"e2e-scan-agg", "pipeline",
-		fmt.Sprintf("%.1f", batchNs), fmt.Sprintf("%.1f", rowNs),
-		fmt.Sprintf("%.2f", rowNs/batchNs),
-	}}, nil
 }

@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"softdb/internal/expr"
 	"softdb/internal/mining"
+	"softdb/internal/refexec"
 	"softdb/internal/softc"
 	"softdb/internal/sql"
 	"softdb/internal/storage"
@@ -147,6 +150,33 @@ func referenceFilter(t *testing.T, db *Database, raw []types.Row, pred expr.Expr
 		}
 	}
 	return out
+}
+
+// refAnswer answers q with the reference interpreter at sess's snapshot
+// (its open transaction's, if any): what the statement returns with
+// Database.NoBatch set, without writing the shared field, so concurrent
+// tests may call it.
+func refAnswer(t testing.TB, db *Database, sess *Session, q string) *Result {
+	t.Helper()
+	res, err := db.reference(context.Background(), nil, q, sess)
+	if err != nil {
+		t.Fatalf("reference: %s: %v", q, err)
+	}
+	return res
+}
+
+// refDiff compares an engine answer to q with the reference's: the same
+// headers, and the same rows — in order when q has an ORDER BY, FLOAT
+// values at four decimals. It describes the first difference, or returns
+// "".
+func refDiff(q string, got, ref *Result) string {
+	if g, w := strings.Join(got.Columns, ","), strings.Join(ref.Columns, ","); g != w {
+		return fmt.Sprintf("%s: headers %s, reference %s", q, g, w)
+	}
+	if d := refexec.Diff(got.Rows, ref.Rows, strings.Contains(q, "ORDER BY")); d != "" {
+		return fmt.Sprintf("%s: %s\nplan:\n%s", q, d, got.Plan)
+	}
+	return ""
 }
 
 func sortedKeys(rows []types.Row) []string {
@@ -440,17 +470,17 @@ func diffDBPrune(t *testing.T, seed int64, n int) *Database {
 }
 
 // TestDifferentialPrune runs generated queries through every combination of
-// {synopsis pruning on/off} × {page-batched emission on/off} and asserts
-// two invariants. Answers must be identical
-// in all four configurations — pruning may only skip pages that provably
-// hold no qualifying row, and batching is a pure delivery change. And page
-// accounting must balance exactly: with indexes disabled both prune modes
-// lower to sequential scans over the same heaps, so every page
-// is either read or skipped — pagesRead(on) + pagesSkipped(on) ==
-// pagesRead(off), with pagesSkipped(off) == 0.
+// {synopsis pruning on/off} × {index paths on/off} and asserts two
+// invariants. Every configuration must give the reference interpreter's
+// answer — pruning may only skip pages that provably hold no qualifying
+// row, and an access path never changes an answer. And page accounting must
+// balance exactly: with indexes disabled both prune modes lower to
+// sequential scans over the same heaps, so every page is either read or
+// skipped — pagesRead(on) + pagesSkipped(on) == pagesRead(off), with
+// pagesSkipped(off) == 0.
 func TestDifferentialPrune(t *testing.T) {
 	db := diffDBPrune(t, 131, 2000)
-	db.NoIndexes = true
+	db.MustExec("CREATE INDEX idx_a ON t (a)")
 	db.MustExec("CREATE TABLE u (k INT NOT NULL, w INT)")
 	ue, _ := db.Catalog().Table("u")
 	r := rand.New(rand.NewSource(132))
@@ -463,66 +493,50 @@ func TestDifferentialPrune(t *testing.T) {
 	db.MustExec("ANALYZE u")
 
 	type cfg struct {
-		noPrune, noBatch bool
-		name             string
+		noPrune, noIndexes bool
+		name               string
 	}
+	// The first two run with indexes off: the page-accounting pair.
 	cfgs := []cfg{
-		{true, true, "prune=off batch=off"},
-		{true, false, "prune=off batch=on"},
-		{false, true, "prune=on batch=off"},
-		{false, false, "prune=on batch=on"},
+		{true, true, "prune=off indexes=off"},
+		{false, true, "prune=on indexes=off"},
+		{true, false, "prune=off indexes=on"},
+		{false, false, "prune=on indexes=on"},
 	}
 	var totalSkipped int64
 	runAll := func(trial int, sel *sql.Select, desc string) {
 		t.Helper()
+		db.NoBatch = true
+		ref, err := db.ExecStmt(sel, "")
+		db.NoBatch = false
+		if err != nil {
+			t.Fatalf("trial %d [reference]: %s: %v", trial, desc, err)
+		}
 		results := make([]*Result, len(cfgs))
 		for i, c := range cfgs {
-			db.NoPrune, db.NoBatch = c.noPrune, c.noBatch
+			db.NoPrune, db.NoIndexes = c.noPrune, c.noIndexes
 			res, err := db.ExecStmt(sel, "")
 			if err != nil {
 				t.Fatalf("trial %d [%s]: %s: %v", trial, c.name, desc, err)
 			}
+			if d := refDiff(desc, res, ref); d != "" {
+				t.Fatalf("trial %d [%s]: %s", trial, c.name, d)
+			}
 			results[i] = res
 		}
-		db.NoPrune, db.NoBatch = false, false
-		ref := sortedKeys(results[0].Rows)
-		for i := 1; i < len(cfgs); i++ {
-			got := sortedKeys(results[i].Rows)
-			if len(got) != len(ref) {
-				t.Fatalf("trial %d [%s]: %s: %d rows, want %d\nplan:\n%s",
-					trial, cfgs[i].name, desc, len(got), len(ref), results[i].Plan)
-			}
-			for j := range got {
-				if got[j] != ref[j] {
-					t.Fatalf("trial %d [%s]: %s: row %d differs: %s vs %s\nplan:\n%s",
-						trial, cfgs[i].name, desc, j, got[j], ref[j], results[i].Plan)
-				}
-			}
+		db.NoPrune, db.NoIndexes = false, false
+		// Page accounting: indexes are off, so the prune toggle must not
+		// change the plan shape — only which pages get read.
+		off, on := results[0].Ctx.IO.Load(), results[1].Ctx.IO.Load()
+		if off.PagesSkipped != 0 {
+			t.Fatalf("trial %d: %s: pruning-off scan skipped %d pages\nplan:\n%s",
+				trial, desc, off.PagesSkipped, results[0].Plan)
 		}
-		// Batching is a pure delivery change: within each prune mode the
-		// batched run must read and skip exactly what the row-at-a-time
-		// run did (no LIMIT in the corpus, so granularity cannot differ).
-		for p := 0; p < 2; p++ {
-			rowIO, batchIO := results[2*p].Ctx.IO.Load(), results[2*p+1].Ctx.IO.Load()
-			if rowIO != batchIO {
-				t.Fatalf("trial %d [prune=%v]: %s: batch accounting diverged: row-path %+v, batched %+v\nplan:\n%s",
-					trial, !cfgs[2*p].noPrune, desc, rowIO, batchIO, results[2*p+1].Plan)
-			}
+		if on.PagesRead+on.PagesSkipped != off.PagesRead {
+			t.Fatalf("trial %d [%s]: %s: read %d + skipped %d != baseline %d pages\nplan:\n%s",
+				trial, cfgs[1].name, desc, on.PagesRead, on.PagesSkipped, off.PagesRead, results[1].Plan)
 		}
-		// Page accounting, per batch mode: indexes are off, so the prune
-		// toggle must not change the plan shape — only which pages get read.
-		for b := 0; b < 2; b++ {
-			off, on := results[b].Ctx.IO.Load(), results[b+2].Ctx.IO.Load()
-			if off.PagesSkipped != 0 {
-				t.Fatalf("trial %d: %s: pruning-off scan skipped %d pages\nplan:\n%s",
-					trial, desc, off.PagesSkipped, results[b].Plan)
-			}
-			if on.PagesRead+on.PagesSkipped != off.PagesRead {
-				t.Fatalf("trial %d [%s]: %s: read %d + skipped %d != baseline %d pages\nplan:\n%s",
-					trial, cfgs[b+2].name, desc, on.PagesRead, on.PagesSkipped, off.PagesRead, results[b+2].Plan)
-			}
-			totalSkipped += on.PagesSkipped
-		}
+		totalSkipped += on.PagesSkipped
 	}
 
 	for trial := 0; trial < 120; trial++ {
@@ -550,7 +564,7 @@ func TestDifferentialPrune(t *testing.T) {
 			sel := stmt.(*sql.Select)
 			sel.Where = pred
 			runAll(trial, sel, q)
-		case 2: // explicit projection (batched Project over filtered scan)
+		case 2: // explicit projection over a filtered scan
 			pred := randPred(r, 3)
 			q := "SELECT b, d, a, c FROM t"
 			stmt, err := sql.Parse(q)

@@ -20,6 +20,7 @@ import (
 	"softdb/internal/obs"
 	"softdb/internal/opt"
 	"softdb/internal/plan"
+	"softdb/internal/refexec"
 	"softdb/internal/rewrite"
 	"softdb/internal/sql"
 	"softdb/internal/stats"
@@ -169,8 +170,14 @@ type Database struct {
 	// plants none from constraints, and scans read every page (baseline
 	// mode for the P2 experiments).
 	NoPrune bool
-	// NoBatch disables page-batched row emission; scans fall back to
-	// row-at-a-time delivery (differential baseline for the batch kernel).
+	// NoBatch answers every plain SELECT with the reference interpreter
+	// (internal/refexec) instead of the engine: the statement's logical
+	// plan, views expanded and nothing rewritten or optimized, evaluated
+	// slot by slot at the statement's snapshot, with no plan cache, trace
+	// or economy credit (see DESIGN.md §22). EXPLAIN [ANALYZE] and DML
+	// always use the engine. It is the right-hand side of every
+	// differential; the name stays because softbench's reference
+	// configuration sets it.
 	NoBatch bool
 	// NoEconomy disables the per-constraint benefit/cost ledger: no skip
 	// attribution, no shadow costing, no q-error split, no DML hook timing
@@ -653,6 +660,9 @@ var testHookQueryUnlocked func()
 // without being observed (scans filter by the pinned snapshot), and a slow
 // scan no longer blocks writers.
 func (db *Database) query(ctx context.Context, sel *sql.Select, text string, mode queryMode, st Settings, sess *Session) (*Result, error) {
+	if mode == modeRun && db.NoBatch {
+		return db.reference(ctx, sel, text, sess)
+	}
 	label := sessionLabel(sess)
 	sqlText := text
 	if sqlText == "" {
@@ -712,6 +722,46 @@ func (db *Database) query(ctx context.Context, sel *sql.Select, text string, mod
 		return db.explainAnalyze(ctx, entry, sqlText, cacheStatus, st, label, snap, tid)
 	}
 	return db.execute(ctx, entry, sqlText, cacheHit, st, label, snap, tid)
+}
+
+// reference answers a SELECT with the reference interpreter (see NoBatch).
+// The snapshot is pinned under the shared lock exactly as for the engine,
+// and a session's open transaction lends its own, so its writes are
+// visible. Result.Plan is the logical plan that was evaluated.
+func (db *Database) reference(ctx context.Context, sel *sql.Select, text string, sess *Session) (*Result, error) {
+	if sel == nil {
+		var err error
+		if sel, err = parseSelect(text); err != nil {
+			return nil, err
+		}
+	}
+	db.mu.RLock()
+	logical, err := db.builder().BuildSelect(sel)
+	if err != nil {
+		db.mu.RUnlock()
+		return nil, err
+	}
+	snap, tid, releaseSnap := db.snapshotFor(sess)
+	db.mu.RUnlock()
+	defer releaseSnap()
+	rows, err := refexec.Run(ctx, logical, snap, tid)
+	if cerr := ctx.Err(); err != nil && cerr != nil {
+		return nil, exec.CancelError("engine.reference", cerr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Columns: colNames(logical), Rows: rows, Plan: plan.Format(logical)}, nil
+}
+
+// colNames lists a logical plan's output column names.
+func colNames(n plan.Node) []string {
+	cols := n.Cols()
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name
+	}
+	return names
 }
 
 // compile plans a statement the cache could not serve. cache says the plan
@@ -855,11 +905,7 @@ func (db *Database) planSelect(sel *sql.Select, st Settings, po planOpts) (*cach
 	if po.observe {
 		db.recordWorkload(logical)
 	}
-	cols := logical.Cols()
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
-	}
+	names := colNames(logical)
 	po.rewrite.Masked = po.masked
 	rw := &rewrite.Rewriter{Cat: db.cat, Opt: po.rewrite}
 	logical = rw.Rewrite(logical)
@@ -958,18 +1004,14 @@ func terminalState(err error) string {
 // panic guard: a panic anywhere on the serial execution path (worker
 // goroutines have their own recovery) surfaces as a KindPanic QueryError
 // instead of crashing the process.
-func (db *Database) runPlan(ctx context.Context, root exec.Operator, ectx *exec.Ctx, noBatch bool, hint int) ([]types.Row, error) {
+func (db *Database) runPlan(ctx context.Context, root exec.Operator, ectx *exec.Ctx, hint int) ([]types.Row, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, exec.CancelError("engine.execute", cerr)
 	}
 	var rows []types.Row
 	err := exec.Guard(ectx, "engine.execute", func() error {
 		var cerr error
-		if noBatch {
-			rows, cerr = exec.Collect(root, ectx)
-		} else {
-			rows, cerr = exec.CollectBatched(root, ectx, hint)
-		}
+		rows, cerr = exec.Collect(root, ectx, hint)
 		return cerr
 	})
 	if err != nil {
@@ -993,7 +1035,7 @@ func (db *Database) execute(ctx context.Context, entry *cachedPlan, sqlText stri
 		ectx.Skips = exec.NewSkipRecorder()
 		ectx.Shorts = exec.NewSkipRecorder()
 	}
-	rows, err := db.runPlan(ctx, root, ectx, st.NoBatch, int(entry.estRows))
+	rows, err := db.runPlan(ctx, root, ectx, int(entry.estRows))
 	dur := time.Since(start)
 	io := ectx.IO.Load()
 	t := &obs.Trace{
@@ -1041,7 +1083,7 @@ func (db *Database) explainAnalyze(ctx context.Context, entry *cachedPlan, sqlTe
 		ectx.Skips = exec.NewSkipRecorder()
 		ectx.Shorts = exec.NewSkipRecorder()
 	}
-	resRows, err := db.runPlan(ctx, iroot, ectx, st.NoBatch, int(entry.estRows))
+	resRows, err := db.runPlan(ctx, iroot, ectx, int(entry.estRows))
 	dur := time.Since(start)
 	io := ectx.IO.Load()
 	state := terminalState(err)

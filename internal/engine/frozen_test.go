@@ -61,9 +61,10 @@ func analyzeText(t *testing.T, db *Database, sel *sql.Select) string {
 	return b.String()
 }
 
-// TestFrozenDifferentialColdWarm re-runs the four-configuration prune×batch
-// corpus once with every image cold and once warm:
-// rows, headers, every counter and the EXPLAIN ANALYZE text must be equal.
+// TestFrozenDifferentialColdWarm re-runs the prune on/off corpus once with
+// every image cold and once warm: rows, headers, every counter and the
+// EXPLAIN ANALYZE text must be equal, and the answer must be the reference
+// interpreter's.
 func TestFrozenDifferentialColdWarm(t *testing.T) {
 	db := diffDBPrune(t, 131, 2000)
 	db.NoIndexes = true
@@ -109,9 +110,15 @@ func TestFrozenDifferentialColdWarm(t *testing.T) {
 		default:
 			sel = parse(fmt.Sprintf("SELECT COUNT(*) AS n, SUM(d) AS s, MAX(b) AS m FROM t WHERE c > %d", r.Intn(10)), false)
 		}
-		for _, cfg := range []struct{ noPrune, noBatch bool }{{true, true}, {true, false}, {false, true}, {false, false}} {
-			db.NoPrune, db.NoBatch = cfg.noPrune, cfg.noBatch
-			name := fmt.Sprintf("trial %d prune=%v batch=%v", trial, !cfg.noPrune, !cfg.noBatch)
+		db.NoBatch = true
+		ref, err := db.ExecStmt(sel, "")
+		db.NoBatch = false
+		if err != nil {
+			t.Fatalf("trial %d reference: %v", trial, err)
+		}
+		for _, noPrune := range []bool{true, false} {
+			db.NoPrune = noPrune
+			name := fmt.Sprintf("trial %d prune=%v", trial, !noPrune)
 			run := func(cold bool) (*Result, string) {
 				if cold {
 					thawAll(db)
@@ -127,6 +134,9 @@ func TestFrozenDifferentialColdWarm(t *testing.T) {
 			}
 			cold, coldText := run(true)
 			warm, warmText := run(false)
+			if d := refDiff(sql.Print(sel), cold, ref); d != "" {
+				t.Fatalf("%s: %s", name, d)
+			}
 			if got, want := sortedKeys(warm.Rows), sortedKeys(cold.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
 				t.Fatalf("%s: warm images changed the answer (%d vs %d rows)\n%s", name, len(got), len(want), cold.Plan)
 			}
@@ -148,7 +158,7 @@ func TestFrozenDifferentialColdWarm(t *testing.T) {
 			totalFrozen += warm.Ctx.IO.PagesFrozen
 		}
 	}
-	db.NoPrune, db.NoBatch = false, false
+	db.NoPrune = false
 	if totalFrozen == 0 {
 		t.Fatal("no scan ever read a frozen page")
 	}
@@ -157,7 +167,8 @@ func TestFrozenDifferentialColdWarm(t *testing.T) {
 // TestFrozenSnapshotStability: a reader pinned before a DELETE, an UPDATE or
 // an aborted INSERT that hits a frozen page keeps seeing the pre-image; a
 // reader that starts after the commit does not; a transaction sees its own
-// writes. Every check runs batched and row-at-a-time.
+// writes. Every check runs on the engine and on the reference interpreter
+// at the same snapshot.
 func TestFrozenSnapshotStability(t *testing.T) {
 	db := Open()
 	db.NoIndexes = true // every statement below is a page scan
@@ -171,18 +182,12 @@ func TestFrozenSnapshotStability(t *testing.T) {
 	}
 	sum := func(sess *Session) (cnt, bal int64) {
 		t.Helper()
-		for _, batch := range []string{"on", "off"} {
-			if err := sess.Set("batch", batch); err != nil {
-				t.Fatal(err)
-			}
-			res := sexec(t, sess, "SELECT COUNT(*) AS n, SUM(bal) AS s FROM acct WHERE bal >= 0")
-			c, b := res.Rows[0][0].Int(), res.Rows[0][1].Int()
-			if batch == "off" && (c != cnt || b != bal) {
-				t.Fatalf("batched saw %d rows / %d, row path %d / %d", cnt, bal, c, b)
-			}
-			cnt, bal = c, b
+		const q = "SELECT COUNT(*) AS n, SUM(bal) AS s FROM acct WHERE bal >= 0"
+		res := sexec(t, sess, q)
+		if d := refDiff(q, res, refAnswer(t, db, sess, q)); d != "" {
+			t.Fatal(d)
 		}
-		return cnt, bal
+		return res.Rows[0][0].Int(), res.Rows[0][1].Int()
 	}
 	old, w, fresh := db.NewSession("old"), db.NewSession("writer"), db.NewSession("fresh")
 	defer old.Close()
@@ -240,8 +245,8 @@ func TestFrozenSnapshotStability(t *testing.T) {
 
 // TestFrozenScansUnderWriters: four writers (insert, update, delete,
 // rollback) and a background vacuum run beside four scanners for two
-// seconds; every scanner compares its batched scan with the row-at-a-time
-// twin inside one read transaction, i.e. at the same snapshot.
+// seconds; every scanner compares its scan with the reference interpreter's
+// answer inside one read transaction, i.e. at the same snapshot.
 func TestFrozenScansUnderWriters(t *testing.T) {
 	db := Open()
 	db.NoIndexes = true
@@ -309,43 +314,30 @@ func TestFrozenScansUnderWriters(t *testing.T) {
 			defer sess.Close()
 			for i := 0; time.Now().Before(deadline); i++ {
 				q := queries[(s+i)%len(queries)]
-				var got [2]*Result
-				for j, batch := range []string{"on", "off"} {
-					if err := sess.Set("batch", batch); err != nil {
-						t.Error(err)
-						return
-					}
-					if j == 0 {
-						if _, err := sess.ExecCtx(context.Background(), "BEGIN"); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-					res, err := sess.ExecCtx(context.Background(), q)
-					if err != nil {
-						t.Errorf("%s (batch %s): %v", q, batch, err)
-						return
-					}
-					got[j] = res
+				if _, err := sess.ExecCtx(context.Background(), "BEGIN"); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := sess.ExecCtx(context.Background(), q)
+				if err != nil {
+					t.Errorf("%s: %v", q, err)
+					return
+				}
+				ref, err := db.reference(context.Background(), nil, q, sess)
+				if err != nil {
+					t.Errorf("%s reference: %v", q, err)
+					return
 				}
 				if _, err := sess.ExecCtx(context.Background(), "COMMIT"); err != nil {
 					t.Error(err)
 					return
 				}
-				b, r := sortedKeys(got[0].Rows), sortedKeys(got[1].Rows)
-				if strings.Join(b, "|") != strings.Join(r, "|") {
-					t.Errorf("%s: batched scan saw %d rows, its row-path twin at the same snapshot %d", q, len(b), len(r))
-					return
-				}
-				// Rows read are exact when nothing was pruned: pages appended
-				// between the two scans hold nothing visible, but a synopsis a
-				// committed write widened in between prunes differently.
-				if bio, rio := got[0].Ctx.IO, got[1].Ctx.IO; bio.PagesSkipped+rio.PagesSkipped == 0 && bio.RowsRead != rio.RowsRead {
-					t.Errorf("%s: batched read %d rows, row path %d", q, bio.RowsRead, rio.RowsRead)
+				if d := refDiff(q, got, ref); d != "" {
+					t.Errorf("at one snapshot: %s", d)
 					return
 				}
 				scans.Add(1)
-				frozen.Add(got[0].Ctx.IO.PagesFrozen)
+				frozen.Add(got.Ctx.IO.PagesFrozen)
 			}
 		}(s)
 	}
@@ -487,7 +479,8 @@ func TestFrozenObservability(t *testing.T) {
 // TestFrozenIndexPagePathColdWarm is the cold/warm differential for index
 // scans that switched to the page path, which reads frozen images like a
 // page scan: rows, every counter and the EXPLAIN ANALYZE text must not
-// depend on the image state, in either batch mode.
+// depend on the image state, and the answer must be the reference
+// interpreter's.
 func TestFrozenIndexPagePathColdWarm(t *testing.T) {
 	db := pagePathDB(t, 6000)
 	queries := []string{
@@ -502,41 +495,45 @@ func TestFrozenIndexPagePathColdWarm(t *testing.T) {
 			t.Fatal(err)
 		}
 		sel := stmt.(*sql.Select)
-		for _, noBatch := range []bool{true, false} {
-			db.NoBatch = noBatch
-			name := fmt.Sprintf("%s batch=%v", q, !noBatch)
-			run := func(cold bool) (*Result, string) {
-				if cold {
-					thawAll(db)
-				}
-				res, err := db.ExecStmt(sel, "")
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if cold {
-					thawAll(db)
-				}
-				return res, analyzeText(t, db, sel)
-			}
-			cold, coldText := run(true)
-			warm, warmText := run(false)
-			if cold.Ctx.PagePaths != 1 || warm.Ctx.PagePaths != 1 {
-				t.Fatalf("%s: page-path switches cold %d, warm %d\n%s", name, cold.Ctx.PagePaths, warm.Ctx.PagePaths, cold.Plan)
-			}
-			if got, want := sortedKeys(warm.Rows), sortedKeys(cold.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
-				t.Fatalf("%s: warm images changed the answer (%d vs %d rows)", name, len(got), len(want))
-			}
-			if cold.Ctx.IO != warm.Ctx.IO || cold.Ctx.ShortCircuits != warm.Ctx.ShortCircuits || cold.Ctx.Comparisons != warm.Ctx.Comparisons {
-				t.Fatalf("%s: accounting cold %+v sc=%d cmp=%d, warm %+v sc=%d cmp=%d", name,
-					cold.Ctx.IO, cold.Ctx.ShortCircuits, cold.Ctx.Comparisons, warm.Ctx.IO, warm.Ctx.ShortCircuits, warm.Ctx.Comparisons)
-			}
-			if coldText != warmText {
-				t.Fatalf("%s: EXPLAIN ANALYZE differs\ncold:\n%s\nwarm:\n%s", name, coldText, warmText)
-			}
-			totalFrozen += warm.Ctx.IO.PagesFrozen
+		db.NoBatch = true
+		ref, err := db.ExecStmt(sel, "")
+		db.NoBatch = false
+		if err != nil {
+			t.Fatalf("%s reference: %v", q, err)
 		}
+		run := func(cold bool) (*Result, string) {
+			if cold {
+				thawAll(db)
+			}
+			res, err := db.ExecStmt(sel, "")
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if cold {
+				thawAll(db)
+			}
+			return res, analyzeText(t, db, sel)
+		}
+		cold, coldText := run(true)
+		warm, warmText := run(false)
+		if d := refDiff(q, cold, ref); d != "" {
+			t.Fatal(d)
+		}
+		if cold.Ctx.PagePaths != 1 || warm.Ctx.PagePaths != 1 {
+			t.Fatalf("%s: page-path switches cold %d, warm %d\n%s", q, cold.Ctx.PagePaths, warm.Ctx.PagePaths, cold.Plan)
+		}
+		if got, want := sortedKeys(warm.Rows), sortedKeys(cold.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Fatalf("%s: warm images changed the answer (%d vs %d rows)", q, len(got), len(want))
+		}
+		if cold.Ctx.IO != warm.Ctx.IO || cold.Ctx.ShortCircuits != warm.Ctx.ShortCircuits || cold.Ctx.Comparisons != warm.Ctx.Comparisons {
+			t.Fatalf("%s: accounting cold %+v sc=%d cmp=%d, warm %+v sc=%d cmp=%d", q,
+				cold.Ctx.IO, cold.Ctx.ShortCircuits, cold.Ctx.Comparisons, warm.Ctx.IO, warm.Ctx.ShortCircuits, warm.Ctx.Comparisons)
+		}
+		if coldText != warmText {
+			t.Fatalf("%s: EXPLAIN ANALYZE differs\ncold:\n%s\nwarm:\n%s", q, coldText, warmText)
+		}
+		totalFrozen += warm.Ctx.IO.PagesFrozen
 	}
-	db.NoBatch = false
 	if totalFrozen == 0 {
 		t.Fatal("no switched index scan read a frozen page")
 	}

@@ -18,7 +18,8 @@ import (
 // exec.IndexScan). The two paths must return the same rows at one snapshot,
 // so every check runs a statement twice inside one transaction — once with
 // the run-time switch, once with the entry path forced through
-// entryPathOnlyKey — in both batch modes.
+// entryPathOnlyKey — and holds both to the reference interpreter's answer
+// at that snapshot.
 
 // pagePathDB loads ev: every column but v clusters with insertion order, v
 // does not, and d repeats each date twice. Every column a range below names
@@ -64,17 +65,14 @@ func pathExec(t *testing.T, sess *Session, q string, entryOnly bool) *Result {
 	return res
 }
 
-// pathsAgree runs q with the switch and on the forced entry path, batched
-// and row-at-a-time, at the snapshot of the transaction it opens on sess
-// (unless one is already open), and requires one multiset of rows from all
-// four. It returns the switched batched result and the page-path switches
-// of the switched batched and row-path runs. (At one snapshot the answer is
-// fixed, but the decision reads the live index and synopses, which
-// concurrent writers move: only a quiet table pins the two counts equal.)
-func pathsAgree(sess *Session, q string) (res *Result, switched [2]int64, err error) {
+// pathsAgree runs q with the switch and on the forced entry path at the
+// snapshot of the transaction it opens on sess (unless one is already open),
+// and requires the reference interpreter's answer from both. It returns the
+// switched result and its page-path switches.
+func pathsAgree(sess *Session, q string) (res *Result, switched int64, err error) {
 	if !sess.InTxn() {
 		if _, err := sess.ExecCtx(context.Background(), "BEGIN"); err != nil {
-			return nil, switched, err
+			return nil, 0, err
 		}
 		defer func() {
 			if _, cerr := sess.ExecCtx(context.Background(), "COMMIT"); err == nil {
@@ -82,45 +80,36 @@ func pathsAgree(sess *Session, q string) (res *Result, switched [2]int64, err er
 			}
 		}()
 	}
-	defer func() {
-		if serr := sess.Set("batch", "on"); err == nil {
-			err = serr
+	ref, err := sess.db.reference(context.Background(), nil, q, sess)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s reference: %w", q, err)
+	}
+	for _, entryOnly := range []bool{false, true} {
+		ctx := context.Background()
+		if entryOnly {
+			ctx = context.WithValue(ctx, entryPathOnlyKey{}, true)
 		}
-	}()
-	var answer string
-	for i, batch := range []string{"on", "off"} {
-		if err := sess.Set("batch", batch); err != nil {
-			return nil, switched, err
+		got, err := sess.ExecCtx(ctx, q)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%s (entry only %v): %w", q, entryOnly, err)
 		}
-		for _, entryOnly := range []bool{false, true} {
-			ctx := context.Background()
-			if entryOnly {
-				ctx = context.WithValue(ctx, entryPathOnlyKey{}, true)
-			}
-			got, err := sess.ExecCtx(ctx, q)
-			if err != nil {
-				return nil, switched, fmt.Errorf("%s (batch %s, entry only %v): %w", q, batch, entryOnly, err)
-			}
-			keys := strings.Join(sortedKeys(got.Rows), "|")
-			if res == nil {
-				res, answer = got, keys
-			} else if keys != answer {
-				return nil, switched, fmt.Errorf("%s (batch %s, entry only %v): %d rows differ from the switched batched scan's %d",
-					q, batch, entryOnly, len(got.Rows), len(res.Rows))
-			}
-			if paths := got.Ctx.PagePaths; !entryOnly {
-				switched[i] = paths
-			} else if paths != 0 {
-				return nil, switched, fmt.Errorf("%s: the forced entry path switched %d times", q, paths)
-			}
+		if d := refDiff(q, got, ref); d != "" {
+			return nil, 0, fmt.Errorf("entry only %v: %s", entryOnly, d)
+		}
+		if !entryOnly {
+			res, switched = got, got.Ctx.PagePaths
+		} else if got.Ctx.PagePaths != 0 {
+			return nil, 0, fmt.Errorf("%s: the forced entry path switched %d times", q, got.Ctx.PagePaths)
 		}
 	}
 	return res, switched, nil
 }
 
 // comparePaths is pathsAgree on a quiet table, failing t on any difference,
-// on a plan without an index scan, on row and batch runs that switched
-// differently, and on a switch count other than want (-1 accepts any).
+// on a plan without an index scan, and on a switch count other than want
+// (-1 accepts any). (At one snapshot the answer is fixed, but the decision
+// reads the live index and synopses, which concurrent writers move: only a
+// quiet table pins the count.)
 func comparePaths(t *testing.T, sess *Session, q string, want int64) *Result {
 	t.Helper()
 	res, switched, err := pathsAgree(sess, q)
@@ -130,11 +119,8 @@ func comparePaths(t *testing.T, sess *Session, q string, want int64) *Result {
 	if !strings.Contains(res.Plan, "IndexScan") {
 		t.Fatalf("%s: not an index scan plan:\n%s", q, res.Plan)
 	}
-	if switched[0] != switched[1] {
-		t.Fatalf("%s: the batched path switched %d times, the row path %d", q, switched[0], switched[1])
-	}
-	if want >= 0 && switched[0] != want {
-		t.Fatalf("%s: %d page-path switches, want %d\n%s", q, switched[0], want, res.Plan)
+	if want >= 0 && switched != want {
+		t.Fatalf("%s: %d page-path switches, want %d\n%s", q, switched, want, res.Plan)
 	}
 	return res
 }
@@ -185,27 +171,22 @@ func TestIndexPagePathLimit(t *testing.T) {
 	defer sess.Close()
 	const where = "FROM ev WHERE id >= 1000 AND id < 2600 AND grp <> 2"
 	full := comparePaths(t, sess, "SELECT id, v "+where, 1)
-	for _, batch := range []string{"on", "off"} {
-		if err := sess.Set("batch", batch); err != nil {
-			t.Fatal(err)
+	for _, entryOnly := range []bool{false, true} {
+		left := map[string]int{}
+		for _, k := range sortedKeys(full.Rows) {
+			left[k]++
 		}
-		for _, entryOnly := range []bool{false, true} {
-			left := map[string]int{}
-			for _, k := range sortedKeys(full.Rows) {
-				left[k]++
+		res := pathExec(t, sess, "SELECT id, v "+where+" LIMIT 40", entryOnly)
+		if len(res.Rows) != 40 {
+			t.Fatalf("entry only %v: %d rows under LIMIT 40", entryOnly, len(res.Rows))
+		}
+		for _, k := range sortedKeys(res.Rows) {
+			if left[k]--; left[k] < 0 {
+				t.Fatalf("entry only %v: row %s is not (or not that often) in the answer", entryOnly, k)
 			}
-			res := pathExec(t, sess, "SELECT id, v "+where+" LIMIT 40", entryOnly)
-			if len(res.Rows) != 40 {
-				t.Fatalf("batch %s entry only %v: %d rows under LIMIT 40", batch, entryOnly, len(res.Rows))
-			}
-			for _, k := range sortedKeys(res.Rows) {
-				if left[k]--; left[k] < 0 {
-					t.Fatalf("batch %s entry only %v: row %s is not (or not that often) in the answer", batch, entryOnly, k)
-				}
-			}
-			if want := int64(1); !entryOnly && res.Ctx.PagePaths != want {
-				t.Fatalf("batch %s: %d page-path switches under LIMIT, want %d", batch, res.Ctx.PagePaths, want)
-			}
+		}
+		if want := int64(1); !entryOnly && res.Ctx.PagePaths != want {
+			t.Fatalf("%d page-path switches under LIMIT, want %d", res.Ctx.PagePaths, want)
 		}
 	}
 }
@@ -291,7 +272,8 @@ func TestIndexPagePathStaleEntries(t *testing.T) {
 // TestIndexPagePathUnderWriters: inserts, updates, deletes, rolled-back
 // transactions and a background vacuum run beside four readers for two
 // seconds; each reader compares the switched scan with the forced entry
-// path inside one read transaction, i.e. at the same snapshot.
+// path and the reference interpreter inside one read transaction, i.e. at
+// the same snapshot.
 func TestIndexPagePathUnderWriters(t *testing.T) {
 	const n = 6000
 	db := pagePathDB(t, n)
@@ -359,7 +341,7 @@ func TestIndexPagePathUnderWriters(t *testing.T) {
 					return
 				}
 				pairs.Add(1)
-				switched.Add(paths[0] + paths[1])
+				switched.Add(paths)
 			}
 		}(s)
 	}

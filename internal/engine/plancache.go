@@ -35,15 +35,14 @@ import (
 // maxVariants caps the literal-bound plans one shape may hold.
 const maxVariants = 64
 
-// shapeKey identifies a cache slot. Only the knobs that shape the compiled
-// physical plan or its delivery participate — the prune and batch toggles —
-// so concurrent sessions with different knob sets never share a plan. The
-// lifecycle knobs (MemBudget, StmtTimeout, MaxConcurrent, Fault) act at run
-// time on any compiled plan; keying on them would only fragment the cache.
+// shapeKey identifies a cache slot. Only the knob that shapes the compiled
+// physical plan participates — the prune toggle — so concurrent sessions
+// with different knob sets never share a plan. The lifecycle knobs
+// (MemBudget, StmtTimeout, MaxConcurrent, Fault) act at run time on any
+// compiled plan; keying on them would only fragment the cache.
 type shapeKey struct {
 	shape   string
 	noPrune bool
-	noBatch bool
 }
 
 // stmtPrint is one statement's cache identity.
@@ -59,7 +58,7 @@ type stmtPrint struct {
 
 // printOf fingerprints a SELECT text under the statement's settings.
 func printOf(text string, st Settings) stmtPrint {
-	fp := stmtPrint{key: shapeKey{noPrune: st.NoPrune, noBatch: st.NoBatch}}
+	fp := stmtPrint{key: shapeKey{noPrune: st.NoPrune}}
 	if fp.key.shape, fp.lits, fp.shaped = sql.Fingerprint(text); !fp.shaped {
 		fp.whole = text
 	}

@@ -11,16 +11,13 @@ import (
 )
 
 // Settings are the per-statement execution knobs a session may override.
-// Zero values mean what they mean on Database (pruning on, batched,
-// unlimited budget, no deadline). Settings participate in the plan-cache
-// key only where they shape the compiled plan (NoPrune, NoBatch);
-// the lifecycle knobs (MemBudget, StmtTimeout) act at run time on any
-// compiled plan.
+// Zero values mean what they mean on Database (pruning on, unlimited
+// budget, no deadline). Settings participate in the plan-cache key only
+// where they shape the compiled plan (NoPrune); the lifecycle knobs
+// (MemBudget, StmtTimeout) act at run time on any compiled plan.
 type Settings struct {
 	// NoPrune disables synopsis-based page pruning end to end.
 	NoPrune bool
-	// NoBatch disables page-batched row emission.
-	NoBatch bool
 	// MemBudget caps the bytes of rows a query's blocking operators may
 	// buffer; 0 means unlimited.
 	MemBudget int64
@@ -35,7 +32,6 @@ type Settings struct {
 func (db *Database) defaultSettings() Settings {
 	return Settings{
 		NoPrune:     db.NoPrune,
-		NoBatch:     db.NoBatch,
 		MemBudget:   db.MemBudget,
 		StmtTimeout: db.StmtTimeout,
 	}
@@ -61,7 +57,6 @@ type Session struct {
 	cur *Tx
 	// Overrides; nil means "inherit the database default".
 	noPrune     *bool
-	noBatch     *bool
 	memBudget   *int64
 	stmtTimeout *time.Duration
 }
@@ -116,9 +111,6 @@ func (s *Session) Settings() Settings {
 	if s.noPrune != nil {
 		st.NoPrune = *s.noPrune
 	}
-	if s.noBatch != nil {
-		st.NoBatch = *s.noBatch
-	}
 	if s.memBudget != nil {
 		st.MemBudget = *s.memBudget
 	}
@@ -142,7 +134,6 @@ func parseOnOff(value string) (bool, error) {
 // Set assigns one session setting by name. The names mirror the CLI flags:
 //
 //	prune       on|off     synopsis-based page pruning
-//	batch       on|off     page-batched row emission
 //	mem_budget  BYTES      per-query buffered-row budget (0 = unlimited)
 //	timeout     DURATION   per-statement deadline (0 = none)
 //
@@ -165,17 +156,6 @@ func (s *Session) Set(name, value string) error {
 		}
 		off := !on
 		s.noPrune = &off
-	case "batch":
-		if reset {
-			s.noBatch = nil
-			return nil
-		}
-		on, err := parseOnOff(value)
-		if err != nil {
-			return err
-		}
-		off := !on
-		s.noBatch = &off
 	case "mem_budget":
 		if reset {
 			s.memBudget = nil
@@ -197,7 +177,7 @@ func (s *Session) Set(name, value string) error {
 		}
 		s.stmtTimeout = &d
 	default:
-		return fmt.Errorf("engine: unknown setting %q (want prune, batch, mem_budget, timeout)", name)
+		return fmt.Errorf("engine: unknown setting %q (want prune, mem_budget, timeout)", name)
 	}
 	return nil
 }
@@ -222,7 +202,6 @@ func (s *Session) Describe() []string {
 	}
 	return []string{
 		fmt.Sprintf("prune = %s%s", onOff(st.NoPrune), mark(s.noPrune != nil)),
-		fmt.Sprintf("batch = %s%s", onOff(st.NoBatch), mark(s.noBatch != nil)),
 		fmt.Sprintf("mem_budget = %d%s", st.MemBudget, mark(s.memBudget != nil)),
 		fmt.Sprintf("timeout = %s%s", st.StmtTimeout, mark(s.stmtTimeout != nil)),
 	}

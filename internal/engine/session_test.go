@@ -15,42 +15,40 @@ import (
 // default, overrides stick, and "default" clears them again.
 func TestSessionSettingsLayering(t *testing.T) {
 	db := Open()
-	db.NoBatch = true
+	db.NoPrune = true
 	db.MemBudget = 1024
 	s := db.NewSession("conn-1")
 
 	st := s.Settings()
-	if !st.NoBatch || st.MemBudget != 1024 || st.NoPrune {
+	if !st.NoPrune || st.MemBudget != 1024 {
 		t.Fatalf("fresh session should inherit defaults: %+v", st)
 	}
 	for _, kv := range [][2]string{
-		{"prune", "off"}, {"batch", "on"},
-		{"mem_budget", "2048"}, {"timeout", "250ms"},
+		{"prune", "on"}, {"mem_budget", "2048"}, {"timeout", "250ms"},
 	} {
 		if err := s.Set(kv[0], kv[1]); err != nil {
 			t.Fatalf("Set(%s, %s): %v", kv[0], kv[1], err)
 		}
 	}
 	st = s.Settings()
-	if !st.NoPrune || st.NoBatch || st.MemBudget != 2048 || st.StmtTimeout != 250*time.Millisecond {
+	if st.NoPrune || st.MemBudget != 2048 || st.StmtTimeout != 250*time.Millisecond {
 		t.Fatalf("overrides not applied: %+v", st)
 	}
 	// The database default still reaches knobs the session resets.
-	if err := s.Set("batch", "default"); err != nil {
+	if err := s.Set("prune", "default"); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Settings().NoBatch {
-		t.Fatal("reset batch should follow the default (off) again")
+	if !s.Settings().NoPrune {
+		t.Fatal("reset prune should follow the default (off) again")
 	}
 	desc := strings.Join(s.Describe(), "\n")
-	if !strings.Contains(desc, "mem_budget = 2048 (session)") || !strings.Contains(desc, "batch = off\n") {
+	if !strings.Contains(desc, "mem_budget = 2048 (session)") || !strings.Contains(desc, "prune = off\n") {
 		t.Fatalf("Describe should mark overrides:\n%s", desc)
 	}
 
 	// Bad input errors without mutating.
 	for _, kv := range [][2]string{
-		{"prune", "maybe"}, {"batch", "2"},
-		{"mem_budget", "-5"}, {"timeout", "later"}, {"no_such", "1"},
+		{"prune", "maybe"}, {"mem_budget", "-5"}, {"timeout", "later"}, {"no_such", "1"},
 	} {
 		if err := s.Set(kv[0], kv[1]); err == nil {
 			t.Errorf("Set(%s, %s) should fail", kv[0], kv[1])
@@ -59,10 +57,9 @@ func TestSessionSettingsLayering(t *testing.T) {
 }
 
 // TestSessionPlanCacheIsolation: concurrent sessions with different
-// plan-shaping knob sets (prune/batch) must not share plan-cache
-// entries, while lifecycle knobs (mem_budget, timeout) must not fragment
-// the cache. Extends the PR4 planCacheKey rule to session-layered
-// settings.
+// plan-shaping knob sets (prune on/off) must not share plan-cache entries,
+// while lifecycle knobs (mem_budget, timeout) must not fragment the cache;
+// every knob set gives the reference interpreter's answer.
 func TestSessionPlanCacheIsolation(t *testing.T) {
 	db := pruneDB(t, 4000, false)
 
@@ -71,10 +68,6 @@ func TestSessionPlanCacheIsolation(t *testing.T) {
 	plain := db.NewSession("plain")
 	noPrune := db.NewSession("noprune")
 	if err := noPrune.Set("prune", "off"); err != nil {
-		t.Fatal(err)
-	}
-	noBatch := db.NewSession("nobatch")
-	if err := noBatch.Set("batch", "off"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,20 +89,14 @@ func TestSessionPlanCacheIsolation(t *testing.T) {
 	if io := rPlain.Ctx.IO.Load(); io.PagesSkipped == 0 {
 		t.Fatalf("default session should prune: %+v", io)
 	}
-	rNoBatch, err := noBatch.ExecCtx(ctx, q)
-	if err != nil {
-		t.Fatal(err)
+	if got := db.CachedPlanCount(); got != 2 {
+		t.Fatalf("2 knob sets should compile 2 entries, got %d", got)
 	}
-	if rNoBatch.CacheHit {
-		t.Fatal("no-batch session must not hit a batched session's entry")
-	}
-	if got := db.CachedPlanCount(); got != 3 {
-		t.Fatalf("3 knob sets should compile 3 entries, got %d", got)
-	}
-	// All three agree on the answer.
-	for _, r := range []*Result{rNoPrune, rNoBatch} {
-		if len(r.Rows) != len(rPlain.Rows) {
-			t.Fatalf("row counts diverged across sessions: %d vs %d", len(r.Rows), len(rPlain.Rows))
+	// Both agree with the reference.
+	ref := refAnswer(t, db, plain, q)
+	for _, r := range []*Result{rPlain, rNoPrune} {
+		if d := refDiff(q, r, ref); d != "" {
+			t.Fatal(d)
 		}
 	}
 
@@ -129,12 +116,12 @@ func TestSessionPlanCacheIsolation(t *testing.T) {
 	if !rBudget.CacheHit {
 		t.Fatal("lifecycle-only overrides must share the plan-cache entry")
 	}
-	if got := db.CachedPlanCount(); got != 3 {
+	if got := db.CachedPlanCount(); got != 2 {
 		t.Fatalf("lifecycle knobs fragmented the cache: %d entries", got)
 	}
 
 	// Re-execution from each session hits its own entry.
-	for _, s := range []*Session{plain, noPrune, noBatch} {
+	for _, s := range []*Session{plain, noPrune} {
 		r, err := s.ExecCtx(ctx, q)
 		if err != nil {
 			t.Fatal(err)
@@ -146,8 +133,9 @@ func TestSessionPlanCacheIsolation(t *testing.T) {
 }
 
 // TestSessionConcurrentKnobs: the knob matrix above run from concurrent
-// goroutines (the -race proof that session-layered planning is safe and
-// that every session keeps observing its own knobs).
+// goroutines beside reference evaluations (the -race proof that
+// session-layered planning is safe and that every session keeps observing
+// its own knobs).
 func TestSessionConcurrentKnobs(t *testing.T) {
 	db := pruneDB(t, 4000, false)
 	const q = "SELECT a, b FROM t WHERE a >= 100 AND a <= 140"
@@ -165,18 +153,19 @@ func TestSessionConcurrentKnobs(t *testing.T) {
 	cases := []struct {
 		s     *Session
 		check check
+		ref   bool // answer through the reference interpreter
 	}{
 		{mk("w-plain", nil), func(t *testing.T, r *Result) {
 			if io := r.Ctx.IO.Load(); io.PagesSkipped == 0 {
 				t.Error("default session skipped no pages")
 			}
-		}},
+		}, false},
 		{mk("w-noprune", [][2]string{{"prune", "off"}}), func(t *testing.T, r *Result) {
 			if io := r.Ctx.IO.Load(); io.PagesSkipped != 0 {
 				t.Errorf("no-prune session skipped %d pages", io.PagesSkipped)
 			}
-		}},
-		{mk("w-nobatch", [][2]string{{"batch", "off"}}), nil},
+		}, false},
+		{mk("w-reference", nil), nil, true},
 	}
 
 	var wg sync.WaitGroup
@@ -188,7 +177,11 @@ func TestSessionConcurrentKnobs(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 8; i++ {
-					r, err := c.s.ExecCtx(context.Background(), q)
+					run := c.s.ExecCtx
+					if c.ref {
+						run = func(ctx context.Context, q string) (*Result, error) { return db.reference(ctx, nil, q, c.s) }
+					}
+					r, err := run(context.Background(), q)
 					if err != nil {
 						t.Errorf("session %s: %v", c.s.Label(), err)
 						return
@@ -207,21 +200,23 @@ func TestSessionConcurrentKnobs(t *testing.T) {
 	if len(rowCounts) != 1 {
 		t.Fatalf("sessions disagreed on the answer: row counts %v", rowCounts)
 	}
-	if got := db.CachedPlanCount(); got != 3 {
-		t.Fatalf("expected exactly 3 cache entries, got %d", got)
+	if got := db.CachedPlanCount(); got != 2 {
+		t.Fatalf("expected exactly 2 cache entries, got %d", got)
 	}
 }
 
-// TestSessionRejectsParallelSetting: intra-query parallelism is gone, so
-// SET parallel is an unknown setting like any other — it errors, changes
-// nothing, and leaves the session usable.
+// TestSessionRejectsParallelSetting: intra-query parallelism and the row
+// executor are gone, so SET parallel and SET batch are unknown settings like
+// any other — they error, change nothing, and leave the session usable.
 func TestSessionRejectsParallelSetting(t *testing.T) {
 	db := pruneDB(t, 400, false)
 	s := db.NewSession("conn-1")
 	before := s.Describe()
-	err := s.Set("parallel", "4")
-	if err == nil || !strings.Contains(err.Error(), `unknown setting "parallel"`) {
-		t.Fatalf("SET parallel = 4: got %v, want an unknown-setting error", err)
+	for _, kv := range [][2]string{{"parallel", "4"}, {"batch", "off"}} {
+		err := s.Set(kv[0], kv[1])
+		if err == nil || !strings.Contains(err.Error(), `unknown setting "`+kv[0]+`"`) {
+			t.Fatalf("SET %s = %s: got %v, want an unknown-setting error", kv[0], kv[1], err)
+		}
 	}
 	if after := s.Describe(); strings.Join(after, "\n") != strings.Join(before, "\n") {
 		t.Fatalf("rejected SET changed the settings:\n%v\n%v", before, after)

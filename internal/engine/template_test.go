@@ -248,7 +248,8 @@ func eventStrings(res *Result) []string {
 // TestTemplateDifferential sweeps every shape over 240 literal vectors and
 // requires the cached answer — rows, column headers, pages read, plan text,
 // rewrite trace and events — to be identical to planning the same text from
-// scratch with the cache off, on the same engine.
+// scratch with the cache off, on the same engine; every eighth answer must
+// also be the reference interpreter's.
 func TestTemplateDifferential(t *testing.T) {
 	db := templateDB(t)
 	const vectors = 240
@@ -284,6 +285,11 @@ func TestTemplateDifferential(t *testing.T) {
 				}
 				if g, w := strings.Join(eventStrings(got), "\n"), strings.Join(eventStrings(want), "\n"); g != w {
 					t.Fatalf("%s: events differ\n got %s\nwant %s", q, g, w)
+				}
+				if i%8 == 0 {
+					if d := refDiff(q, got, refAnswer(t, db, nil, q)); d != "" {
+						t.Fatal(d)
+					}
 				}
 			}
 			cs := db.CacheStats()
@@ -453,10 +459,10 @@ func TestTemplateVariantCap(t *testing.T) {
 	}
 }
 
-// TestTemplateConcurrentSessions: eight sessions, two per prune/batch
-// setting, rebind the same shapes concurrently; every answer matches the
-// uncached reference, and each settings combination compiled its own
-// template (nothing shared across knob sets, shared within one).
+// TestTemplateConcurrentSessions: eight sessions, four per prune setting,
+// rebind the same shapes concurrently; every answer matches the reference
+// interpreter's, and each prune setting compiled its own template (nothing
+// shared across knob sets, shared within one).
 func TestTemplateConcurrentSessions(t *testing.T) {
 	db := templateDB(t)
 	shapes := []templateShape{}
@@ -465,30 +471,20 @@ func TestTemplateConcurrentSessions(t *testing.T) {
 			shapes = append(shapes, sh)
 		}
 	}
-	// Reference answers, computed serially with the cache off.
+	// Reference answers, computed serially.
 	const vectors = 40
-	want := map[string]string{}
-	db.DisablePlanCache = true
+	want := map[string]*Result{}
 	for _, sh := range shapes {
 		for i := 0; i < vectors; i++ {
 			q := fmt.Sprintf(sh.format, sh.args(i)...)
-			res := db.MustExec(q)
-			want[q] = strings.Join(sortedKeys(res.Rows), "|")
-			if strings.Contains(q, "ORDER BY") {
-				want[q] = strings.Join(rowsAsStrings(res.Rows), "|")
-			}
+			want[q] = refAnswer(t, db, nil, q)
 		}
 	}
-	db.DisablePlanCache = false
 	var wg sync.WaitGroup
 	for s := 0; s < 8; s++ {
 		sess := db.NewSession(fmt.Sprintf("s%d", s))
-		for name, val := range map[string]string{
-			"prune": []string{"on", "off"}[s&1], "batch": []string{"on", "off"}[s>>1&1],
-		} {
-			if err := sess.Set(name, val); err != nil {
-				t.Fatal(err)
-			}
+		if err := sess.Set("prune", []string{"on", "off"}[s&1]); err != nil {
+			t.Fatal(err)
 		}
 		wg.Add(1)
 		go func(s int) {
@@ -502,12 +498,8 @@ func TestTemplateConcurrentSessions(t *testing.T) {
 						t.Errorf("session %d: %s: %v", s, q, err)
 						return
 					}
-					got := strings.Join(sortedKeys(res.Rows), "|")
-					if strings.Contains(q, "ORDER BY") {
-						got = strings.Join(rowsAsStrings(res.Rows), "|")
-					}
-					if got != want[q] {
-						t.Errorf("session %d: %s:\n got %s\nwant %s\nplan:\n%s", s, q, got, want[q], res.Plan)
+					if d := refDiff(q, res, want[q]); d != "" {
+						t.Errorf("session %d: %s", s, d)
 						return
 					}
 					if prune := s&1 == 0; !prune && strings.Contains(res.Plan, "prune=") {
@@ -519,7 +511,7 @@ func TestTemplateConcurrentSessions(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	if got, want := db.CachedPlanCount(), 4*len(shapes); got != want {
+	if got, want := db.CachedPlanCount(), 2*len(shapes); got != want {
 		t.Errorf("cached plans %d, want one template per shape and knob set = %d", got, want)
 	}
 }

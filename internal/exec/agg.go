@@ -185,114 +185,56 @@ func (h *HashAggregate) foldRow(ctx *Ctx, row types.Row, t *aggTable) error {
 // accounting.
 const accGroupBytes = 96
 
-// emitGroups finalizes the table: scalar aggregation over empty input
-// yields one identity row; otherwise groups are emitted in ascending key
-// order (deterministic output).
-func (h *HashAggregate) emitGroups(t *aggTable, emit func(types.Row) bool) error {
+// groupRows finalizes the table: scalar aggregation over empty input yields
+// one identity row; otherwise groups come out in ascending key order
+// (deterministic output).
+func (h *HashAggregate) groupRows(t *aggTable) []types.Row {
 	if len(h.GroupBy) == 0 && len(t.groups) == 0 {
 		out := make(types.Row, len(h.Aggs))
 		for i, spec := range h.Aggs {
 			out[i] = newAccumulator(spec.Kind).result()
 		}
-		emit(out)
-		return nil
+		return []types.Row{out}
 	}
 	grps := make([]*aggGroup, len(t.order))
 	for i, k := range t.order {
 		grps[i] = t.groups[k]
 	}
 	sort.Slice(grps, func(i, j int) bool { return grps[i].key.Compare(grps[j].key) < 0 })
-	for _, grp := range grps {
+	rows := make([]types.Row, len(grps))
+	for i, grp := range grps {
 		out := make(types.Row, 0, len(grp.key)+len(grp.accs))
 		out = append(out, grp.key...)
 		for _, acc := range grp.accs {
 			out = append(out, acc.result())
 		}
-		if !emit(out) {
-			return nil
-		}
+		rows[i] = out
 	}
-	return nil
+	return rows
 }
 
-// Run implements Operator.
-func (h *HashAggregate) Run(ctx *Ctx, emit func(types.Row) bool) error {
+// Run implements Operator: input batches fold through typed accumulator
+// loops (scalar aggregation and single integer-class grouping keys skip the
+// per-row key materialization and string hashing entirely), anything else
+// through foldRow. The finished groups leave as one owned batch.
+func (h *HashAggregate) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	t := newAggTable()
+	bf := newBatchFolder(h)
 	var inner error
-	err := h.Input.Run(ctx, func(row types.Row) bool {
-		if err := h.foldRow(ctx, row, t); err != nil {
-			inner = err
-			return false
-		}
-		return true
+	err := h.Input.Run(ctx, func(b *vec.Batch) bool {
+		inner = bf.fold(ctx, b, t)
+		return inner == nil
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = inner
 	}
-	if inner != nil {
-		return inner
-	}
-	return h.emitGroups(t, emit)
-}
-
-// BatchCapable implements BatchOperator: aggregation always emits its
-// result set as one owned batch, whatever the input's shape.
-func (h *HashAggregate) BatchCapable() bool { return true }
-
-// RunBatch implements BatchOperator: batched inputs fold through typed
-// accumulator loops (scalar aggregation and single integer-class grouping
-// keys skip the per-row key materialization and string hashing entirely);
-// row-only inputs fold through foldRow. The finished groups leave as one
-// owned batch.
-func (h *HashAggregate) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
-	t := newAggTable()
-	var err error
-	if in, ok := AsBatch(h.Input); ok {
-		bf := newBatchFolder(h)
-		var inner error
-		err = in.RunBatch(ctx, func(b *vec.Batch) bool {
-			if e := bf.fold(ctx, b, t); e != nil {
-				inner = e
-				return false
-			}
-			return true
-		})
-		if err == nil {
-			err = inner
-		}
-		if err == nil {
-			err = bf.finish(t)
-		}
-	} else {
-		var inner error
-		err = h.Input.Run(ctx, func(row types.Row) bool {
-			if e := h.foldRow(ctx, row, t); e != nil {
-				inner = e
-				return false
-			}
-			return true
-		})
-		if err == nil {
-			err = inner
-		}
+	if err == nil {
+		err = bf.finish(t)
 	}
 	if err != nil {
 		return err
 	}
-	var rows []types.Row
-	if err := h.emitGroups(t, func(r types.Row) bool {
-		rows = append(rows, r)
-		return true
-	}); err != nil {
-		return err
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	var ob vec.Batch
-	ob.Reset(rows)
-	ob.Owned = true
-	emit(&ob)
+	emitRows(h.groupRows(t), true, emit)
 	return nil
 }
 
@@ -317,10 +259,9 @@ type aggArg struct {
 	cls vec.Class
 }
 
-// batchFolder holds one RunBatch invocation's folding state. Fast-path
-// groups accumulate here and convert into the aggTable in finish, so
-// emitGroups (ordering, scalar identity row) is shared with the row path
-// unchanged.
+// batchFolder holds one Run invocation's folding state. Fast-path groups
+// accumulate here and convert into the aggTable in finish, so groupRows
+// (ordering, scalar identity row) is shared with the generic fold unchanged.
 type batchFolder struct {
 	h    *HashAggregate
 	mode aggFoldMode
@@ -734,7 +675,7 @@ func (bf *batchFolder) foldIntKey(ctx *Ctx, b *vec.Batch, t *aggTable) error {
 
 // finish converts fast-path groups into the aggTable under the same string
 // keys foldRow would have used (the Row.Key of the hashed column alone), so
-// ordering and any later row-mode folding agree.
+// ordering and any later generic folding agree.
 func (bf *batchFolder) finish(t *aggTable) error {
 	if bf.mode != foldIntKey {
 		return nil

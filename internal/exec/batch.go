@@ -8,91 +8,6 @@ import (
 	"softdb/internal/vec"
 )
 
-// BatchOperator is an Operator that can additionally push columnar batches
-// (vec.Batch: a borrowed row window plus selection vector and lazily
-// extracted typed columns). The batch is borrowed: it and its Rows slice are
-// only valid until the emit callback returns, unless Batch.Owned is set, in
-// which case the row values may be retained without cloning (see DESIGN.md
-// §16). The emit contract matches Operator.Run: one goroutine at a time.
-//
-// BatchCapable reports whether RunBatch actually streams batches end to end
-// for this operator's current configuration (inputs included). Operators
-// whose inputs are row-only report false so parents fall back to the row
-// path instead of paying per-row batch-wrapping overhead.
-type BatchOperator interface {
-	Operator
-	BatchCapable() bool
-	RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error
-}
-
-// AsBatch returns op as a usable batch operator: it must both implement
-// BatchOperator and report BatchCapable for its current shape.
-func AsBatch(op Operator) (BatchOperator, bool) {
-	bo, ok := op.(BatchOperator)
-	if !ok || !bo.BatchCapable() {
-		return nil, false
-	}
-	return bo, true
-}
-
-// RunBatched drives op in batch mode when it supports it, and otherwise
-// adapts row-at-a-time output into single-row batches so batch-aware
-// parents need only one code path.
-func RunBatched(op Operator, ctx *Ctx, emit func(b *vec.Batch) bool) error {
-	if bo, ok := AsBatch(op); ok {
-		return bo.RunBatch(ctx, emit)
-	}
-	one := make([]types.Row, 1)
-	var b vec.Batch
-	return op.Run(ctx, func(row types.Row) bool {
-		one[0] = row
-		b.Reset(one)
-		return emit(&b)
-	})
-}
-
-// collectHintCap bounds how much CollectBatched preallocates from an
-// optimizer estimate — estimates can be wildly high and are not worth more
-// than a few MiB of speculative slice header.
-const collectHintCap = 1 << 20
-
-// CollectBatched runs op and gathers all output rows, using the batched
-// path when the root operator supports it. Results are identical to
-// Collect; only the emission granularity differs. hint is an optional row
-// count estimate used to preallocate the result slice (<= 0 means unknown).
-// Rows from owned batches are retained directly; borrowed batches are
-// cloned row by row.
-func CollectBatched(op Operator, ctx *Ctx, hint int) ([]types.Row, error) {
-	bo, ok := AsBatch(op)
-	if !ok {
-		return Collect(op, ctx)
-	}
-	if ctx == nil {
-		ctx = &Ctx{}
-	}
-	if hint < 0 {
-		hint = 0
-	}
-	if hint > collectHintCap {
-		hint = collectHintCap
-	}
-	out := make([]types.Row, 0, hint)
-	err := bo.RunBatch(ctx, func(b *vec.Batch) bool {
-		n := b.Len()
-		if b.Owned {
-			for i := 0; i < n; i++ {
-				out = append(out, b.Row(i))
-			}
-			return true
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, b.Row(i).Clone())
-		}
-		return true
-	})
-	return out, err
-}
-
 // progRunner owns the selection-vector scratch for one predicate program
 // over a stream of batches. The program itself is immutable; all mutable
 // state lives here, so a fresh progRunner per Run call keeps re-entrant
@@ -217,12 +132,12 @@ func (src pageSource) scan(ctx *Ctx, fn storage.PageFunc) {
 	}
 }
 
-// scanPageLoop is the vectorized page scan kernel of SeqScan.RunBatch and of
-// IndexScan.RunBatch's page path: one batch per heap page, filtered through
-// a compiled predicate program with page-synopsis short-circuits. A page
-// every filter stage is provably TRUE for skips per-row evaluation entirely
-// — the dual of page skipping — and its rows are credited as
-// short-circuited under the proving predicate's source.
+// scanPageLoop is the page scan kernel of SeqScan and of IndexScan's page
+// path: one batch per heap page, filtered through a compiled predicate
+// program with page-synopsis short-circuits. A page every filter stage is
+// provably TRUE for skips per-row evaluation entirely — the dual of page
+// skipping — and its rows are credited as short-circuited under the proving
+// predicate's source.
 func scanPageLoop(op string, src pageSource, filter []expr.Expr, ctx *Ctx, emit func(*vec.Batch) bool) error {
 	prog := expr.CompilePredicate(filter)
 	pr := progRunner{prog: prog}

@@ -9,6 +9,7 @@ import (
 	"softdb/internal/catalog"
 	"softdb/internal/expr"
 	"softdb/internal/plan"
+	"softdb/internal/refexec"
 	"softdb/internal/schema"
 	"softdb/internal/sql"
 	"softdb/internal/storage"
@@ -44,44 +45,27 @@ func wideHeap(t *testing.T, n int) (*storage.Heap, *catalog.Index) {
 	return h, ix
 }
 
-// runBoth runs op row-at-a-time and batched under a memory budget (so
-// reservations are counted) and requires identical rows, in order, and
-// identical charges.
-func runBoth(t *testing.T, name string, op Operator) {
+// sameAnswer runs op and requires the rows the reference interpreter gives
+// for the logical plan ref, in order.
+func sameAnswer(t *testing.T, name string, op Operator, ref plan.Node) {
 	t.Helper()
-	newCtx := func() *Ctx { return NewCtx(context.Background(), CtxOptions{MemBudget: 1 << 40}) }
-	rctx, bctx := newCtx(), newCtx()
-	want, err := Collect(op, rctx)
+	got, err := Collect(op, NewCtx(context.Background(), CtxOptions{}), 0)
 	if err != nil {
-		t.Fatalf("%s row path: %v", name, err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	if _, ok := AsBatch(op); !ok {
-		t.Fatalf("%s: operator is not batch capable", name)
-	}
-	got, err := CollectBatched(op, bctx, 0)
+	want, err := refexec.Run(context.Background(), ref, storage.SnapLatest, 0)
 	if err != nil {
-		t.Fatalf("%s batched: %v", name, err)
+		t.Fatalf("%s reference: %v", name, err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: batched %d rows, row path %d", name, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].String() != want[i].String() {
-			t.Fatalf("%s row %d: batched %s, row path %s", name, i, got[i], want[i])
-		}
-	}
-	if rctx.IO != bctx.IO || rctx.Comparisons != bctx.Comparisons || rctx.HashProbes != bctx.HashProbes ||
-		rctx.MemReserved() != bctx.MemReserved() {
-		t.Fatalf("%s charges: row path io=%+v cmp=%d probes=%d mem=%d, batched io=%+v cmp=%d probes=%d mem=%d", name,
-			rctx.IO, rctx.Comparisons, rctx.HashProbes, rctx.MemReserved(),
-			bctx.IO, bctx.Comparisons, bctx.HashProbes, bctx.MemReserved())
+	if d := refexec.Diff(got, want, true); d != "" {
+		t.Fatalf("%s: %s", name, d)
 	}
 }
 
 // TestSortAndRedundantGroupBatchParity: an ORDER BY over a GROUP BY whose
 // key was FD-reduced to one hashed INT column (the redundant columns riding
 // along), over page scans and index scans on either access path, gives the
-// row path's rows and charges when Sort pulls batches and the aggregate
+// reference interpreter's rows when Sort pulls batches and the aggregate
 // takes the int-key fold.
 func TestSortAndRedundantGroupBatchParity(t *testing.T) {
 	h, ix := wideHeap(t, 3000)
@@ -108,7 +92,7 @@ func TestSortAndRedundantGroupBatchParity(t *testing.T) {
 	}
 	for name, want := range map[string]int64{"index scan": 0, "index scan page path": 1} {
 		ctx := NewCtx(context.Background(), CtxOptions{})
-		if _, err := Collect(scans[name](), ctx); err != nil {
+		if _, err := Collect(scans[name](), ctx, 0); err != nil {
 			t.Fatal(err)
 		}
 		if ctx.PagePaths != want {
@@ -119,27 +103,40 @@ func TestSortAndRedundantGroupBatchParity(t *testing.T) {
 		{Kind: sql.AggSum, Arg: wcol(3)}, {Kind: sql.AggCount, Arg: wcol(3)}, {Kind: sql.AggAvg, Arg: wcol(4)},
 		{Kind: sql.AggCountStar}, {Kind: sql.AggMax, Arg: wcol(3)}, {Kind: sql.AggMin, Arg: wcol(2)},
 	}
+	// The reference reads the same heap through a logical scan.
+	refScan := &plan.Scan{Table: "w", Entry: &catalog.TableEntry{Def: h.Def(), Heap: h}, Def: h.Def(), Filter: idRange}
+	refAgg := func(group ...int) *plan.Aggregate {
+		a := &plan.Aggregate{Input: refScan, Aggs: aggs}
+		for _, ord := range group {
+			a.GroupBy = append(a.GroupBy, wcol(ord))
+			a.GroupNames = append(a.GroupNames, refScan.Cols()[ord])
+		}
+		return a
+	}
 	for name, scan := range scans {
 		for _, warm := range []bool{false, true} { // second pass: page images built
 			// GROUP BY cust_id, cust_name [redundant] ORDER BY cust_id DESC.
-			runBoth(t, fmt.Sprintf("%s group+sort warm=%v", name, warm), &Sort{
+			sameAnswer(t, fmt.Sprintf("%s group+sort warm=%v", name, warm), &Sort{
 				Keys: []plan.SortKey{{Ordinal: 0, Desc: true}},
 				Input: &HashAggregate{Input: scan(), Aggs: aggs,
 					GroupBy:   []expr.Expr{wcol(1), wcol(2)},
 					Redundant: []bool{false, true}},
-			})
+			}, &plan.Sort{Keys: []plan.SortKey{{Ordinal: 0, Desc: true}}, Input: refAgg(1, 2)})
 			// The hashed column second: GROUP BY cust_name [redundant], cust_id.
-			runBoth(t, fmt.Sprintf("%s redundant-first warm=%v", name, warm), &HashAggregate{Input: scan(), Aggs: aggs,
+			sameAnswer(t, fmt.Sprintf("%s redundant-first warm=%v", name, warm), &HashAggregate{Input: scan(), Aggs: aggs,
 				GroupBy:   []expr.Expr{wcol(2), wcol(1)},
-				Redundant: []bool{true, false}})
+				Redundant: []bool{true, false}}, refAgg(2, 1))
 			// ORDER BY over a projection: Sort retains the owned rows.
-			runBoth(t, fmt.Sprintf("%s project+sort warm=%v", name, warm), &Sort{
-				Keys:  []plan.SortKey{{Ordinal: 1}, {Ordinal: 0, Desc: true}},
-				Input: &Project{Input: scan(), Exprs: []expr.Expr{wcol(0), wcol(1), wcol(3)}},
-			})
-			// ORDER BY straight over the scan: borrowed rows are cloned.
-			runBoth(t, fmt.Sprintf("%s sort warm=%v", name, warm), &Sort{
-				Keys: []plan.SortKey{{Ordinal: 4}, {Ordinal: 3, Desc: true}}, Input: scan()})
+			proj := []expr.Expr{wcol(0), wcol(1), wcol(3)}
+			keys := []plan.SortKey{{Ordinal: 1}, {Ordinal: 0, Desc: true}}
+			sameAnswer(t, fmt.Sprintf("%s project+sort warm=%v", name, warm),
+				&Sort{Keys: keys, Input: &Project{Input: scan(), Exprs: proj}},
+				&plan.Sort{Keys: keys, Input: &plan.Project{Input: refScan, Exprs: proj}})
+			// ORDER BY straight over the scan: borrowed rows are cloned. Every
+			// scan yields id order, so ties keep the same order too.
+			keys = []plan.SortKey{{Ordinal: 4}, {Ordinal: 3, Desc: true}}
+			sameAnswer(t, fmt.Sprintf("%s sort warm=%v", name, warm),
+				&Sort{Keys: keys, Input: scan()}, &plan.Sort{Keys: keys, Input: refScan})
 		}
 	}
 	// A non-column redundant entry keeps the generic fold (its per-row

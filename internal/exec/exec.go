@@ -1,9 +1,10 @@
 // Package exec implements softdb's physical operators. Execution is
-// push-based: each operator's Run drives rows into an emit callback, which
-// returns false to stop early (LIMIT). Operators are re-runnable, which
-// nested-loop join relies on, and every data touch is charged to the
-// query's Ctx so benchmarks can report pages and rows exactly as the
-// paper's cost arguments do.
+// push-based and columnar: each operator's Run drives vec.Batch windows into
+// an emit callback, which returns false to stop early (LIMIT); rows leave the
+// pipeline only in Collect. Operators are re-runnable, which nested-loop
+// join relies on, and every data touch is charged to the query's Ctx so
+// benchmarks can report pages and rows exactly as the paper's cost arguments
+// do.
 //
 // Emit contract: a plan runs on the calling goroutine — this package starts
 // none — so emit is never invoked concurrently and downstream operators need
@@ -108,26 +109,56 @@ func (c *Ctx) String() string {
 
 // Operator is a runnable physical plan node.
 type Operator interface {
-	// Run pushes output rows into emit until exhausted or emit returns
-	// false.
-	Run(ctx *Ctx, emit func(types.Row) bool) error
+	// Run pushes the output into emit as columnar batches until exhausted
+	// or emit returns false. A batch is borrowed: it and its Rows slice are
+	// valid only until emit returns, and its row values may be retained
+	// without cloning only when Batch.Owned or Batch.Stored is set (see
+	// DESIGN.md §16). emit may narrow a batch's selection in place.
+	Run(ctx *Ctx, emit func(b *vec.Batch) bool) error
 	// Describe renders a one-line summary.
 	Describe() string
 	// Inputs returns child operators.
 	Inputs() []Operator
 }
 
-// Collect runs op and gathers all output rows.
-func Collect(op Operator, ctx *Ctx) ([]types.Row, error) {
+// collectHintCap bounds how much Collect preallocates from an optimizer
+// estimate — estimates can be wildly high and are not worth more than a few
+// MiB of speculative slice header.
+const collectHintCap = 1 << 20
+
+// Collect runs op and gathers all output rows: the one place rows leave the
+// batched pipeline. Rows of owned batches are retained as they are; borrowed
+// and stored ones are cloned. hint is an optional row-count estimate used to
+// preallocate the result (<= 0 means unknown).
+func Collect(op Operator, ctx *Ctx, hint int) ([]types.Row, error) {
 	if ctx == nil {
 		ctx = &Ctx{}
 	}
-	var out []types.Row
-	err := op.Run(ctx, func(r types.Row) bool {
-		out = append(out, r.Clone())
+	out := make([]types.Row, 0, min(max(hint, 0), collectHintCap))
+	err := op.Run(ctx, func(b *vec.Batch) bool {
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			row := b.Row(i)
+			if !b.Owned {
+				row = row.Clone()
+			}
+			out = append(out, row)
+		}
 		return true
 	})
 	return out, err
+}
+
+// emitRows hands rows to emit as one batch, which is owned when the rows are
+// the caller's to give away; no rows emit nothing.
+func emitRows(rows []types.Row, owned bool, emit func(b *vec.Batch) bool) bool {
+	if len(rows) == 0 {
+		return true
+	}
+	var b vec.Batch
+	b.Reset(rows)
+	b.Owned = owned
+	return emit(&b)
 }
 
 // Format renders the operator tree.
@@ -148,13 +179,11 @@ func Format(op Operator) string {
 
 // --- scans ---
 
-// SeqScan reads every live row of a heap, applying residual filters. Run is
-// the row-at-a-time reference path (per-row expression tree-walk); RunBatch
-// is the vectorized path: each heap page's live rows leave as one borrowed
-// columnar batch filtered through a compiled predicate program, with
-// whole-page synopsis short-circuits. Prune predicates let both paths skip
-// pages whose synopsis proves no qualifying row, charging PagesSkipped
-// instead of a read.
+// SeqScan reads every live row of a heap, applying residual filters: each
+// heap page's live rows leave as one borrowed columnar batch filtered through
+// a compiled predicate program, with whole-page synopsis short-circuits.
+// Prune predicates skip pages whose synopsis proves no qualifying row,
+// charging PagesSkipped instead of a read.
 type SeqScan struct {
 	Table  string
 	Heap   *storage.Heap
@@ -162,18 +191,8 @@ type SeqScan struct {
 	Prune  []plan.PrunePred
 }
 
-// Run implements Operator: the row-at-a-time path that the vectorized
-// kernels are differentially tested against (and the -no-batch fallback).
-func (s *SeqScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
-	// The op name is built once so the per-page checkpoint allocates nothing.
-	return rowPageLoop("SeqScan "+s.Table, pageSource{heap: s.Heap, prune: s.Prune}, s.Filter, ctx, emit)
-}
-
-// BatchCapable implements BatchOperator.
-func (s *SeqScan) BatchCapable() bool { return true }
-
-// RunBatch implements BatchOperator.
-func (s *SeqScan) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
+// Run implements Operator.
+func (s *SeqScan) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	return scanPageLoop("SeqScan "+s.Table, pageSource{heap: s.Heap, prune: s.Prune}, s.Filter, ctx, emit)
 }
 
@@ -197,31 +216,6 @@ func describePrune(h *storage.Heap, prune []plan.PrunePred) string {
 		}
 	}
 	return d
-}
-
-// rowPageLoop is the row-at-a-time page loop: SeqScan.Run, and the page path
-// of IndexScan.Run. Each row of each page src yields is filtered by a
-// per-row tree-walk.
-func rowPageLoop(op string, src pageSource, filter []expr.Expr, ctx *Ctx, emit func(types.Row) bool) error {
-	var runErr error
-	src.scan(ctx, func(rows []types.Row, _ *storage.PageSynopsis, _ *vec.PageImage) bool {
-		if err := ctx.checkpoint(op); err != nil {
-			runErr = err
-			return false
-		}
-		for _, row := range rows {
-			ok, err := evalFilters(filter, row)
-			if err != nil {
-				runErr = err
-				return false
-			}
-			if ok && !emit(row) {
-				return false
-			}
-		}
-		return true
-	})
-	return runErr
 }
 
 // Inputs implements Operator.
@@ -520,52 +514,21 @@ func (s *IndexScan) rangeEntries(chunk []indexEntry) (est float64, ok bool) {
 	return float64(len(chunk)) * (h - f + unit) / span, true
 }
 
-// source is the page path's page sequence.
-func (s *IndexScan) source(pp *pagePath) pageSource {
-	return pageSource{heap: s.Heap, prune: s.Prune, path: pp}
-}
-
-// Run implements Operator: the row-at-a-time path over fetch, or over the
-// row page loop once the range switched to the page path.
-func (s *IndexScan) Run(ctx *Ctx, emit func(types.Row) bool) error {
-	chunk, more, pp := s.open(ctx)
-	if pp != nil {
-		return rowPageLoop("IndexScan "+s.Table, s.source(pp), s.Filter, ctx, emit)
-	}
-	var runErr error
-	err := s.fetch(ctx, chunk, more, func(row types.Row) bool {
-		pass, err := evalFilters(s.Filter, row)
-		if err != nil {
-			runErr = err
-			return false
-		}
-		return !pass || emit(row)
-	})
-	if runErr != nil {
-		return runErr
-	}
-	return err
-}
-
-// BatchCapable implements BatchOperator.
-func (s *IndexScan) BatchCapable() bool { return true }
-
-// indexBatchRows is the window size IndexScan.RunBatch accumulates fetched
-// heap rows into before emitting. Index entries arrive one at a time, so
-// unlike SeqScan there is no natural page granularity; a fixed window keeps
+// indexBatchRows is the window size IndexScan.Run accumulates fetched heap
+// rows into before emitting. Index entries arrive one at a time, so unlike
+// SeqScan there is no natural page granularity; a fixed window keeps
 // downstream kernels amortized without holding many heap rows borrowed.
 const indexBatchRows = 256
 
-// RunBatch implements BatchOperator. On the entry path matching heap rows are
-// buffered into fixed-size windows and the residual filter runs as a
-// compiled predicate program over each window instead of a per-row
-// tree-walk; on the page path the scan is the page scan kernel itself. Page
-// and row accounting is identical to Run; as with all batched operators, an
-// early stop (LIMIT) has already paid for the whole in-flight window.
-func (s *IndexScan) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
+// Run implements Operator. On the entry path matching heap rows are buffered
+// into fixed-size windows and the residual filter runs as a compiled
+// predicate program over each window; on the page path the scan is the page
+// scan kernel itself. As with every operator, an early stop (LIMIT) has
+// already paid for the whole in-flight window.
+func (s *IndexScan) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	chunk, more, pp := s.open(ctx)
 	if pp != nil {
-		return scanPageLoop("IndexScan "+s.Table, s.source(pp), s.Filter, ctx, emit)
+		return scanPageLoop("IndexScan "+s.Table, pageSource{heap: s.Heap, prune: s.Prune, path: pp}, s.Filter, ctx, emit)
 	}
 	var runErr error
 	prog := expr.CompilePredicate(s.Filter)
@@ -662,8 +625,8 @@ type MinMaxSpec struct {
 	Max   bool
 }
 
-// Run implements Operator.
-func (m *IndexMinMax) Run(ctx *Ctx, emit func(types.Row) bool) error {
+// Run implements Operator: one owned single-row batch.
+func (m *IndexMinMax) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	snap, tid := ctx.snapView()
 	out := make(types.Row, len(m.Specs))
 	for i, sp := range m.Specs {
@@ -692,7 +655,7 @@ func (m *IndexMinMax) Run(ctx *Ctx, emit func(types.Row) bool) error {
 			ctx.IO.AddRows(1)
 		}
 	}
-	emit(out)
+	emitRows([]types.Row{out}, true, emit)
 	return nil
 }
 
@@ -718,13 +681,9 @@ type Values struct {
 	Desc string
 }
 
-// Run implements Operator.
-func (v *Values) Run(_ *Ctx, emit func(types.Row) bool) error {
-	for _, r := range v.Rows {
-		if !emit(r) {
-			return nil
-		}
-	}
+// Run implements Operator: the rows as one borrowed batch.
+func (v *Values) Run(_ *Ctx, emit func(b *vec.Batch) bool) error {
+	emitRows(v.Rows, false, emit)
 	return nil
 }
 
@@ -739,49 +698,22 @@ func (v *Values) Describe() string {
 // Inputs implements Operator.
 func (v *Values) Inputs() []Operator { return nil }
 
-// --- row-at-a-time operators ---
+// --- operators over their inputs' batches ---
 
-// Filter drops rows failing its predicates.
+// Filter drops rows failing its predicates: input batches are filtered by
+// shrinking their selection vector through a compiled predicate program — no
+// rows move, no per-row tree-walk for the sargable conjuncts.
 type Filter struct {
 	Input Operator
 	Conds []expr.Expr
 }
 
 // Run implements Operator.
-func (f *Filter) Run(ctx *Ctx, emit func(types.Row) bool) error {
-	var inner error
-	err := f.Input.Run(ctx, func(row types.Row) bool {
-		ok, err := evalFilters(f.Conds, row)
-		if err != nil {
-			inner = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		return emit(row)
-	})
-	if inner != nil {
-		return inner
-	}
-	return err
-}
-
-// BatchCapable implements BatchOperator: batch mode pays off only when the
-// input actually streams batches.
-func (f *Filter) BatchCapable() bool {
-	_, ok := AsBatch(f.Input)
-	return ok
-}
-
-// RunBatch implements BatchOperator: input batches are filtered by
-// shrinking their selection vector through a compiled predicate program —
-// no rows move, no per-row tree-walk for the sargable conjuncts.
-func (f *Filter) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
+func (f *Filter) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	prog := expr.CompilePredicate(f.Conds)
 	pr := progRunner{prog: prog}
 	var inner error
-	err := RunBatched(f.Input, ctx, func(b *vec.Batch) bool {
+	err := f.Input.Run(ctx, func(b *vec.Batch) bool {
 		if len(prog.Stages) == 0 {
 			return emit(b)
 		}
@@ -814,38 +746,11 @@ type Project struct {
 	Exprs []expr.Expr
 }
 
-// Run implements Operator.
-func (p *Project) Run(ctx *Ctx, emit func(types.Row) bool) error {
-	var inner error
-	err := p.Input.Run(ctx, func(row types.Row) bool {
-		out := make(types.Row, len(p.Exprs))
-		for i, e := range p.Exprs {
-			v, err := e.Eval(row)
-			if err != nil {
-				inner = err
-				return false
-			}
-			out[i] = v
-		}
-		return emit(out)
-	})
-	if inner != nil {
-		return inner
-	}
-	return err
-}
-
-// BatchCapable implements BatchOperator.
-func (p *Project) BatchCapable() bool {
-	_, ok := AsBatch(p.Input)
-	return ok
-}
-
-// RunBatch implements BatchOperator. Output rows are freshly allocated (as
-// in Run) from one datum slab per batch and leave as an owned batch in the
-// input's granularity. An all-column projection (the common SELECT list
-// after planning) copies datums in a tight loop with no Eval calls.
-func (p *Project) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
+// Run implements Operator. Output rows are freshly allocated from one datum
+// slab per batch and leave as an owned batch in the input's granularity. An
+// all-column projection (the common SELECT list after planning) copies
+// datums in a tight loop with no Eval calls.
+func (p *Project) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	width := len(p.Exprs)
 	cols := make([]*expr.Column, width)
 	allCols := true
@@ -859,7 +764,7 @@ func (p *Project) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	var inner error
 	var outRows []types.Row
 	var ob vec.Batch
-	err := RunBatched(p.Input, ctx, func(b *vec.Batch) bool {
+	err := p.Input.Run(ctx, func(b *vec.Batch) bool {
 		n := b.Len()
 		slab := make([]types.Datum, n*width)
 		outRows = outRows[:0]
@@ -910,41 +815,20 @@ func (p *Project) Describe() string {
 // Inputs implements Operator.
 func (p *Project) Inputs() []Operator { return []Operator{p.Input} }
 
-// Limit emits the first N rows.
+// Limit emits the first N rows, truncating the final batch at the limit
+// boundary.
 type Limit struct {
 	Input Operator
 	N     int64
 }
 
 // Run implements Operator.
-func (l *Limit) Run(ctx *Ctx, emit func(types.Row) bool) error {
+func (l *Limit) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	if l.N <= 0 {
 		return nil
 	}
 	var count int64
-	return l.Input.Run(ctx, func(row types.Row) bool {
-		count++
-		if !emit(row) {
-			return false
-		}
-		return count < l.N
-	})
-}
-
-// BatchCapable implements BatchOperator.
-func (l *Limit) BatchCapable() bool {
-	_, ok := AsBatch(l.Input)
-	return ok
-}
-
-// RunBatch implements BatchOperator, truncating the final batch at the
-// limit boundary.
-func (l *Limit) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
-	if l.N <= 0 {
-		return nil
-	}
-	var count int64
-	return RunBatched(l.Input, ctx, func(b *vec.Batch) bool {
+	return l.Input.Run(ctx, func(b *vec.Batch) bool {
 		if rem := l.N - count; int64(b.Len()) > rem {
 			b.Truncate(int(rem))
 		}
@@ -962,25 +846,36 @@ func (l *Limit) Describe() string { return fmt.Sprintf("Limit %d", l.N) }
 // Inputs implements Operator.
 func (l *Limit) Inputs() []Operator { return []Operator{l.Input} }
 
-// Distinct suppresses duplicate rows.
+// Distinct suppresses duplicate rows by narrowing each batch's selection to
+// the rows whose key it has not seen.
 type Distinct struct{ Input Operator }
 
 // Run implements Operator.
-func (d *Distinct) Run(ctx *Ctx, emit func(types.Row) bool) error {
+func (d *Distinct) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	seen := map[string]bool{}
+	var sel []int32
 	var inner error
-	err := d.Input.Run(ctx, func(row types.Row) bool {
-		k := row.Key()
-		if seen[k] {
+	err := d.Input.Run(ctx, func(b *vec.Batch) bool {
+		sel = sel[:0]
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			k := b.Row(i).Key()
+			if seen[k] {
+				continue
+			}
+			// Each retained key is buffered state; charge it to the budget.
+			if err := ctx.Reserve("Distinct", int64(len(k))); err != nil {
+				inner = err
+				return false
+			}
+			seen[k] = true
+			sel = append(sel, int32(b.Index(i)))
+		}
+		if len(sel) == 0 {
 			return true
 		}
-		// Each retained key is buffered state; charge it to the budget.
-		if err := ctx.Reserve("Distinct", int64(len(k))); err != nil {
-			inner = err
-			return false
-		}
-		seen[k] = true
-		return emit(row)
+		b.Sel = sel
+		return emit(b)
 	})
 	if inner != nil {
 		return inner
@@ -1001,21 +896,15 @@ type UnionAll struct {
 }
 
 // Run implements Operator.
-func (u *UnionAll) Run(ctx *Ctx, emit func(types.Row) bool) error {
+func (u *UnionAll) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	stopped := false
 	for _, arm := range u.Arms {
-		err := arm.Run(ctx, func(row types.Row) bool {
-			if !emit(row) {
-				stopped = true
-				return false
-			}
-			return true
+		err := arm.Run(ctx, func(b *vec.Batch) bool {
+			stopped = !emit(b)
+			return !stopped
 		})
-		if err != nil {
+		if err != nil || stopped {
 			return err
-		}
-		if stopped {
-			return nil
 		}
 	}
 	return nil
@@ -1033,86 +922,50 @@ func (u *UnionAll) Describe() string {
 // Inputs implements Operator.
 func (u *UnionAll) Inputs() []Operator { return u.Arms }
 
-// Sort materializes and orders its input.
+// Sort materializes and orders its input. The input's batches keep their
+// kernels (an aggregate, projection or index scan under an ORDER BY), and
+// the ordered rows leave as one owned batch.
 type Sort struct {
 	Input Operator
 	Keys  []plan.SortKey
 }
 
-// Run implements Operator: the row-at-a-time path, pulling rows from the
-// input's Run.
-func (s *Sort) Run(ctx *Ctx, emit func(types.Row) bool) error {
-	rows, err := s.sorted(ctx, false)
+// Run implements Operator.
+func (s *Sort) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
+	rows, err := s.sorted(ctx)
 	if err != nil {
 		return err
 	}
-	for _, r := range rows {
-		if !emit(r) {
-			return nil
-		}
-	}
+	emitRows(rows, true, emit)
 	return nil
 }
 
-// BatchCapable implements BatchOperator: like Filter and Project, sorting
-// batch-wise pays off when the input streams batches.
-func (s *Sort) BatchCapable() bool {
-	_, ok := AsBatch(s.Input)
-	return ok
-}
-
-// RunBatch implements BatchOperator: the input is pulled through its batched
-// path — an aggregate, projection or index scan under an ORDER BY keeps its
-// kernels — and the ordered rows leave as one owned batch. Reservations,
-// checkpoints and comparison charges are those of Run.
-func (s *Sort) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
-	rows, err := s.sorted(ctx, true)
-	if err != nil || len(rows) == 0 {
-		return err
-	}
-	var ob vec.Batch
-	ob.Reset(rows)
-	ob.Owned = true
-	emit(&ob)
-	return nil
-}
-
-// sorted collects the input (through RunBatched when batched, retaining the
-// rows of owned batches without a clone) and orders it.
-func (s *Sort) sorted(ctx *Ctx, batched bool) ([]types.Row, error) {
+// sorted collects the input, retaining the rows of owned batches without a
+// clone, and orders it.
+func (s *Sort) sorted(ctx *Ctx) ([]types.Row, error) {
 	var rows []types.Row
 	var inner error
-	add := func(row types.Row, owned bool) bool {
-		if err := ctx.Reserve("Sort", row.MemSize()); err != nil {
-			inner = err
-			return false
-		}
-		if int64(len(rows))%checkpointRows == 0 {
-			if err := ctx.checkpoint("Sort"); err != nil {
+	err := s.Input.Run(ctx, func(b *vec.Batch) bool {
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			row := b.Row(i)
+			if err := ctx.Reserve("Sort", row.MemSize()); err != nil {
 				inner = err
 				return false
 			}
-		}
-		if !owned {
-			row = row.Clone()
-		}
-		rows = append(rows, row)
-		return true
-	}
-	var err error
-	if batched {
-		err = RunBatched(s.Input, ctx, func(b *vec.Batch) bool {
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				if !add(b.Row(i), b.Owned) {
+			if int64(len(rows))%checkpointRows == 0 {
+				if err := ctx.checkpoint("Sort"); err != nil {
+					inner = err
 					return false
 				}
 			}
-			return true
-		})
-	} else {
-		err = s.Input.Run(ctx, func(row types.Row) bool { return add(row, false) })
-	}
+			if !b.Owned {
+				row = row.Clone()
+			}
+			rows = append(rows, row)
+		}
+		return true
+	})
 	if inner != nil {
 		return nil, inner
 	}

@@ -12,6 +12,7 @@ import (
 	"softdb/internal/sql"
 	"softdb/internal/storage"
 	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 func intRows(vals ...int64) []types.Row {
@@ -28,7 +29,7 @@ func iconst(v int64) *expr.Const { return expr.NewConst(types.NewInt(v)) }
 
 func collect(t *testing.T, op Operator) []types.Row {
 	t.Helper()
-	rows, err := Collect(op, &Ctx{})
+	rows, err := Collect(op, &Ctx{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestSeqScanFilter(t *testing.T) {
 		t.Errorf("rows: %d", len(rows))
 	}
 	ctx := &Ctx{}
-	_, _ = Collect(op, ctx)
+	_, _ = Collect(op, ctx, 0)
 	if ctx.IO.PagesRead != h.PageCount() {
 		t.Errorf("seq scan pages: %d want %d", ctx.IO.PagesRead, h.PageCount())
 	}
@@ -77,7 +78,7 @@ func TestIndexScanRangeAndPageDedup(t *testing.T) {
 		Hi: btree.Bound{Key: types.Row{types.NewInt(199)}, Inclusive: true},
 	}
 	ctx := &Ctx{}
-	rows, err := Collect(op, ctx)
+	rows, err := Collect(op, ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +146,11 @@ func TestUnionAllOrderAndEarlyStop(t *testing.T) {
 	if len(rows) != 3 || rows[2][0].Int() != 3 {
 		t.Errorf("union: %v", rows)
 	}
-	// Early stop across arms.
-	n := 0
-	err := u.Run(&Ctx{}, func(types.Row) bool { n++; return n < 2 })
-	if err != nil || n != 2 {
-		t.Errorf("early stop: %d", n)
+	// Early stop across arms: the first arm's batch stops the union.
+	batches, n := 0, 0
+	err := u.Run(&Ctx{}, func(b *vec.Batch) bool { batches++; n += b.Len(); return false })
+	if err != nil || batches != 1 || n != 2 {
+		t.Errorf("early stop: %d batches, %d rows", batches, n)
 	}
 }
 
@@ -297,10 +298,10 @@ func TestSortComparisonCounting(t *testing.T) {
 	one := &Sort{Input: src2col, Keys: []plan.SortKey{{Ordinal: 0}}}
 	two := &Sort{Input: src2col, Keys: []plan.SortKey{{Ordinal: 0}, {Ordinal: 1}}}
 	c1, c2 := &Ctx{}, &Ctx{}
-	if _, err := Collect(one, c1); err != nil {
+	if _, err := Collect(one, c1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Collect(two, c2); err != nil {
+	if _, err := Collect(two, c2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Comparisons <= c1.Comparisons {

@@ -12,38 +12,43 @@ import (
 
 // NestedLoopJoin evaluates Outer once and re-runs Inner for every outer
 // row, emitting outer++inner rows that satisfy Cond (conjuncts bound to the
-// concatenated schema).
+// concatenated schema) as one owned batch per inner batch.
 type NestedLoopJoin struct {
 	Outer, Inner Operator
 	Cond         []expr.Expr
 }
 
-// Run implements Operator.
-func (j *NestedLoopJoin) Run(ctx *Ctx, emit func(types.Row) bool) error {
+// Run implements Operator. The outer batch stays valid while its rows'
+// inner runs proceed, since they run inside its emit callback.
+func (j *NestedLoopJoin) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	var inner error
 	stopped := false
-	err := j.Outer.Run(ctx, func(orow types.Row) bool {
-		o := orow.Clone()
-		err := j.Inner.Run(ctx, func(irow types.Row) bool {
-			ctx.AddComparisons(1)
-			joined := o.Concat(irow)
-			ok, err := evalFilters(j.Cond, joined)
+	var out []types.Row
+	err := j.Outer.Run(ctx, func(b *vec.Batch) bool {
+		n := b.Len()
+		for i := 0; i < n && !stopped && inner == nil; i++ {
+			o := b.Row(i)
+			err := j.Inner.Run(ctx, func(ib *vec.Batch) bool {
+				m := ib.Len()
+				ctx.AddComparisons(int64(m))
+				out = out[:0]
+				for k := 0; k < m; k++ {
+					joined := o.Concat(ib.Row(k))
+					ok, err := evalFilters(j.Cond, joined)
+					if err != nil {
+						inner = err
+						return false
+					}
+					if ok {
+						out = append(out, joined)
+					}
+				}
+				stopped = !emitRows(out, true, emit)
+				return !stopped
+			})
 			if err != nil {
 				inner = err
-				return false
 			}
-			if !ok {
-				return true
-			}
-			if !emit(joined) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			inner = err
-			return false
 		}
 		return !stopped && inner == nil
 	})
@@ -80,79 +85,6 @@ type HashJoin struct {
 	LeftKeys, RightKey []expr.Expr // paired key expressions, one per side
 	Residual           []expr.Expr
 	Proj               []int
-}
-
-// Run implements Operator.
-func (j *HashJoin) Run(ctx *Ctx, emit func(types.Row) bool) error {
-	build := map[string][]types.Row{}
-	var inner error
-	err := j.Left.Run(ctx, func(row types.Row) bool {
-		key, null, err := hashKey(j.LeftKeys, row)
-		if err != nil {
-			inner = err
-			return false
-		}
-		if null {
-			return true
-		}
-		if err := ctx.Reserve("HashJoin build", row.MemSize()); err != nil {
-			inner = err
-			return false
-		}
-		build[key] = append(build[key], row.Clone())
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if inner != nil {
-		return inner
-	}
-	stopped := false
-	err = j.Right.Run(ctx, func(row types.Row) bool {
-		ctx.AddProbes(1)
-		key, null, err := hashKey(j.RightKey, row)
-		if err != nil {
-			inner = err
-			return false
-		}
-		if null {
-			return true
-		}
-		for _, l := range build[key] {
-			joined := l.Concat(row)
-			ok, err := evalFilters(j.Residual, joined)
-			if err != nil {
-				inner = err
-				return false
-			}
-			if !ok {
-				continue
-			}
-			if j.Proj != nil {
-				joined = projectOrds(joined, j.Proj)
-			}
-			if !emit(joined) {
-				stopped = true
-				return false
-			}
-		}
-		return true
-	})
-	if inner != nil {
-		return inner
-	}
-	if stopped {
-		return nil
-	}
-	return err
-}
-
-// BatchCapable implements BatchOperator: probe-side batches are what the
-// vectorized path streams, so it needs a batch-capable right input.
-func (j *HashJoin) BatchCapable() bool {
-	_, ok := AsBatch(j.Right)
-	return ok
 }
 
 // intJoinKey reports whether keys is a single bare integer-image column
@@ -299,77 +231,48 @@ func (t *joinTable) addGeneric(ctx *Ctx, keys []expr.Expr, b *vec.Batch) error {
 	return nil
 }
 
-// buildTable materializes the build side for RunBatch, preferring the typed
-// int table when both key sides are bare integer-class columns and the left
-// input streams batches.
+// buildTable materializes the build side, preferring the typed int table
+// when both key sides are bare integer-class columns.
 func (j *HashJoin) buildTable(ctx *Ctx) (*joinTable, error) {
 	t := &joinTable{}
 	lcol, lok := intJoinKey(j.LeftKeys)
-	_, rok := intJoinKey(j.RightKey)
-	lb, lbatch := AsBatch(j.Left)
-	if lok && rok && lbatch {
+	if _, rok := intJoinKey(j.RightKey); lok && rok {
 		t.ints = &intTable{}
-		var inner error
-		err := lb.RunBatch(ctx, func(b *vec.Batch) bool {
-			if t.ints != nil {
-				if c := b.Col(lcol.Index, vec.ClassInt); c != nil {
-					retain := b.Owned || b.Stored
-					n := b.Len()
-					for i := 0; i < n; i++ {
-						idx := b.Index(i)
-						if c.HasNulls && c.Nulls[idx] {
-							continue
-						}
-						row := b.Rows[idx]
-						if err := ctx.reserveRow("HashJoin build", row); err != nil {
-							inner = err
-							return false
-						}
-						if !retain {
-							row = row.Clone()
-						}
-						t.ints.add(intKey(c.Ints[idx]), row)
-					}
-					return true
-				}
-				// This window holds a datum the int image cannot carry
-				// (e.g. a FLOAT in an INT column): fall back to string
-				// keys for everything, past and future.
-				if inner = t.degrade(j.LeftKeys); inner != nil {
-					return false
-				}
-			}
-			inner = t.addGeneric(ctx, j.LeftKeys, b)
-			return inner == nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if inner != nil {
-			return nil, inner
-		}
-		if t.ints != nil {
-			t.ints.seal()
-		}
-		return t, nil
+	} else {
+		t.strs = map[string][]types.Row{}
 	}
-	t.strs = map[string][]types.Row{}
 	var inner error
-	err := j.Left.Run(ctx, func(row types.Row) bool {
-		key, null, err := hashKey(j.LeftKeys, row)
-		if err != nil {
-			inner = err
-			return false
+	err := j.Left.Run(ctx, func(b *vec.Batch) bool {
+		if t.ints != nil {
+			if c := b.Col(lcol.Index, vec.ClassInt); c != nil {
+				retain := b.Owned || b.Stored
+				n := b.Len()
+				for i := 0; i < n; i++ {
+					idx := b.Index(i)
+					if c.HasNulls && c.Nulls[idx] {
+						continue
+					}
+					row := b.Rows[idx]
+					if err := ctx.reserveRow("HashJoin build", row); err != nil {
+						inner = err
+						return false
+					}
+					if !retain {
+						row = row.Clone()
+					}
+					t.ints.add(intKey(c.Ints[idx]), row)
+				}
+				return true
+			}
+			// This window holds a datum the int image cannot carry (e.g. a
+			// FLOAT in an INT column): fall back to string keys for
+			// everything, past and future.
+			if inner = t.degrade(j.LeftKeys); inner != nil {
+				return false
+			}
 		}
-		if null {
-			return true
-		}
-		if err := ctx.Reserve("HashJoin build", row.MemSize()); err != nil {
-			inner = err
-			return false
-		}
-		t.strs[key] = append(t.strs[key], row.Clone())
-		return true
+		inner = t.addGeneric(ctx, j.LeftKeys, b)
+		return inner == nil
 	})
 	if err != nil {
 		return nil, err
@@ -377,21 +280,23 @@ func (j *HashJoin) buildTable(ctx *Ctx) (*joinTable, error) {
 	if inner != nil {
 		return nil, inner
 	}
+	if t.ints != nil {
+		t.ints.seal()
+	}
 	return t, nil
 }
 
-// RunBatch implements BatchOperator: build over the left input (batched
-// when possible), then probe with each right-side batch, emitting matches
-// as one owned batch per input batch. Counter totals match Run except that
-// probes are charged batch-at-a-time, so a LIMIT that stops mid-batch has
-// already paid for the whole window (the same granularity rule as page
-// reads).
 // joinSlabDatums sizes the chunked allocation joined rows are carved from:
 // one make per ~4k datums instead of one Concat per match. Carved rows are
 // never rewritten, so emitting them in an owned batch is safe.
 const joinSlabDatums = 4096
 
-func (j *HashJoin) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
+// Run implements Operator: build over the left input, then probe with each
+// right-side batch, emitting matches as one owned batch per input batch.
+// Probes are charged batch-at-a-time, so a LIMIT that stops mid-batch has
+// already paid for the whole window (the same granularity rule as page
+// reads).
+func (j *HashJoin) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	t, err := j.buildTable(ctx)
 	if err != nil {
 		return err
@@ -404,7 +309,7 @@ func (j *HashJoin) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	var concatBuf types.Row // residual scratch when Proj narrows the output
 	var matchBuf []types.Row
 	var ob vec.Batch
-	err = RunBatched(j.Right, ctx, func(b *vec.Batch) bool {
+	err = j.Right.Run(ctx, func(b *vec.Batch) bool {
 		n := b.Len()
 		ctx.AddProbes(int64(n))
 		var c *vec.Col
@@ -514,15 +419,6 @@ func (j *HashJoin) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 		return nil
 	}
 	return err
-}
-
-// projectOrds materializes the named ordinals of a row as a fresh row.
-func projectOrds(row types.Row, ords []int) types.Row {
-	out := make(types.Row, len(ords))
-	for i, ord := range ords {
-		out[i] = row[ord]
-	}
-	return out
 }
 
 func hashKey(keys []expr.Expr, row types.Row) (string, bool, error) {

@@ -68,12 +68,12 @@ func TestOperatorsAreReRunnable(t *testing.T) {
 	for name, op := range buildRerunTrees(t) {
 		t.Run(name, func(t *testing.T) {
 			ctx1 := &Ctx{}
-			first, err := Collect(op, ctx1)
+			first, err := Collect(op, ctx1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx2 := &Ctx{}
-			second, err := Collect(op, ctx2)
+			second, err := Collect(op, ctx2, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

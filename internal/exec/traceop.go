@@ -5,7 +5,6 @@ import (
 
 	"softdb/internal/obs"
 	"softdb/internal/storage"
-	"softdb/internal/types"
 	"softdb/internal/vec"
 )
 
@@ -64,39 +63,14 @@ type spanOp struct {
 	node  *obs.SpanNode
 }
 
-func (s *spanOp) Run(ctx *Ctx, emit func(types.Row) bool) error {
+// Run implements Operator; deltas are measured around the inner run.
+func (s *spanOp) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	before := ctx.IO.Load()
 	start := time.Now()
 	var rows int64
 	outer := ctx.span
 	ctx.span = s.node
-	err := s.inner.Run(ctx, func(r types.Row) bool {
-		rows++
-		return emit(r)
-	})
-	ctx.span = outer
-	s.record(ctx, before, start, rows)
-	return err
-}
-
-// BatchCapable implements BatchOperator by delegation, so a wrapped batch
-// pipeline keeps its end-to-end batched execution.
-func (s *spanOp) BatchCapable() bool {
-	_, ok := AsBatch(s.inner)
-	return ok
-}
-
-// RunBatch implements BatchOperator so instrumented plans keep columnar
-// emission; deltas are measured around the inner batched run. Running in
-// batch mode marks the span batched for EXPLAIN ANALYZE.
-func (s *spanOp) RunBatch(ctx *Ctx, emit func(b *vec.Batch) bool) error {
-	s.node.Batched.Store(true)
-	before := ctx.IO.Load()
-	start := time.Now()
-	var rows int64
-	outer := ctx.span
-	ctx.span = s.node
-	err := RunBatched(s.inner, ctx, func(b *vec.Batch) bool {
+	err := s.inner.Run(ctx, func(b *vec.Batch) bool {
 		rows += int64(b.Len())
 		return emit(b)
 	})
@@ -166,12 +140,4 @@ func withInputs(op Operator, kids []Operator) Operator {
 	default:
 		return nil
 	}
-}
-
-// Unwrap returns the operator beneath any instrumentation wrapper.
-func Unwrap(op Operator) Operator {
-	if s, ok := op.(*spanOp); ok {
-		return s.inner
-	}
-	return op
 }

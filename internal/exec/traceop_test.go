@@ -22,7 +22,7 @@ func TestInstrumentSerialTree(t *testing.T) {
 	})
 
 	ctx := &Ctx{}
-	rows, err := Collect(inst, ctx)
+	rows, err := Collect(inst, ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestInstrumentNestedLoopCalls(t *testing.T) {
 	innerv := &Values{Rows: intRows(10, 20)}
 	j := &NestedLoopJoin{Outer: outer, Inner: innerv}
 	inst, span := Instrument(j, nil)
-	if _, err := Collect(inst, &Ctx{}); err != nil {
+	if _, err := Collect(inst, &Ctx{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := span.Rows.Load(); got != 6 {

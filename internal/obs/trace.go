@@ -23,8 +23,8 @@ type SpanNode struct {
 
 	// Rows counts rows this operator emitted. Pages/RowsRead are the I/O
 	// charged while the node (and its subtree) ran. Nanos is busy time,
-	// cumulative across calls. Calls counts Run/RunBatch invocations
-	// (nested-loop join re-runs its inner side per outer row).
+	// cumulative across calls. Calls counts Run invocations (nested-loop
+	// join re-runs its inner side per outer row).
 	Rows  atomic.Int64
 	Pages atomic.Int64
 	// PagesSkipped counts heap pages the subtree's scans pruned via
@@ -43,10 +43,6 @@ type SpanNode struct {
 	PagePaths       atomic.Int64
 	PagePathEntries atomic.Int64
 	PagePathPages   atomic.Int64
-
-	// Batched reports that this node executed on the columnar batch path
-	// (RunBatch) rather than row-at-a-time; -no-batch plans leave it false.
-	Batched atomic.Bool
 
 	// Informed names the constraints whose information sharpened this
 	// node's cardinality estimate (SSC twins, AST coverage, ...). The
@@ -79,9 +75,6 @@ func (n *SpanNode) ActualLine() string {
 	}
 	if calls := n.Calls.Load(); calls > 1 {
 		s += fmt.Sprintf(" calls=%d", calls)
-	}
-	if n.Batched.Load() {
-		s += " batched=true"
 	}
 	return s + ")"
 }

@@ -133,7 +133,7 @@ func TestJoinLoweringProducesHashJoin(t *testing.T) {
 		t.Errorf("equi-join should hash:\n%s", text)
 	}
 	// Execute and validate count: every big row matches exactly one small.
-	rows, err := exec.Collect(res.Root, &exec.Ctx{})
+	rows, err := exec.Collect(res.Root, &exec.Ctx{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestJoinOrderingThreeTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Collect(res.Root, &exec.Ctx{})
+	rows, err := exec.Collect(res.Root, &exec.Ctx{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestJoinOrderingThreeTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := exec.Collect(res2.Root, &exec.Ctx{})
+	rows2, err := exec.Collect(res2.Root, &exec.Ctx{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestCrossJoinFallsBackToNLJ(t *testing.T) {
 	if !strings.Contains(exec.Format(res.Root), "NestedLoopJoin") {
 		t.Errorf("cross join should be NLJ:\n%s", exec.Format(res.Root))
 	}
-	rows, _ := exec.Collect(res.Root, &exec.Ctx{})
+	rows, _ := exec.Collect(res.Root, &exec.Ctx{}, 0)
 	if len(rows) != 100*50 {
 		t.Errorf("cross rows: %d", len(rows))
 	}
@@ -236,7 +236,7 @@ func TestEmptyLowering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := exec.Collect(res.Root, &exec.Ctx{})
+	rows, _ := exec.Collect(res.Root, &exec.Ctx{}, 0)
 	if len(rows) != 0 || res.EstRows != 0 {
 		t.Error("empty plan")
 	}
@@ -297,7 +297,7 @@ func TestLimitAndSortLowering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := exec.Collect(res.Root, &exec.Ctx{})
+	rows, _ := exec.Collect(res.Root, &exec.Ctx{}, 0)
 	if len(rows) != 3 || rows[0][2].Int() != 99 {
 		t.Errorf("top-3: %v", rows)
 	}

@@ -2,10 +2,10 @@
 // multiplexes many concurrent client connections onto one engine.Database.
 //
 // Each accepted connection gets its own engine.Session ("conn-N"), so a
-// client's SET statements — pruning, batching, memory budget, statement
-// timeout — are layered over the database defaults
-// without affecting any other connection, and the session label tags the
-// connection's traces and log lines on the server.
+// client's SET statements — pruning, memory budget, statement timeout — are
+// layered over the database defaults without affecting any other
+// connection, and the session label tags the connection's traces and log
+// lines on the server.
 //
 // Requests and responses travel over the internal/wire framing. Errors
 // keep their engine classification end to end: a *exec.QueryError's kind

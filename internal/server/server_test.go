@@ -222,8 +222,9 @@ func TestServerSessionSettings(t *testing.T) {
 	}
 }
 
-// TestServerRejectsParallelSetting: SET parallel over the wire fails with
-// the engine's unknown-setting error, and the connection keeps serving.
+// TestServerRejectsParallelSetting: SET parallel and SET batch over the wire
+// fail with the engine's unknown-setting error, and the connection keeps
+// serving.
 func TestServerRejectsParallelSetting(t *testing.T) {
 	db := corrDB(t, 400, false)
 	_, addr := startServer(t, db, Config{})
@@ -232,9 +233,11 @@ func TestServerRejectsParallelSetting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.Set("parallel", "4")
-	if err == nil || !strings.Contains(err.Error(), `unknown setting "parallel"`) {
-		t.Fatalf("SET parallel = 4 over the wire: got %v, want an unknown-setting error", err)
+	for _, kv := range [][2]string{{"parallel", "4"}, {"batch", "off"}} {
+		err = c.Set(kv[0], kv[1])
+		if err == nil || !strings.Contains(err.Error(), `unknown setting "`+kv[0]+`"`) {
+			t.Fatalf("SET %s = %s over the wire: got %v, want an unknown-setting error", kv[0], kv[1], err)
+		}
 	}
 	res, err := c.Query(context.Background(), "SELECT COUNT(*) AS n FROM t")
 	if err != nil {

@@ -683,9 +683,9 @@ func TestRejectedSetLeavesSessionUsable(t *testing.T) {
 	count(fresh)
 }
 
-// TestRouterRejectsParallelSetting: SET parallel through the router's wire
-// front end fails with the shard engine's unknown-setting error, and the
-// connection keeps serving.
+// TestRouterRejectsParallelSetting: SET parallel and SET batch through the
+// router's wire front end fail with the shard engine's unknown-setting
+// error, and the connection keeps serving.
 func TestRouterRejectsParallelSetting(t *testing.T) {
 	c := newCluster(t, 2, func(cfg *Config) {
 		sp, _ := ParseSpec("orders=hash(id)")
@@ -693,9 +693,11 @@ func TestRouterRejectsParallelSetting(t *testing.T) {
 	})
 	loadDiffData(c)
 	conn := connectFrontend(t, c.r)
-	err := conn.Set("parallel", "4")
-	if err == nil || !strings.Contains(err.Error(), `unknown setting "parallel"`) {
-		t.Fatalf("SET parallel = 4 through the router: got %v, want an unknown-setting error", err)
+	for _, kv := range [][2]string{{"parallel", "4"}, {"batch", "off"}} {
+		err := conn.Set(kv[0], kv[1])
+		if err == nil || !strings.Contains(err.Error(), `unknown setting "`+kv[0]+`"`) {
+			t.Fatalf("SET %s = %s through the router: got %v, want an unknown-setting error", kv[0], kv[1], err)
+		}
 	}
 	res, err := conn.Query(context.Background(), "SELECT COUNT(*) FROM orders")
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package vec defines softdb's columnar batch representation: a borrowed
 // window of rows plus a selection vector and lazily-extracted per-column
 // typed slices (int64/float64/string with a null mask). Batches are the
-// currency of the vectorized BatchOperator pipeline — scans produce one
+// currency of the executor's one operator pipeline — scans produce one
 // batch per heap page, filters shrink the selection vector with tight-loop
 // kernels, and joins/aggregations consume the typed columns without
 // re-walking expression trees per row.
