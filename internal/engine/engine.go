@@ -8,6 +8,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -747,6 +748,9 @@ func (db *Database) reference(ctx context.Context, sel *sql.Select, text string,
 	rows, err := refexec.Run(ctx, logical, snap, tid)
 	if cerr := ctx.Err(); err != nil && cerr != nil {
 		return nil, exec.CancelError("engine.reference", cerr)
+	}
+	if errors.Is(err, refexec.ErrSumOverflow) {
+		return nil, &exec.QueryError{Op: "engine.reference", Kind: exec.KindError, Err: err}
 	}
 	if err != nil {
 		return nil, err

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"softdb/internal/catalog"
+	"softdb/internal/exec"
 	"softdb/internal/types"
 )
 
@@ -112,6 +114,46 @@ func TestScalarAggregates(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0][0].Int() != 0 || !rows[0][1].IsNull() {
 		t.Errorf("empty scalar agg: %v", rowsAsStrings(rows))
+	}
+}
+
+// TestIntegerSumExact: SUM over INT values is exact past 2^53, fits or fails
+// on the exact total whatever order the values arrive in, and reports a
+// total outside the INT range as a KindError QueryError — in the engine and
+// in the reference interpreter alike.
+func TestIntegerSumExact(t *testing.T) {
+	db := newDB(t, `
+		CREATE TABLE t (g INT, a INT);
+		INSERT INTO t VALUES (1, 9007199254740993), (1, 1), (2, 9007199254740993);
+		CREATE TABLE big (g INT, a INT);
+		INSERT INTO big VALUES (1, 9223372036854775807), (1, 1), (1, -5), (2, 9223372036854775807), (2, 1);
+	`)
+	runners := map[string]func(q string) (*Result, error){
+		"engine":    db.Exec,
+		"reference": func(q string) (*Result, error) { return db.reference(context.Background(), nil, q, nil) },
+	}
+	for name, run := range runners {
+		for q, want := range map[string]string{
+			"SELECT g, SUM(a) FROM t GROUP BY g":               "(1, 9007199254740994) (2, 9007199254740993)",
+			"SELECT SUM(a) FROM t":                             "(18014398509481987)",
+			"SELECT g, SUM(a) FROM big WHERE g = 1 GROUP BY g": "(1, 9223372036854775803)",
+			"SELECT SUM(a) FROM big WHERE a > 0":               "overflow",
+			"SELECT g, SUM(a) FROM big GROUP BY g":             "overflow",
+		} {
+			res, err := run(q)
+			if want == "overflow" {
+				if qe, ok := exec.AsQueryError(err); !ok || qe.Kind != exec.KindError || !strings.Contains(err.Error(), "SUM overflows INT") {
+					t.Errorf("%s: %s: %v, want a SUM overflow error", name, q, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, q, err)
+			}
+			if got := strings.Join(rowsAsStrings(res.Rows), " "); got != want {
+				t.Errorf("%s: %s = %s, want %s", name, q, got, want)
+			}
+		}
 	}
 }
 

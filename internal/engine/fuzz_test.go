@@ -1,12 +1,18 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"softdb/internal/catalog"
 	"softdb/internal/exec"
+	"softdb/internal/refexec"
 	"softdb/internal/sql"
+	"softdb/internal/types"
 )
 
 // exprSeeds are expressions chosen to poke every Datum accessor from
@@ -112,5 +118,124 @@ func TestExprEvalSeeds(t *testing.T) {
 	db := fuzzEvalDB(t)
 	for _, e := range exprSeeds {
 		evalExpr(t, db, e)
+	}
+}
+
+// groupByShapes are the statements FuzzGroupByParity runs over table fg: the
+// scalar, int and generic keyers, an FD-reduced key, a FLOAT key, HAVING,
+// and filters that leave batches empty. AVG reads only f, whose float sums
+// are exact: a float sum of values near 2^53 depends on the order it is
+// associated in, which batch boundaries change.
+var groupByShapes = []string{
+	"SELECT COUNT(*) AS n, SUM(v) AS s, AVG(f) AS a, MIN(v) AS lo, MAX(f) AS hi FROM fg",
+	"SELECT COUNT(*) AS n, SUM(v) AS s FROM fg WHERE k > 1000",
+	"SELECT k, COUNT(*) AS n, SUM(v) AS s, COUNT(v) AS c, AVG(f) AS a FROM fg GROUP BY k",
+	"SELECT k, name, SUM(v) AS s, COUNT(DISTINCT v) AS d, MIN(f) AS lo FROM fg GROUP BY k, name",
+	"SELECT name, k, COUNT(*) AS n, MAX(v) AS hi, SUM(f) AS s FROM fg WHERE v > 0 GROUP BY name, k HAVING n > 1",
+	"SELECT v, COUNT(*) AS n, MIN(k) AS lo FROM fg GROUP BY v ORDER BY v",
+	"SELECT f, k, COUNT(*) AS n, SUM(v) AS s FROM fg WHERE f < 0 GROUP BY f, k",
+}
+
+// groupBySeeds are byte strings FuzzGroupByParity decodes into rows: the
+// empty table, NULL keys, keys at ±2^53, a tiny key domain over several
+// heap pages, and INT values whose sum overflows.
+var groupBySeeds = [][]byte{
+	{},
+	{0, 0, 0, 8, 16, 8},
+	{0x81, 1, 2, 0xc3, 3, 4, 0x85, 5, 6, 0xc7, 7, 8},
+	bytes.Repeat([]byte{1, 2, 3, 2, 5, 9, 3, 7, 12, 4, 11, 33}, 200),
+	{1, 0xff, 1, 1, 0xff, 2, 2, 0xfe, 3},
+	{1, 0xff, 1, 1, 0xff, 2, 0xff, 0xfe, 3},
+}
+
+// fuzzGroupDB loads table fg (k INT, name determined by k through a declared
+// soft FD, v INT, f FLOAT) with three bytes per row. An INT byte picks NULL,
+// a value near ±2^53, an INT extreme or a small value.
+func fuzzGroupDB(tb testing.TB, data []byte) *Database {
+	tb.Helper()
+	db := Open()
+	db.MustExec("CREATE TABLE fg (k INT, name VARCHAR(32), v INT, f FLOAT)")
+	if err := db.Catalog().AddConstraint(&catalog.Constraint{
+		Name: "fd_fg_name", Kind: catalog.FuncDep, Mode: catalog.ModeSoftAbsolute,
+		Table: "fg", Columns: []string{"k"}, DepColumns: []string{"name"},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	intOf := func(b byte) types.Datum {
+		switch {
+		case b%8 == 0:
+			return types.Null
+		case b == 0xff:
+			return types.NewInt(math.MaxInt64)
+		case b == 0xfe:
+			return types.NewInt(math.MinInt64)
+		case b&0x80 != 0:
+			v := int64(1)<<53 + int64(b%8) - 4
+			if b&0x40 != 0 {
+				v = -v
+			}
+			return types.NewInt(v)
+		}
+		return types.NewInt(int64(b%4) - 1)
+	}
+	te, _ := db.Catalog().Table("fg")
+	for ; len(data) >= 3; data = data[3:] {
+		k, name := intOf(data[0]), types.Null
+		if !k.IsNull() {
+			// GROUP BY equates INTs by their float image (Row.Key), so
+			// the FD holds only if name is a function of that image.
+			name = types.NewString(types.Row{k}.Key())
+		}
+		f := types.Null
+		if data[2]%8 != 0 {
+			f = types.NewFloat(float64(int8(data[2])) / 4)
+		}
+		if err := db.InsertRow(te, types.Row{k, name, intOf(data[1]), f}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db
+}
+
+// groupByParity runs every shape over rows decoded from data and requires the
+// reference interpreter's answer, or, where the exact INT sum leaves the INT
+// range, the same overflow error from both.
+func groupByParity(t *testing.T, data []byte) {
+	db := fuzzGroupDB(t, data)
+	for _, q := range groupByShapes {
+		got, err := db.Exec(q)
+		ref, rerr := db.reference(context.Background(), nil, q, nil)
+		switch {
+		case err != nil || rerr != nil:
+			if !errors.Is(err, exec.ErrSumOverflow) || !errors.Is(rerr, refexec.ErrSumOverflow) {
+				t.Fatalf("%s: engine %v, reference %v", q, err, rerr)
+			}
+		default:
+			if d := refDiff(q, got, ref); d != "" {
+				t.Fatal(d)
+			}
+		}
+	}
+}
+
+// FuzzGroupByParity checks grouped aggregation against the reference
+// interpreter over fuzzed tables.
+func FuzzGroupByParity(f *testing.F) {
+	for _, s := range groupBySeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 3*2000 {
+			t.Skip()
+		}
+		groupByParity(t, data)
+	})
+}
+
+// TestGroupByParitySeeds runs the fuzz property over the seed corpus on every
+// plain `go test` run, without the fuzz engine.
+func TestGroupByParitySeeds(t *testing.T) {
+	for _, s := range groupBySeeds {
+		groupByParity(t, s)
 	}
 }

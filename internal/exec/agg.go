@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,92 +12,6 @@ import (
 	"softdb/internal/types"
 	"softdb/internal/vec"
 )
-
-// accumulator folds rows for one aggregate in one group.
-type accumulator struct {
-	kind     sql.AggKind
-	count    int64
-	sum      float64
-	isInt    bool
-	min      types.Datum
-	max      types.Datum
-	seen     bool
-	distinct map[string]bool
-}
-
-func newAccumulator(kind sql.AggKind) *accumulator {
-	a := &accumulator{kind: kind, isInt: true, min: types.Null, max: types.Null}
-	if kind == sql.AggCountDistinct {
-		a.distinct = map[string]bool{}
-	}
-	return a
-}
-
-func (a *accumulator) add(v types.Datum) error {
-	if a.kind == sql.AggCountStar {
-		a.count++
-		return nil
-	}
-	if v.IsNull() {
-		return nil
-	}
-	a.count++
-	a.seen = true
-	switch a.kind {
-	case sql.AggCountDistinct:
-		a.distinct[types.Row{v}.Key()] = true
-	case sql.AggSum, sql.AggAvg:
-		// Guard the Float() widening: strings would panic inside it, and a
-		// user query (SUM over a string column) must get a type error, not
-		// a crash.
-		switch v.Kind() {
-		case types.KindInt, types.KindFloat, types.KindBool, types.KindDate:
-		default:
-			return fmt.Errorf("exec: cannot aggregate %s value with SUM/AVG", v.Kind())
-		}
-		if v.Kind() == types.KindFloat {
-			a.isInt = false
-		}
-		a.sum += v.Float()
-	case sql.AggMin:
-		if a.min.IsNull() || v.Compare(a.min) < 0 {
-			a.min = v
-		}
-	case sql.AggMax:
-		if a.max.IsNull() || v.Compare(a.max) > 0 {
-			a.max = v
-		}
-	}
-	return nil
-}
-
-func (a *accumulator) result() types.Datum {
-	switch a.kind {
-	case sql.AggCount, sql.AggCountStar:
-		return types.NewInt(a.count)
-	case sql.AggCountDistinct:
-		return types.NewInt(int64(len(a.distinct)))
-	case sql.AggSum:
-		if !a.seen {
-			return types.Null
-		}
-		if a.isInt {
-			return types.NewInt(int64(a.sum))
-		}
-		return types.NewFloat(a.sum)
-	case sql.AggAvg:
-		if !a.seen {
-			return types.Null
-		}
-		return types.NewFloat(a.sum / float64(a.count))
-	case sql.AggMin:
-		return a.min
-	case sql.AggMax:
-		return a.max
-	default:
-		return types.Null
-	}
-}
 
 // HashAggregate groups its input by the GroupBy expressions and computes
 // the aggregates. Output rows are group values followed by aggregate
@@ -117,318 +32,515 @@ func (h *HashAggregate) isRedundant(i int) bool {
 	return i < len(h.Redundant) && h.Redundant[i]
 }
 
-type aggGroup struct {
-	key  types.Row
-	accs []*accumulator
-}
-
-// aggTable accumulates groups for one HashAggregate run.
-type aggTable struct {
-	groups map[string]*aggGroup
-	order  []string
-}
-
-func newAggTable() *aggTable { return &aggTable{groups: map[string]*aggGroup{}} }
-
-// foldRow charges key-hash work and folds one input row into the table.
-func (h *HashAggregate) foldRow(ctx *Ctx, row types.Row, t *aggTable) error {
-	key := make(types.Row, len(h.GroupBy))
-	hashKey := make(types.Row, 0, len(h.GroupBy))
-	for i, g := range h.GroupBy {
-		v, err := g.Eval(row)
-		if err != nil {
-			return err
-		}
-		key[i] = v
-		if !h.isRedundant(i) {
-			hashKey = append(hashKey, v)
-		}
-	}
-	// Key-column work is charged per hashed column so grouping-key
-	// reduction (redundant FD-determined columns) is visible.
-	ctx.AddComparisons(int64(len(hashKey)))
-	k := hashKey.Key()
-	grp, ok := t.groups[k]
-	if !ok {
-		// Each new group retains its key row plus one accumulator per
-		// aggregate (~accGroupBytes each); charge it to the query budget.
-		if err := ctx.Reserve("HashAggregate", key.MemSize()+int64(len(h.Aggs))*accGroupBytes); err != nil {
-			return err
-		}
-		grp = &aggGroup{key: key}
-		for _, spec := range h.Aggs {
-			grp.accs = append(grp.accs, newAccumulator(spec.Kind))
-		}
-		t.groups[k] = grp
-		t.order = append(t.order, k)
-	}
-	ctx.AddProbes(1)
-	for i, spec := range h.Aggs {
-		if spec.Kind == sql.AggCountStar {
-			if err := grp.accs[i].add(types.Null); err != nil {
-				return err
-			}
-			continue
-		}
-		v, err := spec.Arg.Eval(row)
-		if err != nil {
-			return err
-		}
-		if err := grp.accs[i].add(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// accGroupBytes approximates one accumulator's retained size for budget
-// accounting.
+// accGroupBytes approximates one aggregate's retained state per group for
+// budget accounting.
 const accGroupBytes = 96
 
-// groupRows finalizes the table: scalar aggregation over empty input yields
-// one identity row; otherwise groups come out in ascending key order
-// (deterministic output).
-func (h *HashAggregate) groupRows(t *aggTable) []types.Row {
-	if len(h.GroupBy) == 0 && len(t.groups) == 0 {
-		out := make(types.Row, len(h.Aggs))
-		for i, spec := range h.Aggs {
-			out[i] = newAccumulator(spec.Kind).result()
-		}
-		return []types.Row{out}
-	}
-	grps := make([]*aggGroup, len(t.order))
-	for i, k := range t.order {
-		grps[i] = t.groups[k]
-	}
-	sort.Slice(grps, func(i, j int) bool { return grps[i].key.Compare(grps[j].key) < 0 })
-	rows := make([]types.Row, len(grps))
-	for i, grp := range grps {
-		out := make(types.Row, 0, len(grp.key)+len(grp.accs))
-		out = append(out, grp.key...)
-		for _, acc := range grp.accs {
-			out = append(out, acc.result())
-		}
-		rows[i] = out
-	}
-	return rows
-}
+// ErrSumOverflow is the cause of the error a SUM fails with when the exact
+// total of its integer values leaves the INT range.
+var ErrSumOverflow = errors.New("SUM overflows INT")
 
-// Run implements Operator: input batches fold through typed accumulator
-// loops (scalar aggregation and single integer-class grouping keys skip the
-// per-row key materialization and string hashing entirely), anything else
-// through foldRow. The finished groups leave as one owned batch.
+// Run implements Operator. Each input batch folds in two steps: a keyer maps
+// its selected rows to group ids, then every aggregate folds the batch into
+// its accumulator columns with one loop over (group ids, argument column).
+// The finished groups leave as one owned batch.
 func (h *HashAggregate) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
-	t := newAggTable()
-	bf := newBatchFolder(h)
+	f := newAggFold(h)
 	var inner error
 	err := h.Input.Run(ctx, func(b *vec.Batch) bool {
-		inner = bf.fold(ctx, b, t)
+		inner = f.fold(ctx, b)
 		return inner == nil
 	})
 	if err == nil {
 		err = inner
 	}
-	if err == nil {
-		err = bf.finish(t)
-	}
 	if err != nil {
 		return err
 	}
-	emitRows(h.groupRows(t), true, emit)
+	rows, err := f.rows()
+	if err != nil {
+		return err
+	}
+	emitRows(rows, true, emit)
 	return nil
 }
 
-// aggFoldMode selects how a batchFolder consumes input batches.
-type aggFoldMode uint8
-
-const (
-	// foldGeneric folds through foldRow, row by row.
-	foldGeneric aggFoldMode = iota
-	// foldScalar is the no-GroupBy case: one group, typed column loops.
-	foldScalar
-	// foldIntKey groups by a single hashed integer-class column keyed on its
-	// float64 image (matching Row.Key's numeric normalization). Redundant
-	// (FD-determined) group columns ride along from the group's first row.
-	foldIntKey
-)
-
-// aggArg is the compiled shape of one aggregate argument: a bare bound
-// column enables typed folding, anything else evaluates per row.
-type aggArg struct {
-	col *expr.Column
-	cls vec.Class
-}
-
-// batchFolder holds one Run invocation's folding state. Fast-path groups
-// accumulate here and convert into the aggTable in finish, so groupRows
-// (ordering, scalar identity row) is shared with the generic fold unchanged.
-type batchFolder struct {
-	h    *HashAggregate
-	mode aggFoldMode
-	// keyCol is foldIntKey's hashed column, GroupBy[keyPos].
-	keyCol *expr.Column
-	keyPos int
-	args   []aggArg
-	// argCols is foldIntKey's per-batch scratch: the typed vector of each
-	// COUNT/SUM/AVG argument, nil where the datum path folds instead.
-	argCols  []*vec.Col
-	fast     map[float64]*aggGroup
-	fastNull *aggGroup
-}
-
-// intKeyColumn returns the column foldIntKey can hash on and its position in
-// GroupBy: the only non-redundant entry, a bare INT/DATE column (BOOL is
-// excluded: its row-key image is TRUE/FALSE, not numeric). Every redundant
-// entry must be a bare column too, so that reading it from the group's first
-// row evaluates nothing foldRow's per-row evaluation could fail on.
-func (h *HashAggregate) intKeyColumn() (*expr.Column, int) {
+// intKeyColumn returns the column the int keyer can hash on: the only
+// non-redundant entry of GroupBy, a bare INT/DATE column (BOOL is excluded:
+// its row-key image is TRUE/FALSE, not numeric). Every redundant entry must
+// be a bare column too, so that reading it from the group's first row
+// evaluates nothing the generic keyer's per-row evaluation could fail on.
+func (h *HashAggregate) intKeyColumn() *expr.Column {
 	var key *expr.Column
-	pos := -1
 	for i, g := range h.GroupBy {
 		c, ok := g.(*expr.Column)
 		if !ok || c.Index < 0 {
-			return nil, -1
+			return nil
 		}
 		if h.isRedundant(i) {
 			continue
 		}
 		if key != nil || (c.Kind != types.KindInt && c.Kind != types.KindDate) {
-			return nil, -1
+			return nil
 		}
-		key, pos = c, i
+		key = c
 	}
-	return key, pos
+	return key
 }
 
-func newBatchFolder(h *HashAggregate) *batchFolder {
-	bf := &batchFolder{h: h, mode: foldGeneric}
-	if len(h.GroupBy) == 0 {
-		bf.mode = foldScalar
-	} else if c, pos := h.intKeyColumn(); c != nil {
-		bf.mode = foldIntKey
-		bf.keyCol, bf.keyPos = c, pos
-		bf.fast = map[float64]*aggGroup{}
-		bf.argCols = make([]*vec.Col, len(h.Aggs))
-	}
-	bf.args = make([]aggArg, len(h.Aggs))
+// aggFold is one Run's folding state. Groups are numbered in arrival order
+// (their gid); keys holds each group's key row, redundant columns included,
+// and every aggregate keeps its state in columns indexed by gid.
+//
+// Three keyers assign gids. Scalar aggregation (no GroupBy) has one group,
+// gid 0, and no gid vector. The int keyer hashes the intKey images of
+// intKeyColumn's values through ints. The generic keyer maps the Row.Key of
+// the hashed (non-redundant) group values through strs. The int keyer hands
+// its groups to the generic one (rekey) when a batch's key column does not
+// extract as integers.
+type aggFold struct {
+	h      *HashAggregate
+	keys   []types.Row
+	accs   []aggCol
+	hashed int // non-redundant group expressions
+	// gids is the current batch's group id per selected row.
+	gids []int32
+
+	keyCol *expr.Column
+	ints   *groupTable
+	strs   map[string]int32
+	// keyBuf holds one row's group values; hashBuf is strKey's scratch.
+	keyBuf, hashBuf types.Row
+}
+
+func newAggFold(h *HashAggregate) *aggFold {
+	f := &aggFold{h: h, accs: make([]aggCol, len(h.Aggs)), keyBuf: make(types.Row, len(h.GroupBy))}
 	for i, spec := range h.Aggs {
-		if spec.Kind == sql.AggCountStar {
-			continue
-		}
-		if c, ok := spec.Arg.(*expr.Column); ok && c.Index >= 0 {
-			bf.args[i] = aggArg{col: c, cls: vec.ClassOf(c.Kind)}
-		}
+		f.accs[i] = newAggCol(spec)
 	}
-	return bf
-}
-
-func newAggGroupFor(h *HashAggregate, key types.Row) *aggGroup {
-	grp := &aggGroup{key: key}
-	for _, spec := range h.Aggs {
-		grp.accs = append(grp.accs, newAccumulator(spec.Kind))
-	}
-	return grp
-}
-
-func (bf *batchFolder) fold(ctx *Ctx, b *vec.Batch, t *aggTable) error {
-	switch bf.mode {
-	case foldScalar:
-		return bf.foldScalar(ctx, b, t)
-	case foldIntKey:
-		return bf.foldIntKey(ctx, b, t)
-	}
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		if err := bf.h.foldRow(ctx, b.Row(i), t); err != nil {
-			return err
+	for i := range h.GroupBy {
+		if !h.isRedundant(i) {
+			f.hashed++
 		}
 	}
-	return nil
+	if len(h.GroupBy) > 0 {
+		if f.keyCol = h.intKeyColumn(); f.keyCol != nil {
+			f.ints = newGroupTable(4)
+		} else {
+			f.strs = map[string]int32{}
+		}
+	}
+	return f
 }
 
-// foldScalar folds a batch into the single scalar group with per-aggregate
-// typed loops. Charges match foldRow: one probe per row, zero key-column
-// comparisons (the hash key is empty).
-func (bf *batchFolder) foldScalar(ctx *Ctx, b *vec.Batch, t *aggTable) error {
+// fold folds one batch. Charges: one probe per selected row, one comparison
+// per hashed group column per row, and per new group a reservation for its
+// key row and its aggregates' state.
+func (f *aggFold) fold(ctx *Ctx, b *vec.Batch) error {
 	n := b.Len()
 	if n == 0 {
 		return nil
 	}
+	ctx.AddComparisons(int64(n * f.hashed))
 	ctx.AddProbes(int64(n))
-	grp := t.groups[""]
-	if grp == nil {
-		key := make(types.Row, 0)
-		if err := ctx.Reserve("HashAggregate", key.MemSize()+int64(len(bf.h.Aggs))*accGroupBytes); err != nil {
+	var gids []int32
+	if len(f.h.GroupBy) > 0 {
+		if cap(f.gids) < n {
+			f.gids = make([]int32, n)
+		}
+		gids = f.gids[:n]
+		if err := f.key(ctx, b, gids); err != nil {
 			return err
 		}
-		grp = newAggGroupFor(bf.h, key)
-		t.groups[""] = grp
-		t.order = append(t.order, "")
+	} else if len(f.keys) == 0 {
+		if _, err := f.addGroup(ctx); err != nil {
+			return err
+		}
 	}
-	for i, spec := range bf.h.Aggs {
-		if err := addScalarAgg(grp.accs[i], spec, bf.args[i], b); err != nil {
+	for i := range f.accs {
+		if err := f.accs[i].fold(b, gids); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// addScalarAgg folds one aggregate over the whole batch, preferring a typed
-// column loop and falling back to per-row evaluation.
-func addScalarAgg(acc *accumulator, spec plan.AggSpec, ap aggArg, b *vec.Batch) error {
-	if spec.Kind == sql.AggCountStar {
-		acc.count += int64(b.Len())
-		return nil
+// key fills gids with the group of each selected row, creating groups as
+// their keys first appear.
+func (f *aggFold) key(ctx *Ctx, b *vec.Batch, gids []int32) error {
+	if f.ints != nil {
+		if kc := b.Col(f.keyCol.Index, vec.ClassInt); kc != nil {
+			return f.keyInts(ctx, b, kc, gids)
+		}
+		f.rekey()
 	}
-	if ap.col != nil {
-		switch spec.Kind {
-		case sql.AggCount:
-			if done := addCountCol(acc, ap, b); done {
-				return nil
+	for i := range gids {
+		if err := f.evalKey(b.Row(i)); err != nil {
+			return err
+		}
+		k := f.strKey(f.keyBuf)
+		g, ok := f.strs[k]
+		if !ok {
+			var err error
+			if g, err = f.addGroup(ctx); err != nil {
+				return err
 			}
-		case sql.AggSum, sql.AggAvg:
-			if done := addSumCol(acc, ap, b); done {
-				return nil
+			f.strs[k] = g
+		}
+		gids[i] = g
+	}
+	return nil
+}
+
+// nullKey is the int keyer's key for NULL. No intKey image is 2^53+1: that
+// integer itself rounds onto 2^53, and larger ones map to float bit patterns.
+const nullKey = 1<<53 + 1
+
+// keyInts is the int keyer over one batch whose key column is kc: the
+// table's batch lookup, and a new group wherever it stops.
+func (f *aggFold) keyInts(ctx *Ctx, b *vec.Batch, kc *vec.Col, gids []int32) error {
+	for i := 0; ; i++ {
+		var k int64
+		if i, k = f.ints.find(gids, b.Sel, kc, i); i == len(gids) {
+			return nil
+		}
+		err := f.evalKey(b.Row(i))
+		var g int32
+		if err == nil {
+			g, err = f.addGroup(ctx)
+		}
+		if err != nil {
+			return err
+		}
+		f.ints.put(k, g)
+		gids[i] = g
+	}
+}
+
+// rekey hands the int keyer's groups to the generic keyer under the Row.Key
+// of their hashed values, which intKey's images match exactly; gids and
+// accumulator state stay where they are.
+func (f *aggFold) rekey() {
+	f.strs = make(map[string]int32, len(f.keys))
+	for g, key := range f.keys {
+		f.strs[f.strKey(key)] = int32(g)
+	}
+	f.ints = nil
+}
+
+// evalKey evaluates the group expressions over row into keyBuf.
+func (f *aggFold) evalKey(row types.Row) (err error) {
+	for i, g := range f.h.GroupBy {
+		if f.keyBuf[i], err = g.Eval(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// strKey is the generic keyer's key for a key row: the Row.Key of its
+// hashed values.
+func (f *aggFold) strKey(key types.Row) string {
+	f.hashBuf = f.hashBuf[:0]
+	for i, v := range key {
+		if !f.h.isRedundant(i) {
+			f.hashBuf = append(f.hashBuf, v)
+		}
+	}
+	return f.hashBuf.Key()
+}
+
+// addGroup adds the group keyed by keyBuf, charging its key row and
+// aggregate state to the query budget, and gives it the next gid.
+func (f *aggFold) addGroup(ctx *Ctx) (int32, error) {
+	key := f.keyBuf.Clone()
+	if err := ctx.Reserve("HashAggregate", key.MemSize()+int64(len(f.accs))*accGroupBytes); err != nil {
+		return 0, err
+	}
+	f.keys = append(f.keys, key)
+	for i := range f.accs {
+		f.accs[i].grow()
+	}
+	return int32(len(f.keys) - 1), nil
+}
+
+// rows finalizes the groups in ascending key order. Scalar aggregation over
+// empty input yields its one identity row.
+func (f *aggFold) rows() ([]types.Row, error) {
+	if len(f.h.GroupBy) == 0 && len(f.keys) == 0 {
+		_, _ = f.addGroup(&Ctx{}) // a Ctx without a budget never fails
+	}
+	order := make([]int32, len(f.keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return f.keys[order[i]].Compare(f.keys[order[j]]) < 0 })
+	width := len(f.h.GroupBy) + len(f.accs)
+	slab := make([]types.Datum, len(order)*width)
+	rows := make([]types.Row, len(order))
+	for i, g := range order {
+		out := types.Row(slab[i*width : i*width : (i+1)*width])
+		out = append(out, f.keys[g]...)
+		for ai := range f.accs {
+			v, err := f.accs[ai].result(g)
+			if err != nil {
+				return nil, err
 			}
-		case sql.AggMin, sql.AggMax:
-			if done := addMinMaxCol(acc, ap, b, spec.Kind == sql.AggMax); done {
-				return nil
+			out = append(out, v)
+		}
+		rows[i] = out
+	}
+	return rows, nil
+}
+
+// groupTable maps intKey images to group ids: open addressing with linear
+// probing over a power-of-two slot array, hashed like the hash join's
+// intTable, and doubled before it passes half full.
+type groupTable struct {
+	slots []groupSlot
+	shift uint
+	used  int
+}
+
+type groupSlot struct {
+	key int64
+	gid int32 // -1 marks an empty slot
+}
+
+func newGroupTable(bits uint) *groupTable {
+	t := &groupTable{slots: make([]groupSlot, 1<<bits), shift: 64 - bits}
+	for i := range t.slots {
+		t.slots[i].gid = -1
+	}
+	return t
+}
+
+// find sets gids[i:] to the groups of kc's values at the selected positions
+// (sel, or every position when nil) until a key t does not hold: it returns
+// that row's position and key, or len(gids). The caller adds that group and
+// resumes, so the hot loop makes no calls.
+func (t *groupTable) find(gids, sel []int32, kc *vec.Col, i int) (int, int64) {
+	slots, shift := t.slots, t.shift
+	mask := len(slots) - 1
+	for ; i < len(gids); i++ {
+		idx := i
+		if sel != nil {
+			idx = int(sel[i])
+		}
+		k := int64(nullKey)
+		if !kc.HasNulls || !kc.Nulls[idx] {
+			k = intKey(kc.Ints[idx])
+		}
+		s := int(fibHash(k, shift)) & mask
+		e := slots[s]
+		for e.gid >= 0 && e.key != k {
+			s = (s + 1) & mask
+			e = slots[s]
+		}
+		if e.gid < 0 {
+			return i, k
+		}
+		gids[i] = e.gid
+	}
+	return i, 0
+}
+
+// put adds group g under k, which t does not hold.
+func (t *groupTable) put(k int64, g int32) {
+	mask := len(t.slots) - 1
+	s := int(fibHash(k, t.shift)) & mask
+	for t.slots[s].gid >= 0 {
+		s = (s + 1) & mask
+	}
+	t.slots[s] = groupSlot{k, g}
+	if t.used++; 2*t.used <= len(t.slots) {
+		return
+	}
+	old := t.slots
+	*t = *newGroupTable(64 - t.shift + 1)
+	for _, e := range old {
+		if e.gid >= 0 {
+			t.put(e.key, e.gid)
+		}
+	}
+}
+
+// aggCol is one aggregate's state for every group, indexed by gid; only
+// the columns its kind reads are grown.
+type aggCol struct {
+	spec plan.AggSpec
+	// col is the argument when it is a bare bound column, which column
+	// loops read through its typed vector (cls).
+	col *expr.Column
+	cls vec.Class
+	// floatOut makes a SUM's result FLOAT whatever its values: its argument
+	// is FLOAT-typed.
+	floatOut bool
+
+	count []int64 // COUNT(*), COUNT; the non-NULL values of SUM and AVG
+	// isum is a SUM's exact total of its integer values modulo 2^64, and
+	// carry counts its wraps (up +1, down -1): the total fits an INT exactly
+	// when carry is 0, whatever order the values came in.
+	isum, carry []int64
+	fsum        []float64     // AVG: every value; SUM: its FLOAT values
+	float       []bool        // SUM: a FLOAT value was summed
+	best        []types.Datum // MIN, MAX: the earliest extremal value
+	distinct    []map[string]bool
+}
+
+func newAggCol(spec plan.AggSpec) aggCol {
+	a := aggCol{spec: spec}
+	if spec.Kind == sql.AggCountStar {
+		return a
+	}
+	a.floatOut = spec.Arg.Type() == types.KindFloat
+	if c, ok := spec.Arg.(*expr.Column); ok && c.Index >= 0 {
+		a.col, a.cls = c, vec.ClassOf(c.Kind)
+	}
+	return a
+}
+
+// grow adds a new group's zero state.
+func (a *aggCol) grow() {
+	switch a.spec.Kind {
+	case sql.AggCountDistinct:
+		a.distinct = append(a.distinct, nil)
+	case sql.AggMin, sql.AggMax:
+		a.best = append(a.best, types.Null)
+	case sql.AggSum:
+		a.isum, a.carry = append(a.isum, 0), append(a.carry, 0)
+		a.float = append(a.float, false)
+		fallthrough
+	case sql.AggAvg:
+		a.fsum = append(a.fsum, 0)
+		fallthrough
+	default:
+		a.count = append(a.count, 0)
+	}
+}
+
+// fold folds a batch into the aggregate: selected row i into group gids[i],
+// or every row into group 0 when gids is nil (scalar aggregation).
+func (a *aggCol) fold(b *vec.Batch, gids []int32) error {
+	switch kind := a.spec.Kind; {
+	case kind == sql.AggCountStar:
+		count := a.count
+		if gids == nil {
+			count[0] += int64(b.Len())
+		}
+		for _, g := range gids {
+			count[g]++
+		}
+		return nil
+	case a.col == nil:
+	case kind == sql.AggCount || kind == sql.AggSum || kind == sql.AggAvg:
+		// SUM and AVG over strings type-error through add.
+		if c := b.Col(a.col.Index, a.cls); c != nil && (c.Class != vec.ClassStr || kind == sql.AggCount) {
+			if gids == nil {
+				a.foldScalar(c, b)
+			} else {
+				a.foldCol(c, b, gids)
 			}
+			return nil
+		}
+	case gids == nil && (kind == sql.AggMin || kind == sql.AggMax) && a.col.Kind != types.KindBool:
+		// BOOL keeps datum order through add.
+		if c := b.Col(a.col.Index, a.cls); c != nil {
+			a.minMaxCol(c, b)
+			return nil
 		}
 	}
 	n := b.Len()
 	for i := 0; i < n; i++ {
-		v, err := spec.Arg.Eval(b.Row(i))
+		v, err := a.spec.Arg.Eval(b.Row(i))
 		if err != nil {
 			return err
 		}
-		if err := acc.add(v); err != nil {
+		var g int32
+		if gids != nil {
+			g = gids[i]
+		}
+		if err := a.add(g, v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func addCountCol(acc *accumulator, ap aggArg, b *vec.Batch) bool {
-	c := b.Col(ap.col.Index, ap.cls)
-	if c == nil {
-		return false
-	}
-	n := b.Len()
-	cnt := int64(n)
-	if c.HasNulls {
-		cnt = 0
-		for i := 0; i < n; i++ {
-			if !c.Nulls[b.Index(i)] {
+// foldScalar folds COUNT, SUM or AVG over the whole batch into group 0.
+// INT, DATE and BOOL values sum through their integer image, as add's do; a
+// FLOAT vector only arises for a FLOAT argument, whose SUM is floatOut.
+func (a *aggCol) foldScalar(c *vec.Col, b *vec.Batch) {
+	var cnt int64
+	switch {
+	case a.spec.Kind == sql.AggCount:
+		for i := 0; i < b.Len(); i++ {
+			if !c.HasNulls || !c.Nulls[b.Index(i)] {
 				cnt++
 			}
 		}
+	case c.Class == vec.ClassInt && a.spec.Kind == sql.AggSum:
+		sum, carry := a.isum[0], a.carry[0]
+		for i := 0; i < b.Len(); i++ {
+			idx := b.Index(i)
+			if c.HasNulls && c.Nulls[idx] {
+				continue
+			}
+			s, w := addExact(sum, c.Ints[idx])
+			sum, carry, cnt = s, carry+w, cnt+1
+		}
+		a.isum[0], a.carry[0] = sum, carry
+	case c.Class == vec.ClassInt:
+		var sum float64
+		cnt, sum = sumSelected(c, c.Ints, b)
+		a.fsum[0] += sum
+	default:
+		var sum float64
+		cnt, sum = sumSelected(c, c.Floats, b)
+		a.fsum[0] += sum
 	}
-	acc.count += cnt
-	if cnt > 0 {
-		acc.seen = true
+	a.count[0] += cnt
+}
+
+// foldCol is foldScalar's grouped form: one loop over (gids, c).
+func (a *aggCol) foldCol(c *vec.Col, b *vec.Batch, gids []int32) {
+	count := a.count
+	switch {
+	case a.spec.Kind == sql.AggCount:
+		for i, g := range gids {
+			if !c.HasNulls || !c.Nulls[b.Index(i)] {
+				count[g]++
+			}
+		}
+	case c.Class == vec.ClassInt && a.spec.Kind == sql.AggSum:
+		isum, carry := a.isum, a.carry
+		for i, g := range gids {
+			idx := b.Index(i)
+			if c.HasNulls && c.Nulls[idx] {
+				continue
+			}
+			s, w := addExact(isum[g], c.Ints[idx])
+			isum[g], carry[g] = s, carry[g]+w
+			count[g]++
+		}
+	case c.Class == vec.ClassInt:
+		sumGroups(c, c.Ints, b, gids, count, a.fsum)
+	default:
+		sumGroups(c, c.Floats, b, gids, count, a.fsum)
 	}
-	return true
+}
+
+// sumGroups adds each selected non-NULL value of vals into its group's
+// float sum and count.
+func sumGroups[T int64 | float64](c *vec.Col, vals []T, b *vec.Batch, gids []int32, count []int64, fsum []float64) {
+	for i, g := range gids {
+		idx := b.Index(i)
+		if c.HasNulls && c.Nulls[idx] {
+			continue
+		}
+		fsum[g] += float64(vals[idx])
+		count[g]++
+	}
 }
 
 // sumSelected adds vals at the batch's selected positions, in order, skipping
@@ -459,241 +571,128 @@ func sumSelected[T int64 | float64](c *vec.Col, vals []T, b *vec.Batch) (cnt int
 	return cnt, sum
 }
 
-func addSumCol(acc *accumulator, ap aggArg, b *vec.Batch) bool {
-	var cnt int64
-	var sum float64
-	switch ap.cls {
+// addExact returns s+v wrapped to 64 bits and the wrap: +1 when the true sum
+// is above the INT range, -1 when below, else 0.
+func addExact(s, v int64) (int64, int64) {
+	t := s + v
+	if (s^t)&(v^t) >= 0 {
+		return t, 0
+	}
+	if v < 0 {
+		return t, -1
+	}
+	return t, 1
+}
+
+// minMaxCol folds a batch into a scalar MIN/MAX with a loop over its typed
+// argument column c.
+func (a *aggCol) minMaxCol(c *vec.Col, b *vec.Batch) {
+	isMax := a.spec.Kind == sql.AggMax
+	var at int
+	switch c.Class {
 	case vec.ClassInt:
-		// INT, DATE and BOOL all sum through their integer image, exactly
-		// like add()'s Float() widening.
-		c := b.Col(ap.col.Index, vec.ClassInt)
-		if c == nil {
-			return false
-		}
-		cnt, sum = sumSelected(c, c.Ints, b)
+		at = extremum(c, c.Ints, b, isMax)
 	case vec.ClassFloat:
-		c := b.Col(ap.col.Index, vec.ClassFloat)
-		if c == nil {
-			return false
-		}
-		cnt, sum = sumSelected(c, c.Floats, b)
-		if cnt > 0 {
-			acc.isInt = false
-		}
+		at = extremum(c, c.Floats, b, isMax)
 	default:
-		return false // strings type-error through the generic path
+		at = extremum(c, c.Strs, b, isMax)
 	}
-	acc.count += cnt
-	acc.sum += sum
-	if cnt > 0 {
-		acc.seen = true
+	if at >= 0 {
+		a.keepBest(0, b.Rows[at][a.col.Index])
 	}
-	return true
 }
 
-func addMinMaxCol(acc *accumulator, ap aggArg, b *vec.Batch, isMax bool) bool {
+// extremum returns the position in b.Rows of the first selected non-NULL
+// value no other exceeds (isMax) or undercuts, or -1 when there is none.
+func extremum[T int64 | float64 | string](c *vec.Col, vals []T, b *vec.Batch, isMax bool) int {
+	at := -1
+	var best T
 	n := b.Len()
-	var cnt int64
-	var bestD types.Datum
-	found := false
-	switch ap.col.Kind {
-	case types.KindInt, types.KindDate:
-		c := b.Col(ap.col.Index, vec.ClassInt)
-		if c == nil {
-			return false
-		}
-		var best int64
-		for i := 0; i < n; i++ {
-			idx := b.Index(i)
-			if c.Nulls[idx] {
-				continue
-			}
-			cnt++
-			v := c.Ints[idx]
-			if !found || (isMax && v > best) || (!isMax && v < best) {
-				found, best = true, v
-				bestD = b.Rows[idx][ap.col.Index]
-			}
-		}
-	case types.KindFloat:
-		c := b.Col(ap.col.Index, vec.ClassFloat)
-		if c == nil {
-			return false
-		}
-		var best float64
-		for i := 0; i < n; i++ {
-			idx := b.Index(i)
-			if c.Nulls[idx] {
-				continue
-			}
-			cnt++
-			v := c.Floats[idx]
-			if !found || (isMax && v > best) || (!isMax && v < best) {
-				found, best = true, v
-				bestD = b.Rows[idx][ap.col.Index]
-			}
-		}
-	case types.KindString:
-		c := b.Col(ap.col.Index, vec.ClassStr)
-		if c == nil {
-			return false
-		}
-		var best string
-		for i := 0; i < n; i++ {
-			idx := b.Index(i)
-			if c.Nulls[idx] {
-				continue
-			}
-			cnt++
-			v := c.Strs[idx]
-			if !found || (isMax && v > best) || (!isMax && v < best) {
-				found, best = true, v
-				bestD = b.Rows[idx][ap.col.Index]
-			}
-		}
-	default:
-		return false // BOOL keeps datum-order semantics via the generic path
-	}
-	acc.count += cnt
-	if cnt > 0 {
-		acc.seen = true
-	}
-	if found {
-		// Strict comparison keeps the earliest extremal datum, exactly like
-		// per-row add().
-		if isMax {
-			if acc.max.IsNull() || bestD.Compare(acc.max) > 0 {
-				acc.max = bestD
-			}
-		} else {
-			if acc.min.IsNull() || bestD.Compare(acc.min) < 0 {
-				acc.min = bestD
-			}
-		}
-	}
-	return true
-}
-
-// foldIntKey groups a batch by the float64 image of the hashed key column.
-// A batch the key column cannot extract from flips the folder to generic
-// mode permanently, converting groups built so far. Charges match foldRow:
-// one hashed key column and one probe per row, and per new group a
-// reservation for the full key row (redundant columns included).
-func (bf *batchFolder) foldIntKey(ctx *Ctx, b *vec.Batch, t *aggTable) error {
-	n := b.Len()
-	if n == 0 {
-		return nil
-	}
-	kc := b.Col(bf.keyCol.Index, vec.ClassInt)
-	if kc == nil {
-		if err := bf.finish(t); err != nil {
-			return err
-		}
-		bf.mode = foldGeneric
-		return bf.fold(ctx, b, t)
-	}
-	ctx.AddComparisons(int64(n))
-	ctx.AddProbes(int64(n))
-	h := bf.h
-	for ai, spec := range h.Aggs {
-		bf.argCols[ai] = nil
-		ap := bf.args[ai]
-		if ap.col == nil || (ap.cls != vec.ClassInt && ap.cls != vec.ClassFloat) {
-			continue
-		}
-		switch spec.Kind {
-		case sql.AggCount, sql.AggSum, sql.AggAvg:
-			bf.argCols[ai] = b.Col(ap.col.Index, ap.cls)
-		}
-	}
 	for i := 0; i < n; i++ {
 		idx := b.Index(i)
-		row := b.Rows[idx]
-		null, f := kc.Nulls[idx], float64(kc.Ints[idx])
-		grp := bf.fastNull
-		if !null {
-			grp = bf.fast[f]
+		if c.Nulls[idx] {
+			continue
 		}
-		if grp == nil {
-			key := make(types.Row, len(h.GroupBy))
-			for gi, g := range h.GroupBy {
-				v, err := g.Eval(row)
-				if err != nil {
-					return err
-				}
-				key[gi] = v
-			}
-			if err := ctx.Reserve("HashAggregate", key.MemSize()+int64(len(h.Aggs))*accGroupBytes); err != nil {
-				return err
-			}
-			grp = newAggGroupFor(h, key)
-			if null {
-				bf.fastNull = grp
-			} else {
-				bf.fast[f] = grp
-			}
+		if v := vals[idx]; at < 0 || (isMax && v > best) || (!isMax && v < best) {
+			at, best = idx, v
 		}
-		for ai, spec := range h.Aggs {
-			acc := grp.accs[ai]
-			if spec.Kind == sql.AggCountStar {
-				acc.count++
-				continue
-			}
-			if c := bf.argCols[ai]; c != nil {
-				// The typed image of accumulator.add for COUNT/SUM/AVG.
-				if c.Nulls[idx] {
-					continue
-				}
-				acc.count++
-				acc.seen = true
-				if spec.Kind != sql.AggCount {
-					if c.Class == vec.ClassFloat {
-						acc.isInt = false
-						acc.sum += c.Floats[idx]
-					} else {
-						acc.sum += float64(c.Ints[idx])
-					}
-				}
-				continue
-			}
-			var v types.Datum
-			if ap := bf.args[ai]; ap.col != nil && ap.col.Index < len(row) {
-				v = row[ap.col.Index]
-			} else {
-				var err error
-				if v, err = spec.Arg.Eval(row); err != nil {
-					return err
-				}
-			}
-			if err := acc.add(v); err != nil {
-				return err
-			}
+	}
+	return at
+}
+
+// keepBest makes v group g's MIN or MAX when it is strictly better, so the
+// earliest extremal datum stays.
+func (a *aggCol) keepBest(g int32, v types.Datum) {
+	best := a.best[g]
+	if best.IsNull() || (a.spec.Kind == sql.AggMin && v.Compare(best) < 0) ||
+		(a.spec.Kind == sql.AggMax && v.Compare(best) > 0) {
+		a.best[g] = v
+	}
+}
+
+// add folds one value into group g: the per-row form of the loops above.
+func (a *aggCol) add(g int32, v types.Datum) error {
+	if v.IsNull() {
+		return nil
+	}
+	switch a.spec.Kind {
+	case sql.AggCount:
+		a.count[g]++
+	case sql.AggCountDistinct:
+		if a.distinct[g] == nil {
+			a.distinct[g] = map[string]bool{}
 		}
+		a.distinct[g][types.Row{v}.Key()] = true
+	case sql.AggSum, sql.AggAvg:
+		// Guard the widening: a string would panic inside it, and a user
+		// query (SUM over a string column) must get a type error, not a
+		// crash.
+		switch v.Kind() {
+		case types.KindInt, types.KindDate, types.KindBool:
+			if a.spec.Kind == sql.AggAvg {
+				a.fsum[g] += v.Float()
+				break
+			}
+			s, w := addExact(a.isum[g], v.IntImage())
+			a.isum[g], a.carry[g] = s, a.carry[g]+w
+		case types.KindFloat:
+			a.fsum[g] += v.Float()
+			if a.float != nil {
+				a.float[g] = true
+			}
+		default:
+			return fmt.Errorf("exec: cannot aggregate %s value with SUM/AVG", v.Kind())
+		}
+		a.count[g]++
+	case sql.AggMin, sql.AggMax:
+		a.keepBest(g, v)
 	}
 	return nil
 }
 
-// finish converts fast-path groups into the aggTable under the same string
-// keys foldRow would have used (the Row.Key of the hashed column alone), so
-// ordering and any later generic folding agree.
-func (bf *batchFolder) finish(t *aggTable) error {
-	if bf.mode != foldIntKey {
-		return nil
+// result finalizes group g's value. A SUM is FLOAT when its argument or any
+// of its values is; otherwise its exact integer total, which must fit an
+// INT.
+func (a *aggCol) result(g int32) (types.Datum, error) {
+	switch a.spec.Kind {
+	case sql.AggCount, sql.AggCountStar:
+		return types.NewInt(a.count[g]), nil
+	case sql.AggCountDistinct:
+		return types.NewInt(int64(len(a.distinct[g]))), nil
+	case sql.AggMin, sql.AggMax:
+		return a.best[g], nil
 	}
-	insert := func(g *aggGroup) {
-		k := types.Row{g.key[bf.keyPos]}.Key()
-		t.groups[k] = g
-		t.order = append(t.order, k)
+	switch {
+	case a.count[g] == 0:
+		return types.Null, nil
+	case a.spec.Kind == sql.AggAvg:
+		return types.NewFloat(a.fsum[g] / float64(a.count[g])), nil
+	case a.floatOut || a.float[g]:
+		return types.NewFloat(a.fsum[g] + float64(a.isum[g]) + float64(a.carry[g])*0x1p64), nil
+	case a.carry[g] != 0:
+		return types.Null, &QueryError{Op: "HashAggregate", Kind: KindError, Err: ErrSumOverflow}
 	}
-	if bf.fastNull != nil {
-		insert(bf.fastNull)
-		bf.fastNull = nil
-	}
-	for _, g := range bf.fast {
-		insert(g)
-	}
-	bf.fast = map[float64]*aggGroup{}
-	return nil
+	return types.NewInt(a.isum[g]), nil
 }
 
 // Describe implements Operator.

@@ -139,11 +139,11 @@ func TestSortAndRedundantGroupBatchParity(t *testing.T) {
 				&Sort{Keys: keys, Input: scan()}, &plan.Sort{Keys: keys, Input: refScan})
 		}
 	}
-	// A non-column redundant entry keeps the generic fold (its per-row
+	// A non-column redundant entry keeps the generic keyer (its per-row
 	// evaluation could fail where a first-row read would not).
 	ha := &HashAggregate{GroupBy: []expr.Expr{wcol(1), expr.NewBinary(expr.OpAdd, wcol(4), iconst(1))}, Redundant: []bool{false, true}}
-	if c, _ := ha.intKeyColumn(); c != nil {
-		t.Fatal("int-key fold chosen over a computed redundant group expression")
+	if c := ha.intKeyColumn(); c != nil {
+		t.Fatal("int keyer chosen over a computed redundant group expression")
 	}
 }
 

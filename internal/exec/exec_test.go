@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"sort"
+	"strings"
 	"testing"
 
 	"softdb/internal/btree"
@@ -245,6 +247,65 @@ func TestHashAggregate(t *testing.T) {
 	}
 	if g1[4].Int() != 10 || g1[5].Int() != 30 || g1[6].Float() != 20 {
 		t.Errorf("group 1 min/max/avg: %v", g1)
+	}
+
+	// Charges on every keyer: per row one probe and one comparison per
+	// hashed group column; per group one reservation of its key row plus
+	// accGroupBytes per aggregate, so a budget one byte short trips on the
+	// last group. "int to generic" hands the int keyer's groups over when a
+	// second batch holds FLOATs in the INT key column (1.0 joins group 1).
+	tail := []types.Row{{types.NewFloat(1), types.NewInt(5)}, {types.NewFloat(2.5), types.NewInt(6)}}
+	for _, c := range []struct {
+		name      string
+		input     Operator
+		groupBy   []expr.Expr
+		redundant []bool
+		hashed    int
+		want      string
+	}{
+		{"scalar", src, nil, nil, 0, "(4, 3, 60, 10, 30, 20)"},
+		{"int", src, []expr.Expr{col(0)}, nil, 1, "(1, 3, 2, 40, 10, 30, 20) (2, 1, 1, 20, 20, 20, 20)"},
+		{"int redundant", src, []expr.Expr{col(0), col(1)}, []bool{false, true}, 1,
+			"(1, 10, 3, 2, 40, 10, 30, 20) (2, 20, 1, 1, 20, 20, 20, 20)"},
+		{"generic", src, []expr.Expr{col(0), col(1)}, nil, 2,
+			"(1, NULL, 1, 0, NULL, NULL, NULL, NULL) (1, 10, 1, 1, 10, 10, 10, 10) (1, 30, 1, 1, 30, 30, 30, 30) (2, 20, 1, 1, 20, 20, 20, 20)"},
+		{"int to generic", &UnionAll{Arms: []Operator{src, &Values{Rows: tail}}}, []expr.Expr{col(0)}, nil, 1,
+			"(1, 4, 3, 45, 5, 30, 15) (2, 1, 1, 20, 20, 20, 20) (2.5, 1, 1, 6, 6, 6, 6)"},
+	} {
+		run := func(budget int64) (*Ctx, []types.Row, error) {
+			ctx := NewCtx(context.Background(), CtxOptions{MemBudget: budget})
+			op := &HashAggregate{Input: c.input, GroupBy: c.groupBy, Redundant: c.redundant, Aggs: agg.Aggs}
+			rows, err := Collect(op, ctx, 0)
+			return ctx, rows, err
+		}
+		ctx, rows, err := run(1 << 30)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var got []string
+		var reserved, in int64
+		for _, r := range rows {
+			got = append(got, r.String())
+			reserved += r[:len(c.groupBy)].MemSize() + int64(len(agg.Aggs))*accGroupBytes
+		}
+		in = int64(len(src.Rows))
+		if c.name == "int to generic" {
+			in += int64(len(tail))
+		}
+		if s := strings.Join(got, " "); s != c.want {
+			t.Errorf("%s: %s, want %s", c.name, s, c.want)
+		}
+		if ctx.HashProbes != in || ctx.Comparisons != in*int64(c.hashed) || ctx.MemReserved() != reserved {
+			t.Errorf("%s: probes %d cmp %d reserved %d, want %d, %d, %d",
+				c.name, ctx.HashProbes, ctx.Comparisons, ctx.MemReserved(), in, in*int64(c.hashed), reserved)
+		}
+		if _, _, err := run(reserved); err != nil {
+			t.Errorf("%s: an exact budget failed: %v", c.name, err)
+		}
+		ctx, _, err = run(reserved - 1)
+		if qe, ok := AsQueryError(err); !ok || qe.Kind != KindMemBudget || ctx.MemReserved() != reserved {
+			t.Errorf("%s: a budget one byte short: %v after %d bytes, want a budget error at %d", c.name, err, ctx.MemReserved(), reserved)
+		}
 	}
 }
 

@@ -164,9 +164,11 @@ func (t *intTable) seal() {
 	}
 }
 
-// bucket is Fibonacci hashing: the top bits of the key times 2^64/φ.
-func (t *intTable) bucket(k int64) uint64 {
-	return (uint64(k) * 0x9E3779B97F4A7C15) >> t.shift
+func (t *intTable) bucket(k int64) uint64 { return fibHash(k, t.shift) }
+
+// fibHash is Fibonacci hashing: the top 64-shift bits of k times 2^64/φ.
+func fibHash(k int64, shift uint) uint64 {
+	return (uint64(k) * 0x9E3779B97F4A7C15) >> shift
 }
 
 // lookup appends the rows built under key k to buf, in arrival order.

@@ -15,7 +15,9 @@ package refexec
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -299,14 +301,19 @@ func hashKey(row types.Row, ords []int, base int) (string, bool) {
 	return vals.Key(), true
 }
 
+// ErrSumOverflow is the cause of the error a SUM fails with when the exact
+// total of its integer values leaves the INT range.
+var ErrSumOverflow = errors.New("SUM overflows INT")
+
 // acc accumulates one aggregate over one group.
 type acc struct {
-	count    int64
-	isum     int64
-	fsum     float64
-	float    bool // a FLOAT value was summed
-	best     types.Datum
-	distinct map[string]bool
+	count int64
+	// ihi:isum is the exact 128-bit total of the integer values summed.
+	ihi, isum int64
+	fsum      float64
+	float     bool // a FLOAT value was summed
+	best      types.Datum
+	distinct  map[string]bool
 }
 
 func (a *acc) add(spec plan.AggSpec, row types.Row) error {
@@ -330,7 +337,9 @@ func (a *acc) add(spec plan.AggSpec, row types.Row) error {
 		case types.KindFloat:
 			a.float = true
 		case types.KindInt, types.KindDate, types.KindBool:
-			a.isum += v.IntImage()
+			i := v.IntImage()
+			lo, carry := bits.Add64(uint64(a.isum), uint64(i), 0)
+			a.isum, a.ihi = int64(lo), a.ihi+int64(carry)+i>>63
 		default:
 			return fmt.Errorf("refexec: cannot SUM or AVG a %s value", v.Kind())
 		}
@@ -347,23 +356,26 @@ func (a *acc) add(spec plan.AggSpec, row types.Row) error {
 	return nil
 }
 
-// result finalizes the aggregate; kind is its output column's kind.
-func (a *acc) result(spec sql.AggKind, kind types.Kind) types.Datum {
+// result finalizes the aggregate; kind is its output column's kind. An
+// integer SUM whose exact total does not fit an INT is an error.
+func (a *acc) result(spec sql.AggKind, kind types.Kind) (types.Datum, error) {
 	switch {
 	case spec == sql.AggCountStar || spec == sql.AggCount:
-		return types.NewInt(a.count)
+		return types.NewInt(a.count), nil
 	case spec == sql.AggCountDistinct:
-		return types.NewInt(int64(len(a.distinct)))
+		return types.NewInt(int64(len(a.distinct))), nil
 	case a.count == 0:
-		return types.Null
+		return types.Null, nil
 	case spec == sql.AggAvg:
-		return types.NewFloat(a.fsum / float64(a.count))
+		return types.NewFloat(a.fsum / float64(a.count)), nil
 	case spec != sql.AggSum:
-		return a.best
+		return a.best, nil
 	case kind == types.KindFloat || a.float:
-		return types.NewFloat(a.fsum)
+		return types.NewFloat(a.fsum), nil
+	case a.ihi != a.isum>>63:
+		return types.Null, ErrSumOverflow
 	}
-	return types.NewInt(a.isum)
+	return types.NewInt(a.isum), nil
 }
 
 // aggregate groups by every GroupBy expression (redundant ones included) and
@@ -410,7 +422,11 @@ func (in *interp) aggregate(a *plan.Aggregate) ([]types.Row, error) {
 	for gi, grp := range groups {
 		row := append(make(types.Row, 0, len(grp.key)+len(a.Aggs)), grp.key...)
 		for i, spec := range a.Aggs {
-			row = append(row, grp.accs[i].result(spec.Kind, kinds[i].Kind))
+			v, err := grp.accs[i].result(spec.Kind, kinds[i].Kind)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, v)
 		}
 		out[gi] = row
 	}

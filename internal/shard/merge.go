@@ -2,9 +2,11 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
+	"softdb/internal/exec"
 	"softdb/internal/expr"
 	"softdb/internal/sql"
 	"softdb/internal/types"
@@ -300,10 +302,13 @@ func resolveOrderExpr(e expr.Expr, items []sql.SelectItem, cols []string) int {
 // mergeRows combines per-shard result rows per the plan. shardRows holds
 // each contacted shard's rows in shard order; cols is the first shard's
 // column set (identical across shards by construction).
-func (p *selectPlan) mergeRows(shardRows [][]types.Row) []types.Row {
+func (p *selectPlan) mergeRows(shardRows [][]types.Row) ([]types.Row, error) {
 	var rows []types.Row
 	if p.agg != nil {
-		rows = p.agg.combine(shardRows)
+		var err error
+		if rows, err = p.agg.combine(shardRows); err != nil {
+			return nil, err
+		}
 	} else {
 		for _, rs := range shardRows {
 			rows = append(rows, rs...)
@@ -336,7 +341,7 @@ func (p *selectPlan) mergeRows(shardRows [][]types.Row) []types.Row {
 	if p.limit >= 0 && int64(len(rows)) > p.limit {
 		rows = rows[:p.limit]
 	}
-	return rows
+	return rows, nil
 }
 
 // columns returns the merged result's column names. A plain merge passes
@@ -358,16 +363,19 @@ func (p *selectPlan) columns(shardCols []string) []string {
 	return out
 }
 
-// partial accumulates one aggregate column across shards with the same
-// arithmetic the engine's own partial-merge uses (exec/agg.go), so a
-// router combine is indistinguishable from a single-node run.
+// partial accumulates one aggregate column across shards. A SUM follows the
+// engine's result rule: FLOAT when any partial is, and otherwise the exact
+// integer total, which must fit an INT. So a router combine gives the
+// single-node answer, overflow error included.
 type partial struct {
 	count int64
-	sum   float64
-	isInt bool
-	seen  bool
-	min   types.Datum
-	max   types.Datum
+	sum   float64 // every SUM partial; AVG's SUM partials
+	// hi:lo is the exact 128-bit total of the INT SUM partials.
+	hi, lo int64
+	float  bool // a SUM partial was FLOAT
+	seen   bool
+	min    types.Datum
+	max    types.Datum
 }
 
 func (pa *partial) add(kind sql.AggKind, row types.Row, o aggOut) {
@@ -380,10 +388,14 @@ func (pa *partial) add(kind sql.AggKind, row types.Row, o aggOut) {
 			return
 		}
 		pa.seen = true
-		if v.Kind() == types.KindFloat {
-			pa.isInt = false
-		}
 		pa.sum += v.Float()
+		if v.Kind() == types.KindFloat {
+			pa.float = true
+			return
+		}
+		i := v.IntImage()
+		lo, carry := bits.Add64(uint64(pa.lo), uint64(i), 0)
+		pa.lo, pa.hi = int64(lo), pa.hi+int64(carry)+i>>63
 	case sql.AggAvg:
 		v := row[o.src]
 		if !v.IsNull() {
@@ -404,35 +416,37 @@ func (pa *partial) add(kind sql.AggKind, row types.Row, o aggOut) {
 	}
 }
 
-func (pa *partial) result(kind sql.AggKind) types.Datum {
+func (pa *partial) result(kind sql.AggKind) (types.Datum, error) {
 	switch kind {
 	case sql.AggCount, sql.AggCountStar:
-		return types.NewInt(pa.count)
+		return types.NewInt(pa.count), nil
 	case sql.AggSum:
-		if !pa.seen {
-			return types.Null
+		switch {
+		case !pa.seen:
+			return types.Null, nil
+		case pa.float:
+			return types.NewFloat(pa.sum), nil
+		case pa.hi != pa.lo>>63:
+			return types.Null, &exec.QueryError{Op: "router.merge", Kind: exec.KindError, Err: exec.ErrSumOverflow}
 		}
-		if pa.isInt {
-			return types.NewInt(int64(pa.sum))
-		}
-		return types.NewFloat(pa.sum)
+		return types.NewInt(pa.lo), nil
 	case sql.AggAvg:
 		if pa.count == 0 {
-			return types.Null
+			return types.Null, nil
 		}
-		return types.NewFloat(pa.sum / float64(pa.count))
+		return types.NewFloat(pa.sum / float64(pa.count)), nil
 	case sql.AggMin:
-		return pa.min
+		return pa.min, nil
 	case sql.AggMax:
-		return pa.max
+		return pa.max, nil
 	default:
-		return types.Null
+		return types.Null, nil
 	}
 }
 
 // combine merges per-shard partial-aggregate rows into final rows, one
 // per group, in first-seen shard order (callers re-sort under ORDER BY).
-func (ap *aggPlan) combine(shardRows [][]types.Row) []types.Row {
+func (ap *aggPlan) combine(shardRows [][]types.Row) ([]types.Row, error) {
 	type group struct {
 		first    types.Row // a representative row (group-key passthrough)
 		partials []*partial
@@ -450,7 +464,7 @@ func (ap *aggPlan) combine(shardRows [][]types.Row) []types.Row {
 			if !ok {
 				g = &group{first: row, partials: make([]*partial, len(ap.outs))}
 				for i := range g.partials {
-					g.partials[i] = &partial{isInt: true, min: types.Null, max: types.Null}
+					g.partials[i] = &partial{min: types.Null, max: types.Null}
 				}
 				groups[k] = g
 				order = append(order, k)
@@ -469,11 +483,15 @@ func (ap *aggPlan) combine(shardRows [][]types.Row) []types.Row {
 		for i, o := range ap.outs {
 			if o.kind == sql.AggNone {
 				row[i] = g.first[o.src]
-			} else {
-				row[i] = g.partials[i].result(o.kind)
+				continue
 			}
+			v, err := g.partials[i].result(o.kind)
+			if err != nil {
+				return nil, err
+			}
+			row[i] = v
 		}
 		out = append(out, row)
 	}
-	return out
+	return out, nil
 }

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"errors"
 	"testing"
 
+	"softdb/internal/exec"
 	"softdb/internal/sql"
 	"softdb/internal/types"
 )
@@ -18,6 +20,15 @@ func mustSelect(t *testing.T, text string) *sql.Select {
 		t.Fatalf("%q is %T", text, st)
 	}
 	return sel
+}
+
+func mustMerge(t *testing.T, p *selectPlan, shardRows [][]types.Row) []types.Row {
+	t.Helper()
+	rows, err := p.mergeRows(shardRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 func intRow(vs ...int64) types.Row {
@@ -40,7 +51,7 @@ func TestPlanPlainSelectOrderLimit(t *testing.T) {
 	if len(p.order) != 1 || p.order[0].col != 0 || !p.order[0].desc {
 		t.Fatalf("order = %+v", p.order)
 	}
-	rows := p.mergeRows([][]types.Row{
+	rows := mustMerge(t, p, [][]types.Row{
 		{intRow(1, 10), intRow(5, 50)},
 		{intRow(3, 30), intRow(9, 90)},
 	})
@@ -58,7 +69,7 @@ func TestPlanPlainSelectDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := p.mergeRows([][]types.Row{
+	rows := mustMerge(t, p, [][]types.Row{
 		{intRow(1), intRow(2)},
 		{intRow(2), intRow(3)},
 	})
@@ -102,7 +113,7 @@ func TestPlanAggSelect(t *testing.T) {
 	// Shard 0: group 1 has 2 rows summing 30 (min 10 max 20); group 2 one
 	// row of 5. Shard 1: group 1 has 1 row of 40. Layout: g, count, sum,
 	// min, max, avg (ignored), sum partial, count partial.
-	rows := p.mergeRows([][]types.Row{
+	rows := mustMerge(t, p, [][]types.Row{
 		{intRow(1, 2, 30, 10, 20, 15, 30, 2), intRow(2, 1, 5, 5, 5, 5, 5, 1)},
 		{intRow(1, 1, 40, 40, 40, 40, 40, 1)},
 	})
@@ -129,7 +140,7 @@ func TestAggMergeGlobalGroup(t *testing.T) {
 	}
 	// Every shard returns its one global row, including empty shards
 	// (COUNT 0, SUM NULL).
-	rows := p.mergeRows([][]types.Row{
+	rows := mustMerge(t, p, [][]types.Row{
 		{types.Row{types.NewInt(0), types.Null}},
 		{intRow(3, 60)},
 	})
@@ -145,7 +156,7 @@ func TestAggMergeAllNull(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Layout: sum, avg (ignored), min, then AVG's sum+count partials.
-	rows := p.mergeRows([][]types.Row{
+	rows := mustMerge(t, p, [][]types.Row{
 		{types.Row{types.Null, types.Null, types.Null, types.Null, types.NewInt(0)}},
 		{types.Row{types.Null, types.Null, types.Null, types.Null, types.NewInt(0)}},
 	})
@@ -165,12 +176,47 @@ func TestAggMergeFloatSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := p.mergeRows([][]types.Row{
+	rows := mustMerge(t, p, [][]types.Row{
 		{types.Row{types.NewFloat(1.5)}},
 		{types.Row{types.NewInt(2)}},
 	})
 	if rows[0][0].Kind() != types.KindFloat || rows[0][0].Float() != 3.5 {
 		t.Fatalf("mixed sum = %v", rows[0][0])
+	}
+}
+
+// TestAggMergeExactIntSum: INT SUM partials add exactly past 2^53, and a
+// total outside the INT range fails whatever order the shards answer in.
+func TestAggMergeExactIntSum(t *testing.T) {
+	sel := mustSelect(t, "SELECT SUM(v) FROM t")
+	p, err := planSelect(sel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const max = 1<<63 - 1
+	for _, c := range []struct {
+		partials []int64
+		want     string
+	}{
+		{[]int64{9007199254740993, 1}, "9007199254740994"},
+		{[]int64{max, 1, -5}, "9223372036854775803"},
+		{[]int64{-max, -1, -1}, "overflow"},
+		{[]int64{max, 1}, "overflow"},
+	} {
+		var shardRows [][]types.Row
+		for _, v := range c.partials {
+			shardRows = append(shardRows, []types.Row{intRow(v)})
+		}
+		rows, err := p.mergeRows(shardRows)
+		if c.want == "overflow" {
+			if qe, ok := exec.AsQueryError(err); !ok || qe.Kind != exec.KindError || !errors.Is(err, exec.ErrSumOverflow) {
+				t.Errorf("%v: %v, %v; want a SUM overflow error", c.partials, rows, err)
+			}
+			continue
+		}
+		if err != nil || rows[0][0].String() != c.want {
+			t.Errorf("%v: %v, %v; want %s", c.partials, rows, err, c.want)
+		}
 	}
 }
 
@@ -180,7 +226,7 @@ func TestPlanAggOrderByAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := p.mergeRows([][]types.Row{
+	rows := mustMerge(t, p, [][]types.Row{
 		{intRow(1, 1, 0), intRow(2, 5, 0)},
 		{intRow(3, 5, 0)},
 	})

@@ -992,10 +992,11 @@ func (s *Session) execSelect(ctx context.Context, sel *sql.Select, text string) 
 	for i, res := range results {
 		shardRows[i] = res.Rows
 	}
-	return &client.Result{
-		Columns: plan.columns(results[0].Columns),
-		Rows:    plan.mergeRows(shardRows),
-	}, nil
+	rows, err := plan.mergeRows(shardRows)
+	if err != nil {
+		return nil, err
+	}
+	return &client.Result{Columns: plan.columns(results[0].Columns), Rows: rows}, nil
 }
 
 // emptySelect answers a SELECT whose every shard was excluded: no shard
