@@ -2,10 +2,15 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
 	"softdb/internal/engine"
+	"softdb/internal/exec"
 	"softdb/internal/mining"
+	"softdb/internal/plan"
 	"softdb/internal/softc"
+	"softdb/internal/sql"
+	"softdb/internal/storage"
 	"softdb/internal/workload"
 )
 
@@ -29,7 +34,7 @@ func P2Prune(n int) (*Report, error) {
 		ID:     "P2",
 		Title:  "zone-map page pruning from synopses and soft constraints",
 		Claim:  "per-page min/max synopses let sargable predicates — including ones derived from ASC correlations and join holes — skip pages wholesale; selective scans read a fraction of the pages at identical answers",
-		Header: []string{"workload", "config", "pages", "skipped", "out rows", "page speedup"},
+		Header: []string{"workload", "config", "pages", "skipped", "out rows", "page speedup", "prune ns/page"},
 	}
 
 	// Workload 1: selective clustered range scan (filter-derived pruning).
@@ -120,7 +125,7 @@ func addPruneRows(rep *Report, db *engine.Database, wl, q string, filterOnly boo
 	if offSkipped != 0 {
 		return fmt.Errorf("P2 %s: baseline skipped %d pages with pruning off", wl, offSkipped)
 	}
-	rep.AddRow(wl, "prune off", offPages, int64(0), offRows, "1.00")
+	rep.AddRow(wl, "prune off", offPages, int64(0), offRows, "1.00", "-")
 
 	configs := []string{"prune on"}
 	if filterOnly {
@@ -141,10 +146,62 @@ func addPruneRows(rep *Report, db *engine.Database, wl, q string, filterOnly boo
 			return fmt.Errorf("P2 %s/%s: page accounting broke: %d read + %d skipped != %d total",
 				wl, name, pages, skipped, offPages)
 		}
-		rep.AddRow(wl, name, pages, skipped, rows, fmt.Sprintf("%.2f", ratio(offPages, pages)))
+		nsPerPage, err := pruneNsPerPage(db, q)
+		if err != nil {
+			return err
+		}
+		rep.AddRow(wl, name, pages, skipped, rows, fmt.Sprintf("%.2f", ratio(offPages, pages)), nsPerPage)
 	}
 	db.RewriteOpts.NoPruneIntro = false
 	return nil
+}
+
+// pruneNsPerPage times the prune pass every scan of q's plan runs before
+// reading a page — the one exec.CountSkippablePages shares with the scans —
+// and reports its cost per zone entry walked.
+func pruneNsPerPage(db *engine.Database, q string) (string, error) {
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		return "", err
+	}
+	sel, ok := stmt.(*sql.Select)
+	if !ok {
+		return "", fmt.Errorf("P2: %q is not a SELECT", q)
+	}
+	res, _, err := db.Plan(sel)
+	if err != nil {
+		return "", err
+	}
+	const reps = 200
+	var pages int64
+	var elapsed time.Duration
+	var walk func(exec.Operator)
+	walk = func(op exec.Operator) {
+		var heap *storage.Heap
+		var prune []plan.PrunePred
+		switch s := op.(type) {
+		case *exec.SeqScan:
+			heap, prune = s.Heap, s.Prune
+		case *exec.IndexScan:
+			heap, prune = s.Heap, s.Prune
+		}
+		if len(prune) > 0 {
+			start := time.Now()
+			for i := 0; i < reps; i++ {
+				exec.CountSkippablePages(heap, prune)
+			}
+			elapsed += time.Since(start)
+			pages += reps * heap.PageCount()
+		}
+		for _, in := range op.Inputs() {
+			walk(in)
+		}
+	}
+	walk(res.Root)
+	if pages == 0 {
+		return "-", nil
+	}
+	return fmt.Sprintf("%.2f", float64(elapsed.Nanoseconds())/float64(pages)), nil
 }
 
 // runPruneCounted executes q and returns its page, skip, and row counts plus

@@ -173,12 +173,20 @@ func TestRangeEntries(t *testing.T) {
 	scan := func(hi btree.Bound) *IndexScan {
 		return &IndexScan{Index: &catalog.Index{Tree: tree}, Hi: hi}
 	}
-	chunk := func(keys ...types.Datum) []indexEntry {
-		out := make([]indexEntry, len(keys))
-		for i, k := range keys {
-			out[i] = indexEntry{key: types.Row{k}}
+	chunk := func(keys ...types.Datum) indexChunk {
+		var ch indexChunk
+		for _, k := range keys {
+			switch {
+			case ch.first != nil:
+			case k.IsNull():
+				ch.nulls++
+			default:
+				ch.first = types.Row{k}
+			}
+			ch.rids = append(ch.rids, storage.RowID{})
+			ch.last = types.Row{k}
 		}
-		return out
+		return ch
 	}
 	ints := func(from, n int64) []types.Datum {
 		var out []types.Datum
@@ -192,7 +200,7 @@ func TestRangeEntries(t *testing.T) {
 	cases := []struct {
 		name  string
 		hi    btree.Bound
-		chunk []indexEntry
+		chunk indexChunk
 		est   float64
 		ok    bool
 	}{

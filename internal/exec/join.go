@@ -3,7 +3,9 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 
 	"softdb/internal/expr"
 	"softdb/internal/types"
@@ -128,13 +130,24 @@ func intKey(v int64) int64 {
 // intTable is a hash join's build side over one integer-class key: the build
 // rows and their keys in arrival order, and per-bucket chains of row indices
 // threaded through next (-1 ends a chain). Rows are retained as they arrive
-// (see vec.Batch.Stored) — no per-row clone, no per-key slice.
+// (see vec.Batch.Stored) — no per-row clone, no per-key slice. Tables come
+// from intTablePool and go back when their execution is done with them.
 type intTable struct {
 	rows  []types.Row
 	keys  []int64
 	heads []int32
 	next  []int32
 	shift uint
+}
+
+var intTablePool = sync.Pool{New: func() any { return new(intTable) }}
+
+// release returns the table to the pool, dropping its row references: no
+// pooled table reaches a row of a finished execution.
+func (t *intTable) release() {
+	clear(t.rows)
+	t.rows, t.keys, t.heads, t.next = t.rows[:0], t.keys[:0], t.heads[:0], t.next[:0]
+	intTablePool.Put(t)
 }
 
 func (t *intTable) add(k int64, row types.Row) {
@@ -152,11 +165,11 @@ func (t *intTable) seal() {
 		bits++
 	}
 	t.shift = 64 - bits
-	t.heads = make([]int32, 1<<bits)
+	t.heads = slices.Grow(t.heads[:0], 1<<bits)[:1<<bits]
 	for i := range t.heads {
 		t.heads[i] = -1
 	}
-	t.next = make([]int32, n)
+	t.next = slices.Grow(t.next[:0], n)[:n]
 	for i := n - 1; i >= 0; i-- {
 		h := t.bucket(t.keys[i])
 		t.next[i] = t.heads[h]
@@ -206,6 +219,7 @@ func (t *joinTable) degrade(keys []expr.Expr) error {
 		}
 		t.strs[key] = append(t.strs[key], row)
 	}
+	t.ints.release()
 	t.ints = nil
 	return nil
 }
@@ -239,7 +253,7 @@ func (j *HashJoin) buildTable(ctx *Ctx) (*joinTable, error) {
 	t := &joinTable{}
 	lcol, lok := intJoinKey(j.LeftKeys)
 	if _, rok := intJoinKey(j.RightKey); lok && rok {
-		t.ints = &intTable{}
+		t.ints = intTablePool.Get().(*intTable)
 	} else {
 		t.strs = map[string][]types.Row{}
 	}
@@ -276,16 +290,25 @@ func (j *HashJoin) buildTable(ctx *Ctx) (*joinTable, error) {
 		inner = t.addGeneric(ctx, j.LeftKeys, b)
 		return inner == nil
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = inner
 	}
-	if inner != nil {
-		return nil, inner
+	if err != nil {
+		t.release()
+		return nil, err
 	}
 	if t.ints != nil {
 		t.ints.seal()
 	}
 	return t, nil
+}
+
+// release hands the int table, if any, back to its pool.
+func (t *joinTable) release() {
+	if t.ints != nil {
+		t.ints.release()
+		t.ints = nil
+	}
 }
 
 // joinSlabDatums sizes the chunked allocation joined rows are carved from:
@@ -303,6 +326,9 @@ func (j *HashJoin) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	if err != nil {
 		return err
 	}
+	// Emitted rows are carved from the join's own slabs, never from the
+	// table, so it can go back to the pool once the probe side is done.
+	defer t.release()
 	rcol, rok := intJoinKey(j.RightKey)
 	var inner error
 	stopped := false

@@ -9,9 +9,11 @@ import "sync"
 // engine can flush exact per-constraint totals into the economy ledger
 // after the query quiesces.
 //
+// Scans credit a recorder once per predicate per execution (the prune pass
+// tallies pages locally), and once per short-circuited page.
+//
 // A nil *SkipRecorder ignores adds and reports nothing, matching the obs
-// package's disable-by-nil convention: scans outside an economy-tracked
-// query pay only a nil check per skipped page.
+// package's disable-by-nil convention.
 type SkipRecorder struct {
 	mu       sync.Mutex
 	bySource map[string]int64
@@ -22,18 +24,8 @@ func NewSkipRecorder() *SkipRecorder {
 	return &SkipRecorder{bySource: map[string]int64{}}
 }
 
-// Add credits one skipped page to the named source.
-func (r *SkipRecorder) Add(source string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.bySource[source]++
-	r.mu.Unlock()
-}
-
-// AddN credits n events (e.g. every row of a short-circuited page) to
-// source at once. Nil-safe like Add.
+// AddN credits n events (pages one predicate skipped in a scan, or every row
+// of a short-circuited page) to source at once.
 func (r *SkipRecorder) AddN(source string, n int64) {
 	if r == nil || n == 0 {
 		return
@@ -41,16 +33,6 @@ func (r *SkipRecorder) AddN(source string, n int64) {
 	r.mu.Lock()
 	r.bySource[source] += n
 	r.mu.Unlock()
-}
-
-// merge credits r with every total of from. Nil-safe on both sides.
-func (r *SkipRecorder) merge(from *SkipRecorder) {
-	if r == nil || from == nil {
-		return
-	}
-	for source, n := range from.Counts() {
-		r.AddN(source, n)
-	}
 }
 
 // Counts returns a copy of the per-source skip totals.
