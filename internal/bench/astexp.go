@@ -6,13 +6,12 @@ import (
 	"softdb/internal/engine"
 )
 
-// buildASTWorkload creates a purchase table whose region and amount columns
+// ASTDB creates a purchase table whose region and amount columns
 // are strongly correlated (region 3 is the premium region: almost all
 // amounts >= 90 come from it), an AST over the premium rows, and
 // statistics. The correlation is what defeats the independence assumption.
-func buildASTWorkload(n int, informational bool) (*engine.Database, error) {
-	db := openSQO()
-	db.DisablePlanCache = true
+func ASTDB(n int, informational bool) (*engine.Database, error) {
+	db := OpenSQO()
 	if _, err := db.Exec(`CREATE TABLE purchase (
 		id INT PRIMARY KEY,
 		region INT,
@@ -61,7 +60,7 @@ func E12ASTs(n int) (*Report, error) {
 	q := "SELECT id FROM purchase WHERE amount >= 90 AND region = 3"
 
 	// Materialized AST: routing + estimation.
-	db, err := buildASTWorkload(n, false)
+	db, err := ASTDB(n, false)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +91,7 @@ func E12ASTs(n int) (*Report, error) {
 	}
 
 	// Information AST: estimation only, never routed.
-	dbi, err := buildASTWorkload(n, true)
+	dbi, err := ASTDB(n, true)
 	if err != nil {
 		return nil, err
 	}

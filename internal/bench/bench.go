@@ -1,7 +1,9 @@
 // Package bench implements the paper-reproduction experiments E1–E13
 // described in DESIGN.md. Each experiment builds its workload, runs the
 // measured configurations, and returns a Report whose rows the scbench
-// binary prints and bench_test.go asserts on. The paper (SIGMOD 2001) has
+// binary prints and the package's shape tests assert on. The exported
+// builders (OpenSQO, HolesDB, V2DB, ...) also set up the workloads whose
+// counts the repository's TestSemanticCounts pins. The paper (SIGMOD 2001) has
 // no numbered tables or figures; each experiment reproduces a specific
 // quantitative claim, cited in its Claim field.
 package bench
@@ -90,13 +92,15 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// openSQO returns a database configured for the semantic-rewrite
+// OpenSQO returns a database configured for the semantic-rewrite
 // experiments: zone-map page pruning is pinned off so each experiment
-// isolates the one rewrite effect it measures. P2 measures synopsis
-// pruning by itself, against an unpruned baseline.
-func openSQO() *engine.Database {
+// isolates the one rewrite effect it measures, and the plan cache is off so
+// every execution plans under the rewrite options it runs with. P2 measures
+// synopsis pruning by itself, against an unpruned baseline.
+func OpenSQO() *engine.Database {
 	db := engine.Open()
 	db.NoPrune = true
+	db.DisablePlanCache = true
 	return db
 }
 
@@ -124,6 +128,7 @@ func All() []Experiment {
 		{"E12", "AST routing and AST-based estimation", func() (*Report, error) { return E12ASTs(20000) }},
 		{"E13", "virtual-column statistics for expression predicates", func() (*Report, error) { return E13VirtualColumns(20000) }},
 		{"P2", "zone-map page pruning from synopses and soft constraints", func() (*Report, error) { return P2Prune(20000) }},
+		{"O1", "instrumentation overhead: tracing off vs on", func() (*Report, error) { return O1Observability(100000) }},
 		{"R1", "query lifecycle: cancellation latency and context-check overhead", func() (*Report, error) { return R1Robustness(100000) }},
 		{"S1", "network server: concurrent clients, parity, load shedding", func() (*Report, error) { return S1Server(DefaultS1) }},
 		{"S2", "constraint-aware shard router: scaling, shard pruning, invalidation", func() (*Report, error) { return S2Router(DefaultS2) }},

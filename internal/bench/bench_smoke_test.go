@@ -260,6 +260,21 @@ func TestP2Shape(t *testing.T) {
 	}
 }
 
+func TestO1Shape(t *testing.T) {
+	rep, err := O1Observability(20000) // errors if tracing moves page reads
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != len(R1Queries) {
+		t.Fatalf("rows: %v", rep.Rows)
+	}
+	for i, row := range rep.Rows {
+		if row[0] != R1Queries[i].Name || row[4] != "200" {
+			t.Errorf("want %s over all 200 fact pages: %v", R1Queries[i].Name, row)
+		}
+	}
+}
+
 func TestR1Shape(t *testing.T) {
 	rep, err := R1Robustness(30000)
 	if err != nil {
@@ -407,8 +422,8 @@ func TestC1Shape(t *testing.T) {
 		if row[0] != shape || row[5] != fmt.Sprint(i+1) || row[6] != fmt.Sprint(stmts+1) || row[7] != "0" {
 			t.Errorf("%s: want %d cached plan(s), %d template hits, nothing literal-bound: %v", shape, i+1, stmts+1, row)
 		}
-		// Smoke scale is too small to gate a ratio on (scbench -bench-json
-		// holds the 2x bar); a rebind slower than a cold plan is a bug anywhere.
+		// Smoke scale is too small to gate a ratio on; a rebind slower than
+		// a cold plan is a bug anywhere.
 		if speedup := lastFloat(t, row[4]); speedup <= 1.0 {
 			t.Errorf("%s: a template rebind should cost less than a cold plan: %v", shape, row)
 		}

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"softdb/internal/engine"
-	"softdb/internal/mining"
 	"softdb/internal/obs"
-	"softdb/internal/softc"
 	"softdb/internal/workload"
 )
 
@@ -19,70 +17,11 @@ type o2Workload struct {
 	q    string
 }
 
-// o2PredIntroDB builds the E1-style workload (purchase table, mined and
-// installed ship/order-date correlation) on a default engine: page pruning
-// and the plan cache stay on, because O2 measures the ledger's overhead on
-// the production execution path, not an isolated rewrite effect.
-func o2PredIntroDB(n int) (*engine.Database, error) {
-	db := engine.Open()
-	if err := workload.LoadPurchase(db, workload.PurchaseConfig{
-		N: n, Seed: 1, IndexOrderDate: true,
-	}); err != nil {
-		return nil, err
-	}
-	mgr := softc.NewManager(db.Catalog())
-	cands, err := mgr.DiscoverTable("purchase")
-	if err != nil {
-		return nil, err
-	}
-	picks := mgr.SelectCorrelations(cands.Correlations, 1)
-	if len(picks) == 0 {
-		return nil, fmt.Errorf("O2: no correlation discovered at n=%d", n)
-	}
-	if err := mgr.InstallCorrelations(picks); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// o2HolesDB builds the E2-style workload (orders⋈lineitem with a planted
-// empty band, holes mined and registered) on a default engine.
-func o2HolesDB(orders, linesPer int) (*engine.Database, error) {
-	db := engine.Open()
-	if err := workload.LoadOrdersLineitem(db, workload.HolesConfig{
-		Orders: orders, LinesPer: linesPer, Seed: 5,
-		BandLo: orders / 4, BandHi: orders / 2,
-	}); err != nil {
-		return nil, err
-	}
-	left, err := db.Catalog().Table("orders")
-	if err != nil {
-		return nil, err
-	}
-	right, err := db.Catalog().Table("lineitem")
-	if err != nil {
-		return nil, err
-	}
-	jh, _, err := mining.MineJoinHoles(mining.JoinHoleRequest{
-		Left: left, Right: right,
-		JoinLeft: "okey", JoinRight: "okey",
-		AttrLeft: "odate", AttrRight: "shipdate",
-	})
-	if err != nil {
-		return nil, err
-	}
-	jh.Name = "holes_orders_lineitem"
-	if err := db.Catalog().AddJoinHoles(jh); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// o2HolesQuery returns a join whose date ranges straddle the planted
+// O2HolesQuery returns a join whose date ranges straddle the planted
 // band entirely, so range subtraction cannot trim the query's edges and
 // the rewriter plants an interior exclusion prune predicate instead —
 // the path that skips pages with per-constraint attribution.
-func o2HolesQuery(n int) string {
+func O2HolesQuery(n int) string {
 	lo, hi := n/8, 3*n/4
 	return fmt.Sprintf(`SELECT COUNT(*) AS n FROM orders o, lineitem l
 		WHERE o.okey = l.okey
@@ -131,13 +70,18 @@ func O2Economy(n, iters int) (*Report, error) {
 		Header: []string{"phase", "config", "result", "detail"},
 	}
 
-	predDB, err := o2PredIntroDB(n)
+	predDB, err := CorrelatedPurchaseDB(workload.PurchaseConfig{N: n, Seed: 1, IndexOrderDate: true})
 	if err != nil {
 		return nil, err
 	}
-	holesDB, err := o2HolesDB(n, 2)
+	holesDB, err := HolesDB(n, 2, 5)
 	if err != nil {
 		return nil, err
+	}
+	// The ledger's overhead matters on the production execution path, not
+	// an isolated rewrite effect: page pruning and the plan cache go back on.
+	for _, db := range []*engine.Database{predDB, holesDB} {
+		db.NoPrune, db.DisablePlanCache = false, false
 	}
 	starDB := engine.Open()
 	if err := workload.LoadStar(starDB, workload.StarConfig{
@@ -148,7 +92,7 @@ func O2Economy(n, iters int) (*Report, error) {
 	workloads := []o2Workload{
 		{"E1 pred-intro", predDB,
 			"SELECT id FROM purchase WHERE ship_date = DATE '1999-01-01' + " + fmt.Sprint(n/8)},
-		{"E2 hole-prune", holesDB, o2HolesQuery(n)},
+		{"E2 hole-prune", holesDB, O2HolesQuery(n)},
 		{"E4 join-elim", starDB,
 			"SELECT SUM(f.qty) AS s FROM fact f, dim d WHERE f.dim_id = d.id"},
 	}
@@ -208,7 +152,7 @@ func O2Economy(n, iters int) (*Report, error) {
 	// insert, never consulted by a query).
 	holesDB.NoEconomy = false
 	for i := 0; i < 5; i++ {
-		if _, err := holesDB.Exec(o2HolesQuery(n)); err != nil {
+		if _, err := holesDB.Exec(O2HolesQuery(n)); err != nil {
 			return nil, err
 		}
 	}

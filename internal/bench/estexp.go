@@ -32,8 +32,7 @@ func E3Cardinality(n int, longFrac float64) (*Report, error) {
 		Claim:  "twinning end_date predicates onto start_date converts a cross-column range pair into a single-column range where statistics are reliable, beating the independence assumption (§5.1)",
 		Header: []string{"day offset", "actual", "est independence", "est SSC twin", "q-err indep", "q-err twin"},
 	}
-	db := openSQO()
-	db.DisablePlanCache = true
+	db := OpenSQO()
 	if err := workload.LoadProject(db, workload.ProjectConfig{
 		N: n, LongFrac: longFrac, Seed: 3, Confidence: 1 - longFrac,
 	}); err != nil {
@@ -106,7 +105,7 @@ func E9Currency(rows, updatesPerDay, days int) (*Report, error) {
 		Header: []string{"day", "predicted margin %", "actual drift %", "effective confidence"},
 	}
 	// Scale down while keeping the paper's ratio (1k/1M per day).
-	db := openSQO()
+	db := OpenSQO()
 	if err := workload.LoadProject(db, workload.ProjectConfig{
 		N: rows, LongFrac: 0, Seed: 9, Confidence: 0.999,
 	}); err != nil {
@@ -179,9 +178,9 @@ func E8CheckingOverhead(n int) (*Report, error) {
 	for _, mode := range []string{"informational", "enforced"} {
 		best := time.Duration(0)
 		for rep := 0; rep < 3; rep++ {
-			db := openSQO()
+			db := engine.Open()
 			start := time.Now()
-			if err := loadStarTimed(db, n, mode); err != nil {
+			if err := LoadConstrainedFact(db, n, mode); err != nil {
 				return nil, err
 			}
 			if d := time.Since(start); best == 0 || d < best {
@@ -201,7 +200,10 @@ func E8CheckingOverhead(n int) (*Report, error) {
 	return rep, nil
 }
 
-func loadStarTimed(db *engine.Database, n int, mode string) error {
+// LoadConstrainedFact creates dim (200 rows) and fact with a foreign key to
+// dim and a CHECK on qty, enforced or informational per mode, and inserts n
+// fact rows one by one.
+func LoadConstrainedFact(db *engine.Database, n int, mode string) error {
 	fkSuffix := ""
 	checkSuffix := ""
 	if mode == "informational" {
@@ -255,8 +257,7 @@ func E13VirtualColumns(n int) (*Report, error) {
 		Claim:  "distribution statistics on a virtual column estimate predicates over column expressions, e.g. end_date - start_date <= k (§5.1)",
 		Header: []string{"k (days)", "actual", "est default", "est virtual", "q-err default", "q-err virtual"},
 	}
-	db := openSQO()
-	db.DisablePlanCache = true
+	db := OpenSQO()
 	if err := workload.LoadProject(db, workload.ProjectConfig{
 		N: n, LongFrac: 0.1, Seed: 13,
 	}); err != nil {

@@ -5,14 +5,10 @@ import (
 	"time"
 
 	"softdb/internal/engine"
-	"softdb/internal/mining"
-	"softdb/internal/softc"
 	"softdb/internal/workload"
 )
 
-// V2Case is one measured statement of the frozen-page experiment, shared
-// between V2FrozenScan and the top-level BenchmarkV2FrozenScan so the table
-// and the committed bench snapshot measure identical statements.
+// V2Case is one measured statement of the frozen-page experiment.
 type V2Case struct {
 	Name  string
 	Table string // the heap whose page images the modes thaw
@@ -40,19 +36,7 @@ func V2DB(factRows, wideRows int) (*engine.Database, []V2Case, error) {
 	if err := workload.LoadDenormalized(db, wideRows, 200, 7); err != nil {
 		return nil, nil, err
 	}
-	mgr := softc.NewManager(db.Catalog())
-	mgr.FDs = mining.FDMinerConfig{MaxLHS: 1}
-	cands, err := mgr.DiscoverTable("orders_wide")
-	if err != nil {
-		return nil, nil, err
-	}
-	var fds []mining.FD
-	for _, fd := range cands.FDs {
-		if fd.Det[0] == "cust_id" && fd.Confidence >= 1 {
-			fds = append(fds, fd)
-		}
-	}
-	if err := mgr.InstallFDs("orders_wide", fds); err != nil {
+	if _, err := InstallCustomerFDs(db); err != nil {
 		return nil, nil, err
 	}
 	cases := []V2Case{

@@ -10,24 +10,23 @@ import (
 	"softdb/internal/workload"
 )
 
-// setupHolesDB builds the orders⋈lineitem workload with a planted empty
-// band, mines the holes and registers them.
-func setupHolesDB(orders, linesPer int) (*engine.Database, *softc.Manager, error) {
-	db := openSQO()
-	db.DisablePlanCache = true
-	bandLo, bandHi := orders/4, orders/2
+// HolesDB builds the orders⋈lineitem workload with an empty band planted in
+// [orders/4, orders/2), mines its join holes and registers them as
+// holes_orders_lineitem, on an OpenSQO database.
+func HolesDB(orders, linesPer int, seed int64) (*engine.Database, error) {
+	db := OpenSQO()
 	if err := workload.LoadOrdersLineitem(db, workload.HolesConfig{
-		Orders: orders, LinesPer: linesPer, Seed: 5, BandLo: bandLo, BandHi: bandHi,
+		Orders: orders, LinesPer: linesPer, Seed: seed, BandLo: orders / 4, BandHi: orders / 2,
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	left, err := db.Catalog().Table("orders")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	right, err := db.Catalog().Table("lineitem")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	jh, _, err := mining.MineJoinHoles(mining.JoinHoleRequest{
 		Left: left, Right: right,
@@ -35,18 +34,18 @@ func setupHolesDB(orders, linesPer int) (*engine.Database, *softc.Manager, error
 		AttrLeft: "odate", AttrRight: "shipdate",
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	jh.Name = "holes_orders_lineitem"
 	if err := db.Catalog().AddJoinHoles(jh); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return db, softc.NewManager(db.Catalog()), nil
+	return db, nil
 }
 
-// holesQuery builds a join query whose odate range starts inside the
+// HolesQuery builds a join query whose odate range starts inside the
 // planted hole band, so the hole covers the low end of the range.
-func holesQuery(orders int) string {
+func HolesQuery(orders int) string {
 	lo := orders/4 + orders/16
 	hi := orders/2 + orders/8
 	return fmt.Sprintf(`SELECT COUNT(*) AS n FROM orders o, lineitem l
@@ -66,11 +65,11 @@ func E2JoinHoles(orders, linesPer int) (*Report, error) {
 		Claim:  "range conditions over a join with known holes are trimmed, reducing pages scanned; good optimization demonstrated in experiments ([8], §2)",
 		Header: []string{"config", "pages", "join rows", "speedup"},
 	}
-	db, _, err := setupHolesDB(orders, linesPer)
+	db, err := HolesDB(orders, linesPer, 5)
 	if err != nil {
 		return nil, err
 	}
-	q := holesQuery(orders)
+	q := HolesQuery(orders)
 
 	db.RewriteOpts.NoHoleTrim = true
 	basePages, _, err := runCounted(db, q)
@@ -111,7 +110,7 @@ func E10Miners(sizes []int) (*Report, error) {
 		Header: []string{"rows", "correlation ms", "corr ms/row (µs)", "holes ms", "holes ms/row (µs)"},
 	}
 	for _, n := range sizes {
-		db := openSQO()
+		db := OpenSQO()
 		if err := workload.LoadPurchase(db, workload.PurchaseConfig{N: n, Seed: 6}); err != nil {
 			return nil, err
 		}
@@ -125,7 +124,7 @@ func E10Miners(sizes []int) (*Report, error) {
 		}
 		corrDur := time.Since(t0)
 
-		dbh := openSQO()
+		dbh := OpenSQO()
 		if err := workload.LoadOrdersLineitem(dbh, workload.HolesConfig{
 			Orders: n, LinesPer: 1, Seed: 6, BandLo: n / 4, BandHi: n / 2,
 		}); err != nil {
@@ -171,12 +170,13 @@ func E11Violation(orders, linesPer int) (*Report, error) {
 		Claim:  "violating writes succeed; ASCs are dropped/repaired synchronously and cheaply; dependent plans revert to their §4.1 backup plans instead of recompiling; async repair restores optimality (§4.1, §4.3)",
 		Header: []string{"phase", "holes", "pages for query", "backup failovers", "recompiles"},
 	}
-	db, mgr, err := setupHolesDB(orders, linesPer)
+	db, err := HolesDB(orders, linesPer, 5)
 	if err != nil {
 		return nil, err
 	}
 	db.DisablePlanCache = false
-	q := holesQuery(orders)
+	mgr := softc.NewManager(db.Catalog())
+	q := HolesQuery(orders)
 	jh, _ := db.Catalog().JoinHolesByName("holes_orders_lineitem")
 
 	res, err := db.Exec(q)

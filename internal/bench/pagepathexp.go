@@ -19,9 +19,9 @@ import (
 // page images and over pages thawed before every execution (cold).
 var V3Modes = []string{"entry", "pages-frozen", "pages-cold"}
 
-// V3BuildModes are the hash-join build tables V3 times: the string-keyed
+// v3BuildModes are the hash-join build tables V3 times: the string-keyed
 // generic table with per-row clones, and the typed int table.
-var V3BuildModes = []string{"generic", "typed"}
+var v3BuildModes = []string{"generic", "typed"}
 
 // V3Case is one measured index range over the star schema's fact table:
 // id in [Lo, Hi) plus a price conjunct no page synopsis can prove, so the
@@ -100,11 +100,11 @@ func V3Run(scan *exec.IndexScan, mode string) (rows, idSum int64, ctx *exec.Ctx,
 	return rows, idSum, ctx, err
 }
 
-// V3Join builds a hash join whose build side is every fact row keyed by
+// v3Join builds a hash join whose build side is every fact row keyed by
 // dim_id, probed by an empty input, so running it times the build alone.
 // The generic mode hides the key column's kind, which is what keeps a join
 // off the typed table.
-func V3Join(db *engine.Database, mode string) (*exec.HashJoin, int64, error) {
+func v3Join(db *engine.Database, mode string) (*exec.HashJoin, int64, error) {
 	te, err := db.Catalog().Table("fact")
 	if err != nil {
 		return nil, 0, err
@@ -192,8 +192,8 @@ func V3IndexPagePath(factRows int) (*Report, error) {
 		}
 	}
 	var base float64
-	for _, mode := range V3BuildModes {
-		join, buildRows, err := V3Join(db, mode)
+	for _, mode := range v3BuildModes {
+		join, buildRows, err := v3Join(db, mode)
 		if err != nil {
 			return nil, err
 		}

@@ -6,9 +6,7 @@ import (
 
 	"softdb/internal/engine"
 	"softdb/internal/exec"
-	"softdb/internal/mining"
 	"softdb/internal/plan"
-	"softdb/internal/softc"
 	"softdb/internal/sql"
 	"softdb/internal/storage"
 	"softdb/internal/workload"
@@ -37,80 +35,56 @@ func P2Prune(n int) (*Report, error) {
 		Header: []string{"workload", "config", "pages", "skipped", "out rows", "page speedup", "prune ns/page"},
 	}
 
-	// Workload 1: selective clustered range scan (filter-derived pruning).
-	db := engine.Open()
-	db.DisablePlanCache = true
-	if err := workload.LoadPurchase(db, workload.PurchaseConfig{N: n, Seed: 21}); err != nil {
-		return nil, err
-	}
-	lo := n / 4 / 4 // order_date offset: 4 orders per day
-	selQ := fmt.Sprintf("SELECT id FROM purchase WHERE order_date >= DATE '1999-01-01' + %d AND order_date <= DATE '1999-01-01' + %d", lo, lo+20)
-	if err := addPruneRows(rep, db, "selective-scan", selQ, false); err != nil {
-		return nil, err
-	}
-
-	// Workload 2: correlation-derived pruning (same table, fresh DB so the
-	// mined ASC is the only installed characterization).
-	dbc := engine.Open()
-	dbc.DisablePlanCache = true
-	if err := workload.LoadPurchase(dbc, workload.PurchaseConfig{N: n, Seed: 22}); err != nil {
-		return nil, err
-	}
-	mgr := softc.NewManager(dbc.Catalog())
-	cands, err := mgr.DiscoverTable("purchase")
+	workloads, err := P2Workloads(n)
 	if err != nil {
 		return nil, err
 	}
-	if err := mgr.InstallCorrelations(mgr.SelectCorrelations(cands.Correlations, 1)); err != nil {
-		return nil, err
+	for _, w := range workloads {
+		if err := addPruneRows(rep, w.DB, w.Name, w.SQL, w.FilterOnly); err != nil {
+			return nil, err
+		}
 	}
-	corrQ := fmt.Sprintf("SELECT id FROM purchase WHERE ship_date >= DATE '1999-01-01' + %d AND ship_date <= DATE '1999-01-01' + %d", lo, lo+20)
-	if err := addPruneRows(rep, dbc, "corr-derived", corrQ, true); err != nil {
-		return nil, err
-	}
-
-	// Workload 3: interior join hole. The planted band [n/4, n/2) has no
-	// lineitems; the query range strictly contains it, so subtraction cannot
-	// trim, only page exclusion applies.
-	dbh := engine.Open()
-	dbh.DisablePlanCache = true
-	if err := workload.LoadOrdersLineitem(dbh, workload.HolesConfig{
-		Orders: n, LinesPer: 2, Seed: 23, BandLo: n / 4, BandHi: n / 2,
-	}); err != nil {
-		return nil, err
-	}
-	left, err := dbh.Catalog().Table("orders")
-	if err != nil {
-		return nil, err
-	}
-	right, err := dbh.Catalog().Table("lineitem")
-	if err != nil {
-		return nil, err
-	}
-	jh, _, err := mining.MineJoinHoles(mining.JoinHoleRequest{
-		Left: left, Right: right,
-		JoinLeft: "okey", JoinRight: "okey",
-		AttrLeft: "odate", AttrRight: "shipdate",
-	})
-	if err != nil {
-		return nil, err
-	}
-	jh.Name = "p2_holes"
-	if err := dbh.Catalog().AddJoinHoles(jh); err != nil {
-		return nil, err
-	}
-	holeQ := fmt.Sprintf(`SELECT COUNT(*) AS c FROM orders o, lineitem l
-		WHERE o.okey = l.okey
-		AND o.odate >= DATE '1999-01-01' + %d AND o.odate <= DATE '1999-01-01' + %d
-		AND l.shipdate >= DATE '1999-01-01' + %d AND l.shipdate <= DATE '1999-01-01' + %d`,
-		n/8, 3*n/4, n/8, 3*n/4+89)
-	if err := addPruneRows(rep, dbh, "join-hole", holeQ, true); err != nil {
-		return nil, err
-	}
-
 	rep.Notef("n=%d; all configurations return identical answers (asserted)", n)
 	rep.Notef("filter-only = synopses on, constraint-derived prune introduction off; its gap to 'prune on' is what the soft characterizations add")
 	return rep, nil
+}
+
+// P2Workload is one of P2's measured statements and the database it runs
+// on. FilterOnly marks the workloads whose query gains a constraint-derived
+// prune predicate, where filter-only differs from prune on.
+type P2Workload struct {
+	Name       string
+	DB         *engine.Database
+	SQL        string
+	FilterOnly bool
+}
+
+// P2Workloads builds the three workloads P2Prune describes over n rows, each
+// on its own OpenSQO database so its characterization is the only one
+// installed.
+func P2Workloads(n int) ([]P2Workload, error) {
+	sel := OpenSQO()
+	if err := workload.LoadPurchase(sel, workload.PurchaseConfig{N: n, Seed: 21}); err != nil {
+		return nil, err
+	}
+	corr, err := CorrelatedPurchaseDB(workload.PurchaseConfig{N: n, Seed: 22})
+	if err != nil {
+		return nil, err
+	}
+	holes, err := HolesDB(n, 2, 23)
+	if err != nil {
+		return nil, err
+	}
+	lo := n / 4 / 4 // order_date offset: 4 orders per day
+	return []P2Workload{
+		{"selective-scan", sel, fmt.Sprintf("SELECT id FROM purchase WHERE order_date >= DATE '1999-01-01' + %d AND order_date <= DATE '1999-01-01' + %d", lo, lo+20), false},
+		{"corr-derived", corr, fmt.Sprintf("SELECT id FROM purchase WHERE ship_date >= DATE '1999-01-01' + %d AND ship_date <= DATE '1999-01-01' + %d", lo, lo+20), true},
+		{"join-hole", holes, fmt.Sprintf(`SELECT COUNT(*) AS c FROM orders o, lineitem l
+		WHERE o.okey = l.okey
+		AND o.odate >= DATE '1999-01-01' + %d AND o.odate <= DATE '1999-01-01' + %d
+		AND l.shipdate >= DATE '1999-01-01' + %d AND l.shipdate <= DATE '1999-01-01' + %d`,
+			n/8, 3*n/4, n/8, 3*n/4+89), true},
+	}, nil
 }
 
 // addPruneRows runs q under pruning off / (optionally) filter-only / fully

@@ -61,7 +61,7 @@ func D1Recovery(inserts int, logSweep []int) (*Report, error) {
 
 	// (b) Recovery time vs uncheckpointed log length.
 	for _, n := range logSweep {
-		ms, rs, err := timeRecovery(n, -1)
+		ms, rs, err := RecoverCrashImage(n, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +72,7 @@ func D1Recovery(inserts int, logSweep []int) (*Report, error) {
 	// (c) Checkpoint cadence bounds the replayed suffix.
 	n := logSweep[len(logSweep)-1]
 	every := 256
-	ms, rs, err := timeRecovery(n, every)
+	ms, rs, err := RecoverCrashImage(n, every)
 	if err != nil {
 		return nil, err
 	}
@@ -123,12 +123,12 @@ func timeInsertStream(opts *engine.DurableOptions, inserts int) (float64, error)
 	return float64(time.Since(start).Microseconds()) / 1000, nil
 }
 
-// timeRecovery builds a durable database with n logged insert statements
+// RecoverCrashImage builds a durable database with n logged insert statements
 // under the given checkpoint cadence (negative disables checkpoints),
 // copies the data directory before the shutdown checkpoint — a crash image
 // — and returns the wall-clock milliseconds OpenDurable takes to recover
 // it plus the recovery stats.
-func timeRecovery(n, checkpointEvery int) (float64, *engine.RecoveryStats, error) {
+func RecoverCrashImage(n, checkpointEvery int) (float64, *engine.RecoveryStats, error) {
 	dir, err := os.MkdirTemp("", "softdb-d1-*")
 	if err != nil {
 		return 0, nil, err

@@ -52,6 +52,26 @@ func timedExec(db *engine.Database, q string) (timedResult, error) {
 	return out, nil
 }
 
+// CorrelatedPurchaseDB loads the purchase table on an OpenSQO database, then
+// mines its correlations and installs the top pick as the SC process
+// prescribes (discover → select → install).
+func CorrelatedPurchaseDB(cfg workload.PurchaseConfig) (*engine.Database, error) {
+	db := OpenSQO()
+	if err := workload.LoadPurchase(db, cfg); err != nil {
+		return nil, err
+	}
+	mgr := softc.NewManager(db.Catalog())
+	cands, err := mgr.DiscoverTable("purchase")
+	if err != nil {
+		return nil, err
+	}
+	picks := mgr.SelectCorrelations(cands.Correlations, 1)
+	if len(picks) == 0 {
+		return nil, fmt.Errorf("no correlation discovered at n=%d", cfg.N)
+	}
+	return db, mgr.InstallCorrelations(picks)
+}
+
 // E1PredicateIntroduction reproduces [10]/§3.3: a mined linear correlation
 // between ship_date and order_date, installed as an absolute soft
 // constraint, lets the rewriter introduce an order_date range for a
@@ -66,25 +86,8 @@ func E1PredicateIntroduction(sizes []int) (*Report, error) {
 		Header: []string{"rows", "pages no-SQO", "pages SQO", "speedup", "answers equal"},
 	}
 	for _, n := range sizes {
-		db := openSQO()
-		db.DisablePlanCache = true
-		if err := workload.LoadPurchase(db, workload.PurchaseConfig{
-			N: n, Seed: 1, IndexOrderDate: true,
-		}); err != nil {
-			return nil, err
-		}
-		// Mine the correlation and install the top pick, as the SC process
-		// prescribes (discover → select → install).
-		mgr := softc.NewManager(db.Catalog())
-		cands, err := mgr.DiscoverTable("purchase")
+		db, err := CorrelatedPurchaseDB(workload.PurchaseConfig{N: n, Seed: 1, IndexOrderDate: true})
 		if err != nil {
-			return nil, err
-		}
-		picks := mgr.SelectCorrelations(cands.Correlations, 1)
-		if len(picks) == 0 {
-			return nil, fmt.Errorf("E1: no correlation discovered at n=%d", n)
-		}
-		if err := mgr.InstallCorrelations(picks); err != nil {
 			return nil, err
 		}
 		q := "SELECT id FROM purchase WHERE ship_date = DATE '1999-01-01' + " + fmt.Sprint(n/8)
@@ -115,8 +118,7 @@ func E4JoinElimination(dimRows, factRows int) (*Report, error) {
 		Claim:  "joins over foreign keys are removed when only child columns are used; marked improvement on TPC-D-style queries ([6], §2)",
 		Header: []string{"query", "pages join/elim", "probes join/elim", "ms join/elim", "time speedup", "answers equal"},
 	}
-	db := openSQO()
-	db.DisablePlanCache = true
+	db := OpenSQO()
 	if err := workload.LoadStar(db, workload.StarConfig{
 		DimRows: dimRows, FactRows: factRows, Seed: 2, FKMode: "informational",
 	}); err != nil {
@@ -158,8 +160,7 @@ func E5BranchPrune(rowsPerMonth int) (*Report, error) {
 		Claim:  "a Jan–Mar query against a 12-month union-all view needs only the first three branches (§5)",
 		Header: []string{"months asked", "branches scanned (no prune)", "branches scanned (prune)", "pages no-prune", "pages prune", "speedup"},
 	}
-	db := openSQO()
-	db.DisablePlanCache = true
+	db := OpenSQO()
 	if err := workload.LoadPartitionedSales(db, rowsPerMonth, 3); err != nil {
 		return nil, err
 	}
@@ -209,18 +210,10 @@ func countPlanScans(db *engine.Database, q string, disablePrune bool) int {
 	return count
 }
 
-// E6ExceptionAST reproduces §4.4's late_shipments example: 99% of
-// purchases ship within three weeks; the SSC plus the exception AST give an
-// exact union-all plan with an indexed main arm and a tiny exception arm.
-func E6ExceptionAST(n int, lateFrac float64) (*Report, error) {
-	rep := &Report{
-		ID:     "E6",
-		Title:  "Exception-AST union rewrite (late shipments)",
-		Claim:  "σ(purchase) ≡ indexed-range arm ∪ exception-AST arm; both arms cheap, answers exact, UNION ALL safe because arms are disjoint (§4.4)",
-		Header: []string{"config", "pages", "rows", "speedup vs scan"},
-	}
-	db := openSQO()
-	db.DisablePlanCache = true
+// ExceptionASTDB loads purchase with its ship_window SSC, materializes the
+// late shipments as an exception AST linked to it, and analyzes the table.
+func ExceptionASTDB(n int, lateFrac float64) (*engine.Database, error) {
+	db := OpenSQO()
 	if err := workload.LoadPurchase(db, workload.PurchaseConfig{
 		N: n, LateFrac: lateFrac, Seed: 4, ShipWindowMode: "ssc", IndexOrderDate: true,
 	}); err != nil {
@@ -232,6 +225,23 @@ func E6ExceptionAST(n int, lateFrac float64) (*Report, error) {
 		return nil, err
 	}
 	db.MustExec("ANALYZE purchase")
+	return db, nil
+}
+
+// E6ExceptionAST reproduces §4.4's late_shipments example: 99% of
+// purchases ship within three weeks; the SSC plus the exception AST give an
+// exact union-all plan with an indexed main arm and a tiny exception arm.
+func E6ExceptionAST(n int, lateFrac float64) (*Report, error) {
+	rep := &Report{
+		ID:     "E6",
+		Title:  "Exception-AST union rewrite (late shipments)",
+		Claim:  "σ(purchase) ≡ indexed-range arm ∪ exception-AST arm; both arms cheap, answers exact, UNION ALL safe because arms are disjoint (§4.4)",
+		Header: []string{"config", "pages", "rows", "speedup vs scan"},
+	}
+	db, err := ExceptionASTDB(n, lateFrac)
+	if err != nil {
+		return nil, err
+	}
 	q := fmt.Sprintf("SELECT id FROM purchase WHERE ship_date = DATE '1999-01-01' + %d", n/8)
 
 	db.RewriteOpts.NoExceptionAST = true
@@ -266,6 +276,25 @@ func E6ExceptionAST(n int, lateFrac float64) (*Report, error) {
 	return rep, nil
 }
 
+// InstallCustomerFDs mines orders_wide's single-column FDs and installs the
+// exact ones determined by cust_id (cust_id → cust_name, cust_id → region),
+// returning how many it installed.
+func InstallCustomerFDs(db *engine.Database) (int, error) {
+	mgr := softc.NewManager(db.Catalog())
+	mgr.FDs = mining.FDMinerConfig{MaxLHS: 1}
+	cands, err := mgr.DiscoverTable("orders_wide")
+	if err != nil {
+		return 0, err
+	}
+	var useful []mining.FD
+	for _, fd := range cands.FDs {
+		if fd.Det[0] == "cust_id" && fd.Confidence >= 1 {
+			useful = append(useful, fd)
+		}
+	}
+	return len(useful), mgr.InstallFDs("orders_wide", useful)
+}
+
 // E7FDSort reproduces §2 [29]: ORDER BY / GROUP BY lists containing
 // FD-determined columns are simplified, cutting sort comparisons and
 // grouping-key width. The FD is mined, not declared.
@@ -276,25 +305,12 @@ func E7FDSort(n, customers int) (*Report, error) {
 		Claim:  "FDs beyond keys (common in denormalized schemas) remove superfluous sort/group columns, saving sort cost ([29], §2)",
 		Header: []string{"query", "comparisons no-FD", "comparisons FD", "saved %", "answers equal"},
 	}
-	db := openSQO()
-	db.DisablePlanCache = true
+	db := OpenSQO()
 	if err := workload.LoadDenormalized(db, n, customers, 7); err != nil {
 		return nil, err
 	}
-	// Mine and install FDs (cust_id → cust_name, cust_id → region).
-	mgr := softc.NewManager(db.Catalog())
-	mgr.FDs = mining.FDMinerConfig{MaxLHS: 1}
-	cands, err := mgr.DiscoverTable("orders_wide")
+	installed, err := InstallCustomerFDs(db)
 	if err != nil {
-		return nil, err
-	}
-	var useful []mining.FD
-	for _, fd := range cands.FDs {
-		if fd.Det[0] == "cust_id" && fd.Confidence >= 1 {
-			useful = append(useful, fd)
-		}
-	}
-	if err := mgr.InstallFDs("orders_wide", useful); err != nil {
 		return nil, err
 	}
 	queries := []struct{ name, q string }{
@@ -327,7 +343,7 @@ func E7FDSort(n, customers int) (*Report, error) {
 		}
 		rep.AddRow(qq.name, base.Ctx.Comparisons, opt.Ctx.Comparisons, saved, equal)
 	}
-	rep.Notef("FDs mined from data (%d exact FDs on cust_id installed)", len(useful))
+	rep.Notef("FDs mined from data (%d exact FDs on cust_id installed)", installed)
 	return rep, nil
 }
 

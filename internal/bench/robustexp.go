@@ -25,8 +25,7 @@ import (
 //     budget each abort with their typed error, reported for completeness.
 //
 // Overhead is reported from medians over several repetitions; on a noisy
-// host individual runs can exceed the bar — BenchmarkR1LifecycleOverhead
-// is the steadier gate.
+// host individual runs can exceed the bar.
 func R1Robustness(factRows int) (*Report, error) {
 	rep := &Report{
 		ID:     "R1",
@@ -34,24 +33,27 @@ func R1Robustness(factRows int) (*Report, error) {
 		Claim:  "page/batch-granular cancellation checkpoints stop a canceled query within a few checkpoint intervals while costing <5% wall time on queries that never use them",
 		Header: []string{"measure", "config", "ms", "detail"},
 	}
-	db := engine.Open()
-	db.DisablePlanCache = true
-	if err := workload.LoadStar(db, workload.StarConfig{DimRows: 1000, FactRows: factRows, Seed: 17}); err != nil {
+	db, err := R1DB(factRows)
+	if err != nil {
 		return nil, err
-	}
-	queries := []struct{ name, q string }{
-		{"filter-scan", "SELECT id, qty FROM fact WHERE qty > 25 AND price < 500.0"},
-		{"group-agg", "SELECT dim_id, COUNT(*) AS n, SUM(qty) AS total FROM fact GROUP BY dim_id"},
 	}
 
 	// (a) Context-check overhead, background vs live-deadline context.
-	for _, qc := range queries {
-		offMs, onMs, err := timeQueryLifecycle(db, qc.q)
+	for _, qc := range R1Queries {
+		offMs, onMs, err := medianPair(7, func(withCtx bool) error {
+			ctx, cancel := context.Background(), context.CancelFunc(func() {})
+			if withCtx {
+				ctx, cancel = context.WithTimeout(ctx, time.Hour)
+			}
+			defer cancel()
+			_, err := db.ExecCtx(ctx, qc.SQL)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		rep.AddRow(qc.name, "ctx=off", fmt.Sprintf("%.2f", offMs), "background context")
-		rep.AddRow(qc.name, "ctx=on", fmt.Sprintf("%.2f", onMs),
+		rep.AddRow(qc.Name, "ctx=off", fmt.Sprintf("%.2f", offMs), "background context")
+		rep.AddRow(qc.Name, "ctx=on", fmt.Sprintf("%.2f", onMs),
 			fmt.Sprintf("overhead %+.1f%%", (onMs/offMs-1)*100))
 	}
 
@@ -65,7 +67,7 @@ func R1Robustness(factRows int) (*Report, error) {
 			canceledAt <- time.Now()
 			cancel()
 		})
-		_, err := db.ExecCtx(ctx, queries[0].q)
+		_, err := db.ExecCtx(ctx, R1Queries[0].SQL)
 		returned := time.Now()
 		timer.Stop()
 		cancel()
@@ -82,7 +84,7 @@ func R1Robustness(factRows int) (*Report, error) {
 	// (c) Deadline and budget enforcement.
 	db.StmtTimeout = 5 * time.Millisecond
 	start := time.Now()
-	_, err := db.Exec(queries[0].q)
+	_, err = db.Exec(R1Queries[0].SQL)
 	tookMs := float64(time.Since(start).Microseconds()) / 1000
 	if qe, ok := exec.AsQueryError(err); !ok || qe.Kind != exec.KindTimeout {
 		return nil, fmt.Errorf("R1: deadline run returned %T: %v", err, err)
@@ -101,45 +103,85 @@ func R1Robustness(factRows int) (*Report, error) {
 	rep.AddRow("mem-budget", "16KiB sort", fmt.Sprintf("%.2f", tookMs), "typed oom error")
 	db.MemBudget = 0
 
-	rep.Notef("fact rows: %d; overhead medians over 7 reps — see BenchmarkR1LifecycleOverhead for the gated numbers", factRows)
+	rep.Notef("fact rows: %d; overhead medians over 7 interleaved reps", factRows)
 	return rep, nil
 }
 
-// timeQueryLifecycle measures q under a background context and under a
-// live cancelable deadline context, interleaving the repetitions so heap
-// and cache drift hit both variants equally, and returns the median
-// wall-clock milliseconds of each.
-func timeQueryLifecycle(db *engine.Database, q string) (offMs, onMs float64, err error) {
-	const reps = 7
-	run := func(withCtx bool) (float64, error) {
-		ctx := context.Background()
-		cancel := context.CancelFunc(func() {})
-		if withCtx {
-			ctx, cancel = context.WithTimeout(ctx, time.Hour)
-		}
-		start := time.Now()
-		_, err := db.ExecCtx(ctx, q)
-		took := time.Since(start)
-		cancel()
-		if err != nil {
-			return 0, err
-		}
-		return float64(took.Microseconds()) / 1000, nil
-	}
+// R1Queries are the star-schema statements R1 and O1 time: a filtered scan
+// and a grouped aggregate, each over every fact row.
+var R1Queries = []struct{ Name, SQL string }{
+	{"filter-scan", "SELECT id, qty FROM fact WHERE qty > 25 AND price < 500.0"},
+	{"group-agg", "SELECT dim_id, COUNT(*) AS n, SUM(qty) AS total FROM fact GROUP BY dim_id"},
+}
+
+// R1DB loads the star schema R1 and O1 run R1Queries over: 1,000 dim rows
+// and factRows fact rows, plan cache off.
+func R1DB(factRows int) (*engine.Database, error) {
+	db := engine.Open()
+	db.DisablePlanCache = true
+	return db, workload.LoadStar(db, workload.StarConfig{DimRows: 1000, FactRows: factRows, Seed: 17})
+}
+
+// medianPair times fn(false) and fn(true) reps times each, interleaving the
+// repetitions so heap and cache drift hit both variants equally, and
+// returns the median wall-clock milliseconds of each.
+func medianPair(reps int, fn func(on bool) error) (offMs, onMs float64, err error) {
 	var off, on []float64
 	for i := 0; i < reps; i++ {
-		o, err := run(false)
-		if err != nil {
-			return 0, 0, err
+		for _, variant := range []bool{false, true} {
+			start := time.Now()
+			if err := fn(variant); err != nil {
+				return 0, 0, err
+			}
+			ms := float64(time.Since(start).Microseconds()) / 1000
+			if variant {
+				on = append(on, ms)
+			} else {
+				off = append(off, ms)
+			}
 		}
-		w, err := run(true)
-		if err != nil {
-			return 0, 0, err
-		}
-		off = append(off, o)
-		on = append(on, w)
 	}
 	sort.Float64s(off)
 	sort.Float64s(on)
 	return off[reps/2], on[reps/2], nil
+}
+
+// O1Observability measures what the observability layer costs the query
+// path (experiment O1): R1's statements with tracing off — the production
+// default, where metrics counters and the query-log ring still update on
+// every query — and on, which wraps every operator in a span (the \trace on
+// and EXPLAIN ANALYZE path). Page reads must not move with tracing.
+func O1Observability(factRows int) (*Report, error) {
+	rep := &Report{
+		ID:     "O1",
+		Title:  "instrumentation overhead: tracing off vs on",
+		Claim:  "always-on observability costs the query path under 5%; per-operator span tracing is opt-in and bounded",
+		Header: []string{"query", "tracing off ms", "tracing on ms", "overhead", "pages"},
+	}
+	db, err := R1DB(factRows)
+	if err != nil {
+		return nil, err
+	}
+	defer db.SetTracing(false)
+	for _, qc := range R1Queries {
+		pages := map[bool]int64{}
+		offMs, onMs, err := medianPair(7, func(tracing bool) error {
+			db.SetTracing(tracing)
+			res, err := db.Exec(qc.SQL)
+			if err == nil {
+				pages[tracing] = res.Ctx.IO.PagesRead
+			}
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		if pages[false] != pages[true] {
+			return nil, fmt.Errorf("O1 %s: tracing moved page reads: %d off vs %d on", qc.Name, pages[false], pages[true])
+		}
+		rep.AddRow(qc.Name, fmt.Sprintf("%.2f", offMs), fmt.Sprintf("%.2f", onMs),
+			fmt.Sprintf("%+.1f%%", (onMs/offMs-1)*100), pages[false])
+	}
+	rep.Notef("fact rows: %d; medians over 7 interleaved reps", factRows)
+	return rep, nil
 }

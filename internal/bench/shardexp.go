@@ -24,26 +24,26 @@ type S2Config struct {
 // DefaultS2 is the scbench-scale configuration.
 var DefaultS2 = S2Config{Rows: 40000, Ops: 60, Shards: []int{1, 2, 4}, MinSpeedup: 1.5}
 
-// s2Fleet is one router-fronted shard fleet plus the single-node twin
+// S2Fleet is one router-fronted shard fleet plus the single-node twin
 // that receives every statement the router does (the parity oracle).
-type s2Fleet struct {
-	r      *shard.Router
-	sess   *shard.Session
-	single *engine.Database
-	close  []func()
+type S2Fleet struct {
+	Router  *shard.Router
+	Session *shard.Session
+	single  *engine.Database
+	close   []func()
 }
 
-func (f *s2Fleet) Close() {
-	f.sess.Close()
-	f.r.Close()
+func (f *S2Fleet) Close() {
+	f.Session.Close()
+	f.Router.Close()
 	for _, fn := range f.close {
 		fn()
 	}
 }
 
 // exec applies a statement to the router AND the twin.
-func (f *s2Fleet) exec(stmt string) error {
-	if _, err := f.sess.Exec(context.Background(), stmt); err != nil {
+func (f *S2Fleet) exec(stmt string) error {
+	if _, err := f.Session.Exec(context.Background(), stmt); err != nil {
 		return fmt.Errorf("router %q: %w", stmt, err)
 	}
 	if _, err := f.single.Exec(stmt); err != nil {
@@ -65,12 +65,12 @@ func s2Spec(n, rows int) (shard.Spec, error) {
 	return shard.ParseSpec(fmt.Sprintf("events=range(k:%s)", strings.Join(bounds, ",")))
 }
 
-// s2NewFleet starts n engine servers on loopback, fronts them with a
+// NewS2Fleet starts n engine servers on loopback, fronts them with a
 // router, and loads rows spread over the key space: k is the partition
 // key, v tracks k (so synced per-shard value ranges are disjoint and the
 // registry can prune like a zone map), grp is a 10-way group column.
-func s2NewFleet(n, rows int) (*s2Fleet, error) {
-	f := &s2Fleet{single: engine.Open()}
+func NewS2Fleet(n, rows int) (*S2Fleet, error) {
+	f := &S2Fleet{single: engine.Open()}
 	f.single.NoIndexes = true
 	cfg := shard.Config{DialTimeout: 5 * time.Second, DialAttempts: 3, TrackCols: []string{"events.v"}}
 	for i := 0; i < n; i++ {
@@ -96,11 +96,11 @@ func s2NewFleet(n, rows int) (*s2Fleet, error) {
 		return nil, err
 	}
 	cfg.Specs = []shard.Spec{spec}
-	if f.r, err = shard.New(cfg); err != nil {
+	if f.Router, err = shard.New(cfg); err != nil {
 		f.Close()
 		return nil, err
 	}
-	f.sess = f.r.NewSession()
+	f.Session = f.Router.NewSession()
 	if err := f.exec("CREATE TABLE events (k INT NOT NULL, v INT, grp INT)"); err != nil {
 		f.Close()
 		return nil, err
@@ -179,14 +179,14 @@ func S2Router(cfg S2Config) (*Report, error) {
 	// (a) scaling sweep. Same rows, same statements, bigger fleet.
 	qps := map[int]float64{}
 	for _, n := range cfg.Shards {
-		f, err := s2NewFleet(n, cfg.Rows)
+		f, err := NewS2Fleet(n, cfg.Rows)
 		if err != nil {
 			return nil, fmt.Errorf("S2 fleet n=%d: %w", n, err)
 		}
 		r := rand.New(rand.NewSource(7))
 		start := time.Now()
 		for i := 0; i < cfg.Ops; i++ {
-			if _, err := f.sess.Exec(context.Background(), s2RangeStmt(cfg.Rows, r)); err != nil {
+			if _, err := f.Session.Exec(context.Background(), s2RangeStmt(cfg.Rows, r)); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("S2 scaling n=%d: %w", n, err)
 			}
@@ -201,7 +201,7 @@ func S2Router(cfg S2Config) (*Report, error) {
 		// to the single-node twin.
 		hr, hs := fnv.New64a(), fnv.New64a()
 		for _, q := range s2Parity(cfg.Rows) {
-			res, err := f.sess.Exec(context.Background(), q)
+			res, err := f.Session.Exec(context.Background(), q)
 			if err != nil {
 				f.Close()
 				return nil, fmt.Errorf("S2 parity router %q: %w", q, err)
@@ -246,9 +246,9 @@ func S2Router(cfg S2Config) (*Report, error) {
 }
 
 // s2PrunePhases runs phases (b) and (c) on the largest fleet.
-func s2PrunePhases(rep *Report, f *s2Fleet, cfg S2Config, n int) error {
+func s2PrunePhases(rep *Report, f *S2Fleet, cfg S2Config, n int) error {
 	ctx := context.Background()
-	if _, err := f.sess.Exec(ctx, "ROUTER SYNC"); err != nil {
+	if _, err := f.Session.Exec(ctx, "ROUTER SYNC"); err != nil {
 		return fmt.Errorf("S2 sync: %w", err)
 	}
 	// A band of the tracked (non-partition) column v that only the last
@@ -257,32 +257,32 @@ func s2PrunePhases(rep *Report, f *s2Fleet, cfg S2Config, n int) error {
 	lo, hi := cfg.Rows-cfg.Rows/(2*n), cfg.Rows-1
 	q := fmt.Sprintf("SELECT COUNT(*) AS n, SUM(v) AS s FROM events WHERE v >= %d AND v <= %d", lo, hi)
 
-	before := f.r.ShardQueryCounts()
-	pruned, err := f.sess.Exec(ctx, q)
+	before := f.Router.ShardQueryCounts()
+	pruned, err := f.Session.Exec(ctx, q)
 	if err != nil {
 		return fmt.Errorf("S2 pruned query: %w", err)
 	}
 	contacted := 0
-	for i, c := range f.r.ShardQueryCounts() {
+	for i, c := range f.Router.ShardQueryCounts() {
 		if c > before[i] {
 			contacted++
 		}
 	}
-	if err := f.sess.Set("shard_prune", "off"); err != nil {
+	if err := f.Session.Set("shard_prune", "off"); err != nil {
 		return err
 	}
-	before = f.r.ShardQueryCounts()
-	broadcast, err := f.sess.Exec(ctx, q)
+	before = f.Router.ShardQueryCounts()
+	broadcast, err := f.Session.Exec(ctx, q)
 	if err != nil {
 		return fmt.Errorf("S2 broadcast query: %w", err)
 	}
 	bContacted := 0
-	for i, c := range f.r.ShardQueryCounts() {
+	for i, c := range f.Router.ShardQueryCounts() {
 		if c > before[i] {
 			bContacted++
 		}
 	}
-	if err := f.sess.Set("shard_prune", "on"); err != nil {
+	if err := f.Session.Set("shard_prune", "on"); err != nil {
 		return err
 	}
 	hp, hb := fnv.New64a(), fnv.New64a()
@@ -306,20 +306,20 @@ func s2PrunePhases(rep *Report, f *s2Fleet, cfg S2Config, n int) error {
 	// the write returns, and the next query must see the row.
 	outside := cfg.Rows + 1000
 	probe := fmt.Sprintf("SELECT COUNT(*) AS n FROM events WHERE v = %d", outside)
-	res, err := f.sess.Exec(ctx, probe)
+	res, err := f.Session.Exec(ctx, probe)
 	if err != nil {
 		return err
 	}
 	if res.Rows[0][0].Int() != 0 {
 		return fmt.Errorf("S2: probe row exists before the violating write")
 	}
-	retiredBefore := f.r.Registry().Retired()
+	retiredBefore := f.Router.Registry().Retired()
 	// k=1 routes to shard 0; v far outside shard 0's synced v-range.
 	if err := f.exec(fmt.Sprintf("INSERT INTO events VALUES (1, %d, 0)", outside)); err != nil {
 		return err
 	}
-	retired := f.r.Registry().Retired() - retiredBefore
-	res, err = f.sess.Exec(ctx, probe)
+	retired := f.Router.Registry().Retired() - retiredBefore
+	res, err = f.Session.Exec(ctx, probe)
 	if err != nil {
 		return err
 	}

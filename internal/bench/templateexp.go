@@ -10,10 +10,10 @@ import (
 	"softdb/internal/workload"
 )
 
-// C1Shapes are the two statement shapes of the point_lookup traffic mix:
+// c1Shapes are the two statement shapes of the point_lookup traffic mix:
 // a primary-key probe and a secondary-index probe whose plan carries the
 // ship_window prune interval derived from the literal.
-var C1Shapes = []struct {
+var c1Shapes = []struct {
 	Name string
 	Text func(rows, i int) string
 }{
@@ -62,7 +62,7 @@ func C1PlanTemplate(rows, stmts int) (*Report, error) {
 		}
 		return float64(time.Since(start).Microseconds()) / float64(stmts), nil
 	}
-	for _, sh := range C1Shapes {
+	for _, sh := range c1Shapes {
 		fresh := func(i int) string { return sh.Text(rows, i) }
 		same := func(int) string { return sh.Text(rows, 0) }
 		coldUs, err := run(cold, fresh)
@@ -92,9 +92,9 @@ func C1PlanTemplate(rows, stmts int) (*Report, error) {
 	zipf := rand.NewZipf(r, 1.1, 1, uint64(rows-1))
 	start := time.Now()
 	for i := 0; i < stmts; i++ {
-		text := C1Shapes[0].Text(rows, int(zipf.Uint64()))
+		text := c1Shapes[0].Text(rows, int(zipf.Uint64()))
 		if r.Intn(5) == 0 {
-			text = C1Shapes[1].Text(rows, r.Intn(rows/4))
+			text = c1Shapes[1].Text(rows, r.Intn(rows/4))
 		}
 		if _, err := mix.Exec(text); err != nil {
 			return nil, err

@@ -73,12 +73,12 @@ func t1ReadStmt(rows int, r *rand.Rand) string {
 	return fmt.Sprintf("SELECT a, b, c FROM t WHERE a >= %d AND a <= %d", lo, lo+50)
 }
 
-// T1ReadLatencies measures reader latency twice over one served database:
+// t1ReadLatencies measures reader latency twice over one served database:
 // alone, then with a concurrent INSERT flood (50/50 connection mix). The
 // ratio of the two p99s is the tentpole's headline number — before MVCC a
 // writer serialized behind each materializing scan and every later reader
 // queued behind the writer, so p99 under write load degraded multi-x.
-func T1ReadLatencies(cfg T1Config) (ro, rw *workload.DriverReport, err error) {
+func t1ReadLatencies(cfg T1Config) (ro, rw *workload.DriverReport, err error) {
 	db, srv, addr, err := t1Server(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -152,7 +152,7 @@ func T1Txn(cfg T1Config) (*Report, error) {
 		Claim:  "MVCC snapshot isolation keeps reader tail latency flat under a concurrent write flood, and wire-level transactions commit or vanish atomically",
 		Header: []string{"measure", "config", "value", "detail"},
 	}
-	ro, rw, err := T1ReadLatencies(cfg)
+	ro, rw, err := t1ReadLatencies(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,8 @@ func V1Kernels(rows int) (*Report, error) {
 		Header: []string{"kernel", "typed", "ns/row kernel", "ns/row tree-walk", "speedup"},
 	}
 
-	data := V1Rows(rows)
-	for _, kc := range V1Cases() {
+	data := v1Rows(rows)
+	for _, kc := range v1Cases() {
 		conds := kc.Conds
 		prog := expr.CompilePredicate(conds)
 		typed := len(prog.Stages) == 1 && prog.Typed(0)
@@ -52,10 +52,8 @@ func V1Kernels(rows int) (*Report, error) {
 	return rep, nil
 }
 
-// V1Case is one measured kernel family, shared between the V1 experiment
-// and the top-level BenchmarkV1Kernels so the table and the committed
-// bench snapshot measure identical predicates.
-type V1Case struct {
+// v1Case is one measured kernel family of the V1 experiment.
+type v1Case struct {
 	Name  string
 	Conds []expr.Expr
 	// Typed declares whether CompilePredicate must produce a single
@@ -63,11 +61,11 @@ type V1Case struct {
 	Typed bool
 }
 
-// V1Cases returns the kernel families over the V1Rows schema
+// v1Cases returns the kernel families over the v1Rows schema
 // (#0 a INT, #1 b FLOAT, #2 c INT with NULLs).
-func V1Cases() []V1Case {
+func v1Cases() []v1Case {
 	split := func(e expr.Expr) []expr.Expr { return expr.SplitConjuncts(e) }
-	return []V1Case{
+	return []v1Case{
 		{"eq-int", split(expr.NewBinary(expr.OpEq, intCol(0, "a"), expr.NewConst(types.NewInt(12)))), true},
 		{"lt-float", split(expr.NewBinary(expr.OpLt, floatCol(1, "b"), expr.NewConst(types.NewFloat(12.5)))), true},
 		{"between-int", split(expr.NewBinary(expr.OpAnd,
@@ -86,9 +84,9 @@ func floatCol(ord int, name string) *expr.Column {
 	return expr.NewColumn("", name, ord, types.KindFloat)
 }
 
-// V1Rows builds the measurement rows: a INT (dense small domain),
+// v1Rows builds the measurement rows: a INT (dense small domain),
 // b FLOAT, c INT with ~10% NULLs.
-func V1Rows(n int) []types.Row {
+func v1Rows(n int) []types.Row {
 	rows := make([]types.Row, n)
 	for i := 0; i < n; i++ {
 		c := types.Datum(types.NewInt(int64(i % 37)))

@@ -125,8 +125,8 @@ func TestPruneSelectiveScan(t *testing.T) {
 
 // TestPruneOverheadUnselective: synopsis checks on a full scan that can
 // prune nothing must not change what the scan reads — zero skips, full
-// pages, identical rows. (Wall-clock overhead is guarded by
-// BenchmarkP2PruneOverhead.)
+// pages, identical rows. (The root TestSemanticCounts pins the same counts
+// at 100k rows as P2PruneOverhead.)
 func TestPruneOverheadUnselective(t *testing.T) {
 	db := pruneDB(t, 4000, false)
 	q := "SELECT a FROM t WHERE c >= 0" // c is unclustered and always >= 0

@@ -169,8 +169,8 @@ type CtxOptions struct {
 
 // NewCtx returns a Ctx carrying the lifecycle derived from ctx and opts.
 // A background context with no budget and no fault injector yields a bare
-// Ctx whose per-page checkpoint is a single nil check — the configuration
-// benchmarked by BenchmarkR1's baseline.
+// Ctx whose per-page checkpoint is a single nil check — the ctx=off
+// configuration experiment R1 times.
 func NewCtx(ctx context.Context, o CtxOptions) *Ctx {
 	c := &Ctx{Snap: o.Snap, TID: o.TID}
 	if ctx == nil {
