@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -15,7 +16,7 @@ func intKey(v int64) types.Row { return types.Row{types.NewInt(v)} }
 func rid(n int) storage.RowID { return storage.RowID{Page: int32(n / 100), Slot: int32(n % 100)} }
 
 func TestInsertLookup(t *testing.T) {
-	tr := New()
+	tr := New(types.KindInt)
 	for i := 0; i < 1000; i++ {
 		tr.Insert(intKey(int64(i)), rid(i))
 	}
@@ -38,7 +39,7 @@ func TestInsertLookup(t *testing.T) {
 }
 
 func TestDuplicateKeys(t *testing.T) {
-	tr := New()
+	tr := New(types.KindInt)
 	for i := 0; i < 10; i++ {
 		tr.Insert(intKey(7), rid(i))
 	}
@@ -56,7 +57,7 @@ func TestDuplicateKeys(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tr := New()
+	tr := New(types.KindInt)
 	for i := 0; i < 500; i++ {
 		tr.Insert(intKey(int64(i)), rid(i))
 	}
@@ -87,14 +88,14 @@ func TestDelete(t *testing.T) {
 }
 
 func TestAscendRangeBounds(t *testing.T) {
-	tr := New()
+	tr := New(types.KindInt)
 	for i := 0; i < 100; i++ {
 		tr.Insert(intKey(int64(i)), rid(i))
 	}
 	collect := func(lo, hi Bound) []int64 {
 		var out []int64
-		tr.AscendRange(lo, hi, nil, func(k types.Row, _ storage.RowID) bool {
-			out = append(out, k[0].Int())
+		tr.AscendRange(lo, hi, nil, func(k Key, _ storage.RowID) bool {
+			out = append(out, k.Datum(0).Int())
 			return true
 		})
 		return out
@@ -119,7 +120,7 @@ func TestAscendRangeBounds(t *testing.T) {
 }
 
 func TestAscendOrder(t *testing.T) {
-	tr := New()
+	tr := New(types.KindInt)
 	r := rand.New(rand.NewSource(3))
 	perm := r.Perm(5000)
 	for _, v := range perm {
@@ -127,8 +128,8 @@ func TestAscendOrder(t *testing.T) {
 	}
 	prev := int64(-1)
 	n := 0
-	tr.Ascend(nil, func(k types.Row, _ storage.RowID) bool {
-		v := k[0].Int()
+	tr.Ascend(nil, func(k Key, _ storage.RowID) bool {
+		v := k.Datum(0).Int()
 		if v <= prev {
 			t.Fatalf("out of order: %d after %d", v, prev)
 		}
@@ -145,7 +146,7 @@ func TestAscendOrder(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	tr := New()
+	tr := New(types.KindInt)
 	if tr.Min() != nil || tr.Max() != nil {
 		t.Error("empty tree min/max should be nil")
 	}
@@ -157,13 +158,43 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
+// TestInsertRejectsKeyOfAnotherKind: a stored key column holds NULL or its
+// static kind, so Insert panics on any other kind, as on a key of the wrong
+// length, and leaves the tree as it was. Probes of any kind stay legal.
+func TestInsertRejectsKeyOfAnotherKind(t *testing.T) {
+	tr := New(types.KindInt, types.KindString)
+	tr.Insert(types.Row{types.NewInt(1), types.Null}, rid(1))
+	for _, key := range []types.Row{
+		{types.NewFloat(1), types.NewString("a")},
+		{types.NewInt(1), types.NewInt(2)},
+		{types.NewInt(1)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Insert(%v) did not panic", key)
+				}
+			}()
+			tr.Insert(key, rid(2))
+		}()
+	}
+	if tr.Len() != 1 || tr.Validate() != nil {
+		t.Fatalf("after rejected inserts: %d pairs, %v", tr.Len(), tr.Validate())
+	}
+	var n int
+	tr.Lookup(types.Row{types.NewFloat(1), types.Null}, nil, func(storage.RowID) bool { n++; return true })
+	if n != 1 {
+		t.Fatalf("FLOAT probe of the INT key found %d rids", n)
+	}
+}
+
 func TestCompositeKeys(t *testing.T) {
-	tr := New()
+	tr := New(types.KindString, types.KindInt)
 	tr.Insert(types.Row{types.NewString("a"), types.NewInt(2)}, rid(1))
 	tr.Insert(types.Row{types.NewString("a"), types.NewInt(1)}, rid(2))
 	tr.Insert(types.Row{types.NewString("b"), types.NewInt(0)}, rid(3))
 	var keys []string
-	tr.Ascend(nil, func(k types.Row, _ storage.RowID) bool {
+	tr.Ascend(nil, func(k Key, _ storage.RowID) bool {
 		keys = append(keys, k.String())
 		return true
 	})
@@ -173,14 +204,14 @@ func TestCompositeKeys(t *testing.T) {
 }
 
 func TestCountersCharged(t *testing.T) {
-	tr := New()
+	tr := New(types.KindInt)
 	for i := 0; i < 10000; i++ {
 		tr.Insert(intKey(int64(i)), rid(i))
 	}
 	var c storage.Counters
 	n := 0
 	tr.AscendRange(Bound{Key: intKey(5000), Inclusive: true}, Bound{Key: intKey(5009), Inclusive: true}, &c,
-		func(types.Row, storage.RowID) bool { n++; return true })
+		func(Key, storage.RowID) bool { n++; return true })
 	if n != 10 {
 		t.Fatalf("visited %d", n)
 	}
@@ -196,12 +227,12 @@ func TestCountersCharged(t *testing.T) {
 }
 
 func TestEarlyStop(t *testing.T) {
-	tr := New()
+	tr := New(types.KindInt)
 	for i := 0; i < 100; i++ {
 		tr.Insert(intKey(int64(i)), rid(i))
 	}
 	n := 0
-	tr.Ascend(nil, func(types.Row, storage.RowID) bool { n++; return n < 5 })
+	tr.Ascend(nil, func(Key, storage.RowID) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Errorf("early stop: %d", n)
 	}
@@ -209,7 +240,7 @@ func TestEarlyStop(t *testing.T) {
 
 // Property: tree contents match a reference map under random mixed workload.
 func TestRandomizedAgainstReference(t *testing.T) {
-	tr := New()
+	tr := New(types.KindInt)
 	r := rand.New(rand.NewSource(99))
 	type pair struct {
 		k int64
@@ -241,9 +272,9 @@ func TestRandomizedAgainstReference(t *testing.T) {
 	// Full-order check.
 	sort.Slice(ref, func(i, j int) bool { return ref[i].k < ref[j].k })
 	i := 0
-	tr.Ascend(nil, func(k types.Row, _ storage.RowID) bool {
-		if k[0].Int() != ref[i].k {
-			t.Fatalf("position %d: got %d want %d", i, k[0].Int(), ref[i].k)
+	tr.Ascend(nil, func(k Key, _ storage.RowID) bool {
+		if k.Datum(0).Int() != ref[i].k {
+			t.Fatalf("position %d: got %d want %d", i, k.Datum(0).Int(), ref[i].k)
 		}
 		i++
 		return true
@@ -254,14 +285,14 @@ func TestRandomizedAgainstReference(t *testing.T) {
 }
 
 func BenchmarkInsert(b *testing.B) {
-	tr := New()
+	tr := New(types.KindInt)
 	for i := 0; i < b.N; i++ {
 		tr.Insert(intKey(int64(i%100000)), rid(i))
 	}
 }
 
 func BenchmarkLookup(b *testing.B) {
-	tr := New()
+	tr := New(types.KindInt)
 	for i := 0; i < 100000; i++ {
 		tr.Insert(intKey(int64(i)), rid(i))
 	}
@@ -275,7 +306,7 @@ func BenchmarkLookup(b *testing.B) {
 // pairs contains exactly those pairs, in order, and validates.
 func TestQuickBuildMatchesReference(t *testing.T) {
 	f := func(keys []int16) bool {
-		tr := New()
+		tr := New(types.KindInt)
 		counts := map[int64]int{}
 		for i, k := range keys {
 			tr.Insert(intKey(int64(k)), rid(i))
@@ -290,8 +321,8 @@ func TestQuickBuildMatchesReference(t *testing.T) {
 		seen := map[int64]int{}
 		prev := int64(-1 << 62)
 		ok := true
-		tr.Ascend(nil, func(k types.Row, _ storage.RowID) bool {
-			v := k[0].Int()
+		tr.Ascend(nil, func(k Key, _ storage.RowID) bool {
+			v := k.Datum(0).Int()
 			if v < prev {
 				ok = false
 				return false
@@ -319,7 +350,7 @@ func TestQuickBuildMatchesReference(t *testing.T) {
 // order, so an index rebuilt from a heap scan (crash recovery) visits rows
 // exactly as the live tree did.
 func TestDuplicateKeyRIDOrderCanonical(t *testing.T) {
-	shuffled, sorted := New(), New()
+	shuffled, sorted := New(types.KindInt), New(types.KindInt)
 	r := rand.New(rand.NewSource(5))
 	perm := r.Perm(40)
 	for _, p := range perm {
@@ -329,8 +360,8 @@ func TestDuplicateKeyRIDOrderCanonical(t *testing.T) {
 		sorted.Insert(intKey(7), rid(i))
 	}
 	var a, b []storage.RowID
-	shuffled.Ascend(nil, func(_ types.Row, id storage.RowID) bool { a = append(a, id); return true })
-	sorted.Ascend(nil, func(_ types.Row, id storage.RowID) bool { b = append(b, id); return true })
+	shuffled.Ascend(nil, func(_ Key, id storage.RowID) bool { a = append(a, id); return true })
+	sorted.Ascend(nil, func(_ Key, id storage.RowID) bool { b = append(b, id); return true })
 	if len(a) != 40 || len(b) != 40 {
 		t.Fatalf("lengths: %d %d", len(a), len(b))
 	}
@@ -347,28 +378,28 @@ func TestDuplicateKeyRIDOrderCanonical(t *testing.T) {
 // ascendRangePerEntry is AscendRange as it was written before the per-leaf
 // boundary search: the upper bound is compared against every entry. It is
 // the oracle for visit order and for page/row charges.
-func ascendRangePerEntry(t *Tree, lo, hi Bound, c *storage.Counters, fn func(key types.Row, rid storage.RowID) bool) {
+func ascendRangePerEntry(t *Tree, lo, hi Bound, c *storage.Counters, fn func(key Key, rid storage.RowID) bool) {
 	n := t.descendToLeaf(lo.Key, c)
 	start := 0
 	if lo.Key != nil {
-		i, exact := search(n, lo.Key)
+		i, exact := t.search(n, lo.Key)
 		start = i
 		if exact && !lo.Inclusive {
 			start = i + 1
 		}
 	}
 	for n != nil {
-		for i := start; i < len(n.entries); i++ {
-			e := &n.entries[i]
+		for i := start; i < n.len(); i++ {
+			k := Key{t, n, i}
 			if hi.Key != nil {
-				ccmp := e.key.Compare(hi.Key)
+				ccmp := k.Row().Compare(hi.Key)
 				if ccmp > 0 || (ccmp == 0 && !hi.Inclusive) {
 					return
 				}
 			}
-			for _, rid := range e.rids {
+			for _, rid := range n.runOf(i) {
 				c.AddRows(1)
-				if !fn(e.key, rid) {
+				if !fn(k, rid) {
 					return
 				}
 			}
@@ -383,20 +414,19 @@ func ascendRangePerEntry(t *Tree, lo, hi Bound, c *storage.Counters, fn func(key
 
 // TestAscendRangeMatchesPerEntryWalk: random ranges (every bound shape,
 // bounds on and between keys, on leaf edges, inverted, beyond both ends;
-// NULL, duplicate and mixed INT/FLOAT keys; early stops) visit the same
-// pairs in the same order and charge the same pages and rows as the
-// per-entry walk.
+// NULL, duplicate and off-grid keys; INT bounds against the FLOAT column and
+// FLOAT ones; early stops) visit the same pairs in the same order and charge
+// the same pages and rows as the per-entry walk.
 func TestAscendRangeMatchesPerEntryWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	tr := New()
+	tr := New(types.KindFloat)
 	tr.Insert(types.Row{types.Null}, rid(100000))
 	for i := 0; i < 4000; i++ {
-		k := int64(r.Intn(1500)) * 2 // even keys, many duplicates
+		k := float64(r.Intn(1500)) * 2 // even keys, many duplicates
 		if i%50 == 0 {
-			tr.Insert(types.Row{types.NewFloat(float64(k) + 0.5)}, rid(i))
-			continue
+			k += 0.5
 		}
-		tr.Insert(intKey(k), rid(i))
+		tr.Insert(types.Row{types.NewFloat(k)}, rid(i))
 	}
 	bound := func() Bound {
 		switch r.Intn(6) {
@@ -418,17 +448,17 @@ func TestAscendRangeMatchesPerEntryWalk(t *testing.T) {
 		if r.Intn(3) == 0 {
 			limit = r.Intn(200)
 		}
-		walk := func(scan func(lo, hi Bound, c *storage.Counters, fn func(types.Row, storage.RowID) bool)) ([]visit, storage.Counters) {
+		walk := func(scan func(lo, hi Bound, c *storage.Counters, fn func(Key, storage.RowID) bool)) ([]visit, storage.Counters) {
 			var out []visit
 			var c storage.Counters
-			scan(lo, hi, &c, func(k types.Row, id storage.RowID) bool {
+			scan(lo, hi, &c, func(k Key, id storage.RowID) bool {
 				out = append(out, visit{k.String(), id})
 				return len(out) != limit
 			})
 			return out, c
 		}
 		got, gotC := walk(tr.AscendRange)
-		want, wantC := walk(func(lo, hi Bound, c *storage.Counters, fn func(types.Row, storage.RowID) bool) {
+		want, wantC := walk(func(lo, hi Bound, c *storage.Counters, fn func(Key, storage.RowID) bool) {
 			ascendRangePerEntry(tr, lo, hi, c, fn)
 		})
 		if len(got) != len(want) {
@@ -441,6 +471,219 @@ func TestAscendRangeMatchesPerEntryWalk(t *testing.T) {
 		}
 		if gotC != wantC {
 			t.Fatalf("trial %d [%v, %v] limit %d: charged %+v, per-entry walk %+v", trial, lo, hi, limit, gotC, wantC)
+		}
+	}
+}
+
+// Min and Max skip the leaves Delete empties: deleting from the top empties
+// the rightmost leaf first, deleting from the bottom the leftmost.
+func TestMinMaxSkipEmptiedLeaves(t *testing.T) {
+	for _, fromTop := range []bool{true, false} {
+		tr := New(types.KindInt)
+		for i := 0; i < 100; i++ {
+			tr.Insert(intKey(int64(i)), rid(i))
+		}
+		lo, hi := int64(0), int64(99)
+		for lo <= hi {
+			if mn, mx := tr.Min(), tr.Max(); mn == nil || mx == nil || mn[0].Int() != lo || mx[0].Int() != hi {
+				t.Fatalf("fromTop=%v with keys [%d, %d] left: Min=%v Max=%v", fromTop, lo, hi, mn, mx)
+			}
+			if fromTop {
+				tr.Delete(intKey(hi), rid(int(hi)))
+				hi--
+			} else {
+				tr.Delete(intKey(lo), rid(int(lo)))
+				lo++
+			}
+		}
+		if tr.Min() != nil || tr.Max() != nil {
+			t.Fatalf("fromTop=%v: emptied tree has Min=%v Max=%v", fromTop, tr.Min(), tr.Max())
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// leavesOf returns the tree's leaves in key order, by descent.
+func leavesOf(n *node) []*node {
+	if n.leaf() {
+		return []*node{n}
+	}
+	var out []*node
+	for _, ch := range n.children {
+		out = append(out, leavesOf(ch)...)
+	}
+	return out
+}
+
+// Validate checks the leaf chain: a chain that skips a leaf, visits one out
+// of key order, or runs past the last leaf is reported.
+func TestValidateChecksLeafChain(t *testing.T) {
+	build := func() (*Tree, []*node) {
+		tr := New(types.KindInt)
+		for i := 0; i < 1000; i++ {
+			tr.Insert(intKey(int64(i)), rid(i))
+		}
+		return tr, leavesOf(tr.root)
+	}
+	if tr, leaves := build(); len(leaves) < 4 || tr.Validate() != nil {
+		t.Fatalf("intact tree: %d leaves, %v", len(leaves), tr.Validate())
+	}
+	breaks := map[string]func(l []*node){
+		"skip":     func(l []*node) { l[1].next = l[3] },
+		"swap":     func(l []*node) { l[0].next, l[2].next, l[1].next = l[2], l[1], l[3] },
+		"run past": func(l []*node) { l[len(l)-1].next = l[0] },
+		"cut":      func(l []*node) { l[2].next = nil },
+	}
+	for name, brk := range breaks {
+		tr, leaves := build()
+		brk(leaves)
+		if tr.Validate() == nil {
+			t.Errorf("%s: broken leaf chain validates", name)
+		}
+	}
+}
+
+// walkNodes calls fn on n and every node below it, parents first.
+func walkNodes(n *node, fn func(*node)) {
+	fn(n)
+	for _, ch := range n.children {
+		walkNodes(ch, fn)
+	}
+}
+
+// arrays lists len and cap of every array a node holds.
+func arrays(n *node) [][2]int {
+	var out [][2]int
+	for _, c := range n.cols {
+		for _, lc := range [][2]int{{len(c.ints), cap(c.ints)}, {len(c.floats), cap(c.floats)},
+			{len(c.strs), cap(c.strs)}, {len(c.nulls), cap(c.nulls)}} {
+			out = append(out, lc)
+		}
+	}
+	for _, sp := range n.spill {
+		out = append(out, [2]int{len(sp.rids), cap(sp.rids)})
+	}
+	return append(out, [2]int{len(n.ends), cap(n.ends)}, [2]int{len(n.rids), cap(n.rids)},
+		[2]int{len(n.spill), cap(n.spill)}, [2]int{len(n.children), cap(n.children)})
+}
+
+// TestNodeArraysRightSized: after sequential, reverse and random loads no
+// node array has more than about twice the capacity it uses (append doubles
+// a full array, and the allocator rounds it up to a size class), and after a
+// sequential or reverse load — whose split-off halves are never written
+// again — the tree as a whole holds at most a quarter more than it uses. A
+// split that re-sliced the full array would leave each left half at half
+// use.
+func TestNodeArraysRightSized(t *testing.T) {
+	const n = 20000
+	orders := map[string][]int{"sequential": make([]int, n), "reverse": make([]int, n), "random": rand.New(rand.NewSource(8)).Perm(n)}
+	for i := 0; i < n; i++ {
+		orders["sequential"][i] = i
+		orders["reverse"][i] = n - 1 - i
+	}
+	for name, order := range orders {
+		for _, dups := range []int{1, 4, 500} {
+			tr := New(types.KindInt)
+			for _, v := range order {
+				tr.Insert(intKey(int64(v/dups)), rid(v))
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			used, held := 0, 0
+			walkNodes(tr.root, func(nd *node) {
+				for _, lc := range arrays(nd) {
+					if lc[1] > 2*lc[0]+lc[0]/4+8 {
+						t.Errorf("%s, %d per key: array of %d holds %d", name, dups, lc[0], lc[1])
+					}
+					used += lc[0]
+					held += lc[1]
+				}
+			})
+			if name != "random" && 4*held > 5*used {
+				t.Errorf("%s, %d per key: node arrays hold %d for %d used", name, dups, held, used)
+			}
+		}
+	}
+}
+
+// twoPassSweep is Vacuum's index sweep as it was before Tree.Sweep: collect
+// every dead pair under Ascend, then delete each with its own descent.
+func twoPassSweep(tr *Tree, dead func(storage.RowID) bool) int {
+	type pair struct {
+		key types.Row
+		rid storage.RowID
+	}
+	var gone []pair
+	tr.Ascend(nil, func(k Key, id storage.RowID) bool {
+		if dead(id) {
+			gone = append(gone, pair{k.Row(), id})
+		}
+		return true
+	})
+	for _, p := range gone {
+		tr.Delete(p.key, p.rid)
+	}
+	return len(gone)
+}
+
+// leafContents renders each leaf's pairs, one string per leaf.
+func leafContents(tr *Tree) []string {
+	var out []string
+	for _, l := range leavesOf(tr.root) {
+		var sb []byte
+		for i := 0; i < l.len(); i++ {
+			sb = fmt.Appendf(sb, "%v%v ", Key{tr, l, i}, l.runOf(i))
+		}
+		out = append(out, string(sb))
+	}
+	return out
+}
+
+// TestSweepMatchesTwoPassDelete: the one-pass sweep removes the same pairs
+// as the two-pass collect-then-delete it replaces and leaves every leaf, the
+// node count and the height exactly as it does.
+func TestSweepMatchesTwoPassDelete(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20; trial++ {
+		a, b := New(types.KindString, types.KindInt), New(types.KindString, types.KindInt)
+		// Odd trials draw from few keys, so runs spill.
+		span := 40
+		if trial%2 == 1 {
+			span = 3
+		}
+		for i := 0; i < 3000; i++ {
+			k := types.Row{types.NewString(fmt.Sprint(r.Intn(span))), types.NewInt(int64(r.Intn(span)))}
+			if r.Intn(20) == 0 {
+				k[1] = types.Null
+			}
+			id := rid(r.Intn(100000))
+			a.Insert(k, id)
+			b.Insert(k, id)
+		}
+		frac := r.Intn(11) // 0..100% dead
+		dead := func(id storage.RowID) bool { return (int(id.Page)*7+int(id.Slot))%10 < frac }
+		want := twoPassSweep(a, dead)
+		if got := b.Sweep(dead); got != want {
+			t.Fatalf("trial %d: Sweep removed %d, two-pass %d", trial, got, want)
+		}
+		if err := b.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if a.Len() != b.Len() || a.KeyCount() != b.KeyCount() || a.Height() != b.Height() {
+			t.Fatalf("trial %d: len/keys/height %d/%d/%d vs two-pass %d/%d/%d", trial,
+				b.Len(), b.KeyCount(), b.Height(), a.Len(), a.KeyCount(), a.Height())
+		}
+		la, lb := leafContents(a), leafContents(b)
+		if len(la) != len(lb) {
+			t.Fatalf("trial %d: %d leaves vs two-pass %d", trial, len(lb), len(la))
+		}
+		for i := range la {
+			if la[i] != lb[i] {
+				t.Fatalf("trial %d leaf %d:\n sweep    %s\n two-pass %s", trial, i, lb[i], la[i])
+			}
 		}
 	}
 }

@@ -24,16 +24,25 @@ type Index struct {
 }
 
 // KeyFor extracts the index key from a base-table row. A single-column key
-// is a window onto the row itself, not a copy: stored rows are never
-// modified in place, and the tree keeps the key it is handed (see
-// btree.Tree.Insert), so an index entry costs no second copy of the datum
-// its heap row already holds.
+// is a window onto the row itself, not a copy: the tree copies a key into its
+// typed key columns and keeps no reference to it (see btree.Tree.Insert), so
+// the key only has to outlive the call it is handed to.
 func (ix *Index) KeyFor(row types.Row) types.Row {
 	if len(ix.Ordinal) == 1 {
 		o := ix.Ordinal[0]
 		return row[o : o+1 : o+1]
 	}
 	return row.Project(ix.Ordinal)
+}
+
+// NewIndexTree returns an empty tree for an index over the given column
+// ordinals of def: one key column per ordinal, of that column's kind.
+func NewIndexTree(def *schema.Table, ords []int) *btree.Tree {
+	kinds := make([]types.Kind, len(ords))
+	for i, o := range ords {
+		kinds[i] = def.Columns[o].Type
+	}
+	return btree.New(kinds...)
 }
 
 // SummaryTable is a DB2-style AST: a materialized single-table selection
@@ -224,7 +233,7 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool)
 		}
 		ords[i] = o
 	}
-	ix := &Index{Name: name, Table: te.Def.Name, Columns: columns, Ordinal: ords, Unique: unique, Tree: btree.New()}
+	ix := &Index{Name: name, Table: te.Def.Name, Columns: columns, Ordinal: ords, Unique: unique, Tree: NewIndexTree(te.Def, ords)}
 	// Bulk build.
 	var buildErr error
 	// Build over every physical version so the index matches what the

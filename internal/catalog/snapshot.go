@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 
-	"softdb/internal/btree"
 	"softdb/internal/expr"
 	"softdb/internal/schema"
 	"softdb/internal/stats"
@@ -637,7 +636,7 @@ func DecodeState(payload []byte, bind ExprBinder) (*Catalog, error) {
 					return nil, fmt.Errorf("catalog: snapshot index %s: no column %s", ixName, col)
 				}
 			}
-			ix := &Index{Name: ixName, Table: def.Name, Columns: ixCols, Ordinal: ords, Unique: unique, Tree: btree.New()}
+			ix := &Index{Name: ixName, Table: def.Name, Columns: ixCols, Ordinal: ords, Unique: unique, Tree: NewIndexTree(def, ords)}
 			// Rebuild over every physical version, not just live rows:
 			// the engine leaves dead versions' index entries in place
 			// until Vacuum, and restore must reproduce that state.

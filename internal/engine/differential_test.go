@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"softdb/internal/btree"
 	"softdb/internal/catalog"
 	"softdb/internal/expr"
 	"softdb/internal/mining"
@@ -439,7 +440,7 @@ func TestDifferentialDML(t *testing.T) {
 		t.Fatalf("row count %d want %d", te.Heap.RowCount(), len(shadow))
 	}
 	count := 0
-	te.Indexes[0].Tree.Ascend(nil, func(_ types.Row, rid storage.RowID) bool {
+	te.Indexes[0].Tree.Ascend(nil, func(_ btree.Key, rid storage.RowID) bool {
 		count++
 		return true
 	})

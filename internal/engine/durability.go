@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"softdb/internal/btree"
 	"softdb/internal/catalog"
 	"softdb/internal/exec"
 	"softdb/internal/expr"
@@ -297,7 +296,7 @@ func (db *Database) TruncateTable(table string) error {
 func (db *Database) truncateLocked(te *catalog.TableEntry) {
 	te.Heap.Truncate()
 	for _, ix := range te.Indexes {
-		ix.Tree = btree.New()
+		ix.Tree = catalog.NewIndexTree(te.Def, ix.Ordinal)
 	}
 	for _, st := range db.cat.SummariesOn(te.Def.Name) {
 		if st.Informational {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"softdb/internal/btree"
 	"softdb/internal/catalog"
 	"softdb/internal/exec"
 	"softdb/internal/fault"
@@ -47,7 +48,7 @@ func renderState(db *Database) string {
 		for _, ix := range te.Indexes {
 			fmt.Fprintf(&sb, "  INDEX %s unique=%v cols=%v entries=%d\n",
 				ix.Name, ix.Unique, ix.Columns, ix.Tree.Len())
-			ix.Tree.Ascend(nil, func(key types.Row, rid storage.RowID) bool {
+			ix.Tree.Ascend(nil, func(key btree.Key, rid storage.RowID) bool {
 				fmt.Fprintf(&sb, "    %v -> %v\n", key, rid)
 				return true
 			})
@@ -245,7 +246,7 @@ func durabilityWorkload() []wop {
 	ops = append(ops, wop{desc: "link exception AST", run: func(db *Database) error {
 		return db.LinkException("cheapish", "pricey")
 	}})
-	ops = append(ops, sqlOpFails("CREATE TABLE orders (id INT)"))       // duplicate table
+	ops = append(ops, sqlOpFails("CREATE TABLE orders (id INT)"))           // duplicate table
 	ops = append(ops, sqlOpFails("INSERT INTO orders VALUES (0, 1, 1, 1)")) // duplicate PK
 	ops = append(ops, wop{desc: "truncate items", run: func(db *Database) error {
 		return db.TruncateTable("items")

@@ -8,8 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"softdb/internal/btree"
 	"softdb/internal/storage"
-	"softdb/internal/types"
 )
 
 // TestConcurrentSessions hammers one Database from many goroutines mixing
@@ -206,7 +206,7 @@ func runConcurrentSessions(t *testing.T, db *Database) {
 	// their entries, the v-index holds exactly one entry per live row.
 	db.Vacuum()
 	count := 0
-	te.Indexes[0].Tree.Ascend(nil, func(_ types.Row, _ storage.RowID) bool {
+	te.Indexes[0].Tree.Ascend(nil, func(_ btree.Key, _ storage.RowID) bool {
 		count++
 		return true
 	})

@@ -370,20 +370,10 @@ func (db *Database) Vacuum() int {
 		}
 		n += te.Heap.Vacuum(h)
 		for _, ix := range te.Indexes {
-			type entry struct {
-				key types.Row
-				rid storage.RowID
-			}
-			var dead []entry
-			ix.Tree.Ascend(nil, func(key types.Row, rid storage.RowID) bool {
-				if b, _, ok := te.Heap.Meta(rid); !ok || b == storage.Aborted {
-					dead = append(dead, entry{key, rid})
-				}
-				return true
+			ix.Tree.Sweep(func(rid storage.RowID) bool {
+				b, _, ok := te.Heap.Meta(rid)
+				return !ok || b == storage.Aborted
 			})
-			for _, e := range dead {
-				ix.Tree.Delete(e.key, e.rid)
-			}
 		}
 	}
 	return n

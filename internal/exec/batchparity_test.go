@@ -28,7 +28,7 @@ func wideHeap(t *testing.T, n int) (*storage.Heap, *catalog.Index) {
 		schema.Column{Name: "qty", Type: types.KindInt, Nullable: true},
 	)
 	h := storage.NewHeap(def)
-	ix := &catalog.Index{Name: "iw", Table: "w", Columns: []string{"id"}, Ordinal: []int{0}, Tree: btree.New()}
+	ix := &catalog.Index{Name: "iw", Table: "w", Columns: []string{"id"}, Ordinal: []int{0}, Tree: btree.New(types.KindInt)}
 	for i := 0; i < n; i++ {
 		cust := types.Datum(types.NewInt(int64(i*7%23 - 3)))
 		name := types.Datum(types.NewString(fmt.Sprint("c", i*7%23)))
@@ -168,7 +168,7 @@ func TestPageSet(t *testing.T) {
 // largest key for an open upper side, and declining every key kind it
 // cannot interpolate.
 func TestRangeEntries(t *testing.T) {
-	tree := btree.New()
+	tree := btree.New(types.KindInt)
 	tree.Insert(types.Row{types.NewInt(9999)}, storage.RowID{})
 	scan := func(hi btree.Bound) *IndexScan {
 		return &IndexScan{Index: &catalog.Index{Tree: tree}, Hi: hi}

@@ -253,8 +253,10 @@ type IndexScan struct {
 type indexChunk struct {
 	rids []storage.RowID
 	// nulls counts the leading rids whose key starts with NULL (NULL keys
-	// sort first); first is the key of the first other rid (nil when there
-	// is none) and last the key of the last rid.
+	// sort first). When more entries follow the chunk, first is the key of
+	// the first other rid (nil when there is none) and last the key of the
+	// last rid; a chunk that ends the range needs neither, and leaves them
+	// nil.
 	nulls       int
 	first, last types.Row
 }
@@ -274,14 +276,18 @@ var ridPool = sync.Pool{New: func() any { return new([]storage.RowID) }}
 // into buf, resuming after the pair (afterKey, afterRID) when resume is
 // true. Duplicate-key rids enumerate in RowID order, so (key, rid) is a
 // total resume position. It returns the collected chunk and whether the
-// range may hold more entries beyond it.
+// range may hold more entries beyond it. The tree lends its keys only for
+// the walk, so the two end keys are copied out when the chunk fills, and no
+// other key is.
 func collectChunk(t *btree.Tree, lo, hi btree.Bound, resume bool, afterKey types.Row, afterRID storage.RowID, c *storage.Counters, buf []storage.RowID) (indexChunk, bool) {
 	if resume {
 		lo = btree.Bound{Key: afterKey, Inclusive: true}
 	}
 	ch := indexChunk{rids: buf[:0]}
 	more := false
-	t.AscendRange(lo, hi, c, func(key types.Row, rid storage.RowID) bool {
+	var first, last btree.Key
+	haveFirst := false
+	t.AscendRange(lo, hi, c, func(key btree.Key, rid storage.RowID) bool {
 		if resume {
 			// Only the resume key's own rids can repeat the previous chunk;
 			// keys ascend, so the first larger key ends the check.
@@ -293,17 +299,21 @@ func collectChunk(t *btree.Tree, lo, hi btree.Bound, resume bool, afterKey types
 		}
 		if len(ch.rids) == indexChunkEntries {
 			more = true
+			if haveFirst {
+				ch.first = first.Row()
+			}
+			ch.last = last.Row()
 			return false
 		}
 		switch {
-		case ch.first != nil:
-		case key[0].IsNull():
+		case haveFirst:
+		case key.Datum(0).IsNull():
 			ch.nulls++
 		default:
-			ch.first = key
+			first, haveFirst = key, true
 		}
 		ch.rids = append(ch.rids, rid)
-		ch.last = key
+		last = key
 		return true
 	})
 	return ch, more
@@ -391,7 +401,7 @@ func (s *IndexScan) fetch(ctx *Ctx, chunk indexChunk, more bool, visit func(type
 			return nil
 		}
 		after := chunk.rids[len(chunk.rids)-1]
-		chunk, more = collectChunk(s.Index.Tree, s.Lo, s.Hi, true, chunk.last.Clone(), after, &ctx.IO, chunk.rids)
+		chunk, more = collectChunk(s.Index.Tree, s.Lo, s.Hi, true, chunk.last, after, &ctx.IO, chunk.rids)
 	}
 }
 
@@ -636,12 +646,13 @@ func (m *IndexMinMax) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 		// cost model keeps the pre-MVCC "one descent" shape, and vacuumed
 		// indexes shed the stale entries again.
 		ctx.IO.AddPages(int64(sp.Index.Tree.Height()))
-		var key types.Row
-		visit := func(k types.Row, rid storage.RowID) bool {
+		var key types.Datum
+		found := false
+		visit := func(k btree.Key, rid storage.RowID) bool {
 			if _, ok := m.Heap.GetAt(rid, snap, tid); !ok {
 				return true // stale entry; keep walking inward
 			}
-			key = k
+			key, found = k.Datum(0), true
 			return false
 		}
 		if sp.Max {
@@ -649,10 +660,8 @@ func (m *IndexMinMax) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 		} else {
 			sp.Index.Tree.Ascend(nil, visit)
 		}
-		if key == nil {
-			out[i] = types.Null
-		} else {
-			out[i] = key[0]
+		out[i] = key
+		if found {
 			ctx.IO.AddRows(1)
 		}
 	}

@@ -71,7 +71,7 @@ func TestSeqScanFilter(t *testing.T) {
 
 func TestIndexScanRangeAndPageDedup(t *testing.T) {
 	h := testHeap(t, 1000)
-	ix := &catalog.Index{Name: "ia", Table: "t", Columns: []string{"a"}, Ordinal: []int{0}, Tree: btree.New()}
+	ix := &catalog.Index{Name: "ia", Table: "t", Columns: []string{"a"}, Ordinal: []int{0}, Tree: btree.New(types.KindInt)}
 	h.Scan(nil, func(id storage.RowID, row types.Row) bool {
 		ix.Tree.Insert(ix.KeyFor(row), id)
 		return true
