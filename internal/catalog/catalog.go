@@ -579,6 +579,19 @@ func (c *Catalog) AllJoinHoles() []*JoinHoles {
 	return out
 }
 
+// JoinHolesOn lists, in name order, the join-hole sets with table on
+// either side.
+func (c *Catalog) JoinHolesOn(table string) []*JoinHoles {
+	var out []*JoinHoles
+	for _, jh := range c.holes {
+		if strings.EqualFold(jh.LeftTable, table) || strings.EqualFold(jh.RightTable, table) {
+			out = append(out, jh)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
 // Touch bumps the catalog version; used by soft-constraint maintenance when
 // it mutates registered objects in place.
 func (c *Catalog) Touch() { c.version++ }

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"softdb/internal/expr"
+	"softdb/internal/types"
 )
 
 // Mode is a constraint's enforcement mode, the paper's central distinction.
@@ -155,6 +156,28 @@ func (c *Constraint) Describe() string {
 	}
 	b.WriteString("]")
 	return b.String()
+}
+
+// Admits reports whether row satisfies the constraint's CHECK predicate,
+// with SQL CHECK semantics: TRUE and NULL pass, FALSE fails. A predicate
+// that fails to evaluate, or yields a value that is not a BOOL, fails the
+// row too, and the error says why. Enforcement, the soft write hook,
+// declaration over existing rows, recovery and confidence refresh all ask
+// this method (DESIGN.md §25). Constraints of other kinds admit every row.
+func (c *Constraint) Admits(row types.Row) (bool, error) {
+	if c.Kind != Check || c.CheckExpr == nil {
+		return true, nil
+	}
+	v, err := c.CheckExpr.Eval(row)
+	switch {
+	case err != nil:
+		return false, err
+	case v.IsNull():
+		return true, nil
+	case v.Kind() != types.KindBool:
+		return false, fmt.Errorf("catalog: check constraint %s evaluated to %s, not BOOL", c.Name, v.Kind())
+	}
+	return v.Bool(), nil
 }
 
 // IsKeyOver reports whether the constraint guarantees uniqueness over

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"softdb/internal/expr"
+	"softdb/internal/types"
 )
 
 // LinearCorrelation is the paper's §2 [10] mined characterization: for a
@@ -48,6 +49,32 @@ func (lc *LinearCorrelation) Describe() string {
 // Usable reports whether the optimizer may employ the correlation: active
 // and past probation.
 func (lc *LinearCorrelation) Usable() bool { return lc.Active && !lc.Probation }
+
+// Admits reports whether the pair (a, b) of ColA and ColB values lies in
+// the envelope A = K*B + B0 ± Eps; a pair with a NULL passes. It tests both
+// directions with the float operations the rewriter's deriveOther performs
+// for a point, and rounding is monotone, so every bound derived from a
+// filter on either column contains every admitted pair (DESIGN.md §25).
+// Arithmetic that overflows to NaN admits nothing.
+func (lc *LinearCorrelation) Admits(a, b types.Datum) bool {
+	if a.IsNull() || b.IsNull() {
+		return true
+	}
+	af, bf := a.Float(), b.Float()
+	lo, hi := lc.B0-lc.Eps, lc.B0+lc.Eps
+	kb := lc.K * bf
+	if !(kb+lo <= af && af <= kb+hi) {
+		return false
+	}
+	if lc.K == 0 {
+		return true
+	}
+	blo, bhi := (af-hi)/lc.K, (af-lo)/lc.K
+	if lc.K < 0 {
+		blo, bhi = bhi, blo
+	}
+	return blo <= bf && bf <= bhi
+}
 
 // IsAbsolute reports whether the correlation holds for every row.
 func (lc *LinearCorrelation) IsAbsolute() bool { return lc.Confidence >= 1 }

@@ -98,8 +98,7 @@ func (db *Database) verifyConstraintRows(te *catalog.TableEntry, con *catalog.Co
 	case catalog.Check:
 		var bad int64
 		te.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-			ok, err := expr.EvalBool(con.CheckExpr, row)
-			if err != nil || !ok {
+			if ok, _ := con.Admits(row); !ok {
 				bad++
 			}
 			return true

@@ -149,19 +149,12 @@ func (db *Database) checkConstraints(te *catalog.TableEntry, row types.Row, self
 func (db *Database) checkOne(te *catalog.TableEntry, con *catalog.Constraint, row types.Row, selfRid storage.RowID) error {
 	switch con.Kind {
 	case catalog.Check:
-		v, err := con.CheckExpr.Eval(row)
+		ok, err := con.Admits(row)
 		if err != nil {
 			return err
 		}
-		// SQL check semantics: NULL passes, FALSE fails. A non-boolean
-		// check expression is a type error, not a Bool() accessor panic.
-		if !v.IsNull() {
-			if v.Kind() != types.KindBool {
-				return fmt.Errorf("engine: check constraint %s evaluated to %s, not BOOL", con.Name, v.Kind())
-			}
-			if !v.Bool() {
-				return fmt.Errorf("engine: row violates check constraint %s", con.Name)
-			}
+		if !ok {
+			return fmt.Errorf("engine: row violates check constraint %s", con.Name)
 		}
 	case catalog.PrimaryKey, catalog.Unique:
 		ords := ordinalsOf(te, con.Columns)
@@ -258,85 +251,85 @@ func (db *Database) checkOne(te *catalog.TableEntry, con *catalog.Constraint, ro
 	return nil
 }
 
-// checkSoftOnWrite handles ModeSoftAbsolute constraints and other absolute
-// soft characterizations: a violating write succeeds, but the
-// characterization is deactivated (§4.1's maintenance of last resort) or
-// cheaply repaired (§4.3's hole dropping).
-func (db *Database) checkSoftOnWrite(te *catalog.TableEntry, row types.Row) {
-	for _, con := range te.Constraints {
-		if !con.Active || con.Mode != catalog.ModeSoftAbsolute || con.Kind != catalog.Check {
-			continue
+// softWrite is the one soft write hook: commit and WAL replay call it for
+// every committed row effect, in op order, so a recovered catalog evolves
+// exactly as the live one did. It walks the table's characterizations once.
+// An inserted row that violates an absolute one still commits: the ASC or
+// correlation is deactivated (§4.1's maintenance of last resort) and the
+// join holes its values fall in are retired without running the join
+// (§4.3's cheap repair). Then the ASTs take the row's effect stamped ts
+// (the commit timestamp live, storage.CommittedMin on replay), and §3.3's
+// currency counters advance. Each characterization's time is charged to
+// the economy ledger.
+func (db *Database) softWrite(te *catalog.TableEntry, row types.Row, insert bool, ts int64) {
+	name := te.Def.Name
+	corrs := db.cat.Correlations(name)
+	holes := db.cat.JoinHolesOn(name)
+	if insert {
+		for _, con := range te.Constraints {
+			if !con.Active || con.Mode != catalog.ModeSoftAbsolute || con.Kind != catalog.Check {
+				continue
+			}
+			start := db.maintTimer()
+			if ok, _ := con.Admits(row); !ok {
+				_ = db.cat.DeactivateConstraint(name, con.Name)
+				db.obs.metrics.Counter(mASCViolations).Inc()
+				db.notify("ASC %s on %s deactivated by violating write", con.Name, name)
+			}
+			db.chargeMaint(con.Name, start)
 		}
-		start := db.maintTimer()
-		v, err := con.CheckExpr.Eval(row)
-		if err == nil && v.Kind() == types.KindBool && !v.Bool() {
-			_ = db.cat.DeactivateConstraint(te.Def.Name, con.Name)
-			db.obs.metrics.Counter(mASCViolations).Inc()
-			db.notify("ASC %s on %s deactivated by violating write", con.Name, te.Def.Name)
-		}
-		db.chargeMaint(con.Name, start)
-	}
-	// Absolute linear correlations: drop on violation.
-	for _, lc := range db.cat.Correlations(te.Def.Name) {
-		if !lc.IsAbsolute() {
-			continue
-		}
-		aOrd, bOrd := te.Def.ColumnIndex(lc.ColA), te.Def.ColumnIndex(lc.ColB)
-		if aOrd < 0 || bOrd < 0 {
-			continue
-		}
-		start := db.maintTimer()
-		a, b := row[aOrd], row[bOrd]
-		if !a.IsNull() && !b.IsNull() {
-			diff := a.Float() - lc.K*b.Float()
-			if diff < lc.B0-lc.Eps || diff > lc.B0+lc.Eps {
+		for _, lc := range corrs {
+			if !lc.IsAbsolute() {
+				continue
+			}
+			aOrd, bOrd := te.Def.ColumnIndex(lc.ColA), te.Def.ColumnIndex(lc.ColB)
+			if aOrd < 0 || bOrd < 0 {
+				continue
+			}
+			start := db.maintTimer()
+			if !lc.Admits(row[aOrd], row[bOrd]) {
 				_ = db.cat.DeactivateCorrelation(lc.Name)
 				db.obs.metrics.Counter(mCorrDrops).Inc()
 				db.notify("linear correlation %s deactivated by violating write", lc.Name)
 			}
+			db.chargeMaint(lc.Name, start)
 		}
-		db.chargeMaint(lc.Name, start)
-	}
-	// Join holes: cheap synchronous repair (§4.3) — assume the new value
-	// violates any hole containing its attribute value and retire those
-	// holes without running the join.
-	for _, jh := range db.cat.AllJoinHoles() {
-		if !jh.Active {
-			continue
-		}
-		start := db.maintTimer()
-		var dropped int
-		if strings.EqualFold(jh.LeftTable, te.Def.Name) {
-			if ord := te.Def.ColumnIndex(jh.AttrLeft); ord >= 0 && !row[ord].IsNull() {
-				dropped += jh.DropHolesIntersecting(expr.Point(row[ord]), expr.Unbounded())
+		for _, jh := range holes {
+			if !jh.Active {
+				continue
 			}
-		}
-		if strings.EqualFold(jh.RightTable, te.Def.Name) {
-			if ord := te.Def.ColumnIndex(jh.AttrRight); ord >= 0 && !row[ord].IsNull() {
-				dropped += jh.DropHolesIntersecting(expr.Unbounded(), expr.Point(row[ord]))
+			start := db.maintTimer()
+			var dropped int
+			if strings.EqualFold(jh.LeftTable, name) {
+				if ord := te.Def.ColumnIndex(jh.AttrLeft); ord >= 0 && !row[ord].IsNull() {
+					dropped += jh.DropHolesIntersecting(expr.Point(row[ord]), expr.Unbounded())
+				}
 			}
+			if strings.EqualFold(jh.RightTable, name) {
+				if ord := te.Def.ColumnIndex(jh.AttrRight); ord >= 0 && !row[ord].IsNull() {
+					dropped += jh.DropHolesIntersecting(expr.Unbounded(), expr.Point(row[ord]))
+				}
+			}
+			if dropped > 0 {
+				db.cat.Touch()
+				db.obs.metrics.Counter(mHolesRetired).Add(int64(dropped))
+				db.notify("join holes %s: %d holes retired by write to %s", jh.Name, dropped, name)
+			}
+			db.chargeMaint(jh.Name, start)
 		}
-		if dropped > 0 {
-			db.cat.Touch()
-			db.obs.metrics.Counter(mHolesRetired).Add(int64(dropped))
-			db.notify("join holes %s: %d holes retired by write to %s", jh.Name, dropped, te.Def.Name)
-		}
-		db.chargeMaint(jh.Name, start)
 	}
-}
-
-// maintainSummaries keeps materialized ASTs synchronized and bumps
-// informational AST estimates.
-func (db *Database) maintainSummaries(te *catalog.TableEntry, row types.Row, insert bool) {
-	for _, st := range db.cat.SummariesOn(te.Def.Name) {
+	for _, st := range db.cat.SummariesOn(name) {
 		start := db.maintTimer()
-		db.maintainSummary(st, row, insert)
+		maintainSummary(st, row, insert, ts)
 		db.chargeMaint(st.Name, start)
 	}
+	bumpCurrency(te, corrs, holes)
 }
 
-// maintainSummary applies one row's effect to one AST.
-func (db *Database) maintainSummary(st *catalog.SummaryTable, row types.Row, insert bool) {
+// maintainSummary applies one row's effect to one AST: a materialized AST
+// gains a copy committed at ts or ends one matching copy at ts; an
+// informational one moves its row estimate.
+func maintainSummary(st *catalog.SummaryTable, row types.Row, insert bool, ts int64) {
 	if st.Where != nil {
 		ok, err := expr.EvalBool(st.Where, row)
 		if err != nil || !ok {
@@ -352,10 +345,9 @@ func (db *Database) maintainSummary(st *catalog.SummaryTable, row types.Row, ins
 		return
 	}
 	if insert {
-		st.Heap.Insert(row.Clone())
+		st.Heap.InsertCommitted(row.Clone(), ts)
 		return
 	}
-	// Remove one matching copy.
 	var target storage.RowID
 	found := false
 	st.Heap.Scan(nil, func(rid storage.RowID, r types.Row) bool {
@@ -366,7 +358,7 @@ func (db *Database) maintainSummary(st *catalog.SummaryTable, row types.Row, ins
 		return true
 	})
 	if found {
-		st.Heap.Delete(target)
+		st.Heap.SetEnd(target, ts)
 	}
 }
 
@@ -388,21 +380,22 @@ func (db *Database) chargeMaint(name string, start time.Time) {
 	db.obs.econ.AddMaintenance(name, time.Since(start))
 }
 
-// bumpCurrency advances §3.3's staleness counters on statistical soft
-// characterizations over the table.
-func (db *Database) bumpCurrency(te *catalog.TableEntry) {
+// bumpCurrency advances §3.3's staleness counters on the table's
+// statistical soft constraints, its active correlations (corrs, less any
+// the write just deactivated) and its join-hole sets.
+func bumpCurrency(te *catalog.TableEntry, corrs []*catalog.LinearCorrelation, holes []*catalog.JoinHoles) {
 	for _, con := range te.Constraints {
 		if con.Mode == catalog.ModeSoftStatistical {
 			con.ModsSince++
 		}
 	}
-	for _, lc := range db.cat.Correlations(te.Def.Name) {
-		lc.ModsSince++
-	}
-	for _, jh := range db.cat.AllJoinHoles() {
-		if strings.EqualFold(jh.LeftTable, te.Def.Name) || strings.EqualFold(jh.RightTable, te.Def.Name) {
-			jh.ModsSince++
+	for _, lc := range corrs {
+		if lc.Active {
+			lc.ModsSince++
 		}
+	}
+	for _, jh := range holes {
+		jh.ModsSince++
 	}
 }
 

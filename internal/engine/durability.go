@@ -305,7 +305,7 @@ func (db *Database) truncateLocked(te *catalog.TableEntry) {
 			st.Heap.Truncate()
 		}
 	}
-	db.bumpCurrency(te)
+	bumpCurrency(te, db.cat.Correlations(te.Def.Name), db.cat.JoinHolesOn(te.Def.Name))
 	db.cat.Touch()
 }
 
@@ -605,9 +605,8 @@ func (db *Database) Close() error {
 
 // redo applies one replayed record. It mirrors the live DML paths minus
 // enforced-constraint checking (the pre-crash engine already admitted these
-// rows) while keeping the soft-constraint write hooks, summary maintenance
-// and currency bookkeeping, so the recovered catalog evolves exactly as the
-// original did.
+// rows) and runs the same soft write hook commit does, so the recovered
+// catalog evolves exactly as the original did.
 func (db *Database) redo(r *wal.Record) error {
 	fail := func(cause error) error {
 		return &exec.QueryError{Op: "engine.recover", Kind: exec.KindRecovery,
@@ -619,7 +618,6 @@ func (db *Database) redo(r *wal.Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		db.checkSoftOnWrite(te, r.Row)
 		// Replay at the logged RID: commit order is not slot order (an
 		// earlier-slotted transaction may have committed later), so the
 		// row must land exactly where the live run put it or every later
@@ -630,29 +628,7 @@ func (db *Database) redo(r *wal.Record) error {
 		for _, ix := range te.Indexes {
 			ix.Tree.Insert(ix.KeyFor(r.Row), r.RID)
 		}
-		db.maintainSummaries(te, r.Row, true)
-		db.bumpCurrency(te)
-	case wal.TypeUpdate:
-		te, err := db.cat.Table(r.Table)
-		if err != nil {
-			return fail(err)
-		}
-		old, ok := te.Heap.Get(r.RID)
-		if !ok {
-			return fail(fmt.Errorf("no live row at %v", r.RID))
-		}
-		db.checkSoftOnWrite(te, r.Row)
-		for _, ix := range te.Indexes {
-			oldKey, newKey := ix.KeyFor(old), ix.KeyFor(r.Row)
-			if !oldKey.Equal(newKey) {
-				ix.Tree.Delete(oldKey, r.RID)
-				ix.Tree.Insert(newKey, r.RID)
-			}
-		}
-		te.Heap.Update(r.RID, r.Row)
-		db.maintainSummaries(te, old, false)
-		db.maintainSummaries(te, r.Row, true)
-		db.bumpCurrency(te)
+		db.softWrite(te, r.Row, true, storage.CommittedMin)
 	case wal.TypeDelete:
 		te, err := db.cat.Table(r.Table)
 		if err != nil {
@@ -667,8 +643,7 @@ func (db *Database) redo(r *wal.Record) error {
 		// entries) in place for Vacuum, and recovery must converge on
 		// the same physical state.
 		te.Heap.SetEnd(r.RID, storage.CommittedMin)
-		db.maintainSummaries(te, old, false)
-		db.bumpCurrency(te)
+		db.softWrite(te, old, false, storage.CommittedMin)
 	case wal.TypeDDL:
 		stmt, perr := sql.Parse(r.SQL)
 		if perr != nil {
@@ -741,12 +716,8 @@ func (db *Database) revalidateSoft(rs *RecoveryStats) {
 			rs.Revalidated++
 			ok := true
 			te.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-				v, verr := con.CheckExpr.Eval(row)
-				if verr == nil && v.Kind() == types.KindBool && !v.Bool() {
-					ok = false
-					return false
-				}
-				return true
+				ok, _ = con.Admits(row)
+				return ok
 			})
 			if !ok {
 				_ = db.cat.DeactivateConstraint(te.Def.Name, con.Name)
@@ -764,16 +735,8 @@ func (db *Database) revalidateSoft(rs *RecoveryStats) {
 			rs.Revalidated++
 			ok := true
 			te.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-				a, b := row[aOrd], row[bOrd]
-				if a.IsNull() || b.IsNull() {
-					return true
-				}
-				diff := a.Float() - lc.K*b.Float()
-				if diff < lc.B0-lc.Eps || diff > lc.B0+lc.Eps {
-					ok = false
-					return false
-				}
-				return true
+				ok = lc.Admits(row[aOrd], row[bOrd])
+				return ok
 			})
 			if !ok {
 				_ = db.cat.DeactivateCorrelation(lc.Name)

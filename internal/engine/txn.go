@@ -195,20 +195,14 @@ func (db *Database) commitTx(tx *Tx) ([]string, error) {
 			op.te.Heap.SetBegin(op.rid, cts)
 		}
 	}
-	// Commit-scoped soft hooks, in op order: ASC violation checks,
-	// summary-table maintenance, staleness bumps, and their economy
+	// The soft write hook runs per op, in op order, so ASC violation
+	// checks, summary-table maintenance, staleness bumps and their economy
 	// charges fire only for effects that actually commit. The runtime
 	// lock fences the catalog fields prune-predicate Check closures read
 	// during lock-free query execution.
 	catalog.RuntimeLock()
 	for _, op := range tx.ops {
-		if op.del {
-			db.maintainSummaries(op.te, op.row, false)
-		} else {
-			db.checkSoftOnWrite(op.te, op.row)
-			db.maintainSummaries(op.te, op.row, true)
-		}
-		db.bumpCurrency(op.te)
+		db.softWrite(op.te, op.row, !op.del, cts)
 	}
 	catalog.RuntimeUnlock()
 	db.txnMgr.Publish(cts)
@@ -351,7 +345,8 @@ func (db *Database) rollbackStmt(sess *Session) (*Result, error) {
 
 // Vacuum physically sheds row versions no present or future snapshot can
 // see (committed-ended before the oldest pinned snapshot, and aborted
-// slots), returning how many were shed. Index entries pointing at
+// slots) from tables and summary tables, returning how many were shed.
+// Index entries pointing at
 // reclaimed slots are swept in the same pass, restoring the
 // one-entry-per-version invariant the write path relaxes (commit-time
 // deletes leave entries behind for exactly this pass to collect).
@@ -363,6 +358,11 @@ func (db *Database) Vacuum() int {
 	defer db.mu.Unlock()
 	h := db.txnMgr.Horizon()
 	n := 0
+	for _, st := range db.cat.AllSummaries() {
+		if st.Heap != nil {
+			n += st.Heap.Vacuum(h)
+		}
+	}
 	for _, name := range db.cat.TableNames() {
 		te, err := db.cat.Table(name)
 		if err != nil {

@@ -223,16 +223,18 @@ func skipperHeaps(rng *rand.Rand) []namedHeap {
 	for i, id := range ids {
 		page := int(id.Page)
 		switch {
-		case page == 30: // dead-only page
-			h.Delete(id)
+		case page == 30: // dead-only page once vacuumed
+			h.SetEnd(id, 40)
 		case page%7 == 2 && i%5 == 0:
-			h.Delete(id)
+			h.SetEnd(id, 40)
 		case page%7 == 4 && i%4 == 0:
+			// An update: the old version ends, the new one lands at the tail.
 			r := row(page)
 			if i%8 == 0 {
 				r = types.Row{types.Null, types.Null, types.Null, types.Null}
 			}
-			h.Update(id, r)
+			h.SetEnd(id, 40)
+			h.Insert(r)
 		case page%7 == 5 && i%3 == 0:
 			h.SetEnd(id, 50)
 		}

@@ -211,15 +211,16 @@ func TestPrunedScanNeverActsOnTornEntry(t *testing.T) {
 }
 
 // TestFilteredScanNeverOutrunsLegacyWrites runs filtered SeqScans while one
-// writer applies the legacy Insert and Delete to the same heap. Both act on
-// every snapshot at once: a legacy Delete stamps the version aborted and then
-// recomputes the page's entry, shrinking it; a legacy Insert widens the entry
-// and publishes the slot. Most pages hold values inside the filter's range
-// plus an outlier or two, so deleting the outliers makes the filter provable
-// for the page. A scan that took a page's entry after reading its rows could
-// find an entry that no longer covers a row it read, skip the filter for the
-// whole page and return that row unfiltered. Every row a scan returns must
-// satisfy the filter.
+// writer inserts and retracts rows of the same heap. Committed rows go in
+// through Insert. Outliers go in as versions of the scanning transaction,
+// visible to its scans, and the writer later aborts them: AbortInsert
+// recomputes the page's entry and shrinks it, the one writer that takes a
+// row out of an entry while readers run. Most pages hold values inside the
+// filter's range plus an outlier or two, so aborting the outliers makes the
+// filter provable for the page. A scan that took a page's entry after
+// reading its rows could find an entry that no longer covers a row it read,
+// skip the filter for the whole page and return that row unfiltered. Every
+// row a scan returns must satisfy the filter.
 func TestFilteredScanNeverOutrunsLegacyWrites(t *testing.T) {
 	const width = 40 // a dozen rows a page, and 40 columns per recompute
 	cols := make([]schema.Column, width)
@@ -238,6 +239,7 @@ func TestFilteredScanNeverOutrunsLegacyWrites(t *testing.T) {
 	// The writer fills a heap to heapRows versions, then starts a fresh one,
 	// so scans stay short and deletes keep finding outliers to remove.
 	const heapRows = 2400
+	const scanTID = 9
 	var cur atomic.Pointer[storage.Heap]
 	cur.Store(storage.NewHeap(def))
 
@@ -264,19 +266,16 @@ func TestFilteredScanNeverOutrunsLegacyWrites(t *testing.T) {
 				cur.Store(h)
 			}
 			if r := rng.Intn(3); r > 0 || len(outliers) == 0 {
-				v := int64(rng.Intn(11))
 				if rng.Intn(6) == 0 {
-					v = 50
+					outliers = append(outliers, h.InsertVersion(row(id, 50), scanTID))
+				} else {
+					h.Insert(row(id, int64(rng.Intn(11))))
 				}
-				rid := h.Insert(row(id, v))
 				id++
-				if v == 50 {
-					outliers = append(outliers, rid)
-				}
 				continue
 			}
 			i := rng.Intn(len(outliers))
-			h.Delete(outliers[i])
+			h.AbortInsert(outliers[i])
 			outliers[i] = outliers[len(outliers)-1]
 			outliers = outliers[:len(outliers)-1]
 		}
@@ -298,7 +297,7 @@ func TestFilteredScanNeverOutrunsLegacyWrites(t *testing.T) {
 					return
 				default:
 				}
-				ctx := &Ctx{}
+				ctx := &Ctx{TID: scanTID}
 				got, err := Collect(&SeqScan{Table: "legacy", Heap: cur.Load(), Filter: filter}, ctx, 0)
 				if err != nil {
 					t.Error(err)

@@ -26,18 +26,47 @@ type Origin struct {
 }
 
 // NumericFromFloat converts f to a datum of the given kind, truncating for
-// the integer kinds — the one conversion both the deriving rewrite and
-// Origin.Apply use, so a rebound constant is bit-identical to a re-derived
-// one.
+// the integer kinds and saturating past the int64 range — the one
+// conversion both the deriving rewrite and Origin.Apply use, so a rebound
+// constant is bit-identical to a re-derived one.
 func NumericFromFloat(kind types.Kind, f float64) types.Datum {
 	switch kind {
 	case types.KindInt:
-		return types.NewInt(int64(f))
+		return types.NewInt(saturateInt(f))
 	case types.KindDate:
-		return types.NewDate(int64(f))
+		return types.NewDate(saturateInt(f))
 	default:
 		return types.NewFloat(f)
 	}
+}
+
+func saturateInt(f float64) int64 {
+	switch {
+	case f >= 0x1p63:
+		return math.MaxInt64
+	case f <= -0x1p63:
+		return math.MinInt64
+	}
+	return int64(f)
+}
+
+// RoundOutward rounds a float bound on an INT or DATE column to an integer
+// away from the interval: down for a lower bound (dir < 0), up for an
+// upper one. Past 2^53, where float64 skips integers, an integer whose
+// image meets the bound can lie just beyond it, so the bound steps one
+// float further out. The deriving rewrite and Origin.Apply both round
+// here, so a rebound constant is bit-identical to a re-derived one.
+func RoundOutward(f float64, dir int8) float64 {
+	out := math.Inf(1)
+	if dir < 0 {
+		f, out = math.Floor(f), math.Inf(-1)
+	} else {
+		f = math.Ceil(f)
+	}
+	if math.Abs(f) >= 0x1p53 {
+		f = math.Nextafter(f, out)
+	}
+	return f
 }
 
 // Apply recomputes the constant for the literal vector lits. like is the
@@ -48,11 +77,8 @@ func (o Origin) Apply(lits []types.Datum, like types.Datum) types.Datum {
 		return lit
 	}
 	f := lit.Float() + o.Add
-	switch o.Round {
-	case -1:
-		f = math.Floor(f)
-	case 1:
-		f = math.Ceil(f)
+	if o.Round != 0 {
+		f = RoundOutward(f, o.Round)
 	}
 	return NumericFromFloat(like.Kind(), f)
 }

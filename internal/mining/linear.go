@@ -27,6 +27,10 @@ type LinearFit struct {
 	N            int
 	// RangeA is the spread of A values, for judging ε's selectivity.
 	RangeA float64
+
+	// xs, ys are the fitted (B, A) points, kept so an envelope can be
+	// checked against every row the fit saw.
+	xs, ys []float64
 }
 
 // FitLinear computes the least-squares line over the non-null numeric
@@ -65,7 +69,7 @@ func fitLinearPoints(xs, ys []float64) (*LinearFit, error) {
 	}
 	k := (fn*sumXY - sumX*sumY) / den
 	b0 := (sumY - k*sumX) / fn
-	fit := &LinearFit{K: k, B0: b0, N: n}
+	fit := &LinearFit{K: k, B0: b0, N: n, xs: xs, ys: ys}
 	minA, maxA := math.Inf(1), math.Inf(-1)
 	for i := range xs {
 		r := math.Abs(ys[i] - (k*xs[i] + b0))
@@ -78,30 +82,45 @@ func fitLinearPoints(xs, ys []float64) (*LinearFit, error) {
 	return fit, nil
 }
 
-// EpsForConfidence returns the smallest ε such that at least the given
-// fraction of rows satisfy |A - (K*B+B0)| <= ε. Confidence 1 returns the
-// maximum residual (an absolute envelope).
+// EpsForConfidence returns an ε at which the envelope K*B + B0 ± ε admits
+// (catalog.LinearCorrelation.Admits) at least the given fraction of the
+// fitted rows; confidence 1 asks for an absolute envelope. It starts from
+// the residual |A - (K*B+B0)| at that quantile. The residual rounds
+// differently from Admits, so the row defining the envelope can land a
+// rounding step outside it: ε then widens by one unit in the last place of
+// the largest term, doubling each step. Overflowing arithmetic never gets
+// there and returns an infinite or NaN ε.
 func (f *LinearFit) EpsForConfidence(confidence float64) float64 {
-	if len(f.AbsResiduals) == 0 {
+	n := len(f.AbsResiduals)
+	if n == 0 {
 		return 0
 	}
-	if confidence >= 1 {
-		return f.AbsResiduals[len(f.AbsResiduals)-1]
+	idx := n - 1
+	if confidence < 1 {
+		idx = max(int(math.Ceil(confidence*float64(n)))-1, 0)
 	}
-	idx := int(math.Ceil(confidence*float64(len(f.AbsResiduals)))) - 1
-	if idx < 0 {
-		idx = 0
+	lc := &catalog.LinearCorrelation{K: f.K, B0: f.B0, Eps: f.AbsResiduals[idx]}
+	scale := math.Abs(f.B0)
+	for i := range f.xs {
+		scale = math.Max(scale, math.Max(math.Abs(f.ys[i]), math.Abs(f.K*f.xs[i])))
 	}
-	return f.AbsResiduals[idx]
+	step := math.Max(scale*0x1p-52, math.SmallestNonzeroFloat64)
+	for lc.Eps < math.Inf(1) && f.admitted(lc) < idx+1 {
+		lc.Eps += step
+		step *= 2
+	}
+	return lc.Eps
 }
 
-// ConfidenceForEps returns the fraction of rows within ε of the line.
-func (f *LinearFit) ConfidenceForEps(eps float64) float64 {
-	if len(f.AbsResiduals) == 0 {
-		return 0
+// admitted counts the fitted rows lc.Admits.
+func (f *LinearFit) admitted(lc *catalog.LinearCorrelation) int {
+	in := 0
+	for i := range f.xs {
+		if lc.Admits(types.NewFloat(f.ys[i]), types.NewFloat(f.xs[i])) {
+			in++
+		}
 	}
-	i := sort.SearchFloat64s(f.AbsResiduals, math.Nextafter(eps, math.Inf(1)))
-	return float64(i) / float64(len(f.AbsResiduals))
+	return in
 }
 
 // Selectivity reports ε's width relative to A's range: small values mean a
@@ -169,19 +188,14 @@ func MineCorrelations(def *schema.Table, heap *storage.Heap, cfg LinearMinerConf
 				B0:     fit.B0,
 				Active: true,
 			}
-			absEps := fit.EpsForConfidence(1)
-			switch {
-			case fit.Selectivity(absEps) <= cfg.MaxEpsFraction:
-				lc.Eps = absEps
-				lc.Confidence = 1
-			default:
-				eps := fit.EpsForConfidence(cfg.MinConfidence)
-				if fit.Selectivity(eps) > cfg.MaxEpsFraction {
+			lc.Eps = fit.EpsForConfidence(1)
+			if fit.Selectivity(lc.Eps) > cfg.MaxEpsFraction {
+				lc.Eps = fit.EpsForConfidence(cfg.MinConfidence)
+				if fit.Selectivity(lc.Eps) > cfg.MaxEpsFraction {
 					continue // not selective even statistically
 				}
-				lc.Eps = eps
-				lc.Confidence = fit.ConfidenceForEps(eps)
 			}
+			lc.Confidence = float64(fit.admitted(lc)) / float64(fit.N)
 			lc.VerifiedVersion = heap.Version()
 			out = append(out, lc)
 		}

@@ -40,7 +40,7 @@ func TestFitLinearExact(t *testing.T) {
 	if fit.EpsForConfidence(1) > 1e-9 {
 		t.Errorf("exact fit should have ~0 max residual: %g", fit.EpsForConfidence(1))
 	}
-	if fit.ConfidenceForEps(0.001) != 1 {
+	if fit.admitted(&catalog.LinearCorrelation{K: fit.K, B0: fit.B0, Eps: 0.001}) != fit.N {
 		t.Error("confidence for tiny eps on exact data")
 	}
 }
@@ -67,7 +67,7 @@ func TestFitLinearWithNoiseAndOutliers(t *testing.T) {
 	if eps99 >= epsMax {
 		t.Errorf("eps99 (%g) should be far below epsMax (%g)", eps99, epsMax)
 	}
-	conf := fit.ConfidenceForEps(eps99)
+	conf := float64(fit.admitted(&catalog.LinearCorrelation{K: fit.K, B0: fit.B0, Eps: eps99})) / float64(fit.N)
 	if conf < 0.99 {
 		t.Errorf("confidence at eps99: %g", conf)
 	}

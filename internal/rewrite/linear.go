@@ -319,15 +319,6 @@ func scaleInterval(k float64, iv floatInterval) (float64, float64) {
 	return lo, hi
 }
 
-// singleColumnInterval converts a single-column bound into an expr.Interval
-// over the column's kind.
-func (lb LinearBound) singleColumnInterval(kind types.Kind) (expr.Interval, bool) {
-	if !lb.singleColumn() {
-		return expr.Interval{}, false
-	}
-	return floatToInterval(floatInterval{lo: lb.Lo, hi: lb.Hi}, kind, false)
-}
-
 // deriveOrigins is deriveOther for provenance: given the filter interval on
 // the known column it returns the origins of the interval deriveOther
 // implies on the other column of kind target. A bound that is a statement
@@ -383,39 +374,28 @@ func (lb LinearBound) deriveOrigins(known int, iv expr.Interval, target types.Ki
 }
 
 // floatToInterval converts a float interval to a datum interval of the
-// given kind. For integer kinds the bounds round conservatively *outward*
-// (floor the lower bound, ceil the upper) so the resulting predicate is
-// implied by, never stronger than, the float statement. When tighten is
-// true it instead rounds inward (used when intersecting for emptiness
-// proofs must stay conservative the other way).
-func floatToInterval(iv floatInterval, kind types.Kind, tighten bool) (expr.Interval, bool) {
+// given kind. Bounds on INT and DATE columns round outward
+// (expr.RoundOutward), so the resulting predicate is implied by, never
+// stronger than, the float statement.
+func floatToInterval(iv floatInterval, kind types.Kind) expr.Interval {
+	if iv.lo > iv.hi {
+		return expr.Interval{ExactEmpty: true}
+	}
 	out := expr.Unbounded()
-	mk := func(f float64) types.Datum { return expr.NumericFromFloat(kind, f) }
 	intKind := kind == types.KindInt || kind == types.KindDate
 	if !math.IsInf(iv.lo, -1) {
 		lo := iv.lo
 		if intKind {
-			if tighten {
-				lo = math.Ceil(lo)
-			} else {
-				lo = math.Floor(lo)
-			}
+			lo = expr.RoundOutward(lo, -1)
 		}
-		out = out.Intersect(expr.AtLeast(mk(lo), true))
+		out = out.Intersect(expr.AtLeast(expr.NumericFromFloat(kind, lo), true))
 	}
 	if !math.IsInf(iv.hi, 1) {
 		hi := iv.hi
 		if intKind {
-			if tighten {
-				hi = math.Floor(hi)
-			} else {
-				hi = math.Ceil(hi)
-			}
+			hi = expr.RoundOutward(hi, 1)
 		}
-		out = out.Intersect(expr.AtMost(mk(hi), true))
+		out = out.Intersect(expr.AtMost(expr.NumericFromFloat(kind, hi), true))
 	}
-	if iv.lo > iv.hi {
-		return expr.Interval{ExactEmpty: true}, true
-	}
-	return out, true
+	return out
 }

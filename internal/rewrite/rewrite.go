@@ -389,10 +389,7 @@ func (r *Rewriter) rewriteScan(s *plan.Scan) plan.Node {
 				continue
 			}
 			kind := s.Def.Columns[b.ColA].Type
-			biv, ok := b.singleColumnInterval(kind)
-			if !ok {
-				continue
-			}
+			biv := floatToInterval(floatInterval{lo: b.Lo, hi: b.Hi}, kind)
 			fiv, _ := expr.ExtractInterval(s.Filter, b.ColA)
 			if fiv.IsUnbounded() {
 				continue
@@ -456,8 +453,8 @@ func (r *Rewriter) applyBound(s *plan.Scan, b bound, known, target int) (plan.No
 		return s, false
 	}
 	kind := s.Def.Columns[target].Type
-	div, ok := floatToInterval(derived, kind, false)
-	if !ok || div.IsUnbounded() {
+	div := floatToInterval(derived, kind)
+	if div.IsUnbounded() {
 		return s, false
 	}
 	// A derived bound that is a unit-slope offset of a statement literal
@@ -701,9 +698,7 @@ func ConstraintInterval(cat *catalog.Catalog, te *catalog.TableEntry, ord int, k
 			if !lb.singleColumn() || lb.ColA != ord {
 				continue
 			}
-			if biv, ok := lb.singleColumnInterval(kind); ok {
-				iv = iv.Intersect(biv)
-			}
+			iv = iv.Intersect(floatToInterval(floatInterval{lo: lb.Lo, hi: lb.Hi}, kind))
 		}
 	}
 	return iv

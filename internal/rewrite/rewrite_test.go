@@ -122,17 +122,12 @@ func TestDeriveOther(t *testing.T) {
 
 func TestFloatToIntervalRounding(t *testing.T) {
 	// Outward rounding for introduced predicates (superset).
-	iv, ok := floatToInterval(floatInterval{lo: 1.5, hi: 3.5}, types.KindInt, false)
-	if !ok || !iv.Contains(types.NewInt(1)) || !iv.Contains(types.NewInt(4)) {
+	iv := floatToInterval(floatInterval{lo: 1.5, hi: 3.5}, types.KindInt)
+	if !iv.Contains(types.NewInt(1)) || !iv.Contains(types.NewInt(4)) || iv.Contains(types.NewInt(0)) || iv.Contains(types.NewInt(5)) {
 		t.Errorf("outward: %s", iv)
 	}
-	// Inward rounding (tighten) for emptiness proofs (subset).
-	iv, ok = floatToInterval(floatInterval{lo: 1.5, hi: 3.5}, types.KindInt, true)
-	if !ok || iv.Contains(types.NewInt(1)) || iv.Contains(types.NewInt(4)) || !iv.Contains(types.NewInt(2)) {
-		t.Errorf("inward: %s", iv)
-	}
 	// Floats keep exact bounds.
-	iv, _ = floatToInterval(floatInterval{lo: 1.5, hi: 3.5}, types.KindFloat, false)
+	iv = floatToInterval(floatInterval{lo: 1.5, hi: 3.5}, types.KindFloat)
 	if iv.Contains(types.NewFloat(1.4)) || !iv.Contains(types.NewFloat(1.5)) {
 		t.Errorf("float: %s", iv)
 	}

@@ -247,7 +247,7 @@ func (m *Manager) RefreshCorrelation(name string) error {
 		return err
 	}
 	// Keep the line, re-measure the envelope's confidence.
-	conf := confidenceForEnvelope(te.Heap, aOrd, bOrd, lc.K, lc.B0, lc.Eps)
+	conf := confidenceForEnvelope(te.Heap, aOrd, bOrd, lc)
 	prev := lc.Confidence
 	lc.Confidence = conf
 	lc.ModsSince = 0
@@ -279,7 +279,9 @@ func (m *Manager) timeRefresh(name string) func() {
 	return func() { m.Econ.AddRefresh(name, time.Since(start)) }
 }
 
-func confidenceForEnvelope(heap *storage.Heap, aOrd, bOrd int, k, b0, eps float64) float64 {
+// confidenceForEnvelope is the fraction of the rows with both columns
+// non-NULL that lc admits.
+func confidenceForEnvelope(heap *storage.Heap, aOrd, bOrd int, lc *catalog.LinearCorrelation) float64 {
 	var in, total int
 	heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
 		a, b := row[aOrd], row[bOrd]
@@ -287,7 +289,7 @@ func confidenceForEnvelope(heap *storage.Heap, aOrd, bOrd int, k, b0, eps float6
 			return true
 		}
 		total++
-		if math.Abs(a.Float()-(k*b.Float()+b0)) <= eps {
+		if lc.Admits(a, b) {
 			in++
 		}
 		return true
@@ -320,23 +322,12 @@ func (m *Manager) RefreshCheckConfidence(table, constraint string) (float64, err
 	var evalErr error
 	te.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
 		total++
-		v, err := con.CheckExpr.Eval(row)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		switch {
-		case v.IsNull():
-			ok++ // SQL check semantics: NULL passes
-		case v.Kind() != types.KindBool:
-			// A mistyped check expression is a type error, not a Bool()
-			// accessor panic.
-			evalErr = fmt.Errorf("softc: check %s evaluated to %s, not BOOL", constraint, v.Kind())
-			return false
-		case v.Bool():
+		admits, err := con.Admits(row)
+		if admits {
 			ok++
 		}
-		return true
+		evalErr = err
+		return err == nil
 	})
 	if evalErr != nil {
 		return 0, evalErr
@@ -559,8 +550,7 @@ func (m *Manager) VerifyCorrelationExact(name string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	conf := confidenceForEnvelope(te.Heap,
-		te.Def.ColumnIndex(lc.ColA), te.Def.ColumnIndex(lc.ColB), lc.K, lc.B0, lc.Eps)
+	conf := confidenceForEnvelope(te.Heap, te.Def.ColumnIndex(lc.ColA), te.Def.ColumnIndex(lc.ColB), lc)
 	return conf >= 1, nil
 }
 

@@ -128,7 +128,7 @@ func removeWhere(te *catalog.TableEntry, pred func(types.Row) bool) {
 		return true
 	})
 	for _, id := range ids {
-		te.Heap.Delete(id)
+		te.Heap.SetEnd(id, storage.CommittedMin)
 	}
 }
 

@@ -16,8 +16,7 @@ import (
 // Exactness. An image is published only under freezeMu and only if the
 // page's seq is unchanged since before the freezing scan read the stamps;
 // every writer that is about to change a slot of a published page — an end
-// stamp or delete intent, a legacy in-place update or delete, an aborted
-// insert, a vacuum reclaim — first thaws the page (seq goes odd, the image
+// stamp or delete intent, an aborted insert, a vacuum reclaim — first thaws the page (seq goes odd, the image
 // is cleared, both under freezeMu) and only then stores its stamp, after
 // which stamped() closes the bracket. Hence, at every instant, a published
 // image implies that every slot of the page still satisfies the freeze

@@ -141,8 +141,7 @@ func TestThawBeforeStamp(t *testing.T) {
 		{"delete intent then rollback", func(h *Heap, id RowID) { h.SetEnd(id, -9); h.ClearEnd(id) }, true},
 		{"delete intent", func(h *Heap, id RowID) { h.SetEnd(id, -9) }, false},
 		{"committed delete", func(h *Heap, id RowID) { h.SetEnd(id, -9); h.SetEnd(id, 5000) }, false},
-		{"legacy in-place update", func(h *Heap, id RowID) { h.Update(id, types.Row{types.NewInt(77), types.Null}) }, true},
-		{"legacy delete", func(h *Heap, id RowID) { h.Delete(id) }, false},
+		{"committed delete then vacuum", func(h *Heap, id RowID) { h.SetEnd(id, 5000); h.Vacuum(6000) }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -46,8 +46,9 @@ const (
 	SnapLatest = math.MaxInt64 - 1
 	// Aborted marks a version as invisible to every snapshot.
 	Aborted = math.MaxInt64
-	// CommittedMin is the begin stamp of rows inserted through the legacy
-	// non-transactional Insert: visible to every snapshot.
+	// CommittedMin is the begin stamp of rows inserted through the
+	// non-transactional Insert and of replayed rows: visible to every
+	// snapshot.
 	CommittedMin = 1
 )
 
@@ -236,7 +237,7 @@ func (h *Heap) Version() int64 { return h.version.Load() }
 
 // bump is the single place the mutation counter advances: exactly +1 per
 // committed row effect — a committed insert (stamped at commit time, or
-// installed committed by the legacy Insert and by WAL replay) and a
+// installed committed by Insert, InsertCommitted and WAL replay) and a
 // committed delete (an UPDATE is a delete plus an insert, so it counts 2).
 // Uncommitted installs, aborts, and rollbacks never bump. The WAL relies on
 // this invariant: replaying the committed groups of a log onto a snapshot
@@ -305,11 +306,18 @@ func (h *Heap) install(row types.Row, begin int64) RowID {
 }
 
 // Insert appends a row (already schema-validated by the caller) visible to
-// every snapshot — the legacy non-transactional write used by maintenance
-// paths (summary tables, bulk loads, tests). Transactional inserts go
-// through InsertVersion + SetBegin.
+// every snapshot: InsertCommitted at CommittedMin, the non-transactional
+// write of bulk loads, summary-table population and tests. Transactional
+// inserts go through InsertVersion + SetBegin.
 func (h *Heap) Insert(row types.Row) RowID {
-	return h.install(row, CommittedMin)
+	return h.InsertCommitted(row, CommittedMin)
+}
+
+// InsertCommitted appends a row committed at ts, visible to snapshots at or
+// after ts. Summary-table maintenance stamps an AST's copy of a base row
+// with the base write's commit timestamp this way.
+func (h *Heap) InsertCommitted(row types.Row, ts int64) RowID {
+	return h.install(row, ts)
 }
 
 // InsertVersion appends an uncommitted version owned by transaction tid.
@@ -512,44 +520,6 @@ func (h *Heap) GetAny(id RowID) (types.Row, bool) {
 		return nil, false
 	}
 	return p.rows[id.Slot], true
-}
-
-// Delete physically retires the version at id for every snapshot — the
-// legacy non-transactional removal used by maintenance paths (summary
-// tables). It reports whether a latest-visible version was removed.
-// Transactional deletes use SetEnd so old snapshots keep seeing the row.
-func (h *Heap) Delete(id RowID) bool {
-	p, st := h.locate(id)
-	if st == nil || !Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0) {
-		return false
-	}
-	h.thaw(p)
-	st.begin.Store(Aborted)
-	p.stamped()
-	h.live.Add(-1)
-	h.bump()
-	// Physical removal can shrink the bounds, so recompute the page's zone
-	// entry from the surviving versions.
-	h.zoneRecompute(int(id.Page), p)
-	return true
-}
-
-// Update replaces the row at id in place — the legacy non-transactional
-// write used by maintenance paths and single-threaded replay. It is NOT
-// safe against concurrent readers (the row field is rewritten in place);
-// callers hold the engine's exclusive lock. Transactional updates are a
-// SetEnd of the old version plus an InsertVersion of the new one.
-func (h *Heap) Update(id RowID, row types.Row) bool {
-	p, st := h.locate(id)
-	if st == nil || !Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0) {
-		return false
-	}
-	h.thaw(p)
-	p.rows[id.Slot] = row
-	p.stamped()
-	h.bump()
-	h.zoneRecompute(int(id.Page), p)
-	return true
 }
 
 // Scan iterates rows visible to the latest snapshot in storage order,

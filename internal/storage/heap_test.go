@@ -45,14 +45,17 @@ func TestFetchInvalid(t *testing.T) {
 func TestDeleteHidesRow(t *testing.T) {
 	h := NewHeap(testDef())
 	id := h.Insert(types.Row{types.NewInt(1), types.Null})
-	if !h.Delete(id) {
-		t.Fatal("delete live row")
+	if !h.SetEnd(id, 5) {
+		t.Fatal("end live row")
 	}
-	if h.Delete(id) {
-		t.Error("double delete should report false")
+	if h.SetEnd(RowID{Page: 9, Slot: 9}, 5) {
+		t.Error("ending an invalid id should report false")
 	}
 	if _, ok := h.Fetch(id, nil); ok {
 		t.Error("deleted row should not fetch")
+	}
+	if _, ok := h.GetAt(id, 4, 0); !ok {
+		t.Error("a snapshot before the delete should still see the row")
 	}
 	if h.RowCount() != 0 {
 		t.Error("RowCount after delete")
@@ -61,21 +64,6 @@ func TestDeleteHidesRow(t *testing.T) {
 	h.Scan(nil, func(RowID, types.Row) bool { count++; return true })
 	if count != 0 {
 		t.Error("scan should skip deleted rows")
-	}
-}
-
-func TestUpdateInPlace(t *testing.T) {
-	h := NewHeap(testDef())
-	id := h.Insert(types.Row{types.NewInt(1), types.Null})
-	if !h.Update(id, types.Row{types.NewInt(2), types.Null}) {
-		t.Fatal("update")
-	}
-	row, _ := h.Fetch(id, nil)
-	if row[0].Int() != 2 {
-		t.Error("update did not stick")
-	}
-	if h.Update(RowID{Page: 9, Slot: 9}, nil) {
-		t.Error("update of invalid id should fail")
 	}
 }
 
@@ -124,13 +112,8 @@ func TestVersionBumps(t *testing.T) {
 		t.Error("insert should bump version")
 	}
 	v1 := h.Version()
-	h.Update(id, types.Row{types.NewInt(2), types.Null})
+	h.SetEnd(id, 5)
 	if h.Version() == v1 {
-		t.Error("update should bump version")
-	}
-	v2 := h.Version()
-	h.Delete(id)
-	if h.Version() == v2 {
 		t.Error("delete should bump version")
 	}
 }
@@ -145,27 +128,21 @@ func TestVersionBumpExactlyOnce(t *testing.T) {
 	if h.Version() != v+1 {
 		t.Fatalf("insert: version %d, want %d", h.Version(), v+1)
 	}
-	if !h.Update(id, types.Row{types.NewInt(2), types.Null}) || h.Version() != v+2 {
-		t.Fatalf("update: version %d, want %d", h.Version(), v+2)
+	if !h.SetEnd(id, -9) || h.Version() != v+1 {
+		t.Fatalf("uncommitted delete: version %d, want %d", h.Version(), v+1)
 	}
-	if h.Update(RowID{Page: 7, Slot: 7}, nil) {
-		t.Fatal("update of invalid id should fail")
+	if !h.SetEnd(id, 5) || h.Version() != v+2 {
+		t.Fatalf("committed delete: version %d, want %d", h.Version(), v+2)
+	}
+	if h.SetEnd(RowID{Page: 7, Slot: 7}, 6) {
+		t.Fatal("delete of invalid id should fail")
 	}
 	if h.Version() != v+2 {
-		t.Fatalf("failed update must not bump: version %d, want %d", h.Version(), v+2)
-	}
-	if !h.Delete(id) || h.Version() != v+3 {
-		t.Fatalf("delete: version %d, want %d", h.Version(), v+3)
-	}
-	if h.Delete(id) {
-		t.Fatal("double delete should fail")
-	}
-	if h.Version() != v+3 {
-		t.Fatalf("failed delete must not bump: version %d, want %d", h.Version(), v+3)
+		t.Fatalf("failed delete must not bump: version %d, want %d", h.Version(), v+2)
 	}
 	h.Truncate()
-	if h.Version() != v+4 {
-		t.Fatalf("truncate: version %d, want %d", h.Version(), v+4)
+	if h.Version() != v+3 {
+		t.Fatalf("truncate: version %d, want %d", h.Version(), v+3)
 	}
 }
 
@@ -178,9 +155,10 @@ func TestDumpRebuildRoundTrip(t *testing.T) {
 	for i := 0; i < perPage+3; i++ {
 		ids = append(ids, h.Insert(types.Row{types.NewInt(int64(i)), types.NewString("v")}))
 	}
-	h.Delete(ids[1])
-	h.Delete(ids[perPage])
-	h.Update(ids[2], types.Row{types.NewInt(-2), types.Null})
+	h.SetEnd(ids[1], 5)
+	h.SetEnd(ids[perPage], 5)
+	h.SetEnd(ids[2], 6)
+	h.InsertCommitted(types.Row{types.NewInt(-2), types.Null}, 6)
 
 	r := RebuildHeap(h.Def(), h.DumpPages(), h.Version())
 	if r.Version() != h.Version() {
@@ -194,7 +172,7 @@ func TestDumpRebuildRoundTrip(t *testing.T) {
 		t.Fatal("deleted slot resurrected")
 	}
 	// ...live rows fetch identically...
-	for _, id := range []RowID{ids[0], ids[2], ids[perPage+1]} {
+	for _, id := range []RowID{ids[0], ids[perPage+1], ids[perPage+2]} {
 		want, _ := h.Fetch(id, nil)
 		got, ok := r.Fetch(id, nil)
 		if !ok || !got.Equal(want) {
@@ -240,7 +218,7 @@ func TestRandomizedLiveSet(t *testing.T) {
 		} else {
 			id := ids[r.Intn(len(ids))]
 			if _, ok := live[id]; ok {
-				h.Delete(id)
+				h.SetEnd(id, int64(i))
 				delete(live, id)
 			}
 		}

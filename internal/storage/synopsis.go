@@ -85,7 +85,7 @@ type PageFunc func(pi int, rows []types.Row, img *vec.PageImage, zone *ZoneEntry
 // or slots are read. An entry that is still Valid after fn's decision
 // therefore covers every row fn got: a row inserted since was widened into
 // the entry before its slot was published, which changed the sequence, and a
-// row a writer removed since (abort, legacy delete) was still in the entry
+// row a writer removed since (abort, vacuum) was still in the entry
 // the reader loaded, or the reader never saw the row.
 //
 // A frozen page (see frozen.go) skips the gather: fn receives the page's own

@@ -182,25 +182,43 @@ func TestSynopsisUpdateDeleteRecompute(t *testing.T) {
 	for _, v := range []int64{10, 20, 30} {
 		ids = append(ids, h.Insert(types.Row{types.NewInt(v), types.Null}))
 	}
+	// A committed delete keeps widening the entry (older snapshots still
+	// see the row) until vacuum reclaims it.
+	ts := int64(10)
+	del := func(id RowID) {
+		ts++
+		h.SetEnd(id, ts)
+	}
+	update := func(id RowID, row types.Row) RowID {
+		del(id)
+		return h.InsertCommitted(row, ts)
+	}
 	// Delete the max: recompute must tighten, not keep the stale bound.
-	h.Delete(ids[2])
+	del(ids[2])
+	if cs := synInt(t, h, 0); cs.Max.Int() != 30 {
+		t.Errorf("an ended version left the entry before vacuum: %+v", cs)
+	}
+	h.Vacuum(ts)
 	if cs := synInt(t, h, 0); cs.Min.Int() != 10 || cs.Max.Int() != 20 {
 		t.Errorf("after delete: %+v", cs)
 	}
 	// Update the min upward: bounds move on both ends.
-	h.Update(ids[0], types.Row{types.NewInt(15), types.Null})
+	ids[0] = update(ids[0], types.Row{types.NewInt(15), types.Null})
+	h.Vacuum(ts)
 	if cs := synInt(t, h, 0); cs.Min.Int() != 15 || cs.Max.Int() != 20 {
 		t.Errorf("after update: %+v", cs)
 	}
 	// Update to NULL: value leaves the range, null count appears.
-	h.Update(ids[1], types.Row{types.Null, types.Null})
+	ids[1] = update(ids[1], types.Row{types.Null, types.Null})
+	h.Vacuum(ts)
 	if cs := synInt(t, h, 0); cs.Min.Int() != 15 || cs.Max.Int() != 15 || cs.Nulls != 1 {
 		t.Errorf("after null update: %+v", cs)
 	}
 	// Delete everything: an all-dead page publishes Rows == 0 with NULL
 	// bounds — the "always skippable" shape.
-	h.Delete(ids[0])
-	h.Delete(ids[1])
+	del(ids[0])
+	del(ids[1])
+	h.Vacuum(ts)
 	syn := h.Synopsis(0)
 	if syn.Rows != 0 {
 		t.Errorf("all-dead page rows: %d", syn.Rows)
@@ -210,7 +228,8 @@ func TestSynopsisUpdateDeleteRecompute(t *testing.T) {
 	}
 
 	// Every recomputing writer over mixed kinds, ±Inf, strings and NULLs:
-	// abort, legacy delete and update, vacuum, then a rebuild from the dump.
+	// abort, an update (end plus insert), vacuum, then a rebuild from the
+	// dump.
 	m := NewHeap(mixedDef())
 	r := func(i int64, f float64, d int64, s string) types.Row {
 		return types.Row{types.NewInt(i), types.NewFloat(f), types.NewDate(d), types.NewString(s)}
@@ -224,19 +243,20 @@ func TestSynopsisUpdateDeleteRecompute(t *testing.T) {
 	if c := synInt(t, m, 0); c.Nulls != 0 || m.Synopsis(0).Rows != 2 {
 		t.Errorf("abort did not shed the aborted version: %+v", m.Synopsis(0))
 	}
-	m.Update(mixed, types.Row{types.Null, types.NewFloat(math.Inf(-1)), types.NewDate(3), types.Null})
+	m.SetEnd(mixed, 2)
+	m.InsertCommitted(types.Row{types.Null, types.NewFloat(math.Inf(-1)), types.NewDate(3), types.Null}, 2)
 	checkZone(t, m, true)
 	ended := m.Insert(r(-40, -40, -40, "a"))
 	m.SetEnd(ended, 3)
 	checkZone(t, m, true) // a committed-ended version still counts
-	if n := m.Vacuum(10); n != 1 {
-		t.Fatalf("vacuum reclaimed %d versions, want 1", n)
+	if n := m.Vacuum(10); n != 2 {
+		t.Fatalf("vacuum reclaimed %d versions, want 2", n)
 	}
 	checkZone(t, m, true)
 	if c := synInt(t, m, 0); c.Min.Int() != 7 || c.Max.Int() != 7 || c.Nulls != 1 {
 		t.Errorf("after vacuum: %+v", c)
 	}
-	m.Delete(keep)
+	m.SetEnd(keep, 20)
 	checkZone(t, m, true)
 	re := RebuildHeap(m.Def(), m.DumpPages(), m.Version())
 	checkZone(t, re, true)
@@ -286,7 +306,8 @@ func TestSynopsisPerPageIndependence(t *testing.T) {
 	}
 	checkZone(t, m, true)
 	before := m.Synopsis(zoneBlockPages)
-	m.Delete(ids[(zoneBlockPages+1)*mper])
+	m.SetEnd(ids[(zoneBlockPages+1)*mper], 5)
+	m.Vacuum(5)
 	if after := m.Synopsis(zoneBlockPages); after.Rows != before.Rows || after.Cols[0] != before.Cols[0] {
 		t.Errorf("write to page %d moved page %d's entry", zoneBlockPages+1, zoneBlockPages)
 	}

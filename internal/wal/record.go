@@ -42,8 +42,9 @@ type Type byte
 const (
 	// TypeInsert logs one validated row appended to a table's heap.
 	TypeInsert Type = 1
-	// TypeUpdate logs an in-place row replacement at a RowID.
-	TypeUpdate Type = 2
+	// Type 2 is retired (UPDATE logs a delete plus an insert); the decoder
+	// rejects it.
+
 	// TypeDelete logs a tombstone at a RowID.
 	TypeDelete Type = 3
 	// TypeDDL logs a DDL/utility statement as SQL text plus whether it
@@ -71,8 +72,6 @@ func (t Type) String() string {
 	switch t {
 	case TypeInsert:
 		return "insert"
-	case TypeUpdate:
-		return "update"
 	case TypeDelete:
 		return "delete"
 	case TypeDDL:
@@ -105,13 +104,13 @@ type Record struct {
 	// autocommit/utility record groups. Recovery buffers records per TxnID
 	// and applies a group only when its TypeCommit arrives.
 	TxnID int64
-	// Table names the target table (Insert/Update/Delete/Truncate).
+	// Table names the target table (Insert/Delete/Truncate).
 	Table string
-	// RID locates the row (Insert/Update/Delete). For inserts it records
+	// RID locates the row (Insert/Delete). For inserts it records
 	// the slot the live process appended to, so replay reproduces the heap
 	// layout exactly — gaps left by aborted transactions included.
 	RID storage.RowID
-	// Row is the post-image (Insert/Update).
+	// Row is the inserted row (Insert).
 	Row types.Row
 	// SQL is the statement text (DDL).
 	SQL string
@@ -132,13 +131,6 @@ func appendPayload(b []byte, r *Record) ([]byte, error) {
 	var err error
 	switch r.Type {
 	case TypeInsert:
-		b = codec.AppendString(b, r.Table)
-		b = codec.AppendVarint(b, int64(r.RID.Page))
-		b = codec.AppendVarint(b, int64(r.RID.Slot))
-		if b, err = codec.AppendRow(b, r.Row); err != nil {
-			return nil, err
-		}
-	case TypeUpdate:
 		b = codec.AppendString(b, r.Table)
 		b = codec.AppendVarint(b, int64(r.RID.Page))
 		b = codec.AppendVarint(b, int64(r.RID.Slot))
@@ -183,20 +175,16 @@ func DecodeRecord(payload []byte) (*Record, error) {
 	r.LSN = d.Uvarint("record lsn")
 	r.TxnID = int64(d.Uvarint("record txn id"))
 	switch r.Type {
-	case TypeInsert:
-		r.Table = d.String("insert table")
-		r.RID.Page = int32(d.Varint("insert page"))
-		r.RID.Slot = int32(d.Varint("insert slot"))
-		r.Row = d.Row("insert row")
-	case TypeUpdate:
-		r.Table = d.String("update table")
-		r.RID.Page = int32(d.Varint("update page"))
-		r.RID.Slot = int32(d.Varint("update slot"))
-		r.Row = d.Row("update row")
-	case TypeDelete:
-		r.Table = d.String("delete table")
-		r.RID.Page = int32(d.Varint("delete page"))
-		r.RID.Slot = int32(d.Varint("delete slot"))
+	case TypeInsert, TypeDelete:
+		r.Table = d.String("row table")
+		page, slot := d.Varint("row page"), d.Varint("row slot")
+		r.RID = storage.RowID{Page: int32(page), Slot: int32(slot)}
+		if int64(r.RID.Page) != page || int64(r.RID.Slot) != slot {
+			return nil, fmt.Errorf("wal: %s record row id %d:%d out of range", r.Type, page, slot)
+		}
+		if r.Type == TypeInsert {
+			r.Row = d.Row("insert row")
+		}
 	case TypeDDL:
 		r.SQL = d.String("ddl sql")
 		r.Applied = d.Bool("ddl applied")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,8 +23,6 @@ func sampleRecords() []*Record {
 			types.NewInt(42), types.NewString("späté"), types.NewFloat(3.25),
 			types.NewBool(true), types.Null, types.NewDate(12345),
 		}},
-		{Type: TypeUpdate, Table: "orders", RID: storage.RowID{Page: 3, Slot: 17},
-			Row: types.Row{types.NewInt(-7), types.NewString("")}},
 		{Type: TypeDelete, Table: "orders", RID: storage.RowID{Page: 0, Slot: 0}},
 		{Type: TypeDDL, SQL: "CREATE TABLE t (a INT)", Applied: true},
 		{Type: TypeDDL, SQL: "CREATE TABLE t (a INT)", Applied: false},
@@ -94,9 +93,9 @@ func TestWriterScanRoundTrip(t *testing.T) {
 	if res.Tail != nil {
 		t.Fatalf("unexpected tail error: %v", res.Tail)
 	}
-	// 7 payload records + 2 commit terminators.
-	if res.Records != 9 {
-		t.Fatalf("records = %d, want 9", res.Records)
+	// 6 payload records + 2 commit terminators.
+	if res.Records != 8 {
+		t.Fatalf("records = %d, want 8", res.Records)
 	}
 	if res.CommittedBytes != res.ValidBytes {
 		t.Fatalf("committed %d != valid %d on a clean log", res.CommittedBytes, res.ValidBytes)
@@ -109,9 +108,9 @@ func TestWriterScanRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: %+v != %+v", i, got[i], want[i])
 		}
 	}
-	// LSNs strictly increase and include the commits: 1..9.
-	if res.LastLSN != 9 {
-		t.Fatalf("last LSN = %d, want 9", res.LastLSN)
+	// LSNs strictly increase and include the commits: 1..8.
+	if res.LastLSN != 8 {
+		t.Fatalf("last LSN = %d, want 8", res.LastLSN)
 	}
 }
 
@@ -472,6 +471,21 @@ func TestTruncateLogDropsTail(t *testing.T) {
 	}
 }
 
+// Type 2 was an in-place update record that nothing wrote; a log holding
+// one is corrupt, not replayable.
+func TestDecodeRejectsRetiredUpdateType(t *testing.T) {
+	r := &Record{Type: TypeInsert, LSN: 5, Table: "orders", RID: storage.RowID{Page: 3, Slot: 17},
+		Row: types.Row{types.NewInt(-7), types.NewString("")}}
+	payload, err := appendPayload(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[0] = 2
+	if _, err := DecodeRecord(payload); err == nil || !strings.Contains(err.Error(), "unknown record type 2") {
+		t.Fatalf("type 2 payload decoded: err=%v", err)
+	}
+}
+
 // FuzzWALDecode asserts DecodeRecord never panics and, when it succeeds,
 // the record re-encodes to the identical payload (a decode/encode fixpoint).
 func FuzzWALDecode(f *testing.F) {
@@ -484,6 +498,8 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// An insert payload retagged as the retired type 2: rejected as unknown.
+	f.Add([]byte("\x02\x03\x00\x06orders\x06\"\x02\x01\r\x03\x00"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r, err := DecodeRecord(payload)
 		if err != nil {

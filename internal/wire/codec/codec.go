@@ -116,8 +116,7 @@ func (r *Decoder) Uvarint(what string) uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.Fail(what)
+	if !r.minimal(n, what) {
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -130,12 +129,27 @@ func (r *Decoder) Varint(what string) int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.Fail(what)
+	if !r.minimal(n, what) {
 		return 0
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+// minimal checks the n-byte varint at the head of the buffer, latching an
+// error unless it decoded and is in its shortest form: every encoder here
+// writes the shortest form, so a padded one (a final 0x00 group) is
+// corrupt input, and accepting it would let two byte strings decode alike.
+func (r *Decoder) minimal(n int, what string) bool {
+	switch {
+	case n <= 0:
+		r.Fail(what)
+	case n > 1 && r.buf[n-1] == 0:
+		r.err = fmt.Errorf("wire: padded varint in %s", what)
+	default:
+		return true
+	}
+	return false
 }
 
 // String decodes a length-prefixed string.
@@ -225,7 +239,7 @@ func (r *Decoder) Datum() types.Datum {
 	case types.KindFloat:
 		return types.NewFloat(math.Float64frombits(r.Uint64("float datum")))
 	case types.KindBool:
-		return types.NewBool(r.Byte("bool datum") != 0)
+		return types.NewBool(r.Bool("bool datum"))
 	case types.KindString:
 		return types.NewString(r.String("string datum"))
 	default:
