@@ -315,18 +315,6 @@ func (t *Tree) Version() int64 {
 	return t.vers
 }
 
-// cmpFloat orders floats as types.Datum.Compare does (NaN compares equal).
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // cmpCol orders column c of key i in n against the probe datum d. A probe of
 // the column's static kind compares on the typed value; any other probe
 // (NULL, a FLOAT against an INT column, a mismatched kind) and a stored NULL
@@ -340,7 +328,7 @@ func (t *Tree) cmpCol(n *node, c, i int, d types.Datum) int {
 		case vec.ClassInt:
 			return cmp.Compare(col.ints[i], d.IntImage())
 		case vec.ClassFloat:
-			return cmpFloat(col.floats[i], d.Float())
+			return types.CompareFloat(col.floats[i], d.Float())
 		default:
 			return strings.Compare(col.strs[i], d.Str())
 		}

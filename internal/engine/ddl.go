@@ -117,7 +117,7 @@ func (db *Database) verifyConstraintRows(te *catalog.TableEntry, con *catalog.Co
 		seen := map[string]bool{}
 		dup := false
 		te.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-			k := row.Project(ords).Key()
+			k := string(types.AppendKey(nil, row.Project(ords)...))
 			if seen[k] {
 				dup = true
 				return false
@@ -133,28 +133,39 @@ func (db *Database) verifyConstraintRows(te *catalog.TableEntry, con *catalog.Co
 		if err != nil {
 			return err
 		}
-		parentKeys := map[string]bool{}
-		refOrds := make([]int, len(con.RefColumns))
-		for i, c := range con.RefColumns {
-			refOrds[i] = ref.Def.ColumnIndex(c)
+		if len(con.RefColumns) != len(con.Columns) {
+			return fmt.Errorf("engine: constraint %s: column count mismatch", con.Name)
 		}
+		// A column pair mixing INT or DATE with FLOAT keys in FLOAT on
+		// both sides, as Compare compares it.
+		refOrds := make([]int, len(con.RefColumns))
+		ords := make([]int, len(con.Columns))
+		inFloat := make([]bool, len(con.Columns))
+		for i, c := range con.RefColumns {
+			if refOrds[i], ords[i] = ref.Def.ColumnIndex(c), te.Def.ColumnIndex(con.Columns[i]); refOrds[i] < 0 || ords[i] < 0 {
+				return fmt.Errorf("engine: constraint %s: no column %s or %s", con.Name, con.Columns[i], c)
+			}
+			inFloat[i] = types.KeyInFloat(ref.Def.Columns[refOrds[i]].Type, te.Def.Columns[ords[i]].Type)
+		}
+		key := func(row types.Row, ords []int) (k []byte) {
+			for i, o := range ords {
+				k = types.AppendEqKey(k, row[o], inFloat[i])
+			}
+			return k
+		}
+		parentKeys := map[string]bool{}
 		ref.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-			parentKeys[row.Project(refOrds).Key()] = true
+			parentKeys[string(key(row, refOrds))] = true
 			return true
 		})
-		ords := make([]int, len(con.Columns))
-		for i, c := range con.Columns {
-			ords[i] = te.Def.ColumnIndex(c)
-		}
 		var orphan int64
 		te.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-			key := row.Project(ords)
-			for _, d := range key {
-				if d.IsNull() {
+			for _, o := range ords {
+				if row[o].IsNull() {
 					return true // NULL FKs are exempt
 				}
 			}
-			if !parentKeys[key.Key()] {
+			if !parentKeys[string(key(row, ords))] {
 				orphan++
 			}
 			return true

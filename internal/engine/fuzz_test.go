@@ -133,12 +133,13 @@ var groupByShapes = []string{
 	"SELECT k, name, SUM(v) AS s, COUNT(DISTINCT v) AS d, MIN(f) AS lo FROM fg GROUP BY k, name",
 	"SELECT name, k, COUNT(*) AS n, MAX(v) AS hi, SUM(f) AS s FROM fg WHERE v > 0 GROUP BY name, k HAVING n > 1",
 	"SELECT v, COUNT(*) AS n, MIN(k) AS lo FROM fg GROUP BY v ORDER BY v",
-	"SELECT f, k, COUNT(*) AS n, SUM(v) AS s FROM fg WHERE f < 0 GROUP BY f, k",
+	"SELECT f, k, COUNT(*) AS n, SUM(v) AS s FROM fg WHERE f <= 0 GROUP BY f, k",
 }
 
 // groupBySeeds are byte strings FuzzGroupByParity decodes into rows: the
 // empty table, NULL keys, keys at ±2^53, a tiny key domain over several
-// heap pages, and INT values whose sum overflows.
+// heap pages, INT values whose sum overflows, and distinct keys past 2^53
+// beside 0 and -0.
 var groupBySeeds = [][]byte{
 	{},
 	{0, 0, 0, 8, 16, 8},
@@ -146,11 +147,13 @@ var groupBySeeds = [][]byte{
 	bytes.Repeat([]byte{1, 2, 3, 2, 5, 9, 3, 7, 12, 4, 11, 33}, 200),
 	{1, 0xff, 1, 1, 0xff, 2, 2, 0xfe, 3},
 	{1, 0xff, 1, 1, 0xff, 2, 0xff, 0xfe, 3},
+	{0x84, 1, 0x08, 0x85, 1, 0x88, 0x85, 2, 0x08, 0x86, 3, 0x88, 0xc4, 1, 0x88, 0xc5, 1, 0x08},
 }
 
 // fuzzGroupDB loads table fg (k INT, name determined by k through a declared
 // soft FD, v INT, f FLOAT) with three bytes per row. An INT byte picks NULL,
-// a value near ±2^53, an INT extreme or a small value.
+// a value near ±2^53, an INT extreme or a small value; a FLOAT byte picks
+// NULL, 0, -0 or a small multiple of 1/4.
 func fuzzGroupDB(tb testing.TB, data []byte) *Database {
 	tb.Helper()
 	db := Open()
@@ -182,13 +185,14 @@ func fuzzGroupDB(tb testing.TB, data []byte) *Database {
 	for ; len(data) >= 3; data = data[3:] {
 		k, name := intOf(data[0]), types.Null
 		if !k.IsNull() {
-			// GROUP BY equates INTs by their float image (Row.Key), so
-			// the FD holds only if name is a function of that image.
-			name = types.NewString(types.Row{k}.Key())
+			name = types.NewString(k.String()) // the FD holds on k's exact value
 		}
 		f := types.Null
-		if data[2]%8 != 0 {
-			f = types.NewFloat(float64(int8(data[2])) / 4)
+		switch b := data[2]; {
+		case b == 0x08 || b == 0x88: // 0 and -0
+			f = types.NewFloat(math.Copysign(0, float64(int8(b))))
+		case b%8 != 0:
+			f = types.NewFloat(float64(int8(b)) / 4)
 		}
 		if err := db.InsertRow(te, types.Row{k, name, intOf(data[1]), f}); err != nil {
 			tb.Fatal(err)

@@ -66,10 +66,10 @@ func (h *HashAggregate) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 }
 
 // intKeyColumn returns the column the int keyer can hash on: the only
-// non-redundant entry of GroupBy, a bare INT/DATE column (BOOL is excluded:
-// its row-key image is TRUE/FALSE, not numeric). Every redundant entry must
-// be a bare column too, so that reading it from the group's first row
-// evaluates nothing the generic keyer's per-row evaluation could fail on.
+// non-redundant entry of GroupBy, a bare INT/DATE column. Every redundant
+// entry must be a bare column too, so that reading it from the group's
+// first row evaluates nothing the generic keyer's per-row evaluation could
+// fail on.
 func (h *HashAggregate) intKeyColumn() *expr.Column {
 	var key *expr.Column
 	for i, g := range h.GroupBy {
@@ -93,11 +93,11 @@ func (h *HashAggregate) intKeyColumn() *expr.Column {
 // and every aggregate keeps its state in columns indexed by gid.
 //
 // Three keyers assign gids. Scalar aggregation (no GroupBy) has one group,
-// gid 0, and no gid vector. The int keyer hashes the intKey images of
-// intKeyColumn's values through ints. The generic keyer maps the Row.Key of
-// the hashed (non-redundant) group values through strs. The int keyer hands
-// its groups to the generic one (rekey) when a batch's key column does not
-// extract as integers.
+// gid 0, and no gid vector. The int keyer hashes intKeyColumn's raw int64
+// values through ints. The generic keyer maps the types.AppendKey image of
+// the hashed (non-redundant) group values through strs. Both key by exact
+// value, so the int keyer hands its groups to the generic one (rekey) when a
+// batch's key column does not extract as integers.
 type aggFold struct {
 	h      *HashAggregate
 	keys   []types.Row
@@ -109,8 +109,9 @@ type aggFold struct {
 	keyCol *expr.Column
 	ints   *groupTable
 	strs   map[string]int32
-	// keyBuf holds one row's group values; hashBuf is strKey's scratch.
-	keyBuf, hashBuf types.Row
+	// keyBuf holds one row's group values; image is strKey's scratch.
+	keyBuf types.Row
+	image  []byte
 }
 
 func newAggFold(h *HashAggregate) *aggFold {
@@ -179,29 +180,24 @@ func (f *aggFold) key(ctx *Ctx, b *vec.Batch, gids []int32) error {
 			return err
 		}
 		k := f.strKey(f.keyBuf)
-		g, ok := f.strs[k]
+		g, ok := f.strs[string(k)]
 		if !ok {
 			var err error
 			if g, err = f.addGroup(ctx); err != nil {
 				return err
 			}
-			f.strs[k] = g
+			f.strs[string(k)] = g
 		}
 		gids[i] = g
 	}
 	return nil
 }
 
-// nullKey is the int keyer's key for NULL. No intKey image is 2^53+1: that
-// integer itself rounds onto 2^53, and larger ones map to float bit patterns.
-const nullKey = 1<<53 + 1
-
 // keyInts is the int keyer over one batch whose key column is kc: the
 // table's batch lookup, and a new group wherever it stops.
 func (f *aggFold) keyInts(ctx *Ctx, b *vec.Batch, kc *vec.Col, gids []int32) error {
 	for i := 0; ; i++ {
-		var k int64
-		if i, k = f.ints.find(gids, b.Sel, kc, i); i == len(gids) {
+		if i = f.ints.find(gids, b.Sel, kc, i); i == len(gids) {
 			return nil
 		}
 		err := f.evalKey(b.Row(i))
@@ -212,18 +208,22 @@ func (f *aggFold) keyInts(ctx *Ctx, b *vec.Batch, kc *vec.Col, gids []int32) err
 		if err != nil {
 			return err
 		}
-		f.ints.put(k, g)
+		if idx := b.Index(i); kc.HasNulls && kc.Nulls[idx] {
+			f.ints.null = g
+		} else {
+			f.ints.put(kc.Ints[idx], g)
+		}
 		gids[i] = g
 	}
 }
 
-// rekey hands the int keyer's groups to the generic keyer under the Row.Key
-// of their hashed values, which intKey's images match exactly; gids and
-// accumulator state stay where they are.
+// rekey hands the int keyer's groups to the generic keyer under the key
+// images of their hashed values; gids and accumulator state stay where they
+// are.
 func (f *aggFold) rekey() {
 	f.strs = make(map[string]int32, len(f.keys))
 	for g, key := range f.keys {
-		f.strs[f.strKey(key)] = int32(g)
+		f.strs[string(f.strKey(key))] = int32(g)
 	}
 	f.ints = nil
 }
@@ -238,16 +238,16 @@ func (f *aggFold) evalKey(row types.Row) (err error) {
 	return nil
 }
 
-// strKey is the generic keyer's key for a key row: the Row.Key of its
-// hashed values.
-func (f *aggFold) strKey(key types.Row) string {
-	f.hashBuf = f.hashBuf[:0]
+// strKey is the generic keyer's key for a key row: the image of its hashed
+// values, valid until the next call.
+func (f *aggFold) strKey(key types.Row) []byte {
+	f.image = f.image[:0]
 	for i, v := range key {
 		if !f.h.isRedundant(i) {
-			f.hashBuf = append(f.hashBuf, v)
+			f.image = types.AppendKey(f.image, v)
 		}
 	}
-	return f.hashBuf.Key()
+	return f.image
 }
 
 // addGroup adds the group keyed by keyBuf, charging its key row and
@@ -284,7 +284,7 @@ func (f *aggFold) rows() ([]types.Row, error) {
 		for ai := range f.accs {
 			v, err := f.accs[ai].result(g)
 			if err != nil {
-				return nil, err
+				return nil, &QueryError{Op: "HashAggregate", Kind: KindError, Err: err}
 			}
 			out = append(out, v)
 		}
@@ -293,13 +293,14 @@ func (f *aggFold) rows() ([]types.Row, error) {
 	return rows, nil
 }
 
-// groupTable maps intKey images to group ids: open addressing with linear
+// groupTable maps int64 keys to group ids: open addressing with linear
 // probing over a power-of-two slot array, hashed like the hash join's
-// intTable, and doubled before it passes half full.
+// intTable, and doubled before it passes half full. NULL's group is null.
 type groupTable struct {
 	slots []groupSlot
 	shift uint
 	used  int
+	null  int32 // -1 until a NULL key arrives
 }
 
 type groupSlot struct {
@@ -308,7 +309,7 @@ type groupSlot struct {
 }
 
 func newGroupTable(bits uint) *groupTable {
-	t := &groupTable{slots: make([]groupSlot, 1<<bits), shift: 64 - bits}
+	t := &groupTable{slots: make([]groupSlot, 1<<bits), shift: 64 - bits, null: -1}
 	for i := range t.slots {
 		t.slots[i].gid = -1
 	}
@@ -317,9 +318,9 @@ func newGroupTable(bits uint) *groupTable {
 
 // find sets gids[i:] to the groups of kc's values at the selected positions
 // (sel, or every position when nil) until a key t does not hold: it returns
-// that row's position and key, or len(gids). The caller adds that group and
-// resumes, so the hot loop makes no calls.
-func (t *groupTable) find(gids, sel []int32, kc *vec.Col, i int) (int, int64) {
+// that row's position, or len(gids). The caller adds that group and resumes,
+// so the hot loop makes no calls.
+func (t *groupTable) find(gids, sel []int32, kc *vec.Col, i int) int {
 	slots, shift := t.slots, t.shift
 	mask := len(slots) - 1
 	for ; i < len(gids); i++ {
@@ -327,10 +328,14 @@ func (t *groupTable) find(gids, sel []int32, kc *vec.Col, i int) (int, int64) {
 		if sel != nil {
 			idx = int(sel[i])
 		}
-		k := int64(nullKey)
-		if !kc.HasNulls || !kc.Nulls[idx] {
-			k = intKey(kc.Ints[idx])
+		if kc.HasNulls && kc.Nulls[idx] {
+			if t.null < 0 {
+				return i
+			}
+			gids[i] = t.null
+			continue
 		}
+		k := kc.Ints[idx]
 		s := int(fibHash(k, shift)) & mask
 		e := slots[s]
 		for e.gid >= 0 && e.key != k {
@@ -338,11 +343,11 @@ func (t *groupTable) find(gids, sel []int32, kc *vec.Col, i int) (int, int64) {
 			e = slots[s]
 		}
 		if e.gid < 0 {
-			return i, k
+			return i
 		}
 		gids[i] = e.gid
 	}
-	return i, 0
+	return i
 }
 
 // put adds group g under k, which t does not hold.
@@ -356,8 +361,9 @@ func (t *groupTable) put(k int64, g int32) {
 	if t.used++; 2*t.used <= len(t.slots) {
 		return
 	}
-	old := t.slots
+	old, null := t.slots, t.null
 	*t = *newGroupTable(64 - t.shift + 1)
+	t.null = null
 	for _, e := range old {
 		if e.gid >= 0 {
 			t.put(e.key, e.gid)
@@ -382,10 +388,11 @@ type aggCol struct {
 	// carry counts its wraps (up +1, down -1): the total fits an INT exactly
 	// when carry is 0, whatever order the values came in.
 	isum, carry []int64
-	fsum        []float64     // AVG: every value; SUM: its FLOAT values
-	float       []bool        // SUM: a FLOAT value was summed
-	best        []types.Datum // MIN, MAX: the earliest extremal value
-	distinct    []map[string]bool
+	fsum        []float64         // AVG: every value; SUM: its FLOAT values
+	float       []bool            // SUM: a FLOAT value was summed
+	best        []types.Datum     // MIN, MAX: the earliest extremal value
+	distinct    []map[string]bool // COUNT DISTINCT: the key images seen
+	image       []byte            // COUNT DISTINCT: one value's key image
 }
 
 func newAggCol(spec plan.AggSpec) aggCol {
@@ -642,7 +649,9 @@ func (a *aggCol) add(g int32, v types.Datum) error {
 		if a.distinct[g] == nil {
 			a.distinct[g] = map[string]bool{}
 		}
-		a.distinct[g][types.Row{v}.Key()] = true
+		if a.image = types.AppendKey(a.image[:0], v); !a.distinct[g][string(a.image)] {
+			a.distinct[g][string(a.image)] = true
+		}
 	case sql.AggSum, sql.AggAvg:
 		// Guard the widening: a string would panic inside it, and a user
 		// query (SUM over a string column) must get a type error, not a
@@ -672,7 +681,7 @@ func (a *aggCol) add(g int32, v types.Datum) error {
 
 // result finalizes group g's value. A SUM is FLOAT when its argument or any
 // of its values is; otherwise its exact integer total, which must fit an
-// INT.
+// INT. A FLOAT SUM or AVG of +Inf and -Inf is NaN, which fails.
 func (a *aggCol) result(g int32) (types.Datum, error) {
 	switch a.spec.Kind {
 	case sql.AggCount, sql.AggCountStar:
@@ -686,11 +695,11 @@ func (a *aggCol) result(g int32) (types.Datum, error) {
 	case a.count[g] == 0:
 		return types.Null, nil
 	case a.spec.Kind == sql.AggAvg:
-		return types.NewFloat(a.fsum[g] / float64(a.count[g])), nil
+		return types.NewFloatChecked(a.fsum[g] / float64(a.count[g]))
 	case a.floatOut || a.float[g]:
-		return types.NewFloat(a.fsum[g] + float64(a.isum[g]) + float64(a.carry[g])*0x1p64), nil
+		return types.NewFloatChecked(a.fsum[g] + float64(a.isum[g]) + float64(a.carry[g])*0x1p64)
 	case a.carry[g] != 0:
-		return types.Null, &QueryError{Op: "HashAggregate", Kind: KindError, Err: ErrSumOverflow}
+		return types.Null, ErrSumOverflow
 	}
 	return types.NewInt(a.isum[g]), nil
 }

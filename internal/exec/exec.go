@@ -864,21 +864,22 @@ type Distinct struct{ Input Operator }
 func (d *Distinct) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	seen := map[string]bool{}
 	var sel []int32
+	var image []byte
 	var inner error
 	err := d.Input.Run(ctx, func(b *vec.Batch) bool {
 		sel = sel[:0]
 		n := b.Len()
 		for i := 0; i < n; i++ {
-			k := b.Row(i).Key()
-			if seen[k] {
+			image = types.AppendKey(image[:0], b.Row(i)...)
+			if seen[string(image)] {
 				continue
 			}
 			// Each retained key is buffered state; charge it to the budget.
-			if err := ctx.Reserve("Distinct", int64(len(k))); err != nil {
+			if err := ctx.Reserve("Distinct", int64(len(image))); err != nil {
 				inner = err
 				return false
 			}
-			seen[k] = true
+			seen[string(image)] = true
 			sel = append(sel, int32(b.Index(i)))
 		}
 		if len(sel) == 0 {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -89,10 +88,9 @@ type HashJoin struct {
 	Proj               []int
 }
 
-// intJoinKey reports whether keys is a single bare integer-image column
-// (INT or DATE — BOOL renders as TRUE/FALSE in row keys, not numerically),
-// enabling the typed int table, whose keys (see intKey) match Row.Key's
-// numeric normalization exactly, including int/date cross-kind equality.
+// intJoinKey reports whether keys is a single bare INT or DATE column,
+// enabling the typed int table, which keys the raw int64: the same equality
+// as the key image, INT against DATE included.
 func intJoinKey(keys []expr.Expr) (*expr.Column, bool) {
 	if len(keys) != 1 {
 		return nil, false
@@ -106,25 +104,6 @@ func intJoinKey(keys []expr.Expr) (*expr.Column, bool) {
 		return c, true
 	}
 	return nil, false
-}
-
-// intKey maps an integer image to its key in an intTable. The generic path
-// keys numerics by their float64 image (Row.Key), under which integers
-// beyond ±2^53 that round to the same float are equal. So a key is its
-// float image: as an integer while that is within ±2^53, and otherwise as
-// the float's bit pattern, which as an int64 lies outside ±2^53. The mapping
-// is injective on float64 images, and equality matches the generic path
-// exactly.
-func intKey(v int64) int64 {
-	const exact = 1 << 53
-	if v >= -exact && v <= exact {
-		return v
-	}
-	f := float64(v)
-	if f >= -exact && f <= exact { // v rounded onto ±2^53 itself
-		return int64(f)
-	}
-	return int64(math.Float64bits(f))
 }
 
 // intTable is a hash join's build side over one integer-class key: the build
@@ -195,15 +174,19 @@ func (t *intTable) lookup(k int64, buf []types.Row) []types.Row {
 }
 
 // joinTable is a batched hash join's build side: rows in a typed int table
-// keyed by a single integer-class column (int mode), or keyed by the
-// composite string key (generic mode). Int mode degrades to generic in place
-// when a batch fails column extraction, preserving every row already built.
+// keyed by a single integer-class column (int mode), or keyed by the key
+// image of the key values (generic mode). Int mode degrades to generic in
+// place when a batch fails column extraction, preserving every row already
+// built. inFloat marks the key pairs that mix INT or DATE with FLOAT, which
+// both sides key in FLOAT (types.KeyInFloat); image is the key scratch.
 type joinTable struct {
-	ints *intTable
-	strs map[string][]types.Row
+	ints    *intTable
+	strs    map[string][]types.Row
+	inFloat []bool
+	image   []byte
 }
 
-// degrade moves every int-mode row into the string-keyed table under the key
+// degrade moves every int-mode row into the image-keyed table under the key
 // hashKey gives it, in arrival order.
 func (t *joinTable) degrade(keys []expr.Expr) error {
 	if t.ints == nil {
@@ -213,23 +196,23 @@ func (t *joinTable) degrade(keys []expr.Expr) error {
 		t.strs = make(map[string][]types.Row, len(t.ints.rows))
 	}
 	for _, row := range t.ints.rows {
-		key, _, err := hashKey(keys, row)
+		key, _, err := t.hashKey(keys, row)
 		if err != nil {
 			return err
 		}
-		t.strs[key] = append(t.strs[key], row)
+		t.strs[string(key)] = append(t.strs[string(key)], row)
 	}
 	t.ints.release()
 	t.ints = nil
 	return nil
 }
 
-// addGeneric folds one batch into the string-keyed table row by row.
+// addGeneric folds one batch into the image-keyed table row by row.
 func (t *joinTable) addGeneric(ctx *Ctx, keys []expr.Expr, b *vec.Batch) error {
 	n := b.Len()
 	for i := 0; i < n; i++ {
 		row := b.Row(i)
-		key, null, err := hashKey(keys, row)
+		key, null, err := t.hashKey(keys, row)
 		if err != nil {
 			return err
 		}
@@ -242,15 +225,19 @@ func (t *joinTable) addGeneric(ctx *Ctx, keys []expr.Expr, b *vec.Batch) error {
 		if !b.Owned && !b.Stored {
 			row = row.Clone()
 		}
-		t.strs[key] = append(t.strs[key], row)
+		t.strs[string(key)] = append(t.strs[string(key)], row)
 	}
 	return nil
 }
 
 // buildTable materializes the build side, preferring the typed int table
-// when both key sides are bare integer-class columns.
+// when both key sides are bare integer-class columns. The key pairs that
+// key in FLOAT are decided here, once, from the two sides' static kinds.
 func (j *HashJoin) buildTable(ctx *Ctx) (*joinTable, error) {
-	t := &joinTable{}
+	t := &joinTable{inFloat: make([]bool, len(j.LeftKeys))}
+	for i, l := range j.LeftKeys {
+		t.inFloat[i] = types.KeyInFloat(l.Type(), j.RightKey[i].Type())
+	}
 	lcol, lok := intJoinKey(j.LeftKeys)
 	if _, rok := intJoinKey(j.RightKey); lok && rok {
 		t.ints = intTablePool.Get().(*intTable)
@@ -276,12 +263,12 @@ func (j *HashJoin) buildTable(ctx *Ctx) (*joinTable, error) {
 					if !retain {
 						row = row.Clone()
 					}
-					t.ints.add(intKey(c.Ints[idx]), row)
+					t.ints.add(c.Ints[idx], row)
 				}
 				return true
 			}
 			// This window holds a datum the int image cannot carry (e.g. a
-			// FLOAT in an INT column): fall back to string keys for
+			// FLOAT in an INT column): fall back to key images for
 			// everything, past and future.
 			if inner = t.degrade(j.LeftKeys); inner != nil {
 				return false
@@ -361,11 +348,11 @@ func (j *HashJoin) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 					continue
 				}
 				row = b.Rows[idx]
-				matchBuf = t.ints.lookup(intKey(c.Ints[idx]), matchBuf[:0])
+				matchBuf = t.ints.lookup(c.Ints[idx], matchBuf[:0])
 				matches = matchBuf
 			} else {
 				row = b.Row(i)
-				key, null, err := hashKey(j.RightKey, row)
+				key, null, err := t.hashKey(j.RightKey, row)
 				if err != nil {
 					inner = err
 					return false
@@ -373,7 +360,7 @@ func (j *HashJoin) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 				if null {
 					continue
 				}
-				matches = t.strs[key]
+				matches = t.strs[string(key)]
 			}
 			for _, l := range matches {
 				lw := len(l)
@@ -449,19 +436,21 @@ func (j *HashJoin) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	return err
 }
 
-func hashKey(keys []expr.Expr, row types.Row) (string, bool, error) {
-	vals := make(types.Row, len(keys))
+// hashKey is the key image of keys over row, valid until the next call;
+// null reports a NULL key value, which no equality matches.
+func (t *joinTable) hashKey(keys []expr.Expr, row types.Row) (key []byte, null bool, err error) {
+	t.image = t.image[:0]
 	for i, k := range keys {
 		v, err := k.Eval(row)
 		if err != nil {
-			return "", false, err
+			return nil, false, err
 		}
 		if v.IsNull() {
-			return "", true, nil
+			return nil, true, nil
 		}
-		vals[i] = v
+		t.image = types.AppendEqKey(t.image, v, t.inFloat[i])
 	}
-	return vals.Key(), false, nil
+	return t.image, false, nil
 }
 
 // Describe implements Operator.

@@ -94,7 +94,7 @@ func TestOperatorsAreReRunnable(t *testing.T) {
 func rowKeys(rows []types.Row) string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {
-		keys[i] = r.Key()
+		keys[i] = string(types.AppendKey(nil, r...))
 	}
 	sortStrings(keys)
 	return fmt.Sprint(keys)

@@ -16,8 +16,8 @@ import (
 // TestTypedBuildOracle: the hash join's typed int table against the
 // string-keyed table the same join builds when its key column's kind is
 // hidden, on random INT keys with NULLs, duplicates and values around
-// ±2^53, where distinct integers share a float image and so must join. A
-// FLOAT datum in the key column — in a build-side window, or in a
+// ±2^53, where distinct integers share a float image and still must not
+// join. A FLOAT datum in the key column — in a build-side window, or in a
 // probe-side one — degrades the table to string keys mid-stream. The two
 // must give the same rows in the same order and the same charges.
 func TestTypedBuildOracle(t *testing.T) {
@@ -67,9 +67,21 @@ func TestTypedBuildOracle(t *testing.T) {
 		generic.LeftKeys = []expr.Expr{hidden}
 		sameCharges(t, fmt.Sprintf("trial %d (float build %v, probe %v)", trial, buildFloat, probeFloat), join, &generic)
 	}
-	// The float-image collisions the oracle relies on really occur.
-	if intKey(edge+1) != intKey(edge) || intKey(-edge-1) != intKey(-edge) || intKey(edge+2) == intKey(edge) {
-		t.Fatalf("intKey does not follow float64 equality around 2^53")
+	// Distinct integers that share a float image do not join, typed or
+	// generic; equal ones do.
+	for _, k := range []expr.Expr{kcol, hidden} {
+		for _, d := range []int64{0, 1, -1} {
+			build, probe := storage.NewHeap(def), storage.NewHeap(def)
+			build.Insert(types.Row{types.NewInt(edge), types.NewInt(0)})
+			build.Insert(types.Row{types.NewInt(-edge), types.NewInt(0)})
+			probe.Insert(types.Row{types.NewInt(edge + d), types.NewInt(1)})
+			probe.Insert(types.Row{types.NewInt(-edge - d), types.NewInt(1)})
+			rows := collect(t, &HashJoin{Left: &SeqScan{Table: "b", Heap: build}, Right: &SeqScan{Table: "p", Heap: probe},
+				LeftKeys: []expr.Expr{k}, RightKey: []expr.Expr{k}})
+			if want := map[bool]int{true: 2, false: 0}[d == 0]; len(rows) != want {
+				t.Fatalf("key %s, ±2^53 joined with ±(2^53%+d): %d rows, want %d", k.Type(), d, len(rows), want)
+			}
+		}
 	}
 }
 

@@ -380,20 +380,6 @@ func (p *PredProgram) RunStage(i int, b *vec.Batch, sel []int32, out []int32) ([
 	}
 }
 
-// cmpFloat mirrors Datum.Compare's float ordering (NaN compares equal to
-// everything it is not <
-// or > than, exactly like the tree-walk).
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 func (s *Stage) runRange(b *vec.Batch, sel, out []int32) ([]int32, error) {
 	if s.loop == loopEmpty {
 		return out, nil
@@ -441,10 +427,10 @@ func (s *Stage) runRange(b *vec.Batch, sel, out []int32) ([]int32, error) {
 					continue
 				}
 				v := float64(c.Ints[idx])
-				if iv.HasLo && (v < lo || (cmpFloat(v, lo) == 0 && !iv.LoIncl)) {
+				if iv.HasLo && (v < lo || (types.CompareFloat(v, lo) == 0 && !iv.LoIncl)) {
 					continue
 				}
-				if iv.HasHi && (v > hi || (cmpFloat(v, hi) == 0 && !iv.HiIncl)) {
+				if iv.HasHi && (v > hi || (types.CompareFloat(v, hi) == 0 && !iv.HiIncl)) {
 					continue
 				}
 				out = append(out, idx)
@@ -466,13 +452,13 @@ func (s *Stage) runRange(b *vec.Batch, sel, out []int32) ([]int32, error) {
 				}
 				v := c.Floats[idx]
 				if iv.HasLo {
-					cc := cmpFloat(v, lo)
+					cc := types.CompareFloat(v, lo)
 					if cc < 0 || (cc == 0 && !iv.LoIncl) {
 						continue
 					}
 				}
 				if iv.HasHi {
-					cc := cmpFloat(v, hi)
+					cc := types.CompareFloat(v, hi)
 					if cc > 0 || (cc == 0 && !iv.HiIncl) {
 						continue
 					}
@@ -540,7 +526,7 @@ func (s *Stage) runNe(b *vec.Batch, sel, out []int32) ([]int32, error) {
 		if c := b.Col(s.Col, vec.ClassInt); c != nil {
 			ne := s.Ne.Float()
 			for _, idx := range sel {
-				if !c.Nulls[idx] && cmpFloat(float64(c.Ints[idx]), ne) != 0 {
+				if !c.Nulls[idx] && types.CompareFloat(float64(c.Ints[idx]), ne) != 0 {
 					out = append(out, idx)
 				}
 			}
@@ -550,7 +536,7 @@ func (s *Stage) runNe(b *vec.Batch, sel, out []int32) ([]int32, error) {
 		if c := b.Col(s.Col, vec.ClassFloat); c != nil {
 			ne := s.Ne.Float()
 			for _, idx := range sel {
-				if !c.Nulls[idx] && cmpFloat(c.Floats[idx], ne) != 0 {
+				if !c.Nulls[idx] && types.CompareFloat(c.Floats[idx], ne) != 0 {
 					out = append(out, idx)
 				}
 			}

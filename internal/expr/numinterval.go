@@ -47,7 +47,7 @@ func numOf(d types.Datum) (Num, bool) {
 // either side is a float, integer comparison otherwise.
 func cmpNum(a, b Num) int {
 	if a.isFloat || b.isFloat {
-		return cmpFloat(a.f, b.f)
+		return types.CompareFloat(a.f, b.f)
 	}
 	switch {
 	case a.i < b.i:

@@ -51,14 +51,14 @@ func MineFDs(def *schema.Table, heap *storage.Heap, cfg FDMinerConfig) []FD {
 		return nil
 	}
 	arity := def.Arity()
-	// Materialize column value keys once.
+	// Materialize column value key images once.
 	colKeys := make([][]string, arity)
 	for i := range colKeys {
 		colKeys[i] = make([]string, 0, n)
 	}
 	heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
 		for i, d := range row {
-			colKeys[i] = append(colKeys[i], types.Row{d}.Key())
+			colKeys[i] = append(colKeys[i], string(types.AppendKey(nil, d)))
 		}
 		return true
 	})
@@ -129,7 +129,7 @@ func fdConfidence(colKeys [][]string, det []int, dep int, n int) float64 {
 	for r := 0; r < n; r++ {
 		var key string
 		for _, d := range det {
-			key += colKeys[d][r] + "\x00"
+			key += colKeys[d][r]
 		}
 		m := groups[key]
 		if m == nil {
@@ -188,13 +188,13 @@ func VerifyFD(def *schema.Table, heap *storage.Heap, det []string, dep string) f
 	}
 	groups := map[string]map[string]int{}
 	heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-		key := row.Project(detOrds).Key()
+		key := string(types.AppendKey(nil, row.Project(detOrds)...))
 		m := groups[key]
 		if m == nil {
 			m = map[string]int{}
 			groups[key] = m
 		}
-		m[types.Row{row[depOrd]}.Key()]++
+		m[string(types.AppendKey(nil, row[depOrd]))]++
 		return true
 	})
 	kept := 0

@@ -387,3 +387,24 @@ func mustTable(name string, cols ...schema.Column) *schema.Table {
 	}
 	return def
 }
+
+// TestMineFDsExactValues: region → big holds on float images (2^53 and
+// 2^53+1 share one) but not on values, so it is neither mined nor verified.
+func TestMineFDsExactValues(t *testing.T) {
+	def := mustTable("t",
+		schema.Column{Name: "region", Type: types.KindInt},
+		schema.Column{Name: "big", Type: types.KindInt},
+	)
+	h := storage.NewHeap(def)
+	for i := 0; i < 64; i++ {
+		h.Insert(types.Row{types.NewInt(int64(i % 4)), types.NewInt(1<<53 + int64(i/4%2))})
+	}
+	for _, fd := range MineFDs(def, h, FDMinerConfig{}) {
+		if fd.Dep == "big" {
+			t.Errorf("mined %v → big, which holds only on float images", fd.Det)
+		}
+	}
+	if c := VerifyFD(def, h, []string{"region"}, "big"); c != 0.5 {
+		t.Errorf("VerifyFD(region → big) = %g, want 0.5", c)
+	}
+}

@@ -111,7 +111,7 @@ func (in *interp) eval(n plan.Node) ([]types.Row, error) {
 		seen := map[string]bool{}
 		out := rows[:0]
 		for _, r := range rows {
-			if k := r.Key(); !seen[k] {
+			if k := string(types.AppendKey(nil, r...)); !seen[k] {
 				seen[k] = true
 				out = append(out, r)
 			}
@@ -170,7 +170,7 @@ func (in *interp) scan(s *plan.Scan) ([]types.Row, error) {
 // inputs in binding order, evaluate on it as they stand. Inputs join one at a
 // time, starting with the first and preferring one that a bare-column
 // equality links to those already in, which is then hashed (keyed by
-// Row.Key); a conjunct runs as soon as every input it reads is in.
+// types.AppendKey); a conjunct runs as soon as every input it reads is in.
 func (in *interp) join(j *plan.JoinGroup) ([]types.Row, error) {
 	n := len(j.Tables)
 	inputs := make([][]types.Row, n)
@@ -211,7 +211,8 @@ func (in *interp) join(j *plan.JoinGroup) ([]types.Row, error) {
 		return out
 	}
 	// links returns input i's bare-column equalities with the joined inputs:
-	// the joined side's ordinals and input i's.
+	// the joined side's ordinals and input i's. An equality of INT or DATE
+	// with FLOAT is left to its conjunct, which compares in FLOAT.
 	links := func(i int) (lk, rk []int) {
 		for c, e := range j.Conjuncts {
 			b, ok := e.(*expr.Binary)
@@ -220,7 +221,7 @@ func (in *interp) join(j *plan.JoinGroup) ([]types.Row, error) {
 			}
 			l, lok := b.L.(*expr.Column)
 			r, rok := b.R.(*expr.Column)
-			if !lok || !rok {
+			if !lok || !rok || types.KeyInFloat(l.Kind, r.Kind) {
 				continue
 			}
 			if li, ri := owner(l.Index), owner(r.Index); ri == i && joined[li] {
@@ -289,7 +290,7 @@ func (in *interp) join(j *plan.JoinGroup) ([]types.Row, error) {
 	return rows, nil
 }
 
-// hashKey is the Row.Key of row's values at ords (shifted by base); ok is
+// hashKey is the key image of row's values at ords (shifted by base); ok is
 // false when one is NULL, which no equality matches.
 func hashKey(row types.Row, ords []int, base int) (string, bool) {
 	vals := make(types.Row, len(ords))
@@ -298,7 +299,7 @@ func hashKey(row types.Row, ords []int, base int) (string, bool) {
 			return "", false
 		}
 	}
-	return vals.Key(), true
+	return string(types.AppendKey(nil, vals...)), true
 }
 
 // ErrSumOverflow is the cause of the error a SUM fails with when the exact
@@ -331,7 +332,7 @@ func (a *acc) add(spec plan.AggSpec, row types.Row) error {
 		if a.distinct == nil {
 			a.distinct = map[string]bool{}
 		}
-		a.distinct[types.Row{v}.Key()] = true
+		a.distinct[string(types.AppendKey(nil, v))] = true
 	case sql.AggSum, sql.AggAvg:
 		switch v.Kind() {
 		case types.KindFloat:
@@ -367,11 +368,11 @@ func (a *acc) result(spec sql.AggKind, kind types.Kind) (types.Datum, error) {
 	case a.count == 0:
 		return types.Null, nil
 	case spec == sql.AggAvg:
-		return types.NewFloat(a.fsum / float64(a.count)), nil
+		return types.NewFloatChecked(a.fsum / float64(a.count))
 	case spec != sql.AggSum:
 		return a.best, nil
 	case kind == types.KindFloat || a.float:
-		return types.NewFloat(a.fsum), nil
+		return types.NewFloatChecked(a.fsum)
 	case a.ihi != a.isum>>63:
 		return types.Null, ErrSumOverflow
 	}
@@ -399,7 +400,7 @@ func (in *interp) aggregate(a *plan.Aggregate) ([]types.Row, error) {
 				return nil, err
 			}
 		}
-		k := key.Key()
+		k := string(types.AppendKey(nil, key...))
 		grp := byKey[k]
 		if grp == nil {
 			grp = &group{key: key, accs: make([]acc, len(a.Aggs))}

@@ -316,10 +316,10 @@ func (p *selectPlan) mergeRows(shardRows [][]types.Row) ([]types.Row, error) {
 		if p.distinct {
 			seen := make(map[string]bool, len(rows))
 			dedup := rows[:0]
+			var image []byte
 			for _, r := range rows {
-				k := r.Key()
-				if !seen[k] {
-					seen[k] = true
+				if image = types.AppendKey(image[:0], r...); !seen[string(image)] {
+					seen[string(image)] = true
 					dedup = append(dedup, r)
 				}
 			}
@@ -366,7 +366,7 @@ func (p *selectPlan) columns(shardCols []string) []string {
 // partial accumulates one aggregate column across shards. A SUM follows the
 // engine's result rule: FLOAT when any partial is, and otherwise the exact
 // integer total, which must fit an INT. So a router combine gives the
-// single-node answer, overflow error included.
+// single-node answer, overflow and NaN errors included.
 type partial struct {
 	count int64
 	sum   float64 // every SUM partial; AVG's SUM partials
@@ -425,16 +425,16 @@ func (pa *partial) result(kind sql.AggKind) (types.Datum, error) {
 		case !pa.seen:
 			return types.Null, nil
 		case pa.float:
-			return types.NewFloat(pa.sum), nil
+			return types.NewFloatChecked(pa.sum)
 		case pa.hi != pa.lo>>63:
-			return types.Null, &exec.QueryError{Op: "router.merge", Kind: exec.KindError, Err: exec.ErrSumOverflow}
+			return types.Null, exec.ErrSumOverflow
 		}
 		return types.NewInt(pa.lo), nil
 	case sql.AggAvg:
 		if pa.count == 0 {
 			return types.Null, nil
 		}
-		return types.NewFloat(pa.sum / float64(pa.count)), nil
+		return types.NewFloatChecked(pa.sum / float64(pa.count))
 	case sql.AggMin:
 		return pa.min, nil
 	case sql.AggMax:
@@ -451,23 +451,23 @@ func (ap *aggPlan) combine(shardRows [][]types.Row) ([]types.Row, error) {
 		first    types.Row // a representative row (group-key passthrough)
 		partials []*partial
 	}
-	var order []string
+	var order []*group
 	groups := map[string]*group{}
-	key := make(types.Row, len(ap.groupSrc))
+	var image []byte
 	for _, rs := range shardRows {
 		for _, row := range rs {
-			for i, gi := range ap.groupSrc {
-				key[i] = row[gi]
+			image = image[:0]
+			for _, gi := range ap.groupSrc {
+				image = types.AppendKey(image, row[gi])
 			}
-			k := key.Key()
-			g, ok := groups[k]
+			g, ok := groups[string(image)]
 			if !ok {
 				g = &group{first: row, partials: make([]*partial, len(ap.outs))}
 				for i := range g.partials {
 					g.partials[i] = &partial{min: types.Null, max: types.Null}
 				}
-				groups[k] = g
-				order = append(order, k)
+				groups[string(image)] = g
+				order = append(order, g)
 			}
 			for i, o := range ap.outs {
 				if o.kind != sql.AggNone {
@@ -477,8 +477,7 @@ func (ap *aggPlan) combine(shardRows [][]types.Row) ([]types.Row, error) {
 		}
 	}
 	out := make([]types.Row, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range order {
 		row := make(types.Row, len(ap.outs))
 		for i, o := range ap.outs {
 			if o.kind == sql.AggNone {
@@ -487,7 +486,7 @@ func (ap *aggPlan) combine(shardRows [][]types.Row) ([]types.Row, error) {
 			}
 			v, err := g.partials[i].result(o.kind)
 			if err != nil {
-				return nil, err
+				return nil, &exec.QueryError{Op: "router.merge", Kind: exec.KindError, Err: err}
 			}
 			row[i] = v
 		}

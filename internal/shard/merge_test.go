@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"softdb/internal/exec"
@@ -254,5 +255,26 @@ func TestPlanAggDistinctRejected(t *testing.T) {
 	sel := mustSelect(t, "SELECT DISTINCT g, COUNT(*) FROM t GROUP BY g")
 	if _, err := planSelect(sel, nil); err == nil {
 		t.Fatal("DISTINCT with aggregates should be rejected across shards")
+	}
+}
+
+// TestAggMergeNaNFails: FLOAT SUM and AVG partials of +Inf and -Inf merge
+// to NaN, which fails the query as it does on one node.
+func TestAggMergeNaNFails(t *testing.T) {
+	inf := func(sign int) types.Datum { return types.NewFloat(math.Inf(sign)) }
+	for _, c := range []struct {
+		q    string
+		rows [][]types.Row // AVG's layout: avg (ignored), then its sum+count partials
+	}{
+		{"SELECT SUM(v) FROM t", [][]types.Row{{{inf(1)}}, {{inf(-1)}}}},
+		{"SELECT AVG(v) FROM t", [][]types.Row{{{types.Null, inf(1), types.NewInt(1)}}, {{types.Null, inf(-1), types.NewInt(1)}}}},
+	} {
+		p, err := planSelect(mustSelect(t, c.q), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := p.mergeRows(c.rows); !errors.Is(err, types.ErrNaN) {
+			t.Errorf("%s: %v, %v; want ErrNaN", c.q, rows, err)
+		}
 	}
 }

@@ -90,7 +90,7 @@ func canon(cols []string, rows []types.Row, ordered bool) string {
 	b.WriteString("\n")
 	lines := make([]string, len(rows))
 	for i, r := range rows {
-		lines[i] = r.Key()
+		lines[i] = r.String()
 	}
 	if !ordered {
 		sort.Strings(lines)
@@ -572,7 +572,7 @@ func TestShowShardsAndEconomy(t *testing.T) {
 	}
 	text := ""
 	for _, r := range res.Rows {
-		text += r.Key() + "\n"
+		text += r.String() + "\n"
 	}
 	for _, want := range []string{"configured", "partition", "range", "router_orders"} {
 		if !strings.Contains(text, want) {
@@ -769,5 +769,33 @@ func TestExplainAnalyzeShardLine(t *testing.T) {
 	plan = planText(c.routerOnly("EXPLAIN ANALYZE SELECT COUNT(*) FROM orders"))
 	if !strings.Contains(plan, "router: shards=3/3 pruned=0") {
 		t.Fatalf("broadcast EXPLAIN ANALYZE:\n%s", plan)
+	}
+}
+
+// TestRouterMergePast2p53: the router's DISTINCT and GROUP BY merges equate
+// keys by exact value, as one node does. Each shard holds one of 2^53 and
+// 2^53+1, which share a float image.
+func TestRouterMergePast2p53(t *testing.T) {
+	c := newCluster(t, 2, func(cfg *Config) {
+		sp, err := ParseSpec("big=range(id:100)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Specs = []Spec{sp}
+	})
+	c.exec("CREATE TABLE big (id INT PRIMARY KEY, k INT)")
+	c.exec("INSERT INTO big VALUES (1, 9007199254740992), (2, 9007199254740992), (101, 9007199254740993), (102, 9007199254740993)")
+	for _, q := range []string{
+		"SELECT DISTINCT k FROM big",
+		"SELECT k, COUNT(*) AS n FROM big GROUP BY k",
+	} {
+		c.differ(q, false)
+		res, err := c.sess.Exec(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 2 {
+			t.Fatalf("%s through the router: %v, want 2 rows", q, res.Rows)
+		}
 	}
 }

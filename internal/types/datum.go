@@ -1,5 +1,5 @@
 // Package types defines the scalar value system used throughout softdb:
-// the Datum type, its kinds, ordering, hashing, arithmetic, and parsing.
+// the Datum type, its kinds, ordering, key images, arithmetic, and parsing.
 //
 // A Datum is a small immutable value. NULL is represented by KindNull and
 // compares per SQL three-valued logic in expression evaluation; for index
@@ -8,8 +8,9 @@
 package types
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -70,6 +71,19 @@ func NewInt(v int64) Datum { return Datum{kind: KindInt, i: v} }
 
 // NewFloat returns a float datum.
 func NewFloat(v float64) Datum { return Datum{kind: KindFloat, f: v} }
+
+// ErrNaN is the cause of the error a float operation fails with when its
+// result is not a number. No datum holds a NaN, so FLOAT order is total.
+var ErrNaN = errors.New("float result is not a number")
+
+// NewFloatChecked returns the float datum for v, or ErrNaN when v is NaN:
+// every float a query computes comes into being through it.
+func NewFloatChecked(v float64) (Datum, error) {
+	if math.IsNaN(v) {
+		return Null, ErrNaN
+	}
+	return NewFloat(v), nil
+}
 
 // NewString returns a string datum.
 func NewString(v string) Datum { return Datum{kind: KindString, s: v} }
@@ -184,63 +198,25 @@ func (d Datum) String() string {
 	}
 }
 
-// comparable kinds: numeric kinds compare with each other; otherwise kinds
-// must match. mismatched non-numeric kinds order by kind to keep Compare
-// total.
-
 // Compare returns -1, 0, or +1 ordering d against other. NULL sorts first.
 // Numeric kinds (INT, FLOAT, DATE) compare by numeric value; other kinds
-// must match, and mismatches order by kind so the relation stays total.
+// must match, and mismatches order by kind (NULL's is the least) so the
+// relation stays total.
 func (d Datum) Compare(other Datum) int {
-	if d.kind == KindNull || other.kind == KindNull {
-		switch {
-		case d.kind == other.kind:
-			return 0
-		case d.kind == KindNull:
-			return -1
-		default:
-			return 1
-		}
-	}
 	if d.IsNumeric() && other.IsNumeric() {
 		if d.kind == KindFloat || other.kind == KindFloat {
-			a, b := d.Float(), other.Float()
-			switch {
-			case a < b:
-				return -1
-			case a > b:
-				return 1
-			default:
-				return 0
-			}
+			return CompareFloat(d.Float(), other.Float())
 		}
-		switch {
-		case d.i < other.i:
-			return -1
-		case d.i > other.i:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(d.i, other.i)
 	}
 	if d.kind != other.kind {
-		if d.kind < other.kind {
-			return -1
-		}
-		return 1
+		return cmp.Compare(d.kind, other.kind)
 	}
 	switch d.kind {
 	case KindString:
 		return strings.Compare(d.s, other.s)
 	case KindBool:
-		switch {
-		case d.i < other.i:
-			return -1
-		case d.i > other.i:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(d.i, other.i)
 	default:
 		return 0
 	}
@@ -249,43 +225,6 @@ func (d Datum) Compare(other Datum) int {
 // Equal reports value equality under Compare semantics (NULL equals NULL
 // here; expression evaluation layers SQL three-valued logic on top).
 func (d Datum) Equal(other Datum) bool { return d.Compare(other) == 0 }
-
-var hashSeed = maphash.MakeSeed()
-
-// Hash returns a stable-in-process hash of the datum, suitable for hash
-// joins and hash aggregation. Numerically equal INT/FLOAT/DATE values hash
-// identically.
-func (d Datum) Hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	switch d.kind {
-	case KindNull:
-		h.WriteByte(0)
-	case KindString:
-		h.WriteByte(1)
-		h.WriteString(d.s)
-	case KindBool:
-		h.WriteByte(2)
-		h.WriteByte(byte(d.i))
-	default:
-		// Numeric: hash the float64 image so 1 and 1.0 collide.
-		f := d.Float()
-		if f == math.Trunc(f) && !math.Signbit(f) || f == math.Trunc(f) {
-			// normalize -0 to 0
-			if f == 0 {
-				f = 0
-			}
-		}
-		h.WriteByte(3)
-		bits := math.Float64bits(f)
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
 
 // Add returns d + other for numeric datums. DATE + INT yields DATE
 // (day arithmetic). NULL propagates.
@@ -334,16 +273,16 @@ func arith(a, b Datum, op byte) (Datum, error) {
 		x, y := a.Float(), b.Float()
 		switch op {
 		case '+':
-			return NewFloat(x + y), nil
+			return NewFloatChecked(x + y)
 		case '-':
-			return NewFloat(x - y), nil
+			return NewFloatChecked(x - y)
 		case '*':
-			return NewFloat(x * y), nil
+			return NewFloatChecked(x * y)
 		case '/':
 			if y == 0 {
 				return Null, fmt.Errorf("types: division by zero")
 			}
-			return NewFloat(x / y), nil
+			return NewFloatChecked(x / y)
 		}
 	}
 	x, y := a.i, b.i
@@ -401,7 +340,7 @@ func Coerce(d Datum, to Kind) (Datum, error) {
 		}
 		if d.kind == KindString {
 			v, err := strconv.ParseFloat(strings.TrimSpace(d.s), 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) {
 				return Null, fmt.Errorf("types: cannot coerce %s to FLOAT", d)
 			}
 			return NewFloat(v), nil

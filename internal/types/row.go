@@ -49,16 +49,6 @@ func (r Row) Compare(other Row) int {
 	}
 }
 
-// Hash combines the hashes of the row's datums.
-func (r Row) Hash() uint64 {
-	var h uint64 = 14695981039346656037 // FNV offset basis
-	for _, d := range r {
-		h ^= d.Hash()
-		h *= 1099511628211 // FNV prime
-	}
-	return h
-}
-
 // MemSize estimates the bytes a materialized copy of the row retains: the
 // slice header plus each datum's inline struct and string payload. It is
 // the unit the executor's per-query memory budget accounts in.
@@ -102,23 +92,5 @@ func (r Row) String() string {
 		b.WriteString(d.String())
 	}
 	b.WriteByte(')')
-	return b.String()
-}
-
-// Key renders the row as a map key. Numeric values are normalized so that
-// equal values produce equal keys.
-func (r Row) Key() string {
-	var b strings.Builder
-	for i, d := range r {
-		if i > 0 {
-			b.WriteByte('\x00')
-		}
-		if d.IsNumeric() {
-			// Normalize 1 and 1.0 to the same key image.
-			b.WriteString(NewFloat(d.Float()).String())
-		} else {
-			b.WriteString(d.String())
-		}
-	}
 	return b.String()
 }
