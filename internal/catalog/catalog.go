@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"softdb/internal/btree"
 	"softdb/internal/expr"
@@ -94,8 +95,10 @@ type Catalog struct {
 	correls    map[string]*LinearCorrelation
 	holes      map[string]*JoinHoles
 	exceptions map[string]string // constraint name -> exception AST name (§4.4)
-	version    int64
-	hard       int64
+	// version is atomic so a BEGIN can read it without the engine's lock
+	// (see Version).
+	version atomic.Int64
+	hard    int64
 }
 
 // New returns an empty catalog.
@@ -125,7 +128,7 @@ func (c *Catalog) LinkException(constraintName, summaryName string) error {
 		return fmt.Errorf("catalog: exception AST %s must be materialized", summaryName)
 	}
 	c.exceptions[key(constraintName)] = st.Name
-	c.version++
+	c.version.Add(1)
 	return nil
 }
 
@@ -139,8 +142,8 @@ func (c *Catalog) ExceptionFor(constraintName string) (*SummaryTable, bool) {
 }
 
 // Version is bumped on every catalog mutation; the engine's plan cache
-// keys on it.
-func (c *Catalog) Version() int64 { return c.version }
+// keys on it. It may be read without the engine's lock.
+func (c *Catalog) Version() int64 { return c.version.Load() }
 
 // HardVersion is bumped only by structural DDL (tables, indexes, summary
 // tables). A plan compiled with all soft rules disabled stays executable as
@@ -150,7 +153,7 @@ func (c *Catalog) HardVersion() int64 { return c.hard }
 
 // touchHard records a structural change.
 func (c *Catalog) touchHard() {
-	c.version++
+	c.version.Add(1)
 	c.hard++
 }
 
@@ -336,7 +339,7 @@ func (c *Catalog) AddConstraint(con *Constraint) error {
 	con.Active = true
 	con.VerifiedVersion = te.Heap.Version()
 	te.Constraints = append(te.Constraints, con)
-	c.version++
+	c.version.Add(1)
 	return nil
 }
 
@@ -366,7 +369,7 @@ func (c *Catalog) DropConstraint(table, name string) error {
 	for i, con := range te.Constraints {
 		if strings.EqualFold(con.Name, name) {
 			te.Constraints = append(te.Constraints[:i], te.Constraints[i+1:]...)
-			c.version++
+			c.version.Add(1)
 			return nil
 		}
 	}
@@ -383,7 +386,7 @@ func (c *Catalog) DeactivateConstraint(table, name string) error {
 	for _, con := range te.Constraints {
 		if strings.EqualFold(con.Name, name) {
 			con.Active = false
-			c.version++
+			c.version.Add(1)
 			return nil
 		}
 	}
@@ -478,7 +481,7 @@ func (c *Catalog) AddCorrelation(lc *LinearCorrelation) error {
 	}
 	lc.Active = true
 	c.correls[key(lc.Name)] = lc
-	c.version++
+	c.version.Add(1)
 	return nil
 }
 
@@ -507,7 +510,7 @@ func (c *Catalog) DeactivateCorrelation(name string) error {
 		return fmt.Errorf("catalog: no correlation %s", name)
 	}
 	lc.Active = false
-	c.version++
+	c.version.Add(1)
 	return nil
 }
 
@@ -517,7 +520,7 @@ func (c *Catalog) DropCorrelation(name string) error {
 		return fmt.Errorf("catalog: no correlation %s", name)
 	}
 	delete(c.correls, key(name))
-	c.version++
+	c.version.Add(1)
 	return nil
 }
 
@@ -539,7 +542,7 @@ func (c *Catalog) AddJoinHoles(jh *JoinHoles) error {
 	}
 	jh.Active = true
 	c.holes[key(jh.Name)] = jh
-	c.version++
+	c.version.Add(1)
 	return nil
 }
 
@@ -594,7 +597,7 @@ func (c *Catalog) JoinHolesOn(table string) []*JoinHoles {
 
 // Touch bumps the catalog version; used by soft-constraint maintenance when
 // it mutates registered objects in place.
-func (c *Catalog) Touch() { c.version++ }
+func (c *Catalog) Touch() { c.version.Add(1) }
 
 // AddVirtualColumn registers a virtual column over the table. Statistics
 // are collected by the engine's ANALYZE.
@@ -610,7 +613,7 @@ func (c *Catalog) AddVirtualColumn(table, name string, bound expr.Expr) (*Virtua
 	}
 	vc := &VirtualColumn{Name: name, Expr: bound, Canon: expr.Canonical(bound)}
 	te.Virtual = append(te.Virtual, vc)
-	c.version++
+	c.version.Add(1)
 	return vc, nil
 }
 
@@ -621,6 +624,6 @@ func (c *Catalog) SetStats(table string, ts *stats.TableStats) error {
 		return err
 	}
 	te.Stats = ts
-	c.version++
+	c.version.Add(1)
 	return nil
 }

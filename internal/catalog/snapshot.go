@@ -494,7 +494,7 @@ func decodeVirtual(d *codec.Decoder, def *schema.Table, bind ExprBinder) (*Virtu
 // the crash-differential suite compares on.
 func (c *Catalog) EncodeState(b []byte) ([]byte, error) {
 	b = append(b, snapVersion)
-	b = codec.AppendVarint(b, c.version)
+	b = codec.AppendVarint(b, c.version.Load())
 	b = codec.AppendVarint(b, c.hard)
 	var err error
 
@@ -587,7 +587,7 @@ func DecodeState(payload []byte, bind ExprBinder) (*Catalog, error) {
 		return nil, fmt.Errorf("catalog: unsupported snapshot version %d", v)
 	}
 	c := New()
-	c.version = d.Varint("catalog version")
+	c.version.Store(d.Varint("catalog version"))
 	c.hard = d.Varint("catalog hard version")
 
 	nt := d.Uvarint("table count")
@@ -901,6 +901,6 @@ func (c *Catalog) DecodeSoftRegistry(payload []byte, bind ExprBinder) error {
 	c.correls = correls
 	c.holes = holes
 	c.exceptions = exceptions
-	c.version++
+	c.version.Add(1)
 	return nil
 }

@@ -459,31 +459,9 @@ func (db *Database) update(tx *Tx, upd *sql.Update) (*Result, error) {
 		}
 		sets[i] = setOp{ord: ord, val: bound}
 	}
-	// Collect matches first (mutating while scanning is unsafe), reading
-	// from tx's snapshot so the statement sees a stable view plus its own
-	// transaction's earlier writes.
-	type match struct {
-		rid storage.RowID
-		row types.Row
-	}
-	var matches []match
-	var scanErr error
-	te.Heap.ScanAt(tx.t.Snap, tx.t.ID, nil, func(rid storage.RowID, row types.Row) bool {
-		if where != nil {
-			ok, err := expr.EvalBool(where, row)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		matches = append(matches, match{rid: rid, row: row.Clone()})
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
+	matches, err := matchRows(tx, te, where)
+	if err != nil {
+		return nil, err
 	}
 	var n int64
 	for _, m := range matches {
@@ -524,10 +502,30 @@ func (db *Database) delete(tx *Tx, del *sql.Delete) (*Result, error) {
 			return nil, err
 		}
 	}
-	type match struct {
-		rid storage.RowID
-		row types.Row
+	matches, err := matchRows(tx, te, where)
+	if err != nil {
+		return nil, err
 	}
+	for _, m := range matches {
+		if err := db.applyDelete(tx, te, m.rid, m.row); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{RowsAffected: int64(len(matches))}, nil
+}
+
+// match is one row an UPDATE or DELETE acts on: its id and a copy of its
+// image.
+type match struct {
+	rid storage.RowID
+	row types.Row
+}
+
+// matchRows collects the rows of te that where admits (nil admits every
+// row). It reads tx's snapshot, so the statement sees a stable view plus
+// its own transaction's earlier writes, and it collects every match before
+// the caller changes any: mutating while scanning is unsafe.
+func matchRows(tx *Tx, te *catalog.TableEntry, where expr.Expr) ([]match, error) {
 	var matches []match
 	var scanErr error
 	te.Heap.ScanAt(tx.t.Snap, tx.t.ID, nil, func(rid storage.RowID, row types.Row) bool {
@@ -544,15 +542,7 @@ func (db *Database) delete(tx *Tx, del *sql.Delete) (*Result, error) {
 		matches = append(matches, match{rid: rid, row: row.Clone()})
 		return true
 	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	for _, m := range matches {
-		if err := db.applyDelete(tx, te, m.rid, m.row); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{RowsAffected: int64(len(matches))}, nil
+	return matches, scanErr
 }
 
 // StalenessBound reports §3.3's margin-of-error model for a statistical

@@ -680,7 +680,10 @@ func (db *Database) query(ctx context.Context, sel *sql.Select, text string, mod
 	}
 	defer unlock()
 
-	useCache := text != "" && !db.DisablePlanCache && mode == modeRun
+	// A transaction whose view the soft characterizations may not hold for
+	// plans without them (the §4.1 backup plan) and caches nothing.
+	unverified := db.unverifiedView(sess)
+	useCache := text != "" && !db.DisablePlanCache && mode == modeRun && !unverified
 	var fp stmtPrint
 	var entry *cachedPlan
 	cacheHit := false
@@ -698,7 +701,11 @@ func (db *Database) query(ctx context.Context, sel *sql.Select, text string, mod
 	}
 	if entry == nil {
 		var err error
-		if entry, err = db.compile(sel, sqlText, &fp, st, useCache, mode != modeRun); err != nil {
+		po := db.primaryPlan(st)
+		if unverified {
+			po = backupPlan
+		}
+		if entry, err = db.compile(sel, sqlText, &fp, st, po, useCache, mode != modeRun); err != nil {
 			return nil, err
 		}
 		if mode == modeExplain {
@@ -768,11 +775,11 @@ func colNames(n plan.Node) []string {
 	return names
 }
 
-// compile plans a statement the cache could not serve. cache says the plan
-// is to be stored (with its §4.1 backup); explain that the statement's
-// cache status will be reported. Either way the plan is first checked for
-// whether it may serve as its shape's template.
-func (db *Database) compile(sel *sql.Select, sqlText string, fp *stmtPrint, st Settings, cache, explain bool) (*cachedPlan, error) {
+// compile plans a statement the cache could not serve with po. cache says
+// the plan is to be stored (with its §4.1 backup); explain that the
+// statement's cache status will be reported. Either way the plan is first
+// checked for whether it may serve as its shape's template.
+func (db *Database) compile(sel *sql.Select, sqlText string, fp *stmtPrint, st Settings, po planOpts, cache, explain bool) (*cachedPlan, error) {
 	// The statement is compiled from a parse that tags each constant with
 	// the fingerprint slot of its literal; without a fingerprint (caching
 	// off, or a text it refused) any parse will do.
@@ -790,13 +797,13 @@ func (db *Database) compile(sel *sql.Select, sqlText string, fp *stmtPrint, st S
 			return nil, err
 		}
 	}
-	po := db.primaryPlan(st)
+	check := po // templateHolds re-plans without observing
 	po.observe = true
 	entry, err := db.planSelect(sel, st, po)
 	if err != nil {
 		return nil, err
 	}
-	if !db.NoEconomy {
+	if !db.NoEconomy && !po.softFree {
 		entry.shadowDeltas = db.shadowCostDeltas(sel, entry.estCost, entry.events, st)
 	}
 	fp.stamp(entry)
@@ -807,7 +814,7 @@ func (db *Database) compile(sel *sql.Select, sqlText string, fp *stmtPrint, st S
 	switch {
 	case !tagged:
 		entry.literalBound = "unfingerprinted"
-	case (cache || explain) && !db.templateHolds(sel, entry, fp, st, db.primaryPlan(st)):
+	case (cache || explain) && !db.templateHolds(sel, entry, fp, st, check):
 		entry.literalBound = firstNonEmpty(entry.literalBound, "rebind")
 	}
 	if !cache {

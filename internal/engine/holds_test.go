@@ -159,4 +159,86 @@ func TestASTCountInsideTransactionMatchesUnrouted(t *testing.T) {
 	if n := db.Vacuum(); n != 2 {
 		t.Errorf("vacuum reclaimed %d versions, want the base row and its AST copy", n)
 	}
+
+	// Own write: the AST holds only committed rows, so the transaction's
+	// own insert must be counted all the same.
+	sexec(t, sess, "BEGIN")
+	base := sexec(t, sess, q).Rows[0][0].Int()
+	sexec(t, sess, "INSERT INTO purchase VALUES (99998, 3, 95)")
+	own := sexec(t, sess, q)
+	db.RewriteOpts.NoASTRouting = true
+	ownUnrouted := sexec(t, sess, q)
+	db.RewriteOpts.NoASTRouting = false
+	if o, u := own.Rows[0][0].Int(), ownUnrouted.Rows[0][0].Int(); o != u || o != base+1 {
+		t.Errorf("after an own insert: count %d, unrouted %d, want %d\n%s", o, u, base+1, own.Plan)
+	}
+	sexec(t, sess, "ROLLBACK")
+}
+
+// softPosTable creates t(id, a) holding 500 rows with a >= 0, plus extra.
+func softPosTable(t *testing.T, constraint string, extra string) *Database {
+	t.Helper()
+	db := Open()
+	db.MustExec("CREATE TABLE t (id INT PRIMARY KEY, a INT" + constraint + ")")
+	var vals []string
+	for i := 0; i < 500; i++ {
+		vals = append(vals, "("+strconv.Itoa(i)+", "+strconv.Itoa(i%50)+")")
+	}
+	if extra != "" {
+		vals = append(vals, extra)
+	}
+	db.MustExec("INSERT INTO t VALUES " + strings.Join(vals, ", "))
+	db.MustExec("ANALYZE t")
+	return db
+}
+
+// TestSoftCheckDoesNotHideOwnWrite: a soft CHECK holds for committed rows
+// only, so inside a transaction that wrote a violating row a SELECT must
+// not be planned as contradicting it — whether or not a plan for the text
+// is already cached — and the plan it gets instead is not cached for others.
+func TestSoftCheckDoesNotHideOwnWrite(t *testing.T) {
+	db := softPosTable(t, ", CONSTRAINT pos CHECK (a >= 0) SOFT", "")
+	const q = "SELECT COUNT(*) AS n FROM t WHERE a < 0"
+	sess := db.NewSession("writer")
+	defer sess.Close()
+	other := db.NewSession("other")
+	defer other.Close()
+	if n := sexec(t, other, q).Rows[0][0].Int(); n != 0 {
+		t.Fatalf("committed count %d, want 0", n)
+	}
+	sexec(t, sess, "BEGIN")
+	sexec(t, sess, "INSERT INTO t VALUES (9999, -5)")
+	if res := sexec(t, sess, q); res.Rows[0][0].Int() != 1 {
+		t.Errorf("own violating insert: count %d, want 1\n%s", res.Rows[0][0].Int(), res.Plan)
+	}
+	if res := sexec(t, other, q); res.Rows[0][0].Int() != 0 || !strings.Contains(res.Plan, "Empty") {
+		t.Errorf("another session: count %d, want 0 through the cached contradiction plan\n%s", res.Rows[0][0].Int(), res.Plan)
+	}
+	sexec(t, sess, "COMMIT")
+	if n := sexec(t, sess, q).Rows[0][0].Int(); n != 1 {
+		t.Errorf("after COMMIT: count %d, want 1", n)
+	}
+}
+
+// TestSoftCheckAddedAfterSnapshot: a soft CHECK declared after a
+// transaction's snapshot was verified against later data than the
+// snapshot holds, so it must not shape that transaction's plans.
+func TestSoftCheckAddedAfterSnapshot(t *testing.T) {
+	db := softPosTable(t, "", "(9999, -5)")
+	const q = "SELECT COUNT(*) AS n FROM t WHERE a < 0"
+	sess := db.NewSession("reader")
+	defer sess.Close()
+	sexec(t, sess, "BEGIN")
+	if n := sexec(t, sess, q).Rows[0][0].Int(); n != 1 {
+		t.Fatalf("at BEGIN: count %d, want 1", n)
+	}
+	db.MustExec("DELETE FROM t WHERE id = 9999")
+	db.MustExec("ALTER TABLE t ADD CONSTRAINT pos CHECK (a >= 0) SOFT")
+	if res := sexec(t, sess, q); res.Rows[0][0].Int() != 1 {
+		t.Errorf("same snapshot after the CHECK: count %d, want 1\n%s", res.Rows[0][0].Int(), res.Plan)
+	}
+	sexec(t, sess, "COMMIT")
+	if res := sexec(t, sess, q); res.Rows[0][0].Int() != 0 || !strings.Contains(res.Plan, "Empty") {
+		t.Errorf("after COMMIT: count %d, want 0 through the contradiction plan\n%s", res.Rows[0][0].Int(), res.Plan)
+	}
 }

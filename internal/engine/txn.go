@@ -45,6 +45,9 @@ type Tx struct {
 	// touched is the table the last write op went to; a write to another
 	// table is reported to the transaction manager (see touch).
 	touched *catalog.TableEntry
+	// catVersion is the catalog version read before an explicit
+	// transaction took its snapshot (see unverifiedView).
+	catVersion int64
 }
 
 // touch reports the table a write op is about to modify to the transaction
@@ -310,13 +313,28 @@ func (db *Database) beginStmt(sess *Session) (*Result, error) {
 	if sess == nil {
 		return nil, fmt.Errorf("engine: BEGIN requires a session (Database.Exec runs each statement in its own transaction)")
 	}
+	// Read before the snapshot is taken: a characterization declared in
+	// between then counts as newer than the snapshot.
+	v := db.cat.Version()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.cur != nil {
 		return nil, fmt.Errorf("engine: a transaction is already open")
 	}
-	sess.cur = &Tx{t: db.txnMgr.Begin(), explicit: true}
+	sess.cur = &Tx{t: db.txnMgr.Begin(), explicit: true, catVersion: v}
 	return &Result{}, nil
+}
+
+// unverifiedView reports whether sess's open transaction may see rows the
+// catalog's soft characterizations were never checked against, which are
+// verified and maintained against committed data only: the transaction's
+// own writes, or a snapshot older than the catalog. Call with db.mu held.
+func (db *Database) unverifiedView(sess *Session) bool {
+	if sess == nil {
+		return false
+	}
+	tx := sess.current()
+	return tx != nil && (len(tx.ops) > 0 || tx.catVersion != db.cat.Version())
 }
 
 // commitStmt commits the session's open transaction; the commit hooks'

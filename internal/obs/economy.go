@@ -34,11 +34,11 @@ const (
 // CONSTRAINTS ECONOMY agree by construction — they all read the same
 // counters.
 type ledgerEntry struct {
-	pagesSkipped  *Counter
-	shardsPruned  *Counter
-	rowsShort     *Counter
-	rewriteRows   *Counter
-	costDelta     *Counter // milli optimizer-cost units
+	pagesSkipped *Counter
+	shardsPruned *Counter
+	rowsShort    *Counter
+	rewriteRows  *Counter
+	costDelta    *Counter // milli optimizer-cost units
 	qerrSum      *Counter // milli q-error, summed over informed plan nodes
 	qerrNodes    *Counter
 	maintNanos   *Counter
@@ -101,11 +101,11 @@ func (e *Economy) entry(name string) *ledgerEntry {
 		return le
 	}
 	le = &ledgerEntry{
-		pagesSkipped:  e.reg.Counter(MetricBenefitPagesSkipped, "constraint", name),
-		shardsPruned:  e.reg.Counter(MetricBenefitShardsPruned, "constraint", name),
-		rowsShort:     e.reg.Counter(MetricBenefitRowsShort, "constraint", name),
-		rewriteRows:   e.reg.Counter(MetricBenefitRewriteRows, "constraint", name),
-		costDelta:     e.reg.Counter(MetricBenefitCostDelta, "constraint", name),
+		pagesSkipped: e.reg.Counter(MetricBenefitPagesSkipped, "constraint", name),
+		shardsPruned: e.reg.Counter(MetricBenefitShardsPruned, "constraint", name),
+		rowsShort:    e.reg.Counter(MetricBenefitRowsShort, "constraint", name),
+		rewriteRows:  e.reg.Counter(MetricBenefitRewriteRows, "constraint", name),
+		costDelta:    e.reg.Counter(MetricBenefitCostDelta, "constraint", name),
 		qerrSum:      e.reg.Counter(MetricBenefitQErrSum, "constraint", name),
 		qerrNodes:    e.reg.Counter(MetricBenefitQErrNodes, "constraint", name),
 		maintNanos:   e.reg.Counter(MetricCostMaintenance, "constraint", name),

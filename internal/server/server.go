@@ -1,11 +1,13 @@
 // Package server is softdb's network front end: a TCP listener that
-// multiplexes many concurrent client connections onto one engine.Database.
+// multiplexes many concurrent client connections onto one backend.
 //
-// Each accepted connection gets its own engine.Session ("conn-N"), so a
-// client's SET statements — pruning, memory budget, statement timeout — are
-// layered over the database defaults without affecting any other
-// connection, and the session label tags the connection's traces and log
-// lines on the server.
+// The backend is an engine.Database (New) or anything else that opens one
+// Session per connection (Over) — the shard router serves its clients
+// through this same server. Each accepted connection gets its own session
+// ("conn-N" on an engine), so a client's SET statements — pruning, memory
+// budget, statement timeout — are layered over the backend's defaults
+// without affecting any other connection, and the session label tags the
+// connection's traces and log lines.
 //
 // Requests and responses travel over the internal/wire framing. Errors
 // keep their engine classification end to end: a *exec.QueryError's kind
@@ -22,11 +24,13 @@
 //     ShedQueueDepth > 0 the server instead rejects a statement up front
 //     when more than MaxConcurrent+ShedQueueDepth statements are already
 //     pending, so overload surfaces as immediate typed "busy" errors
-//     rather than unbounded queueing delay.
+//     rather than unbounded queueing delay. A backend without a gate
+//     (the router) never sheds.
 //
-// Shutdown drains gracefully: stop accepting, cancel in-flight statements
-// through the engine's context path (clients receive typed canceled
-// errors, flushed before the connection closes), then close connections.
+// Shutdown drains gracefully: stop accepting (connections arriving while
+// draining get a typed busy error), cancel in-flight statements through
+// the backend's context path (clients receive typed canceled errors,
+// flushed before the connection closes), then close connections.
 package server
 
 import (
@@ -40,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"softdb/internal/client"
 	"softdb/internal/engine"
 	"softdb/internal/exec"
 	"softdb/internal/obs"
@@ -81,9 +86,34 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// Session is one connection's state on the backend a Server fronts.
+type Session interface {
+	// Set applies one SET frame.
+	Set(name, value string) error
+	// Exec runs one statement; the result is exactly what the response
+	// frames carry.
+	Exec(ctx context.Context, sql string) (*client.Result, error)
+	// Close ends the session, rolling back any transaction it left open.
+	Close()
+}
+
+// Backend is what a Server fronts.
+type Backend interface {
+	// Open starts the session behind one accepted connection; label names
+	// it in the welcome frame and the connection's log lines.
+	Open() (sess Session, label string)
+	// Gate is how many statements the backend runs at once, 0 for no
+	// limit; the shedder only acts above a gate.
+	Gate() int
+	// Metrics is the registry the server counts connections, requests
+	// and rejections on, or nil when the backend counts its own sessions
+	// and statements.
+	Metrics() *obs.Registry
+}
+
 // Server serves the softdb wire protocol over TCP.
 type Server struct {
-	db  *engine.Database
+	b   Backend
 	cfg Config
 
 	baseCtx    context.Context
@@ -98,7 +128,6 @@ type Server struct {
 	// pending counts statements accepted but not yet finished (including
 	// those waiting on the engine's admission gate) — the shed signal.
 	pending atomic.Int64
-	connSeq atomic.Int64
 
 	gConns        *obs.Gauge
 	cConnsTotal   *obs.Counter
@@ -111,15 +140,21 @@ type Server struct {
 // New builds a server over db and registers the server metric families on
 // db's registry.
 func New(db *engine.Database, cfg Config) *Server {
+	return Over(&engineBackend{db: db}, cfg)
+}
+
+// Over builds a server over b, registering the server metric families on
+// b's registry when it has one.
+func Over(b Backend, cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		db:         db,
+		b:          b,
 		cfg:        cfg,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		conns:      map[net.Conn]struct{}{},
 	}
-	r := db.Metrics()
+	r := b.Metrics() // a nil registry hands out nil, inert metrics
 	r.Describe(mConns, "gauge", "Connections currently served.")
 	r.Describe(mConnsTotal, "counter", "Connections accepted.")
 	r.Describe(mConnRejected, "counter", "Connections turned away at the MaxConns cap.")
@@ -133,6 +168,33 @@ func New(db *engine.Database, cfg Config) *Server {
 	s.cShed = r.Counter(mShed)
 	s.hReqDuration = r.Histogram(mReqDuration, obs.DefLatencyBuckets)
 	return s
+}
+
+// engineBackend serves an engine.Database: connection N gets the engine
+// session "conn-N".
+type engineBackend struct {
+	db  *engine.Database
+	seq atomic.Int64
+}
+
+func (b *engineBackend) Open() (Session, string) {
+	label := fmt.Sprintf("conn-%d", b.seq.Add(1))
+	return engineSession{b.db.NewSession(label)}, label
+}
+
+func (b *engineBackend) Gate() int { return b.db.MaxConcurrent }
+
+func (b *engineBackend) Metrics() *obs.Registry { return b.db.Metrics() }
+
+// engineSession gives an engine session the wire's result shape.
+type engineSession struct{ *engine.Session }
+
+func (s engineSession) Exec(ctx context.Context, sql string) (*client.Result, error) {
+	res, err := s.ExecCtx(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	return &client.Result{Columns: res.Columns, Rows: res.Rows, Notices: res.Notices, RowsAffected: res.RowsAffected}, nil
 }
 
 // Listen binds the configured address and returns the actual bound
@@ -217,8 +279,7 @@ func (s *Server) logf(level slog.Level, msg string, args ...any) {
 // the idle timeout fires, or the server drains.
 func (s *Server) handleConn(c net.Conn) {
 	defer s.dropConn(c)
-	label := fmt.Sprintf("conn-%d", s.connSeq.Add(1))
-	sess := s.db.NewSession(label)
+	sess, label := s.b.Open()
 	// A dropped connection must not leave a transaction's write intents
 	// behind: Close rolls back whatever BEGIN left open.
 	defer sess.Close()
@@ -285,7 +346,7 @@ func (s *Server) handleConn(c net.Conn) {
 func (s *Server) shedCheck() (release func(), err error) {
 	n := s.pending.Add(1)
 	release = func() { s.pending.Add(-1) }
-	mc := s.db.MaxConcurrent
+	mc := s.b.Gate()
 	if s.cfg.Shed && mc > 0 && n > int64(mc+s.cfg.ShedQueueDepth) {
 		release()
 		s.cShed.Inc()
@@ -300,7 +361,7 @@ func (s *Server) shedCheck() (release func(), err error) {
 
 // handleQuery executes one statement on sess and streams the response.
 // It reports whether the connection is still usable.
-func (s *Server) handleQuery(sess *engine.Session, q wire.Query, bw *bufio.Writer) bool {
+func (s *Server) handleQuery(sess Session, q wire.Query, bw *bufio.Writer) bool {
 	s.cRequests.Inc()
 	start := time.Now()
 	release, err := s.shedCheck()
@@ -313,7 +374,7 @@ func (s *Server) handleQuery(sess *engine.Session, q wire.Query, bw *bufio.Write
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(q.TimeoutMillis)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := sess.ExecCtx(ctx, q.SQL)
+	res, err := sess.Exec(ctx, q.SQL)
 	release()
 	s.hReqDuration.Observe(time.Since(start).Seconds())
 	if err != nil {
@@ -335,7 +396,7 @@ func (s *Server) writeError(bw *bufio.Writer, err error) bool {
 }
 
 // Shutdown drains the server: stop accepting, cancel in-flight statements
-// through the engine's context path (their typed errors are flushed to
+// through the backend's context path (their typed errors are flushed to
 // clients), wake idle readers, and wait for every connection handler to
 // finish. When ctx expires first, remaining connections are force-closed.
 func (s *Server) Shutdown(ctx context.Context) error {

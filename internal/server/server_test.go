@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"context"
@@ -14,16 +14,23 @@ import (
 	"softdb/internal/engine"
 	"softdb/internal/exec"
 	"softdb/internal/fault"
+	"softdb/internal/server"
+	"softdb/internal/shard"
 	"softdb/internal/softc"
 	"softdb/internal/types"
 	"softdb/internal/wire"
 )
 
 // startServer listens on :0 and serves db until the test ends.
-func startServer(t *testing.T, db *engine.Database, cfg Config) (*Server, string) {
+func startServer(t *testing.T, db *engine.Database, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
-	s := New(db, cfg)
+	return serve(t, server.New(db, cfg))
+}
+
+// serve listens and serves s until the test ends.
+func serve(t *testing.T, s *server.Server) (*server.Server, string) {
+	t.Helper()
 	addr, err := s.Listen()
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +46,75 @@ func startServer(t *testing.T, db *engine.Database, cfg Config) (*Server, string
 		}
 	})
 	return s, addr.String()
+}
+
+// backends are the two kinds of backend the server fronts. start serves
+// newDB's data: "engine" serves one such database, "router" a router over
+// two shards that each hold one (a table without a partition spec is
+// replicated, so a read goes to one shard). conns reads the gauge of
+// connections currently served.
+var backends = []struct {
+	name  string
+	start func(t *testing.T, newDB func() *engine.Database, cfg server.Config) (s *server.Server, addr string, conns func() int64)
+}{
+	{"engine", func(t *testing.T, newDB func() *engine.Database, cfg server.Config) (*server.Server, string, func() int64) {
+		db := newDB()
+		s, addr := startServer(t, db, cfg)
+		return s, addr, func() int64 { return int64(metricValue(t, db, "softdb_server_connections")) }
+	}},
+	{"router", func(t *testing.T, newDB func() *engine.Database, cfg server.Config) (*server.Server, string, func() int64) {
+		s, addr, r := startRouter(t, newDB, cfg)
+		return s, addr, r.Metrics().Gauge("softdb_router_connections").Value
+	}},
+}
+
+// startRouter serves a router over two shards, each a database newDB
+// builds, until the test ends.
+func startRouter(t *testing.T, newDB func() *engine.Database, cfg server.Config) (*server.Server, string, *shard.Router) {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		_, a := startServer(t, newDB(), server.Config{})
+		addrs = append(addrs, a)
+	}
+	r, err := shard.New(shard.Config{Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	cfg.Addr = "127.0.0.1:0"
+	s, addr := serve(t, server.Over(r.Backend(), cfg))
+	return s, addr, r
+}
+
+// TestRouterCountsEachRequestOnce: behind the router the server registers
+// no families of its own, so the router's metrics count each wire
+// connection and request exactly once.
+func TestRouterCountsEachRequestOnce(t *testing.T) {
+	_, addr, r := startRouter(t, engine.Open, server.Config{})
+	c, err := client.Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := c.Query(context.Background(), "SHOW SHARDS"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	if err := r.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "softdb_server_") {
+		t.Errorf("router metrics carry a server family:\n%s", b.String())
+	}
+	if n := r.Metrics().Counter("softdb_router_requests_total").Value(); n != 3 {
+		t.Errorf("softdb_router_requests_total = %d, want 3", n)
+	}
+	if n := r.Metrics().Gauge("softdb_router_connections").Value(); n != 1 {
+		t.Errorf("softdb_router_connections = %d, want 1", n)
+	}
 }
 
 // corrDB seeds the pruning table from the engine tests: clustered a,
@@ -78,13 +154,17 @@ func corrDB(t *testing.T, n int, mine bool) *engine.Database {
 
 // TestServerBoundAddr: listening on :0 reports the actual bound port.
 func TestServerBoundAddr(t *testing.T) {
-	_, addr := startServer(t, engine.Open(), Config{})
-	tcp, err := net.ResolveTCPAddr("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tcp.Port == 0 {
-		t.Fatalf("Listen(:0) must report the real port, got %s", addr)
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			_, addr, _ := b.start(t, engine.Open, server.Config{})
+			tcp, err := net.ResolveTCPAddr("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tcp.Port == 0 {
+				t.Fatalf("Listen(:0) must report the real port, got %s", addr)
+			}
+		})
 	}
 }
 
@@ -92,7 +172,7 @@ func TestServerBoundAddr(t *testing.T) {
 // the wire return exactly what the in-process API returns.
 func TestServerEndToEnd(t *testing.T) {
 	db := engine.Open()
-	_, addr := startServer(t, db, Config{})
+	_, addr := startServer(t, db, server.Config{})
 	c, err := client.Connect(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +229,7 @@ func TestServerEndToEnd(t *testing.T) {
 // TestServerLargeResult: results beyond one row batch stream correctly.
 func TestServerLargeResult(t *testing.T) {
 	db := corrDB(t, 2000, false)
-	_, addr := startServer(t, db, Config{})
+	_, addr := startServer(t, db, server.Config{})
 	c, err := client.Connect(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +251,7 @@ func TestServerLargeResult(t *testing.T) {
 // statements only; invalid settings error without killing the connection.
 func TestServerSessionSettings(t *testing.T) {
 	db := corrDB(t, 4000, false)
-	_, addr := startServer(t, db, Config{})
+	_, addr := startServer(t, db, server.Config{})
 	const q = "SELECT a, b FROM t WHERE a >= 100 AND a <= 140"
 
 	tuned, err := client.Connect(addr)
@@ -227,7 +307,7 @@ func TestServerSessionSettings(t *testing.T) {
 // serving.
 func TestServerRejectsParallelSetting(t *testing.T) {
 	db := corrDB(t, 400, false)
-	_, addr := startServer(t, db, Config{})
+	_, addr := startServer(t, db, server.Config{})
 	c, err := client.Connect(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -250,34 +330,38 @@ func TestServerRejectsParallelSetting(t *testing.T) {
 
 // TestServerMaxConns: connections beyond the cap get a typed busy error.
 func TestServerMaxConns(t *testing.T) {
-	_, addr := startServer(t, engine.Open(), Config{MaxConns: 2})
-	c1, err := client.Connect(addr)
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			_, addr, _ := b.start(t, engine.Open, server.Config{MaxConns: 2})
+			c1, err := client.Connect(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c1.Close()
+			c2, err := client.Connect(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			_, err = client.Connect(addr)
+			if err == nil {
+				t.Fatal("third connection should be rejected")
+			}
+			if client.Kind(err) != exec.KindBusy {
+				t.Fatalf("rejection should be typed busy, got %v", err)
+			}
+			// Closing one frees a slot.
+			c1.Close()
+			waitFor(t, time.Second, func() bool {
+				c3, err := client.Connect(addr)
+				if err != nil {
+					return false
+				}
+				c3.Close()
+				return true
+			})
+		})
 	}
-	defer c1.Close()
-	c2, err := client.Connect(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	_, err = client.Connect(addr)
-	if err == nil {
-		t.Fatal("third connection should be rejected")
-	}
-	if client.Kind(err) != exec.KindBusy {
-		t.Fatalf("rejection should be typed busy, got %v", err)
-	}
-	// Closing one frees a slot.
-	c1.Close()
-	waitFor(t, time.Second, func() bool {
-		c3, err := client.Connect(addr)
-		if err != nil {
-			return false
-		}
-		c3.Close()
-		return true
-	})
 }
 
 // TestServerLoadShedding: with the shedder on, statements beyond
@@ -288,7 +372,7 @@ func TestServerLoadShedding(t *testing.T) {
 	db.MaxConcurrent = 1
 	db.NoPrune = true
 	db.Fault = fault.New(fault.Config{SlowProb: 1, SlowDelay: time.Millisecond})
-	_, addr := startServer(t, db, Config{Shed: true, ShedQueueDepth: 1})
+	_, addr := startServer(t, db, server.Config{Shed: true, ShedQueueDepth: 1})
 
 	const clients = 8
 	var wg sync.WaitGroup
@@ -341,60 +425,86 @@ func TestServerLoadShedding(t *testing.T) {
 // (the client sees a typed canceled error, flushed before close), and
 // returns once handlers exit.
 func TestServerDrain(t *testing.T) {
-	db := corrDB(t, 2000, false)
-	db.NoPrune = true
-	db.Fault = fault.New(fault.Config{SlowProb: 1, SlowDelay: 2 * time.Millisecond})
-	s, addr := startServer(t, db, Config{})
+	slowDB := func() *engine.Database {
+		db := corrDB(t, 2000, false)
+		db.NoPrune = true
+		db.Fault = fault.New(fault.Config{SlowProb: 1, SlowDelay: 2 * time.Millisecond})
+		return db
+	}
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			s, addr, _ := b.start(t, slowDB, server.Config{})
+			c, err := client.Connect(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			idle, err := client.Connect(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idle.Close()
 
-	c, err := client.Connect(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	idle, err := client.Connect(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idle.Close()
+			queryErr := make(chan error, 1)
+			go func() {
+				_, err := c.Query(context.Background(), "SELECT COUNT(*) AS n FROM t WHERE c >= 0")
+				queryErr <- err
+			}()
+			time.Sleep(20 * time.Millisecond) // let the statement reach the scan
 
-	queryErr := make(chan error, 1)
-	go func() {
-		_, err := c.Query(context.Background(), "SELECT COUNT(*) AS n FROM t WHERE c >= 0")
-		queryErr <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the statement reach the scan
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Fatalf("drain exceeded its deadline: %v", err)
+			}
+			select {
+			case err := <-queryErr:
+				if client.Kind(err) != exec.KindCanceled {
+					t.Fatalf("drained statement should be typed canceled, got %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("in-flight query never returned after drain")
+			}
+			if _, err := client.Connect(addr); err == nil {
+				t.Fatal("drained server should refuse new connections")
+			}
+		})
+	}
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("drain exceeded its deadline: %v", err)
-	}
-	select {
-	case err := <-queryErr:
-		if client.Kind(err) != exec.KindCanceled {
-			t.Fatalf("drained statement should be typed canceled, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("in-flight query never returned after drain")
-	}
-	if _, err := client.Connect(addr); err == nil {
-		t.Fatal("drained server should refuse new connections")
+// TestServerBusyWhileDraining: a connection the listener accepts after
+// the drain began gets a typed busy error, not a silent close.
+func TestServerBusyWhileDraining(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			s, addr, conns := b.start(t, engine.Open, server.Config{})
+			s.SetDraining(true)
+			_, err := client.Connect(addr)
+			s.SetDraining(false) // let the cleanup's Shutdown run the real drain
+			if client.Kind(err) != exec.KindBusy {
+				t.Fatalf("connection during drain should be typed busy, got %v", err)
+			}
+			if n := conns(); n != 0 {
+				t.Fatalf("a rejected connection must open no session, %d served", n)
+			}
+		})
 	}
 }
 
 // TestServerIdleTimeout: a connection that sends nothing is closed once
 // the idle timeout lapses.
 func TestServerIdleTimeout(t *testing.T) {
-	db := engine.Open()
-	_, addr := startServer(t, db, Config{IdleTimeout: 50 * time.Millisecond})
-	c, err := client.Connect(addr)
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			_, addr, conns := b.start(t, engine.Open, server.Config{IdleTimeout: 50 * time.Millisecond})
+			c, err := client.Connect(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			waitFor(t, 2*time.Second, func() bool { return conns() == 0 })
+		})
 	}
-	defer c.Close()
-	waitFor(t, 2*time.Second, func() bool {
-		return metricValue(t, db, "softdb_server_connections") == 0
-	})
 }
 
 // TestServerFaultKindsMatchLocal is the fault-injection-through-the-wire
@@ -429,7 +539,7 @@ func TestServerFaultKindsMatchLocal(t *testing.T) {
 				t.Fatalf("local fault should be a QueryError, got %v", localErr)
 			}
 
-			_, addr := startServer(t, db, Config{})
+			_, addr := startServer(t, db, server.Config{})
 			c, err := client.Connect(addr)
 			if err != nil {
 				t.Fatal(err)
@@ -463,7 +573,7 @@ func TestServerFaultKindsMatchLocal(t *testing.T) {
 // the cross-session cache-invalidation story end to end.
 func TestServerCrossSessionInvalidation(t *testing.T) {
 	db := corrDB(t, 4000, true)
-	_, addr := startServer(t, db, Config{})
+	_, addr := startServer(t, db, server.Config{})
 	reader, err := client.Connect(addr)
 	if err != nil {
 		t.Fatal(err)

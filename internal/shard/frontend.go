@@ -1,40 +1,16 @@
 package shard
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"softdb/internal/wire"
+	"softdb/internal/obs"
+	"softdb/internal/server"
 )
 
-// Frontend serves the softdb wire protocol over TCP, backed by a Router
-// instead of an engine: clients connect with the ordinary client library
-// (or softdb -connect) and cannot tell they are talking to a router
-// except through SHOW SHARDS and the router lines in EXPLAIN.
-type Frontend struct {
-	r   *Router
-	cfg FrontendConfig
-
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	mu       sync.Mutex
-	lis      net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	draining atomic.Bool
-}
-
-// FrontendConfig tunes one Frontend.
+// FrontendConfig tunes the router's wire front end.
 type FrontendConfig struct {
 	// Addr is the TCP listen address; ":0" picks an ephemeral port.
 	Addr string
@@ -45,195 +21,29 @@ type FrontendConfig struct {
 	Logger *slog.Logger
 }
 
-// NewFrontend builds a wire front end over r.
-func NewFrontend(r *Router, cfg FrontendConfig) *Frontend {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Frontend{
-		r:          r,
-		cfg:        cfg,
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		conns:      map[net.Conn]struct{}{},
-	}
+// NewFrontend serves r over the softdb wire protocol: clients connect with
+// the ordinary client library (or softdb -connect) and cannot tell they
+// are talking to a router except through SHOW SHARDS and the router lines
+// in EXPLAIN.
+func NewFrontend(r *Router, cfg FrontendConfig) *server.Server {
+	return server.Over(r.Backend(), server.Config{Addr: cfg.Addr, IdleTimeout: cfg.IdleTimeout, Logger: cfg.Logger})
 }
 
-// Listen binds the configured address and returns the actual bound
-// address.
-func (f *Frontend) Listen() (net.Addr, error) {
-	lis, err := net.Listen("tcp", f.cfg.Addr)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	f.lis = lis
-	f.mu.Unlock()
-	return lis.Addr(), nil
+// Backend returns r as a wire server backend: each connection gets a
+// routing session ("route-N"). The router counts its own sessions and
+// requests, and has no admission gate.
+func (r *Router) Backend() server.Backend { return routerBackend{r} }
+
+type routerBackend struct{ r *Router }
+
+func (b routerBackend) Open() (server.Session, string) {
+	s := b.r.NewSession()
+	return s, s.label
 }
 
-// Serve accepts connections until Shutdown. Call Listen first.
-func (f *Frontend) Serve() error {
-	f.mu.Lock()
-	lis := f.lis
-	f.mu.Unlock()
-	if lis == nil {
-		return errors.New("shard: Serve before Listen")
-	}
-	for {
-		c, err := lis.Accept()
-		if err != nil {
-			if f.draining.Load() {
-				return nil
-			}
-			return err
-		}
-		f.mu.Lock()
-		if f.draining.Load() {
-			f.mu.Unlock()
-			_ = c.Close()
-			continue
-		}
-		f.conns[c] = struct{}{}
-		f.mu.Unlock()
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			f.handleConn(c)
-		}()
-	}
-}
+func (routerBackend) Gate() int { return 0 }
 
-func (f *Frontend) dropConn(c net.Conn) {
-	f.mu.Lock()
-	delete(f.conns, c)
-	f.mu.Unlock()
-	_ = c.Close()
-}
-
-func (f *Frontend) logf(level slog.Level, msg string, args ...any) {
-	if f.cfg.Logger != nil {
-		f.cfg.Logger.Log(context.Background(), level, msg, args...)
-	}
-}
-
-// handleConn runs one connection's request loop, mirroring the engine
-// server's: welcome, then one response sequence per FrameQuery/FrameSet.
-func (f *Frontend) handleConn(c net.Conn) {
-	defer f.dropConn(c)
-	sess := f.r.NewSession()
-	defer sess.Close()
-	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
-	welcome := wire.Welcome{Proto: wire.ProtoVersion, Session: sess.Label()}
-	if err := wire.WriteFrame(bw, wire.FrameWelcome, wire.AppendWelcome(nil, welcome)); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-	f.logf(slog.LevelInfo, "connection open", "session", sess.Label(), "remote", c.RemoteAddr().String())
-	defer f.logf(slog.LevelInfo, "connection closed", "session", sess.Label())
-	for {
-		if f.cfg.IdleTimeout > 0 {
-			_ = c.SetReadDeadline(time.Now().Add(f.cfg.IdleTimeout))
-		} else {
-			_ = c.SetReadDeadline(time.Time{})
-		}
-		if f.draining.Load() {
-			return
-		}
-		t, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		switch t {
-		case wire.FrameSet:
-			set, err := wire.ParseSet(payload)
-			if err == nil {
-				err = sess.Set(set.Name, set.Value)
-			}
-			if err != nil {
-				if !f.writeError(bw, err) {
-					return
-				}
-				continue
-			}
-			if wire.WriteFrame(bw, wire.FrameOK, nil) != nil || bw.Flush() != nil {
-				return
-			}
-		case wire.FrameQuery:
-			q, err := wire.ParseQuery(payload)
-			if err != nil {
-				f.writeError(bw, err)
-				return // framing is broken; don't trust the stream
-			}
-			if !f.handleQuery(sess, q, bw) {
-				return
-			}
-		default:
-			f.writeError(bw, fmt.Errorf("shard: unexpected frame type 0x%02x", byte(t)))
-			return
-		}
-	}
-}
-
-func (f *Frontend) handleQuery(sess *Session, q wire.Query, bw *bufio.Writer) bool {
-	ctx := f.baseCtx
-	if q.TimeoutMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(q.TimeoutMillis)*time.Millisecond)
-		defer cancel()
-	}
-	res, err := sess.Exec(ctx, q.SQL)
-	if err != nil {
-		return f.writeError(bw, err)
-	}
-	if wire.WriteResponse(bw, res.Columns, res.Rows, res.Notices, res.RowsAffected) != nil {
-		return false
-	}
-	return bw.Flush() == nil
-}
-
-func (f *Frontend) writeError(bw *bufio.Writer, err error) bool {
-	if wire.WriteFrame(bw, wire.FrameError, wire.AppendError(nil, wire.ErrorFrom(err))) != nil {
-		return false
-	}
-	return bw.Flush() == nil
-}
-
-// Shutdown drains the front end: stop accepting, cancel in-flight
-// statements, wake idle readers, wait for handlers. When ctx expires
-// first, remaining connections are force-closed.
-func (f *Frontend) Shutdown(ctx context.Context) error {
-	if !f.draining.CompareAndSwap(false, true) {
-		return nil
-	}
-	f.mu.Lock()
-	if f.lis != nil {
-		_ = f.lis.Close()
-	}
-	f.baseCancel()
-	for c := range f.conns {
-		_ = c.SetReadDeadline(time.Now())
-	}
-	f.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		f.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		f.mu.Lock()
-		for c := range f.conns {
-			_ = c.Close()
-		}
-		f.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
-}
+func (routerBackend) Metrics() *obs.Registry { return nil }
 
 // DebugHandler serves the router's observability surface: /metrics in
 // Prometheus format and /debug/shards as a JSON dump of the topology and

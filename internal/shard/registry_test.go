@@ -110,7 +110,7 @@ func TestRegistryAbsorbNotices(t *testing.T) {
 	r.Install(Entry{Shard: 1, Table: "t", Column: "k", Kind: KindRange, Iv: iv(0, 10), Constraint: "router_t_s1_g2", Active: true})
 	n := r.AbsorbNotices([]string{
 		"ASC router_t_s0_g1 on t deactivated by violating write",
-		"constraint check passed",                       // unrelated notice
+		"constraint check passed",                              // unrelated notice
 		"ASC unknown_name on t deactivated by violating write", // not ours
 	})
 	if n != 1 {

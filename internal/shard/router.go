@@ -106,8 +106,8 @@ func ParseHole(s string) (Hole, error) {
 
 // Router fronts N engine shards: it routes writes by partition key, fans
 // reads out, merges results, and prunes shards through the constraint
-// registry. Construct with New, serve sessions with NewSession (or the
-// wire front end in frontend.go).
+// registry. Construct with New, serve sessions with NewSession (or over
+// the wire with NewFrontend).
 type Router struct {
 	cfg   Config
 	n     int
@@ -372,9 +372,6 @@ func (r *Router) NewSession() *Session {
 	}
 }
 
-// Label returns the session's router-assigned label.
-func (s *Session) Label() string { return s.label }
-
 // Close releases the session's shard connections, rolling back any open
 // transaction server-side (the pinned shard sees its connection drop).
 func (s *Session) Close() {
@@ -510,6 +507,9 @@ func (s *Session) query(ctx context.Context, shard int, stmt string) (*client.Re
 			return nil, we // shard-classified; stream still in sync
 		}
 		s.dropConn(shard)
+		if ctx.Err() != nil { // the caller gave up, not the shard
+			return nil, exec.CancelError(fmt.Sprintf("router.shard-%d", shard), context.Cause(ctx))
+		}
 		return nil, s.r.unreachable(shard, err)
 	}
 	s.r.cShardQuery[shard].Inc()
@@ -822,7 +822,7 @@ func (s *Session) execWhereDML(ctx context.Context, table string, where expr.Exp
 	spec, partitioned := s.r.specs[strings.ToLower(table)]
 	targets := allShards(s.r.n)
 	if partitioned {
-		ivs := columnIntervals(where, table, "")
+		ivs := columnIntervals(where, table, "", true)
 		if iv, ok := ivs[spec.Column]; ok {
 			targets = spec.CandidateShards(iv, s.r.n)
 		}
@@ -891,18 +891,16 @@ func (s *Session) route(sel *sql.Select, prune bool) (routeDecision, error) {
 		d.targets = []int{0}
 		return d, nil
 	}
+	// Unqualified columns are ambiguous across several tables, so only a
+	// lone table claims them.
+	ivs := make([]map[string]expr.Interval, len(partitioned))
+	for i, ref := range partitioned {
+		ivs[i] = columnIntervals(sel.Where, ref.Table, ref.Alias, len(sel.From) == 1)
+	}
 	candidates := allShards(s.r.n)
 	if len(partitioned) == 1 {
-		ref := partitioned[0]
-		spec := s.r.specs[strings.ToLower(ref.Table)]
-		ivs := columnIntervals(sel.Where, ref.Table, ref.Alias)
-		if len(sel.From) > 1 {
-			// Unqualified columns are ambiguous across multiple tables;
-			// only qualifier-matched conjuncts routed. columnIntervals
-			// already enforces this via the refs it is given.
-			ivs = columnIntervalsQualified(sel.Where, ref.Table, ref.Alias)
-		}
-		if iv, ok := ivs[spec.Column]; ok {
+		spec := s.r.specs[strings.ToLower(partitioned[0].Table)]
+		if iv, ok := ivs[0][spec.Column]; ok {
 			candidates = spec.CandidateShards(iv, s.r.n)
 		}
 	} else if s.r.n > 1 {
@@ -916,12 +914,8 @@ func (s *Session) route(sel *sql.Select, prune bool) (routeDecision, error) {
 	}
 	for _, id := range candidates {
 		skipped := false
-		for _, ref := range partitioned {
-			ivs := columnIntervals(sel.Where, ref.Table, ref.Alias)
-			if len(sel.From) > 1 {
-				ivs = columnIntervalsQualified(sel.Where, ref.Table, ref.Alias)
-			}
-			if e, reason, ok := s.r.reg.Prune(id, ref.Table, ivs); ok {
+		for i, ref := range partitioned {
+			if e, reason, ok := s.r.reg.Prune(id, ref.Table, ivs[i]); ok {
 				d.pruned = append(d.pruned, prunedShard{shard: id, entry: e, reason: reason})
 				skipped = true
 				break
@@ -1127,34 +1121,16 @@ func (s *Session) showEconomy() *client.Result {
 
 // --- predicate extraction ---
 
-// conjunctsOf splits a WHERE clause into its top-level AND conjuncts.
-func conjunctsOf(e expr.Expr, out []expr.Expr) []expr.Expr {
-	if b, ok := e.(*expr.Binary); ok && b.Op == expr.OpAnd {
-		return conjunctsOf(b.R, conjunctsOf(b.L, out))
-	}
-	return append(out, e)
-}
-
 // columnIntervals folds a WHERE clause's `col op const` conjuncts into
-// per-column intervals for one table binding. Unqualified columns are
-// attributed to the table (valid when it is the only one in FROM).
-func columnIntervals(where expr.Expr, table, alias string) map[string]expr.Interval {
-	return extractIntervals(where, table, alias, true)
-}
-
-// columnIntervalsQualified is columnIntervals restricted to conjuncts
-// whose column carries a matching qualifier — required when several
-// tables are in scope and a bare column name is ambiguous.
-func columnIntervalsQualified(where expr.Expr, table, alias string) map[string]expr.Interval {
-	return extractIntervals(where, table, alias, false)
-}
-
-func extractIntervals(where expr.Expr, table, alias string, allowBare bool) map[string]expr.Interval {
+// per-column intervals for one table binding. Columns qualified by the
+// table or its alias count; unqualified ones count only when allowBare
+// (the table is the only one in FROM).
+func columnIntervals(where expr.Expr, table, alias string, allowBare bool) map[string]expr.Interval {
 	if where == nil {
 		return nil
 	}
 	out := map[string]expr.Interval{}
-	for _, c := range conjunctsOf(where, nil) {
+	for _, c := range expr.SplitConjuncts(where) {
 		lhs, op, val, ok := expr.DecomposeComparison(c)
 		if !ok || op == expr.OpNe {
 			continue

@@ -8,7 +8,7 @@ import (
 
 	"softdb/internal/client"
 	"softdb/internal/expr"
-	"softdb/internal/types"
+	"softdb/internal/sql"
 )
 
 // Sync is the constraint-sync protocol, triggered by the raw ROUTER SYNC
@@ -133,7 +133,7 @@ func (r *Router) syncTable(ctx context.Context, shard int, table string, cols []
 			if lo.IsNull() || hi.IsNull() {
 				continue // all-NULL column: no range to characterize
 			}
-			check := fmt.Sprintf("(%s >= %s AND %s <= %s)", c, sqlLiteral(lo), c, sqlLiteral(hi))
+			check := fmt.Sprintf("(%s >= %s AND %s <= %s)", c, sql.FormatConst(lo), c, sql.FormatConst(hi))
 			name, err := r.installCheck(ctx, shard, table, check)
 			if err != nil {
 				if attempt == 0 && isVerifyReject(err) {
@@ -161,7 +161,7 @@ func (r *Router) syncTable(ctx context.Context, shard int, table string, cols []
 // it holds, installs the inverted CHECK plus the registry entry.
 func (r *Router) syncHole(ctx context.Context, h Hole) (string, error) {
 	probe := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s >= %s AND %s <= %s",
-		h.Table, h.Column, sqlLiteral(h.Lo), h.Column, sqlLiteral(h.Hi))
+		h.Table, h.Column, sql.FormatConst(h.Lo), h.Column, sql.FormatConst(h.Hi))
 	res, err := r.adminQuery(ctx, h.Shard, probe)
 	if err != nil {
 		return "", fmt.Errorf("shard: hole verify %s.%s on shard %d: %w", h.Table, h.Column, h.Shard, err)
@@ -170,7 +170,7 @@ func (r *Router) syncHole(ctx context.Context, h Hole) (string, error) {
 		return fmt.Sprintf("sync: shard %d: hole %s.%s [%s, %s] rejected: %d rows inside",
 			h.Shard, h.Table, h.Column, h.Lo, h.Hi, n), nil
 	}
-	check := fmt.Sprintf("(%s < %s OR %s > %s)", h.Column, sqlLiteral(h.Lo), h.Column, sqlLiteral(h.Hi))
+	check := fmt.Sprintf("(%s < %s OR %s > %s)", h.Column, sql.FormatConst(h.Lo), h.Column, sql.FormatConst(h.Hi))
 	name, err := r.installCheck(ctx, h.Shard, h.Table, check)
 	if err != nil {
 		return "", err
@@ -202,21 +202,4 @@ func (r *Router) installCheck(ctx context.Context, shard int, table, check strin
 
 func isVerifyReject(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "existing rows violate")
-}
-
-// sqlLiteral renders a datum as a reparseable SQL literal, mirroring the
-// statement printer's constant rules.
-func sqlLiteral(d types.Datum) string {
-	switch d.Kind() {
-	case types.KindDate:
-		return fmt.Sprintf("DATE '%s'", d.String())
-	case types.KindFloat:
-		s := fmt.Sprintf("%g", d.Float())
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
-		}
-		return s
-	default:
-		return d.String()
-	}
 }

@@ -283,7 +283,7 @@ func printSelectItem(b *strings.Builder, it SelectItem) {
 func printExpr(b *strings.Builder, e expr.Expr) {
 	switch x := e.(type) {
 	case *expr.Const:
-		printConst(b, x.Value)
+		b.WriteString(FormatConst(x.Value))
 	case *expr.Column:
 		if x.Qualifier != "" {
 			fmt.Fprintf(b, "%s.%s", x.Qualifier, x.Name)
@@ -335,17 +335,19 @@ func printExpr(b *strings.Builder, e expr.Expr) {
 	}
 }
 
-func printConst(b *strings.Builder, v types.Datum) {
+// FormatConst renders a datum as a SQL literal that reparses to the same
+// value.
+func FormatConst(v types.Datum) string {
 	switch v.Kind() {
 	case types.KindDate:
 		// Datum.String renders the bare date; the grammar needs the
 		// DATE 'YYYY-MM-DD' literal form.
-		fmt.Fprintf(b, "DATE '%s'", v.String())
+		return "DATE '" + v.String() + "'"
 	case types.KindFloat:
-		b.WriteString(formatFloatLit(v.Float()))
+		return formatFloatLit(v.Float())
 	default:
 		// Ints, strings (quoted/escaped), bools, NULL round-trip as is.
-		b.WriteString(v.String())
+		return v.String()
 	}
 }
 

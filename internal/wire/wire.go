@@ -294,9 +294,8 @@ func ErrorFrom(err error) *Error {
 
 // WriteResponse streams one successful response sequence — RowDesc (when
 // the result has columns), batched rows, notices, Done — onto w. It is the
-// single encoder of the response grammar in the package comment, shared by
-// the engine server and the shard router so the two fronts cannot drift.
-// The caller owns buffering and flushing.
+// single encoder of the response grammar in the package comment. The
+// caller owns buffering and flushing.
 func WriteResponse(w io.Writer, cols []string, rows []types.Row, notices []string, rowsAffected int64) error {
 	if len(cols) > 0 {
 		if err := WriteFrame(w, FrameRowDesc, AppendColumns(nil, cols)); err != nil {
