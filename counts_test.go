@@ -277,8 +277,9 @@ var countCases = []func(t *testing.T, rec recorder){
 			rec("O2EconomyOverhead/"+mode, pagesCmp(run(t, db, q)))
 		}
 	},
-	// V2: a cold execution builds one image per frozen page it reads, a
-	// warm one none; thaw-every-4 thaws before its first execution.
+	// V2: a cold execution freezes every page it reads that is settled (the
+	// images/op unit), a warm one none; thaw-every-4 thaws before its first
+	// execution.
 	func(t *testing.T, rec recorder) {
 		db, cases, err := bench.V2DB(100000, 50000)
 		must(t, err)
@@ -288,9 +289,9 @@ var countCases = []func(t *testing.T, rec recorder){
 			for _, mode := range bench.V2Modes {
 				run(t, db, c.SQL)
 				must(t, bench.V2Prepare(db, c, mode, 0))
-				before, _, _ := te.Heap.ImageStats()
+				before, _ := te.Heap.FreezeStats()
 				io := run(t, db, c.SQL).Ctx.IO.Load()
-				after, _, _ := te.Heap.ImageStats()
+				after, _ := te.Heap.FreezeStats()
 				rec("V2FrozenScan/"+c.Name+"/"+mode, map[string]float64{
 					"pages/op": float64(io.PagesRead), "frozen/op": float64(io.PagesFrozen), "images/op": float64(after - before),
 				})

@@ -16,7 +16,7 @@ import (
 
 // V3Modes are the ways a V3 range is read: fetched entry by entry (the
 // IndexScan's entry path, forced), and switched to the page path over frozen
-// page images and over pages thawed before every execution (cold).
+// pages and over pages thawed before every execution (cold).
 var V3Modes = []string{"entry", "pages-frozen", "pages-cold"}
 
 // v3BuildModes are the hash-join build tables V3 times: the string-keyed
@@ -125,19 +125,20 @@ func v3Join(db *engine.Database, mode string) (*exec.HashJoin, int64, error) {
 // V3IndexPagePath measures the two access methods an IndexScan chooses
 // between at run time — fetching each range entry's row by RowID, or
 // reading the table's unpruned pages through the page scan kernel — on
-// frozen pages and on pages whose images were dropped before every
-// execution (which the scan then rebuilds). The row cost column is the page
+// frozen pages and on pages thawed before every execution (which the scan
+// then walks slot by slot and freezes again). The row cost column is the page
 // path's time per row read over the entry path's time per entry:
 // pagePathCostRatio in internal/exec is the cold figure of the narrower
 // range. It also times the hash-join build the page path feeds: the typed
 // int table against the generic string-keyed one. Answers are checked equal
-// across modes.
+// across modes; pages and page paths per execution are the counts its test
+// gates on.
 func V3IndexPagePath(factRows int) (*Report, error) {
 	rep := &Report{
 		ID:     "V3",
 		Title:  "run-time index access path: entry fetches vs the page path, typed vs generic hash-join build",
-		Claim:  "a wide index range is cheaper to finish on the frozen page path than to fetch entry by entry, so an index scan chooses per execution from its bound range and the pruned page count; page-path batches carry stored rows a typed int table keeps without cloning",
-		Header: []string{"measure", "mode", "entries", "rows read", "ns/entry", "ns/row read", "row cost vs entry", "frozen pages"},
+		Claim:  "a wide index range is cheaper to finish on the frozen page path than to fetch entry by entry, so an index scan chooses per execution from its bound range and the pruned page count; page-path batches carry the pages' typed columns a typed int table keys on directly",
+		Header: []string{"measure", "mode", "entries", "rows read", "ns/entry", "ns/row read", "row cost vs entry", "frozen pages", "pages", "page paths"},
 	}
 	db, cases, err := V3DB(factRows)
 	if err != nil {
@@ -157,7 +158,7 @@ func V3IndexPagePath(factRows int) (*Report, error) {
 		var answer [2]int64
 		for _, mode := range V3Modes {
 			var total time.Duration
-			var frozen, rowsRead int64
+			var frozen, rowsRead, pages, pagePaths int64
 			for run := -1; run < reps; run++ { // run -1 warms (and freezes) the pages
 				if mode == "pages-cold" {
 					te.Heap.ThawAll()
@@ -176,7 +177,7 @@ func V3IndexPagePath(factRows int) (*Report, error) {
 				} else if answer != [2]int64{rows, sum} {
 					return nil, fmt.Errorf("V3 %s [%s]: %d rows (id sum %d), want %d (%d)", c.Name, mode, rows, sum, answer[0], answer[1])
 				}
-				frozen, rowsRead = ctx.IO.PagesFrozen, ctx.IO.RowsRead
+				frozen, rowsRead, pages, pagePaths = ctx.IO.PagesFrozen, ctx.IO.RowsRead, ctx.IO.PagesRead, ctx.PagePaths
 			}
 			ns := float64(total.Nanoseconds()) / reps
 			// The entry path's unit of work is the entry (its rows read
@@ -188,7 +189,7 @@ func V3IndexPagePath(factRows int) (*Report, error) {
 				perRow = ns / float64(rowsRead)
 			}
 			rep.AddRow(c.Name, mode, c.Entries(), rowsRead, fmt.Sprintf("%.1f", ns/float64(c.Entries())),
-				fmt.Sprintf("%.1f", perRow), fmt.Sprintf("%.2f", perRow/perEntry), frozen)
+				fmt.Sprintf("%.1f", perRow), fmt.Sprintf("%.2f", perRow/perEntry), frozen, pages, pagePaths)
 		}
 	}
 	var base float64
@@ -211,7 +212,7 @@ func V3IndexPagePath(factRows int) (*Report, error) {
 		if base == 0 {
 			base = ns
 		}
-		rep.AddRow("hash-join build", mode, "", buildRows, "", fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.2f", ns/base), "")
+		rep.AddRow("hash-join build", mode, "", buildRows, "", fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.2f", ns/base), "", "", "")
 	}
 	rep.Notef("fact %d rows; the filter adds price < 900.0, which no synopsis proves; rows read are the last execution's: the entry path counts each entry and its visible row, the page path every row of a read page; the build rows' cost is relative to the generic build", factRows)
 	return rep, nil

@@ -245,7 +245,7 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool)
 	te.Heap.ScanVersions(func(id storage.RowID, row types.Row) bool {
 		k := ix.KeyFor(row)
 		if unique {
-			if _, live := te.Heap.Get(id); live && treeHasLiveKey(te, ix.Tree, k) {
+			if te.Heap.Sees(id, storage.SnapLatest, 0) && treeHasLiveKey(te, ix.Tree, k) {
 				buildErr = fmt.Errorf("catalog: cannot build unique index %s: duplicate key %s", name, k)
 				return false
 			}
@@ -264,7 +264,7 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool)
 func treeHasLiveKey(te *TableEntry, t *btree.Tree, k types.Row) bool {
 	found := false
 	t.Lookup(k, nil, func(rid storage.RowID) bool {
-		if _, ok := te.Heap.Get(rid); ok {
+		if te.Heap.Sees(rid, storage.SnapLatest, 0) {
 			found = true
 			return false
 		}

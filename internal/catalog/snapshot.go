@@ -263,19 +263,23 @@ func decodeTableStats(d *codec.Decoder) *stats.TableStats {
 	return ts
 }
 
+// appendHeap encodes h's physical layout slot by slot straight from its
+// pages (storage.Heap.Dump): no row is built, so a checkpoint allocates
+// nothing per slot.
 func appendHeap(b []byte, h *storage.Heap) ([]byte, error) {
 	b = codec.AppendVarint(b, h.Version())
-	pages := h.DumpPages()
-	b = codec.AppendUvarint(b, uint64(len(pages)))
+	b = codec.AppendUvarint(b, uint64(h.PageCount()))
 	var err error
-	for _, ps := range pages {
-		b = codec.AppendUvarint(b, uint64(len(ps)))
-		for _, s := range ps {
-			b = codec.AppendBool(b, s.Dead)
-			if b, err = codec.AppendRow(b, s.Row); err != nil {
-				return nil, err
-			}
+	h.Dump(func(slots int) {
+		b = codec.AppendUvarint(b, uint64(slots))
+	}, func(row types.Row) {
+		b = codec.AppendBool(b, row == nil)
+		if err == nil {
+			b, err = codec.AppendRow(b, row)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return b, nil
 }

@@ -149,6 +149,7 @@ func (db *Database) checkConstraints(te *catalog.TableEntry, row types.Row, self
 func (db *Database) checkOne(te *catalog.TableEntry, con *catalog.Constraint, row types.Row, selfRid storage.RowID) error {
 	switch con.Kind {
 	case catalog.Check:
+		db.obs.checkEvals.Inc()
 		ok, err := con.Admits(row)
 		if err != nil {
 			return err
@@ -182,7 +183,7 @@ func (db *Database) checkOne(te *catalog.TableEntry, con *catalog.Constraint, ro
 			dup := false
 			ix.Tree.Lookup(key, nil, func(rid storage.RowID) bool {
 				if rid != selfRid {
-					if _, live := te.Heap.GetAny(rid); live {
+					if te.Heap.SeesAny(rid) {
 						dup = true
 					}
 				}
@@ -223,7 +224,7 @@ func (db *Database) checkOne(te *catalog.TableEntry, con *catalog.Constraint, ro
 		if ix := indexOver(ref, con.RefColumns); ix != nil {
 			found := false
 			ix.Tree.Lookup(key, nil, func(rid storage.RowID) bool {
-				if _, live := ref.Heap.GetAny(rid); live {
+				if ref.Heap.SeesAny(rid) {
 					found = true
 				}
 				return !found
@@ -528,7 +529,14 @@ type match struct {
 func matchRows(tx *Tx, te *catalog.TableEntry, where expr.Expr) ([]match, error) {
 	var matches []match
 	var scanErr error
-	te.Heap.ScanAt(tx.t.Snap, tx.t.ID, nil, func(rid storage.RowID, row types.Row) bool {
+	var cols []int
+	expr.Walk(where, func(e expr.Expr) bool {
+		if c, ok := e.(*expr.Column); ok && c.Index >= 0 {
+			cols = append(cols, c.Index)
+		}
+		return true
+	})
+	te.Heap.ScanColsAt(tx.t.Snap, tx.t.ID, cols, func(rid storage.RowID, row types.Row) bool {
 		if where != nil {
 			ok, err := expr.EvalBool(where, row)
 			if err != nil {
@@ -539,7 +547,8 @@ func matchRows(tx *Tx, te *catalog.TableEntry, where expr.Expr) ([]match, error)
 				return true
 			}
 		}
-		matches = append(matches, match{rid: rid, row: row.Clone()})
+		full, _ := te.Heap.GetAt(rid, tx.t.Snap, tx.t.ID)
+		matches = append(matches, match{rid: rid, row: full})
 		return true
 	})
 	return matches, scanErr

@@ -71,6 +71,20 @@ type CacheStats struct {
 	LiteralBound int64
 	// Evictions counts literal-bound variants dropped at the per-shape cap.
 	Evictions int64
+	// Parses counts SELECT texts the query path parsed, and Compiles its
+	// planning passes (build, rewrite, optimize), every pass counted: a
+	// statement's own, its §4.1 backup, a template's verification and the
+	// shadow plans. A statement served from the cache adds to neither.
+	Parses   int64
+	Compiles int64
+}
+
+// countPlanning adds to the parse and compile counts.
+func (db *Database) countPlanning(parses, compiles int64) {
+	db.cacheMu.Lock()
+	db.cacheStat.Parses += parses
+	db.cacheStat.Compiles += compiles
+	db.cacheMu.Unlock()
 }
 
 type cachedPlan struct {
@@ -739,6 +753,7 @@ func (db *Database) query(ctx context.Context, sel *sql.Select, text string, mod
 func (db *Database) reference(ctx context.Context, sel *sql.Select, text string, sess *Session) (*Result, error) {
 	if sel == nil {
 		var err error
+		db.countPlanning(1, 0)
 		if sel, err = parseSelect(text); err != nil {
 			return nil, err
 		}
@@ -784,6 +799,9 @@ func (db *Database) compile(sel *sql.Select, sqlText string, fp *stmtPrint, st S
 	// the fingerprint slot of its literal; without a fingerprint (caching
 	// off, or a text it refused) any parse will do.
 	tagged := false
+	if fp.shaped || sel == nil {
+		db.countPlanning(1, 0)
+	}
 	if fp.shaped {
 		if s, ok, err := sql.ParseFingerprinted(sqlText, fp.lits); err == nil {
 			sel, tagged = s, ok
@@ -908,6 +926,7 @@ var backupPlan = planOpts{softFree: true, rewrite: rewrite.Options{
 // literalBound names the first decision, if any, that depended on the
 // statement's literal values.
 func (db *Database) planSelect(sel *sql.Select, st Settings, po planOpts) (*cachedPlan, error) {
+	db.countPlanning(0, 1)
 	b := db.builder()
 	logical, err := b.BuildSelect(sel)
 	if err != nil {

@@ -33,14 +33,14 @@ func thawAll(db *Database) {
 	}
 }
 
-func frozenPages(t *testing.T, db *Database, table string) (pages int, bytes int64) {
+func frozenPages(t *testing.T, db *Database, table string) int {
 	t.Helper()
 	te, err := db.Catalog().Table(table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, bytes, _ = te.Heap.ImageStats()
-	return pages, bytes
+	pages, _ := te.Heap.FreezeStats()
+	return pages
 }
 
 var timeField = regexp.MustCompile(`(time|elapsed)[=:] ?[0-9.]+(µs|ms|s)`)
@@ -198,15 +198,15 @@ func TestFrozenSnapshotStability(t *testing.T) {
 	if c, b := sum(old); c != n || b != 100*n {
 		t.Fatalf("baseline %d rows / %d", c, b)
 	}
-	if pages, bytes := frozenPages(t, db, "acct"); pages == 0 || bytes == 0 {
-		t.Fatalf("baseline scan froze %d pages holding %d bytes", pages, bytes)
+	if pages := frozenPages(t, db, "acct"); pages == 0 {
+		t.Fatalf("baseline scan froze %d pages", pages)
 	}
-	before, _ := frozenPages(t, db, "acct")
+	before := frozenPages(t, db, "acct")
 
 	sexec(t, w, "BEGIN")
 	sexec(t, w, "DELETE FROM acct WHERE id = 3")
 	sexec(t, w, "UPDATE acct SET bal = 150 WHERE id = 500")
-	if after, _ := frozenPages(t, db, "acct"); after >= before {
+	if after := frozenPages(t, db, "acct"); after >= before {
 		t.Fatalf("write intents thawed nothing: %d -> %d frozen pages", before, after)
 	}
 	// Uncommitted: only the writer sees its own changes.
@@ -345,7 +345,7 @@ func TestFrozenScansUnderWriters(t *testing.T) {
 	if scans.Load() == 0 || frozen.Load() == 0 {
 		t.Fatalf("%d scan pairs read %d frozen pages", scans.Load(), frozen.Load())
 	}
-	if _, _, thaws := te.Heap.ImageStats(); thaws == 0 {
+	if _, thaws := te.Heap.FreezeStats(); thaws == 0 {
 		t.Fatal("no writer ever thawed a page")
 	}
 }
@@ -386,8 +386,8 @@ func TestFrozenImagesDoNotSurviveRestart(t *testing.T) {
 		return out
 	}
 	want := ask(db)
-	if pages, bytes := frozenPages(t, db, "t"); pages == 0 || bytes == 0 {
-		t.Fatalf("live engine froze %d pages / %d bytes", pages, bytes)
+	if pages := frozenPages(t, db, "t"); pages == 0 {
+		t.Fatalf("live engine froze %d pages", pages)
 	}
 	crash := copyDataDir(t, dir) // mid-log: recovery replays the tail past the last checkpoint
 	if err := db.Close(); err != nil {
@@ -399,8 +399,8 @@ func TestFrozenImagesDoNotSurviveRestart(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		re.NoIndexes = true
-		if pages, bytes := frozenPages(t, re, "t"); pages != 0 || bytes != 0 {
-			t.Fatalf("%s reopened with %d frozen pages / %d image bytes", name, pages, bytes)
+		if pages := frozenPages(t, re, "t"); pages != 0 {
+			t.Fatalf("%s reopened with %d frozen pages", name, pages)
 		}
 		got := ask(re)
 		for i := range want {
@@ -408,7 +408,7 @@ func TestFrozenImagesDoNotSurviveRestart(t *testing.T) {
 				t.Errorf("%s: %s\n got %+v\nwant %+v", name, queries[i], got[i], want[i])
 			}
 		}
-		if pages, _ := frozenPages(t, re, "t"); pages == 0 {
+		if pages := frozenPages(t, re, "t"); pages == 0 {
 			t.Errorf("%s: scans froze nothing", name)
 		}
 		if err := re.Close(); err != nil {
@@ -418,8 +418,8 @@ func TestFrozenImagesDoNotSurviveRestart(t *testing.T) {
 }
 
 // TestFrozenObservability: the frozen-page figures reach EXPLAIN ANALYZE,
-// the trace ring and the metrics registry, and the image gauge follows
-// thaws.
+// the trace ring and the metrics registry, and the page-bytes gauge is the
+// heaps' own figure: a thaw frees nothing, a new page adds its bytes.
 func TestFrozenObservability(t *testing.T) {
 	db := pruneDB(t, 4000, false)
 	q := "SELECT COUNT(*) AS n, SUM(b) AS s FROM t WHERE c >= 0"
@@ -454,7 +454,7 @@ func TestFrozenObservability(t *testing.T) {
 		return b.String()
 	}
 	m := metrics()
-	for _, fam := range []string{"softdb_scan_pages_frozen_total", "softdb_storage_page_thaws_total", "softdb_storage_frozen_image_bytes"} {
+	for _, fam := range []string{"softdb_scan_pages_frozen_total", "softdb_storage_page_thaws_total", "softdb_storage_heap_page_bytes"} {
 		if !strings.Contains(m, "# TYPE "+fam) {
 			t.Errorf("metrics lack family %s", fam)
 		}
@@ -462,17 +462,28 @@ func TestFrozenObservability(t *testing.T) {
 	if v := db.Metrics().Counter("softdb_scan_pages_frozen_total").Value(); v < 2*io.PagesFrozen {
 		t.Errorf("softdb_scan_pages_frozen_total = %d after two scans of %d frozen pages", v, io.PagesFrozen)
 	}
-	bytes := db.Metrics().Gauge("softdb_storage_frozen_image_bytes").Value()
-	if bytes == 0 {
-		t.Fatal("image gauge is zero after batched scans read columns b and c")
+	te, err := db.Catalog().Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := db.Metrics().Gauge("softdb_storage_heap_page_bytes").Value()
+	if bytes == 0 || bytes != te.Heap.PageBytes() {
+		t.Fatalf("page-bytes gauge %d, heap t holds %d", bytes, te.Heap.PageBytes())
 	}
 	db.MustExec("DELETE FROM t WHERE a = 5")
 	metrics()
 	if v := db.Metrics().Counter("softdb_storage_page_thaws_total").Value(); v == 0 {
 		t.Error("a DELETE on a frozen page counted no thaw")
 	}
-	if after := db.Metrics().Gauge("softdb_storage_frozen_image_bytes").Value(); after >= bytes {
-		t.Errorf("image gauge did not fall after a thaw: %d -> %d", bytes, after)
+	if after := db.Metrics().Gauge("softdb_storage_heap_page_bytes").Value(); after != bytes {
+		t.Errorf("page-bytes gauge moved on a thaw: %d -> %d", bytes, after)
+	}
+	for pages := te.Heap.PageCount(); te.Heap.PageCount() == pages; {
+		db.MustExec("INSERT INTO t VALUES (-1, 0, 0)")
+	}
+	metrics()
+	if after := db.Metrics().Gauge("softdb_storage_heap_page_bytes").Value(); after <= bytes || after != te.Heap.PageBytes() {
+		t.Errorf("page-bytes gauge after a new page: %d -> %d, heap holds %d", bytes, after, te.Heap.PageBytes())
 	}
 }
 

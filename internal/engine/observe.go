@@ -38,7 +38,7 @@ const (
 	mPagesSkipped  = "softdb_scan_pages_skipped_total"
 	mPagesFrozen   = "softdb_scan_pages_frozen_total"
 	mPageThaws     = "softdb_storage_page_thaws_total"
-	mImageBytes    = "softdb_storage_frozen_image_bytes"
+	mPageBytes     = "softdb_storage_heap_page_bytes"
 	mRowsShort     = "softdb_scan_rows_short_circuited_total"
 	mPagePaths     = "softdb_index_scan_page_path_total"
 	mPruneRejected = "softdb_prune_rejected_total"
@@ -47,6 +47,7 @@ const (
 	mQueriesTimedOut   = "softdb_queries_timed_out_total"
 	mMemBudgetRejected = "softdb_mem_budget_rejected_total"
 	mWorkerPanics      = "softdb_worker_panics_recovered_total"
+	mCheckEvals        = "softdb_constraint_check_evaluations_total"
 	// Durability counters (durable databases only).
 	mWALBytes         = "softdb_wal_bytes_total"
 	mWALFsyncs        = "softdb_wal_fsyncs_total"
@@ -88,7 +89,7 @@ type obsState struct {
 	pagesSkipped *obs.Counter
 	pagesFrozen  *obs.Counter
 	pageThaws    *obs.Counter
-	imageBytes   *obs.Gauge
+	pageBytes    *obs.Gauge
 
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
@@ -103,6 +104,7 @@ type obsState struct {
 	queriesTimedOut   *obs.Counter
 	memBudgetRejected *obs.Counter
 	workerPanics      *obs.Counter
+	checkEvals        *obs.Counter
 
 	// econ is the per-constraint benefit/cost ledger (see economy.go). It
 	// is always non-nil after initObs; the NoEconomy toggle gates the
@@ -137,9 +139,9 @@ func (db *Database) initObs() {
 	r.Describe(mPromotions, "counter", "Probationary correlations promoted to employed.")
 	r.Describe(mDiscoveryRuns, "counter", "Soft-constraint discovery passes over a table.")
 	r.Describe(mPagesSkipped, "counter", "Heap pages skipped by synopsis-based scan pruning.")
-	r.Describe(mPagesFrozen, "counter", "Heap page reads served from frozen page images (no per-slot visibility check, cached column vectors).")
-	r.Describe(mPageThaws, "counter", "Frozen page images dropped because a writer was about to change a slot of the page.")
-	r.Describe(mImageBytes, "gauge", "Bytes held by the typed column vectors of frozen page images.")
+	r.Describe(mPagesFrozen, "counter", "Heap page reads served from frozen pages (no per-slot visibility check).")
+	r.Describe(mPageThaws, "counter", "Frozen pages thawed because a writer was about to change a slot of the page.")
+	r.Describe(mPageBytes, "gauge", "Bytes held by heap pages: typed column values, null masks and version stamps, over every table and summary table.")
 	r.Describe(mRowsShort, "counter", "Rows whose per-row filter evaluation a page-level synopsis proof short-circuited.")
 	r.Describe(mPagePaths, "counter", "Index scan executions that switched to the page path at run time.")
 	r.Describe(mPruneRejected, "counter", "Prune-predicate introductions rejected, by reason.")
@@ -147,6 +149,7 @@ func (db *Database) initObs() {
 	r.Describe(mQueriesTimedOut, "counter", "Queries terminated by deadline expiry.")
 	r.Describe(mMemBudgetRejected, "counter", "Queries aborted for exceeding the per-query memory budget.")
 	r.Describe(mWorkerPanics, "counter", "Operator panics recovered into query errors.")
+	r.Describe(mCheckEvals, "counter", "Row tests of enforced CHECK constraints on the write path.")
 	r.Describe(mWALBytes, "counter", "Bytes appended to the write-ahead log.")
 	r.Describe(mWALFsyncs, "counter", "Fsyncs the write-ahead log performed.")
 	r.Describe(mCheckpoints, "counter", "Checkpoint snapshots written.")
@@ -176,7 +179,7 @@ func (db *Database) initObs() {
 	o.pagesSkipped = r.Counter(mPagesSkipped)
 	o.pagesFrozen = r.Counter(mPagesFrozen)
 	o.pageThaws = r.Counter(mPageThaws)
-	o.imageBytes = r.Gauge(mImageBytes)
+	o.pageBytes = r.Gauge(mPageBytes)
 	r.OnCollect(db.collectStorageMetrics)
 	o.rowsShort = r.Counter(mRowsShort)
 	o.pagePaths = r.Counter(mPagePaths)
@@ -184,23 +187,29 @@ func (db *Database) initObs() {
 	o.queriesTimedOut = r.Counter(mQueriesTimedOut)
 	o.memBudgetRejected = r.Counter(mMemBudgetRejected)
 	o.workerPanics = r.Counter(mWorkerPanics)
+	o.checkEvals = r.Counter(mCheckEvals)
 }
 
-// collectStorageMetrics refreshes the frozen-image figures from the heaps at
-// exposition time: they are sums over every page of every table, far too
-// much to recompute per query and nothing a query needs.
+// collectStorageMetrics refreshes the storage figures from the heaps at
+// exposition time: they are sums over every table, far too much to
+// recompute per query and nothing a query needs.
 func (db *Database) collectStorageMetrics() {
 	var bytes, thaws int64
 	db.mu.RLock()
 	for _, name := range db.cat.TableNames() {
 		if te, err := db.cat.Table(name); err == nil {
-			_, b, t := te.Heap.ImageStats()
-			bytes += b
+			_, t := te.Heap.FreezeStats()
+			bytes += te.Heap.PageBytes()
 			thaws += t
 		}
 	}
+	for _, st := range db.cat.AllSummaries() {
+		if st.Heap != nil {
+			bytes += st.Heap.PageBytes()
+		}
+	}
 	db.mu.RUnlock()
-	db.obs.imageBytes.Set(bytes)
+	db.obs.pageBytes.Set(bytes)
 	// A dropped or truncated table takes its thaw count with it; the
 	// counter ignores the negative delta and stays monotonic.
 	db.obs.pageThaws.Add(thaws - db.obs.pageThaws.Value())

@@ -176,7 +176,7 @@ func (f *aggFold) key(ctx *Ctx, b *vec.Batch, gids []int32) error {
 		f.rekey()
 	}
 	for i := range gids {
-		if err := f.evalKey(b.Row(i)); err != nil {
+		if err := f.evalKey(b, b.Index(i)); err != nil {
 			return err
 		}
 		k := f.strKey(f.keyBuf)
@@ -200,7 +200,7 @@ func (f *aggFold) keyInts(ctx *Ctx, b *vec.Batch, kc *vec.Col, gids []int32) err
 		if i = f.ints.find(gids, b.Sel, kc, i); i == len(gids) {
 			return nil
 		}
-		err := f.evalKey(b.Row(i))
+		err := f.evalKey(b, b.Index(i))
 		var g int32
 		if err == nil {
 			g, err = f.addGroup(ctx)
@@ -228,14 +228,31 @@ func (f *aggFold) rekey() {
 	f.ints = nil
 }
 
-// evalKey evaluates the group expressions over row into keyBuf.
-func (f *aggFold) evalKey(row types.Row) (err error) {
+// evalKey evaluates the group expressions over the row at window position
+// idx of b into keyBuf.
+func (f *aggFold) evalKey(b *vec.Batch, idx int) (err error) {
+	var row types.Row
 	for i, g := range f.h.GroupBy {
-		if f.keyBuf[i], err = g.Eval(row); err != nil {
+		if f.keyBuf[i], err = valueAt(g, b, idx, &row); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// valueAt evaluates e over the row at window position idx of b: a bare
+// column is read from the batch as it is, anything else over the row's view,
+// which *row caches for the next expression of the same row.
+func valueAt(e expr.Expr, b *vec.Batch, idx int, row *types.Row) (types.Datum, error) {
+	if c, ok := e.(*expr.Column); ok && c.Index >= 0 {
+		if d, ok := b.Datum(idx, c.Index); ok {
+			return d, nil
+		}
+	}
+	if *row == nil {
+		*row = b.View(idx)
+	}
+	return e.Eval(*row)
 }
 
 // strKey is the generic keyer's key for a key row: the image of its hashed
@@ -459,7 +476,8 @@ func (a *aggCol) fold(b *vec.Batch, gids []int32) error {
 	}
 	n := b.Len()
 	for i := 0; i < n; i++ {
-		v, err := a.spec.Arg.Eval(b.Row(i))
+		var row types.Row
+		v, err := valueAt(a.spec.Arg, b, b.Index(i), &row)
 		if err != nil {
 			return err
 		}
@@ -570,10 +588,10 @@ func sumSelected[T int64 | float64](c *vec.Col, vals []T, b *vec.Batch) (cnt int
 		}
 		cnt = int64(len(b.Sel))
 	default:
-		for _, v := range vals[:len(b.Rows)] {
+		for _, v := range vals[:b.Size()] {
 			sum += float64(v)
 		}
-		cnt = int64(len(b.Rows))
+		cnt = int64(b.Size())
 	}
 	return cnt, sum
 }
@@ -605,11 +623,12 @@ func (a *aggCol) minMaxCol(c *vec.Col, b *vec.Batch) {
 		at = extremum(c, c.Strs, b, isMax)
 	}
 	if at >= 0 {
-		a.keepBest(0, b.Rows[at][a.col.Index])
+		v, _ := b.Datum(at, a.col.Index)
+		a.keepBest(0, v)
 	}
 }
 
-// extremum returns the position in b.Rows of the first selected non-NULL
+// extremum returns the window position of the first selected non-NULL
 // value no other exceeds (isMax) or undercuts, or -1 when there is none.
 func extremum[T int64 | float64 | string](c *vec.Col, vals []T, b *vec.Batch, isMax bool) int {
 	at := -1

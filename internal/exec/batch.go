@@ -6,7 +6,6 @@ import (
 	"softdb/internal/expr"
 	"softdb/internal/plan"
 	"softdb/internal/storage"
-	"softdb/internal/types"
 	"softdb/internal/vec"
 )
 
@@ -33,10 +32,10 @@ type progRunner struct {
 func (pr *progRunner) run(b *vec.Batch, zone *storage.ZoneEntry) (sel []int32, ran int, err error) {
 	cur := b.Sel
 	if cur == nil {
-		if len(pr.ident) < len(b.Rows) {
-			pr.ident = vec.IdentitySel(pr.ident, len(b.Rows))
+		if len(pr.ident) < b.Size() {
+			pr.ident = vec.IdentitySel(pr.ident, b.Size())
 		}
-		cur = pr.ident[:len(b.Rows)]
+		cur = pr.ident[:b.Size()]
 	}
 	for i := range pr.prog.Stages {
 		if len(cur) == 0 {
@@ -47,7 +46,7 @@ func (pr *progRunner) run(b *vec.Batch, zone *storage.ZoneEntry) (sel []int32, r
 		}
 		buf := pr.bufs[pr.next]
 		if cap(buf) < len(cur) {
-			buf = make([]int32, 0, len(b.Rows))
+			buf = make([]int32, 0, b.Size())
 		}
 		out, serr := pr.prog.RunStage(i, b, cur, buf)
 		if serr != nil {
@@ -90,27 +89,25 @@ func (src pageSource) scan(ctx *Ctx, fn storage.PageFunc) {
 }
 
 // scanPageLoop is the page scan kernel of SeqScan and of IndexScan's page
-// path: one batch per heap page, filtered through a compiled predicate
-// program with zone-entry short-circuits. A page every filter stage is
-// provably TRUE for skips per-row evaluation entirely — the dual of page
-// skipping — and its rows are credited as short-circuited under the proving
-// predicate's source.
+// path: one column batch per heap page (the page's own typed columns, its
+// visible slots selected), filtered through a compiled predicate program
+// with zone-entry short-circuits. A page every filter stage is provably TRUE
+// for skips per-row evaluation entirely — the dual of page skipping — and
+// its rows are credited as short-circuited under the proving predicate's
+// source.
 func scanPageLoop(op string, src pageSource, filter []expr.Expr, ctx *Ctx, emit func(*vec.Batch) bool) error {
 	prog := expr.CompilePredicate(filter)
 	pr := progRunner{prog: prog}
-	var batch vec.Batch
 	var runErr error
-	src.scan(ctx, func(pi int, rows []types.Row, img *vec.PageImage, zone *storage.ZoneEntry) bool {
+	src.scan(ctx, func(pi int, batch *vec.Batch, zone *storage.ZoneEntry) bool {
 		if err := ctx.checkpoint(op); err != nil {
 			runErr = err
 			return false
 		}
-		batch.ResetImage(rows, img)
-		batch.Stored = true
 		if len(prog.Stages) == 0 {
-			return emit(&batch)
+			return emit(batch)
 		}
-		sel, ran, err := pr.run(&batch, zone)
+		sel, ran, err := pr.run(batch, zone)
 		if err != nil {
 			runErr = err
 			return false
@@ -118,18 +115,18 @@ func scanPageLoop(op string, src pageSource, filter []expr.Expr, ctx *Ctx, emit 
 		if ran == 0 {
 			// Every stage was provably TRUE from the zone entry: the page
 			// qualifies wholesale, no row was touched.
-			n := int64(len(rows))
+			n := int64(batch.Len())
 			ctx.AddShortCircuits(n)
 			if ctx.Shorts != nil {
 				ctx.Shorts.AddN(shortCircuitSource(src.prune, zone), n)
 			}
-			return emit(&batch)
+			return emit(batch)
 		}
 		if len(sel) == 0 {
 			return true
 		}
 		batch.Sel = sel
-		return emit(&batch)
+		return emit(batch)
 	})
 	return runErr
 }

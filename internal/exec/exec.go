@@ -112,10 +112,11 @@ func (c *Ctx) String() string {
 // Operator is a runnable physical plan node.
 type Operator interface {
 	// Run pushes the output into emit as columnar batches until exhausted
-	// or emit returns false. A batch is borrowed: it and its Rows slice are
-	// valid only until emit returns, and its row values may be retained
-	// without cloning only when Batch.Owned or Batch.Stored is set (see
-	// DESIGN.md §16). emit may narrow a batch's selection in place.
+	// or emit returns false. A batch is borrowed: it, its columns and its
+	// row slice are valid only until emit returns, and its row values may be
+	// retained without cloning only when Batch.Owned is set once they are
+	// asked for (see DESIGN.md §16). emit may narrow a batch's selection in
+	// place.
 	Run(ctx *Ctx, emit func(b *vec.Batch) bool) error
 	// Describe renders a one-line summary.
 	Describe() string
@@ -129,9 +130,10 @@ type Operator interface {
 const collectHintCap = 1 << 20
 
 // Collect runs op and gathers all output rows: the one place rows leave the
-// batched pipeline. Rows of owned batches are retained as they are; borrowed
-// and stored ones are cloned. hint is an optional row-count estimate used to
-// preallocate the result (<= 0 means unknown).
+// batched pipeline. Rows of owned batches (a page scan's rows are built
+// owned) are retained as they are; borrowed ones are cloned. hint is an
+// optional row-count estimate used to preallocate the result (<= 0 means
+// unknown).
 func Collect(op Operator, ctx *Ctx, hint int) ([]types.Row, error) {
 	if ctx == nil {
 		ctx = &Ctx{}
@@ -362,7 +364,10 @@ func (s *pageSet) add(p int32, hint int64) bool {
 // skipped, which is also what keeps stale entries (MVCC never removes index
 // entries at delete time) harmless. Heap pages are charged once per distinct
 // page touched; index page touches are charged by the tree walk itself.
-func (s *IndexScan) fetch(ctx *Ctx, chunk indexChunk, more bool, visit func(types.Row) bool) error {
+// Each visible version's values are gathered into win, the typed columns of
+// the caller's window, and visit is called after each; it returns false to
+// stop.
+func (s *IndexScan) fetch(ctx *Ctx, chunk indexChunk, more bool, win []vec.Col, visit func() bool) error {
 	var seen pageSet
 	// lastPage short-cuts the set when consecutive entries land on the same
 	// heap page (the common case when the indexed column correlates with
@@ -388,12 +393,11 @@ func (s *IndexScan) fetch(ctx *Ctx, chunk indexChunk, more bool, visit func(type
 					ctx.IO.AddPages(1)
 				}
 			}
-			row, ok := s.Heap.GetAt(rid, snap, tid)
-			if !ok {
+			if !s.Heap.GatherAt(win, rid, snap, tid) {
 				continue // version not visible at this snapshot; skip
 			}
 			rows++
-			if !visit(row) {
+			if !visit() {
 				return nil
 			}
 		}
@@ -407,10 +411,10 @@ func (s *IndexScan) fetch(ctx *Ctx, chunk indexChunk, more bool, visit func(type
 
 // pagePathCostRatio is the cost of reading one row on the page path relative
 // to fetching one index entry's row on the entry path. Experiment V3
-// (EXPERIMENTS.md) measures it at about 0.4 over frozen pages and 0.6–0.9
-// with every image dropped first (the scan then gathers the rows and builds
-// the images again); the constant is the top of the cold figures, so a
-// switch never counts on images a writer may have dropped.
+// (EXPERIMENTS.md) measured it at about 0.4 over frozen pages and 0.6–0.9
+// cold (with the row-store pages and images of the time); the constant is
+// the top of the cold figures, so a switch never counts on a frozen state a
+// writer may clear.
 const pagePathCostRatio = 0.8
 
 // pagePath is an IndexScan execution's decision to finish on the page path:
@@ -544,16 +548,24 @@ func (s *IndexScan) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	var runErr error
 	prog := expr.CompilePredicate(s.Filter)
 	pr := progRunner{prog: prog}
-	// The window grows on demand: a point probe fetches a row or two and
-	// should not pay for a full window's worth of slots.
-	window := make([]types.Row, 0, 8)
+	// Fetched versions gather into the window's typed columns, which grow
+	// on demand (a point probe fetches a row or two and should not pay for
+	// a full window's worth of slots) and are reused window after window:
+	// the batch over them is a column batch like a page scan's.
+	kinds := s.Heap.Kinds()
+	win := fetchWindow(kinds, min(max(len(chunk.rids), 1), indexBatchRows))
+	n := 0
 	var batch vec.Batch
 	flush := func() bool {
-		if len(window) == 0 {
+		if n == 0 {
 			return true
 		}
-		batch.Reset(window)
-		batch.Stored = true // fetched versions are the heap's own rows
+		cols := batch.ResetColumns(n, kinds)
+		for i := range cols {
+			c, w := &cols[i], &win[i]
+			c.Ints, c.Floats, c.Strs, c.Nulls, c.HasNulls = w.Ints, w.Floats, w.Strs, w.Nulls, w.HasNulls
+			w.Ints, w.Floats, w.Strs, w.Nulls, w.HasNulls = w.Ints[:0], w.Floats[:0], w.Strs[:0], w.Nulls[:0], false
+		}
 		keep := true
 		if len(prog.Stages) == 0 {
 			keep = emit(&batch)
@@ -568,12 +580,12 @@ func (s *IndexScan) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 				keep = emit(&batch)
 			}
 		}
-		window = window[:0]
+		n = 0
 		return keep
 	}
-	err := s.fetch(ctx, chunk, more, func(row types.Row) bool {
-		window = append(window, row)
-		return len(window) < indexBatchRows || flush()
+	err := s.fetch(ctx, chunk, more, win, func() bool {
+		n++
+		return n < indexBatchRows || flush()
 	})
 	if runErr != nil {
 		return runErr
@@ -583,6 +595,34 @@ func (s *IndexScan) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	}
 	flush()
 	return runErr
+}
+
+// fetchWindow returns the empty typed columns of a fetch window of up to n
+// rows of the given kinds, carved from one backing array per class so a
+// window costs a handful of allocations however many columns it has.
+func fetchWindow(kinds []types.Kind, n int) []vec.Col {
+	var counts [vec.ClassStr + 1]int
+	for _, k := range kinds {
+		counts[vec.ClassOf(k)]++
+	}
+	ints := make([]int64, counts[vec.ClassInt]*n)
+	floats := make([]float64, counts[vec.ClassFloat]*n)
+	strs := make([]string, counts[vec.ClassStr]*n)
+	nulls := make([]bool, len(kinds)*n)
+	win := make([]vec.Col, len(kinds))
+	for i, k := range kinds {
+		c := &win[i]
+		c.Nulls, nulls = nulls[:0:n], nulls[n:]
+		switch vec.ClassOf(k) {
+		case vec.ClassInt:
+			c.Ints, ints = ints[:0:n], ints[n:]
+		case vec.ClassFloat:
+			c.Floats, floats = floats[:0:n], floats[n:]
+		default:
+			c.Strs, strs = strs[:0:n], strs[n:]
+		}
+	}
+	return win
 }
 
 // Describe implements Operator.
@@ -649,7 +689,7 @@ func (m *IndexMinMax) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 		var key types.Datum
 		found := false
 		visit := func(k btree.Key, rid storage.RowID) bool {
-			if _, ok := m.Heap.GetAt(rid, snap, tid); !ok {
+			if !m.Heap.Sees(rid, snap, tid) {
 				return true // stale entry; keep walking inward
 			}
 			key, found = k.Datum(0), true
@@ -771,27 +811,52 @@ func (p *Project) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 			allCols = false
 		}
 	}
+	var ords []int
+	if allCols {
+		for _, c := range cols {
+			ords = append(ords, c.Index)
+		}
+	}
 	var inner error
 	var outRows []types.Row
+	var ident []int32
 	var ob vec.Batch
 	err := p.Input.Run(ctx, func(b *vec.Batch) bool {
 		n := b.Len()
 		slab := make([]types.Datum, n*width)
 		outRows = outRows[:0]
+		if allCols {
+			// A column batch fills the output column by column.
+			idxs := b.Sel
+			if idxs == nil {
+				ident = vec.IdentitySel(ident, n)
+				idxs = ident
+			}
+			if b.Fill(slab, idxs, ords) {
+				for i := 0; i < n; i++ {
+					outRows = append(outRows, types.Row(slab[i*width:(i+1)*width:(i+1)*width]))
+				}
+				ob.Reset(outRows)
+				ob.Owned = true
+				return emit(&ob)
+			}
+		}
 		for i := 0; i < n; i++ {
-			row := b.Row(i)
+			idx := b.Index(i)
 			o := types.Row(slab[:width:width])
 			slab = slab[width:]
 			if allCols {
 				for j, c := range cols {
-					if c.Index >= len(row) {
-						_, err := c.Eval(row)
+					d, ok := b.Datum(idx, c.Index)
+					if !ok {
+						_, err := c.Eval(b.View(idx))
 						inner = err
 						return false
 					}
-					o[j] = row[c.Index]
+					o[j] = d
 				}
 			} else {
+				row := b.View(idx)
 				for j, e := range p.Exprs {
 					v, err := e.Eval(row)
 					if err != nil {
@@ -870,7 +935,7 @@ func (d *Distinct) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 		sel = sel[:0]
 		n := b.Len()
 		for i := 0; i < n; i++ {
-			image = types.AppendKey(image[:0], b.Row(i)...)
+			image = types.AppendKey(image[:0], b.View(b.Index(i))...)
 			if seen[string(image)] {
 				continue
 			}

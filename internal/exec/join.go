@@ -34,7 +34,7 @@ func (j *NestedLoopJoin) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 				ctx.AddComparisons(int64(m))
 				out = out[:0]
 				for k := 0; k < m; k++ {
-					joined := o.Concat(ib.Row(k))
+					joined := o.Concat(ib.View(ib.Index(k)))
 					ok, err := evalFilters(j.Cond, joined)
 					if err != nil {
 						inner = err
@@ -108,9 +108,9 @@ func intJoinKey(keys []expr.Expr) (*expr.Column, bool) {
 
 // intTable is a hash join's build side over one integer-class key: the build
 // rows and their keys in arrival order, and per-bucket chains of row indices
-// threaded through next (-1 ends a chain). Rows are retained as they arrive
-// (see vec.Batch.Stored) — no per-row clone, no per-key slice. Tables come
-// from intTablePool and go back when their execution is done with them.
+// threaded through next (-1 ends a chain). Rows are kept as joinTable.row
+// made them — no per-key slice. Tables come from intTablePool and go back
+// when their execution is done with them.
 type intTable struct {
 	rows  []types.Row
 	keys  []int64
@@ -179,53 +179,107 @@ func (t *intTable) lookup(k int64, buf []types.Row) []types.Row {
 // place when a batch fails column extraction, preserving every row already
 // built. inFloat marks the key pairs that mix INT or DATE with FLOAT, which
 // both sides key in FLOAT (types.KeyInFloat); image is the key scratch.
+//
+// A build row holds the whole left row, unless the join projects (Proj)
+// and has no residual: then nothing downstream reads a left column Proj
+// does not name, and a build row holds just those (keep, in order), read
+// from the batch without building its row. pos maps a left ordinal to its
+// place in a build row (nil for whole rows), and lw is the left width,
+// where Proj's right ordinals start. Narrow rows are carved from slab.
 type joinTable struct {
 	ints    *intTable
 	strs    map[string][]types.Row
 	inFloat []bool
 	image   []byte
+
+	narrow bool
+	keep   []int
+	pos    []int
+	lw     int
+	slab   []types.Datum
 }
 
-// degrade moves every int-mode row into the image-keyed table under the key
-// hashKey gives it, in arrival order.
-func (t *joinTable) degrade(keys []expr.Expr) error {
+// shape fixes the build row layout from the first build batch, whose
+// width is the left width.
+func (t *joinTable) shape(j *HashJoin, b *vec.Batch) {
+	if t.lw > 0 || !t.narrow || b.Len() == 0 {
+		return
+	}
+	t.lw = b.Width()
+	t.pos = make([]int, t.lw)
+	for _, ord := range j.Proj {
+		if ord < t.lw {
+			t.pos[ord] = len(t.keep)
+			t.keep = append(t.keep, ord)
+		}
+	}
+}
+
+// row is the build row the table keeps for b's window position idx: the
+// whole row (cloned unless the batch owns it), or a narrow one carved from
+// the table's slab.
+func (t *joinTable) row(b *vec.Batch, idx int) types.Row {
+	if !t.narrow {
+		row := b.At(idx)
+		if !b.Owned {
+			row = row.Clone()
+		}
+		return row
+	}
+	w := len(t.keep)
+	if len(t.slab) < w {
+		t.slab = make([]types.Datum, max(joinSlabDatums, w))
+	}
+	row := types.Row(t.slab[:w:w])
+	t.slab = t.slab[w:]
+	for k, ord := range t.keep {
+		row[k], _ = b.Datum(idx, ord)
+	}
+	return row
+}
+
+// left is column ord (< the left width) of build row l.
+func (t *joinTable) left(l types.Row, ord int) types.Datum {
+	if t.pos != nil {
+		return l[t.pos[ord]]
+	}
+	return l[ord]
+}
+
+// degrade moves every int-mode row into the image-keyed table, in arrival
+// order, under the image of its integer key: INT and DATE values key by
+// their integer, as the int table compared them.
+func (t *joinTable) degrade() {
 	if t.ints == nil {
-		return nil
+		return
 	}
 	if t.strs == nil {
 		t.strs = make(map[string][]types.Row, len(t.ints.rows))
 	}
-	for _, row := range t.ints.rows {
-		key, _, err := t.hashKey(keys, row)
-		if err != nil {
-			return err
-		}
+	for i, row := range t.ints.rows {
+		key := types.AppendEqKey(t.image[:0], types.NewInt(t.ints.keys[i]), t.inFloat[0])
 		t.strs[string(key)] = append(t.strs[string(key)], row)
 	}
 	t.ints.release()
 	t.ints = nil
-	return nil
 }
 
 // addGeneric folds one batch into the image-keyed table row by row.
 func (t *joinTable) addGeneric(ctx *Ctx, keys []expr.Expr, b *vec.Batch) error {
 	n := b.Len()
 	for i := 0; i < n; i++ {
-		row := b.Row(i)
-		key, null, err := t.hashKey(keys, row)
+		idx := b.Index(i)
+		key, null, err := t.hashKey(keys, b.View(idx))
 		if err != nil {
 			return err
 		}
 		if null {
 			continue
 		}
-		if err := ctx.reserveRow("HashJoin build", row); err != nil {
+		if err := ctx.reserveAt("HashJoin build", b, idx); err != nil {
 			return err
 		}
-		if !b.Owned && !b.Stored {
-			row = row.Clone()
-		}
-		t.strs[string(key)] = append(t.strs[string(key)], row)
+		t.strs[string(key)] = append(t.strs[string(key)], t.row(b, idx))
 	}
 	return nil
 }
@@ -234,7 +288,7 @@ func (t *joinTable) addGeneric(ctx *Ctx, keys []expr.Expr, b *vec.Batch) error {
 // when both key sides are bare integer-class columns. The key pairs that
 // key in FLOAT are decided here, once, from the two sides' static kinds.
 func (j *HashJoin) buildTable(ctx *Ctx) (*joinTable, error) {
-	t := &joinTable{inFloat: make([]bool, len(j.LeftKeys))}
+	t := &joinTable{inFloat: make([]bool, len(j.LeftKeys)), narrow: j.Proj != nil && len(j.Residual) == 0}
 	for i, l := range j.LeftKeys {
 		t.inFloat[i] = types.KeyInFloat(l.Type(), j.RightKey[i].Type())
 	}
@@ -245,23 +299,36 @@ func (j *HashJoin) buildTable(ctx *Ctx) (*joinTable, error) {
 		t.strs = map[string][]types.Row{}
 	}
 	var inner error
+	var idxs []int32
 	err := j.Left.Run(ctx, func(b *vec.Batch) bool {
+		t.shape(j, b)
 		if t.ints != nil {
 			if c := b.Col(lcol.Index, vec.ClassInt); c != nil {
-				retain := b.Owned || b.Stored
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					idx := b.Index(i)
-					if c.HasNulls && c.Nulls[idx] {
-						continue
+				idxs = idxs[:0]
+				for i := 0; i < b.Len(); i++ {
+					if idx := b.Index(i); !c.HasNulls || !c.Nulls[idx] {
+						idxs = append(idxs, int32(idx))
 					}
-					row := b.Rows[idx]
-					if err := ctx.reserveRow("HashJoin build", row); err != nil {
+				}
+				// A narrow build fills its rows column by column.
+				var slab []types.Datum
+				if t.narrow && len(t.keep) > 0 {
+					slab = make([]types.Datum, len(idxs)*len(t.keep))
+					if !b.Fill(slab, idxs, t.keep) {
+						slab = nil
+					}
+				}
+				w := len(t.keep)
+				for j, idx := range idxs {
+					if err := ctx.reserveAt("HashJoin build", b, int(idx)); err != nil {
 						inner = err
 						return false
 					}
-					if !retain {
-						row = row.Clone()
+					var row types.Row
+					if slab != nil {
+						row = slab[j*w : (j+1)*w : (j+1)*w]
+					} else {
+						row = t.row(b, int(idx))
 					}
 					t.ints.add(c.Ints[idx], row)
 				}
@@ -270,9 +337,7 @@ func (j *HashJoin) buildTable(ctx *Ctx) (*joinTable, error) {
 			// This window holds a datum the int image cannot carry (e.g. a
 			// FLOAT in an INT column): fall back to key images for
 			// everything, past and future.
-			if inner = t.degrade(j.LeftKeys); inner != nil {
-				return false
-			}
+			t.degrade()
 		}
 		inner = t.addGeneric(ctx, j.LeftKeys, b)
 		return inner == nil
@@ -333,25 +398,26 @@ func (j *HashJoin) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 				c = b.Col(rcol.Index, vec.ClassInt)
 			}
 			if c == nil {
-				if inner = t.degrade(j.LeftKeys); inner != nil {
-					return false
-				}
+				t.degrade()
 			}
 		}
 		out = out[:0]
 		for i := 0; i < n; i++ {
+			// row is the probe row's view, built only when a match needs
+			// more of it than the projected columns Datum reads.
+			idx := b.Index(i)
 			var row types.Row
 			var matches []types.Row
 			if c != nil {
-				idx := b.Index(i)
 				if c.HasNulls && c.Nulls[idx] {
 					continue
 				}
-				row = b.Rows[idx]
 				matchBuf = t.ints.lookup(c.Ints[idx], matchBuf[:0])
-				matches = matchBuf
+				if matches = matchBuf; len(matches) > 0 && (j.Proj == nil || len(j.Residual) > 0) {
+					row = b.View(idx)
+				}
 			} else {
-				row = b.Row(i)
+				row = b.View(idx)
 				key, null, err := t.hashKey(j.RightKey, row)
 				if err != nil {
 					inner = err
@@ -364,6 +430,9 @@ func (j *HashJoin) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 			}
 			for _, l := range matches {
 				lw := len(l)
+				if t.narrow {
+					lw = t.lw
+				}
 				w := lw + len(row)
 				if j.Proj != nil {
 					w = len(j.Proj)
@@ -405,10 +474,13 @@ func (j *HashJoin) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 					}
 				default:
 					for k, ord := range j.Proj {
-						if ord < lw {
-							joined[k] = l[ord]
-						} else {
+						switch {
+						case ord < lw:
+							joined[k] = t.left(l, ord)
+						case row != nil:
 							joined[k] = row[ord-lw]
+						default:
+							joined[k], _ = b.Datum(idx, ord-lw)
 						}
 					}
 				}

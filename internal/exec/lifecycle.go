@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 
 	"softdb/internal/fault"
-	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 // ErrKind classifies a QueryError's terminal state. The values double as
@@ -262,11 +262,12 @@ func Guard(c *Ctx, op string, f func() error) (err error) {
 	return f()
 }
 
-// reserveRow is Reserve for one retained row; without a budget the row is
-// not even sized.
-func (c *Ctx) reserveRow(op string, row types.Row) error {
+// reserveAt is Reserve for retaining the row at b's window position idx,
+// sized as its types.Row.MemSize whatever the join keeps of it; without a
+// budget the row is not even sized.
+func (c *Ctx) reserveAt(op string, b *vec.Batch, idx int) error {
 	if c.life == nil || c.life.budget <= 0 {
 		return nil
 	}
-	return c.Reserve(op, row.MemSize())
+	return c.Reserve(op, b.RowMemSize(idx))
 }

@@ -150,30 +150,26 @@ func sameSynopsis(a, b *storage.PageSynopsis, exact bool) bool {
 	return true
 }
 
-// skipperValue draws column c's value for page page. Column 0 (INT) holds a
-// FLOAT now and then and column 1 (FLOAT) an INT or ±Inf, so both carry
-// mixed INT/FLOAT values; column 2 (DATE) sometimes holds an INT of the same
-// image; column 3 holds strings.
+// skipperValue draws column c's value for page page, of the column's kind
+// as a page stores it: column 0 (INT) now and then negative, column 1
+// (FLOAT) now and then -0 or ±Inf, column 2 (DATE) and column 3 (STRING).
 func skipperValue(rng *rand.Rand, page, c int) types.Datum {
 	v := int64(page*10 + rng.Intn(12))
 	switch c {
 	case 0:
 		if rng.Intn(8) == 0 {
-			return types.NewFloat(float64(v) + 0.5)
+			return types.NewInt(-v)
 		}
 		return types.NewInt(v)
 	case 1:
 		switch rng.Intn(16) {
 		case 0:
-			return types.NewInt(v / 4)
+			return types.NewFloat(math.Copysign(0, -1))
 		case 1:
 			return types.NewFloat(math.Inf(1 - 2*rng.Intn(2)))
 		}
 		return types.NewFloat(float64(v) / 4)
 	case 2:
-		if rng.Intn(8) == 0 {
-			return types.NewInt(10000 + v)
-		}
 		return types.NewDate(10000 + v)
 	default:
 		return types.NewString(fmt.Sprint("k", page%7, rng.Intn(3)))

@@ -18,8 +18,10 @@ import (
 // hidden, on random INT keys with NULLs, duplicates and values around
 // ±2^53, where distinct integers share a float image and still must not
 // join. A FLOAT datum in the key column — in a build-side window, or in a
-// probe-side one — degrades the table to string keys mid-stream. The two
-// must give the same rows in the same order and the same charges.
+// probe-side one — degrades the table to string keys mid-stream; a heap
+// page stores its column's kind only, so such a side is a row source
+// (Values). The two must give the same rows in the same order and the same
+// charges.
 func TestTypedBuildOracle(t *testing.T) {
 	def := mustTable("k",
 		schema.Column{Name: "k", Type: types.KindInt, Nullable: true},
@@ -38,24 +40,30 @@ func TestTypedBuildOracle(t *testing.T) {
 			return types.NewInt(int64(r.Intn(40)))
 		}
 	}
-	heap := func(n int, float bool) *storage.Heap {
+	side := func(name string, n int, float bool) Operator {
 		h := storage.NewHeap(def)
+		var rows []types.Row
 		for i := 0; i < n; i++ {
 			k := key()
 			if float && i == n/2 {
 				k = types.NewFloat(3)
 			}
-			h.Insert(types.Row{k, types.NewInt(int64(i))})
+			rows = append(rows, types.Row{k, types.NewInt(int64(i))})
+			if !float {
+				h.Insert(rows[i])
+			}
 		}
-		return h
+		if float {
+			return &Values{Rows: rows}
+		}
+		return &SeqScan{Table: name, Heap: h}
 	}
 	kcol := expr.NewColumn("k", "k", 0, types.KindInt)
 	hidden := expr.NewColumn("k", "k", 0, types.KindNull)
 	for trial := 0; trial < 24; trial++ {
 		buildFloat, probeFloat := trial%6 == 4, trial%6 == 5
-		build, probe := heap(50+r.Intn(3000), buildFloat), heap(50+r.Intn(3000), probeFloat)
-		join := &HashJoin{Left: &SeqScan{Table: "b", Heap: build}, Right: &SeqScan{Table: "p", Heap: probe},
-			LeftKeys: []expr.Expr{kcol}, RightKey: []expr.Expr{kcol}}
+		build, probe := side("b", 50+r.Intn(3000), buildFloat), side("p", 50+r.Intn(3000), probeFloat)
+		join := &HashJoin{Left: build, Right: probe, LeftKeys: []expr.Expr{kcol}, RightKey: []expr.Expr{kcol}}
 		tbl, err := join.buildTable(NewCtx(context.Background(), CtxOptions{}))
 		if err != nil {
 			t.Fatal(err)

@@ -342,7 +342,7 @@ func (s *Stage) ProvableTrueNum(lo, hi Num, numeric bool, nulls, rows int64) (pr
 	}
 }
 
-// RunStage filters sel (ascending indexes into b.Rows) through stage i,
+// RunStage filters sel (ascending positions in b's window) through stage i,
 // writing survivors into out[:0] and returning the shrunk slice. out must
 // have capacity ≥ len(sel) and may not alias sel.
 func (p *PredProgram) RunStage(i int, b *vec.Batch, sel []int32, out []int32) ([]int32, error) {
@@ -356,19 +356,19 @@ func (p *PredProgram) RunStage(i int, b *vec.Batch, sel []int32, out []int32) ([
 	case StageIsNull, StageIsNotNull:
 		wantNull := s.Mode == StageIsNull
 		for _, idx := range sel {
-			row := b.Rows[idx]
-			if s.Col >= len(row) {
-				_, err := s.colRef.Eval(row)
+			d, ok := b.Datum(int(idx), s.Col)
+			if !ok {
+				_, err := s.colRef.Eval(b.View(int(idx)))
 				return nil, err
 			}
-			if row[s.Col].IsNull() == wantNull {
+			if d.IsNull() == wantNull {
 				out = append(out, idx)
 			}
 		}
 		return out, nil
 	default:
 		for _, idx := range sel {
-			ok, err := EvalBool(s.Cond, b.Rows[idx])
+			ok, err := EvalBool(s.Cond, b.View(int(idx)))
 			if err != nil {
 				return nil, err
 			}
@@ -495,12 +495,12 @@ func (s *Stage) runRange(b *vec.Batch, sel, out []int32) ([]int32, error) {
 	// Fallback: per-row interval containment via Datum.Compare — identical
 	// ordering semantics, no extraction required.
 	for _, idx := range sel {
-		row := b.Rows[idx]
-		if s.Col >= len(row) {
-			_, err := s.colRef.Eval(row)
+		d, ok := b.Datum(int(idx), s.Col)
+		if !ok {
+			_, err := s.colRef.Eval(b.View(int(idx)))
 			return nil, err
 		}
-		if iv.Contains(row[s.Col]) {
+		if iv.Contains(d) {
 			out = append(out, idx)
 		}
 	}
@@ -554,12 +554,11 @@ func (s *Stage) runNe(b *vec.Batch, sel, out []int32) ([]int32, error) {
 		}
 	}
 	for _, idx := range sel {
-		row := b.Rows[idx]
-		if s.Col >= len(row) {
-			_, err := s.colRef.Eval(row)
+		v, ok := b.Datum(int(idx), s.Col)
+		if !ok {
+			_, err := s.colRef.Eval(b.View(int(idx)))
 			return nil, err
 		}
-		v := row[s.Col]
 		if !v.IsNull() && v.Compare(s.Ne) != 0 {
 			out = append(out, idx)
 		}

@@ -56,19 +56,16 @@ func FuzzKernelParity(f *testing.F) {
 			walkKept = append(walkKept, int32(i))
 		}
 
-		// Kernel path, over a plain batch (private extraction) and over an
-		// image-backed one twice — the first run builds the page image's
-		// vectors, the second reads them back — as a frozen heap page does.
-		var plain, imaged vec.Batch
+		// Kernel path, over a row batch (private extraction) and over a
+		// column batch holding the rows as a heap page's typed columns, as a
+		// page scan hands them over.
+		var plain, columns vec.Batch
 		plain.Reset(rows)
-		img := vec.NewPageImage(len(fuzzKinds))
+		columnBatch(&columns, rows, fuzzKinds)
 		for _, run := range []struct {
 			name string
 			b    *vec.Batch
-		}{{"plain", &plain}, {"image-cold", &imaged}, {"image-warm", &imaged}} {
-			if run.b == &imaged {
-				imaged.ResetImage(rows, img)
-			}
+		}{{"rows", &plain}, {"columns", &columns}} {
 			sel, kernelErr := runKernels(prog, run.b)
 			if (kernelErr != nil) != (walkErr != nil) {
 				t.Fatalf("%s: error parity broken: kernel=%v walk=%v conds=%v", run.name, kernelErr, walkErr, conds)
@@ -88,11 +85,41 @@ func FuzzKernelParity(f *testing.F) {
 	})
 }
 
+// columnBatch resets b to rows held as typed columns of the given kinds, as
+// a heap page stores them.
+func columnBatch(b *vec.Batch, rows []types.Row, kinds []types.Kind) {
+	cols := b.ResetColumns(len(rows), kinds)
+	for ci := range cols {
+		c := &cols[ci]
+		c.Nulls = make([]bool, len(rows))
+		switch c.Class {
+		case vec.ClassInt:
+			c.Ints = make([]int64, len(rows))
+		case vec.ClassFloat:
+			c.Floats = make([]float64, len(rows))
+		default:
+			c.Strs = make([]string, len(rows))
+		}
+		for i, row := range rows {
+			switch d := row[ci]; {
+			case d.IsNull():
+				c.Nulls[i], c.HasNulls = true, true
+			case c.Class == vec.ClassInt:
+				c.Ints[i] = d.IntImage()
+			case c.Class == vec.ClassFloat:
+				c.Floats[i] = d.Float()
+			default:
+				c.Strs[i] = d.Str()
+			}
+		}
+	}
+}
+
 // runKernels runs every stage over an identity selection, ping-ponging two
 // buffers the way the executor does (RunStage's out may not alias its sel).
 func runKernels(prog *PredProgram, b *vec.Batch) ([]int32, error) {
-	sel := vec.IdentitySel(nil, len(b.Rows))
-	out := make([]int32, 0, len(b.Rows))
+	sel := vec.IdentitySel(nil, b.Size())
+	out := make([]int32, 0, b.Size())
 	for i := range prog.Stages {
 		res, err := prog.RunStage(i, b, sel, out)
 		if err != nil {

@@ -23,20 +23,18 @@ type pageScan struct {
 
 func scanPages(h *Heap, snap, tid int64) pageScan {
 	var out pageScan
-	h.ScanPageListAt(allPages(h), snap, tid, &out.io, func(_ int, rows []types.Row, img *vec.PageImage, _ *ZoneEntry) bool {
-		if img != nil {
-			out.frozen++
-		}
-		for _, r := range rows {
-			out.rows = append(out.rows, r.String())
+	h.ScanPageListAt(allPages(h), snap, tid, &out.io, func(_ int, b *vec.Batch, _ *ZoneEntry) bool {
+		for i := 0; i < b.Len(); i++ {
+			out.rows = append(out.rows, b.Row(i).String())
 		}
 		return true
 	})
+	out.frozen = int(out.io.PagesFrozen)
 	return out
 }
 
-// scanSlots is the slot-by-slot reference: ScanRangeAt never consults an
-// image.
+// scanSlots is the slot-by-slot reference: ScanRangeAt never consults the
+// frozen bit.
 func scanSlots(h *Heap, snap, tid int64) (rows []string, io Counters) {
 	h.ScanRangeAt(0, int(h.PageCount()), snap, tid, &io, func(_ RowID, r types.Row) bool {
 		rows = append(rows, r.String())
@@ -74,7 +72,7 @@ func TestFreezeCondition(t *testing.T) {
 	h := NewHeap(testDef())
 	ids := fillPages(h, 3)
 	per := h.RowsPerPage()
-	if fp, _, _ := h.ImageStats(); fp != 0 {
+	if fp, _ := h.FreezeStats(); fp != 0 {
 		t.Fatalf("%d pages frozen before any scan: nothing may freeze at load", fp)
 	}
 
@@ -91,8 +89,8 @@ func TestFreezeCondition(t *testing.T) {
 	if got.io.PagesRead != wantIO.PagesRead || got.io.RowsRead != wantIO.RowsRead {
 		t.Fatalf("charges: page scan %+v, slot scan %+v", got.io, wantIO)
 	}
-	if fp, bytes, _ := h.ImageStats(); fp != 3 || bytes != 0 {
-		t.Fatalf("after a scan that read no column: %d frozen pages, %d image bytes; want 3, 0", fp, bytes)
+	if fp, _ := h.FreezeStats(); fp != 3 {
+		t.Fatalf("after a scan: %d frozen pages, want 3", fp)
 	}
 
 	// A reader older than the youngest row of a page gathers slot by slot
@@ -129,10 +127,10 @@ func TestFreezeCondition(t *testing.T) {
 }
 
 // TestThawBeforeStamp drives every writer that changes a slot of a frozen
-// page and checks the image is gone before the change is visible, and that
-// the page freezes again once it is settled.
+// page and checks the page is thawed before the change is visible, and that
+// it freezes again once it is settled.
 func TestThawBeforeStamp(t *testing.T) {
-	frozenPages := func(h *Heap) int { fp, _, _ := h.ImageStats(); return fp }
+	frozenPages := func(h *Heap) int { fp, _ := h.FreezeStats(); return fp }
 	cases := []struct {
 		name     string
 		write    func(h *Heap, id RowID)
@@ -151,10 +149,10 @@ func TestThawBeforeStamp(t *testing.T) {
 			if frozenPages(h) != 2 {
 				t.Fatalf("setup: %d frozen pages", frozenPages(h))
 			}
-			_, _, thaws := h.ImageStats()
+			_, thaws := h.FreezeStats()
 			tc.write(h, ids[1])
-			if _, _, after := h.ImageStats(); after != thaws+1 {
-				t.Fatalf("thaws went %d -> %d, want one image dropped", thaws, after)
+			if _, after := h.FreezeStats(); after != thaws+1 {
+				t.Fatalf("thaws went %d -> %d, want one page thawed", thaws, after)
 			}
 			if fp := frozenPages(h); fp != 1 {
 				t.Fatalf("%d pages still frozen right after the write, want 1", fp)
@@ -174,7 +172,7 @@ func TestThawBeforeStamp(t *testing.T) {
 		})
 	}
 
-	// Vacuum reclaims only versions no page image can hold (a page with an
+	// Vacuum reclaims only versions no frozen page can hold (a page with an
 	// ended or aborted slot is not frozen), and leaves frozen pages alone.
 	h := NewHeap(testDef())
 	ids := fillPages(h, 2)
@@ -192,12 +190,12 @@ func TestThawBeforeStamp(t *testing.T) {
 }
 
 // TestStaleImageExactForItsSnapshot is the invariant DESIGN.md §20 states: a
-// reader that loaded a page image just before a writer thawed it keeps a
-// window that is exact for its own snapshot, because the stamp that follows
-// the thaw is either another transaction's intent (invisible to the reader)
-// or a commit timestamp above every snapshot handed out so far. The writer
-// runs inside the reader's page callback, i.e. strictly between the
-// reader's image load and its use of the window.
+// reader that found a page frozen just before a writer thawed it keeps
+// reading slots that are exact for its own snapshot, because the stamp that
+// follows the thaw is either another transaction's intent (invisible to the
+// reader) or a commit timestamp above every snapshot handed out so far. The
+// writer runs inside the reader's page callback, i.e. strictly between the
+// reader's load of the frozen bit and its use of the page's columns.
 func TestStaleImageExactForItsSnapshot(t *testing.T) {
 	h := NewHeap(testDef())
 	ids := fillPages(h, 1)
@@ -207,29 +205,25 @@ func TestStaleImageExactForItsSnapshot(t *testing.T) {
 	snap := int64(per + 1) // the commit clock when the reader started
 	commit := snap + 1     // the writer's commit timestamp: always above snap
 	var window []string
-	var sawImage bool
-	h.ScanPageListAt([]int32{0}, snap, 0, nil, func(_ int, rows []types.Row, img *vec.PageImage, _ *ZoneEntry) bool {
-		sawImage = img != nil
+	var io Counters
+	h.ScanPageListAt([]int32{0}, snap, 0, &io, func(_ int, b *vec.Batch, _ *ZoneEntry) bool {
 		h.SetEnd(ids[3], -42)    // delete intent: thaws, then stamps
 		h.SetEnd(ids[3], commit) // commit: restamps above the reader's snapshot
-		if fp, _, _ := h.ImageStats(); fp != 0 {
-			t.Error("image survived the writer's stamp")
+		if fp, _ := h.FreezeStats(); fp != 0 {
+			t.Error("page stayed frozen past the writer's stamp")
 		}
-		// The image's vectors are still readable and still describe the
-		// window the reader holds.
-		var b vec.Batch
-		b.ResetImage(rows, img)
+		// The page's columns are still what the reader's window holds.
 		c := b.Col(0, vec.ClassInt)
-		if c == nil || len(c.Ints) != len(rows) || c.Ints[3] != 3 {
-			t.Errorf("stale image column: %+v", c)
+		if c == nil || len(c.Ints) != per || c.Ints[3] != 3 || b.Sel != nil {
+			t.Errorf("stale page column: %+v (sel %v)", c, b.Sel)
 		}
-		for _, r := range rows {
-			window = append(window, r.String())
+		for i := 0; i < b.Len(); i++ {
+			window = append(window, b.Row(i).String())
 		}
 		return true
 	})
-	if !sawImage {
-		t.Fatal("reader did not get the frozen window")
+	if io.PagesFrozen != 1 {
+		t.Fatal("reader did not get the frozen page")
 	}
 	var want []string
 	h.ScanRangeAt(0, 1, snap, 0, nil, func(_ RowID, r types.Row) bool {
@@ -246,67 +240,68 @@ func TestStaleImageExactForItsSnapshot(t *testing.T) {
 	}
 }
 
-// TestImageColumnsLazy checks the memory model: an image holds vectors only
-// for columns some batch read, null-free columns share one mask, and every
-// batch over the page gets the same vector back.
-func TestImageColumnsLazy(t *testing.T) {
+// TestPageBatchIsThePage checks the memory model of typed pages: a page
+// scan hands out the page's own column arrays (no copy per scan, the same
+// arrays on every scan) with their null masks, and a column read as another
+// class is refused rather than converted.
+func TestPageBatchIsThePage(t *testing.T) {
 	h := NewHeap(testDef())
 	fillPages(h, 2)
+	h.InsertVersion(types.Row{types.NewInt(7), types.Null}, 3) // tail page: uncommitted, NULL b
 	per := h.RowsPerPage()
-	readCol := func(ord int, class vec.Class) (first *vec.Col) {
-		h.ScanPageListAt([]int32{0, 1}, SnapLatest, 0, nil, func(_ int, rows []types.Row, img *vec.PageImage, _ *ZoneEntry) bool {
-			var b vec.Batch
-			b.ResetImage(rows, img)
-			if c := b.Col(ord, class); first == nil {
-				first = c
+	type seen struct {
+		ints *int64
+		strs *string
+		a, s vec.Col
+	}
+	read := func() []seen {
+		var out []seen
+		h.ScanPageListAt(allPages(h), SnapLatest, 3, nil, func(_ int, b *vec.Batch, _ *ZoneEntry) bool {
+			a, s := b.Col(0, vec.ClassInt), b.Col(1, vec.ClassStr)
+			if a == nil || s == nil || b.Col(1, vec.ClassInt) != nil || b.Col(0, vec.ClassFloat) != nil {
+				t.Fatalf("page columns: int %v, str %v; another class must be refused", a, s)
 			}
+			out = append(out, seen{&a.Ints[0], &s.Strs[0], *a, *s})
 			return true
 		})
-		return first
+		return out
 	}
-	a1 := readCol(0, vec.ClassInt)
-	if _, bytes, _ := h.ImageStats(); bytes != int64(2*per*8) {
-		t.Fatalf("one INT column imaged on two pages: %d bytes, want %d", bytes, 2*per*8)
+	first, second := read(), read()
+	if len(first) != 3 {
+		t.Fatalf("%d pages delivered, want 3", len(first))
 	}
-	if a2 := readCol(0, vec.ClassInt); a1 == nil || a1 != a2 {
-		t.Fatal("second scan did not get the cached vector")
+	for pi := range first {
+		if first[pi].ints != second[pi].ints || first[pi].strs != second[pi].strs {
+			t.Fatalf("page %d: a second scan got other arrays", pi)
+		}
 	}
-	if a1.HasNulls || a1.Ints[per-1] != int64(per-1) {
-		t.Fatalf("imaged column contents: %+v", a1)
+	if c := first[0].a; c.HasNulls || len(c.Ints) != per || c.Ints[per-1] != int64(per-1) {
+		t.Fatalf("full page INT column: %d values, HasNulls %v", len(c.Ints), c.HasNulls)
 	}
-	readCol(1, vec.ClassStr)
-	if _, bytes, _ := h.ImageStats(); bytes != int64(2*per*(8+16)) {
-		t.Fatalf("INT + STRING columns imaged: %d bytes, want %d", bytes, 2*per*(8+16))
+	if tail := first[2].s; !tail.HasNulls || len(tail.Strs) != 2 || !tail.Nulls[1] || tail.Nulls[0] {
+		t.Fatalf("tail page STRING column: %+v", tail)
 	}
-	// A class the column cannot carry is remembered as a failure, not retried
-	// with private buffers, and costs nothing.
-	if c := readCol(1, vec.ClassStr); c == nil {
-		t.Fatal("string column lost")
-	}
-	h.ThawAll()
-	if c := readCol(1, vec.ClassInt); c != nil {
-		t.Fatal("string column extracted as ints")
-	}
-	if _, bytes, _ := h.ImageStats(); bytes != 0 {
-		t.Fatalf("failed extraction retained %d bytes", bytes)
+	if want := int64(3 * per * (16 + 9 + 17)); h.PageBytes() != want {
+		t.Fatalf("PageBytes %d, want %d", h.PageBytes(), want)
 	}
 }
 
 // TestRebuildStartsCold: a heap rebuilt from a dump (checkpoint restore,
-// crash recovery) carries no image and freezes lazily, with the same answers.
+// crash recovery) has no frozen page and freezes lazily, with the same
+// answers.
 func TestRebuildStartsCold(t *testing.T) {
 	h := NewHeap(testDef())
 	fillPages(h, 3)
 	before := scanPages(h, SnapLatest, 0)
 	re := RebuildHeap(h.Def(), h.DumpPages(), h.Version())
-	if fp, bytes, thaws := re.ImageStats(); fp != 0 || bytes != 0 || thaws != 0 {
-		t.Fatalf("rebuilt heap is not cold: %d pages, %d bytes, %d thaws", fp, bytes, thaws)
+	if fp, thaws := re.FreezeStats(); fp != 0 || thaws != 0 {
+		t.Fatalf("rebuilt heap is not cold: %d pages, %d thaws", fp, thaws)
 	}
 	after := scanPages(re, SnapLatest, 0)
 	if !sameRows(before.rows, after.rows) || before.io != after.io {
 		t.Fatalf("rebuilt heap scans differently: %+v vs %+v", before.io, after.io)
 	}
-	if fp, _, _ := re.ImageStats(); fp != 3 {
+	if fp, _ := re.FreezeStats(); fp != 3 {
 		t.Fatalf("rebuilt heap froze %d pages on its first scan, want 3", fp)
 	}
 }
@@ -445,7 +440,7 @@ func TestFrozenScansUnderWriters(t *testing.T) {
 	if scans.Load() == 0 || frozen.Load() == 0 {
 		t.Fatalf("%d scans took %d frozen pages: the race never met a frozen page", scans.Load(), frozen.Load())
 	}
-	if _, _, thaws := h.ImageStats(); thaws == 0 {
+	if _, thaws := h.FreezeStats(); thaws == 0 {
 		t.Fatal("the writer never thawed a page")
 	}
 }

@@ -13,6 +13,12 @@
 // the page list, per-page slot counts, and begin/end stamps are all
 // published atomically, and a reader's fixed snapshot gives the same
 // visibility verdict before and after any in-flight commit.
+//
+// A page stores its slots' values column by column in typed arrays (see
+// page.go); no read path hands out a stored row. Scans build each visible
+// row into a reused view that the callback borrows, point reads build the
+// row they return, and page scans hand the columns themselves to a
+// vec.Batch.
 package storage
 
 import (
@@ -23,6 +29,7 @@ import (
 
 	"softdb/internal/schema"
 	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 // PageSize is the simulated page size in bytes.
@@ -109,7 +116,7 @@ type Counters struct {
 	RowsRead     int64 // rows materialized from pages
 	PagesSkipped int64 // heap pages proven irrelevant by a synopsis and never touched
 	// PagesFrozen counts the PagesRead a page scan served from a frozen page
-	// image (no per-slot visibility check); always <= PagesRead.
+	// (no per-slot visibility check); always <= PagesRead.
 	PagesFrozen int64
 }
 
@@ -135,7 +142,7 @@ func (c *Counters) AddSkipped(n int64) {
 	}
 }
 
-// AddFrozen atomically records n page reads served from frozen images.
+// AddFrozen atomically records n page reads served from frozen pages.
 func (c *Counters) AddFrozen(n int64) {
 	if c != nil {
 		atomic.AddInt64(&c.PagesFrozen, n)
@@ -158,25 +165,32 @@ type stamp struct {
 	end   atomic.Int64
 }
 
-// page holds a fixed-capacity slot array, split into the row payloads and
-// their version stamps so that the payloads of a fully visible page are one
-// contiguous row window. used publishes how many slots are valid: a writer
-// fills rows[used] and stamps[used] completely and then increments used, so
-// lock-free readers iterating [:used] only ever see fully initialized
-// versions. A row is written once, before its slot is published, and never
-// mutated afterwards (except by Update, Vacuum and replay's placeholder
-// resurrection, which require the caller to exclude readers of that slot).
+// page holds a fixed-capacity slot array: the slots' values in typed columns
+// (page.go) and their version stamps. used publishes how many slots are
+// valid: a writer fills every column and the stamps of slot used completely
+// and then increments used, so lock-free readers iterating [:used] only ever
+// see fully initialized versions. A slot's values are written once, before
+// the slot is published, and never changed afterwards except by Vacuum's
+// payload clear and replay's placeholder resurrection, whose callers exclude
+// readers.
+//
+// A slot whose begin and end stamps are both Aborted is vacant: an aborted
+// placeholder or a vacuumed version, with no payload. An aborted insert
+// keeps its payload (and end stamp 0) until Vacuum clears it.
 type page struct {
-	rows   []types.Row
+	cols   []pageCol
 	stamps []stamp
 	used   atomic.Int32
-	bytes  int // estimated payload bytes
-	// image is non-nil while the page is frozen (see frozen.go).
-	image atomic.Pointer[frozenImage]
+	// frozen is the freeze bit and its snapshot bound in one word: 0 while
+	// the page is thawed, else the page's asOf (see frozen.go).
+	frozen atomic.Int64
 	// seq is the freeze/thaw sequence: odd while a writer is between thawing
 	// the page and having stamped its slot.
 	seq atomic.Uint32
 }
+
+// vacant reports whether a slot with these stamps holds no payload.
+func vacant(b, e int64) bool { return b == Aborted && e == Aborted }
 
 // Heap is an append-oriented row-version store with slotted pages. Writers
 // must be serialized by the caller (the engine's write lock); readers need
@@ -184,6 +198,7 @@ type page struct {
 // published through each page's used counter.
 type Heap struct {
 	def     *schema.Table
+	kinds   []types.Kind // the columns' kinds, which page batches carry
 	pages   atomic.Pointer[[]*page]
 	rowSize int // estimated bytes per row, from the schema
 	live    atomic.Int64
@@ -192,8 +207,8 @@ type Heap struct {
 	// is the writers' scratch for recomputing one entry.
 	zone atomic.Pointer[[]*zoneBlock]
 	zacc []zoneAcc
-	// freezeMu makes "publish an image if no writer intervened" and "thaw"
-	// atomic with respect to each other; thaws counts images thaw cleared.
+	// freezeMu makes "freeze if no writer intervened" and "thaw" atomic with
+	// respect to each other; thaws counts frozen pages thaw cleared.
 	freezeMu sync.Mutex
 	thaws    atomic.Int64
 }
@@ -201,6 +216,9 @@ type Heap struct {
 // NewHeap creates an empty heap for the given table definition.
 func NewHeap(def *schema.Table) *Heap {
 	h := &Heap{def: def, rowSize: estimateRowSize(def)}
+	for _, c := range def.Columns {
+		h.kinds = append(h.kinds, c.Type)
+	}
 	h.pages.Store(&[]*page{})
 	h.zone.Store(&[]*zoneBlock{})
 	return h
@@ -263,7 +281,7 @@ func (h *Heap) pageList() []*page { return *h.pages.Load() }
 func (h *Heap) grow() *page {
 	old := h.pageList()
 	n := h.RowsPerPage()
-	p := &page{rows: make([]types.Row, n), stamps: make([]stamp, n)}
+	p := &page{cols: newPageCols(h.def, n), stamps: make([]stamp, n)}
 	h.zoneFor(len(old))
 	next := make([]*page, len(old)+1)
 	copy(next, old)
@@ -273,31 +291,35 @@ func (h *Heap) grow() *page {
 }
 
 // install appends a version with the given begin stamp to the last page
-// (growing if full) and publishes it. It does the bookkeeping shared by all
-// insert paths: zone entry widening for non-aborted versions, and live/
-// version accounting for committed ones.
+// (growing if full) and publishes it; a nil row is a vacant aborted
+// placeholder. The row's values are copied into the page. It does the
+// bookkeeping shared by all insert paths: zone entry widening for
+// non-aborted versions, and live/version accounting for committed ones.
 func (h *Heap) install(row types.Row, begin int64) RowID {
 	pages := h.pageList()
 	pi := len(pages) - 1
 	var p *page
-	if pi >= 0 && int(pages[pi].used.Load()) < len(pages[pi].rows) {
+	if pi >= 0 && int(pages[pi].used.Load()) < len(pages[pi].stamps) {
 		p = pages[pi]
 	} else {
 		p = h.grow()
 		pi++
 	}
 	si := p.used.Load()
-	p.rows[si] = row
+	p.setRow(int(si), row)
+	var end int64
+	if row == nil {
+		end = Aborted
+	}
 	p.stamps[si].begin.Store(begin)
-	p.stamps[si].end.Store(0)
+	p.stamps[si].end.Store(end)
 	if begin != Aborted {
 		// Widen the entry before the slot is published: a reader that gathers
 		// the row then either started the entry after the widening or finds
 		// its sequence changed (see ScanPageListAt).
 		h.zoneAdd(pi, row)
 	}
-	p.used.Store(si + 1) // publish: row and stamps are written
-	p.bytes += h.rowSize
+	p.used.Store(si + 1) // publish: values and stamps are written
 	if begin > 0 && begin != Aborted {
 		h.live.Add(1)
 		h.bump()
@@ -340,7 +362,8 @@ func (h *Heap) InsertVersion(row types.Row, tid int64) RowID {
 // from their slot order, so a later-committing transaction's records can
 // land on slots an earlier commit's gap-fill already padded. Replay is
 // single-threaded, so the in-place resurrection is safe. It returns false
-// if rid is behind the tail and genuinely occupied.
+// if rid is behind the tail and genuinely occupied. The row is copied into
+// the page; the caller keeps it.
 func (h *Heap) InsertAtRID(row types.Row, rid RowID, begin int64) bool {
 	for {
 		pages := h.pageList()
@@ -353,22 +376,22 @@ func (h *Heap) InsertAtRID(row types.Row, rid RowID, begin int64) bool {
 		case int(rid.Page) < tailPage,
 			int(rid.Page) == tailPage && rid.Slot < tailUsed:
 			p, st := h.locate(rid)
-			if st == nil || st.begin.Load() != Aborted || p.rows[rid.Slot] != nil {
+			if st == nil || !vacant(st.begin.Load(), st.end.Load()) {
 				return false // behind the tail: slot genuinely occupied
 			}
 			if begin == Aborted {
 				return true // placeholder already in place
 			}
-			p.rows[rid.Slot] = row
+			p.setRow(int(rid.Slot), row)
 			h.zoneAdd(int(rid.Page), row) // before the slot turns visible
-			st.begin.Store(begin)
 			st.end.Store(0)
+			st.begin.Store(begin)
 			if begin > 0 {
 				h.live.Add(1)
 				h.bump()
 			}
 			return true
-		case int(rid.Page) == tailPage && rid.Slot < int32(len(pages[tailPage].rows)):
+		case int(rid.Page) == tailPage && rid.Slot < int32(len(pages[tailPage].stamps)):
 			p := pages[tailPage]
 			// Fill any gap on this page, then the target slot itself.
 			for p.used.Load() < rid.Slot {
@@ -384,7 +407,7 @@ func (h *Heap) InsertAtRID(row types.Row, rid RowID, begin int64) bool {
 			// placeholders, then grow.
 			if tailPage >= 0 {
 				p := pages[tailPage]
-				for int(p.used.Load()) < len(p.rows) {
+				for int(p.used.Load()) < len(p.stamps) {
 					h.install(nil, Aborted)
 				}
 			}
@@ -394,7 +417,7 @@ func (h *Heap) InsertAtRID(row types.Row, rid RowID, begin int64) bool {
 }
 
 // locate returns the page and stamps of the slot id names, or nils when id
-// is invalid or not yet published. The slot's row is p.rows[id.Slot].
+// is invalid or not yet published.
 func (h *Heap) locate(id RowID) (*page, *stamp) {
 	pages := h.pageList()
 	if id.Page < 0 || int(id.Page) >= len(pages) {
@@ -502,29 +525,62 @@ func (h *Heap) FetchAt(id RowID, snap, tid int64, c *Counters) (types.Row, bool)
 // use). The second return is false for invisible or invalid IDs.
 func (h *Heap) Get(id RowID) (types.Row, bool) { return h.GetAt(id, SnapLatest, 0) }
 
-// GetAt is Get from an explicit snapshot.
+// GetAt is Get from an explicit snapshot. The row is built for the caller,
+// who owns it.
 func (h *Heap) GetAt(id RowID, snap, tid int64) (types.Row, bool) {
 	p, st := h.locate(id)
 	if st == nil || !Visible(st.begin.Load(), st.end.Load(), snap, tid) {
 		return nil, false
 	}
-	return p.rows[id.Slot], true
+	return p.appendRow(make(types.Row, 0, len(p.cols)), int(id.Slot)), true
+}
+
+// GatherAt appends the values of the version at id, when it is visible at
+// snap to tid, to cols — one per table column, in the column's class — and
+// reports whether it did: an index fetch's typed gather, with no row built.
+func (h *Heap) GatherAt(cols []vec.Col, id RowID, snap, tid int64) bool {
+	p, st := h.locate(id)
+	if st == nil || !Visible(st.begin.Load(), st.end.Load(), snap, tid) {
+		return false
+	}
+	for ci := range p.cols {
+		p.cols[ci].appendTo(&cols[ci], int(id.Slot))
+	}
+	return true
+}
+
+// Kinds returns the kinds of the heap's columns, the kinds its page batches
+// carry. The slice is shared: callers must not modify it.
+func (h *Heap) Kinds() []types.Kind { return h.kinds }
+
+// Sees reports whether the version at id is visible at snap to tid: GetAt
+// without building the row.
+func (h *Heap) Sees(id RowID, snap, tid int64) bool {
+	_, st := h.locate(id)
+	return st != nil && Visible(st.begin.Load(), st.end.Load(), snap, tid)
 }
 
 // GetAny returns the row at id if any committed-state reader could still
 // see it (not aborted, not committed-ended) — the "dirty read" uniqueness
 // and FK checks use so concurrent transactions cannot both claim a key.
 func (h *Heap) GetAny(id RowID) (types.Row, bool) {
-	p, st := h.locate(id)
-	if st == nil || !visibleAnyCommitted(st.begin.Load(), st.end.Load()) {
+	if !h.SeesAny(id) {
 		return nil, false
 	}
-	return p.rows[id.Slot], true
+	p, _ := h.locate(id)
+	return p.appendRow(make(types.Row, 0, len(p.cols)), int(id.Slot)), true
+}
+
+// SeesAny reports whether GetAny would return the version at id.
+func (h *Heap) SeesAny(id RowID) bool {
+	_, st := h.locate(id)
+	return st != nil && visibleAnyCommitted(st.begin.Load(), st.end.Load())
 }
 
 // Scan iterates rows visible to the latest snapshot in storage order,
 // counting one page read per page touched and one row read per visible row.
-// Iteration stops early when fn returns false.
+// Iteration stops early when fn returns false. Each row is a view fn
+// borrows: it is rebuilt for the next row, so fn clones what it keeps.
 func (h *Heap) Scan(c *Counters, fn func(id RowID, row types.Row) bool) {
 	h.ScanRangeAt(0, int(h.PageCount()), SnapLatest, 0, c, fn)
 }
@@ -536,7 +592,7 @@ func (h *Heap) ScanAt(snap, tid int64, c *Counters, fn func(id RowID, row types.
 
 // ScanRangeAt iterates the rows of pages [pageLo, pageHi) visible at snap
 // to transaction tid, in storage order, with the same per-page and per-row
-// accounting as Scan.
+// accounting as Scan. Rows are borrowed views, as with Scan.
 func (h *Heap) ScanRangeAt(pageLo, pageHi int, snap, tid int64, c *Counters, fn func(id RowID, row types.Row) bool) {
 	pages := h.pageList()
 	if pageLo < 0 {
@@ -545,6 +601,7 @@ func (h *Heap) ScanRangeAt(pageLo, pageHi int, snap, tid int64, c *Counters, fn 
 	if pageHi > len(pages) {
 		pageHi = len(pages)
 	}
+	var v rowView
 	for pi := pageLo; pi < pageHi; pi++ {
 		p := pages[pi]
 		c.AddPages(1)
@@ -555,7 +612,29 @@ func (h *Heap) ScanRangeAt(pageLo, pageHi int, snap, tid int64, c *Counters, fn 
 				continue
 			}
 			c.AddRows(1)
-			if !fn(RowID{Page: int32(pi), Slot: si}, p.rows[si]) {
+			if !fn(RowID{Page: int32(pi), Slot: si}, v.at(p, int(si))) {
+				return
+			}
+		}
+	}
+}
+
+// ScanColsAt is ScanAt for a caller that reads only the columns cols
+// names (a predicate over them): the view holds those columns' values and
+// NULL in every other, so the walk builds nothing else. No counter charges.
+func (h *Heap) ScanColsAt(snap, tid int64, cols []int, fn func(id RowID, row types.Row) bool) {
+	view := make(types.Row, len(h.kinds))
+	for pi, p := range h.pageList() {
+		n := p.used.Load()
+		for si := int32(0); si < n; si++ {
+			st := &p.stamps[si]
+			if !Visible(st.begin.Load(), st.end.Load(), snap, tid) {
+				continue
+			}
+			for _, ci := range cols {
+				view[ci] = p.cols[ci].datum(int(si))
+			}
+			if !fn(RowID{Page: int32(pi), Slot: si}, view) {
 				return
 			}
 		}
@@ -566,9 +645,10 @@ func (h *Heap) ScanRangeAt(pageLo, pageHi int, snap, tid int64, c *Counters, fn 
 // see — committed-live rows plus other transactions' uncommitted inserts
 // (see visibleAnyCommitted). Uniqueness and FK checks on unindexed tables
 // use it so two in-flight transactions cannot both claim a key. No counter
-// charges: constraint checks are not query I/O.
+// charges: constraint checks are not query I/O. Rows are borrowed views.
 func (h *Heap) ScanDirty(fn func(id RowID, row types.Row) bool) {
 	pages := h.pageList()
+	var v rowView
 	for pi, p := range pages {
 		n := p.used.Load()
 		for si := int32(0); si < n; si++ {
@@ -576,7 +656,7 @@ func (h *Heap) ScanDirty(fn func(id RowID, row types.Row) bool) {
 			if !visibleAnyCommitted(st.begin.Load(), st.end.Load()) {
 				continue
 			}
-			if !fn(RowID{Page: int32(pi), Slot: si}, p.rows[si]) {
+			if !fn(RowID{Page: int32(pi), Slot: si}, v.at(p, int(si))) {
 				return
 			}
 		}
@@ -584,32 +664,38 @@ func (h *Heap) ScanDirty(fn func(id RowID, row types.Row) bool) {
 }
 
 // ScanVersions iterates every version physically present in the heap —
-// live, committed-dead, and uncommitted alike; only aborted placeholders
-// (which carry no payload) are skipped. Index rebuilds use it: the live
-// engine leaves a committed-dead version's index entries in place until
-// Vacuum, so a rebuilt index must carry those entries too or a restored
-// database's physical state would diverge from a never-restored twin's.
+// live, committed-dead, and uncommitted alike; only aborted versions and
+// vacant slots are skipped. Index rebuilds use it: the live engine leaves
+// a committed-dead version's index entries in place until Vacuum, so a
+// rebuilt index must carry those entries too or a restored database's
+// physical state would diverge from a never-restored twin's. Rows are
+// borrowed views.
 func (h *Heap) ScanVersions(fn func(id RowID, row types.Row) bool) {
 	pages := h.pageList()
+	var v rowView
 	for pi, p := range pages {
 		n := p.used.Load()
 		for si := int32(0); si < n; si++ {
-			if p.stamps[si].begin.Load() == Aborted || p.rows[si] == nil {
+			if p.stamps[si].begin.Load() == Aborted {
 				continue
 			}
-			if !fn(RowID{Page: int32(pi), Slot: si}, p.rows[si]) {
+			if !fn(RowID{Page: int32(pi), Slot: si}, v.at(p, int(si))) {
 				return
 			}
 		}
 	}
 }
 
-// ScanAll collects every latest-visible row; convenience for miners and
-// tests.
+// ScanAll collects every latest-visible row, built from one slab the caller
+// owns; convenience for miners and tests.
 func (h *Heap) ScanAll() []types.Row {
-	out := make([]types.Row, 0, h.live.Load())
+	n := int(h.live.Load())
+	out := make([]types.Row, 0, n)
+	slab := make(types.Row, 0, n*len(h.kinds))
 	h.Scan(nil, func(_ RowID, row types.Row) bool {
-		out = append(out, row)
+		start := len(slab)
+		slab = append(slab, row...)
+		out = append(out, slab[start:len(slab):len(slab)])
 		return true
 	})
 	return out
@@ -628,11 +714,10 @@ func (h *Heap) Truncate() {
 // Vacuum reclaims versions no active snapshot can see: aborted versions
 // and versions whose committed end stamp is at or below horizon (the
 // minimum snapshot any reader or transaction still holds). Reclaimed slots
-// stay allocated — later RowIDs must not shift — but drop their row
-// payload and become aborted placeholders, and every touched page's zone
-// entry is recomputed from the survivors. The caller must exclude
-// concurrent readers (rows are nilled in place). Returns the number of
-// versions reclaimed.
+// stay allocated — later RowIDs must not shift — but drop their payload
+// and become vacant, and every touched page's zone entry is recomputed from
+// the survivors. The caller must exclude concurrent readers (payloads are
+// cleared in place). Returns the number of versions reclaimed.
 func (h *Heap) Vacuum(horizon int64) int {
 	reclaimed := 0
 	for pi, p := range h.pageList() {
@@ -647,19 +732,20 @@ func (h *Heap) Vacuum(horizon int64) int {
 		for si := int32(0); si < n; si++ {
 			st := &p.stamps[si]
 			b, e := st.begin.Load(), st.end.Load()
-			if b == Aborted {
-				if p.rows[si] != nil {
-					touch()
-					p.rows[si] = nil
+			switch {
+			case b == Aborted:
+				if e == Aborted {
+					continue // already vacant
 				}
+			case b > 0 && e > 0 && e <= horizon:
+				reclaimed++
+			default:
 				continue
 			}
-			if b > 0 && e > 0 && e <= horizon {
-				touch()
-				st.begin.Store(Aborted)
-				p.rows[si] = nil
-				reclaimed++
-			}
+			touch()
+			st.begin.Store(Aborted)
+			p.clearSlot(int(si))
+			st.end.Store(Aborted)
 		}
 		if touched {
 			p.stamped()
@@ -678,33 +764,45 @@ type SlotData struct {
 	Dead bool
 }
 
-// DumpPages returns the heap's exact physical layout: one []SlotData per
-// page, in page order, including dead slots. Rows are aliased, not copied;
-// the caller must treat them as immutable (engine rows are copy-on-write).
-// Checkpoint snapshots and the crash-differential tests use this to compare
-// and reconstruct heaps slot-for-slot rather than just live-row-for-row.
-// Callers run at a quiescent point (no open write transactions), so every
-// slot is either latest-visible or dead.
-func (h *Heap) DumpPages() [][]SlotData {
-	pages := h.pageList()
-	out := make([][]SlotData, len(pages))
-	for pi, p := range pages {
+// Dump walks the heap's exact physical layout, dead slots included: page is
+// called once per page, in page order, with its slot count, and slot once
+// per slot of that page, in slot order, with the slot's row — nil for a
+// dead slot (a version payload is not part of the durable state, so a
+// vacuumed heap and an unvacuumed one dump identically), otherwise a view
+// slot borrows. Checkpoints encode straight from it. Callers run at a
+// quiescent point (no open write transactions), so every slot is either
+// latest-visible or dead.
+func (h *Heap) Dump(page func(slots int), slot func(row types.Row)) {
+	var v rowView
+	for _, p := range h.pageList() {
 		n := p.used.Load()
-		ps := make([]SlotData, n)
+		page(int(n))
 		for si := int32(0); si < n; si++ {
 			st := &p.stamps[si]
-			dead := !Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0)
-			row := p.rows[si]
-			if dead {
-				// Version payloads are not part of the durable state — a
-				// vacuumed heap and an unvacuumed one must checkpoint
-				// identically.
-				row = nil
+			if !Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0) {
+				slot(nil)
+				continue
 			}
-			ps[si] = SlotData{Row: row, Dead: dead}
+			slot(v.at(p, int(si)))
 		}
-		out[pi] = ps
 	}
+}
+
+// DumpPages returns Dump's layout as values, one []SlotData per page with
+// rows the caller owns: the input RebuildHeap takes, and what tests compare
+// heaps slot for slot with.
+func (h *Heap) DumpPages() [][]SlotData {
+	out := [][]SlotData{}
+	h.Dump(func(slots int) {
+		out = append(out, make([]SlotData, 0, slots))
+	}, func(row types.Row) {
+		ps := &out[len(out)-1]
+		var own types.Row
+		if row != nil {
+			own = row.Clone()
+		}
+		*ps = append(*ps, SlotData{Row: own, Dead: row == nil})
+	})
 	return out
 }
 

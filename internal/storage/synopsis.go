@@ -64,37 +64,37 @@ func (h *Heap) Synopsis(pi int) *PageSynopsis {
 	}
 }
 
-// PageFunc receives one page of a page scan: its number, its rows visible to
-// the scan's snapshot, its image when the page is frozen, and its zone entry
-// (nil when unknown; borrowed, like rows). The entry was loaded before the
-// rows were read, so once its Valid confirms it, it covers every row handed
-// over (see ScanPageListAt). Returning false stops the scan.
-type PageFunc func(pi int, rows []types.Row, img *vec.PageImage, zone *ZoneEntry) bool
+// PageFunc receives one page of a page scan: its number, a column batch
+// over the page's slots whose selection is the slots visible to the scan's
+// snapshot (nil when every slot is), and the page's zone entry (nil when
+// unknown). The batch and the entry are borrowed: both are reused for the
+// next page. The entry was loaded before the slots were read, so once its
+// Valid confirms it, it covers every row handed over (see ScanPageListAt).
+// Returning false stops the scan.
+type PageFunc func(pi int, b *vec.Batch, zone *ZoneEntry) bool
 
 // ScanPageListAt is the one page read path: it reads exactly the listed pages
 // (ascending page numbers, typically what a prune pass over the zone map
 // kept), in list order, at snapshot snap for transaction tid. Each page
-// charges one page read, and its rows visible at snap are gathered into an
-// internal buffer (one row read each, as ScanRangeAt charges them) and handed
-// to fn. The batch slice is borrowed: it is reused for the next page, so fn
-// must not retain it. A page with no visible row is charged but not handed
-// over. It returns how many listed pages it finished: len(list), or k when fn
-// stopped the scan at list[k].
+// charges one page read and one row read per visible slot (as ScanRangeAt
+// charges them) and is handed to fn as a column batch: the page's own typed
+// columns over its published slots, with the visible slots as the
+// selection. A page with no visible row is charged but not handed over. It
+// returns how many listed pages it finished: len(list), or k when fn stopped
+// the scan at list[k].
 //
-// Each page's zone entry is started (ZoneView.Entry) before the page's image
-// or slots are read. An entry that is still Valid after fn's decision
-// therefore covers every row fn got: a row inserted since was widened into
-// the entry before its slot was published, which changed the sequence, and a
-// row a writer removed since (abort, vacuum) was still in the entry
-// the reader loaded, or the reader never saw the row.
+// Each page's zone entry is started (ZoneView.Entry) before the page's
+// frozen bit or slots are read. An entry that is still Valid after fn's
+// decision therefore covers every row fn got: a row inserted since was
+// widened into the entry before its slot was published, which changed the
+// sequence, and a row a writer removed since (abort, vacuum) was still in
+// the entry the reader loaded, or the reader never saw the row.
 //
-// A frozen page (see frozen.go) skips the gather: fn receives the page's own
-// row window — every slot, all visible to this snapshot — and the page image
-// whose typed column vectors cover exactly that window (img is nil for every
-// other page). Charges are identical either way, plus one PagesFrozen. A
-// full page the scan finds entirely committed, undeleted and visible is
-// frozen on the spot, so the first scan over settled data already takes
-// this path.
+// A frozen page (see frozen.go) read at or after its asOf skips the
+// per-slot visibility walk: every slot is visible. Charges are identical
+// either way, plus one PagesFrozen. A full page the scan finds entirely
+// committed, undeleted and visible is frozen on the spot, so the first scan
+// over settled data already counts it.
 //
 // Unlike ScanRangeAt, row charges land page-at-a-time: a consumer that stops
 // mid-batch has already been charged for the whole page, mirroring the page
@@ -102,7 +102,8 @@ type PageFunc func(pi int, rows []types.Row, img *vec.PageImage, zone *ZoneEntry
 func (h *Heap) ScanPageListAt(list []int32, snap, tid int64, c *Counters, fn PageFunc) int {
 	pages := h.pageList()
 	z := h.Zone()
-	var buf []types.Row
+	var b vec.Batch
+	var sel []int32
 	var entry ZoneEntry
 	for k, pi := range list {
 		if int(pi) >= len(pages) {
@@ -115,20 +116,32 @@ func (h *Heap) ScanPageListAt(list []int32, snap, tid int64, c *Counters, fn Pag
 		if entry, ok = z.Entry(int(pi)); !ok {
 			zone = nil
 		}
-		fi := p.image.Load()
-		if fi == nil || snap < fi.asOf {
-			buf, fi = h.gather(p, snap, tid, buf[:0])
+		var n int
+		frozen := false
+		if asOf := p.frozen.Load(); asOf != 0 && snap >= asOf {
+			n, frozen = len(p.stamps), true
+		} else {
+			sel, n, frozen = h.gather(p, snap, tid, sel[:0])
 		}
-		if fi == nil {
-			c.AddRows(int64(len(buf)))
-			if len(buf) > 0 && !fn(int(pi), buf, nil, zone) {
-				return k
-			}
+		visible := n
+		if !frozen && len(sel) < n {
+			visible = len(sel)
+		}
+		if frozen {
+			c.AddFrozen(1)
+		}
+		c.AddRows(int64(visible))
+		if visible == 0 {
 			continue
 		}
-		c.AddFrozen(1)
-		c.AddRows(int64(len(p.rows)))
-		if !fn(int(pi), p.rows, fi.cols, zone) {
+		cols := b.ResetColumns(n, h.kinds)
+		for ci := range cols {
+			p.cols[ci].view(&cols[ci], n)
+		}
+		if visible < n {
+			b.Sel = sel
+		}
+		if !fn(int(pi), &b, zone) {
 			return k
 		}
 	}

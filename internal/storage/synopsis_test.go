@@ -37,8 +37,8 @@ func allPages(h *Heap) []int32 {
 // from the page's non-aborted slots with Datum.Compare, in slot order. A page
 // without a published entry must hold no non-aborted slot. Bounds must be
 // identical datums when exact is set and only compare equal otherwise (a tie
-// between an INT and a FLOAT or DATE keeps the kind merged first, and a
-// replay may merge a page's slots out of slot order).
+// between -0 and +0 keeps the value merged first, and a replay may merge a
+// page's slots out of slot order).
 func checkZone(t *testing.T, h *Heap, exact bool) {
 	t.Helper()
 	for pi, p := range h.pageList() {
@@ -48,8 +48,8 @@ func checkZone(t *testing.T, h *Heap, exact bool) {
 				continue
 			}
 			want.Rows++
-			for ci, d := range p.rows[si] {
-				cs := &want.Cols[ci]
+			for ci := range p.cols {
+				d, cs := p.cols[ci].datum(int(si)), &want.Cols[ci]
 				if d.IsNull() {
 					cs.Nulls++
 					continue
@@ -82,8 +82,9 @@ func checkZone(t *testing.T, h *Heap, exact bool) {
 	}
 }
 
-// mixedDef has an INT column that also receives FLOATs, a FLOAT column, a
-// DATE column that also receives INTs, and a STRING column.
+// mixedDef has a nullable column of each class: INT, FLOAT, DATE (an INT
+// image of another kind) and STRING. A page column stores its own kind
+// only, as schema.ValidateRow delivers it.
 func mixedDef() *schema.Table {
 	return mustTable("m",
 		schema.Column{Name: "i", Type: types.KindInt, Nullable: true},
@@ -116,13 +117,13 @@ func TestSynopsisInsertMaintenance(t *testing.T) {
 		t.Error("out-of-range column should be nil")
 	}
 
-	// Mixed kinds in one column, ±Inf, strings, and an uncommitted insert
-	// (covered eagerly): every insert keeps the entry equal to a recompute.
+	// Every class, ±Inf, -0, strings, and an uncommitted insert (covered
+	// eagerly): every insert keeps the entry equal to a recompute.
 	m := NewHeap(mixedDef())
 	rows := []types.Row{
 		{types.NewInt(7), types.NewFloat(1.5), types.NewDate(100), types.NewString("m")},
-		{types.NewFloat(6.5), types.NewInt(2), types.NewInt(99), types.NewString("a")},
-		{types.NewFloat(7), types.NewFloat(math.Inf(1)), types.NewDate(101), types.Null},
+		{types.NewInt(6), types.NewFloat(2), types.NewDate(99), types.NewString("a")},
+		{types.NewInt(7), types.NewFloat(math.Inf(1)), types.NewDate(101), types.Null},
 		{types.Null, types.NewFloat(math.Inf(-1)), types.Null, types.NewString("zz")},
 		{types.NewInt(1 << 60), types.NewFloat(-0.0), types.NewDate(-5), types.NewString("")},
 	}
@@ -134,7 +135,7 @@ func TestSynopsisInsertMaintenance(t *testing.T) {
 	checkZone(t, m, true)
 	got := m.Synopsis(0)
 	if c := got.Col(0); c.Min.Int() != -3 || c.Max.Int() != 1<<60 || c.Nulls != 1 {
-		t.Errorf("mixed INT/FLOAT column: %+v", c)
+		t.Errorf("INT column: %+v", c)
 	}
 	if c := got.Col(1); !math.IsInf(c.Min.Float(), -1) || !math.IsInf(c.Max.Float(), 1) {
 		t.Errorf("FLOAT column with ±Inf: %+v", c)
@@ -227,7 +228,7 @@ func TestSynopsisUpdateDeleteRecompute(t *testing.T) {
 		t.Errorf("all-dead page bounds: %+v", cs)
 	}
 
-	// Every recomputing writer over mixed kinds, ±Inf, strings and NULLs:
+	// Every recomputing writer over every class, ±Inf, strings and NULLs:
 	// abort, an update (end plus insert), vacuum, then a rebuild from the
 	// dump.
 	m := NewHeap(mixedDef())
@@ -235,7 +236,7 @@ func TestSynopsisUpdateDeleteRecompute(t *testing.T) {
 		return types.Row{types.NewInt(i), types.NewFloat(f), types.NewDate(d), types.NewString(s)}
 	}
 	keep := m.Insert(r(7, 1, 10, "m"))
-	mixed := m.Insert(types.Row{types.NewFloat(7.5), types.NewInt(3), types.NewInt(11), types.NewString("q")})
+	mixed := m.Insert(r(8, 3, 11, "q"))
 	aborted := m.InsertVersion(types.Row{types.Null, types.NewFloat(math.Inf(1)), types.Null, types.NewString("zz")}, 5)
 	checkZone(t, m, true)
 	m.AbortInsert(aborted) // sheds the NULL and +Inf again
@@ -300,7 +301,7 @@ func TestSynopsisPerPageIndependence(t *testing.T) {
 		p := int64(i / mper)
 		row := types.Row{types.NewInt(p), types.NewFloat(float64(p) / 2), types.NewDate(p), types.NewString(string(rune('a' + p%26)))}
 		if p%5 == 0 {
-			row[0] = types.NewFloat(float64(p) + 0.25)
+			row[0] = types.NewInt(-p)
 		}
 		ids = append(ids, m.Insert(row))
 	}
@@ -338,9 +339,9 @@ func TestScanPagesSkipAndCounters(t *testing.T) {
 	var c Counters
 	var seen int
 	var got []int
-	done := h.ScanPageListAt(list, SnapLatest, 0, &c, func(pi int, rows []types.Row, _ *vec.PageImage, _ *ZoneEntry) bool {
+	done := h.ScanPageListAt(list, SnapLatest, 0, &c, func(pi int, b *vec.Batch, _ *ZoneEntry) bool {
 		got = append(got, pi)
-		seen += len(rows)
+		seen += b.Len()
 		return true
 	})
 	if done != 2 || len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -352,7 +353,7 @@ func TestScanPagesSkipAndCounters(t *testing.T) {
 
 	// Every page.
 	c = Counters{}
-	h.ScanPageListAt(allPages(h), SnapLatest, 0, &c, func(int, []types.Row, *vec.PageImage, *ZoneEntry) bool { return true })
+	h.ScanPageListAt(allPages(h), SnapLatest, 0, &c, func(int, *vec.Batch, *ZoneEntry) bool { return true })
 	if c.PagesRead != 3 || c.RowsRead != int64(3*per) {
 		t.Errorf("full list: %+v", c)
 	}
@@ -361,7 +362,7 @@ func TestScanPagesSkipAndCounters(t *testing.T) {
 	// and reports where.
 	c = Counters{}
 	calls := 0
-	done = h.ScanPageListAt([]int32{1, 2}, SnapLatest, 0, &c, func(int, []types.Row, *vec.PageImage, *ZoneEntry) bool { calls++; return false })
+	done = h.ScanPageListAt([]int32{1, 2}, SnapLatest, 0, &c, func(int, *vec.Batch, *ZoneEntry) bool { calls++; return false })
 	if calls != 1 || c.PagesRead != 1 || done != 0 {
 		t.Errorf("early stop: calls=%d done=%d %+v", calls, done, c)
 	}
@@ -370,7 +371,7 @@ func TestScanPagesSkipAndCounters(t *testing.T) {
 	e := NewHeap(testDef())
 	e.AbortInsert(e.InsertVersion(types.Row{types.NewInt(1), types.Null}, 3))
 	c = Counters{}
-	done = e.ScanPageListAt(allPages(e), SnapLatest, 0, &c, func(int, []types.Row, *vec.PageImage, *ZoneEntry) bool {
+	done = e.ScanPageListAt(allPages(e), SnapLatest, 0, &c, func(int, *vec.Batch, *ZoneEntry) bool {
 		t.Error("empty page delivered")
 		return true
 	})
@@ -380,7 +381,7 @@ func TestScanPagesSkipAndCounters(t *testing.T) {
 
 	// A list that outlives a truncate reads nothing past the end.
 	h.Truncate()
-	if done := h.ScanPageListAt(list, SnapLatest, 0, nil, func(int, []types.Row, *vec.PageImage, *ZoneEntry) bool { return true }); done != len(list) {
+	if done := h.ScanPageListAt(list, SnapLatest, 0, nil, func(int, *vec.Batch, *ZoneEntry) bool { return true }); done != len(list) {
 		t.Errorf("truncated heap: finished %d of %d", done, len(list))
 	}
 }

@@ -231,13 +231,9 @@ func (h *Heap) zoneRecompute(pi int, p *page) {
 		if p.stamps[si].begin.Load() == Aborted {
 			continue
 		}
-		row := p.rows[si]
 		rows++
 		for ci := range acc {
-			if ci >= len(row) {
-				break
-			}
-			a, d := &acc[ci], row[ci]
+			a, d := &acc[ci], p.cols[ci].datum(int(si))
 			if d.IsNull() {
 				a.nulls++
 				continue
