@@ -60,7 +60,11 @@ func (lc *LinearCorrelation) Admits(a, b types.Datum) bool {
 	if a.IsNull() || b.IsNull() {
 		return true
 	}
-	af, bf := a.Float(), b.Float()
+	return lc.AdmitsFloat(a.Float(), b.Float())
+}
+
+// AdmitsFloat is Admits for a non-NULL pair read as float64s.
+func (lc *LinearCorrelation) AdmitsFloat(af, bf float64) bool {
 	lo, hi := lc.B0-lc.Eps, lc.B0+lc.Eps
 	kb := lc.K * bf
 	if !(kb+lo <= af && af <= kb+hi) {

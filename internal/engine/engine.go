@@ -28,6 +28,7 @@ import (
 	"softdb/internal/storage"
 	"softdb/internal/txn"
 	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 // Result is the outcome of one statement.
@@ -1188,29 +1189,43 @@ func (db *Database) analyze(a *sql.Analyze) (*Result, error) {
 	// evaluate the expression per row and build column statistics over the
 	// results.
 	for _, vc := range te.Virtual {
-		var vals []types.Datum
-		var nulls int64
-		var evalErr error
-		te.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-			v, err := vc.Expr.Eval(row)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if v.IsNull() {
-				nulls++
-			} else {
-				vals = append(vals, v)
-			}
-			return true
-		})
-		if evalErr != nil {
-			return nil, fmt.Errorf("engine: analyzing virtual column %s: %w", vc.Name, evalErr)
+		col, err := virtualColumn(te.Heap, vc.Expr)
+		if err != nil {
+			return nil, fmt.Errorf("engine: analyzing virtual column %s: %w", vc.Name, err)
 		}
-		vc.Stats = stats.BuildColumnStats(vc.Name, vc.Expr.Type(), vals, nulls, stats.DefaultBuckets)
+		vc.Stats = stats.BuildColumnStats(vc.Name, vc.Expr.Type(), col, stats.DefaultBuckets)
 	}
 	db.cat.Touch()
 	return &Result{RowsAffected: te.Heap.RowCount()}, nil
+}
+
+// virtualColumn evaluates e over every latest-visible row of heap, reading
+// only the columns e names, into a column of e's kind: a value of another
+// kind is coerced to it, as a stored column's value is on insert.
+func virtualColumn(heap *storage.Heap, e expr.Expr) (*vec.Col, error) {
+	kind := e.Type()
+	out := &vec.Col{Class: vec.ClassOf(kind)}
+	ords := expr.ColumnIndexes(e)
+	if len(ords) == 0 {
+		ords = []int{0} // a constant still has one value per row
+	}
+	cols := heap.Columns(ords)
+	kinds := heap.Kinds()
+	row := make(types.Row, len(kinds))
+	for r := range cols[0].Nulls {
+		for i, o := range ords {
+			row[o] = cols[i].Datum(kinds[o], r)
+		}
+		v, err := e.Eval(row)
+		if err == nil {
+			v, err = types.Coerce(v, kind)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out.Append(v)
+	}
+	return out, nil
 }
 
 // AddVirtualColumn registers and immediately analyzes a virtual column

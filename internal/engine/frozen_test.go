@@ -11,7 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"softdb/internal/catalog"
+	"softdb/internal/mining"
+	"softdb/internal/softc"
 	"softdb/internal/sql"
+	"softdb/internal/storage"
 	"softdb/internal/types"
 	"softdb/internal/wal"
 )
@@ -548,4 +552,67 @@ func TestFrozenIndexPagePathColdWarm(t *testing.T) {
 	if totalFrozen == 0 {
 		t.Fatal("no switched index scan read a frozen page")
 	}
+}
+
+// TestSetUpLeavesPagesCold: nothing is frozen at load (DESIGN.md §20), and
+// set-up keeps it so. ANALYZE, the single-table miners and the join-hole
+// miner read whole columns (Heap.Columns), which freezes no page and
+// charges no query counter.
+func TestSetUpLeavesPagesCold(t *testing.T) {
+	db := Open()
+	db.MustExec("CREATE TABLE orders (okey INT NOT NULL, odate DATE, amt FLOAT, cust INT, region VARCHAR(8))")
+	db.MustExec("CREATE TABLE lineitem (okey INT NOT NULL, shipdate DATE, qty INT)")
+	orders, err := db.Catalog().Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineitem, err := db.Catalog().Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		day := int64(10592 + i/8)
+		if err := db.InsertRow(orders, types.Row{types.NewInt(int64(i)), types.NewDate(day),
+			types.NewFloat(float64(i%500) / 4), types.NewInt(int64(i % 60)), types.NewString(fmt.Sprint("r", i%60%7))}); err != nil {
+			t.Fatal(err)
+		}
+		for l := int64(0); l < 3; l++ {
+			if err := db.InsertRow(lineitem, types.Row{types.NewInt(int64(i)), types.NewDate(day + 1 + l*3), types.NewInt(l)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cold := func(when string) {
+		t.Helper()
+		for _, te := range []*catalog.TableEntry{orders, lineitem} {
+			if pages, _ := te.Heap.FreezeStats(); pages != 0 {
+				t.Fatalf("%s: %d of %s's %d pages frozen", when, pages, te.Def.Name, te.Heap.PageCount())
+			}
+		}
+		if v := db.Metrics().Counter("softdb_scan_pages_frozen_total").Value(); v != 0 {
+			t.Fatalf("%s: %d frozen page reads counted", when, v)
+		}
+	}
+	cold("after the load")
+	for _, table := range []string{"orders", "lineitem"} {
+		res := db.MustExec("ANALYZE " + table)
+		if io := res.Ctx.IO.Load(); io != (storage.Counters{}) {
+			t.Errorf("ANALYZE %s charged %+v", table, io)
+		}
+	}
+	cold("after ANALYZE")
+	mgr := softc.NewManager(db.Catalog())
+	cands, err := mgr.DiscoverTable("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands.FDs) == 0 || len(cands.Ranges) == 0 {
+		t.Fatalf("discovery found %d FDs and %d ranges on orders", len(cands.FDs), len(cands.Ranges))
+	}
+	cold("after DiscoverTable")
+	if _, rows, err := mining.MineJoinHoles(mining.JoinHoleRequest{Left: orders, Right: lineitem,
+		JoinLeft: "okey", JoinRight: "okey", AttrLeft: "odate", AttrRight: "shipdate"}); err != nil || rows != 9000 {
+		t.Fatalf("MineJoinHoles profiled %d join rows (err %v), want 9000", rows, err)
+	}
+	cold("after MineJoinHoles")
 }

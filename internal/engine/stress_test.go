@@ -105,8 +105,9 @@ func runConcurrentSessions(t *testing.T, db *Database) {
 		}(g)
 	}
 
-	// Readers: selects, EXPLAIN, stats reads.
-	// Cache hit+miss totals must be monotone across observations.
+	// Readers: selects, point probes (each takes a pooled fetch window),
+	// EXPLAIN, ANALYZE (a whole-column read beside the writers), stats
+	// reads. Cache hit+miss totals must be monotone across observations.
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -114,7 +115,7 @@ func runConcurrentSessions(t *testing.T, db *Database) {
 			r := rand.New(rand.NewSource(int64(2000 + g)))
 			var lastTotal int64
 			for i := 0; i < iters; i++ {
-				switch r.Intn(4) {
+				switch r.Intn(6) {
 				case 0:
 					if _, err := db.Query(fmt.Sprintf("SELECT id, v FROM s WHERE v >= %d", r.Intn(37))); err != nil {
 						errCh <- fmt.Errorf("reader %d select: %w", g, err)
@@ -128,6 +129,16 @@ func runConcurrentSessions(t *testing.T, db *Database) {
 				case 2:
 					if _, err := db.Exec(fmt.Sprintf("EXPLAIN SELECT * FROM s WHERE w = %d", r.Intn(11))); err != nil {
 						errCh <- fmt.Errorf("reader %d explain: %w", g, err)
+						return
+					}
+				case 3:
+					if _, err := db.Query(fmt.Sprintf("SELECT * FROM s WHERE id = %d", r.Intn(200))); err != nil {
+						errCh <- fmt.Errorf("reader %d point probe: %w", g, err)
+						return
+					}
+				case 4:
+					if _, err := db.Exec("ANALYZE s"); err != nil {
+						errCh <- fmt.Errorf("reader %d analyze: %w", g, err)
 						return
 					}
 				default:

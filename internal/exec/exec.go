@@ -553,7 +553,9 @@ func (s *IndexScan) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	// a full window's worth of slots) and are reused window after window:
 	// the batch over them is a column batch like a page scan's.
 	kinds := s.Heap.Kinds()
-	win := fetchWindow(kinds, min(max(len(chunk.rids), 1), indexBatchRows))
+	fw := winPool.Get().(*fetchWindow)
+	defer fw.release()
+	win := fw.carve(kinds, min(max(len(chunk.rids), 1), indexBatchRows))
 	n := 0
 	var batch vec.Batch
 	flush := func() bool {
@@ -597,21 +599,35 @@ func (s *IndexScan) Run(ctx *Ctx, emit func(b *vec.Batch) bool) error {
 	return runErr
 }
 
-// fetchWindow returns the empty typed columns of a fetch window of up to n
-// rows of the given kinds, carved from one backing array per class so a
-// window costs a handful of allocations however many columns it has.
-func fetchWindow(kinds []types.Kind, n int) []vec.Col {
+// fetchWindow is the storage of an IndexScan's fetch window: one backing
+// array per class, carved into the window's typed columns. Executions
+// recycle it through winPool, as they recycle rid chunks through ridPool,
+// so a point probe allocates no window.
+type fetchWindow struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+	nulls  []bool
+	cols   []vec.Col
+}
+
+var winPool = sync.Pool{New: func() any { return new(fetchWindow) }}
+
+// carve returns the empty columns of a window of up to n rows of the given
+// kinds. A column that outgrows its part grows on its own.
+func (w *fetchWindow) carve(kinds []types.Kind, n int) []vec.Col {
 	var counts [vec.ClassStr + 1]int
 	for _, k := range kinds {
 		counts[vec.ClassOf(k)]++
 	}
-	ints := make([]int64, counts[vec.ClassInt]*n)
-	floats := make([]float64, counts[vec.ClassFloat]*n)
-	strs := make([]string, counts[vec.ClassStr]*n)
-	nulls := make([]bool, len(kinds)*n)
-	win := make([]vec.Col, len(kinds))
+	ints := grown(&w.ints, counts[vec.ClassInt]*n)
+	floats := grown(&w.floats, counts[vec.ClassFloat]*n)
+	strs := grown(&w.strs, counts[vec.ClassStr]*n)
+	nulls := grown(&w.nulls, len(kinds)*n)
+	cols := grown(&w.cols, len(kinds))
 	for i, k := range kinds {
-		c := &win[i]
+		c := &cols[i]
+		*c = vec.Col{}
 		c.Nulls, nulls = nulls[:0:n], nulls[n:]
 		switch vec.ClassOf(k) {
 		case vec.ClassInt:
@@ -622,7 +638,24 @@ func fetchWindow(kinds []types.Kind, n int) []vec.Col {
 			c.Strs, strs = strs[:0:n], strs[n:]
 		}
 	}
-	return win
+	return cols
+}
+
+// grown returns (*buf)[:n], growing *buf when it is shorter.
+func grown[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// release returns the window to winPool. The strings it fetched and the
+// columns that outgrew it are dropped first, so a pooled window keeps no
+// heap value alive.
+func (w *fetchWindow) release() {
+	clear(w.strs)
+	clear(w.cols)
+	winPool.Put(w)
 }
 
 // Describe implements Operator.

@@ -6,7 +6,7 @@ import (
 	"softdb/internal/catalog"
 	"softdb/internal/schema"
 	"softdb/internal/storage"
-	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 // FDMinerConfig controls functional-dependency discovery.
@@ -41,27 +41,20 @@ type FD struct {
 }
 
 // MineFDs discovers (approximate) functional dependencies with determinants
-// up to cfg.MaxLHS columns, via partition refinement over in-memory value
-// vectors. Non-minimal FDs (a superset determinant for a dependency already
+// up to cfg.MaxLHS columns, via partition refinement over dictionary-coded
+// columns. Non-minimal FDs (a superset determinant for a dependency already
 // found) are suppressed.
 func MineFDs(def *schema.Table, heap *storage.Heap, cfg FDMinerConfig) []FD {
 	cfg.defaults()
-	n := int(heap.RowCount())
-	if n < cfg.MinRows {
+	if int(heap.RowCount()) < cfg.MinRows {
 		return nil
 	}
 	arity := def.Arity()
-	// Materialize column value key images once.
-	colKeys := make([][]string, arity)
-	for i := range colKeys {
-		colKeys[i] = make([]string, 0, n)
+	cols := make([]codes, arity)
+	for i, c := range heap.Columns(nil) {
+		cols[i] = encode(&c)
 	}
-	heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-		for i, d := range row {
-			colKeys[i] = append(colKeys[i], string(types.AppendKey(nil, d)))
-		}
-		return true
-	})
+	var cnt []uint32 // g3's scratch, shared by every test
 
 	var out []FD
 	found := map[int][][]int{} // dep ordinal -> determinant ordinal sets found
@@ -74,35 +67,39 @@ func MineFDs(def *schema.Table, heap *storage.Heap, cfg FDMinerConfig) []FD {
 		return false
 	}
 
-	consider := func(det []int, dep int) {
-		if contains(det, dep) || isSubsumed(dep, det) {
-			return
+	// consider tests det → dep for every dep, partitioning the rows by det
+	// the first time a dep needs it.
+	consider := func(det []int, detCodes func() codes) {
+		var p *partition
+		for dep := 0; dep < arity; dep++ {
+			if contains(det, dep) || isSubsumed(dep, det) {
+				continue
+			}
+			if p == nil {
+				p = partitionBy(detCodes())
+			}
+			conf := p.g3(cols[dep], &cnt)
+			if conf < cfg.MinConfidence {
+				continue
+			}
+			names := make([]string, len(det))
+			for i, d := range det {
+				names[i] = def.Columns[d].Name
+			}
+			out = append(out, FD{Det: names, Dep: def.Columns[dep].Name, Confidence: conf})
+			found[dep] = append(found[dep], append([]int(nil), det...))
 		}
-		conf := fdConfidence(colKeys, det, dep, n)
-		if conf < cfg.MinConfidence {
-			return
-		}
-		names := make([]string, len(det))
-		for i, d := range det {
-			names[i] = def.Columns[d].Name
-		}
-		out = append(out, FD{Det: names, Dep: def.Columns[dep].Name, Confidence: conf})
-		found[dep] = append(found[dep], append([]int(nil), det...))
 	}
 
 	// Level 1: single-column determinants.
 	for a := 0; a < arity; a++ {
-		for dep := 0; dep < arity; dep++ {
-			consider([]int{a}, dep)
-		}
+		consider([]int{a}, func() codes { return cols[a] })
 	}
 	// Level 2: pairs (only when MaxLHS allows).
 	if cfg.MaxLHS >= 2 {
 		for a := 0; a < arity; a++ {
 			for b := a + 1; b < arity; b++ {
-				for dep := 0; dep < arity; dep++ {
-					consider([]int{a, b}, dep)
-				}
+				consider([]int{a, b}, func() codes { return pairCodes(cols[a], cols[b]) })
 			}
 		}
 	}
@@ -118,35 +115,109 @@ func MineFDs(def *schema.Table, heap *storage.Heap, cfg FDMinerConfig) []FD {
 	return out
 }
 
-// fdConfidence computes the g3 measure of det → dep: the fraction of rows
-// kept after removing the fewest rows that break the dependency (within
-// each determinant group, keep the plurality dependent value).
-func fdConfidence(colKeys [][]string, det []int, dep int, n int) float64 {
+// codes is a column's dense dictionary coding: code[r] numbers row r's
+// value in [0, ndv). Two rows share a code exactly when their values key
+// equal under types.AppendKey — within one column that is ==, so −0 and +0
+// share one — and code 0 is NULL's.
+type codes struct {
+	code []uint32
+	ndv  int
+}
+
+func encode(col *vec.Col) codes {
+	switch col.Class {
+	case vec.ClassInt:
+		return dictionary(col.Ints, col.Nulls)
+	case vec.ClassFloat:
+		return dictionary(col.Floats, col.Nulls)
+	default:
+		return dictionary(col.Strs, col.Nulls)
+	}
+}
+
+// dictionary codes vals from 1 in order of first appearance, leaving the
+// rows nulls marks (if nulls is not nil) at 0.
+func dictionary[T comparable](vals []T, nulls []bool) codes {
+	ids := make(map[T]uint32)
+	out := codes{code: make([]uint32, len(vals)), ndv: 1}
+	for r, v := range vals {
+		if nulls != nil && nulls[r] {
+			continue
+		}
+		id, ok := ids[v]
+		if !ok {
+			id = uint32(out.ndv)
+			ids[v] = id
+			out.ndv++
+		}
+		out.code[r] = id
+	}
+	return out
+}
+
+// pairCodes codes the value pairs of two coded columns.
+func pairCodes(a, b codes) codes {
+	pairs := make([]uint64, len(a.code))
+	for r := range pairs {
+		pairs[r] = uint64(a.code[r])<<32 | uint64(b.code[r])
+	}
+	return dictionary(pairs, nil)
+}
+
+// partition groups the rows by a determinant's code: group g's rows are
+// rows[start[g]:start[g+1]].
+type partition struct {
+	rows  []int32
+	start []int32
+}
+
+// partitionBy counting-sorts the rows by det's codes.
+func partitionBy(det codes) *partition {
+	p := &partition{rows: make([]int32, len(det.code)), start: make([]int32, det.ndv+1)}
+	for _, c := range det.code {
+		p.start[c+1]++
+	}
+	for g := 1; g <= det.ndv; g++ {
+		p.start[g] += p.start[g-1]
+	}
+	next := append([]int32(nil), p.start[:det.ndv]...)
+	for r, c := range det.code {
+		p.rows[next[c]] = int32(r)
+		next[c]++
+	}
+	return p
+}
+
+// g3 is the g3 measure of det → dep for the determinant p partitions by:
+// the fraction of rows kept after removing the fewest rows that break the
+// dependency (within each determinant group, keep the plurality dependent
+// value). cnt is per-dependent-code scratch, all zero between calls.
+func (p *partition) g3(dep codes, cnt *[]uint32) float64 {
+	n := len(p.rows)
 	if n == 0 {
 		return 0
 	}
-	groups := map[string]map[string]int{}
-	for r := 0; r < n; r++ {
-		var key string
-		for _, d := range det {
-			key += colKeys[d][r]
-		}
-		m := groups[key]
-		if m == nil {
-			m = map[string]int{}
-			groups[key] = m
-		}
-		m[colKeys[dep][r]]++
+	if len(*cnt) < dep.ndv {
+		*cnt = make([]uint32, dep.ndv)
 	}
+	c := *cnt
 	kept := 0
-	for _, m := range groups {
-		best := 0
-		for _, c := range m {
-			if c > best {
-				best = c
-			}
+	for g := 0; g+1 < len(p.start); g++ {
+		rows := p.rows[p.start[g]:p.start[g+1]]
+		if len(rows) == 1 {
+			kept++
+			continue
 		}
-		kept += best
+		var best uint32
+		for _, r := range rows {
+			v := dep.code[r]
+			c[v]++
+			best = max(best, c[v])
+		}
+		for _, r := range rows {
+			c[dep.code[r]] = 0
+		}
+		kept += int(best)
 	}
 	return float64(kept) / float64(n)
 }
@@ -171,43 +242,27 @@ func (fd FD) ToConstraint(table string) *catalog.Constraint {
 // VerifyFD recomputes the FD's confidence against the current table state,
 // the asynchronous maintenance pass for soft FDs.
 func VerifyFD(def *schema.Table, heap *storage.Heap, det []string, dep string) float64 {
-	n := int(heap.RowCount())
-	if n == 0 {
+	if heap.RowCount() == 0 {
 		return 1
 	}
-	detOrds := make([]int, len(det))
-	for i, d := range det {
-		detOrds[i] = def.ColumnIndex(d)
-		if detOrds[i] < 0 {
+	ords := make([]int, len(det)+1) // the determinant's, then the dependent's
+	for i := range ords {
+		name := dep
+		if i < len(det) {
+			name = det[i]
+		}
+		if ords[i] = def.ColumnIndex(name); ords[i] < 0 {
 			return 0
 		}
 	}
-	depOrd := def.ColumnIndex(dep)
-	if depOrd < 0 {
-		return 0
+	cols := heap.Columns(ords)
+	// Start from the empty determinant, one group, and refine by each column.
+	detCodes := codes{code: make([]uint32, len(cols[0].Nulls)), ndv: 1}
+	for i := range det {
+		detCodes = pairCodes(detCodes, encode(&cols[i]))
 	}
-	groups := map[string]map[string]int{}
-	heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-		key := string(types.AppendKey(nil, row.Project(detOrds)...))
-		m := groups[key]
-		if m == nil {
-			m = map[string]int{}
-			groups[key] = m
-		}
-		m[string(types.AppendKey(nil, row[depOrd]))]++
-		return true
-	})
-	kept := 0
-	for _, m := range groups {
-		best := 0
-		for _, c := range m {
-			if c > best {
-				best = c
-			}
-		}
-		kept += best
-	}
-	return float64(kept) / float64(n)
+	var cnt []uint32
+	return partitionBy(detCodes).g3(encode(&cols[len(det)]), &cnt)
 }
 
 func subset(small, big []int) bool {

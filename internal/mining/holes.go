@@ -6,8 +6,8 @@ import (
 
 	"softdb/internal/catalog"
 	"softdb/internal/expr"
-	"softdb/internal/storage"
 	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 // HoleMinerConfig controls join-hole discovery.
@@ -60,36 +60,27 @@ func MineJoinHoles(req JoinHoleRequest) (*catalog.JoinHoles, int, error) {
 	if jl < 0 || jr < 0 || al < 0 || ar < 0 {
 		return nil, 0, fmt.Errorf("mining: unknown column in join-hole request")
 	}
-	// Build side: right table keyed by join column. Datum is a comparable
-	// value type, so it keys the map directly — the whole pass stays
-	// allocation-light and linear.
-	build := map[types.Datum][]float64{} // join key -> attrRight values
-	req.Right.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-		k, a := row[jr], row[ar]
-		if k.IsNull() || a.IsNull() || !a.IsNumeric() {
-			return true
-		}
-		build[k] = append(build[k], a.Float())
-		return true
-	})
-	// Probe and collect points.
+	// A hash join over the typed columns: build on the right, probe with the
+	// left. Keys join when they are equal values of one kind.
+	lc, rc := req.Left.Heap.Columns([]int{jl, al}), req.Right.Heap.Columns([]int{jr, ar})
+	kindA := req.Left.Def.Columns[al].Type
+	kindB := req.Right.Def.Columns[ar].Type
+	left := joinSide{lc[0].Nulls, numericOf(&lc[1], kindA)}
+	right := joinSide{rc[0].Nulls, numericOf(&rc[1], kindB)}
 	var ptsA, ptsB []float64
-	req.Left.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-		k, a := row[jl], row[al]
-		if k.IsNull() || a.IsNull() || !a.IsNumeric() {
-			return true
+	if kl, kr := req.Left.Def.Columns[jl].Type, req.Right.Def.Columns[jr].Type; kl == kr && left.attr.vals != nil && right.attr.vals != nil {
+		switch lc[0].Class {
+		case vec.ClassInt:
+			ptsA, ptsB = joinPoints(lc[0].Ints, rc[0].Ints, left, right)
+		case vec.ClassFloat:
+			ptsA, ptsB = joinPoints(lc[0].Floats, rc[0].Floats, left, right)
+		default:
+			ptsA, ptsB = joinPoints(lc[0].Strs, rc[0].Strs, left, right)
 		}
-		for _, b := range build[k] {
-			ptsA = append(ptsA, a.Float())
-			ptsB = append(ptsB, b)
-		}
-		return true
-	})
+	}
 	if len(ptsA) == 0 {
 		return nil, 0, fmt.Errorf("mining: empty join result; nothing to profile")
 	}
-	kindA := req.Left.Def.Columns[al].Type
-	kindB := req.Right.Def.Columns[ar].Type
 	holes := ExtractHoles(ptsA, ptsB, kindA, kindB, cfg)
 	jh := &catalog.JoinHoles{
 		LeftTable:  req.Left.Def.Name,
@@ -102,6 +93,36 @@ func MineJoinHoles(req JoinHoleRequest) (*catalog.JoinHoles, int, error) {
 	}
 	jh.VerifiedVersion = req.Left.Heap.Version()
 	return jh, len(ptsA), nil
+}
+
+// joinSide is one input of the profiled join: its join key column's null
+// mask and its profiled attribute.
+type joinSide struct {
+	keyNulls []bool
+	attr     numeric
+}
+
+// joinPoints hash-joins the sides on their keys (lkeys and rkeys, the key
+// columns' values) and returns the (AttrLeft, AttrRight) pair of every
+// result row, in probe order; rows with a NULL key or attribute join
+// nothing.
+func joinPoints[K comparable](lkeys, rkeys []K, left, right joinSide) (ptsA, ptsB []float64) {
+	build := map[K][]float64{}
+	for r, k := range rkeys {
+		if !right.keyNulls[r] && !right.attr.nulls[r] {
+			build[k] = append(build[k], right.attr.vals[r])
+		}
+	}
+	for r, k := range lkeys {
+		if left.keyNulls[r] || left.attr.nulls[r] {
+			continue
+		}
+		for _, b := range build[k] {
+			ptsA = append(ptsA, left.attr.vals[r])
+			ptsB = append(ptsB, b)
+		}
+	}
+	return ptsA, ptsB
 }
 
 // ExtractHoles grids the point set and enumerates maximal empty rectangles

@@ -16,6 +16,7 @@ import (
 	"softdb/internal/schema"
 	"softdb/internal/storage"
 	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 // LinearFit is a least-squares fit A ≈ K*B + B0 with its residual
@@ -37,17 +38,55 @@ type LinearFit struct {
 // pairs of columns aOrd and bOrd. It returns an error with fewer than two
 // points or a degenerate B column.
 func FitLinear(heap *storage.Heap, aOrd, bOrd int) (*LinearFit, error) {
-	var xs, ys []float64
-	heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-		a, b := row[aOrd], row[bOrd]
-		if a.IsNull() || b.IsNull() || !a.IsNumeric() || !b.IsNumeric() {
-			return true
+	return fitLinearPoints(Points(heap, aOrd, bOrd))
+}
+
+// Points reads the points FitLinear fits: the (B, A) values of the
+// latest-visible rows where both columns are non-NULL, for numeric columns.
+func Points(heap *storage.Heap, aOrd, bOrd int) (xs, ys []float64) {
+	cols := heap.Columns([]int{aOrd, bOrd})
+	kinds := heap.Kinds()
+	return points(numericOf(&cols[0], kinds[aOrd]), numericOf(&cols[1], kinds[bOrd]))
+}
+
+// numeric is a column read as float64s: vals[r] is row r's value unless
+// nulls[r]. A column whose kind is not numeric has no vals.
+type numeric struct {
+	vals     []float64
+	nulls    []bool
+	hasNulls bool
+}
+
+func numericOf(col *vec.Col, kind types.Kind) numeric {
+	switch kind {
+	case types.KindFloat:
+		return numeric{col.Floats, col.Nulls, col.HasNulls}
+	case types.KindInt, types.KindDate:
+		vals := make([]float64, len(col.Ints))
+		for i, v := range col.Ints {
+			vals[i] = float64(v)
 		}
-		ys = append(ys, a.Float())
-		xs = append(xs, b.Float())
-		return true
-	})
-	return fitLinearPoints(xs, ys)
+		return numeric{vals, col.Nulls, col.HasNulls}
+	}
+	return numeric{}
+}
+
+// points pairs the values of b (x) and a (y) in the rows where both are
+// non-NULL; with no NULL in either column they are the columns themselves.
+func points(a, b numeric) (xs, ys []float64) {
+	if a.vals == nil || b.vals == nil {
+		return nil, nil
+	}
+	if !a.hasNulls && !b.hasNulls {
+		return b.vals, a.vals
+	}
+	for r := range a.vals {
+		if !a.nulls[r] && !b.nulls[r] {
+			xs = append(xs, b.vals[r])
+			ys = append(ys, a.vals[r])
+		}
+	}
+	return xs, ys
 }
 
 func fitLinearPoints(xs, ys []float64) (*LinearFit, error) {
@@ -116,7 +155,7 @@ func (f *LinearFit) EpsForConfidence(confidence float64) float64 {
 func (f *LinearFit) admitted(lc *catalog.LinearCorrelation) int {
 	in := 0
 	for i := range f.xs {
-		if lc.Admits(types.NewFloat(f.ys[i]), types.NewFloat(f.xs[i])) {
+		if lc.AdmitsFloat(f.ys[i], f.xs[i]) {
 			in++
 		}
 	}
@@ -168,13 +207,18 @@ func MineCorrelations(def *schema.Table, heap *storage.Heap, cfg LinearMinerConf
 		return nil
 	}
 	var out []*catalog.LinearCorrelation
-	numeric := numericOrdinals(def)
-	for _, aOrd := range numeric {
-		for _, bOrd := range numeric {
+	ords := numericOrdinals(def)
+	cols := heap.Columns(ords)
+	nums := make([]numeric, len(ords))
+	for i, ord := range ords {
+		nums[i] = numericOf(&cols[i], def.Columns[ord].Type)
+	}
+	for ai, aOrd := range ords {
+		for bi, bOrd := range ords {
 			if aOrd == bOrd {
 				continue
 			}
-			fit, err := FitLinear(heap, aOrd, bOrd)
+			fit, err := fitLinearPoints(points(nums[ai], nums[bi]))
 			if err != nil || fit.N < cfg.MinRows {
 				continue
 			}

@@ -1,13 +1,14 @@
 package mining
 
 import (
+	"cmp"
 	"fmt"
 
 	"softdb/internal/catalog"
 	"softdb/internal/expr"
 	"softdb/internal/schema"
 	"softdb/internal/storage"
-	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 // MineRanges produces Sybase-style min/max soft constraints: for every
@@ -19,37 +20,25 @@ func MineRanges(def *schema.Table, heap *storage.Heap, minRows int) []*catalog.C
 	if minRows <= 0 {
 		minRows = 16
 	}
-	arity := def.Arity()
-	mins := make([]types.Datum, arity)
-	maxs := make([]types.Datum, arity)
-	counts := make([]int, arity)
-	for i := range mins {
-		mins[i], maxs[i] = types.Null, types.Null
-	}
-	heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-		for i, d := range row {
-			if d.IsNull() {
-				continue
-			}
-			counts[i]++
-			if mins[i].IsNull() || d.Compare(mins[i]) < 0 {
-				mins[i] = d
-			}
-			if maxs[i].IsNull() || d.Compare(maxs[i]) > 0 {
-				maxs[i] = d
-			}
-		}
-		return true
-	})
+	cols := heap.Columns(nil)
 	var out []*catalog.Constraint
 	for i, col := range def.Columns {
-		if counts[i] < minRows || mins[i].IsNull() {
+		var n, lo, hi int
+		switch cc := &cols[i]; cc.Class {
+		case vec.ClassInt:
+			n, lo, hi = extremes(cc.Ints, cc.Nulls)
+		case vec.ClassFloat:
+			n, lo, hi = extremes(cc.Floats, cc.Nulls)
+		default:
+			n, lo, hi = extremes(cc.Strs, cc.Nulls)
+		}
+		if n < minRows {
 			continue
 		}
 		c := expr.NewColumn(def.Name, col.Name, i, col.Type)
 		check := expr.And(
-			expr.NewBinary(expr.OpGe, c, expr.NewConst(mins[i])),
-			expr.NewBinary(expr.OpLe, c, expr.NewConst(maxs[i])),
+			expr.NewBinary(expr.OpGe, c, expr.NewConst(cols[i].Datum(col.Type, lo))),
+			expr.NewBinary(expr.OpLe, c, expr.NewConst(cols[i].Datum(col.Type, hi))),
 		)
 		out = append(out, &catalog.Constraint{
 			Name:       fmt.Sprintf("range_%s_%s", def.Name, col.Name),
@@ -62,4 +51,23 @@ func MineRanges(def *schema.Table, heap *storage.Heap, minRows int) []*catalog.C
 		})
 	}
 	return out
+}
+
+// extremes counts a column's non-NULL values and finds the rows of the
+// first smallest and the first largest of them (-1 when there are none).
+func extremes[T cmp.Ordered](vals []T, nulls []bool) (n, lo, hi int) {
+	lo, hi = -1, -1
+	for r, v := range vals {
+		if nulls[r] {
+			continue
+		}
+		n++
+		if lo < 0 || v < vals[lo] {
+			lo = r
+		}
+		if hi < 0 || v > vals[hi] {
+			hi = r
+		}
+	}
+	return n, lo, hi
 }

@@ -78,28 +78,32 @@ func (t *Table) ColumnNames() []string {
 func (t *Table) Arity() int { return len(t.Columns) }
 
 // ValidateRow checks arity, kinds (with numeric coercion), and nullability,
-// returning a possibly-coerced copy of the row ready for storage.
+// returning the row ready for storage: row itself when every value already
+// has its column's kind, else a copy holding the coerced values. The row
+// allocates only when a value is coerced; callers that write into the
+// result must not expect row to stay unchanged.
 func (t *Table) ValidateRow(row types.Row) (types.Row, error) {
 	if len(row) != len(t.Columns) {
 		return nil, fmt.Errorf("schema: table %s expects %d values, got %d", t.Name, len(t.Columns), len(row))
 	}
-	out := make(types.Row, len(row))
+	out, copied := row, false
 	for i, d := range row {
 		col := t.Columns[i]
 		if d.IsNull() {
 			if !col.Nullable {
 				return nil, fmt.Errorf("schema: column %s.%s is NOT NULL", t.Name, col.Name)
 			}
-			out[i] = d
 			continue
 		}
 		if d.Kind() == col.Type {
-			out[i] = d
 			continue
 		}
 		c, err := types.Coerce(d, col.Type)
 		if err != nil {
 			return nil, fmt.Errorf("schema: column %s.%s: %w", t.Name, col.Name, err)
+		}
+		if !copied {
+			out, copied = row.Clone(), true
 		}
 		out[i] = c
 	}

@@ -99,6 +99,28 @@ func TestValidateRowCoercion(t *testing.T) {
 	}
 }
 
+// TestValidateRowAllocatesOnlyToCoerce: a row whose values all have their
+// columns' kinds is returned as it is, with no allocation; a coerced value
+// costs the one copy of the row, and the input is left as it was.
+func TestValidateRowAllocatesOnlyToCoerce(t *testing.T) {
+	tab := sampleTable(t)
+	typed := types.Row{types.NewInt(4), types.NewString("ann"), types.Null}
+	var out types.Row
+	if allocs := testing.AllocsPerRun(50, func() { out, _ = tab.ValidateRow(typed) }); allocs != 0 {
+		t.Errorf("well-typed row: %v allocations, want 0", allocs)
+	}
+	if &out[0] != &typed[0] {
+		t.Error("a well-typed row should be returned as it is")
+	}
+	coerced := types.Row{types.NewFloat(4), types.NewString("ann"), types.Null}
+	if allocs := testing.AllocsPerRun(50, func() { out, _ = tab.ValidateRow(coerced) }); allocs != 1 {
+		t.Errorf("row with a coerced value: %v allocations, want 1", allocs)
+	}
+	if out[0].Kind() != types.KindInt || coerced[0].Kind() != types.KindFloat {
+		t.Errorf("coercion must write a copy: got %v from input %v", out, coerced)
+	}
+}
+
 func TestTableString(t *testing.T) {
 	tab := sampleTable(t)
 	s := tab.String()

@@ -282,22 +282,17 @@ func (m *Manager) timeRefresh(name string) func() {
 // confidenceForEnvelope is the fraction of the rows with both columns
 // non-NULL that lc admits.
 func confidenceForEnvelope(heap *storage.Heap, aOrd, bOrd int, lc *catalog.LinearCorrelation) float64 {
-	var in, total int
-	heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-		a, b := row[aOrd], row[bOrd]
-		if a.IsNull() || b.IsNull() {
-			return true
-		}
-		total++
-		if lc.Admits(a, b) {
-			in++
-		}
-		return true
-	})
-	if total == 0 {
+	bs, as := mining.Points(heap, aOrd, bOrd)
+	if len(as) == 0 {
 		return 1
 	}
-	return float64(in) / float64(total)
+	in := 0
+	for i := range as {
+		if lc.AdmitsFloat(as[i], bs[i]) {
+			in++
+		}
+	}
+	return float64(in) / float64(len(as))
 }
 
 // RefreshCheckConfidence rescans the table and updates an SSC check

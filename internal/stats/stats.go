@@ -7,13 +7,17 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"softdb/internal/expr"
 	"softdb/internal/storage"
 	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 // DefaultBuckets is the histogram resolution used by Collect.
@@ -74,7 +78,7 @@ func (ts *TableStats) Column(name string) *ColumnStats {
 	return ts.Columns[strings.ToLower(name)]
 }
 
-// Collect scans the heap and builds complete table statistics.
+// Collect reads the heap's columns and builds complete table statistics.
 func Collect(heap *storage.Heap, buckets int) *TableStats {
 	if buckets <= 0 {
 		buckets = DefaultBuckets
@@ -87,118 +91,160 @@ func Collect(heap *storage.Heap, buckets int) *TableStats {
 		Columns:  make(map[string]*ColumnStats, len(def.Columns)),
 		Version:  heap.Version(),
 	}
-	// Gather column values in one pass.
-	values := make([][]types.Datum, len(def.Columns))
-	nulls := make([]int64, len(def.Columns))
-	heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-		for i, d := range row {
-			if d.IsNull() {
-				nulls[i]++
-			} else {
-				values[i] = append(values[i], d)
-			}
-		}
-		return true
-	})
-	for i, col := range def.Columns {
-		cr := clusterRatio(values[i]) // values are still in storage order
-		cs := buildColumnStats(col.Name, col.Type, values[i], nulls[i], buckets)
-		cs.ClusterRatio = cr
-		ts.Columns[strings.ToLower(col.Name)] = cs
+	cols := heap.Columns(nil)
+	for i, c := range def.Columns {
+		ts.Columns[strings.ToLower(c.Name)] = BuildColumnStats(c.Name, c.Type, &cols[i], buckets)
 	}
 	return ts
 }
 
+// BuildColumnStats computes statistics over one column's values in storage
+// order, as Heap.Columns reads them: col holds the values in kind's class
+// and its null mask. col is not modified.
+func BuildColumnStats(name string, kind types.Kind, col *vec.Col, buckets int) *ColumnStats {
+	cs := &ColumnStats{
+		Column:   name,
+		Kind:     kind,
+		RowCount: int64(len(col.Nulls)),
+		Min:      types.Null,
+		Max:      types.Null,
+	}
+	for _, null := range col.Nulls {
+		if null {
+			cs.NullCount++
+		}
+	}
+	switch col.Class {
+	case vec.ClassInt:
+		vals := nonNull(col.Ints, col.Nulls)
+		switch kind {
+		case types.KindDate:
+			build(cs, vals, types.NewDate, buckets)
+		case types.KindBool:
+			build(cs, vals, func(v int64) types.Datum { return types.NewBool(v != 0) }, buckets)
+		default:
+			build(cs, vals, types.NewInt, buckets)
+		}
+	case vec.ClassFloat:
+		vals := nonNull(col.Floats, col.Nulls)
+		// −0 and +0 are one value; a run holding both is represented by +0
+		// (a sort leaves which of them comes first to chance). x + 0 is x
+		// for every other float.
+		var neg, pos bool
+		for _, f := range vals {
+			neg = neg || f == 0 && math.Signbit(f)
+			pos = pos || f == 0 && !math.Signbit(f)
+		}
+		if neg && pos {
+			for i := range vals {
+				vals[i] += 0
+			}
+		}
+		build(cs, vals, types.NewFloat, buckets)
+	case vec.ClassStr:
+		build(cs, nonNull(col.Strs, col.Nulls), types.NewString, buckets)
+	}
+	return cs
+}
+
+// nonNull copies the non-NULL values of a column, in storage order.
+func nonNull[T any](vals []T, nulls []bool) []T {
+	out := make([]T, 0, len(vals))
+	for i, v := range vals {
+		if !nulls[i] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// build fills cs from a column's non-NULL values in storage order: the
+// cluster ratio, then — over the values sorted in place — min and max, the
+// distinct count, the most common values and the equi-depth histogram.
+// datum makes a value's datum.
+func build[T cmp.Ordered](cs *ColumnStats, vals []T, datum func(T) types.Datum, buckets int) {
+	cs.ClusterRatio = clusterRatio(vals)
+	if len(vals) == 0 {
+		return
+	}
+	slices.Sort(vals)
+	cs.Min, cs.Max = datum(vals[0]), datum(vals[len(vals)-1])
+
+	// Distinct count and the DefaultMCVs most common values (count
+	// descending, then value ascending), among values seen more than once.
+	type runFreq struct {
+		v T
+		n int64
+	}
+	top := make([]runFreq, 0, DefaultMCVs)
+	for i := 0; i < len(vals); {
+		j := runEnd(vals, i)
+		cs.NDV++
+		if n := int64(j - i); n > 1 {
+			// Runs arrive in value order, so a tie keeps the earlier value.
+			at := len(top)
+			for at > 0 && top[at-1].n < n {
+				at--
+			}
+			if at < DefaultMCVs {
+				if len(top) < DefaultMCVs {
+					top = append(top, runFreq{})
+				}
+				copy(top[at+1:], top[at:])
+				top[at] = runFreq{vals[i], n}
+			}
+		}
+		i = j
+	}
+	for _, r := range top {
+		cs.MCVs = append(cs.MCVs, ValueFreq{Value: datum(r.v), Count: r.n})
+	}
+
+	// Equi-depth histogram over the sorted values.
+	if int64(buckets) > cs.NDV {
+		buckets = int(cs.NDV)
+	}
+	if buckets > 0 {
+		h := &Histogram{Total: int64(len(vals))}
+		target := max(len(vals)/buckets, 1)
+		count, distinct := 0, int64(0)
+		for i := 0; i < len(vals); {
+			j := runEnd(vals, i)
+			count += j - i
+			distinct++
+			if count >= target || j == len(vals) {
+				h.UpperBounds = append(h.UpperBounds, datum(vals[i]))
+				h.Counts = append(h.Counts, int64(count))
+				h.Distinct = append(h.Distinct, distinct)
+				count, distinct = 0, 0
+			}
+			i = j
+		}
+		cs.Hist = h
+	}
+}
+
+// runEnd returns the end of the run of values equal to vals[i].
+func runEnd[T cmp.Ordered](vals []T, i int) int {
+	j := i + 1
+	for j < len(vals) && vals[j] == vals[i] {
+		j++
+	}
+	return j
+}
+
 // clusterRatio measures how well storage order agrees with value order.
-func clusterRatio(vals []types.Datum) float64 {
+func clusterRatio[T cmp.Ordered](vals []T) float64 {
 	if len(vals) < 2 {
 		return 1
 	}
 	asc := 0
 	for i := 1; i < len(vals); i++ {
-		if vals[i-1].Compare(vals[i]) <= 0 {
+		if vals[i-1] <= vals[i] {
 			asc++
 		}
 	}
 	return float64(asc) / float64(len(vals)-1)
-}
-
-// BuildColumnStats computes statistics over the given non-null values.
-// Exposed for miners and tests that already hold a value vector.
-func BuildColumnStats(name string, kind types.Kind, vals []types.Datum, nullCount int64, buckets int) *ColumnStats {
-	return buildColumnStats(name, kind, append([]types.Datum(nil), vals...), nullCount, buckets)
-}
-
-func buildColumnStats(name string, kind types.Kind, vals []types.Datum, nullCount int64, buckets int) *ColumnStats {
-	cs := &ColumnStats{
-		Column:    name,
-		Kind:      kind,
-		RowCount:  int64(len(vals)) + nullCount,
-		NullCount: nullCount,
-		Min:       types.Null,
-		Max:       types.Null,
-	}
-	if len(vals) == 0 {
-		return cs
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
-	cs.Min, cs.Max = vals[0], vals[len(vals)-1]
-
-	// Distinct count and value frequencies in one sorted pass.
-	type runFreq struct {
-		v types.Datum
-		n int64
-	}
-	var runs []runFreq
-	for i := 0; i < len(vals); {
-		j := i + 1
-		for j < len(vals) && vals[j].Compare(vals[i]) == 0 {
-			j++
-		}
-		runs = append(runs, runFreq{vals[i], int64(j - i)})
-		i = j
-	}
-	cs.NDV = int64(len(runs))
-
-	// MCVs: top DefaultMCVs by count, only if they are meaningfully common.
-	byCount := append([]runFreq(nil), runs...)
-	sort.Slice(byCount, func(i, j int) bool {
-		if byCount[i].n != byCount[j].n {
-			return byCount[i].n > byCount[j].n
-		}
-		return byCount[i].v.Compare(byCount[j].v) < 0
-	})
-	for i := 0; i < len(byCount) && i < DefaultMCVs; i++ {
-		if byCount[i].n <= 1 {
-			break
-		}
-		cs.MCVs = append(cs.MCVs, ValueFreq{Value: byCount[i].v, Count: byCount[i].n})
-	}
-
-	// Equi-depth histogram over the sorted values.
-	if buckets > len(runs) {
-		buckets = len(runs)
-	}
-	if buckets > 0 {
-		h := &Histogram{Total: int64(len(vals))}
-		target := len(vals) / buckets
-		if target < 1 {
-			target = 1
-		}
-		count, distinct := int64(0), int64(0)
-		for i, r := range runs {
-			count += r.n
-			distinct++
-			if count >= int64(target) || i == len(runs)-1 {
-				h.UpperBounds = append(h.UpperBounds, r.v)
-				h.Counts = append(h.Counts, count)
-				h.Distinct = append(h.Distinct, distinct)
-				count, distinct = 0, 0
-			}
-		}
-		cs.Hist = h
-	}
-	return cs
 }
 
 // nonNullFraction is the share of rows with a non-null value.

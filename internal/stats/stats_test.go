@@ -9,6 +9,7 @@ import (
 	"softdb/internal/schema"
 	"softdb/internal/storage"
 	"softdb/internal/types"
+	"softdb/internal/vec"
 )
 
 func intHeap(vals []int64, nulls int) *storage.Heap {
@@ -244,7 +245,8 @@ func TestSelectivityWithSSCs(t *testing.T) {
 }
 
 func TestBuildColumnStatsEmpty(t *testing.T) {
-	cs := BuildColumnStats("x", types.KindInt, nil, 5, 8)
+	nulls := &vec.Col{Class: vec.ClassInt, Ints: make([]int64, 5), Nulls: []bool{true, true, true, true, true}, HasNulls: true}
+	cs := BuildColumnStats("x", types.KindInt, nulls, 8)
 	if cs.RowCount != 5 || cs.NDV != 0 || !cs.Min.IsNull() {
 		t.Errorf("empty column: %s", cs)
 	}

@@ -641,6 +641,50 @@ func (h *Heap) ScanColsAt(snap, tid int64, cols []int, fn func(id RowID, row typ
 	}
 }
 
+// Columns returns the latest-visible values of the columns ords names (nil
+// names every column), in storage order: one vec.Col per ordinal, in the
+// column's class, with its null mask. It is the whole-column read of ANALYZE
+// and the miners: it checks visibility per slot, as Scan does, freezes no
+// page and charges no counter. The columns are the caller's.
+func (h *Heap) Columns(ords []int) []vec.Col {
+	if ords == nil {
+		ords = make([]int, len(h.kinds))
+		for i := range ords {
+			ords[i] = i
+		}
+	}
+	out := make([]vec.Col, len(ords))
+	n := int(h.live.Load())
+	for i, ci := range ords {
+		c := &out[i]
+		c.Class = vec.ClassOf(h.kinds[ci])
+		switch c.Class {
+		case vec.ClassInt:
+			c.Ints = make([]int64, 0, n)
+		case vec.ClassFloat:
+			c.Floats = make([]float64, 0, n)
+		default:
+			c.Strs = make([]string, 0, n)
+		}
+		c.Nulls = make([]bool, 0, n)
+	}
+	var sel []int32
+	for _, p := range h.pageList() {
+		used := int(p.used.Load())
+		sel = sel[:0]
+		for si := 0; si < used; si++ {
+			st := &p.stamps[si]
+			if Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0) {
+				sel = append(sel, int32(si))
+			}
+		}
+		for i, ci := range ords {
+			p.cols[ci].appendSlots(&out[i], sel, len(sel) == used)
+		}
+	}
+	return out
+}
+
 // ScanDirty iterates every version a committed-state reader could still
 // see — committed-live rows plus other transactions' uncommitted inserts
 // (see visibleAnyCommitted). Uniqueness and FK checks on unindexed tables
@@ -687,7 +731,7 @@ func (h *Heap) ScanVersions(fn func(id RowID, row types.Row) bool) {
 }
 
 // ScanAll collects every latest-visible row, built from one slab the caller
-// owns; convenience for miners and tests.
+// owns; a convenience for tests.
 func (h *Heap) ScanAll() []types.Row {
 	n := int(h.live.Load())
 	out := make([]types.Row, 0, n)

@@ -298,6 +298,47 @@ func FuzzHeapMatchesRowModel(f *testing.F) {
 	})
 }
 
+// checkColumns compares Columns, over every column and over the last and
+// first, with the latest-visible rows the model holds.
+func checkColumns(t *testing.T, h *Heap, want []types.Row) {
+	t.Helper()
+	kinds := h.Kinds()
+	last := len(kinds) - 1
+	for _, ords := range [][]int{nil, {last, 0}} {
+		cols := h.Columns(ords)
+		if ords == nil {
+			ords = make([]int, len(kinds))
+			for i := range ords {
+				ords[i] = i
+			}
+		}
+		got := make([]types.Row, len(cols[0].Nulls))
+		wantSub := make([]types.Row, len(want))
+		for r := range got {
+			for i, ci := range ords {
+				got[r] = append(got[r], cols[i].Datum(kinds[ci], r))
+			}
+		}
+		for r, row := range want {
+			for _, ci := range ords {
+				wantSub[r] = append(wantSub[r], row[ci])
+			}
+		}
+		compareRows(t, "Columns", SnapLatest, got, wantSub)
+		for i, ci := range ords {
+			c := &cols[i]
+			if c.Class != vec.ClassOf(kinds[ci]) || len(c.Nulls) != len(got) {
+				t.Fatalf("Columns: column %d has class %d over %d rows, want %d over %d", ci, c.Class, len(c.Nulls), vec.ClassOf(kinds[ci]), len(got))
+			}
+			for _, null := range c.Nulls {
+				if null && !c.HasNulls {
+					t.Fatalf("Columns: column %d holds a NULL but HasNulls is false", ci)
+				}
+			}
+		}
+	}
+}
+
 // checkModel compares every read path of h with the model at a few
 // snapshots, the latest first.
 func checkModel(t *testing.T, h *Heap, m *heapModel, clock, tid int64) {
@@ -361,6 +402,9 @@ func checkModel(t *testing.T, h *Heap, m *heapModel, clock, tid int64) {
 			wantSub = append(wantSub, w)
 		}
 		compareRows(t, "ScanColsAt", snap, sub, wantSub)
+		if snap == SnapLatest && vt == 0 {
+			checkColumns(t, h, want)
+		}
 	}
 	var versions []types.Row
 	h.ScanVersions(func(_ RowID, r types.Row) bool {

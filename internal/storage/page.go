@@ -151,6 +151,29 @@ func (c *pageCol) appendTo(v *vec.Col, si int) {
 	}
 }
 
+// appendSlots appends the values and null flags of the slots sel names to
+// v; all says sel is every slot from 0 up, which appends the arrays'
+// prefixes whole.
+func (c *pageCol) appendSlots(v *vec.Col, sel []int32, all bool) {
+	if all {
+		n := len(sel)
+		v.Nulls = append(v.Nulls, c.nulls[:n]...)
+		switch {
+		case c.ints != nil:
+			v.Ints = append(v.Ints, c.ints[:n]...)
+		case c.floats != nil:
+			v.Floats = append(v.Floats, c.floats[:n]...)
+		default:
+			v.Strs = append(v.Strs, c.strs[:n]...)
+		}
+		v.HasNulls = v.HasNulls || c.hasNulls.Load()
+		return
+	}
+	for _, si := range sel {
+		c.appendTo(v, int(si))
+	}
+}
+
 // setRow stores row at slot si of every column; a nil row (an aborted
 // placeholder) stores nothing.
 func (p *page) setRow(si int, row types.Row) {

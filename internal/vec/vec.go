@@ -214,7 +214,7 @@ func (b *Batch) Datum(idx, ord int) (d types.Datum, ok bool) {
 	if ord < 0 || ord >= len(b.kinds) {
 		return types.Null, false
 	}
-	return b.cols[ord].datum(b.kinds[ord], idx), true
+	return b.cols[ord].Datum(b.kinds[ord], idx), true
 }
 
 // Fill writes the columns ords of the rows at window positions idxs into
@@ -244,7 +244,7 @@ func (b *Batch) Fill(dst []types.Datum, idxs []int32, ords []int) bool {
 			fill(dst[k:], w, idxs, c.Nulls, c.Strs, types.NewString)
 		default:
 			for j, idx := range idxs {
-				dst[k+j*w] = c.datum(types.KindBool, int(idx))
+				dst[k+j*w] = c.Datum(types.KindBool, int(idx))
 			}
 		}
 	}
@@ -293,13 +293,13 @@ func (b *Batch) RowMemSize(idx int) int64 {
 // appendRow appends the datums of a column batch's position idx to dst.
 func (b *Batch) appendRow(dst types.Row, idx int) types.Row {
 	for ord, k := range b.kinds {
-		dst = append(dst, b.cols[ord].datum(k, idx))
+		dst = append(dst, b.cols[ord].Datum(k, idx))
 	}
 	return dst
 }
 
-// datum builds the datum of kind k at position idx of a native column.
-func (c *Col) datum(k types.Kind, idx int) types.Datum {
+// Datum builds the datum of kind k at position idx of a native column.
+func (c *Col) Datum(k types.Kind, idx int) types.Datum {
 	if c.Nulls[idx] {
 		return types.Null
 	}
@@ -314,6 +314,33 @@ func (c *Col) datum(k types.Kind, idx int) types.Datum {
 		return types.NewFloat(c.Floats[idx])
 	default:
 		return types.NewString(c.Strs[idx])
+	}
+}
+
+// Append appends d, which is NULL or of the column's class, to c.
+func (c *Col) Append(d types.Datum) {
+	null := d.IsNull()
+	c.Nulls = append(c.Nulls, null)
+	c.HasNulls = c.HasNulls || null
+	switch c.Class {
+	case ClassInt:
+		var v int64
+		if !null {
+			v = d.IntImage()
+		}
+		c.Ints = append(c.Ints, v)
+	case ClassFloat:
+		var v float64
+		if !null {
+			v = d.Float()
+		}
+		c.Floats = append(c.Floats, v)
+	case ClassStr:
+		var v string
+		if !null {
+			v = d.Str()
+		}
+		c.Strs = append(c.Strs, v)
 	}
 }
 
