@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"softdb/internal/expr"
@@ -15,13 +16,16 @@ import (
 // batch's selection vector, the baseline evaluates the same conjunct with
 // EvalBool row by row, and the report shows ns/row for both. A generic
 // (column-to-column) predicate is included to show the fallback stage costs
-// about the same as the tree-walk it wraps.
+// about the same as the tree-walk it wraps. Beside the clocks it counts the
+// expression evaluations each side makes per row, in one untimed pass: a
+// typed stage makes none, the generic stage one per row, like the
+// tree-walk it wraps.
 func V1Kernels(rows int) (*Report, error) {
 	rep := &Report{
 		ID:     "V1",
 		Title:  "vectorized kernels: typed tight loops vs per-row tree-walk",
 		Claim:  "constraint benefits (pages skipped, joins eliminated) convert to wall-time only when surviving pages flow through tight loops; typed kernels cut per-row predicate cost multi-x while the generic fallback stays at parity",
-		Header: []string{"kernel", "typed", "ns/row kernel", "ns/row tree-walk", "speedup"},
+		Header: []string{"kernel", "typed", "evals/row kernel", "evals/row tree-walk", "ns/row kernel", "ns/row tree-walk", "speedup"},
 	}
 
 	data := v1Rows(rows)
@@ -33,6 +37,13 @@ func V1Kernels(rows int) (*Report, error) {
 			return nil, fmt.Errorf("V1 %s: compiled typed=%v, case declares %v", kc.Name, typed, kc.Typed)
 		}
 
+		// The clocks run the counting program too, so a stage that
+		// evaluates rows by tree-walk is counted rather than failing on a
+		// typed stage's missing Cond.
+		prog, kernelEvals, walkEvals, err := countEvals(prog, conds, data)
+		if err != nil {
+			return nil, err
+		}
 		kernelNs, kernelKept, err := timeKernel(prog, data)
 		if err != nil {
 			return nil, err
@@ -44,7 +55,8 @@ func V1Kernels(rows int) (*Report, error) {
 		if kernelKept != walkKept {
 			return nil, fmt.Errorf("V1 %s: kernel kept %d rows, tree-walk kept %d", kc.Name, kernelKept, walkKept)
 		}
-		rep.AddRow(kc.Name, typed, fmt.Sprintf("%.1f", kernelNs), fmt.Sprintf("%.1f", walkNs),
+		rep.AddRow(kc.Name, typed, fmt.Sprintf("%.2f", kernelEvals), fmt.Sprintf("%.2f", walkEvals),
+			fmt.Sprintf("%.1f", kernelNs), fmt.Sprintf("%.1f", walkNs),
 			fmt.Sprintf("%.2f", walkNs/kernelNs))
 	}
 
@@ -112,12 +124,68 @@ func v1Reps(rows int) int {
 	return reps
 }
 
+// evalCounter counts the evaluations of the expression it wraps.
+type evalCounter struct {
+	expr.Expr
+	n int
+}
+
+func (e *evalCounter) Eval(row types.Row) (types.Datum, error) {
+	e.n++
+	return e.Expr.Eval(row)
+}
+
+// countEvals runs prog and the tree-walk once each over rows and returns
+// the expression evaluations per row each made, and the program it
+// counted. That program is prog with every stage's Cond wrapped in a
+// counter (a typed stage's by the conjunction of conds, which it was
+// compiled from: V1's programs have one stage), so a stage that evaluates
+// rows by tree-walk counts whatever its mode claims.
+func countEvals(prog *expr.PredProgram, conds []expr.Expr, rows []types.Row) (counted *expr.PredProgram, kernel, walk float64, err error) {
+	counted = &expr.PredProgram{Stages: slices.Clone(prog.Stages)}
+	stageCounters := make([]evalCounter, len(counted.Stages))
+	for i := range counted.Stages {
+		sc := &stageCounters[i]
+		if sc.Expr = counted.Stages[i].Cond; sc.Expr == nil {
+			sc.Expr = expr.And(conds...)
+		}
+		counted.Stages[i].Cond = sc
+	}
+	if _, _, err := runKernel(counted, rows, 1); err != nil {
+		return nil, 0, 0, err
+	}
+	kernelN := 0
+	for _, sc := range stageCounters {
+		kernelN += sc.n
+	}
+	counters := make([]evalCounter, len(conds))
+	wrapped := make([]expr.Expr, len(conds))
+	for i, c := range conds {
+		counters[i].Expr = c
+		wrapped[i] = &counters[i]
+	}
+	if _, err := walkRows(wrapped, rows); err != nil {
+		return nil, 0, 0, err
+	}
+	walked := 0
+	for _, c := range counters {
+		walked += c.n
+	}
+	n := float64(len(rows))
+	return counted, float64(kernelN) / n, float64(walked) / n, nil
+}
+
 func timeKernel(prog *expr.PredProgram, rows []types.Row) (nsPerRow float64, kept int, err error) {
+	return runKernel(prog, rows, v1Reps(len(rows)))
+}
+
+// runKernel runs prog over rows reps times and returns the ns per row and
+// the rows kept.
+func runKernel(prog *expr.PredProgram, rows []types.Row, reps int) (nsPerRow float64, kept int, err error) {
 	var b vec.Batch
 	b.Reset(rows)
 	ident := vec.IdentitySel(nil, len(rows))
 	out := make([]int32, 0, len(rows))
-	reps := v1Reps(len(rows))
 	start := time.Now()
 	for r := 0; r < reps; r++ {
 		sel := ident
@@ -137,24 +205,32 @@ func timeTreeWalk(conds []expr.Expr, rows []types.Row) (nsPerRow float64, kept i
 	reps := v1Reps(len(rows))
 	start := time.Now()
 	for r := 0; r < reps; r++ {
-		kept = 0
-		for _, row := range rows {
-			pass := true
-			for _, c := range conds {
-				ok, eerr := expr.EvalBool(c, row)
-				if eerr != nil {
-					return 0, 0, eerr
-				}
-				if !ok {
-					pass = false
-					break
-				}
-			}
-			if pass {
-				kept++
-			}
+		if kept, err = walkRows(conds, rows); err != nil {
+			return 0, 0, err
 		}
 	}
 	total := time.Since(start)
 	return float64(total.Nanoseconds()) / float64(reps*len(rows)), kept, nil
+}
+
+// walkRows evaluates conds row by row with EvalBool, stopping at a row's
+// first conjunct that is not TRUE, and returns the rows kept.
+func walkRows(conds []expr.Expr, rows []types.Row) (kept int, err error) {
+	for _, row := range rows {
+		pass := true
+		for _, c := range conds {
+			ok, err := expr.EvalBool(c, row)
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				pass = false
+				break
+			}
+		}
+		if pass {
+			kept++
+		}
+	}
+	return kept, nil
 }

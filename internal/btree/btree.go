@@ -348,18 +348,74 @@ func (t *Tree) cmpKey(n *node, i int, key types.Row) int {
 }
 
 // search returns the index of the first key in n that is >= key, and
-// whether it is an exact match.
+// whether it is an exact match, in types.Row.Compare's order. It narrows
+// one key column at a time: [lo, hi) holds the keys whose columns before c
+// equal the probe's, and column c ascends within it. On the last probe
+// column only the lower end is needed.
 func (t *Tree) search(n *node, key types.Row) (int, bool) {
 	lo, hi := 0, n.len()
+	m := min(len(t.kinds), len(key))
+	for c := 0; c < m; c++ {
+		if c == m-1 && len(key) <= len(t.kinds) {
+			i := t.colBound(n, c, lo, hi, key[c], false)
+			exact := len(key) == len(t.kinds) && i < hi && t.cmpCol(n, c, i, key[c]) == 0
+			return i, exact
+		}
+		lo, hi = t.colBound(n, c, lo, hi, key[c], false), t.colBound(n, c, lo, hi, key[c], true)
+		if lo == hi {
+			return lo, false
+		}
+	}
+	if len(key) < len(t.kinds) {
+		// Only an empty probe gets here: every stored key is longer.
+		return lo, false
+	}
+	// The probe is longer than the stored keys, so it follows every key
+	// whose columns it shares.
+	return hi, false
+}
+
+// colBound returns the first index in [lo, hi) whose column c is not below
+// d (after, when upper is set: not below or equal to it); column c ascends
+// over [lo, hi). A probe of the column's static kind binary-searches the
+// typed values past the leading NULLs (which sort first); any other probe
+// compares rebuilt datums with types.Datum.Compare.
+func (t *Tree) colBound(n *node, c, lo, hi int, d types.Datum, upper bool) int {
+	col := &n.cols[c]
+	if d.Kind() != t.kinds[c] {
+		return lo + sort.Search(hi-lo, func(j int) bool {
+			r := col.datum(t.classes[c], t.kinds[c], lo+j).Compare(d)
+			return r > 0 || (r == 0 && !upper)
+		})
+	}
+	if col.nulls != nil {
+		lo += sort.Search(hi-lo, func(j int) bool { return !col.nulls[lo+j] })
+	}
+	switch t.classes[c] {
+	case vec.ClassInt:
+		return lo + typedBound(col.ints[lo:hi], d.IntImage(), upper)
+	case vec.ClassFloat:
+		return lo + typedBound(col.floats[lo:hi], d.Float(), upper)
+	default:
+		return lo + typedBound(col.strs[lo:hi], d.Str(), upper)
+	}
+}
+
+// typedBound returns the first index of the ascending a whose value is not
+// below v (after v, when upper is set), in cmp.Compare's order — the one
+// types.CompareFloat gives floats, NaN first and -0 equal to +0.
+func typedBound[T cmp.Ordered](a []T, v T, upper bool) int {
+	lo, hi := 0, len(a)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if t.cmpKey(n, mid, key) < 0 {
+		r := cmp.Compare(a[mid], v)
+		if r < 0 || (r == 0 && upper) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < n.len() && t.cmpKey(n, lo, key) == 0
+	return lo
 }
 
 // insertKey stores key at i in n's key columns.
@@ -396,13 +452,17 @@ func (t *Tree) Insert(key types.Row, rid storage.RowID) {
 		old := t.root
 		t.root = t.newNode()
 		t.root.children = []*node{old}
-		t.splitChild(t.root, 0)
+		t.splitChild(t.root, 0, key, true)
 		t.height++
 	}
 	t.insertNonFull(t.root, key, rid)
 }
 
+// insertNonFull adds (key, rid) under n, which is not full, splitting each
+// full node on the way down before it descends into it. n is the root, so
+// it is the rightmost node of its level.
 func (t *Tree) insertNonFull(n *node, key types.Row, rid storage.RowID) {
+	edge := true // n is the rightmost node of its level
 	for {
 		i, exact := t.search(n, key)
 		if n.leaf() {
@@ -458,8 +518,9 @@ func (t *Tree) insertNonFull(n *node, key types.Row, rid storage.RowID) {
 		if exact {
 			i++
 		}
+		edge = edge && i == len(n.children)-1
 		if n.children[i].len() >= degree-1 {
-			t.splitChild(n, i)
+			t.splitChild(n, i, key, edge)
 			// Route right on key >= separator, matching descendToLeaf.
 			if t.cmpKey(n, i, key) <= 0 {
 				i++
@@ -495,26 +556,45 @@ func (t *Tree) cut(n *node, lo, hi int) node {
 	return out
 }
 
-// splitChild splits the full child at index i of parent p. Both halves get
-// arrays sized for what they hold: a sequential load never touches the
-// left half again, so a re-slice of the full array would pin its slack.
-// The child keeps its identity — its left neighbour's next points at it —
-// and becomes the left half.
-func (t *Tree) splitChild(p *node, i int) {
+// splitChild splits the full child at index i of parent p on the way down
+// to key. A child that is the rightmost node of its level (edge) and that
+// key descends past — a key above its last key, in a leaf, or one that
+// routes to its last child, in an interior node — splits at the insertion
+// point: the left half keeps every key (an interior node all but the one
+// that moves up) and the right half starts empty, or with the last child.
+// An ascending load therefore leaves every node it passes full, which is
+// PostgreSQL nbtree's rightmost-page split and SQLite's balance_quick. Any
+// other child splits at the mid-point. Both halves get arrays sized for
+// what they hold: a sequential load never touches the left half again, so
+// a re-slice of the full array would pin its slack. The child keeps its
+// identity — its left neighbour's next points at it — and becomes the left
+// half.
+func (t *Tree) splitChild(p *node, i int, key types.Row, edge bool) {
 	child := p.children[i]
 	k := child.len()
 	mid := k / 2
 	right := new(node)
 	if child.leaf() {
-		// B+tree leaf split: right keeps keys[mid:], separator is the first
-		// key on the right; all data stays in leaves.
-		*right = t.cut(child, mid, k)
+		if edge && t.cmpKey(child, k-1, key) < 0 {
+			// The separator is key itself, which the caller inserts into
+			// the empty right leaf next.
+			right.cols = make([]keyCol, len(t.kinds))
+			t.insertKey(p, i, key)
+			mid = k
+		} else {
+			// B+tree leaf split: right keeps keys[mid:], separator is the
+			// first key on the right; all data stays in leaves.
+			*right = t.cut(child, mid, k)
+			t.copyKey(p, i, right, 0)
+		}
 		right.next = child.next
-		t.copyKey(p, i, right, 0)
 		*child = t.cut(child, 0, mid)
 		child.next = right
 	} else {
-		// Interior split: middle key moves up.
+		if edge && t.cmpKey(child, k-1, key) <= 0 {
+			mid = k - 1
+		}
+		// Interior split: the key at mid moves up.
 		t.copyKey(p, i, child, mid)
 		*right = t.cut(child, mid+1, k)
 		*child = t.cut(child, 0, mid)

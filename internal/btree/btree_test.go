@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -684,6 +685,141 @@ func TestSweepMatchesTwoPassDelete(t *testing.T) {
 			if la[i] != lb[i] {
 				t.Fatalf("trial %d leaf %d:\n sweep    %s\n two-pass %s", trial, i, lb[i], la[i])
 			}
+		}
+	}
+}
+
+// searchByCompare is the node search as types.Row.Compare defines it: a
+// binary search over the materialized keys.
+func searchByCompare(tr *Tree, n *node, key types.Row) (int, bool) {
+	i := sort.Search(n.len(), func(i int) bool { return Key{tr, n, i}.Row().Compare(key) >= 0 })
+	return i, i < n.len() && Key{tr, n, i}.Row().Compare(key) == 0
+}
+
+// TestSearchMatchesCompare: the typed node search returns what a binary
+// search with types.Row.Compare over the materialized keys returns, in every
+// node of trees over each key kind with NULL runs, -0 and +0, ±Inf and
+// duplicate-heavy composite keys, for probes of the stored kinds, of every
+// other kind (FLOAT into INT, INT into FLOAT, STRING into DATE), NULL,
+// one-column prefixes and over-long keys.
+func TestSearchMatchesCompare(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	floats := []float64{math.Inf(-1), -3.5, -1, negZero, 0, 0.5, 2, 2.5, 7, math.Inf(1)}
+	schemas := [][]types.Kind{
+		{types.KindInt}, {types.KindDate}, {types.KindBool}, {types.KindFloat}, {types.KindString},
+		{types.KindInt, types.KindFloat}, {types.KindString, types.KindInt}, {types.KindBool, types.KindDate, types.KindString},
+	}
+	r := rand.New(rand.NewSource(38))
+	value := func(k types.Kind, span int) types.Datum {
+		v := int64(r.Intn(span) - span/3)
+		switch k {
+		case types.KindInt:
+			return types.NewInt(v)
+		case types.KindDate:
+			return types.NewDate(v)
+		case types.KindBool:
+			return types.NewBool(v%2 == 0)
+		case types.KindFloat:
+			if r.Intn(2) == 0 {
+				return types.NewFloat(floats[r.Intn(len(floats))])
+			}
+			return types.NewFloat(float64(v) / 2)
+		default:
+			return types.NewString(fmt.Sprintf("k%03d", v))
+		}
+	}
+	probeKinds := []types.Kind{types.KindNull, types.KindInt, types.KindDate, types.KindBool, types.KindFloat, types.KindString}
+	for _, kinds := range schemas {
+		for _, span := range []int{5, 60, 4000} {
+			tr := New(kinds...)
+			for i := 0; i < 3000; i++ {
+				key := make(types.Row, len(kinds))
+				for c, k := range kinds {
+					if r.Intn(8) == 0 {
+						key[c] = types.Null
+					} else {
+						key[c] = value(k, span)
+					}
+				}
+				tr.Insert(key, rid(i))
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			var nodes []*node
+			walkNodes(tr.root, func(n *node) { nodes = append(nodes, n) })
+			for p := 0; p < 4000; p++ {
+				n := nodes[r.Intn(len(nodes))]
+				var probe types.Row
+				switch r.Intn(4) {
+				case 0: // a stored key, or a prefix of one
+					if n.len() == 0 {
+						continue
+					}
+					probe = Key{tr, n, r.Intn(n.len())}.Row()
+					if len(probe) > 1 && r.Intn(2) == 0 {
+						probe = probe[:1]
+					}
+				default: // of any length and any kinds
+					probe = make(types.Row, r.Intn(len(kinds)+2))
+					for c := range probe {
+						switch {
+						case c < len(kinds) && r.Intn(2) == 0:
+							probe[c] = value(kinds[c], span)
+						case r.Intn(6) == 0:
+							probe[c] = types.Null
+						default:
+							probe[c] = value(probeKinds[1+r.Intn(len(probeKinds)-1)], span)
+						}
+					}
+				}
+				gi, gx := tr.search(n, probe)
+				wi, wx := searchByCompare(tr, n, probe)
+				if gi != wi || gx != wx {
+					t.Fatalf("%v span %d: search(%v) = %d, %v; Row.Compare search %d, %v", kinds, span, probe, gi, gx, wi, wx)
+				}
+			}
+		}
+	}
+}
+
+// TestTreeShapeByLoadOrder: an ascending load fills every node it passes
+// (the right-edge split), so 200k ascending INT keys make a tree of height
+// 3 with at least 60 keys per leaf, where mid-point splits left 6,451 leaves
+// of 31 keys at height 4; a shuffled load still splits at mid-points and
+// keeps its 4,520 leaves. A key past the rightmost leaf's last key is the
+// only one that splits there.
+func TestTreeShapeByLoadOrder(t *testing.T) {
+	const n = 200000
+	shuffled := rand.New(rand.NewSource(1)).Perm(n)
+	for _, tc := range []struct {
+		name       string
+		key        func(i int) int64
+		height     int
+		minPerLeaf float64
+		leaves     int // 0: not pinned
+	}{
+		{"ascending", func(i int) int64 { return int64(i) }, 3, 60, 0},
+		{"shuffled", func(i int) int64 { return int64(shuffled[i]) }, 4, 0, 4520},
+	} {
+		tr := New(types.KindInt)
+		for i := 0; i < n; i++ {
+			tr.Insert(intKey(tc.key(i)), rid(i))
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		leaves := len(leavesOf(tr.root))
+		perLeaf := float64(n) / float64(leaves)
+		t.Logf("%s: height %d, %d leaves, %.1f keys per leaf", tc.name, tr.Height(), leaves, perLeaf)
+		if tr.Height() != tc.height {
+			t.Errorf("%s: height %d, want %d", tc.name, tr.Height(), tc.height)
+		}
+		if perLeaf < tc.minPerLeaf {
+			t.Errorf("%s: %.1f keys per leaf, want at least %.0f", tc.name, perLeaf, tc.minPerLeaf)
+		}
+		if tc.leaves != 0 && leaves != tc.leaves {
+			t.Errorf("%s: %d leaves, want %d", tc.name, leaves, tc.leaves)
 		}
 	}
 }

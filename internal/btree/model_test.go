@@ -155,6 +155,40 @@ func (g gen) datum(k types.Kind) types.Datum {
 	}
 }
 
+// after returns a stored key that sorts after key: its last column that
+// can grow grows (an INT or DATE by 1–3, a FLOAT by a quarter or more, a
+// STRING by a letter, a BOOL from false to true, a NULL to a value) and the
+// columns after it are drawn afresh. A key no column of which can grow
+// (all +Inf or TRUE) comes back as itself.
+func (g gen) after(kinds []types.Kind, key types.Row) types.Row {
+	out := key.Clone()
+	for c := len(kinds) - 1; c >= 0; c-- {
+		d := out[c]
+		switch {
+		case d.IsNull():
+			d = g.datum(kinds[c])
+		case kinds[c] == types.KindInt:
+			d = types.NewInt(d.Int() + 1 + int64(g.r.Intn(3)))
+		case kinds[c] == types.KindDate:
+			d = types.NewDate(d.IntImage() + 1 + int64(g.r.Intn(3)))
+		case kinds[c] == types.KindFloat:
+			d = types.NewFloat(d.Float() + 0.25*float64(1+g.r.Intn(4)))
+		case kinds[c] == types.KindString:
+			d = types.NewString(d.Str() + fuzzStrs[1+g.r.Intn(len(fuzzStrs)-1)][:1])
+		case kinds[c] == types.KindBool:
+			d = types.NewBool(true)
+		}
+		if d.Compare(out[c]) > 0 {
+			out[c] = d
+			for cc := c + 1; cc < len(kinds); cc++ {
+				out[cc] = g.stored(kinds[cc])
+			}
+			return out
+		}
+	}
+	return out
+}
+
 // key draws a stored key of the given kinds.
 func (g gen) key(kinds []types.Kind) types.Row {
 	k := make(types.Row, len(kinds))
@@ -275,7 +309,9 @@ func checkTree(t *testing.T, tr *Tree, m model, g gen) {
 // FuzzTreeMatchesModel drives a tree of one key shape (INT, DATE, FLOAT
 // with ±Inf, STRING, BOOL, or a two-column composite; NULLs and duplicates
 // throughout) with inserts, deletes of present and absent pairs, bulk loads
-// and sweeps, and compares every read — both enumeration orders, Lookup,
+// ascending appends (keys past the current maximum and duplicates of it,
+// which split the rightmost nodes at their insertion points) and sweeps,
+// and compares every read — both enumeration orders, Lookup,
 // AscendRange over same-kind, cross-kind and NULL bounds with early stops,
 // Min and Max, and the page and row charges — with a sorted-slice model.
 func FuzzTreeMatchesModel(f *testing.F) {
@@ -284,6 +320,7 @@ func FuzzTreeMatchesModel(f *testing.F) {
 		f.Add(uint8(s), int64(3*s), []byte{0, 1, 2, 3, 9, 9, 4, 5, 6, 7, 8, 9, 0, 5, 5, 10})
 		f.Add(uint8(s), int64(3*s+1), []byte{9, 9, 9, 9, 9, 9, 6, 6, 6, 10, 9, 9, 7, 7, 10})
 		f.Add(uint8(s), int64(3*s+2), []byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 10, 11, 11, 10, 8, 10})
+		f.Add(uint8(s), int64(3*s+2), []byte{12, 12, 12, 10, 9, 12, 12, 10, 11, 12, 12, 5, 7, 10, 8, 12, 10})
 	}
 	f.Fuzz(func(t *testing.T, schema uint8, seed int64, ops []byte) {
 		kinds := fuzzSchemas[int(schema)%len(fuzzSchemas)]
@@ -293,17 +330,18 @@ func FuzzTreeMatchesModel(f *testing.F) {
 		var m model
 		next := 0
 		key := func() types.Row { return g.key(kinds) }
-		insert := func() {
-			k, id := key(), rid(next*37%100003)
+		insertKey := func(k types.Row) {
+			id := rid(next * 37 % 100003)
 			next++
 			tr.Insert(k, id)
 			m.insert(k, id)
 		}
+		insert := func() { insertKey(key()) }
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
 		for _, op := range ops {
-			switch op % 12 {
+			switch op % 13 {
 			case 0, 1, 2, 3, 4:
 				insert()
 			case 5, 6: // delete a present pair
@@ -341,6 +379,17 @@ func FuzzTreeMatchesModel(f *testing.F) {
 					}
 					tr.Delete(e.key, e.rids[0])
 					m.delete(e.key, e.rids[0])
+				}
+			case 12: // ascending append past the maximum, with duplicates of it
+				for i := 0; i < 100+r.Intn(200); i++ {
+					switch {
+					case len(m) == 0:
+						insert()
+					case r.Intn(4) == 0:
+						insertKey(m[len(m)-1].key)
+					default:
+						insertKey(g.after(kinds, m[len(m)-1].key))
+					}
 				}
 			}
 		}

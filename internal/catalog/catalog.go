@@ -1,7 +1,9 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -452,7 +454,7 @@ func (c *Catalog) SummariesOn(base string) []*SummaryTable {
 			out = append(out, st)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *SummaryTable) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -493,7 +495,7 @@ func (c *Catalog) Correlations(table string) []*LinearCorrelation {
 			out = append(out, lc)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *LinearCorrelation) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -591,7 +593,7 @@ func (c *Catalog) JoinHolesOn(table string) []*JoinHoles {
 			out = append(out, jh)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *JoinHoles) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 

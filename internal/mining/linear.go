@@ -9,6 +9,7 @@ package mining
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -23,7 +24,9 @@ import (
 // distribution, from which ε envelopes at any confidence are read off.
 type LinearFit struct {
 	K, B0 float64
-	// AbsResiduals are |A - (K*B + B0)| sorted ascending.
+	// AbsResiduals are |A - (K*B + B0)|, in no particular order:
+	// EpsForConfidence reads the largest with a scan and a quantile by
+	// selection, which reorders them.
 	AbsResiduals []float64
 	N            int
 	// RangeA is the spread of A values, for judging ε's selectivity.
@@ -108,15 +111,13 @@ func fitLinearPoints(xs, ys []float64) (*LinearFit, error) {
 	}
 	k := (fn*sumXY - sumX*sumY) / den
 	b0 := (sumY - k*sumX) / fn
-	fit := &LinearFit{K: k, B0: b0, N: n, xs: xs, ys: ys}
+	fit := &LinearFit{K: k, B0: b0, N: n, xs: xs, ys: ys, AbsResiduals: make([]float64, n)}
 	minA, maxA := math.Inf(1), math.Inf(-1)
 	for i := range xs {
-		r := math.Abs(ys[i] - (k*xs[i] + b0))
-		fit.AbsResiduals = append(fit.AbsResiduals, r)
+		fit.AbsResiduals[i] = math.Abs(ys[i] - (k*xs[i] + b0))
 		minA = math.Min(minA, ys[i])
 		maxA = math.Max(maxA, ys[i])
 	}
-	sort.Float64s(fit.AbsResiduals)
 	fit.RangeA = maxA - minA
 	return fit, nil
 }
@@ -124,21 +125,26 @@ func fitLinearPoints(xs, ys []float64) (*LinearFit, error) {
 // EpsForConfidence returns an ε at which the envelope K*B + B0 ± ε admits
 // (catalog.LinearCorrelation.Admits) at least the given fraction of the
 // fitted rows; confidence 1 asks for an absolute envelope. It starts from
-// the residual |A - (K*B+B0)| at that quantile. The residual rounds
-// differently from Admits, so the row defining the envelope can land a
-// rounding step outside it: ε then widens by one unit in the last place of
-// the largest term, doubling each step. Overflowing arithmetic never gets
-// there and returns an infinite or NaN ε.
+// the residual |A - (K*B+B0)| at that quantile, the one sort.Float64s
+// would put at that index: the largest for confidence 1, else a selection.
+// The residual rounds differently from Admits, so the row defining the
+// envelope can land a rounding step outside it: ε then widens by one unit
+// in the last place of the largest term, doubling each step. Overflowing
+// arithmetic never gets there and returns an infinite or NaN ε.
 func (f *LinearFit) EpsForConfidence(confidence float64) float64 {
 	n := len(f.AbsResiduals)
 	if n == 0 {
 		return 0
 	}
 	idx := n - 1
+	var eps float64
 	if confidence < 1 {
 		idx = max(int(math.Ceil(confidence*float64(n)))-1, 0)
+		eps = selectResidual(f.AbsResiduals, idx)
+	} else {
+		eps = largestResidual(f.AbsResiduals)
 	}
-	lc := &catalog.LinearCorrelation{K: f.K, B0: f.B0, Eps: f.AbsResiduals[idx]}
+	lc := &catalog.LinearCorrelation{K: f.K, B0: f.B0, Eps: eps}
 	scale := math.Abs(f.B0)
 	for i := range f.xs {
 		scale = math.Max(scale, math.Max(math.Abs(f.ys[i]), math.Abs(f.K*f.xs[i])))
@@ -149,6 +155,65 @@ func (f *LinearFit) EpsForConfidence(confidence float64) float64 {
 		step *= 2
 	}
 	return lc.Eps
+}
+
+// residualLess is sort.Float64s' order: NaN first, then ascending.
+func residualLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+
+// largestResidual returns the residual sort.Float64s puts last.
+func largestResidual(rs []float64) float64 {
+	top := rs[0]
+	for _, r := range rs[1:] {
+		if residualLess(top, r) {
+			top = r
+		}
+	}
+	return top
+}
+
+// selectResidual returns the residual sort.Float64s puts at index k,
+// reordering rs: a quickselect with three-way partitions (so runs of equal
+// residuals, as an exact fit makes, end it at once) that sorts what is left
+// once it has spent more rounds than a balanced one needs.
+func selectResidual(rs []float64, k int) float64 {
+	lo, hi := 0, len(rs)
+	for rounds := 2 * bits.Len(uint(len(rs))); hi-lo > 16 && rounds > 0; rounds-- {
+		a, b, c := rs[lo], rs[lo+(hi-lo)/2], rs[hi-1]
+		if residualLess(b, a) {
+			a, b = b, a
+		}
+		if residualLess(c, b) {
+			b = c
+			if residualLess(b, a) {
+				b = a
+			}
+		}
+		pivot := b // the median of the three
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch r := rs[i]; {
+			case residualLess(r, pivot):
+				rs[lt], rs[i] = r, rs[lt]
+				lt++
+				i++
+			case residualLess(pivot, r):
+				gt--
+				rs[i], rs[gt] = rs[gt], r
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return rs[k]
+		}
+	}
+	sort.Float64s(rs[lo:hi])
+	return rs[k]
 }
 
 // admitted counts the fitted rows lc.Admits.

@@ -152,7 +152,10 @@ func sameRow(a, b types.Row) bool {
 // from a dump, Truncate, ThawAll — over values at every kind's edges, and
 // checks every read path against the model after each step: page scans
 // (thawed, freezing and frozen), ScanAt, ScanColsAt, GetAt, GetAny,
-// ScanVersions, the checkpoint dump, and every page's zone entry.
+// ScanVersions, the checkpoint dump, and every page's zone entry, which must
+// also hold exactly the words zoneRecompute stores for the page (bounds
+// that only compare equal once a replay has resurrected a slot out of slot
+// order).
 func FuzzHeapMatchesRowModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{9, 200, 1, 2, 3, 9, 200, 4, 5, 6, 2, 1, 3, 3, 4, 5, 5, 9, 6, 7, 8})
@@ -173,6 +176,7 @@ func FuzzHeapMatchesRowModel(f *testing.F) {
 		h := NewHeap(def)
 		m := &heapModel{per: h.RowsPerPage()}
 		clock, tid := int64(1), int64(1000)
+		resurrected := false // a replay merged a slot out of slot order
 		row := func() types.Row {
 			r := make(types.Row, len(def.Columns))
 			for ci, c := range def.Columns {
@@ -252,9 +256,13 @@ func FuzzHeapMatchesRowModel(f *testing.F) {
 				if r != nil {
 					own = r.Clone()
 				}
-				if got, want := h.InsertAtRID(r, rid, begin), m.insertAtRID(own, rid, begin); got != want {
+				n := len(m.pages)
+				behind := int(rid.Page) < n-1 || (int(rid.Page) == n-1 && int(rid.Slot) < len(m.pages[n-1]))
+				got, want := h.InsertAtRID(r, rid, begin), m.insertAtRID(own, rid, begin)
+				if got != want {
 					t.Fatalf("InsertAtRID(%v, %d) = %v, model %v", rid, begin, got, want)
 				}
+				resurrected = resurrected || (got && behind && r != nil)
 			case 7: // a restart from a checkpoint, taken at a quiescent point
 				quiescent := true
 				for _, ps := range m.pages {
@@ -292,9 +300,11 @@ func FuzzHeapMatchesRowModel(f *testing.F) {
 				h.ThawAll()
 			default:
 				checkModel(t, h, m, clock, tid)
+				checkZoneAddMatchesRecompute(t, h, !resurrected)
 			}
 		}
 		checkModel(t, h, m, clock, tid)
+		checkZoneAddMatchesRecompute(t, h, !resurrected)
 	})
 }
 

@@ -158,12 +158,40 @@ func (h *Heap) zoneAdd(pi int, row types.Row) {
 }
 
 // merge folds one value into entry i of the column, storing only the words
-// that change.
+// that change. A value stored as a word (INT, DATE, BOOL, FLOAT) whose
+// entry has no bounds or bounds of its own kind compares with the stored
+// words directly: int64 images in integer order, FLOAT bits as
+// types.CompareFloat orders them, so a bound that ties (−0 after +0) keeps
+// the value merged first, as Datum.Compare's merge does. Any other value
+// merges through the bound datums.
 func (zc *zoneCols) merge(i int, d types.Datum) {
 	m := zc.meta[i].Load()
 	nulls, lk, hk := unpackMeta(m)
-	if d.IsNull() {
+	k := d.Kind()
+	switch {
+	case k == types.KindNull:
 		zc.meta[i].Store(m + 1)
+		return
+	case imaged(k) && (lk == types.KindNull || lk == k) && (hk == types.KindNull || hk == k):
+		w := image(d)
+		lw, hw := zc.lo[i].Load(), zc.hi[i].Load()
+		var below, above bool
+		if k == types.KindFloat {
+			v := d.Float()
+			below = lk == types.KindNull || types.CompareFloat(v, math.Float64frombits(uint64(lw))) < 0
+			above = hk == types.KindNull || types.CompareFloat(v, math.Float64frombits(uint64(hw))) > 0
+		} else {
+			below, above = lk == types.KindNull || w < lw, hk == types.KindNull || w > hw
+		}
+		if below {
+			zc.lo[i].Store(w)
+		}
+		if above {
+			zc.hi[i].Store(w)
+		}
+		if lk == types.KindNull || hk == types.KindNull {
+			zc.meta[i].Store(packMeta(nulls, k, k))
+		}
 		return
 	}
 	lo, hi := zc.bounds(i, lk, hk)
