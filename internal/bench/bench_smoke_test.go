@@ -307,15 +307,23 @@ func TestR1Shape(t *testing.T) {
 			t.Fatalf("missing row %q in %v", key, rep.Rows)
 		}
 	}
-	// Cancellation latency must be a small multiple of the checkpoint
-	// interval (one stalled page = 1ms), not the full-scan time.
-	if lat := lastFloat(t, rows["cancel-latency/slow-pages 1ms"][2]); lat > 100 {
-		t.Errorf("cancellation latency %.1fms; a canceled scan should stop within a few pages", lat)
+	// A canceled scan stops at its next page checkpoint: at most the page
+	// that was being read when cancel() fired and one whose read began
+	// beside it. The latency stays in the report; the page count gates.
+	lastField := func(cell string) float64 {
+		f := strings.Fields(cell)
+		return lastFloat(t, f[len(f)-1])
 	}
-	// The deadline run must return near the 5ms deadline, not after the
-	// (multi-second) stalled full scan.
-	if took := lastFloat(t, rows["deadline/stmt-timeout 5ms"][2]); took > 500 {
-		t.Errorf("deadline run took %.1fms against a 5ms timeout", took)
+	if pages := lastField(rows["cancel-latency/slow-pages 1ms"][3]); pages > 2 {
+		t.Errorf("a canceled scan read %.0f pages after cancel(); it should stop at the next checkpoint", pages)
+	}
+	// The deadline run stops at the first checkpoint past 5ms, and every
+	// page stalls at least 1ms, so it reads at most 5 pages plus the one in
+	// flight and one beside it. A slow machine stalls longer and reads
+	// fewer, so the ceiling cannot flake; the stalled full scan reads
+	// hundreds.
+	if pages := lastField(rows["deadline/stmt-timeout 5ms"][3]); pages > 7 {
+		t.Errorf("the deadline run read %.0f pages against a 5ms timeout at 1ms a page", pages)
 	}
 }
 
@@ -324,10 +332,9 @@ func TestS1Shape(t *testing.T) {
 		Rows: 4000, Clients: 8, ParityOps: 4, MixedOps: 10,
 		OverloadOps: 2, BaselineOps: 4, SlowPageUs: 1000, ShedDepth: 0, MaxConc: 2,
 	}
-	// The latency criterion in the shed row compares two measured timings;
-	// one retry absorbs a scheduler hiccup on a loaded CI machine. The
-	// semantic criteria (parity, invalidation, shed counts) must hold on
-	// the first run.
+	// Every criterion is a count, so none needs a retry: the shed row's
+	// latency stays in the report, but two timings on a loaded machine do
+	// not gate.
 	rep := runS1(t, cfg)
 	find := func(phase, configPrefix string) []string {
 		t.Helper()
@@ -352,12 +359,14 @@ func TestS1Shape(t *testing.T) {
 	if shedN <= 0 {
 		t.Errorf("overload against the shed server must reject statements: %d of %d", shedN, total)
 	}
-	shedRow := find("overload", "shed (")
-	if !strings.Contains(shedRow[3], "within 2x unloaded p99: true") {
-		rep = runS1(t, cfg) // timing-only retry
-		if shedRow = find("overload", "shed ("); !strings.Contains(shedRow[3], "within 2x unloaded p99: true") {
-			t.Errorf("shed-mode accepted latency missed the 2x bar twice: %v", shedRow)
-		}
+	// Admitted statements never run more than MaxConc at a time: the gate,
+	// not the clock, is what bounds an accepted statement's latency.
+	var peak, gate int
+	if _, err := fmt.Sscanf(find("overload", "admitted concurrency")[2], "peak %d of gate %d", &peak, &gate); err != nil {
+		t.Fatalf("admitted concurrency cell: %v", err)
+	}
+	if peak < 1 || peak > cfg.MaxConc || gate != cfg.MaxConc {
+		t.Errorf("admitted statements ran %d at once against a gate of %d (want 1..%d)", peak, gate, cfg.MaxConc)
 	}
 }
 
@@ -395,7 +404,10 @@ func TestO2Shape(t *testing.T) {
 	// The 5% claim is asserted at full scale by the experiment's note; at
 	// smoke scale timer noise dominates, so gate only against a gross
 	// regression (the ledger doubling query cost would indicate a lock or
-	// allocation on the hot path).
+	// allocation on the hot path). This ceiling cannot flake on a loaded
+	// host: it compares minima over strictly interleaved ledger-on and
+	// ledger-off runs, and noise only adds time, so it fails only when
+	// every ledger-on run takes twice the fastest ledger-off run beside it.
 	for _, row := range overhead {
 		if pct := lastFloat(t, row[2]); pct > 100 {
 			t.Errorf("%s: ledger overhead %.1f%%; crediting should be near-free", row[1], pct)

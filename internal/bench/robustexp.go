@@ -57,13 +57,19 @@ func R1Robustness(factRows int) (*Report, error) {
 			fmt.Sprintf("overhead %+.1f%%", (onMs/offMs-1)*100))
 	}
 
-	// (b) Cancellation latency under 1ms/page slow pages.
+	// (b) Cancellation latency under 1ms/page slow pages. Every page read
+	// is a fault decision, so the decisions after cancel() count the pages
+	// a canceled scan still read.
 	db.Fault = fault.New(fault.Config{SlowProb: 1, SlowDelay: time.Millisecond})
+	pagesRead := func() int64 { return db.Fault.Stats().Decisions }
 	var latencies []float64
+	var pagesAfter int64
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		canceledAt := make(chan time.Time, 1)
+		var atCancel int64
 		timer := time.AfterFunc(5*time.Millisecond, func() {
+			atCancel = pagesRead()
 			canceledAt <- time.Now()
 			cancel()
 		})
@@ -76,20 +82,24 @@ func R1Robustness(factRows int) (*Report, error) {
 			return nil, fmt.Errorf("R1: canceled query returned %T: %v", err, err)
 		}
 		latencies = append(latencies, float64(returned.Sub(<-canceledAt).Microseconds())/1000)
+		if n := pagesRead() - atCancel; n > pagesAfter {
+			pagesAfter = n
+		}
 	}
 	sort.Float64s(latencies)
 	rep.AddRow("cancel-latency", "slow-pages 1ms", fmt.Sprintf("%.2f", latencies[len(latencies)/2]),
-		"cancel() to typed error, median of 5")
+		fmt.Sprintf("cancel() to typed error, median of 5; pages read after cancel: at most %d", pagesAfter))
 
 	// (c) Deadline and budget enforcement.
 	db.StmtTimeout = 5 * time.Millisecond
-	start := time.Now()
+	start, before := time.Now(), pagesRead()
 	_, err = db.Exec(R1Queries[0].SQL)
 	tookMs := float64(time.Since(start).Microseconds()) / 1000
 	if qe, ok := exec.AsQueryError(err); !ok || qe.Kind != exec.KindTimeout {
 		return nil, fmt.Errorf("R1: deadline run returned %T: %v", err, err)
 	}
-	rep.AddRow("deadline", "stmt-timeout 5ms", fmt.Sprintf("%.2f", tookMs), "typed timeout error")
+	rep.AddRow("deadline", "stmt-timeout 5ms", fmt.Sprintf("%.2f", tookMs),
+		fmt.Sprintf("typed timeout error; pages read: %d", pagesRead()-before))
 	db.StmtTimeout = 0
 	db.Fault = nil
 

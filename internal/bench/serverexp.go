@@ -261,8 +261,24 @@ func S1Server(cfg S1Config) (*Report, error) {
 		"violating INSERT deactivates the ASC for every session")
 
 	// (d) Overload: slow pages against the admission gate, queue vs shed.
+	// Only an admitted statement reads pages, so the peak number of
+	// concurrent page stalls counts admitted statements running at once.
 	db.Fault = fault.New(fault.Config{SlowProb: 1, SlowDelay: time.Duration(cfg.SlowPageUs) * time.Microsecond})
 	defer func() { db.Fault = nil }()
+	var stalls struct {
+		sync.Mutex
+		now, peak int
+	}
+	db.Fault.SetSleep(func(d time.Duration) {
+		stalls.Lock()
+		stalls.now++
+		stalls.peak = max(stalls.peak, stalls.now)
+		stalls.Unlock()
+		time.Sleep(d)
+		stalls.Lock()
+		stalls.now--
+		stalls.Unlock()
+	})
 	slowQ := func(c, op int, r *rand.Rand) string {
 		return "SELECT COUNT(*) AS n FROM t WHERE c >= 0"
 	}
@@ -296,6 +312,9 @@ func S1Server(cfg S1Config) (*Report, error) {
 	rep.AddRow("overload", "shed rejections",
 		fmt.Sprintf("%d of %d", shed.Shed, shed.Requests),
 		fmt.Sprintf("fail-fast %s", shed.ShedLat.String()))
+	rep.AddRow("overload", "admitted concurrency",
+		fmt.Sprintf("peak %d of gate %d", stalls.peak, cfg.MaxConc),
+		"most statements stalled in page reads at once, queue and shed phases")
 	rep.Notef("queue server %s, shed server %s; overload pages stalled %dµs each",
 		queueAddr, shedAddr, cfg.SlowPageUs)
 	if queued.Shed != 0 {

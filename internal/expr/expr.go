@@ -36,6 +36,9 @@ const (
 	OpNeg
 	OpIsNull
 	OpIsNotNull
+	// OpFloat is CAST(x AS FLOAT): a number, date or boolean widened to
+	// FLOAT the way SUM and AVG widen their values.
+	OpFloat
 )
 
 // String renders the operator in SQL spelling.
@@ -73,6 +76,8 @@ func (o Op) String() string {
 		return "IS NULL"
 	case OpIsNotNull:
 		return "IS NOT NULL"
+	case OpFloat:
+		return "CAST AS FLOAT"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -346,7 +351,8 @@ func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op.String() + " " + b.R.String() + ")"
 }
 
-// Unary applies a unary operator (NOT, -, IS NULL, IS NOT NULL).
+// Unary applies a unary operator (NOT, -, IS NULL, IS NOT NULL, CAST AS
+// FLOAT).
 type Unary struct {
 	Op Op
 	X  Expr
@@ -380,6 +386,14 @@ func (u *Unary) Eval(row types.Row) (types.Datum, error) {
 		return types.NewBool(v.IsNull()), nil
 	case OpIsNotNull:
 		return types.NewBool(!v.IsNull()), nil
+	case OpFloat:
+		if v.IsNull() {
+			return types.Null, nil
+		}
+		if !v.IsNumeric() && v.Kind() != types.KindBool {
+			return types.Null, fmt.Errorf("expr: cannot cast %s to FLOAT", v.Kind())
+		}
+		return types.NewFloat(v.Float()), nil
 	default:
 		return types.Null, fmt.Errorf("expr: unknown unary operator %s", u.Op)
 	}
@@ -390,6 +404,8 @@ func (u *Unary) Type() types.Kind {
 	switch u.Op {
 	case OpNeg:
 		return u.X.Type()
+	case OpFloat:
+		return types.KindFloat
 	default:
 		return types.KindBool
 	}
@@ -400,6 +416,8 @@ func (u *Unary) String() string {
 	switch u.Op {
 	case OpIsNull, OpIsNotNull:
 		return "(" + u.X.String() + " " + u.Op.String() + ")"
+	case OpFloat:
+		return "CAST(" + u.X.String() + " AS FLOAT)"
 	default:
 		return "(" + u.Op.String() + " " + u.X.String() + ")"
 	}

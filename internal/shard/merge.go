@@ -1,53 +1,53 @@
 package shard
 
 import (
+	"context"
 	"fmt"
-	"math/bits"
-	"sort"
+	"math/big"
+	"slices"
 	"strings"
 
+	"softdb/internal/client"
 	"softdb/internal/exec"
 	"softdb/internal/expr"
+	"softdb/internal/plan"
 	"softdb/internal/sql"
 	"softdb/internal/types"
 )
 
-// selectPlan is a multi-shard SELECT's split into a per-shard statement
-// and a router-side merge. Single-target queries never build one — they
-// proxy verbatim, so every engine feature works unreduced on one shard;
-// the plan exists only where the router genuinely has to combine rows.
+// selectPlan is a multi-shard SELECT split into two phases of one plan: the
+// statement every contacted shard runs, and the router's phase, a tree of
+// the engine's own operators over the shards' rows (merge). Single-target
+// queries never build one — they proxy verbatim, so every engine feature
+// works unreduced on one shard.
+//
+// A shard's result is the original select items verbatim, so its row
+// description carries the names one node would give, then the trailing
+// helper columns helpers counts: a plain SELECT's ORDER BY keys, and an
+// aggregate SELECT's AVG partials and the GROUP BY keys it does not select.
+// The router's operators read the helpers and drop them, as the single-node
+// builder drops its hidden sort columns.
 type selectPlan struct {
 	perShard *sql.Select
-	agg      *aggPlan // nil: plain row merge
+	helpers  int
 	distinct bool
-	order    []orderKey
-	hasOrder bool
-	limit    int64 // -1: none
+	// keys order the merged rows. An aggregate SELECT's ordinals index its
+	// select items; a plain SELECT's index its helper columns.
+	keys  []plan.SortKey
+	limit int64 // -1: none
+	// An aggregate SELECT's merge: groupBy are the per-shard ordinals of the
+	// group key, and items says how each select item merges.
+	groupBy []int
+	items   []mergeItem
 }
 
-type orderKey struct {
-	col  int
-	desc bool
-}
-
-// aggPlan maps per-shard partial-aggregate rows onto final output rows.
-// Per-shard output layout: the original select items verbatim (so the
-// shard's row description carries the exact column names the engine would
-// produce single-node, aliases included), then appended helper columns —
-// SUM and COUNT partials for each AVG, and any GROUP BY expression absent
-// from the select list (needed to key the combine). The helper columns are
-// sliced off the merged result. AVG partials recombine exactly: the final
-// SUM/COUNT division is the one the engine's accumulator does single-node.
-type aggPlan struct {
-	groupSrc []int // per-shard column indices forming the group key
-	outs     []aggOut
-}
-
-type aggOut struct {
-	name string
-	kind sql.AggKind // AggNone: group-key passthrough
-	src  int         // per-shard column index holding the partial
-	src2 int         // AVG's COUNT partial (src is its SUM partial)
+// mergeItem merges one select item of an aggregate SELECT. A GROUP BY
+// passthrough (AggNone) reads group key position src; an aggregate folds the
+// partial in per-shard column src (AVG: its FLOAT sum, with its count in
+// src2; a split SUM: its high part, with its low part in src2).
+type mergeItem struct {
+	kind      sql.AggKind
+	src, src2 int
 }
 
 func errUnsupported(what string) error {
@@ -56,75 +56,62 @@ func errUnsupported(what string) error {
 
 func exprKey(e expr.Expr) string { return strings.ToLower(e.String()) }
 
-// schemaFn resolves a table's column names (the router fetches them from
-// a shard and caches); nil when no resolver is available.
-type schemaFn func(table string) ([]string, error)
-
 // planSelect splits s for fan-out over more than one shard.
-func planSelect(s *sql.Select, schema schemaFn) (*selectPlan, error) {
+func planSelect(s *sql.Select) (*selectPlan, error) {
 	if s.UnionAll != nil {
 		return nil, errUnsupported("UNION ALL")
 	}
 	if s.Having != nil {
 		return nil, errUnsupported("HAVING")
 	}
-	hasAgg := false
-	for _, it := range s.Items {
-		if it.Agg != sql.AggNone {
-			hasAgg = true
-		}
-	}
-	if !hasAgg && len(s.GroupBy) == 0 {
-		return planPlainSelect(s, schema)
+	if len(s.GroupBy) == 0 && !slices.ContainsFunc(s.Items, func(it sql.SelectItem) bool { return it.Agg != sql.AggNone }) {
+		return planPlainSelect(s), nil
 	}
 	return planAggSelect(s)
 }
 
 // planPlainSelect handles projection-only queries: each shard runs the
-// statement as written (ORDER BY and LIMIT push down — a shard's top-k
-// superset of the global top-k), and the router concatenates, dedupes
-// under DISTINCT, re-sorts, and re-applies LIMIT.
-func planPlainSelect(s *sql.Select, schema schemaFn) (*selectPlan, error) {
-	p := &selectPlan{perShard: s, distinct: s.Distinct, limit: s.Limit}
-	if len(s.OrderBy) == 0 {
-		return p, nil
+// statement with its ORDER BY keys appended as helper columns (ORDER BY and
+// LIMIT push down — a shard's top-k is a superset of its share of the global
+// top-k), and the router dedupes under DISTINCT, sorts on the helpers, drops
+// them and re-applies LIMIT.
+func planPlainSelect(s *sql.Select) *selectPlan {
+	perShard := *s
+	perShard.Items = append([]sql.SelectItem(nil), s.Items...)
+	p := &selectPlan{perShard: &perShard, distinct: s.Distinct, limit: s.Limit}
+	for i, oi := range s.OrderBy {
+		p.helper(sql.SelectItem{Expr: unalias(oi.Expr, s.Items)})
+		p.keys = append(p.keys, plan.SortKey{Ordinal: i, Desc: oi.Desc})
 	}
-	// Re-sorting at the router needs every sort key resolvable to an
-	// output column of the per-shard result. Star items are expanded via
-	// the schema so item indexes stay aligned with column offsets.
-	outCols, err := outputColumns(s, schema)
-	if err != nil {
-		return nil, err
-	}
-	items, err := expandItems(s, schema)
-	if err != nil {
-		return nil, err
-	}
-	for _, oi := range s.OrderBy {
-		idx := resolveOrderExpr(oi.Expr, items, outCols)
-		if idx < 0 {
-			return nil, errUnsupported(fmt.Sprintf("ORDER BY %s (not an output column)", oi.Expr))
-		}
-		p.order = append(p.order, orderKey{col: idx, desc: oi.Desc})
-	}
-	p.hasOrder = true
-	return p, nil
+	return p
 }
 
-// planAggSelect decomposes aggregates into per-shard partials.
+// unalias replaces an ORDER BY key naming a select item's alias with that
+// item's expression, which the helper column can select.
+func unalias(key expr.Expr, items []sql.SelectItem) expr.Expr {
+	if c, ok := key.(*expr.Column); ok && c.Qualifier == "" {
+		for _, it := range items {
+			if it.Alias != "" && strings.EqualFold(it.Alias, c.Name) {
+				return it.Expr
+			}
+		}
+	}
+	return key
+}
+
+// planAggSelect decomposes aggregates into per-shard partials: COUNT, SUM,
+// MIN and MAX run as written and fold again at the router; AVG sends its
+// FLOAT sum and its count as helpers, because one node's AVG sums in FLOAT
+// (an exact INT sum could overflow on a shard where one node's AVG answers).
 func planAggSelect(s *sql.Select) (*selectPlan, error) {
 	if s.Distinct {
 		return nil, errUnsupported("DISTINCT with aggregates")
 	}
-	perShard := &sql.Select{From: s.From, Where: s.Where, GroupBy: s.GroupBy, Limit: -1}
-	perShard.Items = append(perShard.Items, s.Items...)
-	groupKeys := map[string]bool{}
-	for _, g := range s.GroupBy {
-		groupKeys[exprKey(g)] = true
+	perShard := &sql.Select{Items: slices.Clone(s.Items), From: s.From, Where: s.Where, GroupBy: s.GroupBy, Limit: -1}
+	p := &selectPlan{perShard: perShard, limit: s.Limit, groupBy: make([]int, len(s.GroupBy))}
+	for i := range p.groupBy {
+		p.groupBy[i] = -1
 	}
-	ap := &aggPlan{}
-	next := len(s.Items)
-	scalarAt := map[string]int{} // exprKey of a scalar item -> its position
 	for i, it := range s.Items {
 		switch {
 		case it.Star:
@@ -133,364 +120,199 @@ func planAggSelect(s *sql.Select) (*selectPlan, error) {
 			return nil, errUnsupported("COUNT(DISTINCT)")
 		case it.Agg == sql.AggAvg:
 			// The shard's own AVG column at position i is only there for
-			// its name; the value is recomputed from the appended partials.
-			perShard.Items = append(perShard.Items,
-				sql.SelectItem{Agg: sql.AggSum, Expr: it.Expr},
-				sql.SelectItem{Agg: sql.AggCount, Expr: it.Expr})
-			ap.outs = append(ap.outs, aggOut{name: itemName(it), kind: sql.AggAvg, src: next, src2: next + 1})
-			next += 2
+			// its name.
+			sum := p.helper(sql.SelectItem{Agg: sql.AggSum, Expr: expr.NewUnary(expr.OpFloat, it.Expr)})
+			count := p.helper(sql.SelectItem{Agg: sql.AggCount, Expr: it.Expr})
+			p.items = append(p.items, mergeItem{kind: sql.AggAvg, src: sum, src2: count})
 		case it.Agg != sql.AggNone:
-			ap.outs = append(ap.outs, aggOut{name: itemName(it), kind: it.Agg, src: i})
+			p.items = append(p.items, mergeItem{kind: it.Agg, src: i})
 		default:
-			if !groupKeys[exprKey(it.Expr)] {
+			g := slices.IndexFunc(s.GroupBy, func(g expr.Expr) bool { return exprKey(g) == exprKey(it.Expr) })
+			if g < 0 {
 				return nil, fmt.Errorf("shard: %s must appear in GROUP BY or an aggregate", it.Expr)
 			}
-			scalarAt[exprKey(it.Expr)] = i
-			ap.outs = append(ap.outs, aggOut{name: itemName(it), kind: sql.AggNone, src: i})
+			p.groupBy[g] = i
+			p.items = append(p.items, mergeItem{kind: sql.AggNone, src: g})
 		}
 	}
-	for _, g := range s.GroupBy {
-		if at, ok := scalarAt[exprKey(g)]; ok {
-			ap.groupSrc = append(ap.groupSrc, at)
-			continue
+	for g, at := range p.groupBy {
+		if at < 0 {
+			p.groupBy[g] = p.helper(sql.SelectItem{Expr: s.GroupBy[g]})
 		}
-		perShard.Items = append(perShard.Items, sql.SelectItem{Expr: g})
-		ap.groupSrc = append(ap.groupSrc, next)
-		next++
 	}
-	p := &selectPlan{perShard: perShard, agg: ap, limit: s.Limit}
-	if len(s.OrderBy) > 0 {
-		finalCols := make([]string, len(ap.outs))
-		finalItems := make([]sql.SelectItem, len(s.Items))
-		copy(finalItems, s.Items)
-		for i, o := range ap.outs {
-			finalCols[i] = o.name
+	for _, oi := range s.OrderBy {
+		i := groupedOrderItem(oi.Expr, s.Items)
+		if i < 0 {
+			return nil, fmt.Errorf("shard: ORDER BY %s must reference the select list of a grouped query", oi.Expr)
 		}
-		for _, oi := range s.OrderBy {
-			idx := resolveOrderExpr(oi.Expr, finalItems, finalCols)
-			if idx < 0 {
-				return nil, errUnsupported(fmt.Sprintf("ORDER BY %s (not an output column)", oi.Expr))
-			}
-			p.order = append(p.order, orderKey{col: idx, desc: oi.Desc})
-		}
-		p.hasOrder = true
+		p.keys = append(p.keys, plan.SortKey{Ordinal: i, Desc: oi.Desc})
 	}
 	return p, nil
 }
 
-// itemName predicts the engine's output column name for a select item,
-// mirroring plan.Builder naming: the alias when present, the written
-// column name for bare columns, COUNT(*)/AGG(expr) lowercased for
-// aggregates, and the expression's display form otherwise.
-func itemName(it sql.SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
+// helper appends a helper column to the per-shard statement.
+func (p *selectPlan) helper(it sql.SelectItem) int {
+	p.perShard.Items = append(p.perShard.Items, it)
+	p.helpers++
+	return len(p.perShard.Items) - 1
+}
+
+// split is the radix a split SUM cuts its values at.
+const split = 1 << 32
+
+// splitSums sends every SUM as the sums of its values' high and low parts
+// (x / 2^32 and x - x / 2^32 * 2^32 in INT arithmetic), neither of which
+// can leave the INT range on a shard, for the router to add back exactly
+// (wideSum). A SUM whose partial overflowed on one shard may still fit
+// overall, as one node's exact sum does.
+func (p *selectPlan) splitSums() {
+	per := *p.perShard
+	per.Items = append([]sql.SelectItem(nil), per.Items...)
+	p.perShard = &per
+	radix := expr.NewConst(types.NewInt(split))
+	for i, it := range p.items {
+		if it.kind != sql.AggSum {
+			continue
+		}
+		x := per.Items[it.src].Expr
+		hi := expr.NewBinary(expr.OpDiv, x, radix)
+		per.Items[it.src].Expr = hi
+		p.items[i].src2 = p.helper(sql.SelectItem{Agg: sql.AggSum,
+			Expr: expr.NewBinary(expr.OpSub, x, expr.NewBinary(expr.OpMul, hi, radix))})
 	}
+}
+
+// wideSum adds a split SUM's parts, in columns hi and lo, back together:
+// hi * 2^32 + lo, exactly when both are INT — failing as one node's SUM does
+// when the total leaves the INT range — and in FLOAT when they are FLOAT.
+type wideSum struct{ hi, lo int }
+
+func (w *wideSum) Eval(row types.Row) (types.Datum, error) {
+	h, l := row[w.hi], row[w.lo]
 	switch {
-	case it.Agg == sql.AggCountStar:
-		return "count(*)"
-	case it.Agg != sql.AggNone:
-		return strings.ToLower(fmt.Sprintf("%s(%s)", it.Agg, it.Expr))
-	default:
-		if c, ok := it.Expr.(*expr.Column); ok {
-			return c.Name
-		}
-		return it.Expr.String()
+	case h.IsNull():
+		return types.Null, nil
+	case h.Kind() == types.KindFloat || l.Kind() == types.KindFloat:
+		return types.NewFloatChecked(h.Float()*split + l.Float())
 	}
+	t := new(big.Int).Lsh(big.NewInt(h.Int()), 32)
+	if !t.Add(t, big.NewInt(l.Int())).IsInt64() {
+		// The total is the router's HashAggregate SUM, finished here.
+		return types.Null, &exec.QueryError{Op: "HashAggregate", Kind: exec.KindError, Err: exec.ErrSumOverflow}
+	}
+	return types.NewInt(t.Int64()), nil
 }
 
-// outputColumns predicts the per-shard result's column names for a plain
-// select, expanding * through the schema resolver.
-func outputColumns(s *sql.Select, schema schemaFn) ([]string, error) {
-	var out []string
-	expand := func(table string) error {
-		if schema == nil {
-			return errUnsupported("ORDER BY combined with *")
-		}
-		cols, err := schema(table)
-		if err != nil {
-			return err
-		}
-		out = append(out, cols...)
-		return nil
-	}
-	for _, it := range s.Items {
-		if it.Star {
-			if it.StarQualifier != "" {
-				for _, ref := range s.From {
-					if strings.EqualFold(ref.Name(), it.StarQualifier) {
-						if err := expand(ref.Table); err != nil {
-							return nil, err
-						}
-					}
-				}
-				continue
-			}
-			for _, ref := range s.From {
-				if err := expand(ref.Table); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		out = append(out, itemName(it))
-	}
-	return out, nil
-}
+func (w *wideSum) Type() types.Kind { return types.KindNull }
 
-// expandItems mirrors outputColumns but yields select items: each star
-// column becomes a bare-column placeholder, keeping item indexes aligned
-// with column offsets for ORDER BY resolution.
-func expandItems(s *sql.Select, schema schemaFn) ([]sql.SelectItem, error) {
-	var out []sql.SelectItem
-	expand := func(table string) error {
-		if schema == nil {
-			return errUnsupported("ORDER BY combined with *")
-		}
-		cols, err := schema(table)
-		if err != nil {
-			return err
-		}
-		for _, c := range cols {
-			out = append(out, sql.SelectItem{Expr: &expr.Column{Name: c}})
-		}
-		return nil
-	}
-	for _, it := range s.Items {
-		if it.Star {
-			for _, ref := range s.From {
-				if it.StarQualifier != "" && !strings.EqualFold(ref.Name(), it.StarQualifier) {
-					continue
-				}
-				if err := expand(ref.Table); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		out = append(out, it)
-	}
-	return out, nil
-}
+func (w *wideSum) String() string { return fmt.Sprintf("(#%d * %d + #%d)", w.hi, split, w.lo) }
 
-// resolveOrderExpr maps an ORDER BY expression to an output column index:
-// by alias, by written-form equality with an item's expression, or by
-// bare-column match against a predicted output name.
-func resolveOrderExpr(e expr.Expr, items []sql.SelectItem, cols []string) int {
-	key := exprKey(e)
-	for i, it := range items {
-		if it.Star {
-			continue
-		}
-		if it.Alias != "" && strings.EqualFold(it.Alias, key) {
-			return i
-		}
-		if it.Expr != nil && it.Agg == sql.AggNone && exprKey(it.Expr) == key {
-			return i
-		}
-	}
-	if c, ok := e.(*expr.Column); ok {
-		for i, name := range cols {
+// groupedOrderItem maps a grouped query's ORDER BY key to the select item it
+// names, as the single-node builder binds it: by alias, by the name of a
+// bare-column item, or by the written form of a non-aggregate item.
+func groupedOrderItem(key expr.Expr, items []sql.SelectItem) int {
+	if c, ok := key.(*expr.Column); ok && c.Qualifier == "" {
+		for i, it := range items {
+			name := it.Alias
+			if ic, ok := it.Expr.(*expr.Column); ok && name == "" && it.Agg == sql.AggNone {
+				name = ic.Name
+			}
 			if strings.EqualFold(name, c.Name) {
 				return i
 			}
 		}
 	}
+	for i, it := range items {
+		if it.Agg == sql.AggNone && exprKey(it.Expr) == exprKey(key) {
+			return i
+		}
+	}
 	return -1
 }
 
-// mergeRows combines per-shard result rows per the plan. shardRows holds
-// each contacted shard's rows in shard order; cols is the first shard's
-// column set (identical across shards by construction).
-func (p *selectPlan) mergeRows(shardRows [][]types.Row) ([]types.Row, error) {
+// col references column i of the operator below.
+func col(i int) expr.Expr { return expr.NewColumn("", fmt.Sprintf("#%d", i), i, types.KindNull) }
+
+// merge builds the router's phase over rows, the shards' rows in shard
+// order, each width columns wide: Values, then HashAggregate and a Project
+// onto the select items, or Distinct; then Sort, a Project that drops the
+// helper columns, and Limit.
+func (p *selectPlan) merge(rows []types.Row, width, shards int) exec.Operator {
+	var top exec.Operator = &exec.Values{Rows: rows, Desc: fmt.Sprintf("Values [rows of %d shards]", shards)}
+	// A plain SELECT's keys index its helpers, after its items; an
+	// aggregate SELECT's index its projected items.
+	at := width - p.helpers
+	if p.items != nil {
+		top, at = p.aggregate(top), 0
+	} else if p.distinct {
+		top = &exec.Distinct{Input: top}
+	}
+	if len(p.keys) > 0 {
+		keys := slices.Clone(p.keys)
+		for i := range keys {
+			keys[i].Ordinal += at
+		}
+		top = &exec.Sort{Input: top, Keys: keys}
+	}
+	if p.items == nil && p.helpers > 0 {
+		cols := make([]expr.Expr, at)
+		for i := range cols {
+			cols[i] = col(i)
+		}
+		top = &exec.Project{Input: top, Exprs: cols}
+	}
+	if p.limit >= 0 {
+		top = &exec.Limit{Input: top, N: p.limit}
+	}
+	return top
+}
+
+// aggregate folds the partial columns per group — COUNT partials sum, SUM
+// sums, MIN and MAX take theirs, AVG divides its summed FLOAT sum by its
+// summed count — and projects the select items.
+func (p *selectPlan) aggregate(in exec.Operator) exec.Operator {
+	agg := &exec.HashAggregate{Input: in}
+	for _, at := range p.groupBy {
+		agg.GroupBy = append(agg.GroupBy, col(at))
+	}
+	// fold adds an aggregate over per-shard column src; it returns the
+	// aggregate's output column.
+	fold := func(kind sql.AggKind, src int) int {
+		agg.Aggs = append(agg.Aggs, plan.AggSpec{Kind: kind, Arg: col(src)})
+		return len(agg.GroupBy) + len(agg.Aggs) - 1
+	}
+	outs := make([]expr.Expr, len(p.items))
+	for i, it := range p.items {
+		switch it.kind {
+		case sql.AggNone:
+			outs[i] = col(it.src)
+		case sql.AggAvg:
+			outs[i] = expr.NewBinary(expr.OpDiv, col(fold(sql.AggSum, it.src)), col(fold(sql.AggSum, it.src2)))
+		case sql.AggCount, sql.AggCountStar:
+			outs[i] = col(fold(sql.AggSum, it.src))
+		case sql.AggSum:
+			hi := fold(sql.AggSum, it.src)
+			if outs[i] = col(hi); it.src2 > 0 {
+				outs[i] = &wideSum{hi: hi, lo: fold(sql.AggSum, it.src2)}
+			}
+		default:
+			outs[i] = col(fold(it.kind, it.src))
+		}
+	}
+	return &exec.Project{Input: agg, Exprs: outs}
+}
+
+// run merges the shards' results, in shard order, through the router's
+// phase under the session's context.
+func (p *selectPlan) run(ctx context.Context, results []*client.Result) (*client.Result, error) {
 	var rows []types.Row
-	if p.agg != nil {
-		var err error
-		if rows, err = p.agg.combine(shardRows); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, rs := range shardRows {
-			rows = append(rows, rs...)
-		}
-		if p.distinct {
-			seen := make(map[string]bool, len(rows))
-			dedup := rows[:0]
-			var image []byte
-			for _, r := range rows {
-				if image = types.AppendKey(image[:0], r...); !seen[string(image)] {
-					seen[string(image)] = true
-					dedup = append(dedup, r)
-				}
-			}
-			rows = dedup
-		}
+	for _, res := range results {
+		rows = append(rows, res.Rows...)
 	}
-	if p.hasOrder {
-		sort.SliceStable(rows, func(i, j int) bool {
-			for _, k := range p.order {
-				c := rows[i][k.col].Compare(rows[j][k.col])
-				if c == 0 {
-					continue
-				}
-				return (c < 0) != k.desc
-			}
-			return false
-		})
+	cols := results[0].Columns
+	out, err := exec.Collect(p.merge(rows, len(cols), len(results)), exec.NewCtx(ctx, exec.CtxOptions{}), len(rows))
+	if err != nil {
+		return nil, err
 	}
-	if p.limit >= 0 && int64(len(rows)) > p.limit {
-		rows = rows[:p.limit]
-	}
-	return rows, nil
-}
-
-// columns returns the merged result's column names. A plain merge passes
-// the per-shard columns through; an aggregate merge slices off the
-// appended helper columns — the leading names are the shard engine's own
-// naming of the original select items, byte-identical to a single-node
-// run. Falls back to the predicted names when no shard responded.
-func (p *selectPlan) columns(shardCols []string) []string {
-	if p.agg == nil {
-		return shardCols
-	}
-	if len(shardCols) >= len(p.agg.outs) {
-		return shardCols[:len(p.agg.outs)]
-	}
-	out := make([]string, len(p.agg.outs))
-	for i, o := range p.agg.outs {
-		out[i] = o.name
-	}
-	return out
-}
-
-// partial accumulates one aggregate column across shards. A SUM follows the
-// engine's result rule: FLOAT when any partial is, and otherwise the exact
-// integer total, which must fit an INT. So a router combine gives the
-// single-node answer, overflow and NaN errors included.
-type partial struct {
-	count int64
-	sum   float64 // every SUM partial; AVG's SUM partials
-	// hi:lo is the exact 128-bit total of the INT SUM partials.
-	hi, lo int64
-	float  bool // a SUM partial was FLOAT
-	seen   bool
-	min    types.Datum
-	max    types.Datum
-}
-
-func (pa *partial) add(kind sql.AggKind, row types.Row, o aggOut) {
-	switch kind {
-	case sql.AggCount, sql.AggCountStar:
-		pa.count += row[o.src].Int()
-	case sql.AggSum:
-		v := row[o.src]
-		if v.IsNull() {
-			return
-		}
-		pa.seen = true
-		pa.sum += v.Float()
-		if v.Kind() == types.KindFloat {
-			pa.float = true
-			return
-		}
-		i := v.IntImage()
-		lo, carry := bits.Add64(uint64(pa.lo), uint64(i), 0)
-		pa.lo, pa.hi = int64(lo), pa.hi+int64(carry)+i>>63
-	case sql.AggAvg:
-		v := row[o.src]
-		if !v.IsNull() {
-			pa.seen = true
-			pa.sum += v.Float()
-		}
-		pa.count += row[o.src2].Int()
-	case sql.AggMin:
-		v := row[o.src]
-		if !v.IsNull() && (pa.min.IsNull() || v.Compare(pa.min) < 0) {
-			pa.min = v
-		}
-	case sql.AggMax:
-		v := row[o.src]
-		if !v.IsNull() && (pa.max.IsNull() || v.Compare(pa.max) > 0) {
-			pa.max = v
-		}
-	}
-}
-
-func (pa *partial) result(kind sql.AggKind) (types.Datum, error) {
-	switch kind {
-	case sql.AggCount, sql.AggCountStar:
-		return types.NewInt(pa.count), nil
-	case sql.AggSum:
-		switch {
-		case !pa.seen:
-			return types.Null, nil
-		case pa.float:
-			return types.NewFloatChecked(pa.sum)
-		case pa.hi != pa.lo>>63:
-			return types.Null, exec.ErrSumOverflow
-		}
-		return types.NewInt(pa.lo), nil
-	case sql.AggAvg:
-		if pa.count == 0 {
-			return types.Null, nil
-		}
-		return types.NewFloatChecked(pa.sum / float64(pa.count))
-	case sql.AggMin:
-		return pa.min, nil
-	case sql.AggMax:
-		return pa.max, nil
-	default:
-		return types.Null, nil
-	}
-}
-
-// combine merges per-shard partial-aggregate rows into final rows, one
-// per group, in first-seen shard order (callers re-sort under ORDER BY).
-func (ap *aggPlan) combine(shardRows [][]types.Row) ([]types.Row, error) {
-	type group struct {
-		first    types.Row // a representative row (group-key passthrough)
-		partials []*partial
-	}
-	var order []*group
-	groups := map[string]*group{}
-	var image []byte
-	for _, rs := range shardRows {
-		for _, row := range rs {
-			image = image[:0]
-			for _, gi := range ap.groupSrc {
-				image = types.AppendKey(image, row[gi])
-			}
-			g, ok := groups[string(image)]
-			if !ok {
-				g = &group{first: row, partials: make([]*partial, len(ap.outs))}
-				for i := range g.partials {
-					g.partials[i] = &partial{min: types.Null, max: types.Null}
-				}
-				groups[string(image)] = g
-				order = append(order, g)
-			}
-			for i, o := range ap.outs {
-				if o.kind != sql.AggNone {
-					g.partials[i].add(o.kind, row, o)
-				}
-			}
-		}
-	}
-	out := make([]types.Row, 0, len(order))
-	for _, g := range order {
-		row := make(types.Row, len(ap.outs))
-		for i, o := range ap.outs {
-			if o.kind == sql.AggNone {
-				row[i] = g.first[o.src]
-				continue
-			}
-			v, err := g.partials[i].result(o.kind)
-			if err != nil {
-				return nil, &exec.QueryError{Op: "router.merge", Kind: exec.KindError, Err: err}
-			}
-			row[i] = v
-		}
-		out = append(out, row)
-	}
-	return out, nil
+	return &client.Result{Columns: cols[:len(cols)-p.helpers], Rows: out}, nil
 }

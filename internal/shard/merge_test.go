@@ -1,10 +1,14 @@
 package shard
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"softdb/internal/client"
 	"softdb/internal/exec"
 	"softdb/internal/sql"
 	"softdb/internal/types"
@@ -23,13 +27,37 @@ func mustSelect(t *testing.T, text string) *sql.Select {
 	return sel
 }
 
-func mustMerge(t *testing.T, p *selectPlan, shardRows [][]types.Row) []types.Row {
+func mustPlan(t *testing.T, text string) *selectPlan {
 	t.Helper()
-	rows, err := p.mergeRows(shardRows)
+	p, err := planSelect(mustSelect(t, text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows
+	return p
+}
+
+// mergeRows runs p's router phase over shardRows, one slice per shard. The
+// per-shard columns are named c0, c1, ...; without a * in the per-shard
+// statement there is one per item.
+func mergeRows(p *selectPlan, shardRows [][]types.Row) (*client.Result, error) {
+	var cols []string
+	for i := range p.perShard.Items {
+		cols = append(cols, fmt.Sprintf("c%d", i))
+	}
+	results := make([]*client.Result, len(shardRows))
+	for i, rs := range shardRows {
+		results[i] = &client.Result{Columns: cols, Rows: rs}
+	}
+	return p.run(context.Background(), results)
+}
+
+func mustMerge(t *testing.T, p *selectPlan, shardRows [][]types.Row) []types.Row {
+	t.Helper()
+	res, err := mergeRows(p, shardRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows
 }
 
 func intRow(vs ...int64) types.Row {
@@ -41,35 +69,26 @@ func intRow(vs ...int64) types.Row {
 }
 
 func TestPlanPlainSelectOrderLimit(t *testing.T) {
-	sel := mustSelect(t, "SELECT k, v FROM t WHERE v > 0 ORDER BY k DESC LIMIT 3")
-	p, err := planSelect(sel, nil)
+	p := mustPlan(t, "SELECT k, v FROM t WHERE v > 0 ORDER BY k DESC LIMIT 3")
+	// The sort key travels as a trailing helper column; ORDER BY and LIMIT
+	// push down.
+	if got, want := sql.Print(p.perShard), "SELECT k, v, k FROM t WHERE (v > 0) ORDER BY k DESC LIMIT 3"; got != want {
+		t.Fatalf("per-shard = %q, want %q", got, want)
+	}
+	res, err := mergeRows(p, [][]types.Row{
+		{intRow(1, 10, 1), intRow(5, 50, 5)},
+		{intRow(3, 30, 3), intRow(9, 90, 9)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.agg != nil || !p.hasOrder || p.limit != 3 {
-		t.Fatalf("plan = %+v", p)
-	}
-	if len(p.order) != 1 || p.order[0].col != 0 || !p.order[0].desc {
-		t.Fatalf("order = %+v", p.order)
-	}
-	rows := mustMerge(t, p, [][]types.Row{
-		{intRow(1, 10), intRow(5, 50)},
-		{intRow(3, 30), intRow(9, 90)},
-	})
-	if len(rows) != 3 {
-		t.Fatalf("limit not applied: %d rows", len(rows))
-	}
-	if rows[0][0].Int() != 9 || rows[1][0].Int() != 5 || rows[2][0].Int() != 3 {
-		t.Fatalf("merged order wrong: %v", rows)
+	if got := fmt.Sprint(res.Columns, res.Rows); got != "[c0 c1] [(9, 90) (5, 50) (3, 30)]" {
+		t.Fatalf("merged = %s; want k DESC, limit 3, the helper dropped", got)
 	}
 }
 
 func TestPlanPlainSelectDistinct(t *testing.T) {
-	sel := mustSelect(t, "SELECT DISTINCT k FROM t")
-	p, err := planSelect(sel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPlan(t, "SELECT DISTINCT k FROM t")
 	rows := mustMerge(t, p, [][]types.Row{
 		{intRow(1), intRow(2)},
 		{intRow(2), intRow(3)},
@@ -79,45 +98,73 @@ func TestPlanPlainSelectDistinct(t *testing.T) {
 	}
 }
 
-func TestPlanStarOrderByNeedsSchema(t *testing.T) {
-	sel := mustSelect(t, "SELECT * FROM t ORDER BY k")
-	schema := func(string) ([]string, error) { return []string{"id", "k", "v"}, nil }
-	p, err := planSelect(sel, schema)
+// TestPlanStarOrderByHelperColumn: * with ORDER BY needs no schema — the
+// key is a helper column after the star's columns, however many there are.
+func TestPlanStarOrderByHelperColumn(t *testing.T) {
+	p := mustPlan(t, "SELECT * FROM t ORDER BY k")
+	if got, want := sql.Print(p.perShard), "SELECT *, k FROM t ORDER BY k"; got != want {
+		t.Fatalf("per-shard = %q, want %q", got, want)
+	}
+	// t is (id, k, v): each shard row is id, k, v, then the helper k.
+	cols := []string{"id", "k", "v", "k"}
+	res, err := p.run(context.Background(), []*client.Result{
+		{Columns: cols, Rows: []types.Row{intRow(1, 30, 0, 30), intRow(2, 10, 0, 10)}},
+		{Columns: cols, Rows: []types.Row{intRow(3, 20, 0, 20)}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.order) != 1 || p.order[0].col != 1 {
-		t.Fatalf("ORDER BY k should resolve to expanded column 1, got %+v", p.order)
+	if got := fmt.Sprint(res.Columns, res.Rows); got != "[id k v] [(2, 10, 0) (3, 20, 0) (1, 30, 0)]" {
+		t.Fatalf("merged = %s; want the expanded rows by k, the helper dropped", got)
 	}
-	if _, err := planSelect(sel, nil); err == nil {
-		t.Fatal("star + ORDER BY without a schema resolver should fail")
+}
+
+// TestPlanOrderByAliasAndOutsideColumn: an ORDER BY alias is replaced by its
+// item's expression, and a key outside the select list (DISTINCT too)
+// travels as a helper the router sorts on and drops.
+func TestPlanOrderByAliasAndOutsideColumn(t *testing.T) {
+	for _, c := range []struct{ q, want string }{
+		{"SELECT k AS kk FROM t ORDER BY kk DESC", "SELECT k AS kk, k FROM t ORDER BY kk DESC"},
+		{"SELECT k FROM t ORDER BY id LIMIT 2", "SELECT k, id FROM t ORDER BY id LIMIT 2"},
+		{"SELECT DISTINCT k FROM t ORDER BY id", "SELECT DISTINCT k, id FROM t ORDER BY id"},
+	} {
+		if got := sql.Print(mustPlan(t, c.q).perShard); got != c.want {
+			t.Errorf("%s: per-shard = %q, want %q", c.q, got, c.want)
+		}
+	}
+	p := mustPlan(t, "SELECT DISTINCT k FROM t ORDER BY id")
+	rows := mustMerge(t, p, [][]types.Row{
+		{intRow(7, 3), intRow(5, 1)},
+		{intRow(7, 2), intRow(5, 1)},
+	})
+	// One node dedupes on (k, id) before it sorts by id and drops id.
+	if got := fmt.Sprint(rows); got != "[(5) (7) (7)]" {
+		t.Fatalf("merged = %s", got)
 	}
 }
 
 func TestPlanAggSelect(t *testing.T) {
-	sel := mustSelect(t, "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM t GROUP BY g")
-	p, err := planSelect(sel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.agg == nil || len(p.agg.groupSrc) != 1 || p.agg.groupSrc[0] != 0 {
-		t.Fatalf("plan = %+v", p)
-	}
+	p := mustPlan(t, "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM t GROUP BY g")
 	// Per-shard statement: the original items verbatim (their row
-	// description supplies the exact output names), then AVG's SUM+COUNT
-	// partials appended.
+	// description supplies the exact output names), then AVG's FLOAT sum and
+	// count partials appended.
 	per := sql.Print(p.perShard)
-	want := "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v), SUM(v), COUNT(v) FROM t GROUP BY g"
+	want := "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v), SUM(CAST(v AS FLOAT)), COUNT(v) FROM t GROUP BY g"
 	if per != want {
 		t.Fatalf("per-shard = %q, want %q", per, want)
 	}
 	// Shard 0: group 1 has 2 rows summing 30 (min 10 max 20); group 2 one
 	// row of 5. Shard 1: group 1 has 1 row of 40. Layout: g, count, sum,
 	// min, max, avg (ignored), sum partial, count partial.
-	rows := mustMerge(t, p, [][]types.Row{
-		{intRow(1, 2, 30, 10, 20, 15, 30, 2), intRow(2, 1, 5, 5, 5, 5, 5, 1)},
-		{intRow(1, 1, 40, 40, 40, 40, 40, 1)},
+	f := types.NewFloat
+	res, err := mergeRows(p, [][]types.Row{
+		{append(intRow(1, 2, 30, 10, 20), f(15), f(30), types.NewInt(2)), append(intRow(2, 1, 5, 5, 5), f(5), f(5), types.NewInt(1))},
+		{append(intRow(1, 1, 40, 40, 40), f(40), f(40), types.NewInt(1))},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.Rows
 	if len(rows) != 2 {
 		t.Fatalf("groups = %v", rows)
 	}
@@ -128,17 +175,14 @@ func TestPlanAggSelect(t *testing.T) {
 	if g1[5].Kind() != types.KindFloat || g1[5].Float() != 70.0/3.0 {
 		t.Fatalf("avg = %v", g1[5])
 	}
-	if got := p.columns(nil); got[1] != "count(*)" || got[5] != "avg(v)" {
+	// The shards' own names for the items, the helpers' sliced off.
+	if got := strings.Join(res.Columns, ","); got != "c0,c1,c2,c3,c4,c5" {
 		t.Fatalf("columns = %v", got)
 	}
 }
 
 func TestAggMergeGlobalGroup(t *testing.T) {
-	sel := mustSelect(t, "SELECT COUNT(*), SUM(v) FROM t")
-	p, err := planSelect(sel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPlan(t, "SELECT COUNT(*), SUM(v) FROM t")
 	// Every shard returns its one global row, including empty shards
 	// (COUNT 0, SUM NULL).
 	rows := mustMerge(t, p, [][]types.Row{
@@ -151,11 +195,7 @@ func TestAggMergeGlobalGroup(t *testing.T) {
 }
 
 func TestAggMergeAllNull(t *testing.T) {
-	sel := mustSelect(t, "SELECT SUM(v), AVG(v), MIN(v) FROM t")
-	p, err := planSelect(sel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPlan(t, "SELECT SUM(v), AVG(v), MIN(v) FROM t")
 	// Layout: sum, avg (ignored), min, then AVG's sum+count partials.
 	rows := mustMerge(t, p, [][]types.Row{
 		{types.Row{types.Null, types.Null, types.Null, types.Null, types.NewInt(0)}},
@@ -172,11 +212,7 @@ func TestAggMergeAllNull(t *testing.T) {
 }
 
 func TestAggMergeFloatSum(t *testing.T) {
-	sel := mustSelect(t, "SELECT SUM(v) FROM t")
-	p, err := planSelect(sel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPlan(t, "SELECT SUM(v) FROM t")
 	rows := mustMerge(t, p, [][]types.Row{
 		{types.Row{types.NewFloat(1.5)}},
 		{types.Row{types.NewInt(2)}},
@@ -189,11 +225,7 @@ func TestAggMergeFloatSum(t *testing.T) {
 // TestAggMergeExactIntSum: INT SUM partials add exactly past 2^53, and a
 // total outside the INT range fails whatever order the shards answer in.
 func TestAggMergeExactIntSum(t *testing.T) {
-	sel := mustSelect(t, "SELECT SUM(v) FROM t")
-	p, err := planSelect(sel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPlan(t, "SELECT SUM(v) FROM t")
 	const max = 1<<63 - 1
 	for _, c := range []struct {
 		partials []int64
@@ -208,32 +240,27 @@ func TestAggMergeExactIntSum(t *testing.T) {
 		for _, v := range c.partials {
 			shardRows = append(shardRows, []types.Row{intRow(v)})
 		}
-		rows, err := p.mergeRows(shardRows)
+		res, err := mergeRows(p, shardRows)
 		if c.want == "overflow" {
 			if qe, ok := exec.AsQueryError(err); !ok || qe.Kind != exec.KindError || !errors.Is(err, exec.ErrSumOverflow) {
-				t.Errorf("%v: %v, %v; want a SUM overflow error", c.partials, rows, err)
+				t.Errorf("%v: %v, %v; want a SUM overflow error", c.partials, res, err)
 			}
 			continue
 		}
-		if err != nil || rows[0][0].String() != c.want {
-			t.Errorf("%v: %v, %v; want %s", c.partials, rows, err, c.want)
+		if err != nil || res.Rows[0][0].String() != c.want {
+			t.Errorf("%v: %v, %v; want %s", c.partials, res, err, c.want)
 		}
 	}
 }
 
 func TestPlanAggOrderByAlias(t *testing.T) {
-	sel := mustSelect(t, "SELECT g, COUNT(*) AS n FROM t GROUP BY g ORDER BY n DESC, g")
-	p, err := planSelect(sel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPlan(t, "SELECT g, COUNT(*) AS n FROM t GROUP BY g ORDER BY n DESC, g")
 	rows := mustMerge(t, p, [][]types.Row{
-		{intRow(1, 1, 0), intRow(2, 5, 0)},
-		{intRow(3, 5, 0)},
+		{intRow(1, 1), intRow(2, 5)},
+		{intRow(3, 5), intRow(1, 1)},
 	})
-	_ = rows
-	if len(p.order) != 2 || p.order[0].col != 1 || !p.order[0].desc || p.order[1].col != 0 {
-		t.Fatalf("order = %+v", p.order)
+	if got := fmt.Sprint(rows); got != "[(2, 5) (3, 5) (1, 2)]" {
+		t.Fatalf("merged = %s; want n DESC, then g", got)
 	}
 }
 
@@ -244,16 +271,14 @@ func TestPlanRejectsCrossShardUnsupported(t *testing.T) {
 		"SELECT COUNT(DISTINCT v) FROM t",
 		"SELECT v FROM t GROUP BY g",
 	} {
-		sel := mustSelect(t, text)
-		if _, err := planSelect(sel, nil); err == nil {
+		if _, err := planSelect(mustSelect(t, text)); err == nil {
 			t.Errorf("planSelect(%q) should fail", text)
 		}
 	}
 }
 
 func TestPlanAggDistinctRejected(t *testing.T) {
-	sel := mustSelect(t, "SELECT DISTINCT g, COUNT(*) FROM t GROUP BY g")
-	if _, err := planSelect(sel, nil); err == nil {
+	if _, err := planSelect(mustSelect(t, "SELECT DISTINCT g, COUNT(*) FROM t GROUP BY g")); err == nil {
 		t.Fatal("DISTINCT with aggregates should be rejected across shards")
 	}
 }
@@ -269,12 +294,8 @@ func TestAggMergeNaNFails(t *testing.T) {
 		{"SELECT SUM(v) FROM t", [][]types.Row{{{inf(1)}}, {{inf(-1)}}}},
 		{"SELECT AVG(v) FROM t", [][]types.Row{{{types.Null, inf(1), types.NewInt(1)}}, {{types.Null, inf(-1), types.NewInt(1)}}}},
 	} {
-		p, err := planSelect(mustSelect(t, c.q), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows, err := p.mergeRows(c.rows); !errors.Is(err, types.ErrNaN) {
-			t.Errorf("%s: %v, %v; want ErrNaN", c.q, rows, err)
+		if res, err := mergeRows(mustPlan(t, c.q), c.rows); !errors.Is(err, types.ErrNaN) {
+			t.Errorf("%s: %v, %v; want ErrNaN", c.q, res, err)
 		}
 	}
 }

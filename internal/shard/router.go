@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -682,15 +683,23 @@ func multiShardErr(what string) error {
 	}
 }
 
-// execDDL fans a schema statement to every shard. Inside a transaction
-// DDL is rejected (it is inherently multi-shard).
+// execDDL fans a schema statement to every shard.
 func (s *Session) execDDL(ctx context.Context, stmt string) (*client.Result, error) {
 	defer s.r.invalidateSchema()
-	if s.inTxn() && s.r.n > 1 {
-		return nil, multiShardErr("DDL inside a transaction")
-	}
+	return s.everyShard(ctx, "DDL", stmt)
+}
+
+// everyShard runs a statement that must land on every shard — DDL, or a
+// write to a replicated table — and answers with shard 0's response: the
+// shards are identical there, and their notices would repeat n times.
+// Inside a transaction it is rejected (it is inherently multi-shard)
+// unless there is one shard.
+func (s *Session) everyShard(ctx context.Context, what, stmt string) (*client.Result, error) {
 	if s.inTxn() {
-		if inTxn, err := s.pinTxn(ctx, 0); inTxn && err != nil {
+		if s.r.n > 1 {
+			return nil, multiShardErr(what + " inside a transaction")
+		}
+		if _, err := s.pinTxn(ctx, 0); err != nil {
 			return nil, err
 		}
 		return s.query(ctx, 0, stmt)
@@ -699,8 +708,6 @@ func (s *Session) execDDL(ctx context.Context, stmt string) (*client.Result, err
 	if err != nil {
 		return nil, err
 	}
-	// Shards are schema-identical, so shard 0's response speaks for all;
-	// notices beyond shard 0's would repeat n times.
 	return results[0], nil
 }
 
@@ -709,22 +716,7 @@ func (s *Session) execDDL(ctx context.Context, stmt string) (*client.Result, err
 func (s *Session) execInsert(ctx context.Context, ins *sql.Insert) (*client.Result, error) {
 	spec, partitioned := s.r.specs[strings.ToLower(ins.Table)]
 	if !partitioned {
-		// Replicated table: the write must land on every shard.
-		if s.inTxn() && s.r.n > 1 {
-			return nil, multiShardErr(fmt.Sprintf("INSERT into replicated table %s inside a transaction", ins.Table))
-		}
-		stmt := sql.Print(ins)
-		if s.inTxn() {
-			if _, err := s.pinTxn(ctx, 0); err != nil {
-				return nil, err
-			}
-			return s.query(ctx, 0, stmt)
-		}
-		results, err := s.fanOut(ctx, allShards(s.r.n), stmt)
-		if err != nil {
-			return nil, err
-		}
-		return results[0], nil
+		return s.everyShard(ctx, "INSERT into replicated table "+ins.Table, sql.Print(ins))
 	}
 	keyIdx, err := s.partitionKeyIndex(ctx, ins, spec)
 	if err != nil {
@@ -874,7 +866,12 @@ type prunedShard struct {
 	reason string
 }
 
-func (s *Session) route(sel *sql.Select, prune bool) (routeDecision, error) {
+// route reads the session's pruning setting; partition routing always
+// applies.
+func (s *Session) route(sel *sql.Select) (routeDecision, error) {
+	s.mu.Lock()
+	prune := s.prune && !s.r.cfg.NoPrune
+	s.mu.Unlock()
 	d := routeDecision{}
 	if len(sel.From) == 0 {
 		d.targets = []int{0}
@@ -950,18 +947,14 @@ func (s *Session) creditPrunes(pruned []prunedShard) {
 }
 
 func (s *Session) execSelect(ctx context.Context, sel *sql.Select, text string) (*client.Result, error) {
-	s.mu.Lock()
-	prune := s.prune && !s.r.cfg.NoPrune
-	s.mu.Unlock()
-	d, err := s.route(sel, prune)
+	d, err := s.route(sel)
 	if err != nil {
 		return nil, err
 	}
 	if len(d.targets) == 0 {
-		// Every shard excluded: synthesize the empty result (aggregates
-		// still need their one global row, which planSelect provides by
-		// merging zero shard results — combine() on no rows).
-		return s.emptySelect(ctx, sel)
+		// No shard holds a matching row, so any one computes the exact
+		// answer: no rows for a scan, the empty-input row for aggregates.
+		return s.query(ctx, 0, sql.Print(sel))
 	}
 	if s.inTxn() {
 		if len(d.targets) > 1 {
@@ -974,32 +967,54 @@ func (s *Session) execSelect(ctx context.Context, sel *sql.Select, text string) 
 	if len(d.targets) == 1 {
 		return s.query(ctx, d.targets[0], text)
 	}
-	plan, err := planSelect(sel, func(t string) ([]string, error) { return s.r.schemaColumns(ctx, t) })
+	plan, err := planSelect(sel)
 	if err != nil {
 		return nil, err
 	}
 	results, err := s.fanOut(ctx, d.targets, sql.Print(plan.perShard))
+	var we *wire.Error
+	if errors.As(err, &we) && we.Msg == exec.ErrSumOverflow.Error() {
+		return s.splitSumSelect(ctx, plan, d.targets, err)
+	}
 	if err != nil {
 		return nil, err
 	}
-	shardRows := make([][]types.Row, len(results))
-	for i, res := range results {
-		shardRows[i] = res.Rows
-	}
-	rows, err := plan.mergeRows(shardRows)
-	if err != nil {
-		return nil, err
-	}
-	return &client.Result{Columns: plan.columns(results[0].Columns), Rows: rows}, nil
+	return plan.run(ctx, results)
 }
 
-// emptySelect answers a SELECT whose every shard was excluded: no shard
-// holds a matching row, so any one shard computes the exact global answer
-// — zero rows for a scan, the empty-input row (COUNT 0, SUM NULL, ...)
-// for aggregates — keeping aggregate semantics in the engine rather than
-// re-implemented here.
-func (s *Session) emptySelect(ctx context.Context, sel *sql.Select) (*client.Result, error) {
-	return s.query(ctx, 0, sql.Print(sel))
+// splitSumSelect re-runs an aggregate SELECT whose SUM partial left the INT
+// range on a shard with its SUMs split (selectPlan.splitSums). The names are
+// the unsplit statement's. When the split statement fails too — a SUM over
+// a DATE or BOOL, or a FLOAT holding ±Inf, cannot be split — the shard's
+// overflow stands.
+func (s *Session) splitSumSelect(ctx context.Context, plan *selectPlan, targets []int, overflow error) (*client.Result, error) {
+	cols, err := s.columnsOf(ctx, targets[0], plan.perShard)
+	if err != nil {
+		return nil, err
+	}
+	plan.splitSums()
+	results, err := s.fanOut(ctx, targets, sql.Print(plan.perShard))
+	if err != nil {
+		return nil, overflow
+	}
+	res, err := plan.run(ctx, results)
+	if err != nil {
+		return nil, err
+	}
+	res.Columns = cols[:len(res.Columns)]
+	return res, nil
+}
+
+// columnsOf asks a shard for sel's column names without reading a row: a
+// LIMIT 0 returns before its input runs.
+func (s *Session) columnsOf(ctx context.Context, shard int, sel *sql.Select) ([]string, error) {
+	probe := *sel
+	probe.Limit = 0
+	res, err := s.query(ctx, shard, sql.Print(&probe))
+	if err != nil {
+		return nil, err
+	}
+	return res.Columns, nil
 }
 
 // --- EXPLAIN ---
@@ -1014,10 +1029,7 @@ func (s *Session) execExplain(ctx context.Context, ex *sql.Explain, text string)
 		res.Rows = append(res.Rows, routerPlanRow(fmt.Sprintf("router: shards=1/%d pruned=0", s.r.n)))
 		return res, nil
 	}
-	s.mu.Lock()
-	prune := s.prune && !s.r.cfg.NoPrune
-	s.mu.Unlock()
-	d, err := s.route(sel, prune)
+	d, err := s.route(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -1032,20 +1044,7 @@ func (s *Session) execExplain(ctx context.Context, ex *sql.Explain, text string)
 	case len(d.targets) == 1:
 		res, err = s.query(ctx, d.targets[0], text)
 	default:
-		plan, perr := planSelect(sel, func(t string) ([]string, error) { return s.r.schemaColumns(ctx, t) })
-		if perr != nil {
-			return nil, perr
-		}
-		var results []*client.Result
-		results, err = s.fanOut(ctx, d.targets, keyword+" "+sql.Print(plan.perShard))
-		if err == nil {
-			res = results[0]
-			if plan.agg != nil {
-				res.Rows = append(res.Rows, routerPlanRow("router: merge: combine aggregate partials"))
-			} else {
-				res.Rows = append(res.Rows, routerPlanRow("router: merge: concatenate shard rows"))
-			}
-		}
+		res, err = s.explainMerge(ctx, sel, d.targets, keyword)
 	}
 	if err != nil {
 		return nil, err
@@ -1053,6 +1052,35 @@ func (s *Session) execExplain(ctx context.Context, ex *sql.Explain, text string)
 	res.Rows = append(res.Rows, routerPlanRow(fmt.Sprintf("router: shards=%d/%d pruned=%d", len(d.targets), s.r.n, len(d.pruned))))
 	for _, p := range d.pruned {
 		res.Rows = append(res.Rows, routerPlanRow(fmt.Sprintf("router: shard-pruned %d: %s", p.shard, p.reason)))
+	}
+	return res, nil
+}
+
+// explainMerge answers EXPLAIN for a multi-shard SELECT: the first shard's
+// plan of the per-shard statement, then the router's operator tree.
+func (s *Session) explainMerge(ctx context.Context, sel *sql.Select, targets []int, keyword string) (*client.Result, error) {
+	plan, err := planSelect(sel)
+	if err != nil {
+		return nil, err
+	}
+	results, err := s.fanOut(ctx, targets, keyword+" "+sql.Print(plan.perShard))
+	if err != nil {
+		return nil, err
+	}
+	// The tree's ordinals need the per-shard width: the item count, unless
+	// a * leaves it to the shard to say.
+	width := len(plan.perShard.Items)
+	if slices.ContainsFunc(plan.perShard.Items, func(it sql.SelectItem) bool { return it.Star }) {
+		cols, err := s.columnsOf(ctx, targets[0], plan.perShard)
+		if err != nil {
+			return nil, err
+		}
+		width = len(cols)
+	}
+	res := results[0]
+	tree := exec.Format(plan.merge(nil, width, len(targets)))
+	for _, line := range strings.Split(strings.TrimSuffix(tree, "\n"), "\n") {
+		res.Rows = append(res.Rows, routerPlanRow("router: "+line))
 	}
 	return res, nil
 }

@@ -28,6 +28,7 @@ func fuzzSeeds(tb testing.TB) []string {
 		"EXPLAIN ANALYZE SELECT a FROM t WHERE b >= 1e-9",
 		"DROP TABLE t",
 		"ANALYZE t",
+		"SELECT SUM(CAST((a * 2) AS FLOAT)), CAST(d AS FLOAT) FROM t WHERE a = -9223372036854775808",
 	}
 	script, err := os.ReadFile("../../examples/demo.sql")
 	if err != nil {

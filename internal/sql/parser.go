@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -1156,6 +1157,11 @@ func (p *Parser) parseMultiplicative() (expr.Expr, error) {
 func (p *Parser) parseUnary() (expr.Expr, error) {
 	if p.eatOp("-") {
 		operand := p.peek().Pos
+		if t := p.peek(); t.Kind == TokNumber && t.Text == "9223372036854775808" {
+			// The smallest INT: its magnitude is past the largest literal.
+			p.pos++
+			return expr.NewConst(types.NewInt(math.MinInt64)), nil
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -1178,6 +1184,26 @@ func (p *Parser) parseUnary() (expr.Expr, error) {
 		return expr.NewUnary(expr.OpNeg, x), nil
 	}
 	return p.parsePrimary()
+}
+
+// parseCast parses CAST(x AS FLOAT), the one cast: it widens a number, date
+// or boolean to FLOAT exactly as SUM and AVG do.
+func (p *Parser) parseCast() (expr.Expr, error) {
+	p.pos += 2 // CAST (
+	x, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectKeyword("AS"); err != nil {
+		return nil, err
+	}
+	if !p.eatKeyword("FLOAT") {
+		return nil, p.errorf("CAST supports only AS FLOAT, got %q", p.peek().Text)
+	}
+	if err := p.expectOp(")"); err != nil {
+		return nil, err
+	}
+	return expr.NewUnary(expr.OpFloat, x), nil
 }
 
 func (p *Parser) parsePrimary() (expr.Expr, error) {
@@ -1233,6 +1259,10 @@ func (p *Parser) parsePrimary() (expr.Expr, error) {
 					return nil, p.errorf("bad date literal %q", s.Text)
 				}
 				return &expr.Const{Value: d, From: p.literalOrigin(s.Pos)}, nil
+			}
+		case "CAST":
+			if next := p.toks[p.pos+1]; next.Kind == TokOp && next.Text == "(" {
+				return p.parseCast()
 			}
 		}
 		if reserved[t.Upper()] {

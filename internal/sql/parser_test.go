@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"softdb/internal/catalog"
+	"softdb/internal/expr"
 	"softdb/internal/types"
 )
 
@@ -254,6 +255,50 @@ func TestParseNegativeLiterals(t *testing.T) {
 	sel := s.(*Select)
 	if !strings.Contains(sel.Where.String(), "(a = -5)") {
 		t.Errorf("negative int: %s", sel.Where)
+	}
+}
+
+// TestParseMinInt64Literal: the smallest INT is a literal, though its
+// magnitude is past the largest one.
+func TestParseMinInt64Literal(t *testing.T) {
+	sel := mustParse(t, "SELECT * FROM t WHERE a = -9223372036854775808").(*Select)
+	if got := sel.Where.String(); got != "(a = -9223372036854775808)" {
+		t.Errorf("MinInt64: %s", got)
+	}
+	if _, err := Parse("SELECT * FROM t WHERE a = 9223372036854775808"); err == nil {
+		t.Error("2^63 is past the INT range and must not parse")
+	}
+}
+
+// TestParseCastAsFloat: CAST(x AS FLOAT) widens numbers, dates and
+// booleans to FLOAT as SUM and AVG do; a string or NULL is not a number.
+func TestParseCastAsFloat(t *testing.T) {
+	sel := mustParse(t, "SELECT CAST(a + 1 AS FLOAT) FROM t").(*Select)
+	if got := Print(sel); got != "SELECT CAST((a + 1) AS FLOAT) FROM t" {
+		t.Errorf("print: %s", got)
+	}
+	for _, c := range []struct {
+		in   types.Datum
+		want string
+	}{
+		{types.NewInt(9007199254740993), "9.007199254740992e+15"},
+		{types.NewDate(3), "3"},
+		{types.NewBool(true), "1"},
+		{types.NewFloat(-2.5), "-2.5"},
+		{types.Null, "NULL"},
+	} {
+		got, err := expr.NewUnary(expr.OpFloat, expr.NewConst(c.in)).Eval(nil)
+		if err != nil || got.String() != c.want || (!got.IsNull() && got.Kind() != types.KindFloat) {
+			t.Errorf("CAST(%v AS FLOAT) = %v, %v; want FLOAT %s", c.in, got, err, c.want)
+		}
+	}
+	if _, err := expr.NewUnary(expr.OpFloat, expr.NewConst(types.NewString("1"))).Eval(nil); err == nil {
+		t.Error("CAST of a string must fail")
+	}
+	for _, bad := range []string{"SELECT CAST(a AS INT) FROM t", "SELECT CAST(a) FROM t"} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("%s: want a parse error", bad)
+		}
 	}
 }
 

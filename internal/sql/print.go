@@ -302,6 +302,10 @@ func printExpr(b *strings.Builder, e expr.Expr) {
 			b.WriteString("(")
 			printExpr(b, x.X)
 			fmt.Fprintf(b, " %s)", x.Op)
+		case expr.OpFloat:
+			b.WriteString("CAST(")
+			printExpr(b, x.X)
+			b.WriteString(" AS FLOAT)")
 		default: // NOT, unary minus
 			fmt.Fprintf(b, "(%s ", x.Op)
 			printExpr(b, x.X)
