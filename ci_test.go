@@ -224,7 +224,7 @@ func TestObsSmokePlanCacheStatus(t *testing.T) {
 		{"EXPLAIN ANALYZE SELECT COUNT(*) AS n FROM purchase WHERE (order_date >= DATE '1999-01-15')",
 			"plan cache: hit (literal-bound: access-path)"},
 		{"EXPLAIN SELECT id FROM purchase WHERE (ship_date = DATE '1999-01-20')",
-			"plan cache: hit (template, 1 slot)"},
+			"plan cache: hit (template, 1 slot, 0 guards)"},
 	} {
 		res, err := repl.ExecCtx(ctx, c.q)
 		if err != nil {

@@ -363,22 +363,28 @@ func maintainSummary(st *catalog.SummaryTable, row types.Row, insert bool, ts in
 	}
 }
 
-// maintTimer starts a DML write-hook timing segment; the zero time means
-// the economy ledger is off and chargeMaint will ignore the segment.
-func (db *Database) maintTimer() time.Time {
+// maintEpoch anchors the write hooks' timing segments: time.Since on a
+// time that carries a monotonic reading reads only the monotonic clock,
+// which costs less than time.Now's wall and monotonic pair.
+var maintEpoch = time.Now()
+
+// maintTimer starts a DML write-hook timing segment, read on the
+// monotonic clock since maintEpoch; a negative start means the economy
+// ledger is off and chargeMaint will ignore the segment.
+func (db *Database) maintTimer() time.Duration {
 	if db.NoEconomy {
-		return time.Time{}
+		return -1
 	}
-	return time.Now()
+	return time.Since(maintEpoch)
 }
 
-// chargeMaint closes a maintTimer segment, charging the elapsed wall time
-// to the named characterization's maintenance cost.
-func (db *Database) chargeMaint(name string, start time.Time) {
-	if start.IsZero() {
+// chargeMaint closes a maintTimer segment, charging the elapsed time to
+// the named characterization's maintenance cost.
+func (db *Database) chargeMaint(name string, start time.Duration) {
+	if start < 0 {
 		return
 	}
-	db.obs.econ.AddMaintenance(name, time.Since(start))
+	db.obs.econ.AddMaintenance(name, time.Since(maintEpoch)-start)
 }
 
 // bumpCurrency advances §3.3's staleness counters on the table's

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -66,11 +67,15 @@ type CacheStats struct {
 	// template to the statement's literals (the rest are literal-bound
 	// variants found under their own literal vector).
 	TemplateHits int64
+	// GuardMisses counts statements whose shape held templates none of
+	// whose guards admitted the statement's literals.
+	GuardMisses int64
 	// LiteralBound counts plans compiled literal-bound: some rewrite or
 	// access-path decision depended on the literal values, so the plan is
 	// cached for those values only.
 	LiteralBound int64
-	// Evictions counts literal-bound variants dropped at the per-shape cap.
+	// Evictions counts plans (templates or literal-bound variants) dropped
+	// at the per-shape cap.
 	Evictions int64
 	// Parses counts SELECT texts the query path parsed, and Compiles its
 	// planning passes (build, rewrite, optimize), every pass counted: a
@@ -110,6 +115,10 @@ type cachedPlan struct {
 	// vector of its shape (a template); otherwise it names the decision
 	// that tied the plan to the literals it was compiled from.
 	literalBound string
+	// guards are the comparisons of literals with other literals or catalog
+	// bounds its rules decided on: a template serves exactly the literal
+	// vectors under which each keeps its sign.
+	guards []expr.Guard
 	// nodes are the optimizer's per-operator estimates — cardinality, and
 	// the constraints whose information sharpened it (the economy ledger's
 	// q-error split key) — by preorder position in root, consulted when the
@@ -964,6 +973,7 @@ func (db *Database) planSelect(sel *sql.Select, st Settings, po planOpts) (*cach
 		events:       append(append([]obs.Event(nil), rw.Events...), result.Events...),
 		nodes:        nodeEstimates(result.Root, result.NodeRows, result.NodeInformed),
 		literalBound: firstNonEmpty(b.LiteralBound, rw.LiteralBound, result.LiteralBound),
+		guards:       expr.AppendGuards(slices.Clip(rw.Guards), result.Guards...),
 	}
 	// Keep format and arguments only of the texts a rebind has to render
 	// again: those with a literal-derived argument.

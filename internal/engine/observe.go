@@ -26,6 +26,7 @@ const (
 	mCacheFailover = "softdb_plan_cache_failovers_total"
 	mCacheEntries  = "softdb_plan_cache_entries"
 	mCacheTemplate = "softdb_plan_cache_template_hits_total"
+	mCacheGuard    = "softdb_plan_cache_guard_misses_total"
 	mCacheLitBound = "softdb_plan_cache_literal_bound_total"
 	mCacheEvicted  = "softdb_plan_cache_evictions_total"
 	mRewriteFires  = "softdb_rewrite_fires_total"
@@ -96,6 +97,7 @@ type obsState struct {
 	cacheInvals    *obs.Counter
 	cacheFailovers *obs.Counter
 	templateHits   *obs.Counter
+	guardMisses    *obs.Counter
 	cacheEvictions *obs.Counter
 	rowsShort      *obs.Counter
 	pagePaths      *obs.Counter
@@ -129,8 +131,9 @@ func (db *Database) initObs() {
 	r.Describe(mCacheFailover, "counter", "Plan-cache reversions to the SQO-free backup plan (§4.1).")
 	r.Describe(mCacheEntries, "gauge", "Live plan-cache entries: plan templates plus literal-bound variants.")
 	r.Describe(mCacheTemplate, "counter", "Plan-cache hits served by rebinding a shape's plan template to the statement's literals.")
+	r.Describe(mCacheGuard, "counter", "Statements whose shape held plan templates, none of whose guards admitted the statement's literals.")
 	r.Describe(mCacheLitBound, "counter", "Plans compiled literal-bound (cached for their own literal vector only), by the deciding rule.")
-	r.Describe(mCacheEvicted, "counter", "Literal-bound plans evicted at the per-shape cap.")
+	r.Describe(mCacheEvicted, "counter", "Plans (templates or literal-bound variants) evicted at the per-shape cap.")
 	r.Describe(mRewriteFires, "counter", "Semantic rewrite rule firings by kind.")
 	r.Describe(mASCViolations, "counter", "Absolute soft constraints deactivated by violating writes.")
 	r.Describe(mCorrDrops, "counter", "Absolute linear correlations dropped by violating writes.")
@@ -175,6 +178,7 @@ func (db *Database) initObs() {
 	o.cacheInvals = r.Counter(mCacheInvals)
 	o.cacheFailovers = r.Counter(mCacheFailover)
 	o.templateHits = r.Counter(mCacheTemplate)
+	o.guardMisses = r.Counter(mCacheGuard)
 	o.cacheEvictions = r.Counter(mCacheEvicted)
 	o.pagesSkipped = r.Counter(mPagesSkipped)
 	o.pagesFrozen = r.Counter(mPagesFrozen)

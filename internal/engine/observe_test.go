@@ -184,7 +184,7 @@ func TestDebugHandlerServesMetricsAndQueries(t *testing.T) {
 	db.SetTracing(true)
 	db.MustExec("SELECT id FROM purchase WHERE ship_date = DATE '1999-02-15'")
 	db.MustExec("SELECT id FROM purchase WHERE ship_date = DATE '1999-02-16'")                             // template rebind
-	db.MustExec("SELECT id FROM purchase WHERE ship_date BETWEEN DATE '1999-02-15' AND DATE '1999-02-20'") // literal-bound
+	db.MustExec("SELECT id FROM purchase WHERE ship_date BETWEEN DATE '1999-02-15' AND DATE '1999-02-20'") // literal-bound: the derived order_date range is weighed for the index
 
 	srv := httptest.NewServer(db.DebugHandler())
 	defer srv.Close()
@@ -209,7 +209,7 @@ func TestDebugHandlerServesMetricsAndQueries(t *testing.T) {
 	for _, name := range []string{
 		mQueries, mCacheHits, mCacheMisses, mRewriteFires,
 		mSSCRefreshes, mQueryDuration, mASCViolations,
-		mCacheTemplate + " 1", mCacheLitBound + `{reason="range-check"} 1`, mCacheEvicted + " 0",
+		mCacheTemplate + " 1", mCacheLitBound + `{reason="access-path"} 1`, mCacheEvicted + " 0",
 	} {
 		if !strings.Contains(metrics, name) {
 			t.Errorf("/metrics missing %s", name)

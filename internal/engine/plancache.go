@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -16,23 +17,30 @@ import (
 
 // The plan cache is keyed by statement shape: the SELECT's token stream
 // with its predicate literals lifted out (sql.Fingerprint) plus the
-// settings that shape a compiled plan. A shape holds either
+// settings that shape a compiled plan. A shape holds
 //
-//   - a template: a plan compiled from one literal vector in which every
-//     literal-derived constant knows its origin (slot, or slot + offset), so
-//     later statements of the shape skip parse, build, rewrite and optimize
-//     and run a rebind of it; or
-//   - literal-bound variants: plans some rewrite or access-path decision
+//   - guarded templates: plans compiled from one literal vector in which
+//     every literal-derived constant knows its origin (slot, or slot +
+//     offset), each with the guards — literal against literal or catalog
+//     bound, and the sign the comparison came out with — its rules decided
+//     on. A later statement of the shape whose literals every guard of a
+//     template admits skips parse, build, rewrite and optimize and runs a
+//     rebind of it; one outside all of them is compiled, and may become one
+//     more template; and
+//   - literal-bound variants: plans some cost-based or textual decision
 //     tied to the literal values they were compiled from, cached per
-//     (shape, literal vector) exactly as a text-keyed cache would, capped at
-//     maxVariants per shape with least-recently-used eviction.
+//     (shape, literal vector) exactly as a text-keyed cache would.
+//
+// Templates and variants together are capped at maxVariants per shape with
+// least-recently-used eviction.
 //
 // Texts the fingerprint refuses share one shape ("") and are variants keyed
 // by the whole text. The §4.1 lifecycle — catalog/hard versions, lazy
 // invalidation, backup-plan failover — applies per plan, template or
 // variant alike.
 
-// maxVariants caps the literal-bound plans one shape may hold.
+// maxVariants caps the plans — templates and literal-bound variants — one
+// shape may hold.
 const maxVariants = 64
 
 // shapeKey identifies a cache slot. Only the knob that shapes the compiled
@@ -54,6 +62,7 @@ type stmtPrint struct {
 	shaped bool
 	lits   []sql.Literal
 	whole  string
+	vals   []types.Datum // lits' values, once values has been called
 }
 
 // printOf fingerprints a SELECT text under the statement's settings.
@@ -65,13 +74,16 @@ func printOf(text string, st Settings) stmtPrint {
 	return fp
 }
 
-// values returns the literal vector a template is rebound with.
+// values returns the literal vector a template is rebound with. The slice
+// is shared: callers must not modify it.
 func (fp *stmtPrint) values() []types.Datum {
-	vals := make([]types.Datum, len(fp.lits))
-	for i, l := range fp.lits {
-		vals[i] = l.Value
+	if fp.vals == nil {
+		fp.vals = make([]types.Datum, len(fp.lits))
+		for i, l := range fp.lits {
+			fp.vals[i] = l.Value
+		}
 	}
-	return vals
+	return fp.vals
 }
 
 // variantKey identifies the statement among the literal-bound plans of its
@@ -100,18 +112,40 @@ func shapeID(shape string) string {
 }
 
 type shapeEntry struct {
-	// template serves every literal vector of the shape by rebind; nil
-	// while the shape is literal-bound (or its template was invalidated).
-	template *cachedPlan
+	// templates serve by rebind every literal vector their guards admit,
+	// the first admitting one a statement.
+	templates []*variant
 	// variants are the literal-bound plans by variantKey.
 	variants map[string]*variant
-	// clock orders variant uses for eviction.
+	// clock orders template and variant uses for eviction.
 	clock uint64
 }
 
+// variant is one cached plan of a shape, template or literal-bound.
 type variant struct {
 	plan *cachedPlan
 	used uint64
+	// vals is the literal vector a literal-bound plan was compiled from
+	// (nil for a template, or a text the fingerprint refused).
+	vals []types.Datum
+}
+
+// held counts the shape's plans.
+func (se *shapeEntry) held() int { return len(se.templates) + len(se.variants) }
+
+// serving is the §4.1 version rule: the plan p serves under the current
+// catalog is p itself, or its backup once only soft characterizations
+// moved; nil when it is dead. It only looks — current applies the choice
+// and counts it — so lookup can check the guards of the plan it would
+// serve (a backup carries its own) before committing to it.
+func (db *Database) serving(p *cachedPlan) *cachedPlan {
+	switch {
+	case p.catVersion == db.cat.Version():
+		return p
+	case p.hardVersion == db.cat.HardVersion() && p.backup != nil:
+		return p.backup
+	}
+	return nil
 }
 
 type planCache struct {
@@ -127,13 +161,12 @@ type planCache struct {
 // instead of a recompile (a failover); otherwise the plan is dead, counted
 // as invalidated, and nil is returned. hit tells the first outcome apart.
 func (db *Database) current(p *cachedPlan) (plan *cachedPlan, hit bool) {
-	if p.catVersion == db.cat.Version() {
+	switch bk := db.serving(p); {
+	case bk == p:
 		db.cacheStat.Hits++
 		db.obs.cacheHits.Inc()
 		return p, true
-	}
-	if p.hardVersion == db.cat.HardVersion() && p.backup != nil {
-		bk := p.backup
+	case bk != nil:
 		bk.catVersion = db.cat.Version()
 		bk.hardVersion = db.cat.HardVersion()
 		bk.trace = append([]string{"backup-plan: reverted after soft-constraint change (§4.1)"}, bk.trace...)
@@ -148,24 +181,43 @@ func (db *Database) current(p *cachedPlan) (plan *cachedPlan, hit bool) {
 	return nil, false
 }
 
-// cacheLookup resolves a statement to a runnable plan: its shape's template
-// (the caller rebinds it to the statement's literals) or the literal-bound
-// variant compiled for exactly these literals. Either is a hit; a failover
-// to a backup plan is counted as such instead. A template's one failover
-// serves every later literal vector — an ASC overturn costs one reversion
-// per shape, not one per text.
+// cacheLookup resolves a statement to a runnable plan: the first of its
+// shape's templates whose guards admit the statement's literals (the
+// caller rebinds it to them) or the literal-bound variant compiled for
+// exactly these literals. Either is a hit; a failover to a backup plan is
+// counted as such instead. A template's one failover serves every later
+// literal vector its backup's guards admit — an ASC overturn costs one
+// reversion per template, not one per text. Dead templates are dropped on
+// the way.
 func (db *Database) cacheLookup(fp *stmtPrint) (plan *cachedPlan, template bool) {
 	db.cacheMu.Lock()
 	defer db.cacheMu.Unlock()
 	se := db.cache.shapes[fp.key]
-	if se != nil && se.template != nil && fp.shaped {
-		var hit bool
-		if se.template, hit = db.current(se.template); se.template != nil {
+	if se != nil && len(se.templates) > 0 && fp.shaped {
+		vals := fp.values()
+		for i := 0; i < len(se.templates); {
+			t := se.templates[i]
+			if s := db.serving(t.plan); s != nil && !expr.GuardsHold(s.guards, vals) {
+				i++
+				continue
+			}
+			p, hit := db.current(t.plan)
+			if p == nil {
+				se.templates = slices.Delete(se.templates, i, i+1)
+				continue
+			}
+			t.plan = p
+			se.clock++
+			t.used = se.clock
 			if hit {
 				db.cacheStat.TemplateHits++
 				db.obs.templateHits.Inc()
 			}
-			return se.template, true
+			return p, true
+		}
+		if len(se.templates) > 0 {
+			db.cacheStat.GuardMisses++
+			db.obs.guardMisses.Inc()
 		}
 	}
 	if se != nil && len(se.variants) > 0 {
@@ -185,10 +237,12 @@ func (db *Database) cacheLookup(fp *stmtPrint) (plan *cachedPlan, template bool)
 }
 
 // cacheStore files a freshly compiled plan under its statement's shape: as
-// the shape's template when no decision tied it to the literals it was
-// compiled from (literalBound empty), otherwise as the variant for exactly
-// those literals, evicting the shape's least recently used variant at the
-// cap.
+// a template when no decision tied it to the literals it was compiled from
+// (literalBound empty) — in place of a template admitting the same
+// literals (one that went stale, or a concurrent compile's), and retiring
+// the variants it admits — otherwise as the variant for exactly those
+// literals, unless a template already admits them. At the cap the
+// shape's least recently used plan is evicted.
 func (db *Database) cacheStore(fp *stmtPrint, p *cachedPlan) {
 	db.cacheMu.Lock()
 	defer db.cacheMu.Unlock()
@@ -197,48 +251,74 @@ func (db *Database) cacheStore(fp *stmtPrint, p *cachedPlan) {
 		se = &shapeEntry{}
 		db.cache.shapes[fp.key] = se
 	}
+	se.clock++
 	if p.literalBound == "" {
-		// One kind of plan per shape: the template supersedes whatever
-		// literal-bound plans the shape held (compiled before the catalog
-		// moved, or for literals a cost-based choice flipped on).
-		if se.template == nil {
+		vals := fp.values()
+		for vk, v := range se.variants {
+			if v.vals != nil && expr.GuardsHold(p.guards, v.vals) {
+				delete(se.variants, vk)
+				db.cache.plans--
+			}
+		}
+		i := slices.IndexFunc(se.templates, func(t *variant) bool { return expr.GuardsHold(t.plan.guards, vals) })
+		if i >= 0 {
+			se.templates[i] = &variant{plan: p, used: se.clock}
+		} else {
+			db.makeRoom(se)
+			se.templates = append(se.templates, &variant{plan: p, used: se.clock})
 			db.cache.plans++
 		}
-		db.cache.plans -= len(se.variants)
-		se.template, se.variants = p, nil
 	} else {
 		db.cacheStat.LiteralBound++
 		db.obs.metrics.Counter(mCacheLitBound, "reason", p.literalBound).Inc()
-		if se.template != nil {
-			se.template = nil
-			db.cache.plans--
+		if fp.shaped && slices.ContainsFunc(se.templates, func(t *variant) bool {
+			s := db.serving(t.plan)
+			return s != nil && expr.GuardsHold(s.guards, fp.values())
+		}) {
+			// A template filed while this plan compiled serves its
+			// literals; it would have retired the variant had it come
+			// second.
+			return
 		}
 		if se.variants == nil {
 			se.variants = map[string]*variant{}
 		}
 		vk := fp.variantKey()
 		if se.variants[vk] == nil {
-			if len(se.variants) >= maxVariants {
-				db.evictVariant(se)
-			}
+			db.makeRoom(se)
 			db.cache.plans++
 		}
-		se.clock++
-		se.variants[vk] = &variant{plan: p, used: se.clock}
+		v := &variant{plan: p, used: se.clock}
+		if fp.shaped {
+			v.vals = fp.values()
+		}
+		se.variants[vk] = v
 	}
 	db.obs.cacheEntries.Set(int64(db.cache.plans))
 }
 
-// evictVariant drops the shape's least recently used variant.
-func (db *Database) evictVariant(se *shapeEntry) {
-	var victim string
-	oldest := ^uint64(0)
-	for k, v := range se.variants {
-		if v.used < oldest {
-			victim, oldest = k, v.used
+// makeRoom evicts the shape's least recently used plan, template or
+// variant, when it holds maxVariants.
+func (db *Database) makeRoom(se *shapeEntry) {
+	if se.held() < maxVariants {
+		return
+	}
+	victim, oldest, ti := "", ^uint64(0), -1
+	for i, t := range se.templates {
+		if t.used < oldest {
+			oldest, ti = t.used, i
 		}
 	}
-	delete(se.variants, victim)
+	for k, v := range se.variants {
+		if v.used < oldest {
+			victim, oldest, ti = k, v.used, -1
+		}
+	}
+	if ti >= 0 {
+		se.templates = slices.Delete(se.templates, ti, ti+1)
+	} else {
+		delete(se.variants, victim)
+	}
 	db.cache.plans--
 	db.cacheStat.Evictions++
 	db.obs.cacheEvictions.Inc()
@@ -257,8 +337,12 @@ func (db *Database) cachePeek(fp *stmtPrint) string {
 	if se == nil {
 		return "miss"
 	}
-	if t := se.template; t != nil && fp.shaped && t.catVersion == db.cat.Version() {
-		return "hit"
+	if fp.shaped {
+		for _, t := range se.templates {
+			if t.plan.catVersion == db.cat.Version() && expr.GuardsHold(t.plan.guards, fp.values()) {
+				return "hit"
+			}
+		}
 	}
 	if len(se.variants) > 0 {
 		if v := se.variants[fp.variantKey()]; v != nil && v.plan.catVersion == db.cat.Version() {
@@ -274,14 +358,18 @@ func (p *cachedPlan) cacheNote() string {
 	if p.literalBound != "" {
 		return fmt.Sprintf("(literal-bound: %s)", p.literalBound)
 	}
-	if p.slots == 1 {
-		return "(template, 1 slot)"
-	}
-	return fmt.Sprintf("(template, %d slots)", p.slots)
+	return fmt.Sprintf("(template, %s, %s)", plural(p.slots, "slot"), plural(len(p.guards), "guard"))
 }
 
-// CachedPlanCount reports the executable plans the cache holds: one per
-// template shape plus one per literal-bound variant.
+func plural(n int, unit string) string {
+	if n == 1 {
+		return "1 " + unit
+	}
+	return strconv.Itoa(n) + " " + unit + "s"
+}
+
+// CachedPlanCount reports the executable plans the cache holds: templates
+// plus literal-bound variants.
 func (db *Database) CachedPlanCount() int {
 	db.cacheMu.Lock()
 	defer db.cacheMu.Unlock()
@@ -299,17 +387,23 @@ func (db *Database) InvalidateStaleCache() int {
 	n := 0
 	version := db.cat.Version()
 	for k, se := range db.cache.shapes {
-		if se.template != nil && se.template.catVersion != version {
-			se.template = nil
-			n++
+		live := se.templates[:0]
+		for _, t := range se.templates {
+			if t.plan.catVersion == version {
+				live = append(live, t)
+			} else {
+				n++
+			}
 		}
+		clear(se.templates[len(live):])
+		se.templates = live
 		for vk, v := range se.variants {
 			if v.plan.catVersion != version {
 				delete(se.variants, vk)
 				n++
 			}
 		}
-		if se.template == nil && len(se.variants) == 0 {
+		if se.held() == 0 {
 			delete(db.cache.shapes, k)
 		}
 	}
@@ -376,15 +470,17 @@ func (fp *stmtPrint) stamp(p *cachedPlan) {
 }
 
 // templateHolds decides whether p — planned under po from sel, whose
-// literals are fp's — may serve every literal vector of the shape. No rule
-// may have tied it to its literals, and the claim is then checked once:
-// the statement is planned again from scratch with every literal nudged to
-// another value of its kind, and rebinding p to those literals must
-// reproduce that plan text, rewrite trace and event list exactly. A
+// literals are fp's — may serve every literal vector its guards admit. No
+// rule may have tied it to its literals, and the claim is then checked
+// once: the statement is planned again from scratch with every literal
+// nudged to another value of its kind inside the guards' region, and that
+// plan must record the same guards, while rebinding p to those literals
+// must reproduce its plan text, rewrite trace and event list exactly. A
 // constant that silently kept the first statement's literal, or a decision
 // that happened to flip, shows up as a difference, and the plan stays
-// bound to its literals. The extra planning pass runs once per template,
-// not per statement.
+// bound to its literals — as does a plan no nudge keeps inside its region
+// (a literal pinned to a bound). The extra planning pass runs once per
+// template, not per statement.
 func (db *Database) templateHolds(sel *sql.Select, p *cachedPlan, fp *stmtPrint, st Settings, po planOpts) bool {
 	if p.literalBound != "" {
 		return false
@@ -392,21 +488,12 @@ func (db *Database) templateHolds(sel *sql.Select, p *cachedPlan, fp *stmtPrint,
 	if p.slots == 0 {
 		return true
 	}
-	other := fp.values()
-	for i, v := range other {
-		switch v.Kind() {
-		case types.KindInt:
-			other[i] = types.NewInt(v.Int() + 1)
-		case types.KindDate:
-			other[i] = types.NewDate(v.IntImage() + 1)
-		case types.KindFloat:
-			other[i] = types.NewFloat(v.Float() + 1)
-		case types.KindString:
-			other[i] = types.NewString(v.Str() + "~")
-		}
+	other, ok := nudge(fp.values(), p.guards)
+	if !ok {
+		return false
 	}
 	fresh, err := db.planSelect(sql.BindLiterals(sel, other), st, po)
-	if err != nil || fresh.literalBound != "" {
+	if err != nil || fresh.literalBound != "" || !slices.EqualFunc(p.guards, fresh.guards, expr.Guard.Same) {
 		return false
 	}
 	rebound, ok := p.bind(other)
@@ -419,6 +506,116 @@ func (db *Database) templateHolds(sel *sql.Select, p *cachedPlan, fp *stmtPrint,
 		}
 	}
 	return true
+}
+
+// maxNudged bounds the literals nudge searches both directions for: 2^6
+// vectors per step size at most.
+const maxNudged = 6
+
+// floatSteps are the distances nudge tries moving FLOAT literals by,
+// largest first; 0 stands for the neighbouring float.
+var floatSteps = [...]float64{1, 0x1p-4, 0x1p-12, 0x1p-24, 0}
+
+// nudge returns a literal vector next to vals that every guard admits and
+// in which each literal holds another value, unless a guard pins it — an
+// equality with a constant read through the literal itself, so that every
+// vector the guards admit holds the same value there. INT and DATE
+// literals move by ±1, strings gain "~" or lose their last byte, and
+// FLOAT literals move by ±s for the first step s of floatSteps that keeps
+// the vector inside: a FLOAT region narrower than 2 is still an interval,
+// not a point. The directions of the literals the guards read are
+// searched together (a = b moves both ways at once). ok is false when no
+// literal can move, or one that must cannot: the region is a single point,
+// or too narrow for the steps.
+func nudge(vals []types.Datum, guards []expr.Guard) (other []types.Datum, ok bool) {
+	pinned := make([]bool, len(vals))
+	for _, g := range guards {
+		for _, s := range [2][2]expr.Side{{g.X, g.Y}, {g.Y, g.X}} {
+			lit, con := s[0], s[1]
+			if g.Sign == 0 && lit.From.Slot > 0 && lit.From == (expr.Origin{Slot: lit.From.Slot}) &&
+				con.From.Slot == 0 && vals[lit.From.Slot-1].Kind() == lit.Value.Kind() {
+				pinned[lit.From.Slot-1] = true
+			}
+		}
+	}
+	var read []int // positions of the unpinned literals some guard reads
+	for _, g := range guards {
+		for _, s := range [2]expr.Side{g.X, g.Y} {
+			if i := s.From.Slot - 1; i >= 0 && !pinned[i] && !slices.Contains(read, i) && len(read) < maxNudged {
+				read = append(read, i)
+			}
+		}
+	}
+	if !slices.Contains(pinned, false) {
+		return nil, false
+	}
+	floats := slices.ContainsFunc(vals, func(v types.Datum) bool { return v.Kind() == types.KindFloat })
+	other = make([]types.Datum, len(vals))
+	for _, s := range floatSteps {
+		// Bit j of n sends read[j] down; the other literals move up, or
+		// down where up does not move them.
+		for n := 0; n < 1<<len(read); n++ {
+			inside := true
+			for i, v := range vals {
+				if pinned[i] {
+					other[i] = v
+					continue
+				}
+				var moved bool
+				if j := slices.Index(read, i); j >= 0 {
+					other[i], moved = step(v, n>>j&1 == 1, s)
+				} else if other[i], moved = step(v, false, s); !moved {
+					other[i], moved = step(v, true, s)
+				}
+				inside = inside && moved
+			}
+			if inside && expr.GuardsHold(guards, other) {
+				return other, true
+			}
+		}
+		if !floats {
+			break
+		}
+	}
+	return nil, false
+}
+
+// step moves a literal one step of its kind up or down (s: a FLOAT's
+// distance, 0 the neighbouring float); moved is false when the value
+// stays, or an INT would wrap.
+func step(v types.Datum, down bool, s float64) (w types.Datum, moved bool) {
+	d := int64(1)
+	if down {
+		d = -1
+	}
+	switch v.Kind() {
+	case types.KindInt:
+		if n := v.Int(); (n+d > n) == !down {
+			return types.NewInt(n + d), true
+		}
+		return v, false
+	case types.KindDate:
+		return types.NewDate(v.IntImage() + d), true
+	case types.KindFloat:
+		f := v.Float()
+		switch {
+		case s == 0:
+			f = math.Nextafter(f, math.Inf(int(d)))
+		case down:
+			f -= s
+		default:
+			f += s
+		}
+		w = types.NewFloat(f)
+		return w, w.Compare(v) != 0
+	case types.KindString:
+		str := v.Str()
+		if !down {
+			return types.NewString(str + "~"), true
+		}
+		return types.NewString(str[:max(len(str)-1, 0)]), str != ""
+	}
+	return v, false
 }
 
 // bind instantiates a template for the literal vector vals: the operator

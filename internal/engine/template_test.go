@@ -9,6 +9,7 @@ import (
 
 	"softdb/internal/catalog"
 	"softdb/internal/expr"
+	"softdb/internal/obs"
 	"softdb/internal/types"
 )
 
@@ -157,6 +158,16 @@ type templateShape struct {
 	format   string
 	args     func(i int) []any
 	template bool // the shape must be served by one rebound template
+	// pieces > 0 makes the shape guarded: templates serve it, one per
+	// region of literal vectors its guards tell apart (a literal pinned to
+	// a bound on both sides of its guards is literal-bound), and at most
+	// pieces statements are compiled.
+	pieces int
+	// templated, when set, makes the shape mixed: the vectors it picks are
+	// served by templates (at most two compiles among them), and every
+	// other vector is compiled literal-bound for the mixedReason decision.
+	templated   func(i int) bool
+	mixedReason string
 }
 
 func templateShapes() []templateShape {
@@ -181,9 +192,16 @@ func templateShapes() []templateShape {
 		{rule: "predicate introduction", template: true,
 			format: "SELECT id FROM purchase WHERE ship_date = %s",
 			args:   func(i int) []any { return []any{dateSQL(day(i))} }},
+		// An empty range (i%17 < 2) is decided by one guard, b < a, and
+		// served by a template; a point or a wider range is an index range
+		// whose use is costed on its width.
 		{rule: "predicate introduction (range)",
-			format: "SELECT COUNT(*) AS n, SUM(amount) AS s FROM purchase WHERE ship_date BETWEEN %s AND %s",
-			args:   func(i int) []any { return []any{dateSQL(day(i)), dateSQL(day(i) + int64(i%17) - 2)} }},
+			format:    "SELECT COUNT(*) AS n, SUM(amount) AS s FROM purchase WHERE ship_date BETWEEN %s AND %s",
+			args:      func(i int) []any { return []any{dateSQL(day(i)), dateSQL(day(i) + int64(i%17) - 2)} },
+			templated: func(i int) bool { return i%17 < 2 }, mixedReason: "access-path"},
+		{rule: "range check (empty range)", template: true,
+			format: "SELECT SUM(amount) AS s FROM purchase WHERE ship_date BETWEEN %s AND %s",
+			args:   func(i int) []any { return []any{dateSQL(day(i)), dateSQL(day(i) - 1 - int64(i%3))} }},
 		{rule: "prune introduction", template: true,
 			format: "SELECT id, ship_date FROM shipment WHERE order_date = %s",
 			args:   func(i int) []any { return []any{dateSQL(day(i))} }},
@@ -196,10 +214,13 @@ func templateShapes() []templateShape {
 		{rule: "join elimination (key range)",
 			format: "SELECT COUNT(*) AS n FROM fact f, dim d WHERE f.dim_id = d.id AND f.id >= %d AND f.id < %d",
 			args:   func(i int) []any { return []any{num(i), num(i) + int64(i%300)} }},
-		{rule: "branch pruning (point)",
+		// 12 CHECK bounds cut the line into at most 25 pieces.
+		{rule: "branch pruning (point)", pieces: 25,
 			format: "SELECT month, amount FROM sales WHERE month = %d ORDER BY amount",
 			args:   func(i int) []any { return []any{num(i) % 80} }},
-		{rule: "branch pruning (range)",
+		// Two literals among 12 bounds: the sweep's 240 vectors fall into
+		// 74 pieces.
+		{rule: "branch pruning (range)", pieces: 80,
 			format: "SELECT COUNT(*) AS n FROM sales WHERE month >= %d AND month <= %d",
 			args:   func(i int) []any { return []any{num(i) % 80, num(i)%80 + int64(i%25)} }},
 		{rule: "hole trimming",
@@ -219,7 +240,7 @@ func templateShapes() []templateShape {
 		{rule: "SSC twins", template: true,
 			format: "SELECT id FROM project WHERE start_date = %s",
 			args:   func(i int) []any { return []any{dateSQL(day(i))} }},
-		{rule: "SSC twins (two ranges)",
+		{rule: "SSC twins (two ranges)", template: true,
 			format: "SELECT id FROM project WHERE start_date <= %s AND end_date >= %s",
 			args:   func(i int) []any { return []any{dateSQL(day(i)), dateSQL(day(i) - int64(i%9))} }},
 		{rule: "strings and NULL-adjacent predicates", template: true,
@@ -256,11 +277,31 @@ func TestTemplateDifferential(t *testing.T) {
 	for _, sh := range templateShapes() {
 		t.Run(sh.rule, func(t *testing.T) {
 			db.ResetCacheStats()
+			var mixed *obs.Counter
+			if sh.templated != nil {
+				mixed = db.obs.metrics.Counter(mCacheLitBound, "reason", sh.mixedReason)
+			}
+			templated := 0
 			for i := 0; i < vectors; i++ {
 				q := fmt.Sprintf(sh.format, sh.args(i)...)
+				before, boundBefore := db.CacheStats(), int64(0)
+				if mixed != nil {
+					boundBefore = mixed.Value()
+				}
 				got, err := db.Exec(q)
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)
+				}
+				if mixed != nil {
+					after := db.CacheStats()
+					served := after.TemplateHits > before.TemplateHits || after.Misses > before.Misses && after.LiteralBound == before.LiteralBound
+					bound := mixed.Value() > boundBefore
+					if want := sh.templated(i); served != want || bound == want {
+						t.Fatalf("%s: served by a template %v, compiled %s-bound %v; want template %v", q, served, sh.mixedReason, bound, want)
+					}
+					if served {
+						templated++
+					}
 				}
 				db.DisablePlanCache = true
 				want, err := db.Exec(q)
@@ -293,7 +334,16 @@ func TestTemplateDifferential(t *testing.T) {
 				}
 			}
 			cs := db.CacheStats()
-			if sh.template {
+			switch {
+			case sh.templated != nil:
+				if compiled := templated - int(cs.TemplateHits); compiled < 1 || compiled > 2 {
+					t.Errorf("%d templated vectors should take one or two compiles: %+v", templated, cs)
+				}
+			case sh.pieces > 0:
+				if cs.TemplateHits < vectors/2 || cs.Misses > int64(sh.pieces) || cs.Misses+cs.Hits != vectors {
+					t.Errorf("shape should be served by templates, at most %d compiled: %+v", sh.pieces, cs)
+				}
+			case sh.template:
 				// One compile makes the template. (A second is tolerated: when
 				// a cost-based choice — a hash join's build side — comes out
 				// differently for the first statement's literals than for the
@@ -302,8 +352,10 @@ func TestTemplateDifferential(t *testing.T) {
 				if cs.Misses > 2 || cs.Misses+cs.TemplateHits != vectors || cs.LiteralBound != cs.Misses-1 {
 					t.Errorf("shape should be one template rebound for every literal vector: %+v", cs)
 				}
-			} else if cs.TemplateHits != 0 || cs.LiteralBound == 0 {
-				t.Errorf("shape should be literal-bound: %+v", cs)
+			default:
+				if cs.TemplateHits != 0 || cs.LiteralBound == 0 {
+					t.Errorf("shape should be literal-bound: %+v", cs)
+				}
 			}
 		})
 	}
@@ -346,18 +398,24 @@ func TestTemplateExplainShowsBoundLiterals(t *testing.T) {
 		if !strings.Contains(out, "2001-01-05") || strings.Contains(out, "1999-03-01") {
 			t.Errorf("%sshows stale literals:\n%s", q, out)
 		}
-		if !strings.Contains(out, "plan cache: hit (template, 1 slot)") {
+		if !strings.Contains(out, "plan cache: hit (template, 1 slot, 0 guards)") {
 			t.Errorf("%sshould report the template:\n%s", q, out)
 		}
 	}
+	// Branch elimination weighs the literal against the six CHECK ranges:
+	// two guards a range. A literal on a bound stays literal-bound.
 	out := strings.Join(rowsAsStrings(db.MustExec("EXPLAIN SELECT COUNT(*) FROM sales WHERE month = 15").Rows), "\n")
-	if !strings.Contains(out, "plan cache: miss (literal-bound: branch-elimination)") {
+	if !strings.Contains(out, "plan cache: miss (template, 1 slot, 12 guards)") {
+		t.Errorf("guarded template missing:\n%s", out)
+	}
+	out = strings.Join(rowsAsStrings(db.MustExec("EXPLAIN SELECT COUNT(*) FROM sales WHERE month = 19").Rows), "\n")
+	if !strings.Contains(out, "plan cache: miss (literal-bound: rebind)") {
 		t.Errorf("literal-bound reason missing:\n%s", out)
 	}
 	// A statement without predicate literals is a template with no slots.
 	db.MustExec("SELECT COUNT(*) FROM dim")
 	out = strings.Join(rowsAsStrings(db.MustExec("EXPLAIN SELECT COUNT(*) FROM dim").Rows), "\n")
-	if !strings.Contains(out, "plan cache: hit (template, 0 slots)") {
+	if !strings.Contains(out, "plan cache: hit (template, 0 slots, 0 guards)") {
 		t.Errorf("literal-free statement:\n%s", out)
 	}
 }
@@ -414,12 +472,13 @@ func TestTemplateFailover(t *testing.T) {
 }
 
 // TestTemplateVariantCap: an unbounded stream of literal vectors over a
-// literal-bound shape holds at most maxVariants plans, evicting the least
-// recently used, while a recently used vector stays cached.
+// literal-bound shape (hole trimming) holds at most maxVariants plans,
+// evicting the least recently used, while a recently used vector stays
+// cached.
 func TestTemplateVariantCap(t *testing.T) {
 	db := templateDB(t)
 	q := func(i int) string {
-		return fmt.Sprintf("SELECT COUNT(*) AS n FROM sales WHERE month >= %d AND month <= %d", i, i+5)
+		return fmt.Sprintf("SELECT COUNT(*) AS n FROM orders, lineitem WHERE orders.oid = lineitem.oid AND orders.amount >= %d AND orders.amount <= %d AND lineitem.qty >= 0 AND lineitem.qty <= 10", i, i+5)
 	}
 	hot := q(0)
 	for i := 0; i < 4*maxVariants; i++ {

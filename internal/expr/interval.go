@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,21 +29,100 @@ type Provenance struct {
 	// Lo and Hi are the bounds' origins (zero: the bound is not
 	// literal-derived).
 	Lo, Hi Origin
-	// Shaped reports that the interval's shape — which of two bounds won
-	// an intersection, whether the range is empty or a single point — was
-	// decided by comparing values of different provenance. Another literal
-	// vector can give it a different shape, so the origins alone cannot
-	// rebind it, and a rule that used it has tied the plan to the literals.
-	Shaped bool
+	// Guards are the comparisons between values of different origin that
+	// decided the interval's shape — which of two bounds won an
+	// intersection, whether the range is empty or a single point. The
+	// origins rebind the interval for exactly the literal vectors under
+	// which every guard keeps its sign.
+	Guards []Guard
+}
+
+// Side is one operand of a guard: a constant (From zero) or the value a
+// statement literal produced through From, Value being what it was for the
+// literals the guard was recorded under.
+type Side struct {
+	Value types.Datum
+	From  Origin
+}
+
+// at returns the side's value for the literal vector lits; ok is false for
+// a value no Origin describes.
+func (s Side) at(lits []types.Datum) (types.Datum, bool) {
+	switch {
+	case s.From.Slot == 0:
+		return s.Value, true
+	case s.From.Slot < 0:
+		return types.Null, false
+	}
+	return s.From.Apply(lits, s.Value), true
+}
+
+// Guard records that a decision was taken on X.Compare(Y) == Sign. A plan
+// built from such decisions is valid for the literal vectors under which
+// every one of its guards holds (Chirkova & Genesereth: a reformulation is
+// valid on exactly the instances that satisfy what it was derived from).
+type Guard struct {
+	X, Y Side
+	Sign int8
+}
+
+// Opaque reports whether a side of g is a value no Origin describes: g
+// cannot be checked for another literal vector.
+func (g Guard) Opaque() bool { return g.X.From.Slot < 0 || g.Y.From.Slot < 0 }
+
+// Holds reports whether the comparison keeps its sign under lits.
+func (g Guard) Holds(lits []types.Datum) bool {
+	x, okX := g.X.at(lits)
+	y, okY := g.Y.at(lits)
+	return okX && okY && int8(x.Compare(y)) == g.Sign
+}
+
+// Same reports whether g and o record the same comparison with the same
+// outcome, whatever literals each was recorded under: equal origins, equal
+// constants, equal sign.
+func (g Guard) Same(o Guard) bool {
+	side := func(a, b Side) bool {
+		return a.From == b.From && (a.From.Slot != 0 || a.Value == b.Value)
+	}
+	return g.Sign == o.Sign && side(g.X, o.X) && side(g.Y, o.Y)
+}
+
+// AnyOpaque reports whether some guard of gs is Opaque.
+func AnyOpaque(gs []Guard) bool {
+	return slices.ContainsFunc(gs, Guard.Opaque)
+}
+
+// GuardsHold reports whether every guard holds under lits.
+func GuardsHold(gs []Guard, lits []types.Datum) bool {
+	for _, g := range gs {
+		if !g.Holds(lits) {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendGuards appends the guards of src that dst does not hold yet.
+func AppendGuards(dst []Guard, src ...Guard) []Guard {
+	for _, g := range src {
+		if !slices.Contains(dst, g) {
+			dst = append(dst, g)
+		}
+	}
+	return dst
 }
 
 // FromLiteral reports whether any part of the interval depends on a
 // statement literal.
 func (iv Interval) FromLiteral() bool { return iv.Lit != nil }
 
-// LiteralShaped reports whether the interval's shape (not just its bound
-// values) depends on the statement's literals; see Provenance.Shaped.
-func (iv Interval) LiteralShaped() bool { return iv.Lit != nil && iv.Lit.Shaped }
+// Guards returns the comparisons the interval's shape was decided on.
+func (iv Interval) Guards() []Guard {
+	if iv.Lit == nil {
+		return nil
+	}
+	return iv.Lit.Guards
+}
 
 // Plain returns the interval without its literal provenance. Planning
 // needs the provenance; code that evaluates the interval against data (page
@@ -70,8 +150,8 @@ func (iv Interval) WithOrigins(lo, hi Origin) Interval {
 	return iv
 }
 
-// Bind recomputes the literal-derived bounds for the literal vector lits.
-// The interval must not be LiteralShaped.
+// Bind recomputes the literal-derived bounds for the literal vector lits,
+// which must satisfy the interval's guards.
 func (iv Interval) Bind(lits []types.Datum) Interval {
 	if iv.Lit == nil {
 		return iv
@@ -89,53 +169,22 @@ func (iv Interval) Bind(lits []types.Datum) Interval {
 	return iv
 }
 
-// ComparesFixed reports whether comparing a's bounds with b's (coverage,
-// disjointness) comes out the same for every literal vector: no bound on
-// either side depends on a literal, or all that do are images of one and
-// the same literal while none is a catalog constant.
-func ComparesFixed(a, b Interval) bool {
-	if a.Lit == nil && b.Lit == nil {
-		return true
-	}
-	if a.LiteralShaped() || b.LiteralShaped() {
-		return false
-	}
-	slot, first := 0, true
-	for _, iv := range [2]Interval{a, b} {
-		lo, hi := iv.Origins()
-		for _, bound := range [2]struct {
-			has  bool
-			from Origin
-		}{{iv.HasLo, lo}, {iv.HasHi, hi}} {
-			if !bound.has {
-				continue
-			}
-			if first {
-				slot, first = bound.from.Slot, false
-			} else if bound.from.Slot != slot {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // mergeProvenance starts the provenance of an interval computed from a and
-// b: nil when neither depends on a literal.
+// b: nil when neither depends on a literal, otherwise both guard lists.
 func mergeProvenance(a, b Interval) *Provenance {
 	if a.Lit == nil && b.Lit == nil {
 		return nil
 	}
-	return &Provenance{Shaped: a.LiteralShaped() || b.LiteralShaped()}
+	return &Provenance{Guards: AppendGuards(slices.Clip(a.Guards()), b.Guards()...)}
 }
 
-// compared notes that a decision was taken by comparing a bound of origin x
-// with one of origin y. Two catalog constants, or two images of the same
-// literal (x+a against x+b), compare the same way for every literal
-// vector; anything else ties the outcome to the literals' values.
-func (p *Provenance) compared(x, y Origin) {
-	if p != nil && x.Slot != y.Slot {
-		p.Shaped = true
+// compared records that a decision was taken on c = x.Compare(y). Two
+// catalog constants, or two images of the same literal (x+a against x+b),
+// compare the same way for every literal vector; anything else becomes a
+// guard.
+func (p *Provenance) compared(x, y Side, c int) {
+	if p != nil && x.From.Slot != y.From.Slot {
+		p.Guards = AppendGuards(p.Guards, Guard{X: x, Y: y, Sign: int8(c)})
 	}
 }
 
@@ -168,7 +217,7 @@ func (iv *Interval) normalize() {
 	if iv.HasLo && iv.HasHi {
 		c := iv.Lo.Compare(iv.Hi)
 		if iv.Lit != nil {
-			iv.Lit.compared(iv.Lit.Lo, iv.Lit.Hi)
+			iv.Lit.compared(Side{iv.Lo, iv.Lit.Lo}, Side{iv.Hi, iv.Lit.Hi}, c)
 		}
 		if c > 0 || (c == 0 && (!iv.LoIncl || !iv.HiIncl)) {
 			iv.ExactEmpty = true
@@ -226,8 +275,8 @@ func (iv Interval) Intersect(other Interval) Interval {
 		out.HasLo, out.Lo, out.LoIncl, lo = iv.HasLo, iv.Lo, iv.LoIncl, ivLo
 	default:
 		out.HasLo = true
-		out.Lit.compared(ivLo, otherLo)
 		c := iv.Lo.Compare(other.Lo)
+		out.Lit.compared(Side{iv.Lo, ivLo}, Side{other.Lo, otherLo}, c)
 		switch {
 		case c > 0:
 			out.Lo, out.LoIncl, lo = iv.Lo, iv.LoIncl, ivLo
@@ -244,8 +293,8 @@ func (iv Interval) Intersect(other Interval) Interval {
 		out.HasHi, out.Hi, out.HiIncl, hi = iv.HasHi, iv.Hi, iv.HiIncl, ivHi
 	default:
 		out.HasHi = true
-		out.Lit.compared(ivHi, otherHi)
 		c := iv.Hi.Compare(other.Hi)
+		out.Lit.compared(Side{iv.Hi, ivHi}, Side{other.Hi, otherHi}, c)
 		switch {
 		case c < 0:
 			out.Hi, out.HiIncl, hi = iv.Hi, iv.HiIncl, ivHi
@@ -269,17 +318,35 @@ func (iv Interval) Disjoint(other Interval) bool {
 
 // CoveredBy reports whether every value in iv lies inside outer.
 func (iv Interval) CoveredBy(outer Interval) bool {
+	return iv.coveredBy(outer, nil)
+}
+
+// Covered is CoveredBy for planning: it also returns the guards the answer
+// was decided on — both intervals' own and the bound comparisons it made.
+func (iv Interval) Covered(outer Interval) (bool, []Guard) {
+	p := mergeProvenance(iv, outer)
+	covered := iv.coveredBy(outer, p)
+	if p == nil {
+		return covered, nil
+	}
+	return covered, p.Guards
+}
+
+func (iv Interval) coveredBy(outer Interval, p *Provenance) bool {
 	if iv.ExactEmpty {
 		return true
 	}
 	if outer.ExactEmpty {
 		return false
 	}
+	ivLo, ivHi := iv.Origins()
+	outerLo, outerHi := outer.Origins()
 	if outer.HasLo {
 		if !iv.HasLo {
 			return false
 		}
 		c := iv.Lo.Compare(outer.Lo)
+		p.compared(Side{iv.Lo, ivLo}, Side{outer.Lo, outerLo}, c)
 		if c < 0 || (c == 0 && iv.LoIncl && !outer.LoIncl) {
 			return false
 		}
@@ -289,6 +356,7 @@ func (iv Interval) CoveredBy(outer Interval) bool {
 			return false
 		}
 		c := iv.Hi.Compare(outer.Hi)
+		p.compared(Side{iv.Hi, ivHi}, Side{outer.Hi, outerHi}, c)
 		if c > 0 || (c == 0 && iv.HiIncl && !outer.HiIncl) {
 			return false
 		}
@@ -301,12 +369,11 @@ func (iv Interval) CoveredBy(outer Interval) bool {
 // second return is false when the subtraction would split iv in two.
 func (iv Interval) Subtract(other Interval) (Interval, bool) {
 	// Every outcome below is picked by comparing bounds of the two
-	// intervals, so a literal-derived operand makes the result's shape
-	// literal-dependent.
+	// intervals. None of those comparisons becomes a guard and the result
+	// keeps no bound origins, so a caller that subtracts from a
+	// literal-derived interval ties its plan to the literals (hole-trim
+	// does).
 	lit := mergeProvenance(iv, other)
-	if lit != nil {
-		lit.Shaped = true
-	}
 	iv.Lit = lit
 	x := iv.Intersect(other)
 	if x.Empty() {
@@ -527,7 +594,10 @@ func ExtractInterval(conjuncts []Expr, colIndex int) (Interval, []Expr) {
 			iv = iv.Intersect(AtLeast(val, true).WithOrigins(from, Origin{}))
 		}
 		if from == unknownOrigin {
-			iv.Lit.Shaped = true
+			// The bound's value cannot be recomputed for other literals:
+			// a guard that it keeps its value can never be checked.
+			side := Side{Value: val, From: from}
+			iv.Lit.Guards = AppendGuards(iv.Lit.Guards, Guard{X: side, Y: Side{Value: val}})
 		}
 	}
 	return iv, rest

@@ -280,28 +280,44 @@ func TestContainsConjunct(t *testing.T) {
 
 // Literal provenance: bounds that come from statement literals keep their
 // origin through extraction and intersection; a shape decided by comparing
-// different literals (or a literal with a plain constant) is flagged, one
-// decided between images of the same literal is not.
+// values of different origin — two literals, a literal and a plain
+// constant — records that comparison as a guard with its sign, and the
+// guard holds for exactly the literal vectors that reproduce the sign; one
+// decided between images of the same literal records nothing.
 func TestIntervalLiteralProvenance(t *testing.T) {
 	col := NewColumn("t", "a", 0, types.KindInt)
 	lit := func(v int64, slot int) *Const { return &Const{Value: types.NewInt(v), From: Origin{Slot: slot}} }
 	cmp := func(op Op, c *Const) Expr { return NewBinary(op, col, c) }
 
 	point, _ := ExtractInterval([]Expr{cmp(OpEq, lit(7, 1))}, 0)
-	if lo, hi := point.Origins(); !point.FromLiteral() || point.LiteralShaped() || lo.Slot != 1 || hi.Slot != 1 {
+	if lo, hi := point.Origins(); !point.FromLiteral() || len(point.Guards()) != 0 || lo.Slot != 1 || hi.Slot != 1 {
 		t.Fatalf("point from one literal: %+v", point.Lit)
 	}
 	if b := point.Bind([]types.Datum{types.NewInt(9)}); b.Lo.Int() != 9 || b.Hi.Int() != 9 || b.EqualityConstant.Int() != 9 {
 		t.Errorf("rebound point: %s", b)
 	}
 
+	ints := func(vs ...int64) []types.Datum {
+		out := make([]types.Datum, len(vs))
+		for i, v := range vs {
+			out[i] = types.NewInt(v)
+		}
+		return out
+	}
 	between, _ := ExtractInterval([]Expr{cmp(OpGe, lit(3, 1)), cmp(OpLe, lit(8, 2))}, 0)
-	if !between.LiteralShaped() {
-		t.Error("a range between two literals may be empty or a point for other literals")
+	if g := between.Guards(); len(g) != 1 || g[0].Sign != -1 || g[0].X.From.Slot != 1 || g[0].Y.From.Slot != 2 {
+		t.Fatalf("a range between two literals may be empty or a point for other literals: %+v", g)
+	}
+	if !GuardsHold(between.Guards(), ints(0, 1)) || GuardsHold(between.Guards(), ints(5, 5)) || GuardsHold(between.Guards(), ints(6, 5)) {
+		t.Error("the guard admits exactly lo < hi")
+	}
+	empty, _ := ExtractInterval([]Expr{cmp(OpGe, lit(9, 1)), cmp(OpLe, lit(8, 2))}, 0)
+	if !empty.Empty() || !GuardsHold(empty.Guards(), ints(2, 1)) || GuardsHold(empty.Guards(), ints(1, 2)) {
+		t.Errorf("an empty range holds where lo > hi: %+v", empty.Guards())
 	}
 	mixed, _ := ExtractInterval([]Expr{cmp(OpGe, lit(3, 1)), cmp(OpGe, NewConst(types.NewInt(5)))}, 0)
-	if !mixed.LiteralShaped() {
-		t.Error("which lower bound wins depends on the literal")
+	if lo, _ := mixed.Origins(); lo.Slot != 0 || !GuardsHold(mixed.Guards(), ints(4)) || GuardsHold(mixed.Guards(), ints(5)) || GuardsHold(mixed.Guards(), ints(6)) {
+		t.Errorf("the constant 5 wins the lower bound while the literal stays below it: %+v", mixed.Guards())
 	}
 	plain, _ := ExtractInterval([]Expr{cmp(OpGe, NewConst(types.NewInt(3))), cmp(OpLe, NewConst(types.NewInt(8)))}, 0)
 	if plain.FromLiteral() {
@@ -312,14 +328,21 @@ func TestIntervalLiteralProvenance(t *testing.T) {
 	// the literal is, and the interval rebinds through its origins.
 	derived := AtLeast(types.NewInt(10), true).WithOrigins(Origin{Slot: 1}, Origin{}).
 		Intersect(AtMost(types.NewInt(31), true).WithOrigins(Origin{}, Origin{Slot: 1, Add: 21, Round: 1}))
-	if derived.LiteralShaped() {
-		t.Error("bounds that are offsets of one literal compare the same for every literal")
+	if len(derived.Guards()) != 0 {
+		t.Errorf("bounds that are offsets of one literal compare the same for every literal: %+v", derived.Guards())
 	}
 	if b := derived.Bind([]types.Datum{types.NewInt(100)}); b.Lo.Int() != 100 || b.Hi.Int() != 121 {
 		t.Errorf("rebound derived range: %s", b)
 	}
-	if ComparesFixed(derived, plain) || !ComparesFixed(derived, point) || !ComparesFixed(plain, plain) {
-		t.Error("ComparesFixed: same-literal images compare fixed, a literal against a constant does not")
+	if covered, g := plain.Covered(plain); !covered || len(g) != 0 {
+		t.Errorf("constants against constants need no guard: %v %+v", covered, g)
+	}
+	if covered, g := point.Covered(plain); !covered || len(g) != 2 || !GuardsHold(g, ints(4)) || GuardsHold(g, ints(8)) || GuardsHold(g, ints(3)) {
+		t.Errorf("a literal inside [3, 8] is covered while it stays strictly inside: %v %+v", covered, g)
+	}
+	if g := (Guard{X: Side{Value: types.NewInt(3), From: Origin{Slot: 1}}, Y: Side{Value: types.NewInt(5)}, Sign: -1}); !g.Same(Guard{X: Side{Value: types.NewInt(4), From: Origin{Slot: 1}}, Y: Side{Value: types.NewInt(5)}, Sign: -1}) ||
+		g.Same(Guard{X: Side{Value: types.NewInt(3), From: Origin{Slot: 1}}, Y: Side{Value: types.NewInt(6)}, Sign: -1}) {
+		t.Error("Same compares origins, constants and sign, not a literal's value")
 	}
 
 	// Predicates rebuilt from an interval carry the origins on.

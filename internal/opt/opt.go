@@ -55,6 +55,8 @@ type Optimizer struct {
 	// literalBound names, per Optimize call, the first choice that was
 	// driven by a statement literal's value (see Result.LiteralBound).
 	literalBound string
+	// guards accumulate per Optimize call (see Result.Guards).
+	guards []expr.Guard
 }
 
 // Result is a lowered, costed physical plan.
@@ -80,6 +82,10 @@ type Result struct {
 	// equality falls (its selectivity is taken as literal-independent) and
 	// cardinality estimates leave it empty.
 	LiteralBound string
+	// Guards are the literal comparisons that shaped the index ranges
+	// weighed (empty, a point, or a range): the plan holds for every
+	// literal vector under which each keeps its sign.
+	Guards []expr.Guard
 }
 
 // Optimize lowers the logical plan.
@@ -88,12 +94,13 @@ func (o *Optimizer) Optimize(n plan.Node) (*Result, error) {
 	o.nodeInformed = map[exec.Operator][]string{}
 	o.events = nil
 	o.literalBound = ""
+	o.guards = nil
 	op, pr, err := o.lower(n)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Root: op, EstRows: pr.rows, EstCost: pr.cost, NodeRows: o.nodeRows, Events: o.events,
-		NodeInformed: o.nodeInformed, LiteralBound: o.literalBound}, nil
+		NodeInformed: o.nodeInformed, LiteralBound: o.literalBound, Guards: o.guards}, nil
 }
 
 // note records an operator's estimated cardinality for EXPLAIN ANALYZE.
@@ -300,7 +307,8 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 				continue // composite range bounds are not planned yet
 			}
 			iv, bounded := o.leadingInterval(s, ix)
-			if widthFromLiterals(iv) {
+			o.guards = expr.AppendGuards(o.guards, iv.Guards()...)
+			if widthFromLiterals(iv) || expr.AnyOpaque(iv.Guards()) {
 				o.literalBound = "access-path"
 			}
 			if !bounded || iv.Empty() {
@@ -362,18 +370,19 @@ func (o *Optimizer) lowerScan(s *plan.Scan) (exec.Operator, prop) {
 }
 
 // widthFromLiterals reports whether how much of the index the interval
-// covers depends on the statement's literal values. A point, or a range
-// whose two bounds are offsets of the same literal (what predicate
-// introduction derives from an equality: [d-21, d]), keeps its width
-// wherever the literal falls — only its position moves, which costing
-// treats like an equality's. A half-open range, or bounds from different
-// literals, can cover anything from nothing to the whole index.
+// covers depends on the statement's literal values. Whether it is empty or
+// a point is fixed by its guards. A point, or a range whose two bounds are
+// offsets of the same literal (what predicate introduction derives from an
+// equality: [d-21, d]), keeps its width wherever the literal falls — only
+// its position moves, which costing treats like an equality's. A half-open
+// range, or bounds from different literals, can cover anything from
+// nothing to the whole index.
 func widthFromLiterals(iv expr.Interval) bool {
-	if !iv.FromLiteral() || iv.Empty() {
-		return iv.LiteralShaped()
+	if !iv.FromLiteral() || iv.Empty() || iv.EqualityConstant != nil {
+		return false
 	}
 	lo, hi := iv.Origins()
-	return iv.LiteralShaped() || !iv.HasLo || !iv.HasHi || lo.Slot != hi.Slot
+	return !iv.HasLo || !iv.HasHi || lo.Slot != hi.Slot
 }
 
 // prunePreds assembles a scan's page-prune predicates: intervals extracted

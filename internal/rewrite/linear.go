@@ -334,7 +334,7 @@ func (lb LinearBound) deriveOrigins(known int, iv expr.Interval, target types.Ki
 	if !iv.FromLiteral() {
 		return expr.Origin{}, expr.Origin{}, true
 	}
-	if iv.LiteralShaped() || lb.K != 1 {
+	if lb.K != 1 {
 		return expr.Origin{}, expr.Origin{}, false
 	}
 	intTarget := target == types.KindInt || target == types.KindDate

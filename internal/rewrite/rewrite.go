@@ -52,11 +52,18 @@ type Rewriter struct {
 	// statement literals again for every literal vector.
 	TraceTexts []obs.Text
 	// LiteralBound names the first rule whose decision depended on where a
-	// statement literal falls (against a CHECK range, a join hole, another
-	// literal, an AST's predicate); empty when every decision taken would
-	// be the same for any literals of the same shape. A plan rewritten
-	// under a non-empty LiteralBound is only valid for its own literals.
+	// statement literal falls in a way no guard can describe (against a
+	// join hole, an AST's predicate, through a non-affine derivation or a
+	// value of unknown origin); empty when every decision taken would be
+	// the same for any literals its Guards admit. A plan rewritten under a
+	// non-empty LiteralBound is only valid for its own literals.
 	LiteralBound string
+	// Guards are the comparisons between a statement literal and another
+	// literal or a catalog bound that the rules' decisions were taken on
+	// (range-check, branch-elimination, predicate-introduction,
+	// sort-simplify): the rewritten plan is valid for every literal vector
+	// under which each keeps its sign.
+	Guards []expr.Guard
 }
 
 // New returns a rewriter over the given catalog with all rules enabled.
@@ -76,6 +83,17 @@ func (r *Rewriter) literalBound(rule string) {
 	if r.LiteralBound == "" {
 		r.LiteralBound = rule
 	}
+}
+
+// guarded records that rule decided on comparisons gs. A comparison with a
+// value no Origin describes cannot be checked for other literals, so it
+// ties the plan to its own.
+func (r *Rewriter) guarded(rule string, gs []expr.Guard) {
+	if expr.AnyOpaque(gs) {
+		r.literalBound(rule)
+		return
+	}
+	r.Guards = expr.AppendGuards(r.Guards, gs...)
 }
 
 // filterUsesLiteral reports whether any conjunct holds a literal-derived
@@ -358,11 +376,9 @@ func (r *Rewriter) rewriteScan(s *plan.Scan) plan.Node {
 	// Per-column filter intervals; contradiction check.
 	for ord := range s.Def.Columns {
 		iv, _ := expr.ExtractInterval(s.Filter, ord)
-		if iv.LiteralShaped() {
-			// Whether the range is empty, a point or proper depends on how
-			// the literals compare.
-			r.literalBound("range-check")
-		}
+		// Whether the range is empty, a point or proper depends on how the
+		// literals compare.
+		r.guarded("range-check", iv.Guards())
 		if iv.Empty() {
 			return &plan.Empty{Schema: s.Cols(), Reason: fmt.Sprintf("contradictory range on %s.%s", s.Alias, s.Def.Columns[ord].Name)}
 		}
@@ -394,10 +410,9 @@ func (r *Rewriter) rewriteScan(s *plan.Scan) plan.Node {
 			if fiv.IsUnbounded() {
 				continue
 			}
-			if !expr.ComparesFixed(fiv, biv) {
-				r.literalBound("branch-elimination")
-			}
-			if fiv.Disjoint(biv) {
+			meet := fiv.Intersect(biv)
+			r.guarded("branch-elimination", meet.Guards())
+			if meet.Empty() {
 				r.event(obs.Event{Rule: "branch-elimination", Constraint: b.Source,
 					Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true,
 					Detail:    fmt.Sprintf("%s contradicts bound on %s; scan proven empty", s.Alias, s.Def.Columns[b.ColA].Name),
@@ -441,7 +456,11 @@ func (r *Rewriter) rewriteScan(s *plan.Scan) plan.Node {
 // false) so remaining bounds still apply.
 func (r *Rewriter) applyBound(s *plan.Scan, b bound, known, target int) (plan.Node, bool) {
 	fiv, _ := expr.ExtractInterval(s.Filter, known)
-	if fiv.IsUnbounded() || fiv.Empty() {
+	if fiv.IsUnbounded() {
+		return s, false
+	}
+	r.guarded("predicate-introduction", fiv.Guards())
+	if fiv.Empty() {
 		return s, false
 	}
 	fl, ok := toFloatInterval(fiv)
@@ -467,10 +486,9 @@ func (r *Rewriter) applyBound(s *plan.Scan, b bound, known, target int) (plan.No
 	div = div.WithOrigins(dlo, dhi)
 	// Only worthwhile when it tightens what the query already states.
 	existing, _ := expr.ExtractInterval(s.Filter, target)
-	if !existing.IsUnbounded() && !expr.ComparesFixed(existing, div) {
-		r.literalBound("predicate-introduction")
-	}
-	if existing.CoveredBy(div) {
+	covered, gs := existing.Covered(div)
+	r.guarded("predicate-introduction", gs)
+	if covered {
 		return s, false
 	}
 	col := expr.NewColumn(s.Alias, s.Def.Columns[target].Name, target, kind)

@@ -33,9 +33,7 @@ func (r *Rewriter) simplifySort(s *plan.Sort) {
 		// Rule 1: constant-pinned columns order nothing.
 		if sc := scanForBinding(scans, ci.Qualifier); sc != nil {
 			iv, _ := expr.ExtractInterval(sc.Filter, ci.SourceOrdinal)
-			if iv.LiteralShaped() {
-				r.literalBound("sort-simplify")
-			}
+			r.guarded("sort-simplify", iv.Guards())
 			if iv.EqualityConstant != nil {
 				from, _ := iv.Origins()
 				r.tracef("sort-simplify: dropped key %s.%s (pinned to %s)", ci.Qualifier, ci.Name,

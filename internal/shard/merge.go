@@ -231,7 +231,30 @@ func groupedOrderItem(key expr.Expr, items []sql.SelectItem) int {
 }
 
 // col references column i of the operator below.
-func col(i int) expr.Expr { return expr.NewColumn("", fmt.Sprintf("#%d", i), i, types.KindNull) }
+func col(i int) expr.Expr { return typedCol(i, types.KindNull) }
+
+// typedCol references column i of the operator below as being of kind k.
+func typedCol(i int, k types.Kind) expr.Expr {
+	return expr.NewColumn("", fmt.Sprintf("#%d", i), i, k)
+}
+
+// sharedKind returns the kind the non-NULL values of column i of rows
+// share: KindNull when they are of mixed kinds or all NULL. The shards'
+// wire rows carry no column types; a typed group key lets HashAggregate
+// take its typed keyer.
+func sharedKind(rows []types.Row, i int) types.Kind {
+	kind := types.KindNull
+	for _, r := range rows {
+		switch k := r[i].Kind(); {
+		case k == types.KindNull || k == kind:
+		case kind == types.KindNull:
+			kind = k
+		default:
+			return types.KindNull
+		}
+	}
+	return kind
+}
 
 // merge builds the router's phase over rows, the shards' rows in shard
 // order, each width columns wide: Values, then HashAggregate and a Project
@@ -243,7 +266,7 @@ func (p *selectPlan) merge(rows []types.Row, width, shards int) exec.Operator {
 	// aggregate SELECT's index its projected items.
 	at := width - p.helpers
 	if p.items != nil {
-		top, at = p.aggregate(top), 0
+		top, at = p.aggregate(top, rows), 0
 	} else if p.distinct {
 		top = &exec.Distinct{Input: top}
 	}
@@ -269,11 +292,12 @@ func (p *selectPlan) merge(rows []types.Row, width, shards int) exec.Operator {
 
 // aggregate folds the partial columns per group — COUNT partials sum, SUM
 // sums, MIN and MAX take theirs, AVG divides its summed FLOAT sum by its
-// summed count — and projects the select items.
-func (p *selectPlan) aggregate(in exec.Operator) exec.Operator {
+// summed count — and projects the select items. in yields rows; each
+// group key is typed with the kind its values there share.
+func (p *selectPlan) aggregate(in exec.Operator, rows []types.Row) exec.Operator {
 	agg := &exec.HashAggregate{Input: in}
 	for _, at := range p.groupBy {
-		agg.GroupBy = append(agg.GroupBy, col(at))
+		agg.GroupBy = append(agg.GroupBy, typedCol(at, sharedKind(rows, at)))
 	}
 	// fold adds an aggregate over per-shard column src; it returns the
 	// aggregate's output column.

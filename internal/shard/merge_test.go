@@ -194,6 +194,37 @@ func TestAggMergeGlobalGroup(t *testing.T) {
 	}
 }
 
+// TestAggMergeTypedGroupKey: a group key is typed with the kind its
+// non-NULL shard values share, and a NULL key still folds into its own
+// group under the typed keyer.
+func TestAggMergeTypedGroupKey(t *testing.T) {
+	for _, c := range []struct {
+		col  []types.Datum
+		want types.Kind
+	}{
+		{[]types.Datum{types.NewInt(1), types.Null, types.NewInt(2)}, types.KindInt},
+		{[]types.Datum{types.Null, types.NewString("a")}, types.KindString},
+		{[]types.Datum{types.NewInt(1), types.NewFloat(1)}, types.KindNull},
+		{[]types.Datum{types.Null, types.Null}, types.KindNull},
+	} {
+		var rows []types.Row
+		for _, v := range c.col {
+			rows = append(rows, types.Row{v})
+		}
+		if got := sharedKind(rows, 0); got != c.want {
+			t.Errorf("sharedKind(%v) = %v, want %v", c.col, got, c.want)
+		}
+	}
+	p := mustPlan(t, "SELECT g, COUNT(*) AS n FROM t GROUP BY g ORDER BY g")
+	rows := mustMerge(t, p, [][]types.Row{
+		{intRow(1, 2), types.Row{types.Null, types.NewInt(1)}},
+		{intRow(2, 5), intRow(1, 3), types.Row{types.Null, types.NewInt(4)}},
+	})
+	if got := fmt.Sprint(rows); got != "[(NULL, 5) (1, 5) (2, 5)]" {
+		t.Fatalf("merged groups = %s", got)
+	}
+}
+
 func TestAggMergeAllNull(t *testing.T) {
 	p := mustPlan(t, "SELECT SUM(v), AVG(v), MIN(v) FROM t")
 	// Layout: sum, avg (ignored), min, then AVG's sum+count partials.
@@ -296,6 +327,40 @@ func TestAggMergeNaNFails(t *testing.T) {
 	} {
 		if res, err := mergeRows(mustPlan(t, c.q), c.rows); !errors.Is(err, types.ErrNaN) {
 			t.Errorf("%s: %v, %v; want ErrNaN", c.q, res, err)
+		}
+	}
+}
+
+// BenchmarkRouterMerge is the router's phase over a broadcast GROUP BY as
+// softbench's sharded_mixed sends it: 4 shards × 10 partial groups,
+// planned and merged per operation.
+func BenchmarkRouterMerge(b *testing.B) {
+	sel, err := sql.Parse("SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM events WHERE grp >= 0 GROUP BY grp ORDER BY grp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := planSelect(sel.(*sql.Select))
+	if err != nil {
+		b.Fatal(err)
+	}
+	shardRows := make([][]types.Row, 4)
+	for s := range shardRows {
+		for g := int64(0); g < 10; g++ {
+			row := intRow(g, 2000, 2000*(g+1)+int64(s))
+			for len(row) < len(p.perShard.Items) {
+				row = append(row, types.NewInt(g))
+			}
+			shardRows[s] = append(shardRows[s], row)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		p, err := planSelect(sel.(*sql.Select))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err := mergeRows(p, shardRows); err != nil || len(res.Rows) != 10 {
+			b.Fatalf("%v %v", res, err)
 		}
 	}
 }

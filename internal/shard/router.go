@@ -1057,13 +1057,15 @@ func (s *Session) execExplain(ctx context.Context, ex *sql.Explain, text string)
 }
 
 // explainMerge answers EXPLAIN for a multi-shard SELECT: the first shard's
-// plan of the per-shard statement, then the router's operator tree.
+// plan of the per-shard statement, then the router's operator tree. Only
+// that shard is asked — it is the one plan shown, and EXPLAIN ANALYZE runs
+// the statement where it is explained.
 func (s *Session) explainMerge(ctx context.Context, sel *sql.Select, targets []int, keyword string) (*client.Result, error) {
 	plan, err := planSelect(sel)
 	if err != nil {
 		return nil, err
 	}
-	results, err := s.fanOut(ctx, targets, keyword+" "+sql.Print(plan.perShard))
+	res, err := s.query(ctx, targets[0], keyword+" "+sql.Print(plan.perShard))
 	if err != nil {
 		return nil, err
 	}
@@ -1077,7 +1079,6 @@ func (s *Session) explainMerge(ctx context.Context, sel *sql.Select, targets []i
 		}
 		width = len(cols)
 	}
-	res := results[0]
 	tree := exec.Format(plan.merge(nil, width, len(targets)))
 	for _, line := range strings.Split(strings.TrimSuffix(tree, "\n"), "\n") {
 		res.Rows = append(res.Rows, routerPlanRow("router: "+line))
