@@ -33,8 +33,13 @@ import (
 // it to the table's column ordinals. The engine supplies its parser.
 type ExprBinder func(exprSQL string, def *schema.Table) (expr.Expr, error)
 
-// snapVersion guards the snapshot payload layout.
-const snapVersion = 1
+// snapVersion guards the checkpoint payload layout, registryVersion the
+// soft registry image a TypeSoft WAL record carries and a checkpoint ends
+// with.
+const (
+	snapVersion     = 2
+	registryVersion = 1
+)
 
 // Exceptions returns a copy of the constraint→exception-AST links.
 func (c *Catalog) Exceptions() map[string]string {
@@ -301,7 +306,11 @@ func decodeHeap(d *codec.Decoder, def *schema.Table) *storage.Heap {
 		slots := make([]storage.SlotData, 0, ns)
 		for s := uint64(0); s < ns; s++ {
 			dead := d.Bool("slot dead")
-			slots = append(slots, storage.SlotData{Dead: dead, Row: d.Row("slot row")})
+			row := d.Row("slot row")
+			if !dead && !rowFits(def, row) {
+				d.Fail("slot row")
+			}
+			slots = append(slots, storage.SlotData{Dead: dead, Row: row})
 		}
 		pages = append(pages, slots)
 	}
@@ -309,6 +318,20 @@ func decodeHeap(d *codec.Decoder, def *schema.Table) *storage.Heap {
 		return nil
 	}
 	return storage.RebuildHeap(def, pages, version)
+}
+
+// rowFits reports whether row can be stored under def: one value per
+// column, each NULL or of its column's kind.
+func rowFits(def *schema.Table, row types.Row) bool {
+	if len(row) != len(def.Columns) {
+		return false
+	}
+	for i, v := range row {
+		if !v.IsNull() && v.Kind() != def.Columns[i].Type {
+			return false
+		}
+	}
+	return true
 }
 
 func appendExpr(b []byte, e expr.Expr) []byte {
@@ -493,9 +516,11 @@ func decodeVirtual(d *codec.Decoder, def *schema.Table, bind ExprBinder) (*Virtu
 
 // --- full catalog state ---
 
-// EncodeState serializes the entire catalog onto b. Iteration orders are
-// sorted, so identical catalogs encode to identical bytes — the property
-// the crash-differential suite compares on.
+// EncodeState serializes the entire catalog onto b: table definitions,
+// heaps, index definitions and stats, the summaries, then the soft
+// registry image (EncodeSoftRegistry). Iteration orders are sorted, so
+// identical catalogs encode to identical bytes — the property the
+// crash-differential suite compares on.
 func (c *Catalog) EncodeState(b []byte) ([]byte, error) {
 	b = append(b, snapVersion)
 	b = codec.AppendVarint(b, c.version.Load())
@@ -524,22 +549,8 @@ func (c *Catalog) EncodeState(b []byte) ([]byte, error) {
 			b = appendStrings(b, ix.Columns)
 			b = codec.AppendBool(b, ix.Unique)
 		}
-		// Constraints.
-		b = codec.AppendUvarint(b, uint64(len(te.Constraints)))
-		for _, con := range te.Constraints {
-			if b, err = appendConstraint(b, con); err != nil {
-				return nil, err
-			}
-		}
-		// Stats and virtual columns.
 		if b, err = appendTableStats(b, te.Stats); err != nil {
 			return nil, err
-		}
-		b = codec.AppendUvarint(b, uint64(len(te.Virtual)))
-		for _, vc := range te.Virtual {
-			if b, err = appendVirtual(b, vc); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -563,23 +574,9 @@ func (c *Catalog) EncodeState(b []byte) ([]byte, error) {
 			}
 		}
 	}
-
-	b = codec.AppendUvarint(b, uint64(len(c.correls)))
-	for _, k := range sortedKeys(c.correls) {
-		b = appendCorrelation(b, c.correls[k])
-	}
-	b = codec.AppendUvarint(b, uint64(len(c.holes)))
-	for _, k := range sortedKeys(c.holes) {
-		if b, err = appendJoinHoles(b, c.holes[k]); err != nil {
-			return nil, err
-		}
-	}
-	b = codec.AppendUvarint(b, uint64(len(c.exceptions)))
-	for _, k := range sortedKeys(c.exceptions) {
-		b = codec.AppendString(b, k)
-		b = codec.AppendString(b, c.exceptions[k])
-	}
-	return b, nil
+	// Constraints, virtual columns, correlations, holes and exception
+	// links: the soft registry image.
+	return c.EncodeSoftRegistry(b)
 }
 
 // DecodeState reconstructs a catalog from an EncodeState payload. Index
@@ -611,6 +608,9 @@ func DecodeState(payload []byte, bind ExprBinder) (*Catalog, error) {
 			col := schema.Column{Name: d.String("column name")}
 			col.Type = types.Kind(d.Byte("column type"))
 			col.Nullable = d.Bool("column nullable")
+			if col.Type == types.KindNull || col.Type > types.KindDate {
+				d.Fail("column type")
+			}
 			cols = append(cols, col)
 		}
 		if d.Err() != nil {
@@ -631,6 +631,9 @@ func DecodeState(payload []byte, bind ExprBinder) (*Catalog, error) {
 			ixName := d.String("index name")
 			ixCols := decodeStrings(d, "index columns")
 			unique := d.Bool("index unique")
+			if len(ixCols) == 0 {
+				d.Fail("index columns")
+			}
 			if d.Err() != nil {
 				return nil, d.Err()
 			}
@@ -650,31 +653,7 @@ func DecodeState(payload []byte, bind ExprBinder) (*Catalog, error) {
 			})
 			te.Indexes = append(te.Indexes, ix)
 		}
-		ncon := d.Uvarint("constraint count")
-		if ncon > uint64(d.Len()) {
-			d.Fail("constraint count")
-			return nil, d.Err()
-		}
-		for j := uint64(0); j < ncon; j++ {
-			con, err := decodeConstraint(d, def, bind)
-			if err != nil {
-				return nil, err
-			}
-			te.Constraints = append(te.Constraints, con)
-		}
 		te.Stats = decodeTableStats(d)
-		nv := d.Uvarint("virtual column count")
-		if nv > uint64(d.Len()) {
-			d.Fail("virtual column count")
-			return nil, d.Err()
-		}
-		for j := uint64(0); j < nv; j++ {
-			vc, err := decodeVirtual(d, def, bind)
-			if err != nil {
-				return nil, err
-			}
-			te.Virtual = append(te.Virtual, vc)
-		}
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
@@ -710,44 +689,10 @@ func DecodeState(payload []byte, bind ExprBinder) (*Catalog, error) {
 		c.summaries[key(st.Name)] = st
 	}
 
-	ncor := d.Uvarint("correlation count")
-	if ncor > uint64(d.Len()) {
-		d.Fail("correlation count")
-		return nil, d.Err()
-	}
-	for i := uint64(0); i < ncor; i++ {
-		lc := decodeCorrelation(d)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		c.correls[key(lc.Name)] = lc
-	}
-	nh := d.Uvarint("holes count")
-	if nh > uint64(d.Len()) {
-		d.Fail("holes count")
-		return nil, d.Err()
-	}
-	for i := uint64(0); i < nh; i++ {
-		jh := decodeJoinHoles(d)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		c.holes[key(jh.Name)] = jh
-	}
-	ne := d.Uvarint("exception count")
-	if ne > uint64(d.Len()) {
-		d.Fail("exception count")
-		return nil, d.Err()
-	}
-	for i := uint64(0); i < ne; i++ {
-		k := d.String("exception constraint")
-		c.exceptions[k] = d.String("exception summary")
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if d.Len() != 0 {
-		return nil, fmt.Errorf("catalog: %d trailing bytes in snapshot", d.Len())
+	// The registry image is applied as a TypeSoft record's is, without
+	// its version bump: restore keeps the versions exactly.
+	if err := c.applySoftRegistry(d, bind); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -761,7 +706,7 @@ func DecodeState(payload []byte, bind ExprBinder) (*Catalog, error) {
 // mutates the registry outside a logged statement; replay applies it as a
 // full replacement.
 func (c *Catalog) EncodeSoftRegistry(b []byte) ([]byte, error) {
-	b = append(b, snapVersion)
+	b = append(b, registryVersion)
 	var err error
 	b = codec.AppendUvarint(b, uint64(len(c.tables)))
 	for _, k := range sortedKeys(c.tables) {
@@ -804,8 +749,17 @@ func (c *Catalog) EncodeSoftRegistry(b []byte) ([]byte, error) {
 // records replay first). The catalog version is bumped once, mirroring the
 // maintenance mutation that produced the image.
 func (c *Catalog) DecodeSoftRegistry(payload []byte, bind ExprBinder) error {
-	d := codec.NewDecoder(payload)
-	if v := d.Byte("soft registry version"); v != snapVersion && d.Err() == nil {
+	if err := c.applySoftRegistry(codec.NewDecoder(payload), bind); err != nil {
+		return err
+	}
+	c.version.Add(1)
+	return nil
+}
+
+// applySoftRegistry reads a registry image that runs to the end of d and,
+// once all of it decoded, replaces the catalog's soft registry with it.
+func (c *Catalog) applySoftRegistry(d *codec.Decoder, bind ExprBinder) error {
+	if v := d.Byte("soft registry version"); v != registryVersion && d.Err() == nil {
 		return fmt.Errorf("catalog: unsupported soft registry version %d", v)
 	}
 	nt := d.Uvarint("soft table count")
@@ -905,6 +859,5 @@ func (c *Catalog) DecodeSoftRegistry(payload []byte, bind ExprBinder) error {
 	c.correls = correls
 	c.holes = holes
 	c.exceptions = exceptions
-	c.version.Add(1)
 	return nil
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -558,14 +557,4 @@ func matchRows(tx *Tx, te *catalog.TableEntry, where expr.Expr) ([]match, error)
 		return true
 	})
 	return matches, scanErr
-}
-
-// StalenessBound reports §3.3's margin-of-error model for a statistical
-// soft constraint: an upper bound on the fraction of rows that may have
-// drifted from the statement since its statistics were last refreshed.
-func StalenessBound(modsSince, rowCount int64) float64 {
-	if rowCount <= 0 {
-		return 1
-	}
-	return math.Min(1, float64(modsSince)/float64(rowCount))
 }

@@ -182,15 +182,6 @@ func (d *walState) syncMetrics() {
 // Durable reports whether the database writes a WAL.
 func (db *Database) Durable() bool { return db.dur != nil }
 
-// DataDir returns the durable database's data directory ("" when
-// in-memory).
-func (db *Database) DataDir() string {
-	if db.dur == nil {
-		return ""
-	}
-	return db.dur.dir
-}
-
 // --- record staging (all called with db.mu held exclusively) ---
 //
 // Row-level DML records no longer pass through here: transactions stage

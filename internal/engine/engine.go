@@ -101,11 +101,11 @@ type cachedPlan struct {
 	estRows     float64
 	estCost     float64
 	planText    string
-	trace       []string
-	// traceTexts keeps format and arguments of the trace lines that embed
-	// literal-derived values (by line index); eventTexts reports that some
-	// event carries a DetailText. bind re-renders both.
-	traceTexts map[int]obs.Text
+	// trace is the shaping events rendered (obs.TraceOf), kept rendered so
+	// a cache hit does no work for it.
+	trace []string
+	// eventTexts reports that some event carries a DetailText with a
+	// literal-derived argument; bind re-renders those events and the trace.
 	eventTexts bool
 	// shapeID identifies the statement's shape in traces; slots is the
 	// number of literals lifted out of it.
@@ -838,7 +838,7 @@ func (db *Database) compile(sel *sql.Select, sqlText string, fp *stmtPrint, st S
 	// §4.1: "restrict the use of ASCs in rewrite just to dynamic queries and
 	// never for precompilation" — under ASCDynamicOnly a plan soft rules
 	// shaped runs once and is not cached.
-	cache = cache && !(db.ASCDynamicOnly && len(entry.trace) > 0)
+	cache = cache && !(db.ASCDynamicOnly && entry.shaped())
 	switch {
 	case !tagged:
 		entry.literalBound = "unfingerprinted"
@@ -852,7 +852,7 @@ func (db *Database) compile(sel *sql.Select, sqlText string, fp *stmtPrint, st S
 	// SQO-free alternative alongside so an overturned ASC reverts instead of
 	// recompiling. A template's backup must itself serve every literal
 	// vector of the shape.
-	if len(entry.trace) > 0 {
+	if entry.shaped() {
 		if backup, err := db.planSelect(sel, st, backupPlan); err == nil {
 			fp.stamp(backup)
 			entry.backup = backup
@@ -975,16 +975,8 @@ func (db *Database) planSelect(sel *sql.Select, st Settings, po planOpts) (*cach
 		literalBound: firstNonEmpty(b.LiteralBound, rw.LiteralBound, result.LiteralBound),
 		guards:       expr.AppendGuards(slices.Clip(rw.Guards), result.Guards...),
 	}
-	// Keep format and arguments only of the texts a rebind has to render
+	// Keep format and arguments only of the details a rebind has to render
 	// again: those with a literal-derived argument.
-	for i, t := range rw.TraceTexts {
-		if usesLiteral(t.Args) {
-			if p.traceTexts == nil {
-				p.traceTexts = map[int]obs.Text{}
-			}
-			p.traceTexts[i] = t
-		}
-	}
 	for i := range p.events {
 		if t := p.events[i].DetailText; t != nil && usesLiteral(t.Args) {
 			p.eventTexts = true
@@ -993,6 +985,12 @@ func (db *Database) planSelect(sel *sql.Select, st Settings, po planOpts) (*cach
 		}
 	}
 	return p, nil
+}
+
+// shaped reports whether some decision that shaped the plan holds only
+// while the characterization it consulted does (obs.Event.Shaped).
+func (p *cachedPlan) shaped() bool {
+	return slices.ContainsFunc(p.events, func(e obs.Event) bool { return e.Shaped })
 }
 
 func firstNonEmpty(ss ...string) string {

@@ -917,6 +917,47 @@ func TestBackupPlanFailover(t *testing.T) {
 	}
 }
 
+// TestRangeCheckEmptyScanIsShaped: a scan proven empty by a soft CHECK
+// is a plan the CHECK shaped, like any other soft rewrite — under
+// ASCDynamicOnly it is not cached, and by default it gets a §4.1 backup
+// that takes over when the CHECK is overturned.
+func TestRangeCheckEmptyScanIsShaped(t *testing.T) {
+	setup := `
+		CREATE TABLE t (id INT PRIMARY KEY, v INT, CONSTRAINT c CHECK (v >= 0 AND v <= 100) SOFT);
+		INSERT INTO t VALUES (1, 10), (2, 50), (3, 100);
+		ANALYZE t;
+	`
+	q := "SELECT COUNT(*) AS n FROM t WHERE v >= 500 AND v <= 600"
+
+	db := newDB(t, setup)
+	db.ASCDynamicOnly = true
+	first := db.MustExec(q)
+	if len(first.Events) == 0 || !strings.Contains(first.Events[0].Detail, "scan proven empty") {
+		t.Fatalf("setup: the CHECK should prove the scan empty; events %v", first.Events)
+	}
+	if len(first.Trace) != 1 || !strings.HasPrefix(first.Trace[0], "branch-elimination: ") {
+		t.Errorf("the empty scan should be the trace's one line: %v", first.Trace)
+	}
+	if second := db.MustExec(q); second.CacheHit {
+		t.Error("ASCDynamicOnly cached a plan a soft CHECK shaped")
+	}
+
+	db = newDB(t, setup)
+	db.MustExec(q)
+	db.ResetCacheStats()
+	db.MustExec("INSERT INTO t VALUES (999, 550)")
+	res := db.MustExec(q)
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
+		t.Errorf("answer after overturning the CHECK: %v", rowsAsStrings(res.Rows))
+	}
+	if cs := db.CacheStats(); cs.Failovers != 1 || cs.Invalidations != 0 {
+		t.Errorf("overturning the CHECK should fail over to the backup: %+v", cs)
+	}
+	if len(res.Trace) == 0 || !strings.Contains(res.Trace[0], "backup-plan") {
+		t.Errorf("trace should note the reversion: %v", res.Trace)
+	}
+}
+
 func TestWorkloadRecorder(t *testing.T) {
 	db := newDB(t, `
 		CREATE TABLE t (a INT, b INT);

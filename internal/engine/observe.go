@@ -232,9 +232,6 @@ func (db *Database) SetLogger(l *slog.Logger) { db.obs.logger.Store(l) }
 // SetTracing toggles per-operator span collection on the query path.
 func (db *Database) SetTracing(on bool) { db.obs.tracing.Store(on) }
 
-// Tracing reports whether per-operator tracing is on.
-func (db *Database) Tracing() bool { return db.obs.tracing.Load() }
-
 // SetSlowQueryThreshold sets the duration above which a query is counted
 // (and logged) as slow; 0 disables slow-query accounting.
 func (db *Database) SetSlowQueryThreshold(d time.Duration) { db.obs.slowNs.Store(int64(d)) }

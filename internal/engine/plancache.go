@@ -154,6 +154,11 @@ type planCache struct {
 	plans int
 }
 
+// reverted marks a plan that took over from the one soft rules shaped
+// (§4.1); it heads the backup's events, so its trace shows the reversion.
+var reverted = obs.Event{Rule: "backup-plan", Applied: true, Shaped: true,
+	Detail: "reverted after soft-constraint change (§4.1)"}
+
 // current applies the §4.1 lifecycle to one cached plan under cacheMu and
 // counts the outcome: a plan compiled at the current catalog version is a
 // hit and served as is; when only soft characterizations changed (the hard
@@ -169,7 +174,8 @@ func (db *Database) current(p *cachedPlan) (plan *cachedPlan, hit bool) {
 	case bk != nil:
 		bk.catVersion = db.cat.Version()
 		bk.hardVersion = db.cat.HardVersion()
-		bk.trace = append([]string{"backup-plan: reverted after soft-constraint change (§4.1)"}, bk.trace...)
+		bk.events = append([]obs.Event{reverted}, bk.events...)
+		bk.trace = obs.TraceOf(bk.events)
 		db.cacheStat.Failovers++
 		db.obs.cacheFailovers.Inc()
 		return bk, false
@@ -376,44 +382,6 @@ func (db *Database) CachedPlanCount() int {
 	return db.cache.plans
 }
 
-// InvalidateStaleCache drops cached plans whose catalog version is stale,
-// returning how many were dropped. The engine also invalidates lazily on
-// lookup; this models the §4.1 eager "drop every dependent package" sweep.
-func (db *Database) InvalidateStaleCache() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	n := 0
-	version := db.cat.Version()
-	for k, se := range db.cache.shapes {
-		live := se.templates[:0]
-		for _, t := range se.templates {
-			if t.plan.catVersion == version {
-				live = append(live, t)
-			} else {
-				n++
-			}
-		}
-		clear(se.templates[len(live):])
-		se.templates = live
-		for vk, v := range se.variants {
-			if v.plan.catVersion != version {
-				delete(se.variants, vk)
-				n++
-			}
-		}
-		if se.held() == 0 {
-			delete(db.cache.shapes, k)
-		}
-	}
-	db.cache.plans -= n
-	db.cacheStat.Invalidations += int64(n)
-	db.obs.cacheInvals.Add(int64(n))
-	db.obs.cacheEntries.Set(int64(db.cache.plans))
-	return n
-}
-
 // nodeEstimate is the optimizer's estimate for one operator of a compiled
 // plan, recorded by the operator's preorder position so it still applies to
 // a rebound copy of the tree.
@@ -475,12 +443,12 @@ func (fp *stmtPrint) stamp(p *cachedPlan) {
 // once: the statement is planned again from scratch with every literal
 // nudged to another value of its kind inside the guards' region, and that
 // plan must record the same guards, while rebinding p to those literals
-// must reproduce its plan text, rewrite trace and event list exactly. A
-// constant that silently kept the first statement's literal, or a decision
-// that happened to flip, shows up as a difference, and the plan stays
-// bound to its literals — as does a plan no nudge keeps inside its region
-// (a literal pinned to a bound). The extra planning pass runs once per
-// template, not per statement.
+// must reproduce its plan text and event list exactly (the trace is
+// rendered from the events). A constant that silently kept the first
+// statement's literal, or a decision that happened to flip, shows up as a
+// difference, and the plan stays bound to its literals — as does a plan no
+// nudge keeps inside its region (a literal pinned to a bound). The extra
+// planning pass runs once per template, not per statement.
 func (db *Database) templateHolds(sel *sql.Select, p *cachedPlan, fp *stmtPrint, st Settings, po planOpts) bool {
 	if p.literalBound != "" {
 		return false
@@ -497,15 +465,9 @@ func (db *Database) templateHolds(sel *sql.Select, p *cachedPlan, fp *stmtPrint,
 		return false
 	}
 	rebound, ok := p.bind(other)
-	if !ok || rebound.planText != fresh.planText || !slices.Equal(rebound.trace, fresh.trace) || len(rebound.events) != len(fresh.events) {
-		return false
-	}
-	for i, e := range fresh.events {
-		if rebound.events[i].String() != e.String() {
-			return false
-		}
-	}
-	return true
+	return ok && rebound.planText == fresh.planText && slices.EqualFunc(rebound.events, fresh.events, func(a, b obs.Event) bool {
+		return a.Shaped == b.Shaped && a.String() == b.String()
+	})
 }
 
 // maxNudged bounds the literals nudge searches both directions for: 2^6
@@ -619,10 +581,11 @@ func step(v types.Datum, down bool, s float64) (w types.Datum, moved bool) {
 }
 
 // bind instantiates a template for the literal vector vals: the operator
-// tree is rebound, and the plan text, rewrite trace and event details that
-// embed literal-derived values are rendered again, so everything the
-// statement reports shows its own literals. The template is not modified.
-// ok is false when the plan holds an operator exec.Rebind does not know.
+// tree is rebound, and the plan text and the event details that embed
+// literal-derived values are rendered again, the trace from those events,
+// so everything the statement reports shows its own literals. The template
+// is not modified. ok is false when the plan holds an operator exec.Rebind
+// does not know.
 func (p *cachedPlan) bind(vals []types.Datum) (bound *cachedPlan, ok bool) {
 	if p.slots == 0 {
 		return p, true
@@ -634,12 +597,6 @@ func (p *cachedPlan) bind(vals []types.Datum) (bound *cachedPlan, ok bool) {
 	b := *p
 	b.root = root
 	b.planText = exec.Format(root)
-	if len(p.traceTexts) > 0 {
-		b.trace = append([]string(nil), p.trace...)
-		for i, t := range p.traceTexts {
-			b.trace[i] = renderText(t, vals)
-		}
-	}
 	if p.eventTexts {
 		b.events = append([]obs.Event(nil), p.events...)
 		for i := range b.events {
@@ -647,6 +604,7 @@ func (p *cachedPlan) bind(vals []types.Datum) (bound *cachedPlan, ok bool) {
 				b.events[i].Detail = renderText(*t, vals)
 			}
 		}
+		b.trace = obs.TraceOf(b.events)
 	}
 	return &b, true
 }

@@ -396,9 +396,3 @@ func (db *Database) Vacuum() int {
 	}
 	return n
 }
-
-// TxnStatus reports the transaction manager's externally visible state for
-// debugging and tests: the committed clock and open write transactions.
-func (db *Database) TxnStatus() (clock int64, activeWrites int) {
-	return db.txnMgr.Snapshot(), db.txnMgr.ActiveWrites()
-}

@@ -44,6 +44,9 @@ type JoinHoleRequest struct {
 	JoinLeft, JoinRight string // equi-join columns
 	AttrLeft, AttrRight string // profiled attributes
 	Config              HoleMinerConfig
+	// Probes, when set, receives the hash-table probes the join made: the
+	// work measure E10 gates on.
+	Probes *int
 }
 
 // MineJoinHoles executes the equi-join (hash join, linear in input and
@@ -68,15 +71,19 @@ func MineJoinHoles(req JoinHoleRequest) (*catalog.JoinHoles, int, error) {
 	left := joinSide{lc[0].Nulls, numericOf(&lc[1], kindA)}
 	right := joinSide{rc[0].Nulls, numericOf(&rc[1], kindB)}
 	var ptsA, ptsB []float64
+	probes := 0
 	if kl, kr := req.Left.Def.Columns[jl].Type, req.Right.Def.Columns[jr].Type; kl == kr && left.attr.vals != nil && right.attr.vals != nil {
 		switch lc[0].Class {
 		case vec.ClassInt:
-			ptsA, ptsB = joinPoints(lc[0].Ints, rc[0].Ints, left, right)
+			ptsA, ptsB, probes = joinPoints(lc[0].Ints, rc[0].Ints, left, right)
 		case vec.ClassFloat:
-			ptsA, ptsB = joinPoints(lc[0].Floats, rc[0].Floats, left, right)
+			ptsA, ptsB, probes = joinPoints(lc[0].Floats, rc[0].Floats, left, right)
 		default:
-			ptsA, ptsB = joinPoints(lc[0].Strs, rc[0].Strs, left, right)
+			ptsA, ptsB, probes = joinPoints(lc[0].Strs, rc[0].Strs, left, right)
 		}
+	}
+	if req.Probes != nil {
+		*req.Probes = probes
 	}
 	if len(ptsA) == 0 {
 		return nil, 0, fmt.Errorf("mining: empty join result; nothing to profile")
@@ -104,9 +111,9 @@ type joinSide struct {
 
 // joinPoints hash-joins the sides on their keys (lkeys and rkeys, the key
 // columns' values) and returns the (AttrLeft, AttrRight) pair of every
-// result row, in probe order; rows with a NULL key or attribute join
-// nothing.
-func joinPoints[K comparable](lkeys, rkeys []K, left, right joinSide) (ptsA, ptsB []float64) {
+// result row, in probe order, and the probes made; rows with a NULL key or
+// attribute join nothing.
+func joinPoints[K comparable](lkeys, rkeys []K, left, right joinSide) (ptsA, ptsB []float64, probes int) {
 	build := map[K][]float64{}
 	for r, k := range rkeys {
 		if !right.keyNulls[r] && !right.attr.nulls[r] {
@@ -117,12 +124,13 @@ func joinPoints[K comparable](lkeys, rkeys []K, left, right joinSide) (ptsA, pts
 		if left.keyNulls[r] || left.attr.nulls[r] {
 			continue
 		}
+		probes++
 		for _, b := range build[k] {
 			ptsA = append(ptsA, left.attr.vals[r])
 			ptsB = append(ptsB, b)
 		}
 	}
-	return ptsA, ptsB
+	return ptsA, ptsB, probes
 }
 
 // ExtractHoles grids the point set and enumerates maximal empty rectangles

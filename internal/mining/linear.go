@@ -31,6 +31,9 @@ type LinearFit struct {
 	N            int
 	// RangeA is the spread of A values, for judging ε's selectivity.
 	RangeA float64
+	// Visits counts the points the fit's passes read, each pass's every
+	// point once: the work measure E10 gates on.
+	Visits int
 
 	// xs, ys are the fitted (B, A) points, kept so an envelope can be
 	// checked against every row the fit saw.
@@ -98,7 +101,9 @@ func fitLinearPoints(xs, ys []float64) (*LinearFit, error) {
 		return nil, fmt.Errorf("mining: need at least 2 points, have %d", n)
 	}
 	var sumX, sumY, sumXX, sumXY float64
+	visits := 0
 	for i := range xs {
+		visits++
 		sumX += xs[i]
 		sumY += ys[i]
 		sumXX += xs[i] * xs[i]
@@ -114,11 +119,13 @@ func fitLinearPoints(xs, ys []float64) (*LinearFit, error) {
 	fit := &LinearFit{K: k, B0: b0, N: n, xs: xs, ys: ys, AbsResiduals: make([]float64, n)}
 	minA, maxA := math.Inf(1), math.Inf(-1)
 	for i := range xs {
+		visits++
 		fit.AbsResiduals[i] = math.Abs(ys[i] - (k*xs[i] + b0))
 		minA = math.Min(minA, ys[i])
 		maxA = math.Max(maxA, ys[i])
 	}
 	fit.RangeA = maxA - minA
+	fit.Visits = visits
 	return fit, nil
 }
 

@@ -131,6 +131,13 @@ type Event struct {
 	// Applied reports whether the rule fired; when false Detail carries
 	// the rejection reason.
 	Applied bool
+	// Shaped reports that the decision changed the plan in a way that is
+	// valid only while the consulted characterization holds: §4.1 gives
+	// such a plan an SQO-free backup, and the restriction option refuses
+	// to cache it. Prune-only predicates (re-validated at every scan),
+	// rejections and estimation events leave it unset. The rewrite trace
+	// is these events rendered (see TraceLine).
+	Shaped bool
 	// Reason is a short machine-readable slug for rejections (e.g.
 	// "probation", "below-floor", "no-index"); it labels the per-reason
 	// rejection counters and stays low-cardinality.
@@ -168,6 +175,21 @@ func (e Event) Detailf(format string, args ...any) Event {
 	e.DetailText = &Text{Format: format, Args: args}
 	e.Detail = e.DetailText.String()
 	return e
+}
+
+// TraceLine renders a shaping event as its rewrite-trace line.
+func (e Event) TraceLine() string { return e.Rule + ": " + e.Detail }
+
+// TraceOf renders the rewrite trace of a plan: one line per event that
+// shaped it, in order.
+func TraceOf(events []Event) []string {
+	var lines []string
+	for _, e := range events {
+		if e.Shaped {
+			lines = append(lines, e.TraceLine())
+		}
+	}
+	return lines
 }
 
 // String renders the event for traces and EXPLAIN output.

@@ -204,9 +204,8 @@ func (r *Rewriter) tryEliminateParent(jg *plan.JoinGroup, slots []*expr.Expr, re
 	for _, s := range slots {
 		*s = expr.RemapColumns(*s, mapping)
 	}
-	r.tracef("join-elimination: removed %s (FK %s from %s)", parent.Alias, fk.Name, child.Alias)
 	r.event(obs.Event{Rule: "join-elimination", Constraint: fk.Name,
-		Mode: fk.Mode.String(), Confidence: fk.Confidence, Applied: true,
+		Mode: fk.Mode.String(), Confidence: fk.Confidence, Applied: true, Shaped: true,
 		Detail:    fmt.Sprintf("removed %s (referential integrity from %s)", parent.Alias, child.Alias),
 		RowsSaved: float64(parent.Entry.Heap.RowCount())})
 	return true

@@ -92,10 +92,8 @@ func (r *Rewriter) trimScanPair(ls *plan.Scan, aOrd int, rs *plan.Scan, bOrd int
 		}
 		r.replaceInterval(ls, aOrd, ia)
 		r.replaceInterval(rs, bOrd, ib)
-		r.tracef("hole-trim: %s: %s.%s to %s, %s.%s to %s",
-			source, ls.Alias, ls.Def.Columns[aOrd].Name, ia, rs.Alias, rs.Def.Columns[bOrd].Name, ib)
 		r.event(obs.Event{Rule: "hole-trim", Constraint: source,
-			Mode: "JOIN HOLES", Confidence: 1, Applied: true,
+			Mode: "JOIN HOLES", Confidence: 1, Applied: true, Shaped: true,
 			Detail: fmt.Sprintf("%s.%s to %s, %s.%s to %s",
 				ls.Alias, ls.Def.Columns[aOrd].Name, ia, rs.Alias, rs.Def.Columns[bOrd].Name, ib)})
 	}
@@ -134,8 +132,8 @@ func (r *Rewriter) plantHolePrune(s *plan.Scan, ord int, holes *catalog.JoinHole
 		Col: ord, Interval: iv, Exclude: true,
 		Source: holes.Name, Check: holeCheck(holes, h),
 	})
-	// No tracef — prune-only predicates self-invalidate via Check, so they
-	// must not engage the §4.1 trace-driven cache machinery. Events record it.
+	// Not Shaped — prune-only predicates self-invalidate via Check, so they
+	// must not engage the §4.1 cache machinery.
 	r.event(obs.Event{Rule: "prune-introduction", Constraint: holes.Name,
 		Mode: "JOIN HOLES", Confidence: 1, Applied: true,
 		Detail: fmt.Sprintf("%s: pages with %s entirely inside %s skippable (interior hole)",

@@ -10,7 +10,6 @@ import (
 	"softdb/internal/obs"
 	"softdb/internal/plan"
 	"softdb/internal/stats"
-	"softdb/internal/types"
 )
 
 // Options toggles individual rules, for ablation benchmarks and tests.
@@ -40,17 +39,15 @@ func (o Options) masked(name string) bool {
 // Rewriter applies semantic query optimization to logical plans. It may
 // mutate the plan in place; callers build a fresh plan per query.
 type Rewriter struct {
-	Cat   *catalog.Catalog
-	Opt   Options
-	Trace []string
-	// Events mirrors Trace in structured form: every soft-constraint
-	// consultation, applied or rejected, with the constraint's name, mode,
-	// and effective confidence.
+	Cat *catalog.Catalog
+	Opt Options
+	// Events records every soft-constraint consultation, applied or
+	// rejected, with the constraint's name, mode, and effective confidence;
+	// an event whose decision shaped the plan is marked Shaped.
 	Events []obs.Event
-	// TraceTexts is Trace as format and arguments, line for line: a plan
-	// template renders the lines whose arguments embed values computed from
-	// statement literals again for every literal vector.
-	TraceTexts []obs.Text
+	// Trace is the shaping events rendered, one TraceLine each; event
+	// writes both.
+	Trace []string
 	// LiteralBound names the first rule whose decision depended on where a
 	// statement literal falls in a way no guard can describe (against a
 	// join hole, an AST's predicate, through a non-affine derivation or a
@@ -69,13 +66,13 @@ type Rewriter struct {
 // New returns a rewriter over the given catalog with all rules enabled.
 func New(cat *catalog.Catalog) *Rewriter { return &Rewriter{Cat: cat} }
 
-func (r *Rewriter) tracef(format string, args ...any) {
-	t := obs.Text{Format: format, Args: args}
-	r.TraceTexts = append(r.TraceTexts, t)
-	r.Trace = append(r.Trace, t.String())
+// event records one decision; a shaping one also gets its trace line.
+func (r *Rewriter) event(e obs.Event) {
+	r.Events = append(r.Events, e)
+	if e.Shaped {
+		r.Trace = append(r.Trace, e.TraceLine())
+	}
 }
-
-func (r *Rewriter) event(e obs.Event) { r.Events = append(r.Events, e) }
 
 // literalBound records that rule took a decision that depends on the
 // statement's literal values; the first rule to do so names the reason.
@@ -172,27 +169,33 @@ func (r *Rewriter) Rewrite(n plan.Node) plan.Node {
 		}
 		return t
 	case *plan.UnionAll:
+		arms := make([]plan.Node, len(t.Arms))
 		var kept []plan.Node
-		for _, arm := range t.Arms {
-			na := r.Rewrite(arm)
-			if isEmpty(na) {
-				if !r.Opt.NoBranchPrune {
-					t.Pruned = append(t.Pruned, reasonOf(na))
-					r.tracef("branch-elimination: pruned union arm (%s)", reasonOf(na))
-					r.event(obs.Event{Rule: "branch-elimination", Applied: true,
-						Detail: "pruned union arm: " + reasonOf(na)})
-					continue
-				}
+		for i, arm := range t.Arms {
+			arms[i] = r.Rewrite(arm)
+			if !isEmpty(arms[i]) || r.Opt.NoBranchPrune {
+				kept = append(kept, arms[i])
 			}
-			kept = append(kept, na)
+		}
+		// Pruning is the union's decision, once its arms are rewritten; a
+		// collapse to the one arm left follows from it, so the last
+		// pruning's detail says so rather than an event of its own.
+		pruned := len(arms) - len(kept)
+		for _, na := range arms {
+			if !isEmpty(na) || r.Opt.NoBranchPrune {
+				continue
+			}
+			t.Pruned = append(t.Pruned, reasonOf(na))
+			detail := "pruned union arm: " + reasonOf(na)
+			if pruned--; pruned == 0 && len(kept) == 1 {
+				detail += "; union collapsed to a single arm"
+			}
+			r.event(obs.Event{Rule: "branch-elimination", Applied: true, Shaped: true, Detail: detail})
 		}
 		switch len(kept) {
 		case 0:
 			return &plan.Empty{Schema: t.Cols(), Reason: "all union arms pruned"}
 		case 1:
-			if len(t.Pruned) > 0 {
-				r.tracef("branch-elimination: union collapsed to a single arm")
-			}
 			return kept[0]
 		default:
 			t.Arms = kept
@@ -414,7 +417,7 @@ func (r *Rewriter) rewriteScan(s *plan.Scan) plan.Node {
 			r.guarded("branch-elimination", meet.Guards())
 			if meet.Empty() {
 				r.event(obs.Event{Rule: "branch-elimination", Constraint: b.Source,
-					Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true,
+					Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true, Shaped: true,
 					Detail:    fmt.Sprintf("%s contradicts bound on %s; scan proven empty", s.Alias, s.Def.Columns[b.ColA].Name),
 					RowsSaved: float64(s.Entry.Heap.RowCount())})
 				return &plan.Empty{
@@ -519,9 +522,8 @@ func (r *Rewriter) applyBound(s *plan.Scan, b bound, known, target int) (plan.No
 				s.Filter = append(s.Filter, c)
 			}
 		}
-		r.tracef("predicate-introduction: %s: added %s from %s", s.Alias, pred, b.Source)
 		r.event(obs.Event{Rule: "predicate-introduction", Constraint: b.Source,
-			Mode: b.Mode.String(), Confidence: 1, Applied: true}.Detailf(
+			Mode: b.Mode.String(), Confidence: 1, Applied: true, Shaped: true}.Detailf(
 			"%s: added %s", s.Alias, pred))
 		return s, false
 	}
@@ -558,9 +560,8 @@ func (r *Rewriter) applyBound(s *plan.Scan, b bound, known, target int) (plan.No
 			}
 		}
 		s.EstOnly = append(s.EstOnly, ep)
-		r.tracef("ssc-twin: %s: %s twinned with confidence %.3f from %s", s.Alias, pred, b.Confidence, b.Source)
 		r.event(obs.Event{Rule: "ssc-twin", Constraint: b.Source,
-			Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true}.Detailf(
+			Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true, Shaped: true}.Detailf(
 			"%s: twinned %s for estimation only", s.Alias, pred))
 	}
 	return s, false
@@ -584,10 +585,10 @@ func (r *Rewriter) plantPrunePred(s *plan.Scan, b bound, target int, div expr.In
 		Col: target, Interval: div, NullsQualify: true,
 		Source: b.Source, Check: pruneCheck(b),
 	})
-	// Deliberately no tracef: a prune-only predicate never makes the plan
-	// depend on the constraint for correctness (the Check closure re-validates
-	// at every scan), so it must not trigger the §4.1 trace-driven cache
-	// machinery (ASCDynamicOnly, backup-plan compilation). Events record it.
+	// Not Shaped: a prune-only predicate never makes the plan depend on the
+	// constraint for correctness (the Check closure re-validates at every
+	// scan), so it must not engage the §4.1 cache machinery (ASCDynamicOnly,
+	// backup-plan compilation).
 	r.event(obs.Event{Rule: "prune-introduction", Constraint: b.Source,
 		Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true}.Detailf(
 		"%s: derived prune-only interval %s on %s (pages skippable via synopses)",
@@ -657,10 +658,8 @@ func (r *Rewriter) routeThroughAST(s *plan.Scan) plan.Node {
 	if best == nil {
 		return nil
 	}
-	r.tracef("ast-routing: %s: routed through AST %s (%d of %d rows)",
-		s.Alias, best.Name, best.Heap.RowCount(), s.Entry.Heap.RowCount())
 	r.event(obs.Event{Rule: "ast-routing", Constraint: best.Name, Mode: "AST",
-		Confidence: 1, Applied: true,
+		Confidence: 1, Applied: true, Shaped: true,
 		Detail:    fmt.Sprintf("%s: scan routed to summary (%d of %d rows)", s.Alias, best.Heap.RowCount(), s.Entry.Heap.RowCount()),
 		RowsSaved: float64(s.Entry.Heap.RowCount() - best.Heap.RowCount())})
 	return &plan.Scan{
@@ -695,29 +694,8 @@ func (r *Rewriter) exceptionUnion(s *plan.Scan, b bound, pred expr.Expr, ast *ca
 		Table: ast.Name, Alias: s.Alias, Summary: ast, Def: ast.Def,
 		Filter: append([]expr.Expr(nil), s.Filter...),
 	}
-	r.tracef("exception-union: %s: routed through AST %s with %s (constraint %s)",
-		s.Alias, ast.Name, pred, b.check.Name)
 	r.event(obs.Event{Rule: "exception-union", Constraint: b.check.Name,
-		Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true}.Detailf(
+		Mode: b.Mode.String(), Confidence: b.Confidence, Applied: true, Shaped: true}.Detailf(
 		"%s: exact rewrite via exception AST %s with %s", s.Alias, ast.Name, pred))
 	return &plan.UnionAll{Arms: []plan.Node{arm1, arm2}}, true
-}
-
-// constraintIntervalFor exposes the single-column absolute constraint
-// interval on a column, used by the optimizer for bound tightening and by
-// tests.
-func ConstraintInterval(cat *catalog.Catalog, te *catalog.TableEntry, ord int, kind types.Kind) expr.Interval {
-	iv := expr.Unbounded()
-	for _, con := range te.Constraints {
-		if con.Kind != catalog.Check || !con.Active || con.Confidence < 1 || !con.Mode.UsableInRewrite() {
-			continue
-		}
-		for _, lb := range boundsFromCheck(con) {
-			if !lb.singleColumn() || lb.ColA != ord {
-				continue
-			}
-			iv = iv.Intersect(floatToInterval(floatInterval{lo: lb.Lo, hi: lb.Hi}, kind))
-		}
-	}
-	return iv
 }

@@ -364,24 +364,6 @@ func TestDeterminesClosure(t *testing.T) {
 	}
 }
 
-func TestConstraintIntervalHelper(t *testing.T) {
-	cat, te := setupCat(t)
-	rangeCheck := expr.And(
-		expr.NewBinary(expr.OpGe, expr.NewColumn("purchase", "id", 0, types.KindInt), iconst(0)),
-		expr.NewBinary(expr.OpLe, expr.NewColumn("purchase", "id", 0, types.KindInt), iconst(99)),
-	)
-	if err := cat.AddConstraint(&catalog.Constraint{
-		Name: "rng", Kind: catalog.Check, Mode: catalog.ModeSoftAbsolute,
-		Table: "purchase", CheckExpr: rangeCheck, Confidence: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	iv := ConstraintInterval(cat, te, 0, types.KindInt)
-	if !iv.Contains(types.NewInt(50)) || iv.Contains(types.NewInt(100)) {
-		t.Errorf("constraint interval: %s", iv)
-	}
-}
-
 func TestTraceMessages(t *testing.T) {
 	cat, te := setupCat(t)
 	if err := cat.AddConstraint(&catalog.Constraint{
@@ -394,6 +376,32 @@ func TestTraceMessages(t *testing.T) {
 	r.Rewrite(scanOf(t, te, shipEq(50)))
 	if len(r.Trace) == 0 || !strings.Contains(r.Trace[0], "predicate-introduction") {
 		t.Errorf("trace: %v", r.Trace)
+	}
+}
+
+// TestUnionCollapseFoldsIntoPruning: pruning all arms but one records one
+// event per pruned arm, the last of which says the union collapsed, and the
+// trace is those events rendered.
+func TestUnionCollapseFoldsIntoPruning(t *testing.T) {
+	cat, te := setupCat(t)
+	id := expr.NewColumn("purchase", "id", 0, types.KindInt)
+	empty := func() *plan.Scan {
+		return scanOf(t, te, expr.NewBinary(expr.OpGe, id, iconst(10)), expr.NewBinary(expr.OpLe, id, iconst(5)))
+	}
+	kept := scanOf(t, te)
+	r := New(cat)
+	if got := r.Rewrite(&plan.UnionAll{Arms: []plan.Node{empty(), kept, empty()}}); got != kept {
+		t.Fatalf("union should collapse to its live arm: %T", got)
+	}
+	const collapsed = "; union collapsed to a single arm"
+	if len(r.Events) != 2 || strings.HasSuffix(r.Events[0].Detail, collapsed) ||
+		!strings.HasSuffix(r.Events[1].Detail, collapsed) {
+		t.Fatalf("events: %v", r.Events)
+	}
+	for i, e := range r.Events {
+		if !e.Shaped || len(r.Trace) != 2 || r.Trace[i] != e.TraceLine() {
+			t.Errorf("trace %q does not render events %v", r.Trace, r.Events)
+		}
 	}
 }
 

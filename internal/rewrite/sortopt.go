@@ -35,10 +35,7 @@ func (r *Rewriter) simplifySort(s *plan.Sort) {
 			iv, _ := expr.ExtractInterval(sc.Filter, ci.SourceOrdinal)
 			r.guarded("sort-simplify", iv.Guards())
 			if iv.EqualityConstant != nil {
-				from, _ := iv.Origins()
-				r.tracef("sort-simplify: dropped key %s.%s (pinned to %s)", ci.Qualifier, ci.Name,
-					&expr.Const{Value: *iv.EqualityConstant, From: from})
-				r.event(obs.Event{Rule: "sort-simplify", Applied: true,
+				r.event(obs.Event{Rule: "sort-simplify", Applied: true, Shaped: true,
 					Detail: fmt.Sprintf("dropped key %s.%s (pinned to a constant)", ci.Qualifier, ci.Name)})
 				continue
 			}
@@ -51,8 +48,7 @@ func (r *Rewriter) simplifySort(s *plan.Sort) {
 			}
 		}
 		if len(dets) > 0 && r.determines(ci.SourceTable, dets, ci.SourceColumn) {
-			r.tracef("sort-simplify: dropped key %s.%s (determined by %s)", ci.Qualifier, ci.Name, strings.Join(dets, ", "))
-			r.event(obs.Event{Rule: "sort-simplify", Applied: true, Confidence: 1, Mode: "FD",
+			r.event(obs.Event{Rule: "sort-simplify", Applied: true, Shaped: true, Confidence: 1, Mode: "FD",
 				Detail: fmt.Sprintf("dropped key %s.%s (determined by %s)", ci.Qualifier, ci.Name, strings.Join(dets, ", "))})
 			continue
 		}
@@ -62,8 +58,7 @@ func (r *Rewriter) simplifySort(s *plan.Sort) {
 	if len(kept) == 0 && len(s.Keys) > 0 {
 		s.Eliminated = true
 		s.Reason = "all keys constant or functionally determined"
-		r.tracef("sort-simplify: sort eliminated entirely")
-		r.event(obs.Event{Rule: "sort-simplify", Applied: true,
+		r.event(obs.Event{Rule: "sort-simplify", Applied: true, Shaped: true,
 			Detail: "sort eliminated entirely"})
 	}
 	s.Keys = kept
@@ -106,9 +101,7 @@ func (r *Rewriter) reduceGroupBy(a *plan.Aggregate) {
 		}
 		if len(dets) > 0 && r.determines(target.SourceTable, dets, target.SourceColumn) {
 			redundant[i] = true
-			r.tracef("group-simplify: %s.%s removed from grouping key (determined by %s)",
-				target.Qualifier, target.Name, strings.Join(dets, ", "))
-			r.event(obs.Event{Rule: "group-simplify", Applied: true, Confidence: 1, Mode: "FD",
+			r.event(obs.Event{Rule: "group-simplify", Applied: true, Shaped: true, Confidence: 1, Mode: "FD",
 				Detail: fmt.Sprintf("%s.%s removed from grouping key (determined by %s)",
 					target.Qualifier, target.Name, strings.Join(dets, ", "))})
 		}
