@@ -557,10 +557,10 @@ func TestV1Shape(t *testing.T) {
 	}
 	// The mechanism, not the clock: the comparator families the compiler
 	// specializes run typed stages that evaluate no expression per row,
-	// where the tree-walk evaluates at least one; the column-to-column
-	// predicate falls back to the generic stage, which evaluates it once per
-	// row, as the tree-walk does.
-	for _, name := range []string{"eq-int", "lt-float", "between-int", "is-null"} {
+	// where the tree-walk evaluates at least one; a predicate over a product
+	// falls back to the generic stage, which evaluates it once per row, as
+	// the tree-walk does.
+	for _, name := range []string{"eq-int", "lt-float", "between-int", "is-null", "col-col"} {
 		row := get(name)
 		if row[1] != "true" {
 			t.Errorf("%s: expected a typed kernel: %v", name, row)
@@ -572,9 +572,9 @@ func TestV1Shape(t *testing.T) {
 			t.Errorf("%s: tree-walk evaluated %s expressions per row, want at least 1", name, row[3])
 		}
 	}
-	generic := get("generic-col-col")
+	generic := get("generic-product")
 	if generic[1] != "false" {
-		t.Errorf("column-to-column compare should use the generic stage: %v", generic)
+		t.Errorf("a compare over a product should use the generic stage: %v", generic)
 	}
 	if generic[2] != "1.00" || generic[3] != "1.00" {
 		t.Errorf("generic stage and tree-walk evaluations per row %s / %s, want 1.00 / 1.00", generic[2], generic[3])

@@ -241,7 +241,7 @@ func LoadConstrainedFact(db *engine.Database, n int, mode string) error {
 		if err != nil {
 			return err
 		}
-		if err := db.InsertRow(te, row); err != nil {
+		if err := db.InsertRows(te, []types.Row{row}); err != nil {
 			return err
 		}
 	}

@@ -60,8 +60,8 @@ func s1DB(rows, maxConc int) (*engine.Database, error) {
 		if i%97 == 0 {
 			b = types.Null
 		}
-		if err := db.InsertRow(te, types.Row{
-			types.NewInt(int64(i)), b, types.NewInt(int64(i % 10))}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{
+			types.NewInt(int64(i)), b, types.NewInt(int64(i % 10))}}); err != nil {
 			return nil, err
 		}
 	}

@@ -49,9 +49,9 @@ func t1Server(cfg T1Config) (*engine.Database, *server.Server, string, error) {
 		return nil, nil, "", err
 	}
 	for i := 0; i < cfg.Rows; i++ {
-		if err := db.InsertRow(te, types.Row{
+		if err := db.InsertRows(te, []types.Row{{
 			types.NewInt(int64(i)), types.NewInt(int64(i + i%4)), types.NewInt(int64(i % 10)),
-		}); err != nil {
+		}}); err != nil {
 			return nil, nil, "", err
 		}
 	}

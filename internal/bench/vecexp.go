@@ -84,7 +84,10 @@ func v1Cases() []v1Case {
 			expr.NewBinary(expr.OpGe, intCol(0, "a"), expr.NewConst(types.NewInt(8))),
 			expr.NewBinary(expr.OpLe, intCol(0, "a"), expr.NewConst(types.NewInt(31))))), true},
 		{"is-null", split(expr.NewUnary(expr.OpIsNull, intCol(2, "c"))), true},
-		{"generic-col-col", split(expr.NewBinary(expr.OpLt, intCol(0, "a"), intCol(2, "c"))), false},
+		{"col-col", split(expr.NewBinary(expr.OpLt, intCol(0, "a"),
+			expr.NewBinary(expr.OpAdd, intCol(2, "c"), expr.NewConst(types.NewInt(3))))), true},
+		{"generic-product", split(expr.NewBinary(expr.OpLt,
+			expr.NewBinary(expr.OpMul, intCol(0, "a"), intCol(2, "c")), expr.NewConst(types.NewInt(40)))), false},
 	}
 }
 

@@ -437,6 +437,14 @@ func (t *Tree) copyKey(dst *node, di int, src *node, si int) {
 // table's schema checks is. The tree copies key into its key columns; it
 // keeps no reference to it.
 func (t *Tree) Insert(key types.Row, rid storage.RowID) {
+	t.checkKey(key)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.insert(key, rid, nil)
+}
+
+// checkKey panics unless key fits the tree's key columns.
+func (t *Tree) checkKey(key types.Row) {
 	if len(key) != len(t.kinds) {
 		panic(fmt.Sprintf("btree: %d-column key in a %d-column tree", len(key), len(t.kinds)))
 	}
@@ -445,72 +453,27 @@ func (t *Tree) Insert(key types.Row, rid storage.RowID) {
 			panic(fmt.Sprintf("btree: %v value in key column %d of kind %v", d.Kind(), c, t.kinds[c]))
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.vers++
-	if t.root.len() >= degree-1 {
-		old := t.root
-		t.root = t.newNode()
-		t.root.children = []*node{old}
-		t.splitChild(t.root, 0, key, true)
-		t.height++
-	}
-	t.insertNonFull(t.root, key, rid)
 }
 
-// insertNonFull adds (key, rid) under n, which is not full, splitting each
-// full node on the way down before it descends into it. n is the root, so
-// it is the rightmost node of its level.
-func (t *Tree) insertNonFull(n *node, key types.Row, rid storage.RowID) {
+// insert adds (key, rid) in one descent from the root, splitting each full
+// node on the way down before it descends into it. When the leaf already
+// holds key and clash reports one of its rids, nothing is added: the
+// uniqueness check is made on the leaf the insert lands on, as PostgreSQL's
+// _bt_doinsert makes it. Called with the write latch.
+func (t *Tree) insert(key types.Row, rid storage.RowID, clash func(storage.RowID) bool) {
+	t.vers++
+	if t.root.len() >= degree-1 {
+		t.growRoot(key)
+	}
+	n := t.root
 	edge := true // n is the rightmost node of its level
 	for {
 		i, exact := t.search(n, key)
 		if n.leaf() {
-			t.size++
-			if !exact {
-				s := 0
-				if i > 0 {
-					s = int(n.ends[i-1])
-				}
-				n.rids = slices.Insert(n.rids, s, rid)
-				for k := i; k < len(n.ends); k++ {
-					n.ends[k]++
-				}
-				n.ends = slices.Insert(n.ends, i, int32(s+1))
-				n.renumberSpill(i, 1)
-				t.insertKey(n, i, key)
-				t.keys++
+			if exact && clash != nil && slices.ContainsFunc(n.runOf(i), clash) {
 				return
 			}
-			// Duplicate-key rids stay in RowID order: enumeration order is
-			// then a function of the tree's logical contents rather than its
-			// insertion history, so an index rebuilt from a heap scan (crash
-			// recovery, snapshot load) visits rows in exactly the order the
-			// live tree did.
-			s, e := n.run(i)
-			switch {
-			case s == e:
-				j, _ := n.spillIndex(i)
-				run := n.spill[j].rids
-				n.spill[j].rids = slices.Insert(run, ridIndex(run, rid), rid)
-			case e-s < spillAt:
-				n.rids = slices.Insert(n.rids, s+ridIndex(n.rids[s:e], rid), rid)
-				for k := i; k < len(n.ends); k++ {
-					n.ends[k]++
-				}
-			default:
-				// The run outgrows the leaf. The packed rids are copied
-				// without it, so a leaf whose runs all spill keeps no
-				// array sized for them.
-				run := slices.Clone(n.rids[s:e])
-				run = slices.Insert(run, ridIndex(run, rid), rid)
-				n.rids = slices.Concat(n.rids[:s], n.rids[e:])
-				for k := i; k < len(n.ends); k++ {
-					n.ends[k] -= int32(e - s)
-				}
-				j, _ := n.spillIndex(i)
-				n.spill = slices.Insert(n.spill, j, spilled{key: i, rids: run})
-			}
+			t.place(n, i, exact, key, rid)
 			return
 		}
 		// Interior: route right on exact match so duplicates land on the
@@ -519,15 +482,253 @@ func (t *Tree) insertNonFull(n *node, key types.Row, rid storage.RowID) {
 			i++
 		}
 		edge = edge && i == len(n.children)-1
-		if n.children[i].len() >= degree-1 {
-			t.splitChild(n, i, key, edge)
-			// Route right on key >= separator, matching descendToLeaf.
-			if t.cmpKey(n, i, key) <= 0 {
-				i++
+		n = t.descend(n, i, key, edge)
+	}
+}
+
+// growRoot puts a new root above a full one and splits the old root on the
+// way to key.
+func (t *Tree) growRoot(key types.Row) {
+	old := t.root
+	t.root = t.newNode()
+	t.root.children = []*node{old}
+	t.splitChild(t.root, 0, key, true)
+	t.height++
+}
+
+// descend returns the child of interior node n at i that key descends into,
+// splitting it first when it is full.
+func (t *Tree) descend(n *node, i int, key types.Row, edge bool) *node {
+	if n.children[i].len() >= degree-1 {
+		t.splitChild(n, i, key, edge)
+		// Route right on key >= separator, matching descendToLeaf.
+		if t.cmpKey(n, i, key) <= 0 {
+			i++
+		}
+	}
+	return n.children[i]
+}
+
+// place stores (key, rid) at position i of leaf n: a new key there, or one
+// more rid of the key at i when exact.
+func (t *Tree) place(n *node, i int, exact bool, key types.Row, rid storage.RowID) {
+	t.size++
+	if !exact {
+		s := 0
+		if i > 0 {
+			s = int(n.ends[i-1])
+		}
+		n.rids = slices.Insert(n.rids, s, rid)
+		for k := i; k < len(n.ends); k++ {
+			n.ends[k]++
+		}
+		n.ends = slices.Insert(n.ends, i, int32(s+1))
+		n.renumberSpill(i, 1)
+		t.insertKey(n, i, key)
+		t.keys++
+		return
+	}
+	// Duplicate-key rids stay in RowID order: enumeration order is then a
+	// function of the tree's logical contents rather than its insertion
+	// history, so an index rebuilt from a heap scan (crash recovery,
+	// snapshot load) visits rows in exactly the order the live tree did.
+	s, e := n.run(i)
+	switch {
+	case s == e:
+		j, _ := n.spillIndex(i)
+		run := n.spill[j].rids
+		n.spill[j].rids = slices.Insert(run, ridIndex(run, rid), rid)
+	case e-s < spillAt:
+		n.rids = slices.Insert(n.rids, s+ridIndex(n.rids[s:e], rid), rid)
+		for k := i; k < len(n.ends); k++ {
+			n.ends[k]++
+		}
+	default:
+		// The run outgrows the leaf. The packed rids are copied without
+		// it, so a leaf whose runs all spill keeps no array sized for them.
+		run := slices.Clone(n.rids[s:e])
+		run = slices.Insert(run, ridIndex(run, rid), rid)
+		n.rids = slices.Concat(n.rids[:s], n.rids[e:])
+		for k := i; k < len(n.ends); k++ {
+			n.ends[k] -= int32(e - s)
+		}
+		j, _ := n.spillIndex(i)
+		n.spill = slices.Insert(n.spill, j, spilled{key: i, rids: run})
+	}
+}
+
+// Entry is one (key, rid) pair of a run InsertRun adds.
+type Entry struct {
+	Key types.Row
+	RID storage.RowID
+}
+
+// InsertRun adds the entries of run, which ascend in (key, rid) order, under
+// one write latch, and leaves the tree holding what inserting them one by
+// one would. An entry at or past the right edge — every key of an empty
+// tree, and every key of a load that extends the key order — is appended
+// where the right-edge descent would put it without a search: the leaves
+// and the interior nodes above them fill as an ascending sequence of
+// Inserts fills them (the rightmost split of splitChild). Every other entry
+// takes one descent. With clash non-nil, an entry whose key the tree
+// already holds is checked on its leaf: if clash reports one of the key's
+// rids for the entry's index in run, the entry is not added. Keys are
+// checked and copied as Insert does.
+func (t *Tree) InsertRun(run []Entry, clash func(i int, rid storage.RowID) bool) {
+	for _, e := range run {
+		t.checkKey(e.Key)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i := 0
+	for ; i < len(run) && !t.atEdge(run[i].Key); i++ {
+		var own func(storage.RowID) bool
+		if clash != nil {
+			at := i
+			own = func(rid storage.RowID) bool { return clash(at, rid) }
+		}
+		t.insert(run[i].Key, run[i].RID, own)
+	}
+	// leaf is the rightmost leaf while the next edge descent would split
+	// nothing on its way down — no node above the leaf is full and the
+	// leaf is not — so the entry goes straight into it.
+	var leaf *node
+	for ; i < len(run); i++ {
+		t.vers++
+		if leaf == nil || leaf.len() >= degree-1 {
+			leaf = t.edgeLeaf(run[i].Key)
+			t.appendLeaf(leaf, i, run[i], clash)
+			if t.edgeFull() {
+				leaf = nil
+			}
+			continue
+		}
+		t.appendLeaf(leaf, i, run[i], clash)
+	}
+}
+
+// SortRun sorts entries by (key, rid), the order InsertRun takes,
+// comparing typed values when the keys are single non-NULL values of one
+// kind, and by insertion while the entries arrive nearly sorted (a heap or
+// a batch loaded in rough key order).
+func SortRun(run []Entry) {
+	if len(run) == 0 {
+		return
+	}
+	if len(run[0].Key) == 1 {
+		k := run[0].Key[0].Kind()
+		if !slices.ContainsFunc(run, func(e Entry) bool { return e.Key[0].Kind() != k }) {
+			switch k {
+			case types.KindInt, types.KindDate, types.KindBool:
+				sortNearlySorted(run, byTyped(types.Datum.IntImage, cmp.Compare[int64]))
+				return
+			case types.KindFloat:
+				sortNearlySorted(run, byTyped(types.Datum.Float, types.CompareFloat))
+				return
+			case types.KindString:
+				sortNearlySorted(run, byTyped(types.Datum.Str, strings.Compare))
+				return
 			}
 		}
-		n = n.children[i]
 	}
+	sortNearlySorted(run, func(a, b Entry) int {
+		if c := a.Key.Compare(b.Key); c != 0 {
+			return c
+		}
+		return a.RID.Compare(b.RID)
+	})
+}
+
+// byTyped orders entries with one-value keys by the keys' values read by
+// val and ordered by cmpT, which agrees with types.Datum.Compare on them,
+// then by rid.
+func byTyped[T any](val func(types.Datum) T, cmpT func(a, b T) int) func(a, b Entry) int {
+	return func(a, b Entry) int {
+		if c := cmpT(val(a.Key[0]), val(b.Key[0])); c != 0 {
+			return c
+		}
+		return a.RID.Compare(b.RID)
+	}
+}
+
+// sortNearlySorted sorts s, whose elements are distinct under cmpE: by
+// insertion while that takes fewer moves than a few per element — a load in
+// rough key order, which leaves each key a few places from home, sorts in
+// time linear in its length — and by pdqsort from there.
+func sortNearlySorted[E any](s []E, cmpE func(a, b E) int) {
+	budget := 4 * len(s)
+	for i := 1; i < len(s); i++ {
+		j := i
+		for ; j > 0 && cmpE(s[j-1], s[i]) > 0; j-- {
+		}
+		if j == i {
+			continue
+		}
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(s, cmpE)
+			return
+		}
+		v := s[i]
+		copy(s[j+1:i+1], s[j:i])
+		s[j] = v
+	}
+}
+
+// atEdge reports whether key descends along the right edge to the end of
+// the rightmost leaf: it is not below the last separator of any node on the
+// way, nor below the leaf's last key. Every key of a run after one at the
+// edge is at the edge too, because splits only raise separators to keys
+// already stored.
+func (t *Tree) atEdge(key types.Row) bool {
+	n := t.root
+	for !n.leaf() {
+		if k := n.len(); k > 0 && t.cmpKey(n, k-1, key) > 0 {
+			return false
+		}
+		n = n.children[len(n.children)-1]
+	}
+	return n.len() == 0 || t.cmpKey(n, n.len()-1, key) <= 0
+}
+
+// edgeLeaf makes the descent insert makes for key, which is at the edge,
+// down the right edge, with every search replaced by the last position,
+// and returns the rightmost leaf it reaches.
+func (t *Tree) edgeLeaf(key types.Row) *node {
+	if t.root.len() >= degree-1 {
+		t.growRoot(key)
+	}
+	n := t.root
+	for !n.leaf() {
+		n = t.descend(n, len(n.children)-1, key, true)
+	}
+	return n
+}
+
+// edgeFull reports whether a node above the rightmost leaf is full, so
+// that the next descent along the right edge splits it.
+func (t *Tree) edgeFull() bool {
+	for n := t.root; !n.leaf(); n = n.children[len(n.children)-1] {
+		if n.len() >= degree-1 {
+			return true
+		}
+	}
+	return false
+}
+
+// appendLeaf adds entry i of a run, e, at the end of the rightmost leaf n:
+// a new last key, or one more rid of the last key unless clash reports one
+// of its rids. clash is InsertRun's.
+func (t *Tree) appendLeaf(n *node, i int, e Entry, clash func(int, storage.RowID) bool) {
+	k := n.len()
+	exact := k > 0 && t.cmpKey(n, k-1, e.Key) == 0
+	if !exact {
+		t.place(n, k, false, e.Key, e.RID)
+		return
+	}
+	if clash != nil && slices.ContainsFunc(n.runOf(k-1), func(rid storage.RowID) bool { return clash(i, rid) }) {
+		return
+	}
+	t.place(n, k-1, true, e.Key, e.RID)
 }
 
 // cut copies keys [lo, hi) of n — with their runs, or the children around
@@ -556,6 +757,48 @@ func (t *Tree) cut(n *node, lo, hi int) node {
 	return out
 }
 
+// sizedLike returns an empty leaf whose arrays have room for as many keys
+// and packed rids as leaf n holds.
+func (t *Tree) sizedLike(n *node) node {
+	k := n.len()
+	out := node{cols: make([]keyCol, len(n.cols)), ends: make([]int32, 0, k), rids: make([]storage.RowID, 0, len(n.rids))}
+	for c := range out.cols {
+		switch t.classes[c] {
+		case vec.ClassInt:
+			out.cols[c].ints = make([]int64, 0, k)
+		case vec.ClassFloat:
+			out.cols[c].floats = make([]float64, 0, k)
+		default:
+			out.cols[c].strs = make([]string, 0, k)
+		}
+	}
+	return out
+}
+
+// trim gives each array of leaf n that has room to spare a copy sized for
+// what it holds — what cut(n, 0, n.len()) makes of n, without copying the
+// arrays that are full already.
+func (t *Tree) trim(n *node) {
+	for c := range n.cols {
+		kc := &n.cols[c]
+		kc.ints, kc.floats, kc.strs = clip(kc.ints), clip(kc.floats), clip(kc.strs)
+		if kc.nulls != nil && !slices.Contains(kc.nulls, true) {
+			kc.nulls = nil
+		}
+		kc.nulls = clip(kc.nulls)
+	}
+	n.ends, n.rids, n.spill = clip(n.ends), clip(n.rids), clip(n.spill)
+}
+
+// clip returns s in an array of its own length: s itself when it has no
+// room to spare, else a copy.
+func clip[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	return slices.Clone(s)
+}
+
 // splitChild splits the full child at index i of parent p on the way down
 // to key. A child that is the rightmost node of its level (edge) and that
 // key descends past — a key above its last key, in a leaf, or one that
@@ -577,8 +820,10 @@ func (t *Tree) splitChild(p *node, i int, key types.Row, edge bool) {
 	if child.leaf() {
 		if edge && t.cmpKey(child, k-1, key) < 0 {
 			// The separator is key itself, which the caller inserts into
-			// the empty right leaf next.
-			right.cols = make([]keyCol, len(t.kinds))
+			// the empty right leaf next. The right leaf gets arrays with
+			// room for what the left one holds, so the next leaf of an
+			// ascending load fills without growing them.
+			*right = t.sizedLike(child)
 			t.insertKey(p, i, key)
 			mid = k
 		} else {
@@ -588,7 +833,11 @@ func (t *Tree) splitChild(p *node, i int, key types.Row, edge bool) {
 			t.copyKey(p, i, right, 0)
 		}
 		right.next = child.next
-		*child = t.cut(child, 0, mid)
+		if mid == k {
+			t.trim(child)
+		} else {
+			*child = t.cut(child, 0, mid)
+		}
 		child.next = right
 	} else {
 		if edge && t.cmpKey(child, k-1, key) <= 0 {

@@ -321,6 +321,8 @@ func FuzzTreeMatchesModel(f *testing.F) {
 		f.Add(uint8(s), int64(3*s+1), []byte{9, 9, 9, 9, 9, 9, 6, 6, 6, 10, 9, 9, 7, 7, 10})
 		f.Add(uint8(s), int64(3*s+2), []byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 10, 11, 11, 10, 8, 10})
 		f.Add(uint8(s), int64(3*s+2), []byte{12, 12, 12, 10, 9, 12, 12, 10, 11, 12, 12, 5, 7, 10, 8, 12, 10})
+		f.Add(uint8(s), int64(3*s+2), []byte{15, 10, 13, 14, 10, 16, 16, 10, 0, 14, 16, 5, 13, 10})
+		f.Add(uint8(s), int64(3*s), []byte{14, 14, 16, 10, 13, 16, 10, 15, 16, 16, 10})
 	}
 	f.Fuzz(func(t *testing.T, schema uint8, seed int64, ops []byte) {
 		kinds := fuzzSchemas[int(schema)%len(fuzzSchemas)]
@@ -337,11 +339,73 @@ func FuzzTreeMatchesModel(f *testing.F) {
 			m.insert(k, id)
 		}
 		insert := func() { insertKey(key()) }
+		// sortedRun draws n entries and sorts them with SortRun, which must
+		// agree with a sort by compareEntries: drawn keys, or with past set
+		// keys at and after the tree's maximum.
+		sortedRun := func(n int, past bool) []Entry {
+			var last types.Row
+			if len(m) > 0 {
+				last = m[len(m)-1].key
+			}
+			run := make([]Entry, n)
+			for i := range run {
+				k := key()
+				if past && last != nil {
+					if r.Intn(4) == 0 {
+						k = last.Clone()
+					} else {
+						k = g.after(kinds, last)
+					}
+				}
+				if past {
+					last = k
+				}
+				run[i] = Entry{Key: k, RID: rid(next * 37 % 100003)}
+				next++
+			}
+			want := slices.Clone(run)
+			slices.SortFunc(want, compareEntries)
+			SortRun(run)
+			for i := range run {
+				if run[i].RID != want[i].RID || run[i].Key.String() != want[i].Key.String() {
+					t.Fatalf("SortRun at %d: %v %v, want %v %v", i, run[i].Key, run[i].RID, want[i].Key, want[i].RID)
+				}
+			}
+			return run
+		}
+		// insertRun adds run through InsertRun and to the model. With live
+		// set, an entry whose key the tree holds under a rid live reports
+		// is rejected, and the entries the tree rejected must be the ones
+		// the model rejects.
+		insertRun := func(run []Entry, live func(storage.RowID) bool) {
+			var rejected, want []int
+			var clash func(int, storage.RowID) bool
+			if live != nil {
+				clash = func(i int, id storage.RowID) bool {
+					if live(id) {
+						rejected = append(rejected, i)
+						return true
+					}
+					return false
+				}
+			}
+			tr.InsertRun(run, clash)
+			for i, e := range run {
+				if j, ok := m.find(e.Key); ok && live != nil && slices.ContainsFunc(m[j].rids, live) {
+					want = append(want, i)
+					continue
+				}
+				m.insert(e.Key, e.RID)
+			}
+			if !slices.Equal(rejected, want) {
+				t.Fatalf("InsertRun rejected entries %v, model %v", rejected, want)
+			}
+		}
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
 		for _, op := range ops {
-			switch op % 13 {
+			switch op % 17 {
 			case 0, 1, 2, 3, 4:
 				insert()
 			case 5, 6: // delete a present pair
@@ -391,8 +455,49 @@ func FuzzTreeMatchesModel(f *testing.F) {
 						insertKey(g.after(kinds, m[len(m)-1].key))
 					}
 				}
+			case 13: // a sorted run over the whole key range
+				insertRun(sortedRun(1+r.Intn(300), false), nil)
+			case 14: // a sorted run appended at and past the maximum
+				insertRun(sortedRun(1+r.Intn(300), true), nil)
+			case 15: // a sorted run into an empty tree fills it as Inserts in run order do
+				run := sortedRun(1+r.Intn(600), r.Intn(2) == 0)
+				tr, m = New(kinds...), nil
+				insertRun(run, nil)
+				shadow := New(kinds...)
+				for _, e := range run {
+					shadow.Insert(e.Key, e.RID)
+				}
+				if tr.Height() != shadow.Height() || len(leavesOf(tr.root)) != len(leavesOf(shadow.root)) {
+					t.Fatalf("run of %d into an empty tree: height %d, %d leaves; Inserts in run order: height %d, %d leaves",
+						len(run), tr.Height(), len(leavesOf(tr.root)), shadow.Height(), len(leavesOf(shadow.root)))
+				}
+			case 16: // a sorted run that rejects keys the tree holds under a live rid
+				run := sortedRun(1+r.Intn(200), r.Intn(3) == 0)
+				for i := range run {
+					if len(m) > 0 && r.Intn(2) == 0 {
+						run[i].Key = m[r.Intn(len(m))].key.Clone()
+					}
+				}
+				slices.SortFunc(run, compareEntries)
+				mod := 2 + r.Intn(3)
+				insertRun(run, func(id storage.RowID) bool { return (int(id.Page)+int(id.Slot))%mod != 0 })
 			}
 		}
 		checkTree(t, tr, m, g)
 	})
+}
+
+// compareEntries orders run entries by (key, rid), the order InsertRun
+// takes.
+func compareEntries(a, b Entry) int {
+	if c := a.Key.Compare(b.Key); c != 0 {
+		return c
+	}
+	switch {
+	case ridLess(a.RID, b.RID):
+		return -1
+	case ridLess(b.RID, a.RID):
+		return 1
+	}
+	return 0
 }

@@ -239,40 +239,57 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool)
 		ords[i] = o
 	}
 	ix := &Index{Name: name, Table: te.Def.Name, Columns: columns, Ordinal: ords, Unique: unique, Tree: NewIndexTree(te.Def, ords)}
-	// Bulk build.
-	var buildErr error
-	// Build over every physical version so the index matches what the
-	// engine's write path would have produced (dead versions keep their
-	// entries until Vacuum); uniqueness is judged on live rows only.
-	te.Heap.ScanVersions(func(id storage.RowID, row types.Row) bool {
-		k := ix.KeyFor(row)
-		if unique {
-			if te.Heap.Sees(id, storage.SnapLatest, 0) && treeHasLiveKey(te, ix.Tree, k) {
-				buildErr = fmt.Errorf("catalog: cannot build unique index %s: duplicate key %s", name, k)
-				return false
-			}
-		}
-		ix.Tree.Insert(k, id)
-		return true
-	})
-	if buildErr != nil {
-		return nil, buildErr
+	if err := loadIndex(te, ix, unique); err != nil {
+		return nil, err
 	}
 	te.Indexes = append(te.Indexes, ix)
 	c.touchHard()
 	return ix, nil
 }
 
-func treeHasLiveKey(te *TableEntry, t *btree.Tree, k types.Row) bool {
-	found := false
-	t.Lookup(k, nil, func(rid storage.RowID) bool {
-		if te.Heap.Sees(rid, storage.SnapLatest, 0) {
-			found = true
-			return false
+// loadIndex fills ix's empty tree from every physical version of te's heap
+// — the engine leaves a dead version's entries in place until Vacuum, so an
+// index built or restored now must carry them too — as one run of (key, rid)
+// pairs sorted once (btree.SortRun): the tree fills along its right edge
+// with full nodes (btree.Tree.InsertRun). With unique set, which CREATE INDEX passes
+// for a unique index, uniqueness is judged on live rows only: the error
+// names the key of the first live row, in heap order, whose key a live row
+// before it holds. CREATE INDEX and snapshot restore both build through it.
+func loadIndex(te *TableEntry, ix *Index, unique bool) error {
+	w, n := len(ix.Ordinal), int(te.Heap.PageCount())*te.Heap.RowsPerPage()
+	slab := make([]types.Datum, 0, n*w)
+	run := make([]btree.Entry, 0, n)
+	te.Heap.ScanVersions(func(id storage.RowID, row types.Row) bool {
+		for _, o := range ix.Ordinal {
+			slab = append(slab, row[o])
 		}
+		run = append(run, btree.Entry{RID: id})
 		return true
 	})
-	return found
+	for j := range run {
+		run[j].Key = slab[j*w : (j+1)*w : (j+1)*w]
+	}
+	btree.SortRun(run)
+	if unique {
+		var dup *btree.Entry
+		for j := 0; j < len(run); {
+			k, live := j, 0
+			for ; k < len(run) && run[k].Key.Equal(run[j].Key); k++ {
+				if !te.Heap.Sees(run[k].RID, storage.SnapLatest, 0) {
+					continue
+				}
+				if live++; live == 2 && (dup == nil || run[k].RID.Compare(dup.RID) < 0) {
+					dup = &run[k]
+				}
+			}
+			j = k
+		}
+		if dup != nil {
+			return fmt.Errorf("catalog: cannot build unique index %s: duplicate key %s", ix.Name, dup.Key)
+		}
+	}
+	ix.Tree.InsertRun(run, nil)
+	return nil
 }
 
 // IndexOn returns an index whose leading columns cover the given column

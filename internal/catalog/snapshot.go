@@ -644,13 +644,9 @@ func DecodeState(payload []byte, bind ExprBinder) (*Catalog, error) {
 				}
 			}
 			ix := &Index{Name: ixName, Table: def.Name, Columns: ixCols, Ordinal: ords, Unique: unique, Tree: NewIndexTree(def, ords)}
-			// Rebuild over every physical version, not just live rows:
-			// the engine leaves dead versions' index entries in place
-			// until Vacuum, and restore must reproduce that state.
-			te.Heap.ScanVersions(func(id storage.RowID, row types.Row) bool {
-				ix.Tree.Insert(ix.KeyFor(row), id)
-				return true
-			})
+			if err := loadIndex(te, ix, false); err != nil {
+				return nil, err
+			}
 			te.Indexes = append(te.Indexes, ix)
 		}
 		te.Stats = decodeTableStats(d)

@@ -30,7 +30,7 @@ func slowDB(t *testing.T) *engine.Database {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4000; i++ {
-		if err := db.InsertRow(te, types.Row{types.NewInt(int64(i))}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{types.NewInt(int64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}

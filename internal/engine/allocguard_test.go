@@ -22,7 +22,7 @@ func TestMatchRowsAllocatesPerMatch(t *testing.T) {
 	}
 	const n = 50000
 	for i := 0; i < n; i++ {
-		if err := db.InsertRow(te, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 10)), types.NewString("x")}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{types.NewInt(int64(i)), types.NewInt(int64(i % 10)), types.NewString("x")}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,7 +52,7 @@ func diffDB(t *testing.T, seed int64, n int) (*Database, []types.Row) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := db.InsertRow(te, validated); err != nil {
+		if err := db.InsertRows(te, []types.Row{validated}); err != nil {
 			t.Fatal(err)
 		}
 		raw = append(raw, validated)
@@ -248,7 +248,7 @@ func aggDB(t *testing.T, db *Database, seed int64, n int) {
 		}
 		row := types.Row{k, name, maybe(types.NewDate(int64(18000 + r.Intn(6)))),
 			maybe(types.NewInt(big)), maybe(types.NewFloat(float64(r.Intn(8)) / 2))}
-		if err := db.InsertRow(te, row); err != nil {
+		if err := db.InsertRows(te, []types.Row{row}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +333,7 @@ func TestDifferentialJoins(t *testing.T) {
 	var uraw []types.Row
 	for i := 0; i < 100; i++ {
 		row := types.Row{types.NewInt(int64(r.Intn(50))), types.NewInt(int64(r.Intn(20)))}
-		if err := db.InsertRow(ue, row); err != nil {
+		if err := db.InsertRows(ue, []types.Row{row}); err != nil {
 			t.Fatal(err)
 		}
 		uraw = append(uraw, row)
@@ -477,7 +477,7 @@ func diffDBPrune(t *testing.T, seed int64, n int) *Database {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := db.InsertRow(te, validated); err != nil {
+		if err := db.InsertRows(te, []types.Row{validated}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,8 +512,8 @@ func TestDifferentialPrune(t *testing.T) {
 	ue, _ := db.Catalog().Table("u")
 	r := rand.New(rand.NewSource(132))
 	for i := 0; i < 150; i++ {
-		if err := db.InsertRow(ue, types.Row{
-			types.NewInt(int64(r.Intn(50))), types.NewInt(int64(r.Intn(20)))}); err != nil {
+		if err := db.InsertRows(ue, []types.Row{{
+			types.NewInt(int64(r.Intn(50))), types.NewInt(int64(r.Intn(20)))}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"softdb/internal/btree"
 	"softdb/internal/catalog"
 	"softdb/internal/expr"
 	"softdb/internal/sql"
@@ -13,8 +15,10 @@ import (
 	"softdb/internal/wal"
 )
 
-// insert evaluates the VALUES rows and applies them through the full
-// constraint pipeline as uncommitted versions of tx.
+// insert evaluates the VALUES rows and applies them through applyInserts
+// as one batch of uncommitted versions of tx. A row that fails to evaluate
+// or validate ends the batch there: the rows before it are applied first, so
+// an error one of them raises wins, as it would row by row.
 func (db *Database) insert(tx *Tx, ins *sql.Insert) (*Result, error) {
 	te, err := db.cat.Table(ins.Table)
 	if err != nil {
@@ -38,75 +42,299 @@ func (db *Database) insert(tx *Tx, ins *sql.Insert) (*Result, error) {
 			mapping[ord] = vi
 		}
 	}
-	var n int64
+	rows := make([]types.Row, 0, len(ins.Rows))
+	var rowErr error
 	for _, valueRow := range ins.Rows {
-		want := len(ins.Columns)
-		if want == 0 {
-			want = te.Def.Arity()
+		var row types.Row
+		if row, rowErr = valuesRow(te, ins, mapping, valueRow); rowErr != nil {
+			break
 		}
-		if len(valueRow) != want {
-			return nil, fmt.Errorf("engine: INSERT row has %d values, want %d", len(valueRow), want)
+		rows = append(rows, row)
+	}
+	if err := db.applyInserts(tx, te, rows, nil); err != nil {
+		return nil, err
+	}
+	if rowErr != nil {
+		return nil, rowErr
+	}
+	return &Result{RowsAffected: int64(len(rows))}, nil
+}
+
+// valuesRow evaluates one VALUES row through mapping and validates it.
+func valuesRow(te *catalog.TableEntry, ins *sql.Insert, mapping []int, valueRow []expr.Expr) (types.Row, error) {
+	want := len(ins.Columns)
+	if want == 0 {
+		want = te.Def.Arity()
+	}
+	if len(valueRow) != want {
+		return nil, fmt.Errorf("engine: INSERT row has %d values, want %d", len(valueRow), want)
+	}
+	row := make(types.Row, te.Def.Arity())
+	for ord := range row {
+		vi := mapping[ord]
+		if vi < 0 || vi >= len(valueRow) {
+			row[ord] = types.Null
+			continue
 		}
-		row := make(types.Row, te.Def.Arity())
-		for ord := range row {
-			vi := mapping[ord]
-			if vi < 0 || vi >= len(valueRow) {
-				row[ord] = types.Null
-				continue
-			}
-			v, err := valueRow[vi].Eval(nil)
-			if err != nil {
-				return nil, err
-			}
-			row[ord] = v
-		}
-		validated, err := te.Def.ValidateRow(row)
+		v, err := valueRow[vi].Eval(nil)
 		if err != nil {
 			return nil, err
 		}
-		if err := db.applyInsert(tx, te, validated, storage.RowID{Page: -1}); err != nil {
-			return nil, err
-		}
-		n++
+		row[ord] = v
 	}
-	return &Result{RowsAffected: n}, nil
+	return te.Def.ValidateRow(row)
 }
 
-// InsertRow applies one validated row in its own implicit transaction:
-// constraint checks per mode, heap and index insertion, and at commit the
-// summary-table maintenance and soft-constraint currency bookkeeping.
-// Exposed for generators and benchmarks that bypass SQL.
-func (db *Database) InsertRow(te *catalog.TableEntry, row types.Row) error {
-	tx := &Tx{t: db.txnMgr.Begin()}
-	db.mu.RLock()
-	db.writeMu.Lock()
-	err := db.applyInsert(tx, te, row, storage.RowID{Page: -1})
-	db.writeMu.Unlock()
-	db.mu.RUnlock()
-	if err != nil {
-		db.rollbackTx(tx)
-		return err
+// InsertRows applies validated rows as one batch in their own implicit
+// transaction: constraint checks per mode, heap and index insertion, and at
+// commit the soft write guard, summary-table maintenance and currency
+// bookkeeping. A row that fails an enforced check rolls the whole batch
+// back. Exposed for generators and benchmarks that bypass SQL.
+func (db *Database) InsertRows(te *catalog.TableEntry, rows []types.Row) error {
+	if len(rows) == 0 {
+		return nil
 	}
-	_, err = db.commitTx(tx)
+	_, err := db.execDML(nil, func(tx *Tx) (*Result, error) {
+		if err := db.applyInserts(tx, te, rows, nil); err != nil {
+			return nil, err
+		}
+		return &Result{RowsAffected: int64(len(rows))}, nil
+	})
 	return err
 }
 
-// applyInsert installs row as an uncommitted version owned by tx, with its
-// index entries, after the enforced-constraint checks. selfRid names the
-// version an UPDATE is replacing so uniqueness ignores it; plain inserts
-// pass an invalid rid. Called with db.mu shared + writeMu held.
-func (db *Database) applyInsert(tx *Tx, te *catalog.TableEntry, row types.Row, selfRid storage.RowID) error {
-	if err := db.checkConstraints(te, row, selfRid); err != nil {
-		return err
+// applyInserts is the one insert path: it installs rows, in order, as
+// uncommitted versions owned by tx, with their index entries, and then
+// fails with the error the first offending row raises had the rows been
+// applied one at a time — the same row, the same constraint and the same
+// text. selfRids, when non-nil, names per row the version an UPDATE is
+// replacing, which uniqueness ignores. The work is per batch: the heap takes
+// runs of slots per page (storage.Heap.AppendVersions), each index one
+// sorted run (btree.Tree.InsertRun) whose leaf-level clash check is the
+// uniqueness check; only the enforced constraint tests run per row, in row
+// order, up to the first failing row. A failed batch is left installed for
+// the caller to undo, as every failed statement is.
+// Called with db.mu shared + writeMu held.
+func (db *Database) applyInserts(tx *Tx, te *catalog.TableEntry, rows []types.Row, selfRids []storage.RowID) error {
+	if len(rows) == 0 {
+		return nil
 	}
 	db.touch(tx, te)
-	rid := te.Heap.InsertVersion(row, tx.t.ID)
-	for _, ix := range te.Indexes {
-		ix.Tree.Insert(ix.KeyFor(row), rid)
-	}
-	tx.ops = append(tx.ops, writeOp{te: te, rid: rid, row: row})
+	rids := te.Heap.AppendVersions(rows, tx.t.ID, make([]storage.RowID, 0, len(rows)))
+	tx.ops = slices.Grow(tx.ops, len(rows))
 	if db.dur != nil {
-		tx.recs = append(tx.recs, &wal.Record{Type: wal.TypeInsert, TxnID: tx.t.ID, Table: te.Def.Name, RID: rid, Row: row})
+		tx.recs = slices.Grow(tx.recs, len(rows))
+	}
+	for j, row := range rows {
+		tx.ops = append(tx.ops, writeOp{te: te, rid: rids[j], row: row})
+		if db.dur != nil {
+			tx.recs = append(tx.recs, &wal.Record{Type: wal.TypeInsert, TxnID: tx.t.ID, Table: te.Def.Name, RID: rids[j], Row: row})
+		}
+	}
+	b := &insertBatch{te: te, rows: rows, rids: rids, selfRids: selfRids}
+	b.keys = enforcedKeys(te)
+	for _, ix := range te.Indexes {
+		b.insertIndex(ix)
+	}
+	for j := range rows {
+		if err := db.checkRow(b, j); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// insertBatch is one applyInserts call: its rows, their new ids, the
+// versions they replace, and per enforced key constraint the first row its
+// index rejected.
+type insertBatch struct {
+	te       *catalog.TableEntry
+	rows     []types.Row
+	rids     []storage.RowID
+	selfRids []storage.RowID
+	keys     []keyCheck
+}
+
+// keyCheck is one enforced PRIMARY KEY or UNIQUE constraint of a batch:
+// its key ordinals, the index over exactly its columns (nil: none), and,
+// once insertIndex has run over that index, the first row, in row order,
+// whose key the index already held live when the row's entry went in
+// (len(rows) when none did).
+type keyCheck struct {
+	con   *catalog.Constraint
+	ords  []int
+	ix    *catalog.Index
+	first int
+}
+
+// enforcedKeys lists te's active enforced key constraints.
+func enforcedKeys(te *catalog.TableEntry) []keyCheck {
+	var out []keyCheck
+	for _, con := range te.Constraints {
+		if con.Active && con.Mode == catalog.ModeEnforced && (con.Kind == catalog.PrimaryKey || con.Kind == catalog.Unique) {
+			out = append(out, keyCheck{con: con, ords: ordinalsOf(te, con.Columns), ix: indexOver(te, con.Columns)})
+		}
+	}
+	return out
+}
+
+// self returns the version row j replaces (an invalid id for a plain
+// insert).
+func (b *insertBatch) self(j int) storage.RowID {
+	if b.selfRids == nil {
+		return storage.RowID{Page: -1}
+	}
+	return b.selfRids[j]
+}
+
+// insertIndex adds the batch's entries to ix as one run sorted by (key,
+// rid) — row order within a key, since the batch's rids ascend. When ix
+// backs enforced key constraints the run is checked on the leaves it lands
+// on: an entry whose key the tree already holds under a version some
+// committed-state reader could still see (storage.Heap.SeesAny), other than
+// the one its row replaces, is not added, and the earliest such row is the
+// constraints' first rejected row. Rows earlier in the batch are in the tree
+// by then, so a duplicate inside the batch is caught the same way. A key
+// with a NULL is never rejected: SQL UNIQUE ignores it, and a primary key
+// rejects it on its own.
+func (b *insertBatch) insertIndex(ix *catalog.Index) {
+	n := len(b.rows)
+	run := make([]btree.Entry, n)
+	for j, row := range b.rows {
+		run[j] = btree.Entry{Key: ix.KeyFor(row), RID: b.rids[j]}
+	}
+	btree.SortRun(run)
+	var mine []int
+	for ki := range b.keys {
+		if b.keys[ki].ix == ix {
+			mine = append(mine, ki)
+			b.keys[ki].first = n
+		}
+	}
+	var clash func(int, storage.RowID) bool
+	if len(mine) > 0 {
+		heap := b.te.Heap
+		clash = func(k int, rid storage.RowID) bool {
+			j, _ := slices.BinarySearchFunc(b.rids, run[k].RID, storage.RowID.Compare)
+			if slices.ContainsFunc(run[k].Key, types.Datum.IsNull) || rid == b.self(j) || !heap.SeesAny(rid) {
+				return false
+			}
+			for _, ki := range mine {
+				b.keys[ki].first = min(b.keys[ki].first, j)
+			}
+			return true
+		}
+	}
+	ix.Tree.InsertRun(run, clash)
+}
+
+// checkRow runs the enforced constraints against row j of the batch, in
+// constraint order, as applying the rows one at a time would: CHECKs are
+// evaluated (and counted), a key constraint fails where its index rejected
+// the row (or, with no index, where an earlier live row holds the key), a
+// foreign key where no parent row is found. Rows after j are not in the
+// table yet for this purpose. Called with db.mu shared + writeMu held.
+func (db *Database) checkRow(b *insertBatch, j int) error {
+	te, row := b.te, b.rows[j]
+	ki := 0
+	for _, con := range te.Constraints {
+		if !con.Active || con.Mode != catalog.ModeEnforced {
+			continue
+		}
+		switch con.Kind {
+		case catalog.Check:
+			db.obs.checkEvals.Inc()
+			ok, err := con.Admits(row)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return fmt.Errorf("engine: row violates check constraint %s", con.Name)
+			}
+		case catalog.PrimaryKey, catalog.Unique:
+			kc := &b.keys[ki]
+			ki++
+			if err := b.checkKey(kc, j); err != nil {
+				return err
+			}
+		case catalog.ForeignKey:
+			if err := db.checkParent(b, con, j); err != nil {
+				return err
+			}
+		case catalog.FuncDep:
+			// FD enforcement would require a per-determinant lookup structure;
+			// FDs in softdb are informational/soft only.
+		}
+	}
+	return nil
+}
+
+// checkKey tests row j against one key constraint.
+func (b *insertBatch) checkKey(kc *keyCheck, j int) error {
+	row := b.rows[j]
+	for _, o := range kc.ords {
+		if row[o].IsNull() {
+			if kc.con.Kind == catalog.PrimaryKey {
+				return fmt.Errorf("engine: NULL in primary key %s", kc.con.Name)
+			}
+			return nil // SQL unique ignores NULL keys
+		}
+	}
+	if kc.ix != nil {
+		if kc.first == j {
+			return fmt.Errorf("engine: duplicate key %s violates %s", row.Project(kc.ords), kc.con.Name)
+		}
+		return nil
+	}
+	key := row.Project(kc.ords)
+	// No index: the same dirty view, over the rows before j.
+	self, before := b.self(j), b.rids[j]
+	dup := false
+	b.te.Heap.ScanDirty(func(rid storage.RowID, existing types.Row) bool {
+		if rid != self && rid.Compare(before) < 0 && existing.Project(kc.ords).Equal(key) {
+			dup = true
+			return false
+		}
+		return true
+	})
+	if dup {
+		return fmt.Errorf("engine: duplicate key %s violates %s", key, kc.con.Name)
+	}
+	return nil
+}
+
+// checkParent tests row j against one foreign key. The parent check uses
+// the dirty view: a parent another transaction is inserting counts (it may
+// commit), one whose delete is uncommitted still counts (the delete may
+// abort). A parent in the row's own table counts only when it was there
+// before row j.
+func (db *Database) checkParent(b *insertBatch, con *catalog.Constraint, j int) error {
+	key := b.rows[j].Project(ordinalsOf(b.te, con.Columns))
+	for _, d := range key {
+		if d.IsNull() {
+			return nil
+		}
+	}
+	ref, err := db.cat.Table(con.RefTable)
+	if err != nil {
+		return err
+	}
+	counts := func(rid storage.RowID) bool { return ref != b.te || rid.Compare(b.rids[j]) < 0 }
+	found := false
+	if ix := indexOver(ref, con.RefColumns); ix != nil {
+		ix.Tree.Lookup(key, nil, func(rid storage.RowID) bool {
+			found = counts(rid) && ref.Heap.SeesAny(rid)
+			return !found
+		})
+	} else {
+		refOrds := ordinalsOf(ref, con.RefColumns)
+		ref.Heap.ScanDirty(func(rid storage.RowID, parent types.Row) bool {
+			found = counts(rid) && parent.Project(refOrds).Equal(key)
+			return !found
+		})
+	}
+	if !found {
+		return fmt.Errorf("engine: no parent row %s in %s for %s", key, con.RefTable, con.Name)
 	}
 	return nil
 }
@@ -128,202 +356,6 @@ func (db *Database) applyDelete(tx *Tx, te *catalog.TableEntry, rid storage.RowI
 		tx.recs = append(tx.recs, &wal.Record{Type: wal.TypeDelete, TxnID: tx.t.ID, Table: te.Def.Name, RID: rid})
 	}
 	return nil
-}
-
-// checkConstraints enforces ModeEnforced constraints (reject on violation).
-// selfRid identifies the row being replaced during UPDATE so uniqueness
-// ignores it; inserts pass an invalid rid.
-func (db *Database) checkConstraints(te *catalog.TableEntry, row types.Row, selfRid storage.RowID) error {
-	for _, con := range te.Constraints {
-		if !con.Active || con.Mode != catalog.ModeEnforced {
-			continue
-		}
-		if err := db.checkOne(te, con, row, selfRid); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (db *Database) checkOne(te *catalog.TableEntry, con *catalog.Constraint, row types.Row, selfRid storage.RowID) error {
-	switch con.Kind {
-	case catalog.Check:
-		db.obs.checkEvals.Inc()
-		ok, err := con.Admits(row)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("engine: row violates check constraint %s", con.Name)
-		}
-	case catalog.PrimaryKey, catalog.Unique:
-		ords := ordinalsOf(te, con.Columns)
-		key := row.Project(ords)
-		if con.Kind == catalog.PrimaryKey {
-			for _, d := range key {
-				if d.IsNull() {
-					return fmt.Errorf("engine: NULL in primary key %s", con.Name)
-				}
-			}
-		} else {
-			for _, d := range key {
-				if d.IsNull() {
-					return nil // SQL unique ignores NULL keys
-				}
-			}
-		}
-		// Uniqueness runs against the "dirty" view — any version a
-		// committed-state reader could still come to see, including other
-		// transactions' uncommitted inserts — so two in-flight transactions
-		// cannot both claim a key. Index entries may point at dead versions
-		// (commit never removes them), so each candidate is re-checked
-		// against the heap.
-		if ix := indexOver(te, con.Columns); ix != nil {
-			dup := false
-			ix.Tree.Lookup(key, nil, func(rid storage.RowID) bool {
-				if rid != selfRid {
-					if te.Heap.SeesAny(rid) {
-						dup = true
-					}
-				}
-				return !dup
-			})
-			if dup {
-				return fmt.Errorf("engine: duplicate key %s violates %s", key, con.Name)
-			}
-			return nil
-		}
-		dup := false
-		te.Heap.ScanDirty(func(rid storage.RowID, existing types.Row) bool {
-			if rid != selfRid && existing.Project(ords).Equal(key) {
-				dup = true
-				return false
-			}
-			return true
-		})
-		if dup {
-			return fmt.Errorf("engine: duplicate key %s violates %s", key, con.Name)
-		}
-	case catalog.ForeignKey:
-		ords := ordinalsOf(te, con.Columns)
-		key := row.Project(ords)
-		for _, d := range key {
-			if d.IsNull() {
-				return nil
-			}
-		}
-		ref, err := db.cat.Table(con.RefTable)
-		if err != nil {
-			return err
-		}
-		refOrds := ordinalsOf(ref, con.RefColumns)
-		// The parent check uses the dirty view too: a parent another
-		// transaction is inserting counts (it may commit), one whose delete
-		// is uncommitted still counts (the delete may abort).
-		if ix := indexOver(ref, con.RefColumns); ix != nil {
-			found := false
-			ix.Tree.Lookup(key, nil, func(rid storage.RowID) bool {
-				if ref.Heap.SeesAny(rid) {
-					found = true
-				}
-				return !found
-			})
-			if !found {
-				return fmt.Errorf("engine: no parent row %s in %s for %s", key, con.RefTable, con.Name)
-			}
-			return nil
-		}
-		found := false
-		ref.Heap.ScanDirty(func(_ storage.RowID, parent types.Row) bool {
-			if parent.Project(refOrds).Equal(key) {
-				found = true
-				return false
-			}
-			return true
-		})
-		if !found {
-			return fmt.Errorf("engine: no parent row %s in %s for %s", key, con.RefTable, con.Name)
-		}
-	case catalog.FuncDep:
-		// FD enforcement would require a per-determinant lookup structure;
-		// FDs in softdb are informational/soft only.
-	}
-	return nil
-}
-
-// softWrite is the one soft write hook: commit and WAL replay call it for
-// every committed row effect, in op order, so a recovered catalog evolves
-// exactly as the live one did. It walks the table's characterizations once.
-// An inserted row that violates an absolute one still commits: the ASC or
-// correlation is deactivated (§4.1's maintenance of last resort) and the
-// join holes its values fall in are retired without running the join
-// (§4.3's cheap repair). Then the ASTs take the row's effect stamped ts
-// (the commit timestamp live, storage.CommittedMin on replay), and §3.3's
-// currency counters advance. Each characterization's time is charged to
-// the economy ledger.
-func (db *Database) softWrite(te *catalog.TableEntry, row types.Row, insert bool, ts int64) {
-	name := te.Def.Name
-	corrs := db.cat.Correlations(name)
-	holes := db.cat.JoinHolesOn(name)
-	if insert {
-		for _, con := range te.Constraints {
-			if !con.Active || con.Mode != catalog.ModeSoftAbsolute || con.Kind != catalog.Check {
-				continue
-			}
-			start := db.maintTimer()
-			if ok, _ := con.Admits(row); !ok {
-				_ = db.cat.DeactivateConstraint(name, con.Name)
-				db.obs.metrics.Counter(mASCViolations).Inc()
-				db.notify("ASC %s on %s deactivated by violating write", con.Name, name)
-			}
-			db.chargeMaint(con.Name, start)
-		}
-		for _, lc := range corrs {
-			if !lc.IsAbsolute() {
-				continue
-			}
-			aOrd, bOrd := te.Def.ColumnIndex(lc.ColA), te.Def.ColumnIndex(lc.ColB)
-			if aOrd < 0 || bOrd < 0 {
-				continue
-			}
-			start := db.maintTimer()
-			if !lc.Admits(row[aOrd], row[bOrd]) {
-				_ = db.cat.DeactivateCorrelation(lc.Name)
-				db.obs.metrics.Counter(mCorrDrops).Inc()
-				db.notify("linear correlation %s deactivated by violating write", lc.Name)
-			}
-			db.chargeMaint(lc.Name, start)
-		}
-		for _, jh := range holes {
-			if !jh.Active {
-				continue
-			}
-			start := db.maintTimer()
-			var dropped int
-			if strings.EqualFold(jh.LeftTable, name) {
-				if ord := te.Def.ColumnIndex(jh.AttrLeft); ord >= 0 && !row[ord].IsNull() {
-					dropped += jh.DropHolesIntersecting(expr.Point(row[ord]), expr.Unbounded())
-				}
-			}
-			if strings.EqualFold(jh.RightTable, name) {
-				if ord := te.Def.ColumnIndex(jh.AttrRight); ord >= 0 && !row[ord].IsNull() {
-					dropped += jh.DropHolesIntersecting(expr.Unbounded(), expr.Point(row[ord]))
-				}
-			}
-			if dropped > 0 {
-				db.cat.Touch()
-				db.obs.metrics.Counter(mHolesRetired).Add(int64(dropped))
-				db.notify("join holes %s: %d holes retired by write to %s", jh.Name, dropped, name)
-			}
-			db.chargeMaint(jh.Name, start)
-		}
-	}
-	for _, st := range db.cat.SummariesOn(name) {
-		start := db.maintTimer()
-		maintainSummary(st, row, insert, ts)
-		db.chargeMaint(st.Name, start)
-	}
-	bumpCurrency(te, corrs, holes)
 }
 
 // maintainSummary applies one row's effect to one AST: a materialized AST
@@ -386,25 +418,6 @@ func (db *Database) chargeMaint(name string, start time.Duration) {
 	db.obs.econ.AddMaintenance(name, time.Since(maintEpoch)-start)
 }
 
-// bumpCurrency advances §3.3's staleness counters on the table's
-// statistical soft constraints, its active correlations (corrs, less any
-// the write just deactivated) and its join-hole sets.
-func bumpCurrency(te *catalog.TableEntry, corrs []*catalog.LinearCorrelation, holes []*catalog.JoinHoles) {
-	for _, con := range te.Constraints {
-		if con.Mode == catalog.ModeSoftStatistical {
-			con.ModsSince++
-		}
-	}
-	for _, lc := range corrs {
-		if lc.Active {
-			lc.ModsSince++
-		}
-	}
-	for _, jh := range holes {
-		jh.ModsSince++
-	}
-}
-
 func ordinalsOf(te *catalog.TableEntry, cols []string) []int {
 	out := make([]int, len(cols))
 	for i, c := range cols {
@@ -449,10 +462,6 @@ func (db *Database) update(tx *Tx, upd *sql.Update) (*Result, error) {
 			return nil, err
 		}
 	}
-	type setOp struct {
-		ord int
-		val expr.Expr
-	}
 	sets := make([]setOp, len(upd.Set))
 	for i, sc := range upd.Set {
 		ord := te.Def.ColumnIndex(sc.Column)
@@ -469,29 +478,50 @@ func (db *Database) update(tx *Tx, upd *sql.Update) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var n int64
+	// Each match's old version is ended in turn; its new version joins one
+	// insert batch. A match that fails to evaluate, validate or end ends
+	// the batch there, after the new versions before it were applied, so
+	// the error a row at a time would raise first is the one returned.
+	news := make([]types.Row, 0, len(matches))
+	selfs := make([]storage.RowID, 0, len(matches))
+	var rowErr error
 	for _, m := range matches {
-		newRow := m.row.Clone()
-		for _, s := range sets {
-			v, err := s.val.Eval(m.row)
-			if err != nil {
-				return nil, err
-			}
-			newRow[s.ord] = v
+		var validated types.Row
+		if validated, rowErr = newVersion(te, m.row, sets); rowErr == nil {
+			rowErr = db.applyDelete(tx, te, m.rid, m.row)
 		}
-		validated, err := te.Def.ValidateRow(newRow)
+		if rowErr != nil {
+			break
+		}
+		news = append(news, validated)
+		selfs = append(selfs, m.rid)
+	}
+	if err := db.applyInserts(tx, te, news, selfs); err != nil {
+		return nil, err
+	}
+	if rowErr != nil {
+		return nil, rowErr
+	}
+	return &Result{RowsAffected: int64(len(news))}, nil
+}
+
+// setOp is one SET clause of an UPDATE: the column and its bound value.
+type setOp struct {
+	ord int
+	val expr.Expr
+}
+
+// newVersion applies sets to old and validates the result.
+func newVersion(te *catalog.TableEntry, old types.Row, sets []setOp) (types.Row, error) {
+	row := old.Clone()
+	for _, s := range sets {
+		v, err := s.val.Eval(old)
 		if err != nil {
 			return nil, err
 		}
-		if err := db.applyDelete(tx, te, m.rid, m.row); err != nil {
-			return nil, err
-		}
-		if err := db.applyInsert(tx, te, validated, m.rid); err != nil {
-			return nil, err
-		}
-		n++
+		row[s.ord] = v
 	}
-	return &Result{RowsAffected: n}, nil
+	return te.Def.ValidateRow(row)
 }
 
 // delete ends rows matching in tx's snapshot view with tx's uncommitted

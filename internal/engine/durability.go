@@ -14,7 +14,7 @@ import (
 	"softdb/internal/schema"
 	"softdb/internal/sql"
 	"softdb/internal/storage"
-	"softdb/internal/types"
+	"softdb/internal/vec"
 	"softdb/internal/wal"
 	"softdb/internal/wire/codec"
 )
@@ -296,7 +296,7 @@ func (db *Database) truncateLocked(te *catalog.TableEntry) {
 			st.Heap.Truncate()
 		}
 	}
-	bumpCurrency(te, db.cat.Correlations(te.Def.Name), db.cat.JoinHolesOn(te.Def.Name))
+	bumpCurrency(te, db.cat.Correlations(te.Def.Name), db.cat.JoinHolesOn(te.Def.Name), 1, nil)
 	db.cat.Touch()
 }
 
@@ -619,7 +619,7 @@ func (db *Database) redo(r *wal.Record) error {
 		for _, ix := range te.Indexes {
 			ix.Tree.Insert(ix.KeyFor(r.Row), r.RID)
 		}
-		db.softWrite(te, r.Row, true, storage.CommittedMin)
+		db.softWrite(te, []writeOp{{te: te, rid: r.RID, row: r.Row}}, storage.CommittedMin)
 	case wal.TypeDelete:
 		te, err := db.cat.Table(r.Table)
 		if err != nil {
@@ -634,7 +634,7 @@ func (db *Database) redo(r *wal.Record) error {
 		// entries) in place for Vacuum, and recovery must converge on
 		// the same physical state.
 		te.Heap.SetEnd(r.RID, storage.CommittedMin)
-		db.softWrite(te, old, false, storage.CommittedMin)
+		db.softWrite(te, []writeOp{{te: te, del: true, rid: r.RID, row: old}}, storage.CommittedMin)
 	case wal.TypeDDL:
 		stmt, perr := sql.Parse(r.SQL)
 		if perr != nil {
@@ -691,7 +691,8 @@ func (db *Database) redoStmt(stmt sql.Statement) error {
 
 // revalidateSoft re-checks every active absolute characterization — ASC
 // check constraints and absolute linear correlations — against the
-// recovered heaps, deactivating violated ones. VerifiedVersion and
+// recovered heaps, deactivating violated ones: one pass per table over its
+// page batches through the table's soft write guard. VerifiedVersion and
 // ModsSince are left alone: this is §4.1 maintenance of last resort, not a
 // re-mine.
 func (db *Database) revalidateSoft(rs *RecoveryStats) {
@@ -700,39 +701,31 @@ func (db *Database) revalidateSoft(rs *RecoveryStats) {
 		if err != nil {
 			continue
 		}
-		for _, con := range te.Constraints {
-			if !con.Active || con.Mode != catalog.ModeSoftAbsolute || con.Kind != catalog.Check || con.CheckExpr == nil {
-				continue
-			}
-			rs.Revalidated++
-			ok := true
-			te.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-				ok, _ = con.Admits(row)
-				return ok
-			})
-			if !ok {
-				_ = db.cat.DeactivateConstraint(te.Def.Name, con.Name)
-				rs.Invalidated++
-			}
+		g := newSoftGuard(te, db.cat.Correlations(name))
+		if len(g.checks) == 0 {
+			continue
 		}
-		for _, lc := range db.cat.Correlations(name) {
-			if !lc.IsAbsolute() {
+		rs.Revalidated += len(g.checks)
+		open := len(g.checks)
+		te.Heap.VisiblePages(func(_ int, b *vec.Batch) bool {
+			for _, c := range g.checks {
+				if c.bad < 0 && g.first(c, b) >= 0 {
+					c.bad = 0
+					open--
+				}
+			}
+			return open > 0
+		})
+		for _, c := range g.checks {
+			if c.bad < 0 {
 				continue
 			}
-			aOrd, bOrd := te.Def.ColumnIndex(lc.ColA), te.Def.ColumnIndex(lc.ColB)
-			if aOrd < 0 || bOrd < 0 {
-				continue
+			if c.con != nil {
+				_ = db.cat.DeactivateConstraint(te.Def.Name, c.con.Name)
+			} else {
+				_ = db.cat.DeactivateCorrelation(c.lc.Name)
 			}
-			rs.Revalidated++
-			ok := true
-			te.Heap.Scan(nil, func(_ storage.RowID, row types.Row) bool {
-				ok = lc.Admits(row[aOrd], row[bOrd])
-				return ok
-			})
-			if !ok {
-				_ = db.cat.DeactivateCorrelation(lc.Name)
-				rs.Invalidated++
-			}
+			rs.Invalidated++
 		}
 	}
 }

@@ -499,8 +499,8 @@ func TestZoneMapPruneParityAfterRecovery(t *testing.T) {
 		if i%97 == 0 {
 			b = types.Null
 		}
-		if err := db.InsertRow(te, types.Row{
-			types.NewInt(int64(i)), b, types.NewInt(int64(i % 10))}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{
+			types.NewInt(int64(i)), b, types.NewInt(int64(i % 10))}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -249,6 +249,11 @@ type Database struct {
 
 	// notices accumulated during the current statement.
 	notices []string
+
+	// guards holds each table's soft write guard as compiled at catalog
+	// version guardsAt; the commit hook reads it under mu held exclusively.
+	guards   map[*catalog.TableEntry]*softGuard
+	guardsAt int64
 }
 
 // Open returns an empty database.

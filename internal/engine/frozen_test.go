@@ -76,8 +76,8 @@ func TestFrozenDifferentialColdWarm(t *testing.T) {
 	ue, _ := db.Catalog().Table("u")
 	r := rand.New(rand.NewSource(132))
 	for i := 0; i < 150; i++ {
-		if err := db.InsertRow(ue, types.Row{
-			types.NewInt(int64(r.Intn(50))), types.NewInt(int64(r.Intn(20)))}); err != nil {
+		if err := db.InsertRows(ue, []types.Row{{
+			types.NewInt(int64(r.Intn(50))), types.NewInt(int64(r.Intn(20)))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,7 +180,7 @@ func TestFrozenSnapshotStability(t *testing.T) {
 	te, _ := db.Catalog().Table("acct")
 	const n = 1000
 	for i := 0; i < n; i++ {
-		if err := db.InsertRow(te, types.Row{types.NewInt(int64(i)), types.NewInt(100)}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{types.NewInt(int64(i)), types.NewInt(100)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,7 +258,7 @@ func TestFrozenScansUnderWriters(t *testing.T) {
 	te, _ := db.Catalog().Table("ev")
 	const n = 4000
 	for i := 0; i < n; i++ {
-		if err := db.InsertRow(te, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 7)), types.NewInt(1)}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{types.NewInt(int64(i)), types.NewInt(int64(i % 7)), types.NewInt(1)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -572,12 +572,12 @@ func TestSetUpLeavesPagesCold(t *testing.T) {
 	}
 	for i := 0; i < 3000; i++ {
 		day := int64(10592 + i/8)
-		if err := db.InsertRow(orders, types.Row{types.NewInt(int64(i)), types.NewDate(day),
-			types.NewFloat(float64(i%500) / 4), types.NewInt(int64(i % 60)), types.NewString(fmt.Sprint("r", i%60%7))}); err != nil {
+		if err := db.InsertRows(orders, []types.Row{{types.NewInt(int64(i)), types.NewDate(day),
+			types.NewFloat(float64(i%500) / 4), types.NewInt(int64(i % 60)), types.NewString(fmt.Sprint("r", i%60%7))}}); err != nil {
 			t.Fatal(err)
 		}
 		for l := int64(0); l < 3; l++ {
-			if err := db.InsertRow(lineitem, types.Row{types.NewInt(int64(i)), types.NewDate(day + 1 + l*3), types.NewInt(l)}); err != nil {
+			if err := db.InsertRows(lineitem, []types.Row{{types.NewInt(int64(i)), types.NewDate(day + 1 + l*3), types.NewInt(l)}}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -194,7 +194,7 @@ func fuzzGroupDB(tb testing.TB, data []byte) *Database {
 		case b%8 != 0:
 			f = types.NewFloat(float64(int8(b)) / 4)
 		}
-		if err := db.InsertRow(te, types.Row{k, name, intOf(data[1]), f}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{k, name, intOf(data[1]), f}}); err != nil {
 			tb.Fatal(err)
 		}
 	}

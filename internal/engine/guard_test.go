@@ -32,7 +32,7 @@ func guardDB(t testing.TB) *Database {
 	for i := 0; i < n; i++ {
 		k := int64(guardLo + i*1009%n)
 		w := types.NewFloat(float64(k-guardLo) / float64(n-1))
-		if err := db.InsertRow(te, types.Row{types.NewInt(k), types.NewInt(k), types.NewInt(k % 10), w}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{types.NewInt(k), types.NewInt(k), types.NewInt(k % 10), w}}); err != nil {
 			t.Fatal(err)
 		}
 	}

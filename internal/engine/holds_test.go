@@ -32,7 +32,7 @@ func loadMinedFloat(t *testing.T, db *Database, seed int64, index bool) {
 	for i := 0; i < 200; i++ {
 		b := float64(i*50+rng.Intn(50)) / 100
 		a := math.Round((k*b+5+4*rng.Float64())*100) / 100
-		if err := db.InsertRow(te, types.Row{types.NewInt(int64(i)), types.NewFloat(a), types.NewFloat(b)}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{types.NewInt(int64(i)), types.NewFloat(a), types.NewFloat(b)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

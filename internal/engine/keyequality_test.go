@@ -119,7 +119,7 @@ func TestNegativeZeroKeysAsZero(t *testing.T) {
 	db.MustExec("CREATE TABLE z (f FLOAT, k INT)")
 	te, _ := db.Catalog().Table("z")
 	for i, f := range []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)} {
-		if err := db.InsertRow(te, types.Row{types.NewFloat(f), types.NewInt(int64(i % 2))}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{types.NewFloat(f), types.NewInt(int64(i % 2))}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,7 +42,7 @@ func lifecycleDB(tb testing.TB, n int, configure ...func(*Database)) *Database {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := db.InsertRow(te, validated); err != nil {
+		if err := db.InsertRows(te, []types.Row{validated}); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ func pagePathDB(t *testing.T, n int) *Database {
 		}
 		row := types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 7)), v,
 			types.NewDate(epoch.Date() + int64(i/2)), types.NewFloat(float64(i) / 4), types.NewString(fmt.Sprintf("k%05d", i))}
-		if err := db.InsertRow(te, row); err != nil {
+		if err := db.InsertRows(te, []types.Row{row}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,8 +25,8 @@ func pruneDB(t *testing.T, n int, mine bool) *Database {
 		if i%97 == 0 {
 			b = types.Null
 		}
-		if err := db.InsertRow(te, types.Row{
-			types.NewInt(int64(i)), b, types.NewInt(int64(i % 10))}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{
+			types.NewInt(int64(i)), b, types.NewInt(int64(i % 10))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func holesDB(t *testing.T) (*Database, *catalog.JoinHoles) {
 	le, _ := db.Catalog().Table("lineitem")
 	for i := 0; i < 2000; i++ {
 		amount := int64(i) // clustered
-		if err := db.InsertRow(oe, types.Row{types.NewInt(int64(i)), types.NewInt(amount)}); err != nil {
+		if err := db.InsertRows(oe, []types.Row{{types.NewInt(int64(i)), types.NewInt(amount)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func holesDB(t *testing.T) (*Database, *catalog.JoinHoles) {
 		if i >= 400 && i < 1000 {
 			qty += 1000 // hole: these orders' lineitems live outside qty [0,100]
 		}
-		if err := db.InsertRow(le, types.Row{types.NewInt(int64(i)), types.NewInt(qty)}); err != nil {
+		if err := db.InsertRows(le, []types.Row{{types.NewInt(int64(i)), types.NewInt(qty)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,7 +31,7 @@ func templateDB(t testing.TB) *Database {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if err := db.InsertRow(te, row(i)); err != nil {
+			if err := db.InsertRows(te, []types.Row{row(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -191,21 +191,30 @@ func (db *Database) commitTx(tx *Tx) ([]string, error) {
 		db.abortTxLocked(tx)
 		return nil, err
 	}
-	for _, op := range tx.ops {
-		if op.del {
-			op.te.Heap.SetEnd(op.rid, cts)
+	// The ops are stamped, and then the soft write hook runs, one batch at a
+	// time: a run of ops on one table that all insert or all delete, in op
+	// order. An insert batch's versions sit in runs of consecutive slots,
+	// stamped a run at a time. The hook's ASC violation checks, summary-table
+	// maintenance, staleness bumps and their economy charges thus fire only
+	// for effects that actually commit. The runtime lock fences the catalog
+	// fields prune-predicate Check closures read during lock-free query
+	// execution.
+	for i, j := 0, 0; i < len(tx.ops); i = j {
+		j = batchEnd(tx.ops, i)
+		if te := tx.ops[i].te; tx.ops[i].del {
+			for _, op := range tx.ops[i:j] {
+				te.Heap.SetEnd(op.rid, cts)
+			}
 		} else {
-			op.te.Heap.SetBegin(op.rid, cts)
+			for _, r := range pageRuns(tx.ops[i:j]) {
+				te.Heap.CommitRun(int(r.page), r.lo, r.hi, cts)
+			}
 		}
 	}
-	// The soft write hook runs per op, in op order, so ASC violation
-	// checks, summary-table maintenance, staleness bumps and their economy
-	// charges fire only for effects that actually commit. The runtime
-	// lock fences the catalog fields prune-predicate Check closures read
-	// during lock-free query execution.
 	catalog.RuntimeLock()
-	for _, op := range tx.ops {
-		db.softWrite(op.te, op.row, !op.del, cts)
+	for i, j := 0, 0; i < len(tx.ops); i = j {
+		j = batchEnd(tx.ops, i)
+		db.softWrite(tx.ops[i].te, tx.ops[i:j], cts)
 	}
 	catalog.RuntimeUnlock()
 	db.txnMgr.Publish(cts)

@@ -12,8 +12,10 @@ import (
 // type-specialized tight loops instead of a per-row Datum tree-walk. Range
 // comparisons over one column (=, <, <=, >, >=, BETWEEN spelled as two
 // comparisons) fuse into a single interval stage; <>, IS NULL and
-// IS NOT NULL get dedicated stages; everything else runs through the
-// generic per-row EvalBool fallback.
+// IS NOT NULL get dedicated stages, and so does a comparison of two INT,
+// DATE or FLOAT columns, one of them offset by a constant (col op col
+// [± const]); everything else runs through the generic per-row EvalBool
+// fallback.
 //
 // A stage is provably TRUE for a whole page when the page synopsis covers
 // it (see Stage.ProvableTrue) — scans exploit that to skip per-row
@@ -42,6 +44,10 @@ const (
 	StageIsNotNull
 	// StageGeneric tree-walks Cond per row via EvalBool.
 	StageGeneric
+	// StageColCol keeps rows whose column Col compares by Op with column
+	// Col2 plus (or, with Sub, minus) Add, a constant; Add is NULL when
+	// there is no offset.
+	StageColCol
 )
 
 // rangeLoop selects the compiled tight loop for a range/ne stage.
@@ -67,8 +73,18 @@ type Stage struct {
 	Iv Interval
 	// Ne is the constant for StageNe.
 	Ne types.Datum
-	// Cond is the original conjunct for StageGeneric.
+	// Cond is the original conjunct for StageGeneric (and StageColCol,
+	// whose arithmetic errors it reports).
 	Cond Expr
+	// Col2 (of static kind Kind2), Op, Add and Sub describe StageColCol's
+	// right side; Op is normalized to put Col on the left. The right side
+	// sums in int64 (wrapping) when Col2 and Add are INT or DATE, in
+	// float64 otherwise.
+	Col2  int
+	Kind2 types.Kind
+	Op    Op
+	Add   types.Datum
+	Sub   bool
 
 	colRef *Column
 	loop   rangeLoop
@@ -177,6 +193,10 @@ func CompilePredicate(conds []Expr) *PredProgram {
 			p.Stages = append(p.Stages, st)
 			continue
 		}
+		if st, ok := colColStage(c); ok {
+			p.Stages = append(p.Stages, st)
+			continue
+		}
 		if u, ok := c.(*Unary); ok && (u.Op == OpIsNull || u.Op == OpIsNotNull) {
 			if col, isCol := u.X.(*Column); isCol && col.Index >= 0 {
 				mode := StageIsNull
@@ -278,7 +298,7 @@ func (p *PredProgram) Typed(i int) bool {
 	switch s.Mode {
 	case StageRange, StageNe:
 		return s.loop != loopFallback
-	case StageIsNull, StageIsNotNull:
+	case StageIsNull, StageIsNotNull, StageColCol:
 		return true
 	default:
 		return false
@@ -353,6 +373,8 @@ func (p *PredProgram) RunStage(i int, b *vec.Batch, sel []int32, out []int32) ([
 		return s.runRange(b, sel, out)
 	case StageNe:
 		return s.runNe(b, sel, out)
+	case StageColCol:
+		return s.runColCol(b, sel, out)
 	case StageIsNull, StageIsNotNull:
 		wantNull := s.Mode == StageIsNull
 		for _, idx := range sel {
@@ -564,4 +586,179 @@ func (s *Stage) runNe(b *vec.Batch, sel, out []int32) ([]int32, error) {
 		}
 	}
 	return out, nil
+}
+
+// colColStage compiles e when it compares a column with another column, bare
+// or offset by a constant (col op col2, col op col2 + k, col op col2 - k,
+// col op k + col2, with the bare column on either side), and both sides are
+// INT, DATE or FLOAT in a combination whose arithmetic never fails by kind:
+// a DATE is never added to a FLOAT, nor two DATEs to each other, nor a DATE
+// subtracted from anything. The loop then computes what Binary.Eval does:
+// the right side sums in int64, wrapping, when col2 and k are INT or DATE,
+// and in float64 when either is FLOAT, and the two sides compare as
+// Datum.Compare compares them — as integers when neither is FLOAT, by
+// types.CompareFloat otherwise.
+func colColStage(e Expr) (Stage, bool) {
+	b, ok := e.(*Binary)
+	if !ok || !b.Op.IsComparison() {
+		return Stage{}, false
+	}
+	op := b.Op
+	col, isCol := b.L.(*Column)
+	other := b.R
+	if !isCol {
+		col, isCol = b.R.(*Column)
+		other, op = b.L, op.Swap()
+	}
+	if !isCol || col.Index < 0 {
+		return Stage{}, false
+	}
+	st := Stage{Mode: StageColCol, Col: col.Index, Kind: col.Kind, Op: op, Cond: e, colRef: col, Add: types.Null}
+	var col2 *Column
+	switch o := other.(type) {
+	case *Column:
+		col2 = o
+	case *Binary:
+		var k *Const
+		switch {
+		case o.Op == OpAdd || o.Op == OpSub:
+			col2, _ = o.L.(*Column)
+			k, _ = o.R.(*Const)
+			if o.Op == OpAdd && col2 == nil {
+				col2, _ = o.R.(*Column)
+				k, _ = o.L.(*Const)
+			}
+		}
+		if col2 == nil || k == nil || k.Value.IsNull() {
+			return Stage{}, false
+		}
+		st.Add, st.Sub = k.Value, o.Op == OpSub
+	default:
+		return Stage{}, false
+	}
+	if col2.Index < 0 || !numericKind(col.Kind) || !numericKind(col2.Kind) || (!st.Add.IsNull() && !numericKind(st.Add.Kind())) {
+		return Stage{}, false
+	}
+	st.Col2, st.Kind2 = col2.Index, col2.Kind
+	if !st.Add.IsNull() {
+		ka, kb := col2.Kind, st.Add.Kind()
+		dates := ka == types.KindDate || kb == types.KindDate
+		floats := ka == types.KindFloat || kb == types.KindFloat
+		if dates && (floats || (ka == kb) || (st.Sub && kb == types.KindDate)) {
+			return Stage{}, false
+		}
+	}
+	return st, true
+}
+
+func numericKind(k types.Kind) bool {
+	return k == types.KindInt || k == types.KindDate || k == types.KindFloat
+}
+
+// holds reports whether a comparison that orders c by Op holds.
+func holds(op Op, c int) bool {
+	switch op {
+	case OpEq:
+		return c == 0
+	case OpNe:
+		return c != 0
+	case OpLt:
+		return c < 0
+	case OpLe:
+		return c <= 0
+	case OpGt:
+		return c > 0
+	default:
+		return c >= 0
+	}
+}
+
+// floatAt reads position i of a numeric column of kind k as a float64.
+func floatAt(c *vec.Col, k types.Kind, i int32) float64 {
+	if k == types.KindFloat {
+		return c.Floats[i]
+	}
+	return float64(c.Ints[i])
+}
+
+func (s *Stage) runColCol(b *vec.Batch, sel, out []int32) ([]int32, error) {
+	k1, k2 := b.Col(s.Col, vec.ClassOf(s.Kind)), b.Col(s.Col2, vec.ClassOf(s.Kind2))
+	if k1 == nil || k2 == nil {
+		// Not a typed batch of these kinds: tree-walk.
+		for _, idx := range sel {
+			ok, err := EvalBool(s.Cond, b.View(int(idx)))
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out = append(out, idx)
+			}
+		}
+		return out, nil
+	}
+	leftFloat := s.Kind == types.KindFloat
+	if s.Kind2 != types.KindFloat && s.Add.Kind() != types.KindFloat {
+		var add int64
+		if !s.Add.IsNull() {
+			add = s.Add.IntImage()
+			if s.Sub {
+				add = -add // wraps exactly as x - k does
+			}
+		}
+		for _, idx := range sel {
+			if k1.Nulls[idx] || k2.Nulls[idx] {
+				continue
+			}
+			r := k2.Ints[idx] + add
+			c := 0
+			if leftFloat {
+				c = types.CompareFloat(k1.Floats[idx], float64(r))
+			} else {
+				c = cmpInt(k1.Ints[idx], r)
+			}
+			if holds(s.Op, c) {
+				out = append(out, idx)
+			}
+		}
+		return out, nil
+	}
+	var add float64
+	if !s.Add.IsNull() {
+		add = s.Add.Float()
+	}
+	for _, idx := range sel {
+		if k2.Nulls[idx] {
+			continue
+		}
+		r := floatAt(k2, s.Kind2, idx)
+		if !s.Add.IsNull() {
+			if s.Sub {
+				r -= add
+			} else {
+				r += add
+			}
+			if math.IsNaN(r) {
+				// The sum fails to evaluate, whatever the other side holds.
+				_, err := EvalBool(s.Cond, b.View(int(idx)))
+				return nil, err
+			}
+		}
+		if k1.Nulls[idx] {
+			continue
+		}
+		if holds(s.Op, types.CompareFloat(floatAt(k1, s.Kind, idx), r)) {
+			out = append(out, idx)
+		}
+	}
+	return out, nil
+}
+
+func cmpInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -18,8 +20,9 @@ import (
 // The generator keeps each column's kind stable across rows (as the storage
 // layer guarantees) but mixes comparison shapes: column-constant ranges
 // that fuse into interval stages, <>, IS [NOT] NULL, column-column compares
-// that must fall back to the generic stage, and occasional kind-mismatched
-// constants that exercise error paths.
+// (bare or offset by a constant, typed for INT, DATE and FLOAT, generic for
+// the rest), and occasional kind-mismatched constants and kind edges that
+// exercise error and wrap paths.
 func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(16))
 	f.Add(int64(2), uint8(2), uint8(64))
@@ -83,6 +86,75 @@ func FuzzKernelParity(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestColColStageCompiles: ship_window's two conjuncts compile to typed
+// column-column stages, and shapes whose arithmetic can fail by kind (a
+// DATE plus a FLOAT, a DATE subtracted from an INT) or that multiply stay
+// generic.
+func TestColColStageCompiles(t *testing.T) {
+	order, ship := NewColumn("", "order_date", 0, types.KindDate), NewColumn("", "ship_date", 1, types.KindDate)
+	amount, n := NewColumn("", "amount", 2, types.KindFloat), NewColumn("", "n", 3, types.KindInt)
+	for _, c := range []struct {
+		cond  Expr
+		typed bool
+	}{
+		{NewBinary(OpGe, ship, order), true},
+		{NewBinary(OpLe, ship, NewBinary(OpAdd, order, NewConst(types.NewInt(21)))), true},
+		{NewBinary(OpGt, NewBinary(OpSub, order, NewConst(types.NewInt(3))), ship), true},
+		{NewBinary(OpLt, amount, NewBinary(OpAdd, NewConst(types.NewFloat(0.5)), n)), true},
+		{NewBinary(OpLt, amount, NewBinary(OpAdd, order, NewConst(types.NewFloat(0.5)))), false},
+		{NewBinary(OpLt, n, NewBinary(OpSub, n, NewConst(types.NewDate(3)))), false},
+		{NewBinary(OpLt, n, NewBinary(OpMul, n, NewConst(types.NewInt(3)))), false},
+	} {
+		p := CompilePredicate([]Expr{c.cond})
+		if got := p.Stages[0].Mode == StageColCol && p.Typed(0); got != c.typed {
+			t.Errorf("%s: typed column-column stage %v, want %v", c.cond, got, c.typed)
+		}
+	}
+}
+
+// TestColColStageErrors: a column-column stage fails where the tree-walk
+// fails — an offset sum that is NaN (an infinity meeting its opposite),
+// whatever the other column holds — and keeps what it keeps everywhere
+// else, NULLs and infinities included.
+func TestColColStageErrors(t *testing.T) {
+	a, b := NewColumn("", "a", 0, types.KindInt), NewColumn("", "b", 1, types.KindFloat)
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		cond Expr
+		rows []types.Row
+	}{
+		{NewBinary(OpLt, a, NewBinary(OpAdd, b, NewConst(types.NewFloat(inf)))),
+			[]types.Row{{types.NewInt(1), types.NewFloat(2)}, {types.Null, types.NewFloat(-inf)}}},
+		{NewBinary(OpGe, NewBinary(OpSub, b, NewConst(types.NewFloat(-inf))), a),
+			[]types.Row{{types.NewInt(1), types.NewFloat(inf)}, {types.NewInt(3), types.Null}, {types.NewInt(2), types.NewFloat(-inf)}}},
+		{NewBinary(OpLe, b, NewBinary(OpAdd, NewConst(types.NewInt(2)), a)),
+			[]types.Row{{types.NewInt(1), types.NewFloat(inf)}, {types.Null, types.NewFloat(1)}, {types.NewInt(math.MaxInt64), types.NewFloat(-inf)}}},
+	} {
+		prog := CompilePredicate([]Expr{c.cond})
+		if prog.Stages[0].Mode != StageColCol {
+			t.Fatalf("%s: not a column-column stage", c.cond)
+		}
+		var walkKept []int32
+		var walkErr error
+		for i, row := range c.rows {
+			ok, err := EvalBool(c.cond, row)
+			if err != nil {
+				walkErr = err
+				break
+			}
+			if ok {
+				walkKept = append(walkKept, int32(i))
+			}
+		}
+		var columns vec.Batch
+		columnBatch(&columns, c.rows, []types.Kind{types.KindInt, types.KindFloat})
+		kept, err := runKernels(prog, &columns)
+		if (err != nil) != (walkErr != nil) || (err == nil && fmt.Sprint(kept) != fmt.Sprint(walkKept)) {
+			t.Errorf("%s: kernel kept %v (error %v), tree-walk %v (error %v)", c.cond, kept, err, walkKept, walkErr)
+		}
+	}
 }
 
 // columnBatch resets b to rows held as typed columns of the given kinds, as
@@ -150,6 +222,9 @@ func fuzzRows(rng *rand.Rand, n, nullEvery int) []types.Row {
 				row[ord] = types.NewInt(int64(rng.Intn(21) - 10))
 			case types.KindFloat:
 				row[ord] = types.NewFloat(float64(rng.Intn(41)-20) / 2)
+				if rng.Intn(24) == 0 {
+					row[ord] = types.NewFloat(math.Inf(1 - 2*rng.Intn(2)))
+				}
 			case types.KindString:
 				row[ord] = types.NewString(words[rng.Intn(len(words))])
 			case types.KindDate:
@@ -184,6 +259,34 @@ func fuzzConst(rng *rand.Rand, k types.Kind) types.Datum {
 	}
 }
 
+// fuzzOffset draws the constant of a column-column compare's offset to a
+// column of kind k: a small INT, a FLOAT (not for a DATE column), a DATE
+// (for an INT column, which it only adds to), or a kind edge (an INT that
+// wraps, -0). Offsets whose arithmetic can fail (a STRING, a DATE plus a
+// FLOAT, an infinity that meets its opposite) are TestColColStageErrors':
+// a failing conjunct that a program runs after a stage that kept no row
+// raises nothing, while the tree-walk, which evaluates the conjuncts in
+// textual order, fails.
+func fuzzOffset(rng *rand.Rand, k types.Kind) types.Datum {
+	switch rng.Intn(6) {
+	case 0:
+		return types.NewInt([]int64{math.MaxInt64, math.MinInt64, math.MinInt64 + 1}[rng.Intn(3)])
+	case 1:
+		if k != types.KindDate {
+			return types.NewFloat(math.Copysign(0, -1))
+		}
+	case 2:
+		if k == types.KindInt {
+			return types.NewDate(int64(rng.Intn(30)))
+		}
+	case 3:
+		if k != types.KindDate {
+			return types.NewFloat(float64(rng.Intn(9)-4) / 2)
+		}
+	}
+	return types.NewInt(int64(rng.Intn(9) - 4))
+}
+
 func fuzzConjuncts(rng *rand.Rand, n int) []Expr {
 	ops := []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
 	names := []string{"a", "b", "c", "d", "e"}
@@ -196,10 +299,26 @@ func fuzzConjuncts(rng *rand.Rand, n int) []Expr {
 			conds[i] = NewUnary(OpIsNull, col)
 		case 1:
 			conds[i] = NewUnary(OpIsNotNull, col)
-		case 2: // column-column: forces the generic stage
+		case 2: // column-column, bare or offset by a constant
 			other := rng.Intn(len(fuzzKinds))
-			conds[i] = NewBinary(ops[rng.Intn(len(ops))], col,
-				NewColumn("", names[other], other, fuzzKinds[other]))
+			var right Expr = NewColumn("", names[other], other, fuzzKinds[other])
+			if k := fuzzKinds[other]; k != types.KindString && rng.Intn(4) > 0 {
+				off := NewConst(fuzzOffset(rng, k))
+				switch {
+				case off.Value.Kind() == types.KindDate || rng.Intn(3) == 0:
+					right = NewBinary(OpAdd, off, right)
+				case rng.Intn(2) == 0:
+					right = NewBinary(OpAdd, right, off)
+				default:
+					right = NewBinary(OpSub, right, off)
+				}
+			}
+			op := ops[rng.Intn(len(ops))]
+			if rng.Intn(2) == 0 {
+				conds[i] = NewBinary(op, right, col)
+			} else {
+				conds[i] = NewBinary(op, col, right)
+			}
 		default:
 			op := ops[rng.Intn(len(ops))]
 			c := NewConst(fuzzConst(rng, fuzzKinds[ord]))

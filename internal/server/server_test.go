@@ -133,8 +133,8 @@ func corrDB(t *testing.T, n int, mine bool) *engine.Database {
 		if i%97 == 0 {
 			b = types.Null
 		}
-		if err := db.InsertRow(te, types.Row{
-			types.NewInt(int64(i)), b, types.NewInt(int64(i % 10))}); err != nil {
+		if err := db.InsertRows(te, []types.Row{{
+			types.NewInt(int64(i)), b, types.NewInt(int64(i % 10))}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,10 +21,11 @@ import (
 // queries never build one — they proxy verbatim, so every engine feature
 // works unreduced on one shard.
 //
-// A shard's result is the original select items verbatim, so its row
-// description carries the names one node would give, then the trailing
-// helper columns helpers counts: a plain SELECT's ORDER BY keys, and an
-// aggregate SELECT's AVG partials and the GROUP BY keys it does not select.
+// A shard's result is the original select items, so its row description
+// carries the names one node would give, then the trailing helper columns
+// helpers counts: a plain SELECT's ORDER BY keys, and an aggregate SELECT's
+// AVG counts and the GROUP BY keys it does not select. An AVG item is sent
+// as its FLOAT sum, and its name is rebuilt from its count's (names).
 // The router's operators read the helpers and drop them, as the single-node
 // builder drops its hidden sort columns.
 type selectPlan struct {
@@ -48,6 +49,7 @@ type selectPlan struct {
 type mergeItem struct {
 	kind      sql.AggKind
 	src, src2 int
+	named     bool // an AVG with an alias
 }
 
 func errUnsupported(what string) error {
@@ -101,8 +103,9 @@ func unalias(key expr.Expr, items []sql.SelectItem) expr.Expr {
 
 // planAggSelect decomposes aggregates into per-shard partials: COUNT, SUM,
 // MIN and MAX run as written and fold again at the router; AVG sends its
-// FLOAT sum and its count as helpers, because one node's AVG sums in FLOAT
-// (an exact INT sum could overflow on a shard where one node's AVG answers).
+// FLOAT sum in its own place and its count as a helper, because one node's
+// AVG sums in FLOAT (an exact INT sum could overflow on a shard where one
+// node's AVG answers).
 func planAggSelect(s *sql.Select) (*selectPlan, error) {
 	if s.Distinct {
 		return nil, errUnsupported("DISTINCT with aggregates")
@@ -119,11 +122,12 @@ func planAggSelect(s *sql.Select) (*selectPlan, error) {
 		case it.Agg == sql.AggCountDistinct:
 			return nil, errUnsupported("COUNT(DISTINCT)")
 		case it.Agg == sql.AggAvg:
-			// The shard's own AVG column at position i is only there for
-			// its name.
-			sum := p.helper(sql.SelectItem{Agg: sql.AggSum, Expr: expr.NewUnary(expr.OpFloat, it.Expr)})
+			// The shard sums in FLOAT at the item's position, under the
+			// item's alias; the count is a helper. An unaliased AVG takes
+			// its name from the count's (see names).
+			perShard.Items[i] = sql.SelectItem{Agg: sql.AggSum, Expr: expr.NewUnary(expr.OpFloat, it.Expr), Alias: it.Alias}
 			count := p.helper(sql.SelectItem{Agg: sql.AggCount, Expr: it.Expr})
-			p.items = append(p.items, mergeItem{kind: sql.AggAvg, src: sum, src2: count})
+			p.items = append(p.items, mergeItem{kind: sql.AggAvg, src: i, src2: count, named: it.Alias != ""})
 		case it.Agg != sql.AggNone:
 			p.items = append(p.items, mergeItem{kind: it.Agg, src: i})
 		default:
@@ -338,5 +342,23 @@ func (p *selectPlan) run(ctx context.Context, results []*client.Result) (*client
 	if err != nil {
 		return nil, err
 	}
-	return &client.Result{Columns: cols[:len(cols)-p.helpers], Rows: out}, nil
+	return &client.Result{Columns: p.names(cols), Rows: out}, nil
+}
+
+// names returns the result's column names from the per-shard statement's,
+// cols: the select items' own, where an unaliased AVG(x), which a shard
+// answers as its FLOAT sum, is named as one node names it — "avg" and the
+// rest of its count helper's name, "count(x)" with x bound as the shard
+// bound it.
+func (p *selectPlan) names(cols []string) []string {
+	if p.items == nil {
+		return cols[:len(cols)-p.helpers]
+	}
+	out := slices.Clone(cols[:len(p.items)])
+	for i, it := range p.items {
+		if it.kind == sql.AggAvg && !it.named {
+			out[i] = "avg" + strings.TrimPrefix(cols[it.src2], "count")
+		}
+	}
+	return out
 }

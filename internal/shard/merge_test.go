@@ -145,22 +145,23 @@ func TestPlanOrderByAliasAndOutsideColumn(t *testing.T) {
 
 func TestPlanAggSelect(t *testing.T) {
 	p := mustPlan(t, "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM t GROUP BY g")
-	// Per-shard statement: the original items verbatim (their row
-	// description supplies the exact output names), then AVG's FLOAT sum and
-	// count partials appended.
+	// Per-shard statement: the original items, with AVG's FLOAT sum in its
+	// place, then its count partial appended.
 	per := sql.Print(p.perShard)
-	want := "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v), SUM(CAST(v AS FLOAT)), COUNT(v) FROM t GROUP BY g"
+	want := "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), SUM(CAST(v AS FLOAT)), COUNT(v) FROM t GROUP BY g"
 	if per != want {
 		t.Fatalf("per-shard = %q, want %q", per, want)
 	}
 	// Shard 0: group 1 has 2 rows summing 30 (min 10 max 20); group 2 one
 	// row of 5. Shard 1: group 1 has 1 row of 40. Layout: g, count, sum,
-	// min, max, avg (ignored), sum partial, count partial.
+	// min, max, sum partial, count partial, named as a shard names them.
 	f := types.NewFloat
-	res, err := mergeRows(p, [][]types.Row{
-		{append(intRow(1, 2, 30, 10, 20), f(15), f(30), types.NewInt(2)), append(intRow(2, 1, 5, 5, 5), f(5), f(5), types.NewInt(1))},
-		{append(intRow(1, 1, 40, 40, 40), f(40), f(40), types.NewInt(1))},
-	})
+	cols := []string{"g", "count(*)", "sum(v)", "min(v)", "max(v)", "sum(float(v))", "count(v)"}
+	results := []*client.Result{
+		{Columns: cols, Rows: []types.Row{append(intRow(1, 2, 30, 10, 20), f(30), types.NewInt(2)), append(intRow(2, 1, 5, 5, 5), f(5), types.NewInt(1))}},
+		{Columns: cols, Rows: []types.Row{append(intRow(1, 1, 40, 40, 40), f(40), types.NewInt(1))}},
+	}
+	res, err := p.run(context.Background(), results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +176,9 @@ func TestPlanAggSelect(t *testing.T) {
 	if g1[5].Kind() != types.KindFloat || g1[5].Float() != 70.0/3.0 {
 		t.Fatalf("avg = %v", g1[5])
 	}
-	// The shards' own names for the items, the helpers' sliced off.
-	if got := strings.Join(res.Columns, ","); got != "c0,c1,c2,c3,c4,c5" {
+	// The shards' own names for the items, AVG's taken from its count
+	// helper's, and the helper sliced off.
+	if got := strings.Join(res.Columns, ","); got != "g,count(*),sum(v),min(v),max(v),avg(v)" {
 		t.Fatalf("columns = %v", got)
 	}
 }

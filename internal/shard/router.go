@@ -1001,7 +1001,7 @@ func (s *Session) splitSumSelect(ctx context.Context, plan *selectPlan, targets 
 	if err != nil {
 		return nil, err
 	}
-	res.Columns = cols[:len(res.Columns)]
+	res.Columns = plan.names(cols)
 	return res, nil
 }
 

@@ -22,6 +22,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sync"
@@ -104,6 +105,14 @@ type RowID struct {
 
 // String renders the row ID as page:slot.
 func (r RowID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
+
+// Compare orders row ids in heap order: by page, then slot.
+func (r RowID) Compare(o RowID) int {
+	if c := cmp.Compare(r.Page, o.Page); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.Slot, o.Slot)
+}
 
 // Counters accumulates simulated I/O work. The executor passes one Counters
 // through a query; storage bumps it on every page and row touch. All updates
@@ -277,15 +286,15 @@ func (h *Heap) RowsPerPage() int {
 // pageList loads the published page list.
 func (h *Heap) pageList() []*page { return *h.pages.Load() }
 
-// grow appends a fresh page and republishes the page list.
+// grow appends a fresh page and republishes the page list. The list grows
+// in place while its array has room: a reader's list ends before the new
+// element, which is written before the longer list is published.
 func (h *Heap) grow() *page {
 	old := h.pageList()
 	n := h.RowsPerPage()
 	p := &page{cols: newPageCols(h.def, n), stamps: make([]stamp, n)}
 	h.zoneFor(len(old))
-	next := make([]*page, len(old)+1)
-	copy(next, old)
-	next[len(old)] = p
+	next := append(old, p)
 	h.pages.Store(&next)
 	return p
 }
@@ -329,8 +338,8 @@ func (h *Heap) install(row types.Row, begin int64) RowID {
 
 // Insert appends a row (already schema-validated by the caller) visible to
 // every snapshot: InsertCommitted at CommittedMin, the non-transactional
-// write of bulk loads, summary-table population and tests. Transactional
-// inserts go through InsertVersion + SetBegin.
+// write of bulk loads, summary-table population and tests. The engine's
+// transactional inserts go through AppendVersions + CommitRun.
 func (h *Heap) Insert(row types.Row) RowID {
 	return h.InsertCommitted(row, CommittedMin)
 }
@@ -342,12 +351,111 @@ func (h *Heap) InsertCommitted(row types.Row, ts int64) RowID {
 	return h.install(row, ts)
 }
 
-// InsertVersion appends an uncommitted version owned by transaction tid.
-// The version is invisible to every snapshot until SetBegin stamps it with
-// a commit timestamp (AbortInsert retires it instead). No version bump
-// happens until the commit stamp.
+// InsertVersion appends an uncommitted version owned by transaction tid,
+// AppendVersions for one row. The version is invisible to every snapshot
+// until SetBegin stamps it with a commit timestamp (AbortInsert retires it
+// instead). No version bump happens until the commit stamp.
 func (h *Heap) InsertVersion(row types.Row, tid int64) RowID {
 	return h.install(row, -tid)
+}
+
+// AppendVersions appends rows, in order, as uncommitted versions owned by
+// transaction tid and returns their ids appended to rids: the batch write of
+// the engine's insert path. Each page takes a run of slots: the values and
+// stamps of the whole run are written, the page's zone entry is widened once
+// by the run's null counts and lowest and highest values, and then used
+// publishes the run — the order install keeps per slot, which
+// ScanPageListAt relies on. The rows are copied into the pages.
+func (h *Heap) AppendVersions(rows []types.Row, tid int64, rids []RowID) []RowID {
+	for len(rows) > 0 {
+		pages := h.pageList()
+		pi := len(pages) - 1
+		var p *page
+		if pi >= 0 && int(pages[pi].used.Load()) < len(pages[pi].stamps) {
+			p = pages[pi]
+		} else {
+			p = h.grow()
+			pi++
+		}
+		lo := int(p.used.Load())
+		hi := min(lo+len(rows), len(p.stamps))
+		for si := lo; si < hi; si++ {
+			p.setRow(si, rows[si-lo])
+			p.stamps[si].begin.Store(-tid)
+			p.stamps[si].end.Store(0)
+			rids = append(rids, RowID{Page: int32(pi), Slot: int32(si)})
+		}
+		h.zoneAddRun(pi, p, lo, hi)
+		p.used.Store(int32(hi)) // publish: values, stamps and zone are written
+		rows = rows[hi-lo:]
+	}
+	return rids
+}
+
+// CommitRun commit-stamps the uncommitted versions in slots [lo, hi) of
+// page pi with ts, as SetBegin does slot by slot, and returns how many it
+// stamped; the live count and the mutation counter advance once for the
+// run.
+func (h *Heap) CommitRun(pi int, lo, hi int32, ts int64) int {
+	p := h.pageList()[pi]
+	n := 0
+	for si := lo; si < hi; si++ {
+		if st := &p.stamps[si]; st.begin.Load() < 0 {
+			st.begin.Store(ts)
+			n++
+		}
+	}
+	h.live.Add(int64(n))
+	h.version.Add(int64(n))
+	return n
+}
+
+// ViewRun points b at slots [lo, hi) of page pi as a column batch: the
+// window is the page's first hi slots and the selection, built in sel's
+// storage, is lo..hi-1. The batch borrows the page's arrays.
+func (h *Heap) ViewRun(b *vec.Batch, pi, lo, hi int, sel []int32) []int32 {
+	sel = sel[:0]
+	for si := lo; si < hi; si++ {
+		sel = append(sel, int32(si))
+	}
+	h.viewPage(b, h.pageList()[pi], hi, sel)
+	return sel
+}
+
+// viewPage points b at the first n slots of p's columns, selecting sel.
+func (h *Heap) viewPage(b *vec.Batch, p *page, n int, sel []int32) {
+	cols := b.ResetColumns(n, h.kinds)
+	for ci := range cols {
+		p.cols[ci].view(&cols[ci], n)
+	}
+	b.Sel = sel
+}
+
+// VisiblePages calls fn once per page holding versions visible to the
+// latest snapshot, with b pointed at the page's columns and its selection at
+// those slots, in storage order, until fn returns false. Like Columns it
+// freezes no page and charges no counter: it is the page-batch read of
+// maintenance passes. b is borrowed for the call.
+func (h *Heap) VisiblePages(fn func(pi int, b *vec.Batch) bool) {
+	var b vec.Batch
+	var sel []int32
+	for pi, p := range h.pageList() {
+		n := int(p.used.Load())
+		sel = sel[:0]
+		for si := 0; si < n; si++ {
+			st := &p.stamps[si]
+			if Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0) {
+				sel = append(sel, int32(si))
+			}
+		}
+		if len(sel) == 0 {
+			continue
+		}
+		h.viewPage(&b, p, n, sel)
+		if !fn(pi, &b) {
+			return
+		}
+	}
 }
 
 // InsertAtRID places a version at exactly rid — the WAL replay path, which

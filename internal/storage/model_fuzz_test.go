@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"softdb/internal/schema"
@@ -161,6 +162,7 @@ func FuzzHeapMatchesRowModel(f *testing.F) {
 	f.Add([]byte{9, 200, 1, 2, 3, 9, 200, 4, 5, 6, 2, 1, 3, 3, 4, 5, 5, 9, 6, 7, 8})
 	f.Add(bytes.Repeat([]byte{9, 255, 0, 7, 13, 2, 40}, 30))
 	f.Add(bytes.Repeat([]byte{0, 17, 1, 3, 0, 0, 6, 90, 7, 1, 8, 5, 4, 3}, 25))
+	f.Add(bytes.Repeat([]byte{12, 150, 0, 2, 3, 11, 12, 7, 1, 5, 9, 11, 12, 200, 1, 3, 11}, 12))
 	def, err := schema.NewTable("m",
 		schema.Column{Name: "i", Type: types.KindInt, Nullable: true},
 		schema.Column{Name: "f", Type: types.KindFloat, Nullable: true},
@@ -196,7 +198,7 @@ func FuzzHeapMatchesRowModel(f *testing.F) {
 			return RowID{Page: int32(pi), Slot: int32(si)}, &m.pages[pi][si]
 		}
 		for step := 0; step < 64 && len(in.data) > 0; step++ {
-			switch op := in.next() % 12; op {
+			switch op := in.next() % 13; op {
 			case 0, 1: // an uncommitted insert
 				tid++
 				r := row()
@@ -298,6 +300,44 @@ func FuzzHeapMatchesRowModel(f *testing.F) {
 				}
 			case 10:
 				h.ThawAll()
+			case 12: // a batch append, then its page runs committed or left in flight
+				tid++
+				rows := make([]types.Row, 1+in.next()%(2*m.per))
+				var want []RowID
+				for i := range rows {
+					rows[i] = row()
+					want = append(want, m.append(modelSlot{row: rows[i].Clone(), begin: -tid}))
+				}
+				got := h.AppendVersions(rows, tid, nil)
+				if !slices.Equal(got, want) {
+					t.Fatalf("AppendVersions at %v, model %v", got, want)
+				}
+				commit := in.next()%2 == 0
+				clock++
+				var b vec.Batch
+				var sel []int32
+				for lo := 0; lo < len(got); {
+					hi := lo + 1
+					for hi < len(got) && got[hi].Page == got[lo].Page {
+						hi++
+					}
+					pi, first, end := got[lo].Page, got[lo].Slot, got[hi-1].Slot+1
+					sel = h.ViewRun(&b, int(pi), int(first), int(end), sel)
+					var view []types.Row
+					for i := 0; i < b.Len(); i++ {
+						view = append(view, b.Row(i))
+					}
+					compareRows(t, "ViewRun", SnapLatest, view, rows[lo:hi])
+					if commit {
+						if n := h.CommitRun(int(pi), first, end, clock); n != hi-lo {
+							t.Fatalf("CommitRun stamped %d of %d", n, hi-lo)
+						}
+						for si := first; si < end; si++ {
+							m.pages[pi][si].begin = clock
+						}
+					}
+					lo = hi
+				}
 			default:
 				checkModel(t, h, m, clock, tid)
 				checkZoneAddMatchesRecompute(t, h, !resurrected)
@@ -414,6 +454,14 @@ func checkModel(t *testing.T, h *Heap, m *heapModel, clock, tid int64) {
 		compareRows(t, "ScanColsAt", snap, sub, wantSub)
 		if snap == SnapLatest && vt == 0 {
 			checkColumns(t, h, want)
+			var pages []types.Row
+			h.VisiblePages(func(_ int, b *vec.Batch) bool {
+				for i := 0; i < b.Len(); i++ {
+					pages = append(pages, b.Row(i))
+				}
+				return true
+			})
+			compareRows(t, "VisiblePages", snap, pages, want)
 		}
 	}
 	var versions []types.Row

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"softdb/internal/schema"
@@ -120,6 +122,38 @@ func (c *pageCol) datum(si int) types.Datum {
 	default:
 		return types.NewString(c.strs[si])
 	}
+}
+
+// runBounds counts the NULLs among slots [lo, hi) and finds the slots of
+// their lowest and highest non-null values (-1 when there are none), each
+// the first of its ties in slot order, in Datum.Compare's order.
+func (c *pageCol) runBounds(lo, hi int) (nulls, mn, mx int) {
+	switch {
+	case c.ints != nil:
+		return bounds(c.ints, c.nulls, lo, hi, cmp.Compare[int64])
+	case c.floats != nil:
+		return bounds(c.floats, c.nulls, lo, hi, types.CompareFloat)
+	default:
+		return bounds(c.strs, c.nulls, lo, hi, strings.Compare)
+	}
+}
+
+// bounds is runBounds over one typed array ordered by cmpT.
+func bounds[T any](vals []T, nulls []bool, lo, hi int, cmpT func(a, b T) int) (n, mn, mx int) {
+	mn, mx = -1, -1
+	for si := lo; si < hi; si++ {
+		switch {
+		case nulls[si]:
+			n++
+		case mn < 0:
+			mn, mx = si, si
+		case cmpT(vals[si], vals[mn]) < 0:
+			mn = si
+		case cmpT(vals[mx], vals[si]) < 0:
+			mx = si
+		}
+	}
+	return n, mn, mx
 }
 
 // view points v at the column's first n slots.

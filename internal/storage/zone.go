@@ -157,6 +157,31 @@ func (h *Heap) zoneAdd(pi int, row types.Row) {
 	b.end(i, rows)
 }
 
+// zoneAddRun widens page pi's entry by the new non-aborted versions in slots
+// [lo, hi) of p, under one bracket: per column the run's NULLs are counted
+// in, and its lowest and highest values are merged. The lowest and highest
+// are the first of their ties in slot order, so the entry ends exactly as
+// zoneAdd slot by slot would leave it.
+func (h *Heap) zoneAddRun(pi int, p *page, lo, hi int) {
+	b, i := h.zoneSlot(pi)
+	rows := max(b.rows(i), 0) + int64(hi-lo)
+	b.begin(i)
+	for ci := range b.cols {
+		pc, zc := &p.cols[ci], &b.cols[ci]
+		nulls, mn, mx := pc.runBounds(lo, hi)
+		if nulls > 0 {
+			zc.meta[i].Add(uint64(nulls))
+		}
+		if mn >= 0 {
+			zc.merge(i, pc.datum(mn))
+			if mx != mn {
+				zc.merge(i, pc.datum(mx))
+			}
+		}
+	}
+	b.end(i, rows)
+}
+
 // merge folds one value into entry i of the column, storing only the words
 // that change. A value stored as a word (INT, DATE, BOOL, FLOAT) whose
 // entry has no bounds or bounds of its own kind compares with the stored

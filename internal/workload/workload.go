@@ -17,22 +17,23 @@ import (
 )
 
 // BulkInsert loads rows through the engine's full insert pipeline
-// (constraints, indexes, summary tables) without SQL parsing overhead.
+// (constraints, indexes, the soft write guard, summary tables) without SQL
+// parsing overhead: every row is validated, and the rows go in as one batch
+// in one transaction (engine.Database.InsertRows). A row that fails
+// validation or an enforced check fails the call, and no row of the batch
+// is loaded.
 func BulkInsert(db *engine.Database, table string, rows []types.Row) error {
 	te, err := db.Catalog().Table(table)
 	if err != nil {
 		return err
 	}
-	for _, r := range rows {
-		validated, err := te.Def.ValidateRow(r)
-		if err != nil {
-			return err
-		}
-		if err := db.InsertRow(te, validated); err != nil {
+	validated := make([]types.Row, len(rows))
+	for i, r := range rows {
+		if validated[i], err = te.Def.ValidateRow(r); err != nil {
 			return err
 		}
 	}
-	return nil
+	return db.InsertRows(te, validated)
 }
 
 // PurchaseConfig parameterizes the purchase generator.
