@@ -173,6 +173,20 @@ func batchPhysical(t *testing.T, db *Database) string {
 	return sb.String()
 }
 
+// slotShape renders the number of slots on each page of t's heap.
+func slotShape(t *testing.T, db *Database) string {
+	t.Helper()
+	te, err := db.Catalog().Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n []int
+	for _, page := range te.Heap.DumpPages() {
+		n = append(n, len(page))
+	}
+	return fmt.Sprint(n)
+}
+
 // walText renders the log's records past the first skip, without their
 // LSNs, transaction ids and transaction boundaries.
 func walText(t *testing.T, dir string, skip int) string {
@@ -222,7 +236,8 @@ var batchQueries = []string{
 // and the reference interpreter's answers. With an enforced violation at
 // row k — a duplicate primary or unique key, a failing CHECK, a parent that
 // arrives later — the batch fails with the error text the row-by-row load
-// stops with, and leaves no row of the batch behind.
+// stops with, and leaves no row of the batch behind; at a failing CHECK it
+// leaves as many slots per page as the row-by-row load.
 func FuzzBatchInsertMatchesRowByRow(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(120), uint8(6), uint8(0))
@@ -320,6 +335,12 @@ func FuzzBatchInsertMatchesRowByRow(f *testing.F) {
 			if got := dbA.MustExec("SELECT COUNT(*) AS n FROM t").Rows[0][0].Int(); got != batchPreload {
 				t.Fatalf("failed batch left %d rows visible, want %d", got, batchPreload)
 			}
+			// A failing CHECK is found before the batch takes a slot: the
+			// batch leaves k aborted slots where the row-by-row load left k
+			// rows.
+			if a, b := slotShape(t, dbA), slotShape(t, dbB); fault%5 == 3 && a != b {
+				t.Fatalf("slots per page: batch %s, row by row %s", a, b)
+			}
 			return
 		}
 		if errA != nil || errB != nil {
@@ -405,5 +426,64 @@ func TestBatchInsertSoftViolationFailsOver(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("the violating row is missing from the backup plan's answer:\n%s", res.Plan)
+	}
+}
+
+// TestFailedInsertTakesNoSlots: a row that fails a check it fails on its
+// own — a CHECK, a parent missing from another table — takes no heap slot,
+// and neither do the rows after it, so a failed single-row INSERT leaves
+// the heap's pages and slots as it found them and a multi-row INSERT that
+// fails at row k leaves k aborted slots. A duplicate key is found on the
+// index leaf the row's entry goes to, so the row, and the rows of its batch
+// before the first row failing a check of its own, keep their aborted
+// slots.
+func TestFailedInsertTakesNoSlots(t *testing.T) {
+	db := newDB(t, `
+		CREATE TABLE p (id INT PRIMARY KEY);
+		CREATE TABLE c (
+			id INT PRIMARY KEY,
+			pid INT,
+			a INT,
+			CONSTRAINT c_p FOREIGN KEY (pid) REFERENCES p (id),
+			CONSTRAINT a_pos CHECK (a >= 0)
+		);
+		INSERT INTO p VALUES (1), (2);
+	`)
+	te, _ := db.Catalog().Table("c")
+	per := int64(te.Heap.RowsPerPage())
+	for i := int64(0); i < per+per/2; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO c VALUES (%d, 1, %d)", i, i))
+	}
+	slots := func() (n int64) {
+		for _, page := range te.Heap.DumpPages() {
+			n += int64(len(page))
+		}
+		return n
+	}
+	want := slots()
+	for _, c := range []struct {
+		stmt, err string
+		taken     int64
+	}{
+		{"INSERT INTO c VALUES (9000, 1, -1)", "violates check constraint a_pos", 0},
+		{"INSERT INTO c VALUES (9000, 7, 1)", "no parent row", 0},
+		{"INSERT INTO c VALUES (9000, 1, 1), (9001, 2, 1), (9002, 1, 1), (9003, 1, -1), (9004, 1, 1)", "violates check constraint a_pos", 3},
+		{"INSERT INTO c VALUES (9000, 1, 1), (9001, 2, 1), (9002, 9, 1), (9003, 1, -1)", "no parent row", 2},
+		{"INSERT INTO c VALUES (5, 1, 1)", "duplicate key", 1},
+		{"INSERT INTO c VALUES (9000, 1, 1), (5, 1, 1), (9002, 1, 1), (9003, 1, -1)", "duplicate key", 3},
+	} {
+		if _, err := db.Exec(c.stmt); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Fatalf("%s: error %v, want %q", c.stmt, err, c.err)
+		}
+		want += c.taken
+		if got := slots(); got != want {
+			t.Fatalf("%s: heap holds %d slots, want %d", c.stmt, got, want)
+		}
+		if got, wantPages := te.Heap.PageCount(), (want+per-1)/per; got != wantPages {
+			t.Fatalf("%s: heap holds %d pages, want %d", c.stmt, got, wantPages)
+		}
+	}
+	if got := db.MustExec("SELECT COUNT(*) AS n FROM c").Rows[0][0].Int(); got != per+per/2 {
+		t.Fatalf("%d rows visible, want %d", got, per+per/2)
 	}
 }

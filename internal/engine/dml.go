@@ -104,39 +104,51 @@ func (db *Database) InsertRows(te *catalog.TableEntry, rows []types.Row) error {
 }
 
 // applyInserts is the one insert path: it installs rows, in order, as
-// uncommitted versions owned by tx, with their index entries, and then
-// fails with the error the first offending row raises had the rows been
-// applied one at a time — the same row, the same constraint and the same
-// text. selfRids, when non-nil, names per row the version an UPDATE is
-// replacing, which uniqueness ignores. The work is per batch: the heap takes
-// runs of slots per page (storage.Heap.AppendVersions), each index one
-// sorted run (btree.Tree.InsertRun) whose leaf-level clash check is the
-// uniqueness check; only the enforced constraint tests run per row, in row
-// order, up to the first failing row. A failed batch is left installed for
-// the caller to undo, as every failed statement is.
+// uncommitted versions owned by tx, with their index entries, and fails
+// with the error the first offending row raises had the rows been applied
+// one at a time — the same row, the same constraint and the same text.
+// selfRids, when non-nil, names per row the version an UPDATE is replacing,
+// which uniqueness ignores. The checks a row passes or fails on its own (a
+// CHECK, NULL in a primary key, a parent in another table) run first, so the
+// first row that fails one and the rows after it are never installed: only
+// a uniqueness or self-referencing failure leaves versions of later rows.
+// The rest of the work is per batch: the heap takes runs of slots per page
+// (storage.Heap.AppendVersions), each index one sorted run
+// (btree.Tree.InsertRun) whose leaf-level clash check is the uniqueness
+// check; the checks that need the earlier rows run per row, in row order,
+// up to the first failing row. A failed batch is left installed for the
+// caller to undo, as every failed statement is.
 // Called with db.mu shared + writeMu held.
 func (db *Database) applyInserts(tx *Tx, te *catalog.TableEntry, rows []types.Row, selfRids []storage.RowID) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	db.touch(tx, te)
-	rids := te.Heap.AppendVersions(rows, tx.t.ID, make([]storage.RowID, 0, len(rows)))
-	tx.ops = slices.Grow(tx.ops, len(rows))
-	if db.dur != nil {
-		tx.recs = slices.Grow(tx.recs, len(rows))
-	}
+	b := &insertBatch{te: te, rows: rows, selfRids: selfRids, checks: db.batchChecks(te), bad: len(rows)}
 	for j, row := range rows {
-		tx.ops = append(tx.ops, writeOp{te: te, rid: rids[j], row: row})
-		if db.dur != nil {
-			tx.recs = append(tx.recs, &wal.Record{Type: wal.TypeInsert, TxnID: tx.t.ID, Table: te.Def.Name, RID: rids[j], Row: row})
+		if at, err := db.checkOwn(b, row); err != nil {
+			b.bad, b.badAt, b.badErr = j, at, err
+			break
 		}
 	}
-	b := &insertBatch{te: te, rows: rows, rids: rids, selfRids: selfRids}
-	b.keys = enforcedKeys(te)
-	for _, ix := range te.Indexes {
-		b.insertIndex(ix)
+	installed := rows[:b.bad]
+	b.rids = te.Heap.AppendVersions(installed, tx.t.ID, make([]storage.RowID, 0, len(installed)))
+	tx.ops = slices.Grow(tx.ops, len(installed))
+	if db.dur != nil {
+		tx.recs = slices.Grow(tx.recs, len(installed))
 	}
-	for j := range rows {
+	for j, row := range installed {
+		tx.ops = append(tx.ops, writeOp{te: te, rid: b.rids[j], row: row})
+		if db.dur != nil {
+			tx.recs = append(tx.recs, &wal.Record{Type: wal.TypeInsert, TxnID: tx.t.ID, Table: te.Def.Name, RID: b.rids[j], Row: row})
+		}
+	}
+	if len(installed) > 0 {
+		for _, ix := range te.Indexes {
+			b.insertIndex(ix)
+		}
+	}
+	for j := 0; j <= b.bad && j < len(rows); j++ {
 		if err := db.checkRow(b, j); err != nil {
 			return err
 		}
@@ -144,38 +156,65 @@ func (db *Database) applyInserts(tx *Tx, te *catalog.TableEntry, rows []types.Ro
 	return nil
 }
 
-// insertBatch is one applyInserts call: its rows, their new ids, the
-// versions they replace, and per enforced key constraint the first row its
-// index rejected.
+// insertBatch is one applyInserts call: its rows, the ids of those
+// installed, the versions they replace, the table's enforced checks, and
+// the first row that failed a check of its own (bad; len(rows) when none
+// did), with the position of that check in checks and its error.
 type insertBatch struct {
 	te       *catalog.TableEntry
 	rows     []types.Row
 	rids     []storage.RowID
 	selfRids []storage.RowID
-	keys     []keyCheck
+	checks   []batchCheck
+	bad      int
+	badAt    int
+	badErr   error
 }
 
-// keyCheck is one enforced PRIMARY KEY or UNIQUE constraint of a batch:
-// its key ordinals, the index over exactly its columns (nil: none), and,
-// once insertIndex has run over that index, the first row, in row order,
-// whose key the index already held live when the row's entry went in
-// (len(rows) when none did).
-type keyCheck struct {
-	con   *catalog.Constraint
-	ords  []int
-	ix    *catalog.Index
-	first int
+// batchCheck is one active enforced constraint of a batch's table, with
+// what its test needs resolved once per batch: the ordinals of its
+// columns; for a key constraint the index over exactly its columns (nil:
+// none) and, once insertIndex has run over that index, the first row, in
+// row order, whose key the index already held live when the row's entry
+// went in (len(rows) when none did); for a foreign key the table it
+// references (or the error looking it up) and the index over the
+// referenced columns (nil: none).
+type batchCheck struct {
+	con    *catalog.Constraint
+	ords   []int
+	ix     *catalog.Index
+	first  int
+	ref    *catalog.TableEntry
+	refErr error
+	refIx  *catalog.Index
 }
 
-// enforcedKeys lists te's active enforced key constraints.
-func enforcedKeys(te *catalog.TableEntry) []keyCheck {
-	var out []keyCheck
+// batchChecks lists te's active enforced constraints in constraint order.
+// FDs are left out: enforcing one would need a per-determinant lookup
+// structure, and FDs in softdb are informational or soft only.
+func (db *Database) batchChecks(te *catalog.TableEntry) []batchCheck {
+	var out []batchCheck
 	for _, con := range te.Constraints {
-		if con.Active && con.Mode == catalog.ModeEnforced && (con.Kind == catalog.PrimaryKey || con.Kind == catalog.Unique) {
-			out = append(out, keyCheck{con: con, ords: ordinalsOf(te, con.Columns), ix: indexOver(te, con.Columns)})
+		if !con.Active || con.Mode != catalog.ModeEnforced || con.Kind == catalog.FuncDep {
+			continue
 		}
+		c := batchCheck{con: con, ords: ordinalsOf(te, con.Columns)}
+		switch con.Kind {
+		case catalog.PrimaryKey, catalog.Unique:
+			c.ix = indexOver(te, con.Columns)
+		case catalog.ForeignKey:
+			if c.ref, c.refErr = db.cat.Table(con.RefTable); c.refErr == nil {
+				c.refIx = indexOver(c.ref, con.RefColumns)
+			}
+		}
+		out = append(out, c)
 	}
 	return out
+}
+
+// key reports whether c is a PRIMARY KEY or UNIQUE constraint.
+func (c *batchCheck) key() bool {
+	return c.con.Kind == catalog.PrimaryKey || c.con.Kind == catalog.Unique
 }
 
 // self returns the version row j replaces (an invalid id for a plain
@@ -187,10 +226,18 @@ func (b *insertBatch) self(j int) storage.RowID {
 	return b.selfRids[j]
 }
 
-// insertIndex adds the batch's entries to ix as one run sorted by (key,
-// rid) — row order within a key, since the batch's rids ascend. When ix
-// backs enforced key constraints the run is checked on the leaves it lands
-// on: an entry whose key the tree already holds under a version some
+// before reports whether the version at rid was in the table before row j:
+// a version of the table's own, or of a batch row before j. Row j itself is
+// installed only when it comes before the first row that failed a check of
+// its own; otherwise every installed version precedes it.
+func (b *insertBatch) before(j int, rid storage.RowID) bool {
+	return j >= len(b.rids) || rid.Compare(b.rids[j]) < 0
+}
+
+// insertIndex adds the installed rows' entries to ix as one run sorted by
+// (key, rid) — row order within a key, since the batch's rids ascend. When
+// ix backs enforced key constraints the run is checked on the leaves it
+// lands on: an entry whose key the tree already holds under a version some
 // committed-state reader could still see (storage.Heap.SeesAny), other than
 // the one its row replaces, is not added, and the earliest such row is the
 // constraints' first rejected row. Rows earlier in the batch are in the tree
@@ -199,16 +246,16 @@ func (b *insertBatch) self(j int) storage.RowID {
 // rejects it on its own.
 func (b *insertBatch) insertIndex(ix *catalog.Index) {
 	n := len(b.rows)
-	run := make([]btree.Entry, n)
-	for j, row := range b.rows {
-		run[j] = btree.Entry{Key: ix.KeyFor(row), RID: b.rids[j]}
+	run := make([]btree.Entry, len(b.rids))
+	for j, rid := range b.rids {
+		run[j] = btree.Entry{Key: ix.KeyFor(b.rows[j]), RID: rid}
 	}
 	btree.SortRun(run)
-	var mine []int
-	for ki := range b.keys {
-		if b.keys[ki].ix == ix {
-			mine = append(mine, ki)
-			b.keys[ki].first = n
+	var mine []*batchCheck
+	for ci := range b.checks {
+		if c := &b.checks[ci]; c.key() && c.ix == ix {
+			mine = append(mine, c)
+			c.first = n
 		}
 	}
 	var clash func(int, storage.RowID) bool
@@ -219,8 +266,8 @@ func (b *insertBatch) insertIndex(ix *catalog.Index) {
 			if slices.ContainsFunc(run[k].Key, types.Datum.IsNull) || rid == b.self(j) || !heap.SeesAny(rid) {
 				return false
 			}
-			for _, ki := range mine {
-				b.keys[ki].first = min(b.keys[ki].first, j)
+			for _, c := range mine {
+				c.first = min(c.first, j)
 			}
 			return true
 		}
@@ -228,113 +275,137 @@ func (b *insertBatch) insertIndex(ix *catalog.Index) {
 	ix.Tree.InsertRun(run, clash)
 }
 
-// checkRow runs the enforced constraints against row j of the batch, in
-// constraint order, as applying the rows one at a time would: CHECKs are
-// evaluated (and counted), a key constraint fails where its index rejected
-// the row (or, with no index, where an earlier live row holds the key), a
-// foreign key where no parent row is found. Rows after j are not in the
-// table yet for this purpose. Called with db.mu shared + writeMu held.
-func (db *Database) checkRow(b *insertBatch, j int) error {
-	te, row := b.te, b.rows[j]
-	ki := 0
-	for _, con := range te.Constraints {
-		if !con.Active || con.Mode != catalog.ModeEnforced {
-			continue
-		}
-		switch con.Kind {
+// checkOwn runs the enforced constraints a row passes or fails on its own,
+// in constraint order, without counting them: CHECKs, NULL in a primary
+// key, and foreign keys into other tables. It returns the position in
+// b.checks of the first that fails, with its error.
+// Called with db.mu shared + writeMu held.
+func (db *Database) checkOwn(b *insertBatch, row types.Row) (int, error) {
+	for ci := range b.checks {
+		c := &b.checks[ci]
+		switch c.con.Kind {
 		case catalog.Check:
-			db.obs.checkEvals.Inc()
-			ok, err := con.Admits(row)
+			ok, err := c.con.Admits(row)
 			if err != nil {
-				return err
+				return ci, err
 			}
 			if !ok {
-				return fmt.Errorf("engine: row violates check constraint %s", con.Name)
+				return ci, fmt.Errorf("engine: row violates check constraint %s", c.con.Name)
 			}
-		case catalog.PrimaryKey, catalog.Unique:
-			kc := &b.keys[ki]
-			ki++
-			if err := b.checkKey(kc, j); err != nil {
-				return err
+		case catalog.PrimaryKey:
+			for _, o := range c.ords {
+				if row[o].IsNull() {
+					return ci, fmt.Errorf("engine: NULL in primary key %s", c.con.Name)
+				}
 			}
 		case catalog.ForeignKey:
-			if err := db.checkParent(b, con, j); err != nil {
+			if c.refErr != nil || c.ref != b.te {
+				if err := checkParent(c, row, nil); err != nil {
+					return ci, err
+				}
+			}
+		}
+	}
+	return 0, nil
+}
+
+// checkRow runs the enforced constraints against row j of the batch, in
+// constraint order, as applying the rows one at a time would: CHECKs are
+// counted (checkOwn evaluated them), a key constraint fails where its index
+// rejected the row (or, with no index, where an earlier live row holds the
+// key), a foreign key into the row's own table where no parent row was
+// there before it, and the first row that failed a check of its own fails
+// at that check. Rows after j are not in the table yet for this purpose.
+// Called with db.mu shared + writeMu held.
+func (db *Database) checkRow(b *insertBatch, j int) error {
+	for ci := range b.checks {
+		c := &b.checks[ci]
+		if c.con.Kind == catalog.Check {
+			db.obs.checkEvals.Inc()
+		}
+		if j == b.bad && ci == b.badAt {
+			return b.badErr
+		}
+		switch {
+		case c.key():
+			if err := b.checkKey(c, j); err != nil {
 				return err
 			}
-		case catalog.FuncDep:
-			// FD enforcement would require a per-determinant lookup structure;
-			// FDs in softdb are informational/soft only.
+		case c.con.Kind == catalog.ForeignKey && c.ref == b.te:
+			if err := checkParent(c, b.rows[j], func(rid storage.RowID) bool { return b.before(j, rid) }); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// checkKey tests row j against one key constraint.
-func (b *insertBatch) checkKey(kc *keyCheck, j int) error {
+// checkKey tests row j against one key constraint; a NULL in a primary key
+// was checkOwn's.
+func (b *insertBatch) checkKey(c *batchCheck, j int) error {
 	row := b.rows[j]
-	for _, o := range kc.ords {
+	for _, o := range c.ords {
 		if row[o].IsNull() {
-			if kc.con.Kind == catalog.PrimaryKey {
-				return fmt.Errorf("engine: NULL in primary key %s", kc.con.Name)
-			}
 			return nil // SQL unique ignores NULL keys
 		}
 	}
-	if kc.ix != nil {
-		if kc.first == j {
-			return fmt.Errorf("engine: duplicate key %s violates %s", row.Project(kc.ords), kc.con.Name)
+	if c.ix != nil && j < len(b.rids) {
+		if c.first == j {
+			return fmt.Errorf("engine: duplicate key %s violates %s", row.Project(c.ords), c.con.Name)
 		}
 		return nil
 	}
-	key := row.Project(kc.ords)
-	// No index: the same dirty view, over the rows before j.
-	self, before := b.self(j), b.rids[j]
-	dup := false
-	b.te.Heap.ScanDirty(func(rid storage.RowID, existing types.Row) bool {
-		if rid != self && rid.Compare(before) < 0 && existing.Project(kc.ords).Equal(key) {
-			dup = true
-			return false
-		}
-		return true
-	})
+	key := row.Project(c.ords)
+	self, dup := b.self(j), false
+	if c.ix != nil {
+		// Row j is not installed: look its key up among the versions that are.
+		c.ix.Tree.Lookup(key, nil, func(rid storage.RowID) bool {
+			dup = rid != self && b.te.Heap.SeesAny(rid)
+			return !dup
+		})
+	} else {
+		// No index: the same dirty view, over the rows before j.
+		b.te.Heap.ScanDirty(func(rid storage.RowID, existing types.Row) bool {
+			dup = rid != self && b.before(j, rid) && existing.Project(c.ords).Equal(key)
+			return !dup
+		})
+	}
 	if dup {
-		return fmt.Errorf("engine: duplicate key %s violates %s", key, kc.con.Name)
+		return fmt.Errorf("engine: duplicate key %s violates %s", key, c.con.Name)
 	}
 	return nil
 }
 
-// checkParent tests row j against one foreign key. The parent check uses
-// the dirty view: a parent another transaction is inserting counts (it may
+// checkParent tests row against one foreign key. The parent check uses the
+// dirty view: a parent another transaction is inserting counts (it may
 // commit), one whose delete is uncommitted still counts (the delete may
-// abort). A parent in the row's own table counts only when it was there
-// before row j.
-func (db *Database) checkParent(b *insertBatch, con *catalog.Constraint, j int) error {
-	key := b.rows[j].Project(ordinalsOf(b.te, con.Columns))
+// abort). counts, when non-nil, further limits the versions that count: in
+// the row's own table, those there before the row.
+func checkParent(c *batchCheck, row types.Row, counts func(storage.RowID) bool) error {
+	key := row.Project(c.ords)
 	for _, d := range key {
 		if d.IsNull() {
 			return nil
 		}
 	}
-	ref, err := db.cat.Table(con.RefTable)
-	if err != nil {
-		return err
+	if c.refErr != nil {
+		return c.refErr
 	}
-	counts := func(rid storage.RowID) bool { return ref != b.te || rid.Compare(b.rids[j]) < 0 }
-	found := false
-	if ix := indexOver(ref, con.RefColumns); ix != nil {
-		ix.Tree.Lookup(key, nil, func(rid storage.RowID) bool {
-			found = counts(rid) && ref.Heap.SeesAny(rid)
+	ref, found := c.ref, false
+	if c.refIx != nil {
+		c.refIx.Tree.Lookup(key, nil, func(rid storage.RowID) bool {
+			found = (counts == nil || counts(rid)) && ref.Heap.SeesAny(rid)
 			return !found
 		})
 	} else {
-		refOrds := ordinalsOf(ref, con.RefColumns)
+		refOrds := ordinalsOf(ref, c.con.RefColumns)
 		ref.Heap.ScanDirty(func(rid storage.RowID, parent types.Row) bool {
-			found = counts(rid) && parent.Project(refOrds).Equal(key)
+			found = (counts == nil || counts(rid)) && parent.Project(refOrds).Equal(key)
 			return !found
 		})
 	}
 	if !found {
-		return fmt.Errorf("engine: no parent row %s in %s for %s", key, con.RefTable, con.Name)
+		return fmt.Errorf("engine: no parent row %s in %s for %s", key, c.con.RefTable, c.con.Name)
 	}
 	return nil
 }

@@ -212,7 +212,7 @@ func skipperHeaps(rng *rand.Rand) []namedHeap {
 		page := i / per
 		if page%6 == 3 && i%per == 0 {
 			// An aborted insert of an outlying value: the abort must shed it.
-			h.AbortInsert(h.InsertVersion(types.Row{types.NewInt(-1000), types.Null, types.Null, types.NewString("zz")}, 9))
+			h.AbortInsert(h.AppendVersions([]types.Row{{types.NewInt(-1000), types.Null, types.Null, types.NewString("zz")}}, 9, nil)[0])
 		}
 		ids = append(ids, h.Insert(row(page)))
 	}
@@ -236,7 +236,7 @@ func skipperHeaps(rng *rand.Rand) []namedHeap {
 		}
 	}
 	h.Vacuum(100)
-	h.InsertVersion(types.Row{types.NewInt(1 << 40), types.NewFloat(-1e300), types.NewDate(0), types.NewString("")}, 77)
+	h.AppendVersions([]types.Row{{types.NewInt(1 << 40), types.NewFloat(-1e300), types.NewDate(0), types.NewString("")}}, 77, nil)
 
 	dump := h.DumpPages()
 	rebuilt := storage.RebuildHeap(def, dump, h.Version())

@@ -78,8 +78,8 @@ func TestPrunedScanNeverActsOnTornEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	var live []storage.RowID
 	for ; nextID < 600; nextID++ {
-		id := h.InsertVersion(row(nextID, value(rng, nextID)), 1)
-		h.SetBegin(id, clock.Add(1))
+		id := h.AppendVersions([]types.Row{row(nextID, value(rng, nextID))}, 1, nil)[0]
+		h.CommitRun(int(id.Page), id.Slot, id.Slot+1, clock.Add(1))
 		live = append(live, id)
 	}
 
@@ -127,11 +127,11 @@ func TestPrunedScanNeverActsOnTornEntry(t *testing.T) {
 			tid++
 			switch r := rng.Intn(100); {
 			case r < 45: // an uncommitted NULL, rolled back: the abort sheds it
-				h.AbortInsert(h.InsertVersion(row(-1, types.Null), tid))
+				h.AbortInsert(h.AppendVersions([]types.Row{row(-1, types.Null)}, tid, nil)[0])
 			case r < 75: // insert, commit
-				id := h.InsertVersion(row(nextID, value(rng, nextID)), tid)
+				id := h.AppendVersions([]types.Row{row(nextID, value(rng, nextID))}, tid, nil)[0]
 				nextID++
-				h.SetBegin(id, clock.Load()+1)
+				h.CommitRun(int(id.Page), id.Slot, id.Slot+1, clock.Load()+1)
 				clock.Add(1)
 				live = append(live, id)
 			case len(live) > 0: // delete, commit; a later vacuum reclaims it
@@ -267,7 +267,7 @@ func TestFilteredScanNeverOutrunsLegacyWrites(t *testing.T) {
 			}
 			if r := rng.Intn(3); r > 0 || len(outliers) == 0 {
 				if rng.Intn(6) == 0 {
-					outliers = append(outliers, h.InsertVersion(row(id, 50), scanTID))
+					outliers = append(outliers, h.AppendVersions([]types.Row{row(id, 50)}, scanTID, nil)[0])
 				} else {
 					h.Insert(row(id, int64(rng.Intn(11))))
 				}

@@ -213,9 +213,9 @@ func TestFDCodesMatchAppendKeyModel(t *testing.T) {
 			}
 			switch r.Intn(10) {
 			case 0:
-				h.InsertVersion(row, int64(i+1)) // uncommitted: invisible
+				h.AppendVersions([]types.Row{row}, int64(i+1), nil) // uncommitted: invisible
 			case 1:
-				h.AbortInsert(h.InsertVersion(row, int64(i+1)))
+				h.AbortInsert(h.AppendVersions([]types.Row{row}, int64(i+1), nil)[0])
 			default:
 				rids = append(rids, h.Insert(row))
 			}

@@ -190,10 +190,10 @@ func fuzzHeap(data []byte) *storage.Heap {
 			rids = append(rids, h.InsertCommitted(row(), ts))
 			ts++
 		case 3: // uncommitted insert
-			rids = append(rids, h.InsertVersion(row(), tid))
+			rids = append(rids, h.AppendVersions([]types.Row{row()}, tid, nil)[0])
 			tid++
 		case 4: // aborted insert
-			rid := h.InsertVersion(row(), tid)
+			rid := h.AppendVersions([]types.Row{row()}, tid, nil)[0]
 			tid++
 			h.AbortInsert(rid)
 		case 5, 6: // committed (5) or uncommitted (6) delete of a visible row

@@ -61,8 +61,8 @@ func fillPages(h *Heap, n int) []RowID {
 	per := h.RowsPerPage()
 	ids := make([]RowID, 0, n*per+1)
 	for i := 0; i < n*per+1; i++ {
-		id := h.InsertVersion(types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprint("r", i))}, 1)
-		h.SetBegin(id, int64(i+1))
+		id := appendVersion(h, types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprint("r", i))}, 1)
+		commitVersion(h, id, int64(i+1))
 		ids = append(ids, id)
 	}
 	return ids
@@ -108,8 +108,8 @@ func TestFreezeCondition(t *testing.T) {
 	// Pages holding an uncommitted insert, an aborted slot or a deleted
 	// version do not freeze.
 	h.ThawAll()
-	tail := h.InsertVersion(types.Row{types.NewInt(-1), types.Null}, 7) // tail page: uncommitted
-	h.SetEnd(ids[0], 1000)                                              // page 0: committed delete
+	tail := appendVersion(h, types.Row{types.NewInt(-1), types.Null}, 7) // tail page: uncommitted
+	h.SetEnd(ids[0], 1000)                                               // page 0: committed delete
 	if got = scanPages(h, SnapLatest, 0); got.frozen != 2 {
 		t.Fatalf("%d pages frozen, want 2 (page 0 holds a deleted version)", got.frozen)
 	}
@@ -118,8 +118,8 @@ func TestFreezeCondition(t *testing.T) {
 	}
 	h.AbortInsert(tail)
 	for h.PageCount() < 5 { // fill the tail page and beyond; it holds an aborted slot
-		id := h.InsertVersion(types.Row{types.NewInt(0), types.Null}, 8)
-		h.SetBegin(id, 2000)
+		id := appendVersion(h, types.Row{types.NewInt(0), types.Null}, 8)
+		commitVersion(h, id, 2000)
 	}
 	if got = scanPages(h, SnapLatest, 0); got.frozen != 2 {
 		t.Fatalf("%d pages frozen, want 2 (page 3 holds an aborted slot)", got.frozen)
@@ -247,7 +247,7 @@ func TestStaleImageExactForItsSnapshot(t *testing.T) {
 func TestPageBatchIsThePage(t *testing.T) {
 	h := NewHeap(testDef())
 	fillPages(h, 2)
-	h.InsertVersion(types.Row{types.NewInt(7), types.Null}, 3) // tail page: uncommitted, NULL b
+	appendVersion(h, types.Row{types.NewInt(7), types.Null}, 3) // tail page: uncommitted, NULL b
 	per := h.RowsPerPage()
 	type seen struct {
 		ints *int64
@@ -370,11 +370,11 @@ func TestFrozenScansUnderWriters(t *testing.T) {
 			tid++
 			switch r := rng.Intn(100); {
 			case n%500 == 0: // insert, roll back
-				h.AbortInsert(h.InsertVersion(types.Row{types.NewInt(-1), types.Null}, tid))
+				h.AbortInsert(appendVersion(h, types.Row{types.NewInt(-1), types.Null}, tid))
 			case r < 40: // insert, commit
-				id := h.InsertVersion(types.Row{types.NewInt(int64(n)), types.Null}, tid)
+				id := appendVersion(h, types.Row{types.NewInt(int64(n)), types.Null}, tid)
 				ts := clock.Load() + 1
-				h.SetBegin(id, ts)
+				commitVersion(h, id, ts)
 				clock.Store(ts)
 				live = append(live, id)
 			case r < 43 && len(churn) > 0: // delete, commit
@@ -389,10 +389,10 @@ func TestFrozenScansUnderWriters(t *testing.T) {
 				churn = churn[:len(churn)-1]
 				row, _ := h.GetAny(old)
 				h.SetEnd(old, -tid)
-				id := h.InsertVersion(types.Row{row[0], types.NewString("u")}, tid)
+				id := appendVersion(h, types.Row{row[0], types.NewString("u")}, tid)
 				ts := clock.Load() + 1
 				h.SetEnd(old, ts)
-				h.SetBegin(id, ts)
+				commitVersion(h, id, ts)
 				clock.Store(ts)
 				live = append(live, id)
 			default: // delete, roll back

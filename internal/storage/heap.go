@@ -301,9 +301,10 @@ func (h *Heap) grow() *page {
 
 // install appends a version with the given begin stamp to the last page
 // (growing if full) and publishes it; a nil row is a vacant aborted
-// placeholder. The row's values are copied into the page. It does the
-// bookkeeping shared by all insert paths: zone entry widening for
-// non-aborted versions, and live/version accounting for committed ones.
+// placeholder. The row's values are copied into the page. It is the write
+// of InsertCommitted and of replay (InsertAtRID), with their bookkeeping:
+// zone entry widening for non-aborted versions, and live/version accounting
+// for committed ones.
 func (h *Heap) install(row types.Row, begin int64) RowID {
 	pages := h.pageList()
 	pi := len(pages) - 1
@@ -326,7 +327,7 @@ func (h *Heap) install(row types.Row, begin int64) RowID {
 		// Widen the entry before the slot is published: a reader that gathers
 		// the row then either started the entry after the widening or finds
 		// its sequence changed (see ScanPageListAt).
-		h.zoneAdd(pi, row)
+		h.zoneAddRun(pi, p, int(si), int(si)+1)
 	}
 	p.used.Store(si + 1) // publish: values and stamps are written
 	if begin > 0 && begin != Aborted {
@@ -349,14 +350,6 @@ func (h *Heap) Insert(row types.Row) RowID {
 // with the base write's commit timestamp this way.
 func (h *Heap) InsertCommitted(row types.Row, ts int64) RowID {
 	return h.install(row, ts)
-}
-
-// InsertVersion appends an uncommitted version owned by transaction tid,
-// AppendVersions for one row. The version is invisible to every snapshot
-// until SetBegin stamps it with a commit timestamp (AbortInsert retires it
-// instead). No version bump happens until the commit stamp.
-func (h *Heap) InsertVersion(row types.Row, tid int64) RowID {
-	return h.install(row, -tid)
 }
 
 // AppendVersions appends rows, in order, as uncommitted versions owned by
@@ -393,9 +386,11 @@ func (h *Heap) AppendVersions(rows []types.Row, tid int64, rids []RowID) []RowID
 }
 
 // CommitRun commit-stamps the uncommitted versions in slots [lo, hi) of
-// page pi with ts, as SetBegin does slot by slot, and returns how many it
-// stamped; the live count and the mutation counter advance once for the
-// run.
+// page pi with ts, so they become visible to every snapshot at or after ts,
+// and returns how many it stamped; the live count and the mutation counter
+// (the committed-insert version bump) advance once for the run. No thaw: a
+// page holding an uncommitted insert is not frozen and cannot freeze until
+// the stamp lands.
 func (h *Heap) CommitRun(pi int, lo, hi int32, ts int64) int {
 	p := h.pageList()[pi]
 	n := 0
@@ -491,7 +486,7 @@ func (h *Heap) InsertAtRID(row types.Row, rid RowID, begin int64) bool {
 				return true // placeholder already in place
 			}
 			p.setRow(int(rid.Slot), row)
-			h.zoneAdd(int(rid.Page), row) // before the slot turns visible
+			h.zoneAddRun(int(rid.Page), p, int(rid.Slot), int(rid.Slot)+1) // before the slot turns visible
 			st.end.Store(0)
 			st.begin.Store(begin)
 			if begin > 0 {
@@ -545,21 +540,6 @@ func (h *Heap) Meta(id RowID) (begin, end int64, ok bool) {
 		return 0, 0, false
 	}
 	return st.begin.Load(), st.end.Load(), true
-}
-
-// SetBegin commit-stamps an uncommitted insert: the version becomes
-// visible to every snapshot at or after ts. This is the committed-insert
-// version bump. No thaw: a page holding an uncommitted insert is not frozen
-// and cannot freeze until the stamp lands.
-func (h *Heap) SetBegin(id RowID, ts int64) bool {
-	_, st := h.locate(id)
-	if st == nil || st.begin.Load() >= 0 {
-		return false
-	}
-	st.begin.Store(ts)
-	h.live.Add(1)
-	h.bump()
-	return true
 }
 
 // AbortInsert retires an uncommitted insert: the version becomes invisible

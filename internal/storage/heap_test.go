@@ -250,3 +250,15 @@ func mustTable(name string, cols ...schema.Column) *schema.Table {
 	}
 	return def
 }
+
+// appendVersion appends one uncommitted version owned by transaction tid
+// through the engine's batch write.
+func appendVersion(h *Heap, row types.Row, tid int64) RowID {
+	return h.AppendVersions([]types.Row{row}, tid, nil)[0]
+}
+
+// commitVersion commit-stamps the uncommitted version at id with ts, a
+// one-slot CommitRun.
+func commitVersion(h *Heap, id RowID, ts int64) {
+	h.CommitRun(int(id.Page), id.Slot, id.Slot+1, ts)
+}

@@ -148,7 +148,7 @@ func sameRow(a, b types.Row) bool {
 }
 
 // FuzzHeapMatchesRowModel drives a heap and heapModel through the same
-// random writers — InsertVersion, SetBegin, AbortInsert, SetEnd, ClearEnd,
+// random writers — AppendVersions, CommitRun, AbortInsert, SetEnd, ClearEnd,
 // Vacuum, InsertAtRID (gap fill and placeholder resurrection), RebuildHeap
 // from a dump, Truncate, ThawAll — over values at every kind's edges, and
 // checks every read path against the model after each step: page scans
@@ -202,8 +202,8 @@ func FuzzHeapMatchesRowModel(f *testing.F) {
 			case 0, 1: // an uncommitted insert
 				tid++
 				r := row()
-				if got, want := h.InsertVersion(r, tid), m.append(modelSlot{row: r.Clone(), begin: -tid}); got != want {
-					t.Fatalf("InsertVersion at %v, model %v", got, want)
+				if got, want := appendVersion(h, r, tid), m.append(modelSlot{row: r.Clone(), begin: -tid}); got != want {
+					t.Fatalf("AppendVersions at %v, model %v", got, want)
 				}
 			case 2: // commit or roll back an insert
 				id, s := pick()
@@ -215,7 +215,7 @@ func FuzzHeapMatchesRowModel(f *testing.F) {
 					s.begin = Aborted
 				} else {
 					clock++
-					h.SetBegin(id, clock)
+					commitVersion(h, id, clock)
 					s.begin = clock
 				}
 			case 3: // a delete intent, committed or not

@@ -131,7 +131,7 @@ func TestSynopsisInsertMaintenance(t *testing.T) {
 		m.Insert(r)
 		checkZone(t, m, true)
 	}
-	m.InsertVersion(types.Row{types.NewInt(-3), types.NewFloat(9e300), types.NewDate(1 << 40), types.NewString("~")}, 7)
+	appendVersion(m, types.Row{types.NewInt(-3), types.NewFloat(9e300), types.NewDate(1 << 40), types.NewString("~")}, 7)
 	checkZone(t, m, true)
 	got := m.Synopsis(0)
 	if c := got.Col(0); c.Min.Int() != -3 || c.Max.Int() != 1<<60 || c.Nulls != 1 {
@@ -237,7 +237,7 @@ func TestSynopsisUpdateDeleteRecompute(t *testing.T) {
 	}
 	keep := m.Insert(r(7, 1, 10, "m"))
 	mixed := m.Insert(r(8, 3, 11, "q"))
-	aborted := m.InsertVersion(types.Row{types.Null, types.NewFloat(math.Inf(1)), types.Null, types.NewString("zz")}, 5)
+	aborted := appendVersion(m, types.Row{types.Null, types.NewFloat(math.Inf(1)), types.Null, types.NewString("zz")}, 5)
 	checkZone(t, m, true)
 	m.AbortInsert(aborted) // sheds the NULL and +Inf again
 	checkZone(t, m, true)
@@ -369,7 +369,7 @@ func TestScanPagesSkipAndCounters(t *testing.T) {
 
 	// A page with no visible row is charged but not delivered.
 	e := NewHeap(testDef())
-	e.AbortInsert(e.InsertVersion(types.Row{types.NewInt(1), types.Null}, 3))
+	e.AbortInsert(appendVersion(e, types.Row{types.NewInt(1), types.Null}, 3))
 	c = Counters{}
 	done = e.ScanPageListAt(allPages(e), SnapLatest, 0, &c, func(int, *vec.Batch, *ZoneEntry) bool {
 		t.Error("empty page delivered")

@@ -139,29 +139,15 @@ func (h *Heap) zoneSlot(pi int) (*zoneBlock, int) {
 	return h.zoneDir()[pi/zoneBlockPages], pi % zoneBlockPages
 }
 
-// zoneAdd widens page pi's entry by one non-aborted version: inserts only
-// widen the bounds, so merging in place is exact. Uncommitted versions are
-// included eagerly — the entry must cover them the moment their
-// transaction's own scans can see them — and a rollback recomputes the entry
-// to shed them again.
-func (h *Heap) zoneAdd(pi int, row types.Row) {
-	b, i := h.zoneSlot(pi)
-	rows := max(b.rows(i), 0) + 1
-	b.begin(i)
-	for ci := range b.cols {
-		if ci >= len(row) {
-			break
-		}
-		b.cols[ci].merge(i, row[ci])
-	}
-	b.end(i, rows)
-}
-
 // zoneAddRun widens page pi's entry by the new non-aborted versions in slots
 // [lo, hi) of p, under one bracket: per column the run's NULLs are counted
-// in, and its lowest and highest values are merged. The lowest and highest
-// are the first of their ties in slot order, so the entry ends exactly as
-// zoneAdd slot by slot would leave it.
+// in, and its lowest and highest values are merged. Inserts only widen the
+// bounds, so merging in place is exact. The lowest and highest are the first
+// of their ties in slot order, so the entry ends exactly as merging the
+// run's values one by one in slot order would leave it. Uncommitted versions
+// are included eagerly — the entry must cover them the moment their
+// transaction's own scans can see them — and a rollback recomputes the entry
+// to shed them again.
 func (h *Heap) zoneAddRun(pi int, p *page, lo, hi int) {
 	b, i := h.zoneSlot(pi)
 	rows := max(b.rows(i), 0) + int64(hi-lo)

@@ -76,10 +76,10 @@ func zoneBoundsOf(w zoneColWords) (lo, hi types.Datum) {
 }
 
 // TestZoneAddMatchesRecompute: for a column of every kind, the entry that
-// zoneAdd widens insert by insert holds exactly the words zoneRecompute
-// stores for the same slots — after −0 then +0 and +0 then −0, ±Inf and the
-// int64 extremes, runs of NULLs, all-NULL columns and all-NULL pages, and
-// random mixes spanning several pages.
+// install widens insert by insert (one-slot zoneAddRun runs) holds exactly
+// the words zoneRecompute stores for the same slots — after −0 then +0 and
+// +0 then −0, ±Inf and the int64 extremes, runs of NULLs, all-NULL columns
+// and all-NULL pages, and random mixes spanning several pages.
 func TestZoneAddMatchesRecompute(t *testing.T) {
 	def := mustTable("z",
 		schema.Column{Name: "i", Type: types.KindInt, Nullable: true},
