@@ -252,7 +252,9 @@ func (db *Database) createSummary(cs *sql.CreateSummary) (*Result, error) {
 // LinkException exposes §4.4 exception-AST linking to callers (there is no
 // SQL syntax for it; DB2 would track the relationship internally).
 func (db *Database) LinkException(constraintName, summaryName string) error {
-	db.mu.Lock()
+	db.lockWrite()
+	defer db.writeMu.Unlock()
+	db.lock()
 	defer db.mu.Unlock()
 	if err := db.cat.LinkException(constraintName, summaryName); err != nil {
 		return err

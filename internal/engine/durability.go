@@ -140,10 +140,12 @@ type WALStatus struct {
 
 // WALStatusSnapshot reports the database's durability state; for an
 // in-memory database it returns the zero value, marshaling to
-// {"durable": false}.
+// {"durable": false}. It reads the log writer and the statement count
+// under writeMu, the lock every log writer holds; the shared lock would
+// not exclude them.
 func (db *Database) WALStatusSnapshot() WALStatus {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.lockWrite()
+	defer db.writeMu.Unlock()
 	d := db.dur
 	if d == nil {
 		return WALStatus{}
@@ -253,7 +255,9 @@ func (db *Database) SyncSoftRegistry() {
 	if db.dur == nil {
 		return
 	}
-	db.mu.Lock()
+	db.lockWrite()
+	defer db.writeMu.Unlock()
+	db.lock()
 	defer db.mu.Unlock()
 	err := db.walSoftLocked()
 	if err == nil {
@@ -270,7 +274,9 @@ func (db *Database) SyncSoftRegistry() {
 // summary tables materialized over it. Durable databases log it as a single
 // redo record rather than per-row tombstones.
 func (db *Database) TruncateTable(table string) error {
-	db.mu.Lock()
+	db.lockWrite()
+	defer db.writeMu.Unlock()
+	db.lock()
 	defer db.mu.Unlock()
 	te, err := db.cat.Table(table)
 	if err != nil {
@@ -305,7 +311,9 @@ func (db *Database) truncateLocked(te *catalog.TableEntry) {
 // Checkpoint snapshots the full engine state and truncates the log. Safe
 // no-op on in-memory databases.
 func (db *Database) Checkpoint() error {
-	db.mu.Lock()
+	db.lockWrite()
+	defer db.writeMu.Unlock()
+	db.lock()
 	defer db.mu.Unlock()
 	return db.checkpointLocked()
 }
@@ -576,7 +584,9 @@ func OpenDurable(dir string, opts DurableOptions) (*Database, *RecoveryStats, er
 // starts from the snapshot alone) and closes the log. In-memory databases
 // close trivially.
 func (db *Database) Close() error {
-	db.mu.Lock()
+	db.lockWrite()
+	defer db.writeMu.Unlock()
+	db.lock()
 	defer db.mu.Unlock()
 	d := db.dur
 	if d == nil {

@@ -236,7 +236,7 @@ func econKeys[V any](m map[string]V) []string {
 // figures. It backs SHOW CONSTRAINTS ECONOMY, /debug/constraints and the
 // REPL's \constraints — one code path, so the three surfaces agree.
 func (db *Database) ConstraintEconomy() []obs.EconomyRow {
-	db.mu.RLock()
+	db.rlock()
 	defer db.mu.RUnlock()
 	return db.constraintEconomyLocked()
 }

@@ -144,11 +144,16 @@ type cachedPlan struct {
 //   - SELECT and EXPLAIN plan under the shared lock, pin a snapshot, then
 //     release the lock before operator execution — readers never queue
 //     behind writers or behind each other's result materialization.
-//   - DML applies uncommitted row versions under the shared lock plus
-//     writeMu (appliers serialized against each other, concurrent with
-//     readers) and commits under the exclusive lock, where the commit
-//     timestamp is stamped and published.
-//   - DDL, ANALYZE, checkpoints and recovery take the exclusive lock.
+//   - DML applies uncommitted row versions under writeMu plus the shared
+//     lock (appliers serialized against each other, concurrent with
+//     readers). Commit keeps writeMu throughout, appends and fsyncs the
+//     log under the shared lock, and takes the exclusive lock only to
+//     stamp the commit timestamp, run the soft write hooks and publish —
+//     so no reader waits on the disk.
+//   - DDL, ANALYZE, truncates, registry syncs, vacuum, checkpoints and
+//     Close take writeMu, then the exclusive lock.
+//
+// The lock order is writeMu before mu, everywhere.
 //
 // Configuration fields (RewriteOpts, the No* toggles) are read
 // without synchronization — set them before sharing the database across
@@ -156,13 +161,15 @@ type cachedPlan struct {
 // soft-constraint manager) is not covered by these locks; quiesce queries
 // first.
 type Database struct {
-	// mu guards catalog, storage metadata, views and notices: exclusive
-	// for commits/DDL, shared for planning and DML apply.
+	// mu guards what planning reads — catalog, storage metadata, views —
+	// and notices: exclusive to publish a commit or a DDL change, shared
+	// for planning, DML apply and a commit's log write.
 	mu sync.RWMutex
-	// writeMu serializes DML appliers (and explicit-transaction WAL
-	// streaming) against each other. It nests inside mu's shared side:
-	// every holder also holds mu.RLock, so an exclusive-lock holder is
-	// automatically alone.
+	// writeMu orders every writer of the log and of the heaps: DML apply,
+	// commit and rollback from start to finish, and every path that takes
+	// mu exclusively. It is taken before mu. Because a commit holds it
+	// across the gap between its fsync (under mu shared) and its stamping
+	// (under mu exclusive), no other writer can slip into that gap.
 	writeMu sync.Mutex
 	// cacheMu guards cache and cacheStat. It nests inside mu (taken
 	// while mu is held, never the other way around).
@@ -244,7 +251,9 @@ type Database struct {
 	obs obsState
 
 	// dur is the write-ahead-log state for durable databases (OpenDurable);
-	// nil for in-memory databases. Guarded by mu like the catalog.
+	// nil for in-memory databases. The pointer changes only under writeMu
+	// plus the exclusive lock (Close); the log writer and its counters are
+	// guarded by writeMu.
 	dur *walState
 
 	// notices accumulated during the current statement.
@@ -514,7 +523,7 @@ func (db *Database) execStmtCtx(ctx context.Context, stmt sql.Statement, cacheKe
 				Columns: []string{"shard", "addr", "state", "table", "column", "kind", "range", "constraint"},
 			}, nil
 		}
-		db.mu.RLock()
+		db.rlock()
 		defer db.mu.RUnlock()
 		return db.showConstraintsEconomy(), nil
 	case *sql.Begin:
@@ -531,12 +540,15 @@ func (db *Database) execStmtCtx(ctx context.Context, stmt sql.Statement, cacheKe
 		return db.execDML(sess, func(tx *Tx) (*Result, error) { return db.delete(tx, s) })
 	}
 
-	// DDL and ANALYZE commit immediately under the exclusive lock; inside
-	// an explicit transaction they would be unrollbackable, so reject them.
+	// DDL and ANALYZE commit immediately under writeMu plus the exclusive
+	// lock; inside an explicit transaction they would be unrollbackable, so
+	// reject them.
 	if sess != nil && sess.current() != nil {
 		return nil, fmt.Errorf("engine: %s is not allowed inside a transaction", sql.Print(stmt))
 	}
-	db.mu.Lock()
+	db.lockWrite()
+	defer db.writeMu.Unlock()
+	db.lock()
 	defer db.mu.Unlock()
 	// Notices are only produced under the exclusive lock (commit hooks and
 	// DDL), so the shared query path never touches them.
@@ -637,7 +649,7 @@ func (db *Database) rewriteOpts(st Settings) rewrite.Options {
 
 // Plan builds, rewrites and optimizes a select without running it.
 func (db *Database) Plan(sel *sql.Select) (*opt.Result, *rewrite.Rewriter, error) {
-	db.mu.RLock()
+	db.rlock()
 	defer db.mu.RUnlock()
 	st := db.defaultSettings()
 	logical, err := db.builder().BuildSelect(sel)
@@ -699,7 +711,7 @@ func (db *Database) query(ctx context.Context, sel *sql.Select, text string, mod
 		sqlText = sql.Print(sel)
 	}
 
-	db.mu.RLock()
+	db.rlock()
 	locked := true
 	unlock := func() {
 		if locked {
@@ -773,7 +785,7 @@ func (db *Database) reference(ctx context.Context, sel *sql.Select, text string,
 			return nil, err
 		}
 	}
-	db.mu.RLock()
+	db.rlock()
 	logical, err := db.builder().BuildSelect(sel)
 	if err != nil {
 		db.mu.RUnlock()
@@ -1245,7 +1257,9 @@ func virtualColumn(heap *storage.Heap, e expr.Expr) (*vec.Col, error) {
 // (§5.1's second mechanism). exprSQL is an expression over the table's
 // columns, e.g. "end_date - start_date".
 func (db *Database) AddVirtualColumn(table, name, exprSQL string) error {
-	db.mu.Lock()
+	db.lockWrite()
+	defer db.writeMu.Unlock()
+	db.lock()
 	defer db.mu.Unlock()
 	te, err := db.cat.Table(table)
 	if err != nil {

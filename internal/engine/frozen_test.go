@@ -28,7 +28,9 @@ import (
 
 // thawAll drops every page image of every table: the state a restart leaves.
 func thawAll(db *Database) {
-	db.mu.Lock()
+	db.lockWrite()
+	defer db.writeMu.Unlock()
+	db.lock()
 	defer db.mu.Unlock()
 	for _, name := range db.cat.TableNames() {
 		if te, err := db.cat.Table(name); err == nil {

@@ -65,7 +65,22 @@ const (
 	mRecoveryRevalid   = "softdb_recovery_revalidated_total"
 	mRecoveryInvalid   = "softdb_recovery_invalidated_total"
 	mRecoveryTailTrunc = "softdb_recovery_tail_truncated_total"
+	// Engine lock waits (see Database.lockWrite, rlock, lock).
+	mLockWait = "softdb_engine_lock_wait_seconds"
 )
+
+// The lock-wait histograms, one per lock and mode, by index into
+// obsState.lockWait.
+const (
+	waitShared    = iota // db.mu, shared
+	waitExclusive        // db.mu, exclusive
+	waitWrite            // writeMu
+)
+
+// lockWaitBuckets bound a contended acquisition's wait: from a handoff
+// between two statements (microseconds) through a reader queued behind a
+// commit's publish or a checkpoint (milliseconds and up).
+var lockWaitBuckets = []float64{1e-6, 1e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.1, 1}
 
 // walBatchBuckets are the group-commit batch-size histogram bounds: a batch
 // is the records of one statement plus its commit terminator, so powers of
@@ -107,6 +122,9 @@ type obsState struct {
 	memBudgetRejected *obs.Counter
 	workerPanics      *obs.Counter
 	checkEvals        *obs.Counter
+
+	// lockWait times contended acquisitions of db.mu and writeMu.
+	lockWait [3]*obs.Histogram
 
 	// econ is the per-constraint benefit/cost ledger (see economy.go). It
 	// is always non-nil after initObs; the NoEconomy toggle gates the
@@ -166,6 +184,7 @@ func (db *Database) initObs() {
 	r.Describe(mRecoveryRevalid, "counter", "Soft constraints revalidated and kept by crash recovery.")
 	r.Describe(mRecoveryInvalid, "counter", "Soft constraints invalidated by crash-recovery revalidation.")
 	r.Describe(mRecoveryTailTrunc, "counter", "Torn WAL tails truncated by crash recovery.")
+	r.Describe(mLockWait, "histogram", "Seconds a contended acquisition of an engine lock waited, by lock (db: the catalog and publish lock; write: the writer lock) and mode. Uncontended acquisitions are not observed.")
 	o.econ = obs.NewEconomy(r)
 
 	o.queries = r.Counter(mQueries)
@@ -192,6 +211,9 @@ func (db *Database) initObs() {
 	o.memBudgetRejected = r.Counter(mMemBudgetRejected)
 	o.workerPanics = r.Counter(mWorkerPanics)
 	o.checkEvals = r.Counter(mCheckEvals)
+	o.lockWait[waitShared] = r.Histogram(mLockWait, lockWaitBuckets, "lock", "db", "mode", "shared")
+	o.lockWait[waitExclusive] = r.Histogram(mLockWait, lockWaitBuckets, "lock", "db", "mode", "exclusive")
+	o.lockWait[waitWrite] = r.Histogram(mLockWait, lockWaitBuckets, "lock", "write", "mode", "exclusive")
 }
 
 // collectStorageMetrics refreshes the storage figures from the heaps at
@@ -199,7 +221,7 @@ func (db *Database) initObs() {
 // recompute per query and nothing a query needs.
 func (db *Database) collectStorageMetrics() {
 	var bytes, thaws int64
-	db.mu.RLock()
+	db.rlock()
 	for _, name := range db.cat.TableNames() {
 		if te, err := db.cat.Table(name); err == nil {
 			_, t := te.Heap.FreezeStats()

@@ -15,6 +15,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -72,13 +73,14 @@ func (g *Gauge) Value() int64 {
 }
 
 // Histogram is a fixed-bucket latency/size histogram. Observe is lock-free:
-// one binary search plus three atomic adds. The sum is kept in micro-units
-// (value × 1e6) so it stays an atomic integer.
+// one binary search, two atomic adds and a compare-and-swap on the sum. The
+// sum is kept as float64 bits, so sub-microsecond values (an engine lock
+// wait) add up exactly instead of truncating to zero.
 type Histogram struct {
-	bounds    []float64 // ascending upper bounds; +Inf bucket is implicit
-	buckets   []atomic.Int64
-	count     atomic.Int64
-	sumMicros atomic.Int64
+	bounds  []float64 // ascending upper bounds; +Inf bucket is implicit
+	buckets []atomic.Int64
+	count   atomic.Int64
+	sumBits atomic.Uint64
 }
 
 // DefLatencyBuckets are the default duration buckets, in seconds.
@@ -101,7 +103,12 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = +Inf
 	h.buckets[i].Add(1)
 	h.count.Add(1)
-	h.sumMicros.Add(int64(v * 1e6))
+	for {
+		old := h.sumBits.Load()
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // Count returns the number of observations.
@@ -117,7 +124,7 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return float64(h.sumMicros.Load()) / 1e6
+	return math.Float64frombits(h.sumBits.Load())
 }
 
 // family groups the series of one metric name for exposition.
@@ -234,19 +241,20 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating on first use) the histogram series for name.
-// bounds are only applied on creation.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns (creating on first use) the histogram series for name
+// with optional label key/value pairs. bounds are only applied on creation.
+func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	key := seriesName(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.fam(name, "histogram")
-	h, ok := f.hists[name]
+	h, ok := f.hists[key]
 	if !ok {
 		h = newHistogram(bounds)
-		f.hists[name] = h
+		f.hists[key] = h
 	}
 	return h
 }
@@ -300,18 +308,25 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		for _, key := range sortedKeys(f.hists) {
 			h := f.hists[key]
+			// A labeled series renders its labels on every line, with le
+			// appended to them on the bucket lines.
+			labels := strings.TrimSuffix(strings.TrimPrefix(key[len(f.name):], "{"), "}")
+			set, le := "", "{le="
+			if labels != "" {
+				set, le = "{"+labels+"}", "{"+labels+",le="
+			}
 			cum := int64(0)
 			for i, bound := range h.bounds {
 				cum += h.buckets[i].Load()
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", key, trimFloat(bound), cum); err != nil {
+				if _, err := fmt.Fprintf(w, "%s_bucket%s%q} %d\n", f.name, le, trimFloat(bound), cum); err != nil {
 					return err
 				}
 			}
 			cum += h.buckets[len(h.bounds)].Load()
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", key, cum); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket%s\"+Inf\"} %d\n", f.name, le, cum); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", key, h.Sum(), key, h.Count()); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n", f.name, set, h.Sum(), f.name, set, h.Count()); err != nil {
 				return err
 			}
 		}

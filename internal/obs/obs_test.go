@@ -84,6 +84,11 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(0.5)
+	// A labeled histogram, observed below a microsecond: the labels ride
+	// on every line and the sum keeps the sub-microsecond values.
+	lw := r.Histogram("softdb_engine_lock_wait_seconds", []float64{1e-6}, "lock", "db", "mode", "shared")
+	lw.Observe(4e-7)
+	lw.Observe(4e-7)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -101,6 +106,10 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 		`softdb_query_duration_seconds_bucket{le="0.1"} 2`,
 		`softdb_query_duration_seconds_bucket{le="+Inf"} 3`,
 		"softdb_query_duration_seconds_count 3",
+		`softdb_engine_lock_wait_seconds_bucket{lock="db",mode="shared",le="0.000001"} 2`,
+		`softdb_engine_lock_wait_seconds_bucket{lock="db",mode="shared",le="+Inf"} 2`,
+		`softdb_engine_lock_wait_seconds_sum{lock="db",mode="shared"} 8e-07`,
+		`softdb_engine_lock_wait_seconds_count{lock="db",mode="shared"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)

@@ -57,7 +57,8 @@ type WriterOptions struct {
 }
 
 // Writer appends record groups to the log. It is not safe for concurrent
-// use; the engine serializes writers under its statement lock. The first
+// use: the engine makes every call, and every read of its counters, under
+// its writer lock (writeMu). The first
 // write or fsync failure latches: the file tail past the last good commit
 // must be considered garbage, so every later Commit fails fast with the
 // same error and the engine degrades to read-only until restart (when
