@@ -37,7 +37,7 @@ func (h *Heap) gather(p *page, snap, tid int64, sel []int32) ([]int32, int, bool
 	var asOf int64
 	for si := 0; si < n; si++ {
 		st := &p.stamps[si]
-		b, e := st.begin.Load(), st.end.Load()
+		b, e := st.load()
 		if !Visible(b, e, snap, tid) {
 			settled = false
 			continue

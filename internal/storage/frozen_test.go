@@ -444,3 +444,45 @@ func TestFrozenScansUnderWriters(t *testing.T) {
 		t.Fatal("the writer never thawed a page")
 	}
 }
+
+// A scan that reads a slot's stamps while Vacuum reclaims the slot must not
+// judge it visible. Vacuum stores begin = Aborted, clears the slot's values
+// and then stores end = Aborted; a reader that loaded begin first could pair
+// the old begin with end = Aborted, which reads as "never ended", and hand
+// out the cleared slot. Every version here ended at 2, the snapshot the
+// scans read at, so no slot may ever be visible to them. Under -race, a
+// scan that reads begin first fails this within a few runs.
+func TestScanNeverSeesSlotVacuumReclaims(t *testing.T) {
+	for round := 0; round < 40; round++ {
+		h := NewHeap(testDef())
+		for i := 0; i < 4*h.RowsPerPage(); i++ {
+			id := h.Insert(types.Row{types.NewInt(int64(i + 1)), types.NewString("x")})
+			h.SetEnd(id, 2)
+		}
+		pages := make([]int32, h.PageCount())
+		for i := range pages {
+			pages[i] = int32(i)
+		}
+		var vacuumed atomic.Bool
+		var seen atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for last := false; !last; {
+				last = vacuumed.Load()
+				h.ScanPageListAt(pages, 2, 0, nil, func(_ int, b *vec.Batch, _ *ZoneEntry) bool {
+					seen.Add(int64(b.Len()))
+					return true
+				})
+			}
+		}()
+		if n := h.Vacuum(2); n != 4*h.RowsPerPage() {
+			t.Fatalf("vacuum reclaimed %d slots, want %d", n, 4*h.RowsPerPage())
+		}
+		vacuumed.Store(true)
+		<-done
+		if n := seen.Load(); n != 0 {
+			t.Fatalf("round %d: scans at snapshot 2 saw %d slots of versions ended at 2", round, n)
+		}
+	}
+}

@@ -174,6 +174,25 @@ type stamp struct {
 	end   atomic.Int64
 }
 
+// load reads the stamps end first. Vacuum reclaims a committed-ended
+// version by storing begin = Aborted, clearing the slot's values and then
+// storing end = Aborted. Read begin first, a lock-free scan could pair the
+// old begin with end = Aborted, which reads as "never ended", and hand out
+// the cleared slot. Read end first, it sees either the old end, at or below
+// the vacuum horizon and so invisible to every pinned snapshot, or Aborted
+// with begin already Aborted.
+func (st *stamp) load() (b, e int64) {
+	e = st.end.Load()
+	return st.begin.Load(), e
+}
+
+// visible reports whether the version is in the view of a reader at snap
+// running as transaction tid (see Visible).
+func (st *stamp) visible(snap, tid int64) bool {
+	b, e := st.load()
+	return Visible(b, e, snap, tid)
+}
+
 // page holds a fixed-capacity slot array: the slots' values in typed columns
 // (page.go) and their version stamps. used publishes how many slots are
 // valid: a writer fills every column and the stamps of slot used completely
@@ -439,7 +458,7 @@ func (h *Heap) VisiblePages(fn func(pi int, b *vec.Batch) bool) {
 		sel = sel[:0]
 		for si := 0; si < n; si++ {
 			st := &p.stamps[si]
-			if Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0) {
+			if st.visible(SnapLatest, 0) {
 				sel = append(sel, int32(si))
 			}
 		}
@@ -479,7 +498,7 @@ func (h *Heap) InsertAtRID(row types.Row, rid RowID, begin int64) bool {
 		case int(rid.Page) < tailPage,
 			int(rid.Page) == tailPage && rid.Slot < tailUsed:
 			p, st := h.locate(rid)
-			if st == nil || !vacant(st.begin.Load(), st.end.Load()) {
+			if st == nil || !vacant(st.load()) {
 				return false // behind the tail: slot genuinely occupied
 			}
 			if begin == Aborted {
@@ -539,7 +558,8 @@ func (h *Heap) Meta(id RowID) (begin, end int64, ok bool) {
 	if st == nil {
 		return 0, 0, false
 	}
-	return st.begin.Load(), st.end.Load(), true
+	b, e := st.load()
+	return b, e, true
 }
 
 // AbortInsert retires an uncommitted insert: the version becomes invisible
@@ -617,7 +637,7 @@ func (h *Heap) Get(id RowID) (types.Row, bool) { return h.GetAt(id, SnapLatest, 
 // who owns it.
 func (h *Heap) GetAt(id RowID, snap, tid int64) (types.Row, bool) {
 	p, st := h.locate(id)
-	if st == nil || !Visible(st.begin.Load(), st.end.Load(), snap, tid) {
+	if st == nil || !st.visible(snap, tid) {
 		return nil, false
 	}
 	return p.appendRow(make(types.Row, 0, len(p.cols)), int(id.Slot)), true
@@ -628,7 +648,7 @@ func (h *Heap) GetAt(id RowID, snap, tid int64) (types.Row, bool) {
 // reports whether it did: an index fetch's typed gather, with no row built.
 func (h *Heap) GatherAt(cols []vec.Col, id RowID, snap, tid int64) bool {
 	p, st := h.locate(id)
-	if st == nil || !Visible(st.begin.Load(), st.end.Load(), snap, tid) {
+	if st == nil || !st.visible(snap, tid) {
 		return false
 	}
 	for ci := range p.cols {
@@ -645,7 +665,7 @@ func (h *Heap) Kinds() []types.Kind { return h.kinds }
 // without building the row.
 func (h *Heap) Sees(id RowID, snap, tid int64) bool {
 	_, st := h.locate(id)
-	return st != nil && Visible(st.begin.Load(), st.end.Load(), snap, tid)
+	return st != nil && st.visible(snap, tid)
 }
 
 // GetAny returns the row at id if any committed-state reader could still
@@ -662,7 +682,7 @@ func (h *Heap) GetAny(id RowID) (types.Row, bool) {
 // SeesAny reports whether GetAny would return the version at id.
 func (h *Heap) SeesAny(id RowID) bool {
 	_, st := h.locate(id)
-	return st != nil && visibleAnyCommitted(st.begin.Load(), st.end.Load())
+	return st != nil && visibleAnyCommitted(st.load())
 }
 
 // Scan iterates rows visible to the latest snapshot in storage order,
@@ -696,7 +716,7 @@ func (h *Heap) ScanRangeAt(pageLo, pageHi int, snap, tid int64, c *Counters, fn 
 		n := p.used.Load()
 		for si := int32(0); si < n; si++ {
 			st := &p.stamps[si]
-			if !Visible(st.begin.Load(), st.end.Load(), snap, tid) {
+			if !st.visible(snap, tid) {
 				continue
 			}
 			c.AddRows(1)
@@ -716,7 +736,7 @@ func (h *Heap) ScanColsAt(snap, tid int64, cols []int, fn func(id RowID, row typ
 		n := p.used.Load()
 		for si := int32(0); si < n; si++ {
 			st := &p.stamps[si]
-			if !Visible(st.begin.Load(), st.end.Load(), snap, tid) {
+			if !st.visible(snap, tid) {
 				continue
 			}
 			for _, ci := range cols {
@@ -762,7 +782,7 @@ func (h *Heap) Columns(ords []int) []vec.Col {
 		sel = sel[:0]
 		for si := 0; si < used; si++ {
 			st := &p.stamps[si]
-			if Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0) {
+			if st.visible(SnapLatest, 0) {
 				sel = append(sel, int32(si))
 			}
 		}
@@ -785,7 +805,7 @@ func (h *Heap) ScanDirty(fn func(id RowID, row types.Row) bool) {
 		n := p.used.Load()
 		for si := int32(0); si < n; si++ {
 			st := &p.stamps[si]
-			if !visibleAnyCommitted(st.begin.Load(), st.end.Load()) {
+			if !visibleAnyCommitted(st.load()) {
 				continue
 			}
 			if !fn(RowID{Page: int32(pi), Slot: si}, v.at(p, int(si))) {
@@ -863,7 +883,7 @@ func (h *Heap) Vacuum(horizon int64) int {
 		n := p.used.Load()
 		for si := int32(0); si < n; si++ {
 			st := &p.stamps[si]
-			b, e := st.begin.Load(), st.end.Load()
+			b, e := st.load()
 			switch {
 			case b == Aborted:
 				if e == Aborted {
@@ -911,7 +931,7 @@ func (h *Heap) Dump(page func(slots int), slot func(row types.Row)) {
 		page(int(n))
 		for si := int32(0); si < n; si++ {
 			st := &p.stamps[si]
-			if !Visible(st.begin.Load(), st.end.Load(), SnapLatest, 0) {
+			if !st.visible(SnapLatest, 0) {
 				slot(nil)
 				continue
 			}
